@@ -1,0 +1,205 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"fuzzyjoin/internal/mapreduce"
+	"fuzzyjoin/internal/records"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stage2_golden.json from the current code")
+
+const goldenPath = "testdata/stage2_golden.json"
+
+// goldenCell is one Stage-2 variant's fingerprint: the SHA-256 of every
+// part file the stage wrote (name and bytes, in name order — the raw
+// pre-dedup files too when splitting) and the stage2.* counters summed
+// over the stage's jobs.
+type goldenCell struct {
+	SHA256   string           `json:"sha256"`
+	Counters map[string]int64 `json:"counters"`
+}
+
+// goldenVariant is one runnable Stage-2 configuration.
+type goldenVariant struct {
+	name string
+	cfg  Config
+}
+
+// goldenVariants enumerates every (kernel, routing, block mode, length
+// routing, split, FVT build, bitmap) cell Validate accepts.
+func goldenVariants() []goldenVariant {
+	var out []goldenVariant
+	for _, routing := range []Routing{IndividualTokens, GroupedTokens} {
+		for _, bitmap := range []bool{false, true} {
+			base := Config{Routing: routing, BitmapFilter: bitmap, NumReducers: 3}
+			if routing == GroupedTokens {
+				base.NumGroups = 7
+			}
+			add := func(name string, mut func(*Config)) {
+				cfg := base
+				mut(&cfg)
+				out = append(out, goldenVariant{
+					name: fmt.Sprintf("%s/%s/bitmap=%v", name, routing, bitmap),
+					cfg:  cfg,
+				})
+			}
+			add("bk", func(c *Config) { c.Kernel = BK })
+			add("bk-mapblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = MapBlocks; c.NumBlocks = 3 })
+			add("bk-reduceblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = ReduceBlocks; c.NumBlocks = 3 })
+			add("bk-lenroute", func(c *Config) { c.Kernel = BK; c.LengthRouting = true; c.LengthBucket = 2 })
+			add("bk-split", func(c *Config) { c.Kernel = BK; c.SplitK = 3; c.SplitHotCount = 30 })
+			add("pk", func(c *Config) { c.Kernel = PK })
+			add("pk-split", func(c *Config) { c.Kernel = PK; c.SplitK = 3; c.SplitHotCount = 30 })
+			for _, incr := range []bool{false, true} {
+				incr := incr
+				build := "bulk"
+				if incr {
+					build = "incr"
+				}
+				add("fvt-"+build, func(c *Config) { c.Kernel = FVT; c.FVTIncremental = incr })
+				add("fvt-"+build+"-split", func(c *Config) {
+					c.Kernel = FVT
+					c.FVTIncremental = incr
+					c.SplitK = 3
+					c.SplitHotCount = 30
+				})
+			}
+		}
+	}
+	return out
+}
+
+// goldenLines is the seeded workload plus a few records whose join
+// attribute is empty, so stage2.empty_projections is exercised.
+func goldenLines(seed int64, n, startRID int) []string {
+	lines := makeLines(seed, n, startRID)
+	for i := 0; i < 4; i++ {
+		lines = append(lines, records.Record{
+			RID:    uint64(startRID + n + i),
+			Fields: []string{"", "", "no join attribute"},
+		}.Line())
+	}
+	return lines
+}
+
+func runGoldenCell(t *testing.T, v goldenVariant, rs bool) goldenCell {
+	t.Helper()
+	fs := newTestFS(t)
+	cfg := v.cfg
+	cfg.FS = fs
+	cfg.Work = "w"
+	var (
+		ms  []*mapreduce.Metrics
+		err error
+	)
+	if rs {
+		writeInput(t, fs, "R", goldenLines(71, 400, 1))
+		// S overlaps R's RID space and carries tokens R never saw.
+		writeInput(t, fs, "S", append(goldenLines(71, 300, 201),
+			records.Record{RID: 9001, Fields: []string{"zzunseen qqunseen", "xxunseen", ""}}.Line()))
+		tokenFile, _, err1 := Stage1(cfg, "R")
+		if err1 != nil {
+			t.Fatal(err1)
+		}
+		_, ms, err = Stage2RS(cfg, "R", "S", tokenFile)
+	} else {
+		writeInput(t, fs, "in", goldenLines(71, 400, 1))
+		tokenFile, _, err1 := Stage1(cfg, "in")
+		if err1 != nil {
+			t.Fatal(err1)
+		}
+		_, ms, err = Stage2Self(cfg, "in", tokenFile)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", v.name, err)
+	}
+	h := sha256.New()
+	parts := fs.List("w/s2")
+	sort.Strings(parts)
+	for _, name := range parts {
+		b, err := fs.ReadAll(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", name, len(b))
+		h.Write(b)
+	}
+	if len(parts) == 0 {
+		t.Fatalf("%s: stage 2 wrote no part files", v.name)
+	}
+	counters := map[string]int64{}
+	for _, m := range ms {
+		for k, n := range m.Counters {
+			if strings.HasPrefix(k, "stage2.") {
+				counters[k] += n
+			}
+		}
+	}
+	return goldenCell{SHA256: hex.EncodeToString(h.Sum(nil)), Counters: counters}
+}
+
+// TestStage2Golden pins Stage 2's observable behaviour — part-file bytes
+// (so key layouts, kernel call order and emission order) and every
+// stage2.* counter — for each runnable variant, self and R-S, against a
+// fingerprint recorded before the Stage-2 collapse. Regenerate with
+// `go test ./internal/core -run TestStage2Golden -update-golden` only for
+// an intended behaviour change, and say why in the commit.
+func TestStage2Golden(t *testing.T) {
+	got := map[string]goldenCell{}
+	for _, v := range goldenVariants() {
+		for _, rs := range []bool{false, true} {
+			kind := "self"
+			if rs {
+				kind = "rs"
+			}
+			got[kind+"/"+v.name] = runGoldenCell(t, v, rs)
+		}
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]goldenCell
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d cells run, golden file has %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g, ok := got[name]
+		if !ok {
+			t.Errorf("%s: in golden file but not run", name)
+			continue
+		}
+		if g.SHA256 != w.SHA256 {
+			t.Errorf("%s: Stage-2 part files changed (sha256 %s, want %s)", name, g.SHA256, w.SHA256)
+		}
+		if !reflect.DeepEqual(g.Counters, w.Counters) {
+			t.Errorf("%s: counters = %v, want %v", name, g.Counters, w.Counters)
+		}
+	}
+}
