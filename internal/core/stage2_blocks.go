@@ -68,6 +68,7 @@ func (bm *blockedSelfMapper) Map(ctx *mapreduce.Context, _, value []byte, out ma
 		return err
 	}
 	if len(ranks) == 0 {
+		ctx.Count("stage2.empty_projections", 1)
 		return nil
 	}
 	val := records.Projection{RID: rid, Ranks: ranks}.AppendBinary(nil)

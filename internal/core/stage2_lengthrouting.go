@@ -54,6 +54,7 @@ func (lm *lengthRoutedMapper) Map(ctx *mapreduce.Context, _, value []byte, out m
 		return err
 	}
 	if len(ranks) == 0 {
+		ctx.Count("stage2.empty_projections", 1)
 		return nil
 	}
 	cfg := lm.inner.cfg
@@ -195,6 +196,7 @@ func (lm *lengthRoutedRSMapper) Map(ctx *mapreduce.Context, _, value []byte, out
 		return err
 	}
 	if len(ranks) == 0 {
+		ctx.Count("stage2.empty_projections", 1)
 		return nil
 	}
 	cfg := lm.inner.cfg
