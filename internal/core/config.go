@@ -141,17 +141,25 @@ func (m BlockMode) String() string {
 }
 
 // Config configures an end-to-end join.
+//
+// The Config is also what reaches task bodies in worker processes: it is
+// serialized into every job's program spec (programs.go). Fields tagged
+// json:"-" are engine-side — storage, naming and execution policy that
+// travel in the JobSpec or stay with the coordinator, plus the Tokenizer
+// interface, which travels as a tokSpec — and never reach a worker-side
+// Config; every other field does, so a new field that mappers or
+// reducers read needs no tag and no mirroring.
 type Config struct {
 	// FS is the distributed file system holding inputs, intermediates,
 	// and output.
-	FS *dfs.FS
+	FS *dfs.FS `json:"-"`
 	// Work is the prefix for intermediate and output files. Each run
 	// needs a fresh prefix.
-	Work string
+	Work string `json:"-"`
 
 	// Tokenizer converts join-attribute strings into token sets.
 	// Defaults to word tokenization, the paper's choice.
-	Tokenizer tokenize.Tokenizer
+	Tokenizer tokenize.Tokenizer `json:"-"`
 	// JoinFields are the record fields concatenated into the join
 	// attribute. Defaults to title + authors, the paper's choice.
 	JoinFields []int
@@ -188,9 +196,9 @@ type Config struct {
 
 	// NumReducers is the reduce-task count per job (the paper runs
 	// 4 × nodes). Defaults to 4.
-	NumReducers int
+	NumReducers int `json:"-"`
 	// MemoryLimit caps per-task memory (0 = unlimited).
-	MemoryLimit int64
+	MemoryLimit int64 `json:"-"`
 	// BlockMode and NumBlocks configure §5 block processing of Stage 2 BK
 	// groups: each reduce group is sub-partitioned into NumBlocks blocks
 	// (by RID hash) so one block — not the whole group — must fit in the
@@ -229,12 +237,12 @@ type Config struct {
 	// recorded per-task costs are measured per task regardless of how
 	// many run concurrently. Defaults to runtime.GOMAXPROCS(0); set 1
 	// explicitly for minimum-noise cost measurement.
-	Parallelism int
+	Parallelism int `json:"-"`
 	// CompressShuffle and SpillPairs pass through to every job (see
 	// mapreduce.Job): flate-compressed map output, and the map-side
 	// spill threshold in buffered pairs (0 = unbounded buffer).
-	CompressShuffle bool
-	SpillPairs      int
+	CompressShuffle bool `json:"-"`
+	SpillPairs      int  `json:"-"`
 	// NoCombiner disables the Stage 1 combine function (for the
 	// combiner-contribution ablation; the paper attributes BTO's limited
 	// speedup partly to combiners seeing less data per task as nodes
@@ -243,32 +251,32 @@ type Config struct {
 	// Retry configures per-task attempt retries in every job the
 	// pipeline runs (Hadoop's transparent task re-execution; see
 	// mapreduce.RetryPolicy). The zero value runs each task once.
-	Retry mapreduce.RetryPolicy
+	Retry mapreduce.RetryPolicy `json:"-"`
 	// FaultInjector, when non-nil, deterministically fails chosen task
 	// attempts in every job — used by tests and the failure-rate
 	// experiments; requires Retry.MaxAttempts > 1 for jobs to survive
 	// the injected failures.
-	FaultInjector mapreduce.FaultInjector
+	FaultInjector mapreduce.FaultInjector `json:"-"`
 	// NodeFailures schedules DFS node deaths/recoveries at job barriers
 	// in every job the pipeline runs (see mapreduce.NodeFailure). Events
 	// naming a specific job fire only there; a node failed in one job
 	// stays failed for the rest of the pipeline unless recovered.
-	NodeFailures []mapreduce.NodeFailure
+	NodeFailures []mapreduce.NodeFailure `json:"-"`
 	// Speculative races a backup attempt against every reduce task in
 	// every job (Hadoop's speculative execution); exactly one attempt
 	// per task commits.
-	Speculative bool
+	Speculative bool `json:"-"`
 	// Trace, when non-nil, receives typed events from every job the
 	// pipeline runs plus flow- and stage-level markers; the collected
 	// trace is returned on Result.Trace. Nil disables tracing at zero
 	// cost and leaves the join output byte-identical.
-	Trace *trace.Tracer
+	Trace *trace.Tracer `json:"-"`
 	// Runner, when non-nil, dispatches every task attempt of every job
 	// the pipeline runs to an external executor — the distributed
 	// backend's coordinator (see mapreduce.TaskRunner). Requires a
 	// serializable Config (stock tokenizer); output stays byte-identical
 	// to in-process execution.
-	Runner mapreduce.TaskRunner
+	Runner mapreduce.TaskRunner `json:"-"`
 
 	// ctx is the cancellation context the *Context entry points install;
 	// every job the pipeline runs executes under it. Plumbing, not

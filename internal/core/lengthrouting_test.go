@@ -72,7 +72,7 @@ func TestLengthRoutingReducesMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, ms, err := runStage2Self(&cfg, "in", tokenFile, "w")
+		_, ms, err := runStage2(&cfg, tokenFile, "w", "in")
 		if err != nil {
 			t.Fatal(err)
 		}

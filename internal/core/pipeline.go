@@ -14,13 +14,13 @@ import (
 // the next task boundary with an error wrapping mapreduce.ErrCanceled.
 func SelfJoinContext(ctx context.Context, cfg Config, input string) (*Result, error) {
 	cfg.ctx = ctx
-	return SelfJoin(cfg, input)
+	return join(cfg, input)
 }
 
 // RSJoinContext is RSJoin with cancellation (see SelfJoinContext).
 func RSJoinContext(ctx context.Context, cfg Config, inputR, inputS string) (*Result, error) {
 	cfg.ctx = ctx
-	return RSJoin(cfg, inputR, inputS)
+	return join(cfg, inputR, inputS)
 }
 
 // traceFlow emits a flow-level marker (FlowStart/FlowEnd) when tracing.
@@ -42,101 +42,72 @@ func traceStage(cfg *Config, typ trace.EventType, stage int, alg string) {
 // the tokens, Stage 2 generates similar-RID pairs, Stage 3 rebuilds full
 // record pairs. The final output is Result.Output (Text part files of
 // records.JoinedPair lines).
-func SelfJoin(cfg Config, input string) (*Result, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return nil, err
-	}
-	if !cfg.FS.Exists(input) {
-		return nil, fmt.Errorf("core: input %q does not exist", input)
-	}
-	res := &Result{}
-	traceFlow(&cfg, trace.FlowStart, "self-join", cfg.Combo())
-
-	start := time.Now()
-	traceStage(&cfg, trace.StageStart, 1, cfg.TokenOrder.String())
-	tokenFile, m1, err := runStage1(&cfg, input, cfg.Work)
-	if err != nil {
-		return nil, fmt.Errorf("stage 1 (%s): %w", cfg.TokenOrder, err)
-	}
-	traceStage(&cfg, trace.StageEnd, 1, cfg.TokenOrder.String())
-	res.TokenOrderFile = tokenFile
-	res.Stages[0] = StageMetrics{Stage: 1, Alg: cfg.TokenOrder.String(), Jobs: m1, Wall: time.Since(start)}
-
-	start = time.Now()
-	traceStage(&cfg, trace.StageStart, 2, cfg.Kernel.String())
-	pairs, m2, err := runStage2Self(&cfg, input, tokenFile, cfg.Work)
-	if err != nil {
-		return nil, fmt.Errorf("stage 2 (%s): %w", cfg.Kernel, err)
-	}
-	traceStage(&cfg, trace.StageEnd, 2, cfg.Kernel.String())
-	res.RIDPairs = pairs
-	res.Stages[1] = StageMetrics{Stage: 2, Alg: cfg.Kernel.String(), Jobs: m2, Wall: time.Since(start)}
-
-	start = time.Now()
-	traceStage(&cfg, trace.StageStart, 3, cfg.RecordJoin.String())
-	out, m3, err := runStage3(&cfg, []string{input}, "", false, pairs, cfg.Work)
-	if err != nil {
-		return nil, fmt.Errorf("stage 3 (%s): %w", cfg.RecordJoin, err)
-	}
-	traceStage(&cfg, trace.StageEnd, 3, cfg.RecordJoin.String())
-	res.Output = out
-	res.Stages[2] = StageMetrics{Stage: 3, Alg: cfg.RecordJoin.String(), Jobs: m3, Wall: time.Since(start)}
-	res.Pairs = stagePairCount(m3)
-	traceFlow(&cfg, trace.FlowEnd, "self-join", cfg.Combo())
-	res.Trace = cfg.Trace.Snapshot()
-	return res, nil
-}
+func SelfJoin(cfg Config, input string) (*Result, error) { return join(cfg, input) }
 
 // RSJoin runs the end-to-end set-similarity R-S join of two record files.
 // Per §4, Stage 1 builds the token ordering from R only, so pass the
 // smaller relation as inputR (the paper uses DBLP against CITESEERX).
 // Joined pairs carry the R record on the left.
-func RSJoin(cfg Config, inputR, inputS string) (*Result, error) {
+func RSJoin(cfg Config, inputR, inputS string) (*Result, error) { return join(cfg, inputR, inputS) }
+
+// join is the one three-stage flow: a self-join over one input, or an
+// R-S join over (R, S).
+func join(cfg Config, inputs ...string) (*Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	for _, in := range []string{inputR, inputS} {
+	for _, in := range inputs {
 		if !cfg.FS.Exists(in) {
 			return nil, fmt.Errorf("core: input %q does not exist", in)
 		}
 	}
-	if inputR == inputS {
-		return nil, fmt.Errorf("core: R-S join requires distinct inputs; use SelfJoin for %q", inputR)
+	flow := "self-join"
+	if len(inputs) == 2 {
+		flow = "rs-join"
+		if inputs[0] == inputs[1] {
+			return nil, fmt.Errorf("core: R-S join requires distinct inputs; use SelfJoin for %q", inputs[0])
+		}
 	}
 	res := &Result{}
-	traceFlow(&cfg, trace.FlowStart, "rs-join", cfg.Combo())
-
-	start := time.Now()
-	traceStage(&cfg, trace.StageStart, 1, cfg.TokenOrder.String())
-	tokenFile, m1, err := runStage1(&cfg, inputR, cfg.Work)
-	if err != nil {
-		return nil, fmt.Errorf("stage 1 (%s): %w", cfg.TokenOrder, err)
+	traceFlow(&cfg, trace.FlowStart, flow, cfg.Combo())
+	// stage runs one stage between its trace markers and records its
+	// metrics; run returns the stage's jobs.
+	stage := func(n int, alg string, run func() ([]*mapreduce.Metrics, error)) error {
+		start := time.Now()
+		traceStage(&cfg, trace.StageStart, n, alg)
+		ms, err := run()
+		if err != nil {
+			return fmt.Errorf("stage %d (%s): %w", n, alg, err)
+		}
+		traceStage(&cfg, trace.StageEnd, n, alg)
+		res.Stages[n-1] = StageMetrics{Stage: n, Alg: alg, Jobs: ms, Wall: time.Since(start)}
+		return nil
 	}
-	traceStage(&cfg, trace.StageEnd, 1, cfg.TokenOrder.String())
-	res.TokenOrderFile = tokenFile
-	res.Stages[0] = StageMetrics{Stage: 1, Alg: cfg.TokenOrder.String(), Jobs: m1, Wall: time.Since(start)}
-
-	start = time.Now()
-	traceStage(&cfg, trace.StageStart, 2, cfg.Kernel.String())
-	pairs, m2, err := runStage2RS(&cfg, inputR, inputS, tokenFile, cfg.Work)
+	// Stage 1 reads inputs[0] only: for R-S joins the token order comes
+	// from R (§4).
+	err := stage(1, cfg.TokenOrder.String(), func() (ms []*mapreduce.Metrics, err error) {
+		res.TokenOrderFile, ms, err = runStage1(&cfg, inputs[0], cfg.Work)
+		return ms, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("stage 2 (%s): %w", cfg.Kernel, err)
+		return nil, err
 	}
-	traceStage(&cfg, trace.StageEnd, 2, cfg.Kernel.String())
-	res.RIDPairs = pairs
-	res.Stages[1] = StageMetrics{Stage: 2, Alg: cfg.Kernel.String(), Jobs: m2, Wall: time.Since(start)}
-
-	start = time.Now()
-	traceStage(&cfg, trace.StageStart, 3, cfg.RecordJoin.String())
-	out, m3, err := runStage3(&cfg, []string{inputR, inputS}, inputR, true, pairs, cfg.Work)
+	err = stage(2, cfg.Kernel.String(), func() (ms []*mapreduce.Metrics, err error) {
+		res.RIDPairs, ms, err = runStage2(&cfg, res.TokenOrderFile, cfg.Work, inputs...)
+		return ms, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("stage 3 (%s): %w", cfg.RecordJoin, err)
+		return nil, err
 	}
-	traceStage(&cfg, trace.StageEnd, 3, cfg.RecordJoin.String())
-	res.Output = out
-	res.Stages[2] = StageMetrics{Stage: 3, Alg: cfg.RecordJoin.String(), Jobs: m3, Wall: time.Since(start)}
-	res.Pairs = stagePairCount(m3)
-	traceFlow(&cfg, trace.FlowEnd, "rs-join", cfg.Combo())
+	err = stage(3, cfg.RecordJoin.String(), func() (ms []*mapreduce.Metrics, err error) {
+		res.Output, ms, err = runStage3(&cfg, res.RIDPairs, cfg.Work, inputs...)
+		return ms, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Pairs = stagePairCount(res.Stages[2].Jobs)
+	traceFlow(&cfg, trace.FlowEnd, flow, cfg.Combo())
 	res.Trace = cfg.Trace.Snapshot()
 	return res, nil
 }
@@ -150,38 +121,42 @@ func Stage1(cfg Config, input string) (string, []*mapreduce.Metrics, error) {
 	return runStage1(&cfg, input, cfg.Work)
 }
 
-// Stage2Self runs only the self-join kernel stage against an existing
-// token-order file. It returns the RID-pair output prefix.
-func Stage2Self(cfg Config, input, tokenFile string) (string, []*mapreduce.Metrics, error) {
+// stage2 and stage3 run one stage standalone, over one input (self) or
+// (R, S).
+func stage2(cfg Config, tokenFile string, inputs ...string) (string, []*mapreduce.Metrics, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return "", nil, err
 	}
-	return runStage2Self(&cfg, input, tokenFile, cfg.Work)
+	return runStage2(&cfg, tokenFile, cfg.Work, inputs...)
+}
+
+func stage3(cfg Config, pairsPrefix string, inputs ...string) (string, []*mapreduce.Metrics, error) {
+	if err := cfg.fillDefaults(); err != nil {
+		return "", nil, err
+	}
+	return runStage3(&cfg, pairsPrefix, cfg.Work, inputs...)
+}
+
+// Stage2Self runs only the self-join kernel stage against an existing
+// token-order file. It returns the RID-pair output prefix.
+func Stage2Self(cfg Config, input, tokenFile string) (string, []*mapreduce.Metrics, error) {
+	return stage2(cfg, tokenFile, input)
 }
 
 // Stage2RS runs only the R-S kernel stage.
 func Stage2RS(cfg Config, inputR, inputS, tokenFile string) (string, []*mapreduce.Metrics, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return "", nil, err
-	}
-	return runStage2RS(&cfg, inputR, inputS, tokenFile, cfg.Work)
+	return stage2(cfg, tokenFile, inputR, inputS)
 }
 
 // Stage3Self runs only the self-join record-join stage against an
 // existing RID-pair prefix. It returns the final output prefix.
 func Stage3Self(cfg Config, input, pairsPrefix string) (string, []*mapreduce.Metrics, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return "", nil, err
-	}
-	return runStage3(&cfg, []string{input}, "", false, pairsPrefix, cfg.Work)
+	return stage3(cfg, pairsPrefix, input)
 }
 
 // Stage3RS runs only the R-S record-join stage.
 func Stage3RS(cfg Config, inputR, inputS, pairsPrefix string) (string, []*mapreduce.Metrics, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return "", nil, err
-	}
-	return runStage3(&cfg, []string{inputR, inputS}, inputR, true, pairsPrefix, cfg.Work)
+	return stage3(cfg, pairsPrefix, inputR, inputS)
 }
 
 func stagePairCount(ms []*mapreduce.Metrics) int64 {

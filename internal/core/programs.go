@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"fuzzyjoin/internal/filter"
 	"fuzzyjoin/internal/keys"
 	"fuzzyjoin/internal/mapreduce"
-	"fuzzyjoin/internal/simfn"
 	"fuzzyjoin/internal/tokenize"
 )
 
@@ -60,87 +58,20 @@ func (ts tokSpec) tokenizer() (tokenize.Tokenizer, error) {
 	return nil, fmt.Errorf("core: unknown tokenizer kind %q", ts.Kind)
 }
 
-// cfgSpec serializes the Config fields task bodies actually read.
-// Engine-policy fields (memory limit, retries, tracing) travel in the
-// JobSpec instead and never reach the worker-side Config.
-type cfgSpec struct {
-	Tokenizer    tokSpec      `json:"tok"`
-	JoinFields   []int        `json:"join_fields,omitempty"`
-	Fn           int          `json:"fn"`
-	Threshold    float64      `json:"threshold"`
-	Filters      filter.Stack `json:"filters"`
-	BitmapFilter bool         `json:"bitmap,omitempty"`
-	Kernel       int          `json:"kernel"`
-	FVTIncr      bool         `json:"fvt_incr,omitempty"`
-	Routing      int          `json:"routing"`
-	NumGroups    int          `json:"num_groups,omitempty"`
-	BlockMode    int          `json:"block_mode,omitempty"`
-	NumBlocks    int          `json:"num_blocks,omitempty"`
-	LengthBucket int          `json:"length_bucket,omitempty"`
-	SplitK       int          `json:"split_k,omitempty"`
-	SplitHot     int          `json:"split_hot,omitempty"`
-	NoCombiner   bool         `json:"no_combiner,omitempty"`
-}
-
-func cfgSpecOf(cfg *Config) (cfgSpec, bool) {
-	ts, ok := tokSpecOf(cfg.Tokenizer)
-	return cfgSpec{
-		Tokenizer:    ts,
-		JoinFields:   cfg.JoinFields,
-		Fn:           int(cfg.Fn),
-		Threshold:    cfg.Threshold,
-		Filters:      *cfg.Filters,
-		BitmapFilter: cfg.BitmapFilter,
-		Kernel:       int(cfg.Kernel),
-		FVTIncr:      cfg.FVTIncremental,
-		Routing:      int(cfg.Routing),
-		NumGroups:    cfg.NumGroups,
-		BlockMode:    int(cfg.BlockMode),
-		NumBlocks:    cfg.NumBlocks,
-		LengthBucket: cfg.LengthBucket,
-		SplitK:       cfg.SplitK,
-		SplitHot:     cfg.SplitHotCount,
-		NoCombiner:   cfg.NoCombiner,
-	}, ok
-}
-
-func (cs cfgSpec) config() (*Config, error) {
-	tok, err := cs.Tokenizer.tokenizer()
-	if err != nil {
-		return nil, err
-	}
-	filters := cs.Filters
-	return &Config{
-		Tokenizer:      tok,
-		JoinFields:     cs.JoinFields,
-		Fn:             simfn.Func(cs.Fn),
-		Threshold:      cs.Threshold,
-		Filters:        &filters,
-		BitmapFilter:   cs.BitmapFilter,
-		Kernel:         KernelAlg(cs.Kernel),
-		FVTIncremental: cs.FVTIncr,
-		Routing:        Routing(cs.Routing),
-		NumGroups:      cs.NumGroups,
-		BlockMode:      BlockMode(cs.BlockMode),
-		NumBlocks:      cs.NumBlocks,
-		LengthBucket:   cs.LengthBucket,
-		SplitK:         cs.SplitK,
-		SplitHotCount:  cs.SplitHot,
-		NoCombiner:     cs.NoCombiner,
-	}, nil
-}
-
 // progSpec identifies one job's task bodies: the kind selects the
-// mapper/reducer pair and the remaining fields carry the per-job
-// parameters the old closure-captured constructions used (side-file
-// names, the R input file standing in for the isR/relOf closures).
+// mapper/reducer pair, Cfg and Tok carry the Config — every field not
+// tagged json:"-" in config.go travels as itself, so a new task-visible
+// field reaches workers without being mirrored here; the Tokenizer, an
+// interface, travels as its tokSpec — and the remaining fields carry the
+// per-job parameters (side-file names; the R input file, whose presence
+// marks an R-S job and which the relation tags are derived from).
 type progSpec struct {
 	Kind string  `json:"kind"`
-	Cfg  cfgSpec `json:"cfg"`
+	Cfg  *Config `json:"cfg"`
+	Tok  tokSpec `json:"tok"`
 
 	TokenFile   string   `json:"token_file,omitempty"`
 	InputR      string   `json:"input_r,omitempty"`
-	RS          bool     `json:"rs,omitempty"`
 	PairsPrefix string   `json:"pairs_prefix,omitempty"`
 	PairFiles   []string `json:"pair_files,omitempty"`
 }
@@ -150,38 +81,27 @@ func buildCoreProgram(spec string) (*mapreduce.Program, error) {
 	if err := json.Unmarshal([]byte(spec), &ps); err != nil {
 		return nil, fmt.Errorf("core: decoding program spec: %w", err)
 	}
-	cfg, err := ps.Cfg.config()
+	if ps.Cfg == nil || ps.Cfg.Filters == nil {
+		return nil, fmt.Errorf("core: program spec %q carries no config", ps.Kind)
+	}
+	tok, err := ps.Tok.tokenizer()
 	if err != nil {
 		return nil, err
 	}
-	return programFor(cfg, ps)
+	ps.Cfg.Tokenizer = tok
+	return programFor(ps.Cfg, ps)
 }
 
 // relOfFor rebuilds the relation-tag closure: self-joins tag everything
 // R; R-S joins tag by comparison against the R input file name.
 func relOfFor(ps progSpec) func(string) byte {
-	if !ps.RS {
-		return func(string) byte { return relR }
-	}
 	inputR := ps.InputR
 	return func(file string) byte {
-		if file == inputR {
+		if inputR == "" || file == inputR {
 			return relR
 		}
 		return relS
 	}
-}
-
-func isRFor(ps progSpec) func(string) bool {
-	inputR := ps.InputR
-	return func(file string) bool { return file == inputR }
-}
-
-func lengthWidth(cfg *Config) int {
-	if cfg.LengthBucket > 0 {
-		return cfg.LengthBucket
-	}
-	return 2
 }
 
 // programFor constructs one job's task bodies from a live Config and
@@ -191,26 +111,7 @@ func lengthWidth(cfg *Config) int {
 // buildCoreProgram with a Config rebuilt from the spec.
 func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 	p := &mapreduce.Program{SortPrefix: stageKeySortPrefix}
-	// Hot-token splitting inserts a cell byte after the group word;
-	// partitioning and grouping widen to cover it so each (group, cell)
-	// is its own reduce group. Block and length-routed kernels never
-	// split (Validate forbids the combination), so their widths are
-	// unaffected.
-	cellW := 0
-	if cfg.SplitK >= 2 {
-		cellW = 1
-	}
-	group4 := func() {
-		p.Partitioner = mapreduce.PrefixPartitioner(4 + cellW)
-		p.GroupComparator = keys.PrefixComparator(4 + cellW)
-	}
-	group8 := func() {
-		p.Partitioner = mapreduce.PrefixPartitioner(8)
-		p.GroupComparator = keys.PrefixComparator(8)
-	}
-	newS2 := func(rel byte, rs bool) *stage2Mapper {
-		return &stage2Mapper{cfg: cfg, tokenFile: ps.TokenFile, rel: rel, rs: rs}
-	}
+	rs := ps.InputR != ""
 	switch ps.Kind {
 	case "s1-bto-count":
 		p.Mapper = &tokenCountMapper{cfg: cfg}
@@ -223,69 +124,33 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 		p.Mapper = &tokenCountMapper{cfg: cfg}
 		p.Combiner = stage1Combiner(cfg)
 		p.Reducer = &optoReducer{}
-	case "s2-self":
-		p.Mapper = newS2(relR, false)
-		switch cfg.Kernel {
-		case PK:
-			p.Reducer = &pkSelfReducer{cfg: cfg}
-			group4()
-		case FVT:
-			p.Reducer = &fvtSelfReducer{fvtReducerBase{cfg: cfg, tokenFile: ps.TokenFile}}
+	case "s2":
+		layout := layoutFor(cfg, rs)
+		p.Mapper = &stage2Mapper{cfg: cfg, tokenFile: ps.TokenFile, inputR: ps.InputR}
+		p.Partitioner = mapreduce.PrefixPartitioner(layout.groupWidth)
+		p.GroupComparator = keys.PrefixComparator(layout.groupWidth)
+		// Validate admits block processing and length routing for BK only.
+		switch {
+		case cfg.Kernel == PK:
+			p.Reducer = &pkReducer{cfg: cfg, layout: layout, rs: rs}
+		case cfg.Kernel == FVT:
+			p.Reducer = &fvtReducer{cfg: cfg, layout: layout, rs: rs, tokenFile: ps.TokenFile}
+		case cfg.BlockMode == ReduceBlocks:
+			p.Reducer = &spillReducer{cfg: cfg, layout: layout, self: !rs}
 		default:
-			p.Reducer = &bkSelfReducer{cfg: cfg}
+			p.Reducer = &roundReducer{cfg: cfg, layout: layout, self: !rs}
 		}
-	case "s2-rs":
-		p.Mapper = &rsDispatchMapper{r: newS2(relR, true), s: newS2(relS, true), isR: isRFor(ps)}
-		switch cfg.Kernel {
-		case PK:
-			p.Reducer = &pkRSReducer{cfg: cfg}
-		case FVT:
-			p.Reducer = &fvtRSReducer{fvtReducerBase{cfg: cfg, tokenFile: ps.TokenFile}}
-		default:
-			p.Reducer = &bkRSReducer{cfg: cfg}
-		}
-		group4()
-	case "s2-self-blocked":
-		p.Mapper = &blockedSelfMapper{inner: newS2(relR, false), mode: cfg.BlockMode, m: cfg.NumBlocks}
-		if cfg.BlockMode == MapBlocks {
-			p.Reducer = &mapBlockedSelfReducer{cfg: cfg}
-		} else {
-			p.Reducer = &reduceBlockedSelfReducer{cfg: cfg}
-		}
-		group4()
-	case "s2-rs-blocked":
-		p.Mapper = &rsBlockedDispatchMapper{
-			r:   &blockedRSMapper{inner: newS2(relR, true), mode: cfg.BlockMode, m: cfg.NumBlocks, rel: relR},
-			s:   &blockedRSMapper{inner: newS2(relS, true), mode: cfg.BlockMode, m: cfg.NumBlocks, rel: relS},
-			isR: isRFor(ps),
-		}
-		if cfg.BlockMode == MapBlocks {
-			p.Reducer = &mapBlockedRSReducer{cfg: cfg}
-		} else {
-			p.Reducer = &reduceBlockedRSReducer{cfg: cfg}
-		}
-		group4()
-	case "s2-self-lenroute":
-		p.Mapper = &lengthRoutedMapper{inner: newS2(relR, false), width: lengthWidth(cfg)}
-		p.Reducer = &lengthRoutedReducer{cfg: cfg}
-		group8()
-	case "s2-rs-lenroute":
-		w := lengthWidth(cfg)
-		p.Mapper = &rsLengthRoutedDispatchMapper{
-			r:   &lengthRoutedRSMapper{inner: newS2(relR, true), width: w, rel: relR},
-			s:   &lengthRoutedRSMapper{inner: newS2(relS, true), width: w, rel: relS},
-			isR: isRFor(ps),
-		}
-		p.Reducer = &lengthRoutedRSReducer{cfg: cfg}
-		group8()
+	case "s2-split-dedup":
+		p.Mapper = mapreduce.IdentityMapper
+		p.Reducer = s2SplitDedupReducer
 	case "s3-brj1":
-		p.Mapper = &brjPhase1Mapper{pairsPrefix: ps.PairsPrefix, relOf: relOfFor(ps), rs: ps.RS}
-		p.Reducer = &brjPhase1Reducer{rs: ps.RS}
+		p.Mapper = &brjPhase1Mapper{pairsPrefix: ps.PairsPrefix, relOf: relOfFor(ps), rs: rs}
+		p.Reducer = &brjPhase1Reducer{rs: rs}
 	case "s3-brj2":
 		p.Mapper = mapreduce.IdentityMapper
 		p.Reducer = pairAssembleReducer{}
 	case "s3-oprj":
-		p.Mapper = &oprjMapper{pairFiles: ps.PairFiles, relOf: relOfFor(ps), rs: ps.RS}
+		p.Mapper = &oprjMapper{pairFiles: ps.PairFiles, relOf: relOfFor(ps), rs: rs}
 		p.Reducer = pairAssembleReducer{}
 	case "ss-carry":
 		p.Mapper = &carryRecordsMapper{cfg: cfg, tokenFile: ps.TokenFile}
@@ -293,9 +158,6 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 	case "ss-dedup":
 		p.Mapper = mapreduce.IdentityMapper
 		p.Reducer = dedupFirstReducer
-	case "s2-split-dedup":
-		p.Mapper = mapreduce.IdentityMapper
-		p.Reducer = s2SplitDedupReducer
 	default:
 		return nil, fmt.Errorf("core: unknown program kind %q", ps.Kind)
 	}
@@ -308,8 +170,9 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 // Program/ProgramSpec and is eligible for dispatch to worker processes;
 // otherwise it runs in-process only.
 func coreJob(cfg *Config, ps progSpec) (mapreduce.Job, error) {
-	cs, serializable := cfgSpecOf(cfg)
-	ps.Cfg = cs
+	var serializable bool
+	ps.Cfg = cfg
+	ps.Tok, serializable = tokSpecOf(cfg.Tokenizer)
 	prog, err := programFor(cfg, ps)
 	if err != nil {
 		return mapreduce.Job{}, err

@@ -7,7 +7,6 @@ import (
 	"fuzzyjoin/internal/mapreduce"
 	"fuzzyjoin/internal/ppjoin"
 	"fuzzyjoin/internal/records"
-	"fuzzyjoin/internal/tokenize"
 )
 
 // §2.2 discusses an alternative to Stages 2 and 3: one stage "in which we
@@ -31,8 +30,7 @@ type carryRecordsMapper struct {
 	cfg       *Config
 	tokenFile string
 
-	order     *tokenize.Order
-	numGroups int
+	tokenGroups
 }
 
 // NewTaskInstance gives each map task its own token order.
@@ -40,30 +38,9 @@ func (m *carryRecordsMapper) NewTaskInstance() any {
 	return &carryRecordsMapper{cfg: m.cfg, tokenFile: m.tokenFile}
 }
 
-func (m *carryRecordsMapper) Setup(ctx *mapreduce.Context) error {
-	data, err := ctx.SideFile(m.tokenFile)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Memory.Alloc(int64(len(data))); err != nil {
-		return err
-	}
-	m.order = loadTokenOrder(data)
-	m.numGroups = m.order.Len()
-	if m.cfg.Routing == GroupedTokens && m.cfg.NumGroups > 0 {
-		m.numGroups = m.cfg.NumGroups
-	}
-	if m.numGroups < 1 {
-		m.numGroups = 1
-	}
-	return nil
-}
-
-func (m *carryRecordsMapper) group(rank uint32) uint32 {
-	if m.cfg.Routing == GroupedTokens {
-		return rank % uint32(m.numGroups)
-	}
-	return rank
+func (m *carryRecordsMapper) Setup(ctx *mapreduce.Context) (err error) {
+	m.tokenGroups, err = loadTokenGroups(ctx, m.cfg, m.tokenFile)
+	return err
 }
 
 func (m *carryRecordsMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {

@@ -10,99 +10,110 @@ import (
 	"fuzzyjoin/internal/tokenize"
 )
 
-// Stage 2 — RID-pair generation (§3.2, §4). Mappers extract each record's
-// projection (RID + join-attribute token ranks), compute its prefix under
-// the global token order, and route one copy per prefix token (or per
-// token group). Reducers verify candidates with the BK or PK kernel and
-// emit (RID, RID, sim) triples.
-//
-// Key layouts (all integers big-endian; partitioning and grouping use the
-// 4-byte group prefix, sorting uses the full key):
-//
-//	self BK:  [group u32]                       (FVT: same)
-//	self PK:  [group u32][length u32]
-//	R-S  BK:  [group u32][rel u8]               rel: 0 = R, 1 = S (FVT: same)
-//	R-S  PK:  [group u32][class u32][rel u8]    class: R → lengthLowerBound(l), S → l
-//
-// The PK length ordering realizes the index-eviction optimization; the
-// R-S length classes force every joinable R projection to arrive before
-// the S projection that probes it (§4, Figure 6).
-//
-// With hot-token splitting (Config.SplitK ≥ 2, see stage2_split.go) a
-// cell byte is inserted immediately after the group word in all four
-// layouts, and partitioning/grouping widens to the 5-byte
-// (group, cell) prefix.
+// Stage 2 — RID-pair generation (§3.2, §4, §5). One mapper extracts each
+// record's projection (RID + join-attribute token ranks), computes its
+// prefix under the global token order, and for each distinct prefix
+// group hands the routing prefix to the configured key layout's route
+// (stage2_keys.go), which emits one replica per key suffix. Reducers
+// verify candidates per reduce group — the round reducer and its
+// spill-replay variant for BK, the PK and FVT reducers
+// (stage2_reduce.go, stage2_fvt.go) — and emit (RID, RID, sim) triples.
 
 const (
 	relR = 0
 	relS = 1
 )
 
-// stage2Mapper projects and routes records.
-type stage2Mapper struct {
-	cfg *Config
-	// tokenFile is the Stage 1 output side file.
-	tokenFile string
-	// rel tags the input relation (relR for self-joins).
-	rel byte
-	// rs selects the R-S key layouts.
-	rs bool
-
+// tokenGroups is what a prefix-routing mapper loads from the Stage 1
+// side file: the global token order and the rank → routing-group mapping.
+type tokenGroups struct {
 	order     *tokenize.Order
 	numGroups int
-	// split mirrors cfg.SplitK ≥ 2; hotMin is the lowest token rank
-	// treated as hot (ranks are frequency-ascending, so the hottest
-	// tokens occupy the top SplitHotCount ranks). Both derive from the
-	// loaded token order in Setup.
-	split  bool
-	hotMin int
-	keyBuf []byte
-	valBuf []byte
+	grouped   bool
 }
 
-// NewTaskInstance gives each map task its own mapper (the token order,
-// group count, and reused buffers are per-task state).
-func (m *stage2Mapper) NewTaskInstance() any {
-	return &stage2Mapper{cfg: m.cfg, tokenFile: m.tokenFile, rel: m.rel, rs: m.rs}
-}
-
-func (m *stage2Mapper) Setup(ctx *mapreduce.Context) error {
-	data, err := ctx.SideFile(m.tokenFile)
+func loadTokenGroups(ctx *mapreduce.Context, cfg *Config, tokenFile string) (tokenGroups, error) {
+	data, err := ctx.SideFile(tokenFile)
 	if err != nil {
-		return err
+		return tokenGroups{}, err
 	}
 	// The token list is assumed to fit in task memory (§3.2); the budget
 	// check keeps the assumption honest.
 	if err := ctx.Memory.Alloc(int64(len(data))); err != nil {
-		return err
+		return tokenGroups{}, err
 	}
-	m.order = loadTokenOrder(data)
-	m.numGroups = m.order.Len()
-	if m.cfg.Routing == GroupedTokens && m.cfg.NumGroups > 0 {
-		m.numGroups = m.cfg.NumGroups
+	t := tokenGroups{order: loadTokenOrder(data), grouped: cfg.Routing == GroupedTokens}
+	t.numGroups = t.order.Len()
+	if t.grouped && cfg.NumGroups > 0 {
+		t.numGroups = cfg.NumGroups
 	}
-	if m.numGroups < 1 {
-		m.numGroups = 1
+	if t.numGroups < 1 {
+		t.numGroups = 1
 	}
-	m.split = m.cfg.SplitK >= 2
-	m.hotMin = m.order.Len() - m.cfg.SplitHotCount
-	return nil
-}
-
-// hot reports whether a token rank is in the split-hot frequency head.
-func (m *stage2Mapper) hot(rank uint32) bool {
-	return int(rank) >= m.hotMin
+	return t, nil
 }
 
 // group maps a token rank to its routing group: the rank itself for
 // individual-token routing, or round-robin over NumGroups for grouped
 // routing (round-robin by frequency rank balances the sum of token
 // frequencies across groups, §3.2).
-func (m *stage2Mapper) group(rank uint32) uint32 {
-	if m.cfg.Routing == GroupedTokens {
-		return rank % uint32(m.numGroups)
+func (t tokenGroups) group(rank uint32) uint32 {
+	if t.grouped {
+		return rank % uint32(t.numGroups)
 	}
 	return rank
+}
+
+// stage2Mapper projects and routes records.
+type stage2Mapper struct {
+	cfg *Config
+	// tokenFile is the Stage 1 output side file.
+	tokenFile string
+	// inputR is the R records file of an R-S join ("" for a self-join):
+	// §4 extends the key with a relation tag, and the tag comes from the
+	// input file a record was read from.
+	inputR string
+
+	tokenGroups
+	// rs selects the R-S key layouts; layout is the configured row of
+	// the key-layout table, chosen once per task.
+	rs     bool
+	layout keyLayout
+	// split mirrors cfg.SplitK ≥ 2; hotMin is the lowest token rank
+	// treated as hot (ranks are frequency-ascending, so the hottest
+	// tokens occupy the top SplitHotCount ranks). Both derive from the
+	// loaded token order in Setup.
+	split  bool
+	hotMin int
+	// keyBuf, valBuf and seen are reused across records: the key under
+	// construction, the record's encoded projection, and the (group,
+	// cell) pairs the current record was already routed to.
+	keyBuf []byte
+	valBuf []byte
+	seen   []uint64
+}
+
+// NewTaskInstance gives each map task its own mapper (the token order,
+// group count, and reused buffers are per-task state).
+func (m *stage2Mapper) NewTaskInstance() any {
+	return &stage2Mapper{cfg: m.cfg, tokenFile: m.tokenFile, inputR: m.inputR}
+}
+
+func (m *stage2Mapper) Setup(ctx *mapreduce.Context) (err error) {
+	if m.tokenGroups, err = loadTokenGroups(ctx, m.cfg, m.tokenFile); err != nil {
+		return err
+	}
+	m.rs = m.inputR != ""
+	m.layout = layoutFor(m.cfg, m.rs)
+	m.split = m.cfg.SplitK >= 2
+	m.hotMin = m.order.Len() - m.cfg.SplitHotCount
+	m.keyBuf = make([]byte, 0, maxKeyLen)
+	return nil
+}
+
+// hot reports whether a token rank is in the split-hot frequency head.
+func (m *stage2Mapper) hot(rank uint32) bool {
+	return int(rank) >= m.hotMin
 }
 
 // project parses a record and returns its RID and sorted token ranks.
@@ -129,28 +140,18 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 		return nil
 	}
 	m.valBuf = records.Projection{RID: rid, Ranks: ranks}.AppendBinary(m.valBuf[:0])
-	prefix := m.cfg.Fn.PrefixLength(len(ranks), m.cfg.Threshold)
-	// Grouped routing can map several prefix tokens to one group; one
-	// copy per (group, cell) suffices (the point of grouping: fewer
-	// replicas, §3.2). The cell is always 0 without splitting.
-	emitted := make(map[uint64]bool, prefix)
-	emit := func(g uint32, cell uint8) error {
-		ck := uint64(g)<<8 | uint64(cell)
-		if emitted[ck] {
-			return nil
-		}
-		emitted[ck] = true
-		if err := m.emitProjection(g, cell, len(ranks), out); err != nil {
-			return err
-		}
-		ctx.Count("stage2.replicas", 1)
-		return nil
+	p := routed{rid: rid, length: len(ranks), rel: relR}
+	if m.rs && ctx.InputFile != m.inputR {
+		p.rel = relS
 	}
+	sink := replicaSink{ctx: ctx, out: out, val: m.valBuf}
+	m.seen = m.seen[:0]
+	prefix := m.cfg.Fn.PrefixLength(len(ranks), m.cfg.Threshold)
 	for i := 0; i < prefix; i++ {
 		rank := ranks[i]
 		g := m.group(rank)
 		if !m.split || !m.hot(rank) {
-			if err := emit(g, 0); err != nil {
+			if err := m.routeCell(p, g, 0, sink); err != nil {
 				return err
 			}
 			continue
@@ -163,7 +164,7 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 		ctx.Count("stage2.split_hot_tokens", 1)
 		s := splitSalt(rid, m.cfg.SplitK)
 		for j := 0; j < m.cfg.SplitK; j++ {
-			if err := emit(g, splitCell(s, j, m.cfg.SplitK)); err != nil {
+			if err := m.routeCell(p, g, splitCell(s, j, m.cfg.SplitK), sink); err != nil {
 				return err
 			}
 		}
@@ -171,27 +172,23 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 	return nil
 }
 
-func (m *stage2Mapper) emitProjection(g uint32, cell uint8, length int, out mapreduce.Emitter) error {
-	k := keys.AppendUint32(m.keyBuf[:0], g)
-	if m.split {
-		k = append(k, cell)
-	}
-	switch {
-	case !m.rs && m.cfg.Kernel == PK:
-		k = keys.AppendUint32(k, uint32(length))
-	case m.rs && (m.cfg.Kernel == BK || m.cfg.Kernel == FVT):
-		k = append(k, m.rel)
-	case m.rs && m.cfg.Kernel == PK:
-		class := uint32(length)
-		if m.rel == relR {
-			lo, _ := m.cfg.Fn.LengthBounds(length, m.cfg.Threshold)
-			class = uint32(lo)
+// routeCell routes the current record to one (group, cell) — the cell is
+// always 0 without splitting. Grouped routing can map several prefix
+// tokens to one group; one visit per (group, cell) suffices (the point of
+// grouping: fewer replicas, §3.2).
+func (m *stage2Mapper) routeCell(p routed, g uint32, cell uint8, sink replicaSink) error {
+	ck := uint64(g)<<8 | uint64(cell)
+	for _, s := range m.seen {
+		if s == ck {
+			return nil
 		}
-		k = keys.AppendUint32(k, class)
-		k = append(k, m.rel)
 	}
-	m.keyBuf = k
-	return out.Emit(k, m.valBuf)
+	m.seen = append(m.seen, ck)
+	key := keys.AppendUint32(m.keyBuf[:0], g)
+	if m.split {
+		key = append(key, cell)
+	}
+	return m.layout.route(m, p, key, sink)
 }
 
 // emitRIDPair writes one kernel result in the Stage 2 output format:
@@ -221,216 +218,37 @@ func projectionBytes(p records.Projection) int64 {
 	return int64(24 + 4*len(p.Ranks))
 }
 
-// bkSelfReducer buffers a group's projections and cross-pairs them
-// (§3.2.1). The whole group must fit in the memory budget; §5 block
-// processing (stage2_blocks.go) handles the case where it does not.
-type bkSelfReducer struct {
-	cfg *Config
-}
-
-func (r *bkSelfReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	items := make([]ppjoin.Item, 0, values.Len())
-	var held int64
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
-		b := projectionBytes(p)
-		if err := ctx.Memory.Alloc(b); err != nil {
-			return err
-		}
-		held += b
-		items = append(items, ppjoin.Item{RID: p.RID, Ranks: p.Ranks})
+// stage2JobName keeps the per-variant job names metrics and traces have
+// always carried.
+func stage2JobName(cfg *Config, rs bool) string {
+	kind := "self"
+	if rs {
+		kind = "rs"
 	}
-	defer ctx.Memory.Free(held)
-	var emitErr error
-	st := ppjoin.NestedLoopSelf(items, kernelOptions(r.cfg), func(p records.RIDPair) {
-		if emitErr == nil {
-			emitErr = emitRIDPair(out, p)
-		}
-	})
-	countKernelStats(ctx, st)
-	return emitErr
-}
-
-// pkSelfReducer streams a group's projections — arriving in length order
-// thanks to the composite key — through a PPJoin+ index (§3.2.2).
-type pkSelfReducer struct {
-	cfg *Config
-}
-
-func (r *pkSelfReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	ix := ppjoin.NewIndex(kernelOptions(r.cfg))
-	var held int64
-	defer func() { ctx.Memory.Free(held) }()
-	var emitErr error
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
-		ix.ProbeAndAdd(ppjoin.Item{RID: p.RID, Ranks: p.Ranks}, func(pair records.RIDPair) {
-			if emitErr == nil {
-				emitErr = emitRIDPair(out, pair)
-			}
-		})
-		if emitErr != nil {
-			return emitErr
-		}
-		// Track the index's live footprint: charge growth, credit
-		// eviction.
-		if delta := ix.Bytes() - held; delta > 0 {
-			if err := ctx.Memory.Alloc(delta); err != nil {
-				return err
-			}
-			held = ix.Bytes()
-		} else if delta < 0 {
-			ctx.Memory.Free(-delta)
-			held = ix.Bytes()
-		}
+	switch {
+	case cfg.BlockMode != NoBlocks:
+		return fmt.Sprintf("s2-bk-%s-%s", kind, cfg.BlockMode)
+	case cfg.LengthRouting:
+		return fmt.Sprintf("s2-bk-%s-lengthrouted", kind)
 	}
-	countKernelStats(ctx, ix.Stats())
-	return nil
+	return fmt.Sprintf("s2-%s-%s", cfg.Kernel, kind)
 }
 
-// bkRSReducer buffers the R projections of a group (they sort first) and
-// streams the S projections against them (§4 Stage 2).
-type bkRSReducer struct {
-	cfg *Config
-}
-
-func (r *bkRSReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	opts := kernelOptions(r.cfg)
-	var (
-		rItems []ppjoin.Item
-		held   int64
-		st     ppjoin.Stats
-	)
-	defer func() { ctx.Memory.Free(held) }()
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		rel, err := relOfBKKey(values.Key(), r.cfg.SplitK >= 2)
-		if err != nil {
-			return err
-		}
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
-		item := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
-		if rel == relR {
-			// Only the R side must fit in memory (§5).
-			b := projectionBytes(p)
-			if err := ctx.Memory.Alloc(b); err != nil {
-				return err
-			}
-			held += b
-			rItems = append(rItems, item)
-			continue
-		}
-		sub := ppjoin.NestedLoopRS(rItems, []ppjoin.Item{item}, opts, func(pair records.RIDPair) {
-			if err == nil {
-				err = emitRIDPair(out, pair)
-			}
-		})
-		if err != nil {
-			return err
-		}
-		st = addStats(st, sub)
-	}
-	countKernelStats(ctx, st)
-	return nil
-}
-
-// relOfBKKey and relOfPKKey read the relation tag off an R-S key; with
-// hot-token splitting the inserted cell byte shifts the tag by one.
-func relOfBKKey(key []byte, split bool) (byte, error) {
-	want := 5
-	if split {
-		want = 6
-	}
-	if len(key) != want {
-		return 0, fmt.Errorf("core: malformed BK R-S key of %d bytes", len(key))
-	}
-	return key[want-1], nil
-}
-
-func relOfPKKey(key []byte, split bool) (byte, error) {
-	want := 9
-	if split {
-		want = 10
-	}
-	if len(key) != want {
-		return 0, fmt.Errorf("core: malformed PK R-S key of %d bytes", len(key))
-	}
-	return key[want-1], nil
-}
-
-// pkRSReducer indexes R projections and probes with S projections. The
-// length-class keys guarantee every R projection that could join an S
-// projection is indexed before that S projection probes, so the index can
-// evict by length as the stream advances (§4, Figure 6).
-type pkRSReducer struct {
-	cfg *Config
-}
-
-func (r *pkRSReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	ix := ppjoin.NewIndex(kernelOptions(r.cfg))
-	var held int64
-	defer func() { ctx.Memory.Free(held) }()
-	var emitErr error
-	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		rel, err := relOfPKKey(values.Key(), r.cfg.SplitK >= 2)
-		if err != nil {
-			return err
-		}
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
-		item := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
-		if rel == relR {
-			ix.Add(item)
-		} else {
-			ix.Probe(item, func(pair records.RIDPair) {
-				if emitErr == nil {
-					emitErr = emitRIDPair(out, pair)
-				}
-			})
-			if emitErr != nil {
-				return emitErr
-			}
-		}
-		if delta := ix.Bytes() - held; delta > 0 {
-			if err := ctx.Memory.Alloc(delta); err != nil {
-				return err
-			}
-			held = ix.Bytes()
-		} else if delta < 0 {
-			ctx.Memory.Free(-delta)
-			held = ix.Bytes()
-		}
-	}
-	countKernelStats(ctx, ix.Stats())
-	return nil
-}
-
-// runStage2Self runs the kernel job for a self-join and returns the
-// RID-pair output prefix.
-func runStage2Self(cfg *Config, input, tokenFile, work string) (string, []*mapreduce.Metrics, error) {
-	if cfg.BlockMode != NoBlocks {
-		return runStage2SelfBlocked(cfg, input, tokenFile, work)
-	}
-	if cfg.LengthRouting {
-		return runStage2SelfLengthRouted(cfg, input, tokenFile, work)
+// runStage2 runs the kernel job — a self-join over one input, or an R-S
+// join over (R, S) — plus the dedup post-pass when splitting, and returns
+// the RID-pair output prefix.
+func runStage2(cfg *Config, tokenFile, work string, inputs ...string) (string, []*mapreduce.Metrics, error) {
+	ps := progSpec{Kind: "s2", TokenFile: tokenFile}
+	if len(inputs) == 2 {
+		ps.InputR = inputs[0]
 	}
 	out, kernelOut := stage2Outputs(cfg, work)
-	job, err := coreJob(cfg, progSpec{Kind: "s2-self", TokenFile: tokenFile})
+	job, err := coreJob(cfg, ps)
 	if err != nil {
 		return "", nil, err
 	}
-	job.Name = fmt.Sprintf("s2-%s-self", cfg.Kernel)
-	job.Inputs = []string{input}
+	job.Name = stage2JobName(cfg, ps.InputR != "")
+	job.Inputs = inputs
 	job.InputFormat = mapreduce.Text
 	job.Output = kernelOut
 	job.SideFiles = []string{tokenFile}
@@ -439,65 +257,4 @@ func runStage2Self(cfg *Config, input, tokenFile, work string) (string, []*mapre
 		return "", nil, err
 	}
 	return runSplitDedup(cfg, kernelOut, out, []*mapreduce.Metrics{m})
-}
-
-// runStage2RS runs the kernel job for an R-S join.
-func runStage2RS(cfg *Config, inputR, inputS, tokenFile, work string) (string, []*mapreduce.Metrics, error) {
-	if cfg.BlockMode != NoBlocks {
-		return runStage2RSBlocked(cfg, inputR, inputS, tokenFile, work)
-	}
-	if cfg.LengthRouting {
-		return runStage2RSLengthRouted(cfg, inputR, inputS, tokenFile, work)
-	}
-	out, kernelOut := stage2Outputs(cfg, work)
-	job, err := coreJob(cfg, progSpec{Kind: "s2-rs", TokenFile: tokenFile, InputR: inputR, RS: true})
-	if err != nil {
-		return "", nil, err
-	}
-	job.Name = fmt.Sprintf("s2-%s-rs", cfg.Kernel)
-	job.Inputs = []string{inputR, inputS}
-	job.InputFormat = mapreduce.Text
-	job.Output = kernelOut
-	job.SideFiles = []string{tokenFile}
-	m, err := mapreduce.RunContext(cfg.context(), job)
-	if err != nil {
-		return "", nil, err
-	}
-	return runSplitDedup(cfg, kernelOut, out, []*mapreduce.Metrics{m})
-}
-
-// rsDispatchMapper tags records by their input relation (§4: the key is
-// extended with a relation tag; the tag comes from the input file).
-type rsDispatchMapper struct {
-	r, s *stage2Mapper
-	isR  func(file string) bool
-}
-
-// NewTaskInstance clones both sub-mappers for the task.
-func (m *rsDispatchMapper) NewTaskInstance() any {
-	return &rsDispatchMapper{
-		r:   m.r.NewTaskInstance().(*stage2Mapper),
-		s:   m.s.NewTaskInstance().(*stage2Mapper),
-		isR: m.isR,
-	}
-}
-
-func (m *rsDispatchMapper) Setup(ctx *mapreduce.Context) error {
-	if err := m.r.Setup(ctx); err != nil {
-		return err
-	}
-	// Both sub-mappers share one token order; avoid double-charging the
-	// memory budget by reusing the loaded order.
-	m.s.order = m.r.order
-	m.s.numGroups = m.r.numGroups
-	m.s.split = m.r.split
-	m.s.hotMin = m.r.hotMin
-	return nil
-}
-
-func (m *rsDispatchMapper) Map(ctx *mapreduce.Context, key, value []byte, out mapreduce.Emitter) error {
-	if m.isR(ctx.InputFile) {
-		return m.r.Map(ctx, key, value, out)
-	}
-	return m.s.Map(ctx, key, value, out)
 }

@@ -5,7 +5,7 @@ package core
 // during traversal — no candidate pair is ever materialized
 // (stage2.candidates_materialized is always 0 for FVT cells).
 //
-// Routing reuses the BK key layouts (see stage2.go). Because a group
+// Routing reuses the plain BK key layouts (see stage2_keys.go). Because a group
 // receives every record whose prefix contains one of its tokens, a
 // τ-pair is replicated to every group its shared prefix tokens route
 // to — so without care each pair would be verified and emitted once
@@ -43,160 +43,104 @@ func countFVTStats(ctx *mapreduce.Context, st fvt.Stats) {
 	ctx.Count("stage2.candidates_materialized", 0)
 }
 
-// fvtReducerBase carries the per-task state both FVT reducers share:
-// the group→owner mapping, which for grouped routing needs the same
-// group count the mapper derived.
-type fvtReducerBase struct {
+// fvtReducer joins one reduce group through the tree. A self-join group
+// is joined with itself; an R-S group builds the tree over its R
+// projections (they sort first, rel byte in the key) and probes each S
+// projection against it as it streams — like BK, only R must fit in
+// memory (§5).
+type fvtReducer struct {
 	cfg       *Config
+	layout    keyLayout
+	rs        bool
 	tokenFile string
+	// numGroups is per-task state: the group→owner mapping of grouped
+	// routing needs the same group count the mapper derived.
 	numGroups int
 }
 
-func (b *fvtReducerBase) Setup(ctx *mapreduce.Context) error {
-	if b.cfg.Routing != GroupedTokens {
+func (r *fvtReducer) NewTaskInstance() any {
+	return &fvtReducer{cfg: r.cfg, layout: r.layout, rs: r.rs, tokenFile: r.tokenFile}
+}
+
+func (r *fvtReducer) Setup(ctx *mapreduce.Context) error {
+	if r.cfg.Routing != GroupedTokens {
 		return nil
 	}
-	b.numGroups = b.cfg.NumGroups
-	if b.numGroups >= 1 {
+	r.numGroups = r.cfg.NumGroups
+	if r.numGroups >= 1 {
 		return nil
 	}
 	// Mirror stage2Mapper.Setup: with no explicit group count, grouped
 	// routing uses one group per distinct token.
-	data, err := ctx.SideFile(b.tokenFile)
+	data, err := ctx.SideFile(r.tokenFile)
 	if err != nil {
 		return err
 	}
 	if err := ctx.Memory.Alloc(int64(len(data))); err != nil {
 		return err
 	}
-	b.numGroups = loadTokenOrder(data).Len()
+	r.numGroups = loadTokenOrder(data).Len()
 	ctx.Memory.Free(int64(len(data))) // only the count is retained
-	if b.numGroups < 1 {
-		b.numGroups = 1
+	if r.numGroups < 1 {
+		r.numGroups = 1
 	}
 	return nil
 }
 
 // owner returns the emit-once hook for the reduce group of key: the
 // group owns exactly the tokens the mapper routes to it.
-func (b *fvtReducerBase) owner(key []byte) func(uint32) bool {
+func (r *fvtReducer) owner(key []byte) func(uint32) bool {
 	g := binary.BigEndian.Uint32(key[:4])
-	if b.cfg.Routing == GroupedTokens {
-		n := uint32(b.numGroups)
+	if r.cfg.Routing == GroupedTokens {
+		n := uint32(r.numGroups)
 		return func(w uint32) bool { return w%n == g }
 	}
 	return func(w uint32) bool { return w == g }
 }
 
-// fvtSelfReducer joins one reduce group with itself through the tree.
-type fvtSelfReducer struct {
-	fvtReducerBase
-}
-
-func (r *fvtSelfReducer) NewTaskInstance() any {
-	return &fvtSelfReducer{fvtReducerBase{cfg: r.cfg, tokenFile: r.tokenFile}}
-}
-
-func (r *fvtSelfReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 	tree := fvt.New(fvtOptions(r.cfg, r.owner(key)))
-	var heldItems, heldTree int64
+	var (
+		items               []ppjoin.Item
+		heldItems, heldTree int64
+		built               bool
+		emitErr             error
+	)
 	defer func() { ctx.Memory.Free(heldItems + heldTree) }()
-	var emitErr error
-	if r.cfg.FVTIncremental {
-		// Streaming probe-then-insert in arrival order — the
-		// tail-extended incremental build path. Pair RIDs arrive in no
-		// particular order, so normalize on emit.
-		for v, ok := values.Next(); ok; v, ok = values.Next() {
-			p, err := records.DecodeProjection(v)
-			if err != nil {
-				return err
-			}
-			it := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
-			tree.Probe(it, func(pair records.RIDPair) {
-				if pair.A > pair.B {
-					pair.A, pair.B = pair.B, pair.A
-				}
-				if emitErr == nil {
-					emitErr = emitRIDPair(out, pair)
-				}
-			})
-			if emitErr != nil {
-				return emitErr
-			}
-			tree.Add(it)
-			if delta := tree.Bytes() - heldTree; delta > 0 {
-				if err := ctx.Memory.Alloc(delta); err != nil {
-					return err
-				}
-				heldTree = tree.Bytes()
-			}
+	streaming := !r.rs && r.cfg.FVTIncremental
+	emit := func(pair records.RIDPair) {
+		// Streaming self-join pairs surface in arrival order; every
+		// other path already yields the output convention (A < B, or
+		// {A: R RID, B: S RID}).
+		if streaming && pair.A > pair.B {
+			pair.A, pair.B = pair.B, pair.A
 		}
-	} else {
-		// Bulk: buffer the group, build in deterministic (length, RID)
-		// order, then self-probe every item (the RID guard yields each
-		// unordered pair exactly once, already normalized).
-		var items []ppjoin.Item
-		for v, ok := values.Next(); ok; v, ok = values.Next() {
-			p, err := records.DecodeProjection(v)
-			if err != nil {
-				return err
-			}
-			b := projectionBytes(p)
-			if err := ctx.Memory.Alloc(b); err != nil {
-				return err
-			}
-			heldItems += b
-			items = append(items, ppjoin.Item{RID: p.RID, Ranks: p.Ranks})
+		if emitErr == nil {
+			emitErr = emitRIDPair(out, pair)
 		}
-		fvt.SortItems(items)
+	}
+	// build fills the tree from the buffered items — in deterministic
+	// (length, RID) order unless the incremental build is asked for —
+	// and swaps the buffered charge for the tree's own accounting (the
+	// tree shares the items' rank storage).
+	build := func() error {
+		built = true
+		if !r.cfg.FVTIncremental {
+			fvt.SortItems(items)
+		}
 		for i := range items {
 			tree.Add(items[i])
 		}
-		// The tree shares the items' rank storage; swap the buffered
-		// charge for the tree's own accounting.
 		if err := ctx.Memory.Alloc(tree.Bytes()); err != nil {
 			return err
 		}
 		heldTree = tree.Bytes()
 		ctx.Memory.Free(heldItems)
 		heldItems = 0
-		for i := range items {
-			tree.SelfProbe(items[i], func(pair records.RIDPair) {
-				if emitErr == nil {
-					emitErr = emitRIDPair(out, pair)
-				}
-			})
-			if emitErr != nil {
-				return emitErr
-			}
-		}
+		return nil
 	}
-	countFVTStats(ctx, tree.Stats())
-	return emitErr
-}
-
-// fvtRSReducer builds the tree over a group's R projections (they sort
-// first, rel byte in the key) and probes each S projection against it
-// as it streams — like BK, only R must fit in memory (§5).
-type fvtRSReducer struct {
-	fvtReducerBase
-}
-
-func (r *fvtRSReducer) NewTaskInstance() any {
-	return &fvtRSReducer{fvtReducerBase{cfg: r.cfg, tokenFile: r.tokenFile}}
-}
-
-func (r *fvtRSReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	tree := fvt.New(fvtOptions(r.cfg, r.owner(key)))
-	var (
-		rItems              []ppjoin.Item
-		heldItems, heldTree int64
-		built               bool
-		emitErr             error
-	)
-	defer func() { ctx.Memory.Free(heldItems + heldTree) }()
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		rel, err := relOfBKKey(values.Key(), r.cfg.SplitK >= 2)
+		_, rel, err := r.layout.classify(values.Key())
 		if err != nil {
 			return err
 		}
@@ -205,38 +149,49 @@ func (r *fvtRSReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapred
 			return err
 		}
 		it := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
-		if rel == relR {
+		switch {
+		case streaming:
+			// Probe-then-insert in arrival order — the tail-extended
+			// incremental build path.
+			tree.Probe(it, emit)
+			tree.Add(it)
+			if delta := tree.Bytes() - heldTree; delta > 0 {
+				if err := ctx.Memory.Alloc(delta); err != nil {
+					return err
+				}
+				heldTree = tree.Bytes()
+			}
+		case rel == relR:
 			b := projectionBytes(p)
 			if err := ctx.Memory.Alloc(b); err != nil {
 				return err
 			}
 			heldItems += b
-			rItems = append(rItems, it)
-			continue
+			items = append(items, it)
+		default:
+			if !built {
+				if err := build(); err != nil {
+					return err
+				}
+			}
+			tree.Probe(it, emit)
 		}
-		if !built {
-			built = true
-			if !r.cfg.FVTIncremental {
-				fvt.SortItems(rItems)
-			}
-			for i := range rItems {
-				tree.Add(rItems[i])
-			}
-			if err := ctx.Memory.Alloc(tree.Bytes()); err != nil {
-				return err
-			}
-			heldTree = tree.Bytes()
-			ctx.Memory.Free(heldItems)
-			heldItems = 0
-		}
-		// Probe emits {A: R RID, B: S RID}, the R-S output convention.
-		tree.Probe(it, func(pair records.RIDPair) {
-			if emitErr == nil {
-				emitErr = emitRIDPair(out, pair)
-			}
-		})
 		if emitErr != nil {
 			return emitErr
+		}
+	}
+	if !r.rs && !streaming {
+		// Bulk self-join: the whole group is buffered; build, then
+		// self-probe every item (the RID guard yields each unordered
+		// pair exactly once, already normalized).
+		if err := build(); err != nil {
+			return err
+		}
+		for i := range items {
+			tree.SelfProbe(items[i], emit)
+			if emitErr != nil {
+				return emitErr
+			}
 		}
 	}
 	countFVTStats(ctx, tree.Stats())

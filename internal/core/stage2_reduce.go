@@ -1,0 +1,419 @@
+package core
+
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"sort"
+
+	"fuzzyjoin/internal/keys"
+	"fuzzyjoin/internal/mapreduce"
+	"fuzzyjoin/internal/ppjoin"
+	"fuzzyjoin/internal/records"
+)
+
+// rounds is the BK kernel's reduce loop (§3.2.1, §4, §5). A reduce group
+// is a sequence of rounds. Within a round, load items are buffered under
+// the task's memory budget — only they must fit, which is what block
+// processing and length routing shrink — and each stream item is probed
+// against the buffer as it arrives; a self-join additionally cross-pairs
+// the buffer once, before the round's first stream item. The plain
+// kernels are the one-round case: a self-join loads everything, an R-S
+// join loads R and streams S.
+type rounds struct {
+	ctx  *mapreduce.Context
+	opts ppjoin.Options
+	self bool
+
+	loaded     []ppjoin.Item
+	held       int64
+	selfJoined bool
+	// one is the reused single-item probe side of a stream call.
+	one     [1]ppjoin.Item
+	st      ppjoin.Stats
+	emitErr error
+	emit    func(records.RIDPair)
+}
+
+func newRounds(ctx *mapreduce.Context, out mapreduce.Emitter, cfg *Config, self bool) *rounds {
+	r := &rounds{ctx: ctx, opts: kernelOptions(cfg), self: self}
+	r.emit = func(p records.RIDPair) {
+		if r.emitErr != nil {
+			return
+		}
+		// A self-join pair found by probing a streamed item against the
+		// buffer comes out in (buffer, stream) order; normalize to A < B.
+		if self && p.A > p.B {
+			p.A, p.B = p.B, p.A
+		}
+		r.emitErr = emitRIDPair(out, p)
+	}
+	return r
+}
+
+func (r *rounds) flushSelf() {
+	if r.self && !r.selfJoined {
+		r.st = addStats(r.st, ppjoin.NestedLoopSelf(r.loaded, r.opts, r.emit))
+		r.selfJoined = true
+	}
+}
+
+// next closes the current round and starts an empty one.
+func (r *rounds) next() {
+	r.flushSelf()
+	r.release()
+	r.loaded = r.loaded[:0]
+	r.selfJoined = false
+}
+
+func (r *rounds) load(p records.Projection) error {
+	b := projectionBytes(p)
+	if err := r.ctx.Memory.Alloc(b); err != nil {
+		return err
+	}
+	r.held += b
+	r.loaded = append(r.loaded, ppjoin.Item{RID: p.RID, Ranks: p.Ranks})
+	return nil
+}
+
+func (r *rounds) stream(p records.Projection) error {
+	r.flushSelf()
+	r.one[0] = ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
+	r.st = addStats(r.st, ppjoin.NestedLoopRS(r.loaded, r.one[:], r.opts, r.emit))
+	return r.emitErr
+}
+
+// finish closes the last round and reports the group's kernel counters.
+func (r *rounds) finish() error {
+	r.flushSelf()
+	countKernelStats(r.ctx, r.st)
+	return r.emitErr
+}
+
+// release returns the buffered items' charge to the memory budget.
+func (r *rounds) release() {
+	r.ctx.Memory.Free(r.held)
+	r.held = 0
+}
+
+func addStats(a, b ppjoin.Stats) ppjoin.Stats {
+	a.Candidates += b.Candidates
+	a.BitmapRejected += b.BitmapRejected
+	a.Verified += b.Verified
+	a.Results += b.Results
+	return a
+}
+
+// roundReducer runs the BK kernel over every layout whose keys say which
+// round and role each projection plays: plain, map-blocks (Figure 7(a):
+// mappers interleaved the block copies into rounds) and length-routed.
+type roundReducer struct {
+	cfg    *Config
+	layout keyLayout
+	self   bool
+}
+
+func (r *roundReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+	rd := newRounds(ctx, out, r.cfg, r.self)
+	defer rd.release()
+	if r.layout.roleAt < 0 {
+		// Every item of the group is a load: the buffer's size is known.
+		rd.loaded = make([]ppjoin.Item, 0, values.Len())
+	}
+	cur := int64(-1)
+	for v, ok := values.Next(); ok; v, ok = values.Next() {
+		round, role, err := r.layout.classify(values.Key())
+		if err != nil {
+			return err
+		}
+		if int64(round) != cur {
+			rd.next()
+			cur = int64(round)
+		}
+		p, err := records.DecodeProjection(v)
+		if err != nil {
+			return err
+		}
+		if role == roleLoad {
+			err = rd.load(p)
+		} else {
+			err = rd.stream(p)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return rd.finish()
+}
+
+// spillReducer implements reduce-based block processing (§5,
+// Figure 7(b)) on top of the same rounds: mappers sent each projection
+// once, so the reducer makes the rounds itself. The first block stays
+// resident; everything else is probed against it where it must be and
+// spilled to local disk; then each spilled block becomes resident in turn
+// and the blocks it still has to meet are replayed against it, one
+// projection at a time. In a self-join block b meets the blocks after it;
+// in an R-S join only R is blocked and every R block meets the whole S
+// partition.
+type spillReducer struct {
+	cfg    *Config
+	layout keyLayout
+	self   bool
+}
+
+// sBlock is the spill id of an R-S group's S partition: R blocks keep
+// their own ids, all below it.
+const sBlock = ^uint32(0)
+
+func (r *spillReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+	sp, err := newSpill()
+	if err != nil {
+		return err
+	}
+	defer sp.close()
+	rd := newRounds(ctx, out, r.cfg, r.self)
+	defer rd.release()
+
+	first := int64(-1)
+	for v, ok := values.Next(); ok; v, ok = values.Next() {
+		key := values.Key()
+		if _, _, err := r.layout.classify(key); err != nil {
+			return err
+		}
+		var block uint32
+		switch {
+		case r.self:
+			block, _ = keys.MustUint32(key[4:])
+		case key[4] == relR:
+			block, _ = keys.MustUint32(key[5:])
+		default:
+			block = sBlock
+		}
+		p, err := records.DecodeProjection(v)
+		if err != nil {
+			return err
+		}
+		if block != sBlock {
+			if first < 0 {
+				first = int64(block)
+			}
+			if int64(block) == first {
+				if err := rd.load(p); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		// Not resident: whatever must meet the resident block probes it
+		// now (a later R block need not — R never joins R), and
+		// everything waits on disk for the replay rounds.
+		if r.self || block == sBlock {
+			if err := rd.stream(p); err != nil {
+				return err
+			}
+		}
+		if err := sp.add(block, v); err != nil {
+			return err
+		}
+	}
+
+	blocks := sp.blocks()
+	for i, b := range blocks {
+		if b == sBlock {
+			continue
+		}
+		rd.next()
+		if err := sp.replay(ctx.Memory, b, rd.load); err != nil {
+			return err
+		}
+		rest := blocks[i+1:]
+		if !r.self {
+			rest = []uint32{sBlock}
+		}
+		for _, b2 := range rest {
+			if err := sp.replay(ctx.Memory, b2, rd.stream); err != nil {
+				return err
+			}
+		}
+	}
+	ctx.Count("stage2.spill_bytes", sp.writes)
+	return rd.finish()
+}
+
+// spill is a local-disk block store for reduce-based processing: one
+// append-only file of length-prefixed encoded projections per block.
+type spill struct {
+	dir    string
+	files  map[uint32]*spillFile
+	writes int64
+}
+
+type spillFile struct {
+	f *os.File
+	w *bufio.Writer
+}
+
+func newSpill() (*spill, error) {
+	dir, err := os.MkdirTemp("", "fuzzyjoin-spill-")
+	if err != nil {
+		return nil, err
+	}
+	return &spill{dir: dir, files: make(map[uint32]*spillFile)}, nil
+}
+
+func (s *spill) add(block uint32, encoded []byte) error {
+	sf, ok := s.files[block]
+	if !ok {
+		f, err := os.Create(filepath.Join(s.dir, fmt.Sprintf("block-%d", block)))
+		if err != nil {
+			return err
+		}
+		sf = &spillFile{f: f, w: bufio.NewWriter(f)}
+		s.files[block] = sf
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(encoded)))
+	if _, err := sf.w.Write(hdr[:n]); err != nil {
+		return err
+	}
+	_, err := sf.w.Write(encoded)
+	s.writes += int64(n + len(encoded))
+	return err
+}
+
+// replay streams one spilled block back through fn in spill order. It
+// holds one decoded projection at a time — charged to mem for the
+// duration of fn — so replaying a partition of any size costs the budget
+// a single projection: §5's promise that only the resident block must
+// fit. A block that was never spilled replays as empty.
+func (s *spill) replay(mem *mapreduce.Memory, block uint32, fn func(records.Projection) error) error {
+	sf, ok := s.files[block]
+	if !ok {
+		return nil
+	}
+	if err := sf.w.Flush(); err != nil {
+		return err
+	}
+	f, err := os.Open(sf.f.Name())
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	corrupt := fmt.Errorf("core: corrupt spill block %d", block)
+	br := bufio.NewReader(f)
+	var buf []byte
+	for {
+		sz, err := binary.ReadUvarint(br)
+		if err == io.EOF {
+			return nil
+		}
+		// A length beyond the file is corrupt (and would otherwise size
+		// the read buffer).
+		if err != nil || sz > uint64(info.Size()) {
+			return corrupt
+		}
+		if uint64(cap(buf)) < sz {
+			buf = make([]byte, sz)
+		}
+		if _, err := io.ReadFull(br, buf[:sz]); err != nil {
+			return corrupt
+		}
+		p, err := records.DecodeProjection(buf[:sz])
+		if err != nil {
+			return err
+		}
+		b := projectionBytes(p)
+		if err := mem.Alloc(b); err != nil {
+			return err
+		}
+		err = fn(p)
+		mem.Free(b)
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// blocks lists the spilled block ids in ascending order.
+func (s *spill) blocks() []uint32 {
+	out := make([]uint32, 0, len(s.files))
+	for b := range s.files {
+		out = append(out, b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func (s *spill) close() {
+	for _, sf := range s.files {
+		sf.f.Close()
+	}
+	os.RemoveAll(s.dir)
+}
+
+// pkReducer streams a group's projections through a PPJoin+ index. A
+// self-join group arrives in length order thanks to the composite key and
+// each projection probes then joins the index (§3.2.2). An R-S group
+// indexes R projections and probes with S projections: the length-class
+// keys guarantee every R projection that could join an S projection is
+// indexed before that S projection probes. Either way the index evicts by
+// length as the stream advances (§4, Figure 6).
+type pkReducer struct {
+	cfg    *Config
+	layout keyLayout
+	rs     bool
+}
+
+func (r *pkReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+	ix := ppjoin.NewIndex(kernelOptions(r.cfg))
+	var held int64
+	defer func() { ctx.Memory.Free(held) }()
+	var emitErr error
+	emit := func(pair records.RIDPair) {
+		if emitErr == nil {
+			emitErr = emitRIDPair(out, pair)
+		}
+	}
+	for v, ok := values.Next(); ok; v, ok = values.Next() {
+		_, rel, err := r.layout.classify(values.Key())
+		if err != nil {
+			return err
+		}
+		p, err := records.DecodeProjection(v)
+		if err != nil {
+			return err
+		}
+		item := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
+		switch {
+		case !r.rs:
+			ix.ProbeAndAdd(item, emit)
+		case rel == relR:
+			ix.Add(item)
+		default:
+			ix.Probe(item, emit)
+		}
+		if emitErr != nil {
+			return emitErr
+		}
+		// Track the index's live footprint: charge growth, credit
+		// eviction.
+		if delta := ix.Bytes() - held; delta > 0 {
+			if err := ctx.Memory.Alloc(delta); err != nil {
+				return err
+			}
+			held = ix.Bytes()
+		} else if delta < 0 {
+			ctx.Memory.Free(-delta)
+			held = ix.Bytes()
+		}
+	}
+	countKernelStats(ctx, ix.Stats())
+	return nil
+}

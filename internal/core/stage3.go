@@ -199,9 +199,9 @@ func (pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 }
 
 // runBRJ runs the two-phase Basic Record Join.
-func runBRJ(cfg *Config, recordInputs []string, inputR string, rs bool, pairsPrefix, work string) (string, []*mapreduce.Metrics, error) {
+func runBRJ(cfg *Config, recordInputs []string, inputR, pairsPrefix, work string) (string, []*mapreduce.Metrics, error) {
 	half := work + "/s3-half"
-	job, err := coreJob(cfg, progSpec{Kind: "s3-brj1", InputR: inputR, RS: rs, PairsPrefix: pairsPrefix})
+	job, err := coreJob(cfg, progSpec{Kind: "s3-brj1", InputR: inputR, PairsPrefix: pairsPrefix})
 	if err != nil {
 		return "", nil, err
 	}
@@ -320,10 +320,10 @@ func (m *oprjMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.
 }
 
 // runOPRJ runs the One-Phase Record Join.
-func runOPRJ(cfg *Config, recordInputs []string, inputR string, rs bool, pairsPrefix, work string) (string, []*mapreduce.Metrics, error) {
+func runOPRJ(cfg *Config, recordInputs []string, inputR, pairsPrefix, work string) (string, []*mapreduce.Metrics, error) {
 	pairFiles := cfg.FS.List(pairsPrefix + "/")
 	out := work + "/out"
-	job, err := coreJob(cfg, progSpec{Kind: "s3-oprj", InputR: inputR, RS: rs, PairFiles: pairFiles})
+	job, err := coreJob(cfg, progSpec{Kind: "s3-oprj", InputR: inputR, PairFiles: pairFiles})
 	if err != nil {
 		return "", nil, err
 	}
@@ -340,12 +340,17 @@ func runOPRJ(cfg *Config, recordInputs []string, inputR string, rs bool, pairsPr
 	return out, []*mapreduce.Metrics{m}, nil
 }
 
-// runStage3 dispatches on the configured record-join algorithm. For R-S
-// joins inputR identifies the R records file (relation tags come from
-// exact comparison against it); for self-joins it is ignored.
-func runStage3(cfg *Config, recordInputs []string, inputR string, rs bool, pairsPrefix, work string) (string, []*mapreduce.Metrics, error) {
-	if cfg.RecordJoin == OPRJ {
-		return runOPRJ(cfg, recordInputs, inputR, rs, pairsPrefix, work)
+// runStage3 dispatches on the configured record-join algorithm over the
+// record inputs — one for a self-join, (R, S) for an R-S join, where the
+// R file identifies the R records (relation tags come from exact
+// comparison against it).
+func runStage3(cfg *Config, pairsPrefix, work string, inputs ...string) (string, []*mapreduce.Metrics, error) {
+	inputR := ""
+	if len(inputs) == 2 {
+		inputR = inputs[0]
 	}
-	return runBRJ(cfg, recordInputs, inputR, rs, pairsPrefix, work)
+	if cfg.RecordJoin == OPRJ {
+		return runOPRJ(cfg, inputs, inputR, pairsPrefix, work)
+	}
+	return runBRJ(cfg, inputs, inputR, pairsPrefix, work)
 }
