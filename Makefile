@@ -1,7 +1,8 @@
 # Developer entry points. `make tier1` is the gate every change must
 # pass: build + full test suite, vet, staticcheck (when installed), and
 # the race detector over the runtime packages (the engine and DFS run
-# user code across goroutines).
+# user code across goroutines; the pipeline's mapper instances, reducers
+# and spill files in internal/core are that user code).
 
 GO ?= go
 
@@ -30,7 +31,7 @@ staticcheck:
 race:
 	$(GO) test -race ./internal/mapreduce/... ./internal/dfs/... \
 		./internal/distrib/... ./internal/backoff/... ./internal/ssjserve/... \
-		./internal/fvt/... ./internal/plan/...
+		./internal/fvt/... ./internal/plan/... ./internal/core/...
 
 tier1: build test vet staticcheck race
 
@@ -43,8 +44,9 @@ smoke:
 	@test -s smoke-out/trace.jsonl && test -s smoke-out/timeline.svg && test -s smoke-out/metrics.json
 	@echo "smoke artifacts in smoke-out/"
 
-# conformance sweeps the full pipeline-variant matrix (1792 cells: stage
-# combos × self/R-S × routing × block processing × hot-token skew split
+# conformance sweeps the full pipeline-variant matrix (1920 cells: stage
+# combos × self/R-S × routing × §5 strategy (block processing or length
+# routing) × hot-token skew split
 # off/k=2/k=4 × FVT build path × bitmap filter off/on ×
 # plain/faulty/parallel/dist execution) against the exact oracle, then
 # runs the metamorphic invariant suite, on a handful of seeded

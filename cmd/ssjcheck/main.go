@@ -18,7 +18,8 @@
 //
 // The matrix filters take comma-separated allowlists (empty = all):
 // combos like "BTO-PK-BRJ,OPTO-FVT-OPRJ" (kernels BK, PK, FVT),
-// routings "individual,grouped", blocks "none,map,reduce", hot-token
+// routings "individual,grouped", blocks "none,map,reduce,lenroute"
+// (the §5 strategies: block processing or length routing), hot-token
 // split fan-outs "0,2,4", FVT build paths "bulk,incr", bitmaps
 // "off,on", execs "plain,faults,parallel,dist".
 //
@@ -64,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		joins    = fs.String("join", "", "join kinds to sweep: self,rs (empty = both)")
 		combos   = fs.String("combo", "", "stage combos to sweep, e.g. BTO-PK-BRJ (empty = all twelve)")
 		routings = fs.String("routing", "", "token routings to sweep: individual,grouped (empty = both)")
-		blocks   = fs.String("blocks", "", "block modes to sweep: none,map,reduce (empty = all)")
+		blocks   = fs.String("blocks", "", "§5 strategies to sweep: none,map,reduce,lenroute (empty = all)")
 		splits   = fs.String("split", "", "hot-token split fan-outs to sweep: 0,2,4 (empty = all)")
 		builds   = fs.String("build", "", "FVT build paths to sweep: bulk,incr (empty = both)")
 		bitmaps  = fs.String("bitmap", "", "bitmap filter settings to sweep: off,on (empty = both)")

@@ -53,14 +53,6 @@
 //
 // Joins and queries are cancellable: cancel the ctx and the call
 // returns an error matching ErrCanceled at the next task boundary.
-//
-// # Deprecation policy
-//
-// Superseded APIs are kept as thin wrappers for one major growth cycle,
-// marked with standard "Deprecated:" comments naming the replacement
-// (so staticcheck flags remaining callers), then deleted. SelfJoin,
-// RSJoin, SelfJoinRecords, and RSJoinRecords are in that state now —
-// new code should call Join.
 package fuzzyjoin
 
 import (
@@ -417,45 +409,6 @@ func Plan(ctx context.Context, spec JoinSpec) (*JoinPlan, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, err)
 	}
 	return plan.Decide(s, nodes), nil
-}
-
-// SelfJoin joins a record file with itself.
-//
-// Deprecated: Use Join with JoinSpec.Input.
-func SelfJoin(cfg Config, input string) (*Result, error) {
-	return Join(context.Background(), JoinSpec{Config: cfg, Input: input})
-}
-
-// RSJoin joins two record files; inputR should be the smaller relation
-// (Stage 1 builds the token dictionary from it).
-//
-// Deprecated: Use Join with JoinSpec.Input and JoinSpec.InputS.
-func RSJoin(cfg Config, inputR, inputS string) (*Result, error) {
-	return Join(context.Background(), JoinSpec{Config: cfg, Input: inputR, InputS: inputS})
-}
-
-// SelfJoinRecords joins in-memory records with themselves.
-//
-// Deprecated: Use Join with JoinSpec.Records; pairs are returned on
-// Result.Joined.
-func SelfJoinRecords(recs []Record, cfg Config) ([]JoinedPair, error) {
-	res, err := Join(context.Background(), JoinSpec{Config: cfg, Records: recs})
-	if err != nil {
-		return nil, err
-	}
-	return res.Joined, nil
-}
-
-// RSJoinRecords joins two in-memory relations.
-//
-// Deprecated: Use Join with JoinSpec.Records and JoinSpec.RecordsS;
-// pairs are returned on Result.Joined.
-func RSJoinRecords(r, s []Record, cfg Config) ([]JoinedPair, error) {
-	res, err := Join(context.Background(), JoinSpec{Config: cfg, Records: r, RecordsS: s})
-	if err != nil {
-		return nil, err
-	}
-	return res.Joined, nil
 }
 
 // IndexStats is the online index's metrics snapshot: corpus shape,

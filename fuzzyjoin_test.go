@@ -114,6 +114,22 @@ func TestJoinFileMode(t *testing.T) {
 	if res.TokenOrderFile == "" || res.RIDPairs == "" {
 		t.Fatalf("result metadata incomplete: %+v", res)
 	}
+
+	// InputS makes the file-mode join R-S.
+	if err := fuzzyjoin.WriteRecords(fs, "s", pubs()[2:]); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := fuzzyjoin.Join(context.Background(), fuzzyjoin.JoinSpec{
+		Config: fuzzyjoin.Config{FS: fs, Work: "job2"},
+		Input:  "pubs",
+		InputS: "s",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Pairs == 0 {
+		t.Fatal("R-S file-mode join found no pairs")
+	}
 }
 
 func TestJoinSpecValidation(t *testing.T) {

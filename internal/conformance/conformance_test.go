@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fuzzyjoin/internal/core"
 	"fuzzyjoin/internal/distrib"
 	"fuzzyjoin/internal/records"
 	"fuzzyjoin/internal/tokenize"
@@ -130,12 +131,12 @@ func TestMatrixEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per join kind and (TO, RJ) combo: BK has 3 block modes of which
-	// blocks=none carries 3 split settings (so 3+2 = 5 cells), PK has 3
-	// split settings, FVT 2 build paths × 3 split settings; times 4
-	// (TO, RJ) combos × 2 routings × 2 bitmap settings × 4 exec modes ×
-	// 2 join kinds.
-	if want := 2 * 4 * (5 + 3 + 2*3) * 2 * 2 * 4; len(all) != want {
+	// Per join kind and (TO, RJ) combo: BK has 4 block-axis values
+	// (none, map, reduce, lenroute) of which blocks=none carries 3 split
+	// settings (so 3+3 = 6 cells), PK has 3 split settings, FVT 2 build
+	// paths × 3 split settings; times 4 (TO, RJ) combos × 2 routings ×
+	// 2 bitmap settings × 4 exec modes × 2 join kinds = 1920.
+	if want := 2 * 4 * (6 + 3 + 2*3) * 2 * 2 * 4; len(all) != want {
 		t.Fatalf("full matrix has %d variants, want %d", len(all), want)
 	}
 	seen := map[string]bool{}
@@ -158,6 +159,18 @@ func TestMatrixEnumeration(t *testing.T) {
 	}
 	if len(nosplit) != 4 { // two routings × two bitmap settings
 		t.Fatalf("split-filtered matrix has %d variants, want 4", len(nosplit))
+	}
+	lenroute, err := Matrix(Filter{Blocks: "lenroute", Execs: "plain"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range lenroute {
+		if v.Kernel != core.BK || v.Split != 0 || !strings.Contains(v.Name(), "blocks=lenroute") {
+			t.Fatalf("lenroute filter produced %s", v.Name())
+		}
+	}
+	if len(lenroute) != 2*4*2*2 { // join kinds × (TO, RJ) combos × routings × bitmaps
+		t.Fatalf("lenroute-filtered matrix has %d variants, want 32", len(lenroute))
 	}
 	if _, err := Matrix(Filter{Splits: "3"}); err == nil {
 		t.Fatal("unknown split value accepted")

@@ -50,8 +50,8 @@ type Variant struct {
 	RecordJoin core.RecordJoinAlg
 	// Routing is individual or grouped prefix-token routing.
 	Routing core.Routing
-	// Block is the §5 block-processing mode (BK kernel only).
-	Block core.BlockMode
+	// Block is the §5 insufficient-memory strategy (BK kernel only).
+	Block BlockAxis
 	// Split is the hot-token skew-split fan-out (core.Config.SplitK):
 	// 0 = off, k ≥ 2 salts hot prefix tokens across k(k+1)/2 sub-cells
 	// with a merge-side dedup post-pass. Only generated for blocks=none
@@ -82,16 +82,22 @@ func (v Variant) combo() string {
 	return fmt.Sprintf("%s-%s-%s", v.TokenOrder, v.Kernel, v.RecordJoin)
 }
 
-func blockFlag(m core.BlockMode) string {
-	switch m {
-	case core.MapBlocks:
-		return "map"
-	case core.ReduceBlocks:
-		return "reduce"
-	default:
-		return "none"
-	}
-}
+// BlockAxis is the §5 dimension of the matrix: no strategy, map- or
+// reduce-based block processing, or length routing — alternatives, as
+// core.Validate enforces. The first three values equal the
+// core.BlockMode they select.
+type BlockAxis int
+
+const (
+	BlocksNone BlockAxis = iota
+	BlocksMap
+	BlocksReduce
+	BlocksLenRoute
+)
+
+var blockNames = []string{"none", "map", "reduce", "lenroute"}
+
+func (b BlockAxis) String() string { return blockNames[b] }
 
 func bitmapFlag(on bool) string {
 	if on {
@@ -111,7 +117,7 @@ func buildFlag(incr bool) string {
 // "self/BTO-BK-BRJ/grouped/blocks=map/split=0/build=bulk/bitmap=on/faults".
 func (v Variant) Name() string {
 	return fmt.Sprintf("%s/%s/%s/blocks=%s/split=%d/build=%s/bitmap=%s/%s",
-		v.joinName(), v.combo(), v.Routing, blockFlag(v.Block), v.Split, buildFlag(v.Build), bitmapFlag(v.Bitmap), v.Exec)
+		v.joinName(), v.combo(), v.Routing, v.Block, v.Split, buildFlag(v.Build), bitmapFlag(v.Bitmap), v.Exec)
 }
 
 // Flags renders the exact ssjcheck invocation that re-runs this single
@@ -121,7 +127,7 @@ func (v Variant) Flags(w Workload, p Params) string {
 	p = p.fill()
 	s := fmt.Sprintf("ssjcheck -seed %d -records %d -vocab %d -tau %g -join %s -combo %s -routing %s -blocks %s -split %d -build %s -bitmap %s -exec %s",
 		w.Seed, w.Records, w.Vocab, p.Threshold,
-		v.joinName(), v.combo(), v.Routing, blockFlag(v.Block), v.Split, buildFlag(v.Build), bitmapFlag(v.Bitmap), v.Exec)
+		v.joinName(), v.combo(), v.Routing, v.Block, v.Split, buildFlag(v.Build), bitmapFlag(v.Bitmap), v.Exec)
 	if v.Exec == ExecDist {
 		s += " -workers 2"
 	}
@@ -141,7 +147,7 @@ func (v Variant) Flags(w Workload, p Params) string {
 // lists. Empty fields mean "all". Values match the tokens used in
 // Variant names and ssjcheck flags: joins "self,rs"; combos like
 // "BTO-PK-OPRJ"; routings "individual,grouped"; blocks
-// "none,map,reduce"; splits "0,2,4"; builds "bulk,incr"; bitmaps
+// "none,map,reduce,lenroute"; splits "0,2,4"; builds "bulk,incr"; bitmaps
 // "off,on"; execs "plain,faults,parallel,dist".
 type Filter struct {
 	Joins    string
@@ -206,7 +212,7 @@ func (f Filter) validate() error {
 	if err := check("-routing", f.Routings, []string{"individual", "grouped"}); err != nil {
 		return err
 	}
-	if err := check("-blocks", f.Blocks, []string{"none", "map", "reduce"}); err != nil {
+	if err := check("-blocks", f.Blocks, blockNames); err != nil {
 		return err
 	}
 	if err := check("-split", f.Splits, []string{"0", "2", "4"}); err != nil {
@@ -223,12 +229,12 @@ func (f Filter) validate() error {
 
 // Matrix enumerates every valid variant passing the filter, in a fixed
 // deterministic order: join × token order × kernel × record join ×
-// routing × block mode × split × build × bitmap × exec mode. Block
-// modes other than "none" are only generated for the BK kernel (the §5
+// routing × block axis × split × build × bitmap × exec mode. Block
+// values other than "none" are only generated for the BK kernel (the §5
 // strategies are BK-only, as core.Validate enforces), the incremental
 // build only for the FVT kernel (the other kernels have no tree to
 // build), and split fan-outs 2 and 4 only for blocks=none cells
-// (splitting and block processing are mutually exclusive).
+// (splitting and the §5 strategies are mutually exclusive).
 func Matrix(f Filter) ([]Variant, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -249,20 +255,20 @@ func Matrix(f Filter) ([]Variant, error) {
 						if !keep(f.Routings, routing.String()) {
 							continue
 						}
-						blocks := []core.BlockMode{core.NoBlocks}
+						blocks := []BlockAxis{BlocksNone}
 						if k == core.BK {
-							blocks = append(blocks, core.MapBlocks, core.ReduceBlocks)
+							blocks = append(blocks, BlocksMap, BlocksReduce, BlocksLenRoute)
 						}
 						builds := []bool{false}
 						if k == core.FVT {
 							builds = append(builds, true)
 						}
 						for _, bm := range blocks {
-							if !keep(f.Blocks, blockFlag(bm)) {
+							if !keep(f.Blocks, bm.String()) {
 								continue
 							}
 							splits := []int{0}
-							if bm == core.NoBlocks {
+							if bm == BlocksNone {
 								splits = append(splits, 2, 4)
 							}
 							for _, split := range splits {

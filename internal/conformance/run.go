@@ -36,9 +36,15 @@ func (v Variant) config(w Workload, p Params, fs *dfs.FS) core.Config {
 	if v.Routing == core.GroupedTokens {
 		cfg.NumGroups = 5
 	}
-	if v.Block != core.NoBlocks {
-		cfg.BlockMode = v.Block
+	switch v.Block {
+	case BlocksMap:
+		cfg.BlockMode = core.MapBlocks
 		cfg.NumBlocks = 3
+	case BlocksReduce:
+		cfg.BlockMode = core.ReduceBlocks
+		cfg.NumBlocks = 3
+	case BlocksLenRoute:
+		cfg.LengthRouting = true
 	}
 	if v.Kernel == core.FVT {
 		cfg.FVTIncremental = v.Build

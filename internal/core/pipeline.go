@@ -121,42 +121,38 @@ func Stage1(cfg Config, input string) (string, []*mapreduce.Metrics, error) {
 	return runStage1(&cfg, input, cfg.Work)
 }
 
-// stage2 and stage3 run one stage standalone, over one input (self) or
-// (R, S).
-func stage2(cfg Config, tokenFile string, inputs ...string) (string, []*mapreduce.Metrics, error) {
-	if err := cfg.fillDefaults(); err != nil {
-		return "", nil, err
-	}
-	return runStage2(&cfg, tokenFile, cfg.Work, inputs...)
-}
+// stageFunc is the shape runStage2 and runStage3 share: the previous
+// stage's output, the work directory, and one input (self) or (R, S).
+type stageFunc func(cfg *Config, prev, work string, inputs ...string) (string, []*mapreduce.Metrics, error)
 
-func stage3(cfg Config, pairsPrefix string, inputs ...string) (string, []*mapreduce.Metrics, error) {
+// standalone runs one stage outside a flow.
+func standalone(cfg Config, run stageFunc, prev string, inputs ...string) (string, []*mapreduce.Metrics, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return "", nil, err
 	}
-	return runStage3(&cfg, pairsPrefix, cfg.Work, inputs...)
+	return run(&cfg, prev, cfg.Work, inputs...)
 }
 
 // Stage2Self runs only the self-join kernel stage against an existing
 // token-order file. It returns the RID-pair output prefix.
 func Stage2Self(cfg Config, input, tokenFile string) (string, []*mapreduce.Metrics, error) {
-	return stage2(cfg, tokenFile, input)
+	return standalone(cfg, runStage2, tokenFile, input)
 }
 
 // Stage2RS runs only the R-S kernel stage.
 func Stage2RS(cfg Config, inputR, inputS, tokenFile string) (string, []*mapreduce.Metrics, error) {
-	return stage2(cfg, tokenFile, inputR, inputS)
+	return standalone(cfg, runStage2, tokenFile, inputR, inputS)
 }
 
 // Stage3Self runs only the self-join record-join stage against an
 // existing RID-pair prefix. It returns the final output prefix.
 func Stage3Self(cfg Config, input, pairsPrefix string) (string, []*mapreduce.Metrics, error) {
-	return stage3(cfg, pairsPrefix, input)
+	return standalone(cfg, runStage3, pairsPrefix, input)
 }
 
 // Stage3RS runs only the R-S record-join stage.
 func Stage3RS(cfg Config, inputR, inputS, pairsPrefix string) (string, []*mapreduce.Metrics, error) {
-	return stage3(cfg, pairsPrefix, inputR, inputS)
+	return standalone(cfg, runStage3, pairsPrefix, inputR, inputS)
 }
 
 func stagePairCount(ms []*mapreduce.Metrics) int64 {

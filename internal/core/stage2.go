@@ -178,9 +178,14 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 // grouping: fewer replicas, §3.2).
 func (m *stage2Mapper) routeCell(p routed, g uint32, cell uint8, sink replicaSink) error {
 	ck := uint64(g)<<8 | uint64(cell)
-	for _, s := range m.seen {
-		if s == ck {
+	for i := len(m.seen) - 1; i >= 0; i-- {
+		if m.seen[i] == ck {
 			return nil
+		}
+		// Ranks ascend, so with individual routing a group never recurs
+		// once a later one was visited: only its own cells need checking.
+		if !m.grouped && m.seen[i]>>8 != uint64(g) {
+			break
 		}
 	}
 	m.seen = append(m.seen, ck)

@@ -5,8 +5,8 @@ package core
 // during traversal — no candidate pair is ever materialized
 // (stage2.candidates_materialized is always 0 for FVT cells).
 //
-// Routing reuses the plain BK key layouts (see stage2_keys.go). Because a group
-// receives every record whose prefix contains one of its tokens, a
+// Routing reuses the plain BK key layouts (see stage2_keys.go). Because a
+// group receives every record whose prefix contains one of its tokens, a
 // τ-pair is replicated to every group its shared prefix tokens route
 // to — so without care each pair would be verified and emitted once
 // per shared group. The tree's Owner hook makes emission exact-once

@@ -25,6 +25,7 @@ import (
 // join loads R and streams S.
 type rounds struct {
 	ctx  *mapreduce.Context
+	out  mapreduce.Emitter
 	opts ppjoin.Options
 	self bool
 
@@ -35,23 +36,24 @@ type rounds struct {
 	one     [1]ppjoin.Item
 	st      ppjoin.Stats
 	emitErr error
-	emit    func(records.RIDPair)
 }
 
-func newRounds(ctx *mapreduce.Context, out mapreduce.Emitter, cfg *Config, self bool) *rounds {
-	r := &rounds{ctx: ctx, opts: kernelOptions(cfg), self: self}
-	r.emit = func(p records.RIDPair) {
-		if r.emitErr != nil {
-			return
-		}
-		// A self-join pair found by probing a streamed item against the
-		// buffer comes out in (buffer, stream) order; normalize to A < B.
-		if self && p.A > p.B {
-			p.A, p.B = p.B, p.A
-		}
-		r.emitErr = emitRIDPair(out, p)
+// newRounds returns the loop state by value: reducers keep it on their
+// stack, one per reduce group.
+func newRounds(ctx *mapreduce.Context, out mapreduce.Emitter, cfg *Config, self bool) rounds {
+	return rounds{ctx: ctx, out: out, opts: kernelOptions(cfg), self: self}
+}
+
+func (r *rounds) emit(p records.RIDPair) {
+	if r.emitErr != nil {
+		return
 	}
-	return r
+	// A self-join pair found by probing a streamed item against the
+	// buffer comes out in (buffer, stream) order; normalize to A < B.
+	if r.self && p.A > p.B {
+		p.A, p.B = p.B, p.A
+	}
+	r.emitErr = emitRIDPair(r.out, p)
 }
 
 func (r *rounds) flushSelf() {
@@ -220,13 +222,24 @@ func (r *spillReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduc
 		}
 	}
 
+	// A replayed stream projection is the one thing in memory besides the
+	// resident block: charge it while it is in flight. (A replayed load
+	// projection is charged by rd.load itself.)
+	stream := func(p records.Projection) error {
+		b := projectionBytes(p)
+		if err := ctx.Memory.Alloc(b); err != nil {
+			return err
+		}
+		defer ctx.Memory.Free(b)
+		return rd.stream(p)
+	}
 	blocks := sp.blocks()
 	for i, b := range blocks {
 		if b == sBlock {
 			continue
 		}
 		rd.next()
-		if err := sp.replay(ctx.Memory, b, rd.load); err != nil {
+		if err := sp.replay(b, rd.load); err != nil {
 			return err
 		}
 		rest := blocks[i+1:]
@@ -234,7 +247,7 @@ func (r *spillReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduc
 			rest = []uint32{sBlock}
 		}
 		for _, b2 := range rest {
-			if err := sp.replay(ctx.Memory, b2, rd.stream); err != nil {
+			if err := sp.replay(b2, stream); err != nil {
 				return err
 			}
 		}
@@ -249,6 +262,8 @@ type spill struct {
 	dir    string
 	files  map[uint32]*spillFile
 	writes int64
+	// hdr is the reused length-prefix scratch of add.
+	hdr [binary.MaxVarintLen64]byte
 }
 
 type spillFile struct {
@@ -274,9 +289,8 @@ func (s *spill) add(block uint32, encoded []byte) error {
 		sf = &spillFile{f: f, w: bufio.NewWriter(f)}
 		s.files[block] = sf
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(encoded)))
-	if _, err := sf.w.Write(hdr[:n]); err != nil {
+	n := binary.PutUvarint(s.hdr[:], uint64(len(encoded)))
+	if _, err := sf.w.Write(s.hdr[:n]); err != nil {
 		return err
 	}
 	_, err := sf.w.Write(encoded)
@@ -285,11 +299,11 @@ func (s *spill) add(block uint32, encoded []byte) error {
 }
 
 // replay streams one spilled block back through fn in spill order. It
-// holds one decoded projection at a time — charged to mem for the
-// duration of fn — so replaying a partition of any size costs the budget
-// a single projection: §5's promise that only the resident block must
-// fit. A block that was never spilled replays as empty.
-func (s *spill) replay(mem *mapreduce.Memory, block uint32, fn func(records.Projection) error) error {
+// holds one decoded projection at a time, so replaying a partition of any
+// size costs a single projection beyond what fn keeps: §5's promise that
+// only the resident block must fit. Charging is fn's business. A block
+// that was never spilled replays as empty.
+func (s *spill) replay(block uint32, fn func(records.Projection) error) error {
 	sf, ok := s.files[block]
 	if !ok {
 		return nil
@@ -329,13 +343,7 @@ func (s *spill) replay(mem *mapreduce.Memory, block uint32, fn func(records.Proj
 		if err != nil {
 			return err
 		}
-		b := projectionBytes(p)
-		if err := mem.Alloc(b); err != nil {
-			return err
-		}
-		err = fn(p)
-		mem.Free(b)
-		if err != nil {
+		if err := fn(p); err != nil {
 			return err
 		}
 	}

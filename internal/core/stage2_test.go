@@ -154,8 +154,43 @@ func TestReduceBlocksStreamsSpilledPartition(t *testing.T) {
 	}
 }
 
-// TestSpillReplay: replay yields the spilled projections in order holding
-// (and charging) one at a time, and rejects a truncated block file.
+// TestReduceBlocksExactFit: a self-join group of two blocks runs in a
+// budget of exactly one block — reloading a spilled block charges each
+// projection once, not once for the replay and again for the buffer.
+func TestReduceBlocksExactFit(t *testing.T) {
+	const n, projBytes = 40, 24 + 4*5
+	fs := newTestFS(t)
+	var lines []string
+	for i := 0; i < n; i++ {
+		lines = append(lines, records.Record{RID: uint64(i + 1),
+			Fields: []string{"shared quad token set", fmt.Sprintf("author%d", i/2), "rest"}}.Line())
+	}
+	writeInput(t, fs, "in", lines)
+	cfg := Config{FS: fs, Work: "w", Kernel: BK, NumReducers: 1}
+	tokenFile, _, err := Stage1(cfg, "in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := Stage2Self(cfg, "in", tokenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stage2Pairs(t, fs, out)
+	cfg.Work, cfg.BlockMode, cfg.NumBlocks, cfg.MemoryLimit = "w2", ReduceBlocks, 2, n/2*projBytes
+	out, ms, err := Stage2Self(cfg, "in", tokenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stage2Pairs(t, fs, out); len(want) < n/2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("reduce-blocks found %d pairs, unblocked %d", len(got), len(want))
+	}
+	if ms[0].Counters["stage2.spill_bytes"] == 0 {
+		t.Fatal("nothing was spilled")
+	}
+}
+
+// TestSpillReplay: replay yields the spilled projections in order and
+// rejects a truncated block file.
 func TestSpillReplay(t *testing.T) {
 	sp, err := newSpill()
 	if err != nil {
@@ -169,9 +204,8 @@ func TestSpillReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mem := &mapreduce.Memory{}
 	next := uint64(0)
-	err = sp.replay(mem, 3, func(p records.Projection) error {
+	err = sp.replay(3, func(p records.Projection) error {
 		if p.RID != next || len(p.Ranks) != 3 || p.Ranks[2] != uint32(next+7) {
 			t.Fatalf("projection %d replayed as %+v", next, p)
 		}
@@ -181,10 +215,7 @@ func TestSpillReplay(t *testing.T) {
 	if err != nil || next != n {
 		t.Fatalf("replayed %d of %d projections, err = %v", next, n, err)
 	}
-	if want := projectionBytes(records.Projection{Ranks: make([]uint32, 3)}); mem.Peak() != want || mem.Used() != 0 {
-		t.Fatalf("replay charged peak %d (want one projection, %d), left %d charged", mem.Peak(), want, mem.Used())
-	}
-	if err := sp.replay(mem, 4, func(records.Projection) error { return fmt.Errorf("called") }); err != nil {
+	if err := sp.replay(4, func(records.Projection) error { return fmt.Errorf("called") }); err != nil {
 		t.Fatalf("never-spilled block: %v", err)
 	}
 	name := sp.files[3].f.Name()
@@ -195,7 +226,7 @@ func TestSpillReplay(t *testing.T) {
 	if err := os.Truncate(name, info.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	err = sp.replay(mem, 3, func(records.Projection) error { return nil })
+	err = sp.replay(3, func(records.Projection) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "corrupt spill block 3") {
 		t.Fatalf("truncated block: err = %v", err)
 	}
