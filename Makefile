@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-engine bench-distrib bench-serve bench-planner conformance conformance-dist cover fuzz-smoke experiments
+.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-engine bench-distrib bench-serve bench-planner conformance conformance-dist cover fuzz-smoke experiments
 
 all: tier1
 
@@ -32,6 +32,7 @@ race:
 	$(GO) test -race ./internal/mapreduce/... ./internal/dfs/... \
 		./internal/distrib/... ./internal/backoff/... ./internal/ssjserve/... \
 		./internal/fvt/... ./internal/plan/... ./internal/core/...
+	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
 
 tier1: build test vet staticcheck race
 
@@ -113,11 +114,31 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerDeterministic -fuzztime=$(FUZZTIME) \
 		-fuzzminimizetime=5s ./internal/plan
 
+# bench runs the repository's benchmark (bench/README.md): every workload
+# in BENCHMARK.json, the end-to-end pass and the traced per-layer pass,
+# each output checked against the reference. BENCH_OUT names the result
+# file; bench-compare checks two result files against the bounds in
+# BENCHMARK.json (make bench-compare A=parent.json B=change.json) and
+# exits 1 on a regression. bench-test is the benchmark's own 1/50-scale
+# test suite (bench/ is a module of its own, outside `go test ./...`).
+BENCH_OUT ?= bench/out/run.json
 bench:
+	sh bench/run.sh -trace 1 -out $(BENCH_OUT)
+
+bench-compare:
+	@test -n "$(A)" && test -n "$(B)" || { echo "usage: make bench-compare A=old.json B=new.json"; exit 2; }
+	sh bench/run.sh -compare $(A) $(B)
+
+bench-test:
+	cd bench && $(GO) test ./...
+
+# bench-micro runs the root package's testing.B benchmarks, one per paper
+# figure and table (DESIGN.md §3).
+bench-micro:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# bench-engine runs the shuffle-datapath micro-benchmarks (sort, merge,
-# round-trip) plus the verification-kernel benchmarks (candidate-heavy
+# bench-engine runs the shuffle-datapath micro-benchmarks (map-buffer
+# index sort, merge, map-buffer-to-reducer round trip) plus the verification-kernel benchmarks (candidate-heavy
 # workload, bitmap filter off and on) and records the parsed results to
 # BENCH_engine.json; the raw benchmark lines still print to the terminal
 # via stderr.

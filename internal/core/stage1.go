@@ -20,16 +20,23 @@ import (
 // every record.
 type tokenCountMapper struct {
 	cfg *Config
+	key []byte // per-task scratch: the token being emitted
 }
+
+// countOne is the uvarint count every token occurrence carries.
+var countOne = binary.AppendUvarint(nil, 1)
+
+// NewTaskInstance gives each map task its own key scratch.
+func (m *tokenCountMapper) NewTaskInstance() any { return &tokenCountMapper{cfg: m.cfg} }
 
 func (m *tokenCountMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
 	rec, err := records.ParseLine(string(value))
 	if err != nil {
 		return err
 	}
-	one := binary.AppendUvarint(nil, 1)
 	for _, tok := range m.cfg.Tokenizer.Tokenize(rec.JoinAttr(m.cfg.JoinFields...)) {
-		if err := out.Emit([]byte(tok), one); err != nil {
+		m.key = append(m.key[:0], tok...)
+		if err := out.Emit(m.key, countOne); err != nil {
 			return err
 		}
 	}

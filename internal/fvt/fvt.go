@@ -118,7 +118,8 @@ const nodeBytes = 112
 // for concurrent use.
 type Tree struct {
 	opts  Options
-	nodes []node // nodes[0] is the root
+	th    simfn.Threshold // opts.Fn at opts.Threshold, rationalized once
+	nodes []node          // nodes[0] is the root
 	items []ppjoin.Item
 	stats Stats
 	bytes int64
@@ -126,7 +127,7 @@ type Tree struct {
 
 // New returns an empty tree.
 func New(opts Options) *Tree {
-	return &Tree{opts: opts, nodes: make([]node, 1)}
+	return &Tree{opts: opts, th: opts.Fn.At(opts.Threshold), nodes: make([]node, 1)}
 }
 
 // Len reports the number of indexed items.
@@ -142,7 +143,7 @@ func (t *Tree) Bytes() int64 { return t.bytes }
 // arrival order with tail-extended token ranks — and the result set of
 // subsequent probes does not depend on it.
 func (t *Tree) Add(it ppjoin.Item) {
-	p := t.opts.Fn.PrefixLength(len(it.Ranks), t.opts.Threshold)
+	p := t.th.PrefixLength(len(it.Ranks))
 	if p == 0 {
 		// An empty prefix means the item cannot reach τ against
 		// anything (only possible for an empty token set at τ > 0).
@@ -227,14 +228,14 @@ func (t *Tree) probe(x *ppjoin.Item, skip func(*ppjoin.Item) bool, emit func(rec
 	if len(t.items) == 0 {
 		return
 	}
-	px := t.opts.Fn.PrefixLength(lx, t.opts.Threshold)
+	px := t.th.PrefixLength(lx)
 	if px == 0 {
 		return
 	}
 	pr := prober{t: t, x: x, q: x.Ranks[:px], lx: lx, px: px,
 		lo: 0, hi: math.MaxInt, skip: skip, emit: emit}
 	if t.opts.Filters.Length {
-		pr.lo, pr.hi = t.opts.Fn.LengthBounds(lx, t.opts.Threshold)
+		pr.lo, pr.hi = t.th.LengthBounds(lx)
 	}
 	if t.opts.Bitmap {
 		pr.sx = x.Sig()
@@ -299,7 +300,7 @@ func (pr *prober) visit(n int32, s, fI, fJ, jpos int) {
 				if pr.lo > lyMin {
 					lyMin = pr.lo
 				}
-				if pr.lx-h < t.opts.Fn.OverlapThreshold(pr.lx, lyMin, t.opts.Threshold) {
+				if pr.lx-h < t.th.OverlapThreshold(pr.lx, lyMin) {
 					t.stats.CandidatesAvoided += int64(ch.size)
 					continue
 				}
@@ -330,7 +331,7 @@ func (pr *prober) checkItems(items []int32, fI, fJ int) {
 			t.stats.CandidatesAvoided++
 			continue
 		}
-		need := t.opts.Fn.OverlapThreshold(pr.lx, ly, t.opts.Threshold)
+		need := t.th.OverlapThreshold(pr.lx, ly)
 		if t.opts.Filters.Positional && !filter.Positional(pr.lx, ly, fI, fJ, 1, need) {
 			t.stats.CandidatesAvoided++
 			continue
@@ -351,7 +352,7 @@ func (pr *prober) checkItems(items []int32, fI, fJ int) {
 			sim, ok = t.opts.Fn.SimFromOverlap(o, pr.lx, ly), o >= need
 		} else {
 			t.stats.Verified++
-			sim, ok = t.opts.Fn.Verify(pr.x.Ranks, y.Ranks, t.opts.Threshold)
+			sim, ok = t.th.Verify(pr.x.Ranks, y.Ranks)
 		}
 		if ok {
 			t.stats.Results++

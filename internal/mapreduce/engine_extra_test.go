@@ -88,49 +88,50 @@ func TestTaskLocalInstancesPerTask(t *testing.T) {
 }
 
 func TestEmitterArenaLargeValues(t *testing.T) {
-	// Values larger than a quarter chunk take the direct-allocation path;
-	// everything must round-trip bit-exact.
-	e := &bufEmitter{}
-	big := bytes.Repeat([]byte("x"), emitterChunkSize)
+	// Records far larger than the arena's first allocation must
+	// round-trip bit-exact beside small ones.
+	var p partBuf
+	big := bytes.Repeat([]byte("x"), 64<<10)
 	small := []byte("small")
-	if err := e.Emit(small, big); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Emit(big, small); err != nil {
-		t.Fatal(err)
-	}
-	// Force many chunk rollovers.
-	for i := 0; i < 10000; i++ {
-		v := []byte(strconv.Itoa(i))
-		if err := e.Emit(v, v); err != nil {
-			t.Fatal(err)
+	emit := func(k, v []byte) {
+		t.Helper()
+		if !p.add(k, v, 0, maxArena) {
+			t.Fatal("arena refused a record")
 		}
 	}
-	if !bytes.Equal(e.pairs[0].Key, small) || !bytes.Equal(e.pairs[0].Value, big) {
+	emit(small, big)
+	emit(big, small)
+	// Force many arena regrowths.
+	for i := 0; i < 10000; i++ {
+		v := []byte(strconv.Itoa(i))
+		emit(v, v)
+	}
+	if first := p.pair(p.idx[0]); !bytes.Equal(first.Key, small) || !bytes.Equal(first.Value, big) {
 		t.Fatal("large value corrupted")
 	}
 	for i := 0; i < 10000; i++ {
 		want := strconv.Itoa(i)
-		if string(e.pairs[2+i].Key) != want || string(e.pairs[2+i].Value) != want {
-			t.Fatalf("pair %d corrupted: %q/%q", i, e.pairs[2+i].Key, e.pairs[2+i].Value)
+		if got := p.pair(p.idx[2+i]); string(got.Key) != want || string(got.Value) != want {
+			t.Fatalf("pair %d corrupted: %q/%q", i, got.Key, got.Value)
 		}
 	}
 }
 
 func TestEmitterArenaStability(t *testing.T) {
-	// Earlier slices must stay valid as later emissions roll chunks.
-	e := &bufEmitter{}
+	// Earlier records must stay addressable as later emissions regrow
+	// the arena: index entries hold offsets, not pointers.
+	var p partBuf
 	var wants []string
 	for i := 0; i < 50000; i++ {
 		s := fmt.Sprintf("key-%d", i)
 		wants = append(wants, s)
-		if err := e.Emit([]byte(s), nil); err != nil {
-			t.Fatal(err)
+		if !p.add([]byte(s), nil, 0, maxArena) {
+			t.Fatal("arena refused a record")
 		}
 	}
 	for i, w := range wants {
-		if string(e.pairs[i].Key) != w {
-			t.Fatalf("pair %d = %q, want %q", i, e.pairs[i].Key, w)
+		if got := p.pair(p.idx[i]); string(got.Key) != w || len(got.Value) != 0 {
+			t.Fatalf("pair %d = %q/%q, want %q", i, got.Key, got.Value, w)
 		}
 	}
 }

@@ -1,0 +1,398 @@
+package mapreduce
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"sync"
+)
+
+// This file is the map-output buffer (§4.8 of DESIGN.md): Emit picks the
+// partition and appends the record, already in Pairs encoding, to that
+// partition's byte arena, remembering it in a compact index entry. A
+// partition is finished by sorting its index under the engine's total
+// order and copying the records out in index order.
+
+// ErrMapOutputTooLarge is returned (wrapped) when a map task's output
+// cannot be addressed by the buffer's 32-bit arena offsets even after
+// spilling: one record, or one partition's combiner output, over 4 GiB.
+var ErrMapOutputTooLarge = errors.New("mapreduce: map output exceeds the 4 GiB partition arena")
+
+// maxArena bounds one partition arena, so every record offset and length
+// fits an index entry's uint32 fields.
+const maxArena = math.MaxUint32
+
+// idxEntry locates one buffered record in its partition arena and caches
+// the key's sort prefix (0 when the job has none), so most comparisons of
+// a sort resolve on one integer without touching the arena. Sixteen
+// bytes: the value length is read back from the arena when needed.
+type idxEntry struct {
+	prefix uint64
+	off    uint32 // record start: the key-length varint
+	klen   uint32
+}
+
+func uvarintLen(x uint32) int { return (bits.Len32(x|1) + 6) / 7 }
+
+// partBuf is one run of buffered records: data holds them in Pairs
+// encoding in emission order, idx holds one entry per record in the
+// order the run is read out (emission order until sort is called).
+type partBuf struct {
+	data []byte
+	idx  []idxEntry
+}
+
+func (p *partBuf) reset() {
+	p.data = p.data[:0]
+	p.idx = p.idx[:0]
+}
+
+// add appends one record, or reports false and appends nothing when the
+// arena would grow past limit. Arena and index grow by doubling: a cold
+// buffer then allocates at most twice what it ends up holding.
+func (p *partBuf) add(key, value []byte, prefix, limit uint64) bool {
+	n := len(key) + len(value) + 2*binary.MaxVarintLen32
+	if uint64(len(p.data))+uint64(n) > limit {
+		return false
+	}
+	if cap(p.data)-len(p.data) < n {
+		p.data = doubled(p.data, max(n, 1<<10))
+	}
+	if len(p.idx) == cap(p.idx) {
+		p.idx = doubled(p.idx, 64)
+	}
+	off := len(p.data)
+	p.data = appendPair(p.data, key, value)
+	p.idx = append(p.idx, idxEntry{prefix: prefix, off: uint32(off), klen: uint32(len(key))})
+	return true
+}
+
+// doubled returns s moved to twice its capacity, and room for at least n
+// more elements. It is an explicit make rather than slices.Grow so that
+// growth costs the same under the race detector, where the compiler does
+// not fuse Grow's append(s, make(...)...) and the allocation guard test
+// would count the temporary.
+func doubled[E any](s []E, n int) []E {
+	grown := make([]E, len(s), len(s)+max(n, cap(s)))
+	copy(grown, s)
+	return grown
+}
+
+// key returns the record's key, aliasing the arena (capacity clipped, so
+// an append by user code cannot reach the bytes that follow), and the
+// offset just past it, where the value-length varint starts.
+func (p *partBuf) key(e idxEntry) ([]byte, int) {
+	ks := int(e.off) + uvarintLen(e.klen)
+	ke := ks + int(e.klen)
+	return p.data[ks:ke:ke], ke
+}
+
+// value returns the value of the record whose key ends at ke, and the
+// offset just past it: the record's end.
+func (p *partBuf) value(ke int) ([]byte, int) {
+	vlen, n := binary.Uvarint(p.data[ke:])
+	vs := ke + n
+	ve := vs + int(vlen)
+	return p.data[vs:ve:ve], ve
+}
+
+func (p *partBuf) pair(e idxEntry) Pair {
+	k, ke := p.key(e)
+	v, _ := p.value(ke)
+	return Pair{Key: k, Value: v, prefix: e.prefix}
+}
+
+// compare is the engine's total order (pairCmp.compare) over two index
+// entries: cached prefix, sort comparator, key bytes, value bytes.
+func (p *partBuf) compare(pc pairCmp, a, b idxEntry) int {
+	if a.prefix != b.prefix {
+		if a.prefix < b.prefix {
+			return -1
+		}
+		return 1
+	}
+	ka, ea := p.key(a)
+	kb, eb := p.key(b)
+	if c := pc.cmp(ka, kb); c != 0 {
+		return c
+	}
+	if c := compareBytes(ka, kb); c != 0 {
+		return c
+	}
+	va, _ := p.value(ea)
+	vb, _ := p.value(eb)
+	return compareBytes(va, vb)
+}
+
+func (p *partBuf) sort(pc pairCmp) {
+	slices.SortFunc(p.idx, func(a, b idxEntry) int { return p.compare(pc, a, b) })
+}
+
+// sorted reports whether the index is already in the total order, which
+// lets combiner output (one pair per group, in group order, for every
+// combiner the pipeline installs) skip its sort.
+func (p *partBuf) sorted(pc pairCmp) bool {
+	for i := 1; i < len(p.idx); i++ {
+		if p.compare(pc, p.idx[i-1], p.idx[i]) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// appendRun appends the records to dst in index order — after sort, the
+// run's Pairs encoding. It adds exactly len(p.data) bytes.
+func (p *partBuf) appendRun(dst []byte) []byte {
+	dst = slices.Grow(dst, len(p.data))
+	for _, e := range p.idx {
+		_, ke := p.key(e)
+		_, end := p.value(ke)
+		dst = append(dst, p.data[e.off:end]...)
+	}
+	return dst
+}
+
+// mapBuffer collects one map task's output. The arenas, indexes and
+// scratch are recycled across tasks through mapBuffers; everything a
+// task hands on (its segments) is copied out first.
+type mapBuffer struct {
+	job    *Job
+	ctx    *Context
+	pc     pairCmp
+	limit  uint64    // arena bound (maxArena; lowered by tests)
+	parts  []partBuf // one per reducer
+	n      int       // records buffered across parts since the last spill
+	spills *mapSpills
+
+	comb   partBuf // combiner output for the partition being finished
+	window []Pair  // the key group the combiner is looking at
+	run    []byte  // one sorted run in Pairs encoding (spill / merge input)
+}
+
+// mapBuffers recycles buffers across map tasks (several hundred per
+// join). A sync.Pool is emptied by the garbage collector, so idle arenas
+// are not pinned between jobs.
+var mapBuffers = sync.Pool{New: func() any { return new(mapBuffer) }}
+
+func newMapBuffer(job *Job, ctx *Context) *mapBuffer {
+	b := mapBuffers.Get().(*mapBuffer)
+	b.job, b.ctx, b.pc, b.limit = job, ctx, job.pairCmp(), maxArena
+	b.parts = slices.Grow(b.parts[:0], job.NumReducers)[:job.NumReducers]
+	return b
+}
+
+// release returns the buffer to the pool. Nothing reachable from a task's
+// result may alias it: the next task overwrites every arena.
+func (b *mapBuffer) release() {
+	if b.spills != nil {
+		b.spills.close()
+	}
+	for i := range b.parts {
+		b.parts[i].reset()
+	}
+	b.comb.reset()
+	clear(b.window[:cap(b.window)])
+	*b = mapBuffer{parts: b.parts, comb: b.comb, window: b.window[:0], run: b.run[:0]}
+	mapBuffers.Put(b)
+}
+
+func (b *mapBuffer) prefixOf(key []byte) uint64 {
+	if b.pc.prefix == nil {
+		return 0
+	}
+	return b.pc.prefix(key)
+}
+
+// Emit implements Emitter for the mapper: one partition choice and one
+// append per pair. The buffer spills when it holds Job.SpillPairs records
+// or when the partition's arena is full.
+func (b *mapBuffer) Emit(key, value []byte) error {
+	r := b.job.Partitioner(key, len(b.parts))
+	if r < 0 || r >= len(b.parts) {
+		return fmt.Errorf("partitioner returned %d for %d reducers", r, len(b.parts))
+	}
+	prefix := b.prefixOf(key)
+	if !b.parts[r].add(key, value, prefix, b.limit) {
+		if err := b.spill(); err != nil {
+			return err
+		}
+		if !b.parts[r].add(key, value, prefix, b.limit) {
+			return ErrMapOutputTooLarge
+		}
+	}
+	b.n++
+	if b.job.SpillPairs > 0 && b.n >= b.job.SpillPairs {
+		return b.spill()
+	}
+	return nil
+}
+
+// combineOut is the Emitter the combiner writes to.
+type combineOut struct{ b *mapBuffer }
+
+func (c combineOut) Emit(key, value []byte) error {
+	if !c.b.comb.add(key, value, c.b.prefixOf(key), c.b.limit) {
+		return ErrMapOutputTooLarge
+	}
+	return nil
+}
+
+// combine feeds key groups to the combiner until next returns nil and
+// leaves the combiner's output in b.comb, sorted. The groups alias run
+// storage other than b.comb.
+func (b *mapBuffer) combine(next func() ([]Pair, error)) (*partBuf, error) {
+	b.comb.reset()
+	var vals Values
+	for {
+		g, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if g == nil {
+			break
+		}
+		vals = Values{pairs: g}
+		if err := b.job.Combiner.Reduce(b.ctx, g[0].Key, &vals, combineOut{b}); err != nil {
+			return nil, err
+		}
+	}
+	if !b.comb.sorted(b.pc) {
+		b.comb.sort(b.pc)
+	}
+	return &b.comb, nil
+}
+
+// sortedRun sorts (and, with a combiner, combines) partition r and
+// returns the run to read out.
+func (b *mapBuffer) sortedRun(r int) (*partBuf, error) {
+	p := &b.parts[r]
+	p.sort(b.pc)
+	if b.job.Combiner == nil || len(p.idx) == 0 {
+		return p, nil
+	}
+	// Carve key groups off the sorted index into the reused window.
+	i := 0
+	return b.combine(func() ([]Pair, error) {
+		if i == len(p.idx) {
+			return nil, nil
+		}
+		w := append(b.window[:0], p.pair(p.idx[i]))
+		for i++; i < len(p.idx); i++ {
+			q := p.pair(p.idx[i])
+			if b.job.GroupComparator(w[0].Key, q.Key) != 0 {
+				break
+			}
+			w = append(w, q)
+		}
+		b.window = w
+		return w, nil
+	})
+}
+
+// spill writes every partition's sorted (combined) run to local disk as
+// one spill file and empties the buffer (Hadoop's io.sort.mb behaviour).
+func (b *mapBuffer) spill() error {
+	if b.spills == nil {
+		var err error
+		if b.spills, err = newMapSpills(len(b.parts)); err != nil {
+			return err
+		}
+	}
+	err := b.spills.add(func(r int) ([]byte, error) {
+		run, err := b.sortedRun(r)
+		if err != nil {
+			return nil, err
+		}
+		b.run = run.appendRun(b.run[:0])
+		return b.run, nil
+	})
+	for i := range b.parts {
+		b.parts[i].reset()
+	}
+	b.n = 0
+	return err
+}
+
+// finish sorts, combines and encodes (optionally compressing) the final
+// per-reducer segments, recording their sizes in tm. Without spills a
+// segment is the partition's records copied out in index order. With
+// spills the in-memory remainder joins the spilled runs as one more
+// encoded run in a streaming merge, re-combined across runs (Hadoop's
+// merge-time combine) when the job has a combiner. Either way a segment
+// is a fresh, exactly sized allocation.
+func (b *mapBuffer) finish(tm *TaskMetrics) ([][]byte, error) {
+	out := make([][]byte, len(b.parts))
+	tm.PartitionBytes = make([]int64, len(b.parts))
+	for r := range b.parts {
+		run, err := b.sortedRun(r)
+		if err != nil {
+			return nil, err
+		}
+		var seg []byte
+		recs := len(run.idx)
+		if b.spills == nil {
+			seg = run.appendRun(make([]byte, 0, len(run.data)))
+		} else if seg, recs, err = b.mergeSpills(r, run); err != nil {
+			return nil, err
+		}
+		if b.job.CompressShuffle {
+			if seg, err = compressSegment(seg); err != nil {
+				return nil, err
+			}
+		}
+		out[r] = seg
+		tm.PartitionBytes[r] = int64(len(seg))
+		tm.OutputRecords += int64(recs)
+		tm.OutputBytes += int64(len(seg))
+	}
+	if b.spills != nil {
+		tm.SpillCount = b.spills.spills
+		tm.SpillBytes = b.spills.bytes
+	}
+	return out, nil
+}
+
+// mergeSpills merges partition r's spilled runs with the in-memory
+// remainder into one segment, returning it with its record count.
+func (b *mapBuffer) mergeSpills(r int, remainder *partBuf) ([]byte, int, error) {
+	b.run = remainder.appendRun(b.run[:0])
+	spilled, err := b.spills.load(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	cursors := []*runCursor{cursorForEncoded(b.run)}
+	total := len(b.run)
+	for _, enc := range spilled {
+		cursors = append(cursors, cursorForEncoded(enc))
+		total += len(enc)
+	}
+	ms, err := newMergeStream(b.pc, cursors)
+	if err != nil {
+		return nil, 0, err
+	}
+	if b.job.Combiner != nil {
+		gs := &groupStream{m: ms, group: b.job.GroupComparator}
+		run, err := b.combine(gs.next)
+		if err != nil {
+			return nil, 0, err
+		}
+		return run.appendRun(make([]byte, 0, len(run.data))), len(run.idx), nil
+	}
+	// A merge only permutes records, so the segment is as long as its runs.
+	seg := make([]byte, 0, total)
+	recs := 0
+	for {
+		p, ok, err := ms.next()
+		if err != nil {
+			return nil, 0, err
+		}
+		if !ok {
+			return seg, recs, nil
+		}
+		seg = appendPair(seg, p.Key, p.Value)
+		recs++
+	}
+}

@@ -303,25 +303,6 @@ func (j *Job) canceled() error {
 	return nil
 }
 
-// spillEmitter triggers a spill when the buffered pair count reaches the
-// threshold.
-type spillEmitter struct {
-	em        *bufEmitter
-	threshold int
-	spill     func() error
-}
-
-// Emit implements Emitter.
-func (e *spillEmitter) Emit(key, value []byte) error {
-	if err := e.em.Emit(key, value); err != nil {
-		return err
-	}
-	if len(e.em.pairs) >= e.threshold {
-		return e.spill()
-	}
-	return nil
-}
-
 // ErrInsufficientMemory is returned (wrapped) when a task exceeds its
 // memory budget. The paper's §5 strategies exist for exactly this case.
 var ErrInsufficientMemory = errors.New("mapreduce: insufficient memory")

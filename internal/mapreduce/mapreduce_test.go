@@ -466,20 +466,34 @@ func TestBadPartitioner(t *testing.T) {
 	if err == nil {
 		t.Fatal("Run accepted out-of-range partition")
 	}
+	// The buffer rejects the partition at Emit; the error still names the
+	// map task.
+	if want := "map task 0: partitioner returned -1 for 1 reducers"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not contain %q", err, want)
+	}
+}
+
+// collectEmitter is the oracle's emitter: every pair copied into a plain
+// slice (empty keys and values stay nil, as ReadPairs returns them).
+type collectEmitter struct{ pairs []Pair }
+
+func (e *collectEmitter) Emit(key, value []byte) error {
+	e.pairs = append(e.pairs, Pair{Key: append([]byte(nil), key...), Value: append([]byte(nil), value...)})
+	return nil
 }
 
 // referenceRun is a trivial sequential MapReduce semantics oracle.
 func referenceRun(t *testing.T, lines []string, mapper Mapper, reducer Reducer) []Pair {
 	t.Helper()
 	ctx := &Context{JobName: "ref", NumReducers: 1, Memory: &Memory{}, counters: &Counters{}}
-	em := &bufEmitter{}
+	em := &collectEmitter{}
 	for _, l := range lines {
 		if err := mapper.Map(ctx, nil, []byte(l), em); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sortPairs(em.pairs, compareBytes)
-	out := &bufEmitter{}
+	out := &collectEmitter{}
 	i := 0
 	for i < len(em.pairs) {
 		j := i + 1

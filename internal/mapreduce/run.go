@@ -374,55 +374,6 @@ func runParallel(n, p int, fn func(i int) error) error {
 	return firstErr
 }
 
-// bufEmitter accumulates emitted pairs, copying the bytes (callers reuse
-// their buffers) into chunked arenas: two allocations per emission would
-// otherwise dominate the allocation rate of map-heavy jobs and let GC
-// pauses distort the measured task costs.
-type bufEmitter struct {
-	pairs []Pair
-	bytes int64
-	chunk []byte
-}
-
-const emitterChunkSize = 64 << 10
-
-// alloc carves n bytes out of the current arena chunk. Chunks are never
-// reallocated once handed out, so earlier slices stay valid.
-func (e *bufEmitter) alloc(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	if n >= emitterChunkSize/4 {
-		return make([]byte, n)
-	}
-	if len(e.chunk)+n > cap(e.chunk) {
-		e.chunk = make([]byte, 0, emitterChunkSize)
-	}
-	off := len(e.chunk)
-	e.chunk = e.chunk[:off+n]
-	return e.chunk[off : off+n : off+n]
-}
-
-func (e *bufEmitter) Emit(key, value []byte) error {
-	k := e.alloc(len(key))
-	copy(k, key)
-	v := e.alloc(len(value))
-	copy(v, value)
-	e.pairs = append(e.pairs, Pair{Key: k, Value: v})
-	e.bytes += int64(len(k) + len(v))
-	return nil
-}
-
-// reset empties the emitter for reuse after a spill. The spill has
-// already encoded and written every buffered pair, so the pairs slice
-// and the current arena chunk are dead and can be recycled wholesale —
-// steady-state spilling stops allocating.
-func (e *bufEmitter) reset() {
-	e.pairs = e.pairs[:0]
-	e.bytes = 0
-	e.chunk = e.chunk[:0]
-}
-
 // mapResult is one committed map attempt's output: the per-reducer
 // segments plus the attempt's private counter buffer (merged into the
 // job counters only on commit, so failed attempts leave no counts).
@@ -447,35 +398,8 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 	}
 	var tm TaskMetrics
 	start := time.Now()
-	em := &bufEmitter{}
-	var spills *mapSpills
-	defer func() {
-		if spills != nil {
-			spills.close()
-		}
-	}()
-	// spill flushes the buffered pairs as one sorted on-disk run when the
-	// in-memory buffer reaches Job.SpillPairs (Hadoop's io.sort.mb).
-	spill := func() error {
-		runs, err := buildRuns(job, ctx, em.pairs)
-		if err != nil {
-			return err
-		}
-		if spills == nil {
-			if spills, err = newMapSpills(job.NumReducers); err != nil {
-				return err
-			}
-		}
-		if err := spills.addRuns(runs); err != nil {
-			return err
-		}
-		em.reset()
-		return nil
-	}
-	var sink Emitter = em
-	if job.SpillPairs > 0 {
-		sink = &spillEmitter{em: em, threshold: job.SpillPairs, spill: spill}
-	}
+	sink := newMapBuffer(job, ctx)
+	defer sink.release()
 	mapper := taskMapper(job.Mapper)
 	if s, ok := mapper.(Setupper); ok {
 		if err := s.Setup(ctx); err != nil {
@@ -496,9 +420,9 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 		}
 	}
 
-	// Partition, sort, combine, merge spilled runs, and encode the final
-	// per-reducer segments.
-	parts, err := finalizeMapOutput(job, ctx, em, spills, &tm)
+	// Sort, combine, merge spilled runs, and encode the final per-reducer
+	// segments.
+	parts, err := sink.finish(&tm)
 	if err != nil {
 		return mapResult{}, tm, fmt.Errorf("map task %d: %w", taskID, err)
 	}
@@ -506,102 +430,6 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 	tm.PeakMemory = ctx.Memory.Peak()
 	tm.Locations = append([]int(nil), split.Locations...)
 	return mapResult{parts: parts, counters: counters}, tm, nil
-}
-
-// buildRuns partitions, sorts, and combines one buffered run.
-func buildRuns(job *Job, ctx *Context, pairs []Pair) ([][]Pair, error) {
-	parts := make([][]Pair, job.NumReducers)
-	for _, p := range pairs {
-		r := job.Partitioner(p.Key, job.NumReducers)
-		if r < 0 || r >= job.NumReducers {
-			return nil, fmt.Errorf("partitioner returned %d for %d reducers", r, job.NumReducers)
-		}
-		parts[r] = append(parts[r], p)
-	}
-	pc := job.pairCmp()
-	for r := range parts {
-		sortPairsBy(parts[r], pc)
-		if job.Combiner != nil {
-			combined, err := combine(ctx, job, parts[r])
-			if err != nil {
-				return nil, err
-			}
-			parts[r] = combined
-		}
-	}
-	return parts, nil
-}
-
-// finalizeMapOutput merges the in-memory buffer with any on-disk spills
-// and encodes (optionally compressing) the final per-reducer segments.
-// The merge streams: spilled runs are walked in their encoded form and
-// pairs flow straight into the output encoding, so finalization never
-// materializes a partition's merged pairs (except for combiner output,
-// which is small by construction).
-func finalizeMapOutput(job *Job, ctx *Context, em *bufEmitter, spills *mapSpills, tm *TaskMetrics) ([][]byte, error) {
-	finalRuns, err := buildRuns(job, ctx, em.pairs)
-	if err != nil {
-		return nil, err
-	}
-	pc := job.pairCmp()
-	out := make([][]byte, job.NumReducers)
-	tm.PartitionBytes = make([]int64, job.NumReducers)
-	for r := 0; r < job.NumReducers; r++ {
-		cursors := []*runCursor{cursorForPairs(finalRuns[r])}
-		if spills != nil {
-			encRuns, err := spills.load(r)
-			if err != nil {
-				return nil, err
-			}
-			for _, encRun := range encRuns {
-				cursors = append(cursors, cursorForEncoded(encRun))
-			}
-		}
-		ms, err := newMergeStream(pc, cursors)
-		if err != nil {
-			return nil, err
-		}
-		var enc []byte
-		var recs int64
-		if job.Combiner != nil && spills != nil && spills.spills > 0 {
-			// Re-combine across runs (Hadoop's merge-time combine): stream
-			// key groups out of the merge into the combiner, then encode
-			// its (re-sorted if necessary) output.
-			merged, err := combineStream(ctx, job, ms)
-			if err != nil {
-				return nil, err
-			}
-			enc = encodeRun(merged)
-			recs = int64(len(merged))
-		} else {
-			for {
-				p, ok, err := ms.next()
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					break
-				}
-				enc = appendPair(enc, p.Key, p.Value)
-				recs++
-			}
-		}
-		if job.CompressShuffle {
-			enc, err = compressSegment(enc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out[r] = enc
-		tm.PartitionBytes[r] = int64(len(enc))
-		tm.OutputRecords += recs
-		tm.OutputBytes += int64(len(enc))
-	}
-	if spills != nil {
-		tm.SpillCount = spills.spills
-		tm.SpillBytes = spills.bytes
-	}
-	return out, nil
 }
 
 func comparePairTie(a, b Pair) int {
@@ -616,59 +444,6 @@ func comparePairTie(a, b Pair) int {
 // compareBytes delegates to the SIMD-backed bytes.Compare (this sits on
 // the hot path of every sort/merge comparison).
 func compareBytes(a, b []byte) int { return bytes.Compare(a, b) }
-
-// combine runs the combiner over each key group of the sorted run and
-// returns the result in sort order. Combiners typically emit one pair
-// per group in group order (the Stage 1 count combiner does), so the
-// output is checked with a linear pass and re-sorted only when some
-// emission actually broke the order.
-func combine(ctx *Context, job *Job, pairs []Pair) ([]Pair, error) {
-	if len(pairs) == 0 {
-		return pairs, nil
-	}
-	out := &bufEmitter{}
-	i := 0
-	for i < len(pairs) {
-		j := i + 1
-		for j < len(pairs) && job.GroupComparator(pairs[i].Key, pairs[j].Key) == 0 {
-			j++
-		}
-		vals := &Values{pairs: pairs[i:j]}
-		if err := job.Combiner.Reduce(ctx, pairs[i].Key, vals, out); err != nil {
-			return nil, err
-		}
-		i = j
-	}
-	if !pairsSorted(out.pairs, job.SortComparator) {
-		sortPairsBy(out.pairs, job.pairCmp())
-	}
-	return out.pairs, nil
-}
-
-// combineStream is combine over a merge stream: key groups are carved
-// off the stream one at a time (under the grouping comparator) and fed
-// to the combiner, so the merged input is never materialized.
-func combineStream(ctx *Context, job *Job, ms *mergeStream) ([]Pair, error) {
-	gs := &groupStream{m: ms, group: job.GroupComparator}
-	out := &bufEmitter{}
-	for {
-		g, err := gs.next()
-		if err != nil {
-			return nil, err
-		}
-		if g == nil {
-			break
-		}
-		vals := &Values{pairs: g}
-		if err := job.Combiner.Reduce(ctx, g[0].Key, vals, out); err != nil {
-			return nil, err
-		}
-	}
-	if !pairsSorted(out.pairs, job.SortComparator) {
-		sortPairsBy(out.pairs, job.pairCmp())
-	}
-	return out.pairs, nil
-}
 
 // reduceResult is one committed reduce attempt's output: the temporary
 // part-file name awaiting rename plus the attempt's private counter

@@ -15,43 +15,41 @@ import (
 // default byte comparator plus the first-8-bytes integer prefix.
 var benchPairCmp = pairCmp{cmp: keys.Compare, prefix: DefaultSortPrefix}
 
-// BenchmarkSortPairs sorts 100k pairs whose keys discriminate in their
-// first eight bytes — the shape of every stage's keys (binary counts,
-// group ids, RIDs) — through the prefix-cached sort.
+// BenchmarkSortPairs sorts 100k buffered records whose keys discriminate
+// in their first eight bytes — the shape of every stage's keys (binary
+// counts, group ids, RIDs) — through the map buffer's index sort.
 func BenchmarkSortPairs(b *testing.B) {
 	const n = 100_000
-	src := make([]Pair, n)
-	for i := range src {
-		src[i] = Pair{
-			Key:   []byte(fmt.Sprintf("%016x", uint64(i)*0x9E3779B97F4A7C15)),
-			Value: []byte(fmt.Sprintf("%06d", i)),
-		}
+	var p partBuf
+	for i := 0; i < n; i++ {
+		key := []byte(fmt.Sprintf("%016x", uint64(i)*0x9E3779B97F4A7C15))
+		p.add(key, []byte(fmt.Sprintf("%06d", i)), DefaultSortPrefix(key), maxArena)
 	}
-	dst := make([]Pair, n)
+	emitted := append([]idxEntry(nil), p.idx...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(dst, src)
-		sortPairsBy(dst, benchPairCmp)
+		copy(p.idx, emitted)
+		p.sort(benchPairCmp)
 	}
 }
 
-// benchRuns builds 16 sorted runs of 4000 pairs with interleaved keys,
-// the merge shape of a spilling map task.
-func benchRuns() [][]Pair {
+// benchRuns builds 16 sorted, encoded runs of 4000 pairs with interleaved
+// keys, the merge shape of a spilling map task.
+func benchRuns() [][]byte {
 	const nRuns, perRun = 16, 4000
-	runs := make([][]Pair, nRuns)
+	runs := make([][]byte, nRuns)
 	for s := range runs {
 		run := make([]Pair, perRun)
 		for i := range run {
 			run[i] = Pair{Key: []byte(fmt.Sprintf("%010d", (i*31+s*7)%40000))}
 		}
 		sortPairs(run, keys.Compare)
-		runs[s] = run
+		runs[s] = encodeRun(run)
 	}
 	return runs
 }
 
-// BenchmarkMergeStream k-way merges 16 sorted in-memory runs (64k pairs)
+// BenchmarkMergeStream k-way merges 16 sorted encoded runs (64k pairs)
 // through the streaming loser tree.
 func BenchmarkMergeStream(b *testing.B) {
 	runs := benchRuns()
@@ -59,7 +57,7 @@ func BenchmarkMergeStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cursors := make([]*runCursor, len(runs))
 		for j, run := range runs {
-			cursors[j] = cursorForPairs(run)
+			cursors[j] = cursorForEncoded(run)
 		}
 		ms, err := newMergeStream(benchPairCmp, cursors)
 		if err != nil {
@@ -82,31 +80,47 @@ func BenchmarkMergeStream(b *testing.B) {
 	}
 }
 
-// benchSegments builds 16 encoded map-output segments of 2000 pairs each
-// whose key groups interleave across segments (~16 values per group) —
-// the reduce-side shuffle shape.
-func benchSegments(compress bool) ([][]byte, int) {
+// benchEmissions is 16 map tasks' worth of output, 2000 pairs each in
+// emission order, whose key groups interleave across tasks (~16 values
+// per group) — the shuffle shape of one reducer's column.
+func benchEmissions() [][]Pair {
 	const nSeg, perSeg = 16, 2000
-	segs := make([][]byte, nSeg)
-	for s := range segs {
-		run := make([]Pair, perSeg)
-		for i := range run {
-			run[i] = Pair{
+	tasks := make([][]Pair, nSeg)
+	for s := range tasks {
+		tasks[s] = make([]Pair, perSeg)
+		for i := range tasks[s] {
+			tasks[s][i] = Pair{
 				Key:   []byte(fmt.Sprintf("%08d-%06d", (s*perSeg+i*7)%(nSeg*perSeg/16), s)),
 				Value: []byte(fmt.Sprintf("%07d", i)),
 			}
 		}
-		sortPairs(run, keys.Compare)
-		enc := encodeRun(run)
-		if compress {
-			var err error
-			if enc, err = compressSegment(enc); err != nil {
-				panic(err)
+	}
+	return tasks
+}
+
+// benchSegments is the map half of the shuffle: each task's pairs go
+// through the map buffer — emit, index sort, copy-out, optional
+// compression — and leave one segment for the reducer.
+func benchSegments(b *testing.B, tasks [][]Pair, compress bool) [][]byte {
+	job := &Job{NumReducers: 1, CompressShuffle: compress, Partitioner: DefaultPartitioner,
+		SortComparator: keys.Compare, SortPrefix: DefaultSortPrefix, GroupComparator: keys.Compare}
+	segs := make([][]byte, len(tasks))
+	for s, pairs := range tasks {
+		buf := newMapBuffer(job, nil)
+		for _, p := range pairs {
+			if err := buf.Emit(p.Key, p.Value); err != nil {
+				b.Fatal(err)
 			}
 		}
-		segs[s] = enc
+		var tm TaskMetrics
+		parts, err := buf.finish(&tm)
+		buf.release()
+		if err != nil {
+			b.Fatal(err)
+		}
+		segs[s] = parts[0]
 	}
-	return segs, nSeg * perSeg
+	return segs
 }
 
 // shuffleRoundTrip consumes one reducer's worth of encoded segments the
@@ -145,21 +159,21 @@ func shuffleRoundTrip(b *testing.B, segs [][]byte, compressed bool, want int) {
 	}
 }
 
-// BenchmarkShuffleRoundTrip is the reduce-side hot path end to end:
-// 16 segments × 2000 pairs fetched, merged, and grouped.
+// BenchmarkShuffleRoundTrip is the shuffle end to end: 16 map outputs ×
+// 2000 pairs buffered, sorted and encoded, then fetched, merged, and
+// grouped by the reducer.
 func BenchmarkShuffleRoundTrip(b *testing.B) {
-	b.Run("plain", func(b *testing.B) {
-		segs, total := benchSegments(false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			shuffleRoundTrip(b, segs, false, total)
+	for _, compress := range []bool{false, true} {
+		name := "plain"
+		if compress {
+			name = "compressed"
 		}
-	})
-	b.Run("compressed", func(b *testing.B) {
-		segs, total := benchSegments(true)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			shuffleRoundTrip(b, segs, true, total)
-		}
-	})
+		b.Run(name, func(b *testing.B) {
+			tasks := benchEmissions()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shuffleRoundTrip(b, benchSegments(b, tasks, compress), compress, 16*2000)
+			}
+		})
+	}
 }

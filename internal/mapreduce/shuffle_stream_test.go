@@ -118,8 +118,7 @@ func drainMergeStream(t *testing.T, ms *mergeStream) []Pair {
 }
 
 // TestMergeStreamMatchesMergeRuns pins the streaming loser-tree merge to
-// the materialized reference merge on random sorted runs, for both
-// cursor modes (in-memory pairs and lazily decoded encoded runs).
+// the materialized reference merge on random sorted runs.
 func TestMergeStreamMatchesMergeRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pc := pairCmp{cmp: keys.Compare, prefix: DefaultSortPrefix}
@@ -138,11 +137,7 @@ func TestMergeStreamMatchesMergeRuns(t *testing.T) {
 
 		cursors := make([]*runCursor, nRuns)
 		for i := range runs {
-			if trial%2 == 0 {
-				cursors[i] = cursorForPairs(runs[i])
-			} else {
-				cursors[i] = cursorForEncoded(encodeRun(runs[i]))
-			}
+			cursors[i] = cursorForEncoded(encodeRun(runs[i]))
 		}
 		ms, err := newMergeStream(pc, cursors)
 		if err != nil {
@@ -243,7 +238,7 @@ func FuzzMergeStream(f *testing.F) {
 }
 
 // reverseEmitCombiner emits its groups' sums under a key that reverses
-// the sort order, forcing combine() down its re-sort path.
+// the sort order, forcing the combiner output down its re-sort path.
 var reverseEmitCombiner = ReduceFunc(func(_ *Context, key []byte, values *Values, out Emitter) error {
 	n := 0
 	for _, ok := values.Next(); ok; _, ok = values.Next() {
@@ -257,7 +252,7 @@ var reverseEmitCombiner = ReduceFunc(func(_ *Context, key []byte, values *Values
 })
 
 // TestCombineResortsOutOfOrderEmissions pins that the sorted-output fast
-// path in combine() does not skip the re-sort when a combiner emits keys
+// path of mapBuffer.combine does not skip the re-sort when a combiner emits keys
 // out of order: the shuffle contract (sorted segments) must survive
 // arbitrary combiner output.
 func TestCombineResortsOutOfOrderEmissions(t *testing.T) {

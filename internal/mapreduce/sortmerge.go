@@ -18,11 +18,13 @@ import (
 // shuffle compression. Map tasks hand reducers *encoded* segments, so
 // PartitionBytes is the actual wire size of the shuffle.
 //
-// The shuffle datapath is streaming and allocation-lean (§4.8 of
-// DESIGN.md): sorts compare a cached integer prefix of each key before
-// falling back to the full comparator, merges run through a loser tree
-// that decodes encoded runs lazily and yields one pair at a time, and
-// flate state plus encode scratch are pooled across segments and tasks.
+// The shuffle datapath is streaming (§4.8 of DESIGN.md): sorts compare a
+// cached integer prefix of each key before falling back to the full
+// comparator, merges run through a loser tree that decodes encoded runs
+// lazily and yields one pair at a time, and flate state is pooled across
+// segments and tasks. The map-side buffer is in mapbuf.go; sortPairs,
+// encodeRun and mergeRuns below are the materialized reference it and
+// the streaming merge are tested against.
 
 // DefaultSortPrefix maps a key to its first eight bytes read as a
 // big-endian integer (shorter keys are zero-padded on the right). The
@@ -87,36 +89,17 @@ func sortPairs(pairs []Pair, cmp func(a, b []byte) int) {
 	sortPairsBy(pairs, pairCmp{cmp: cmp})
 }
 
-// pairsSorted reports whether pairs are already in the engine's total
-// order — a linear pass that lets combine() skip its re-sort in the
-// common case of a combiner emitting one pair per key group in group
-// order.
-func pairsSorted(pairs []Pair, cmp func(a, b []byte) int) bool {
-	for i := 1; i < len(pairs); i++ {
-		if comparePairs(cmp, pairs[i-1], pairs[i]) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// encodeRunInto serializes a sorted pair run in Pairs format, appending
-// to dst (pass dst[:0] to reuse scratch across runs).
-func encodeRunInto(dst []byte, pairs []Pair) []byte {
+// encodeRun serializes a sorted pair run in Pairs format.
+func encodeRun(pairs []Pair) []byte {
 	var n int
 	for _, p := range pairs {
 		n += len(p.Key) + len(p.Value) + 2*binary.MaxVarintLen32
 	}
-	dst = slices.Grow(dst, n)
+	dst := make([]byte, 0, n)
 	for _, p := range pairs {
 		dst = appendPair(dst, p.Key, p.Value)
 	}
 	return dst
-}
-
-// encodeRun serializes a sorted pair run in Pairs format.
-func encodeRun(pairs []Pair) []byte {
-	return encodeRunInto(make([]byte, 0), pairs)
 }
 
 // countEncodedPairs counts the records in an encoded run (for pre-sizing
@@ -159,45 +142,32 @@ func comparePairs(cmp func(a, b []byte) int, a, b Pair) int {
 	return comparePairTie(a, b)
 }
 
-// runCursor streams one sorted run during a merge — either over decoded
-// in-memory pairs or over an encoded segment, decoding lazily so the
-// merge never materializes a whole run.
+// runCursor streams one sorted, encoded run during a merge, decoding
+// lazily so the merge never materializes a whole run.
 type runCursor struct {
-	pairs []Pair // in-memory mode (nil in encoded mode)
-	i     int
-	data  []byte // encoded mode: undecoded remainder
-	cur   Pair   // head pair, valid after advance returns true
-	done  bool
+	data []byte // undecoded remainder
+	cur  Pair   // head pair, valid after advance returns true
+	done bool
 }
 
-func cursorForPairs(pairs []Pair) *runCursor  { return &runCursor{pairs: pairs} }
 func cursorForEncoded(data []byte) *runCursor { return &runCursor{data: data} }
 
 // advance steps the cursor to its next pair. Decoded key/value slices
 // alias the run's backing storage, which outlives the merge.
 func (c *runCursor) advance(prefix func([]byte) uint64) (bool, error) {
-	if c.pairs != nil {
-		if c.i >= len(c.pairs) {
-			c.done = true
-			return false, nil
-		}
-		c.cur = c.pairs[c.i]
-		c.i++
-	} else {
-		if len(c.data) == 0 {
-			c.done = true
-			return false, nil
-		}
-		k, v, rest, err := decodeOnePair(c.data)
-		if err != nil {
-			c.done = true
-			return false, err
-		}
-		c.cur = Pair{Key: k, Value: v}
-		c.data = rest
+	if len(c.data) == 0 {
+		c.done = true
+		return false, nil
 	}
+	k, v, rest, err := decodeOnePair(c.data)
+	if err != nil {
+		c.done = true
+		return false, err
+	}
+	c.cur = Pair{Key: k, Value: v}
+	c.data = rest
 	if prefix != nil {
-		c.cur.prefix = prefix(c.cur.Key)
+		c.cur.prefix = prefix(k)
 	}
 	return true, nil
 }
@@ -413,7 +383,6 @@ type mapSpills struct {
 	parts  int
 	bytes  int64
 	spills int
-	enc    []byte // encode scratch reused across spills
 }
 
 func newMapSpills(parts int) (*mapSpills, error) {
@@ -424,10 +393,10 @@ func newMapSpills(parts int) (*mapSpills, error) {
 	return &mapSpills{dir: dir, parts: parts}, nil
 }
 
-// addRuns writes one spill: runs[r] is partition r's sorted run. Each
-// run is encoded into a reused scratch buffer and written out
-// immediately, so a spill leaves nothing per-partition on the heap.
-func (ms *mapSpills) addRuns(runs [][]Pair) error {
+// add writes one spill: run(r) yields partition r's sorted run in Pairs
+// encoding, valid until the next call, so a spill leaves nothing
+// per-partition on the heap.
+func (ms *mapSpills) add(run func(r int) ([]byte, error)) error {
 	name := filepath.Join(ms.dir, fmt.Sprintf("spill-%d", ms.spills))
 	f, err := os.Create(name)
 	if err != nil {
@@ -435,16 +404,22 @@ func (ms *mapSpills) addRuns(runs [][]Pair) error {
 	}
 	defer f.Close()
 	var hdr [8]byte
-	for _, run := range runs {
-		ms.enc = encodeRunInto(ms.enc[:0], run)
-		binary.BigEndian.PutUint64(hdr[:], uint64(len(ms.enc)))
+	for r := 0; r < ms.parts; r++ {
+		enc, err := run(r)
+		if err != nil {
+			return err
+		}
+		binary.BigEndian.PutUint64(hdr[:], uint64(len(enc)))
 		if _, err := f.Write(hdr[:]); err != nil {
 			return err
 		}
-		if _, err := f.Write(ms.enc); err != nil {
+		if _, err := f.Write(enc); err != nil {
 			return err
 		}
-		ms.bytes += int64(8 + len(ms.enc))
+		ms.bytes += int64(8 + len(enc))
+	}
+	if err := f.Close(); err != nil {
+		return err
 	}
 	ms.files = append(ms.files, name)
 	ms.spills++

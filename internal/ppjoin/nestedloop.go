@@ -6,6 +6,7 @@ import (
 	"fuzzyjoin/internal/bitsig"
 	"fuzzyjoin/internal/filter"
 	"fuzzyjoin/internal/records"
+	"fuzzyjoin/internal/simfn"
 )
 
 // firstPrefixMatch returns the 0-indexed positions of the first common
@@ -30,23 +31,26 @@ func firstPrefixMatch(x, y []uint32, px, py int) (i, j int, ok bool) {
 // checkPair applies the configured filter stack to one candidate pair and
 // verifies it, returning the similarity and whether it meets the
 // threshold. Pairs whose prefixes share no token are rejected outright
-// (the prefix-filter necessary condition). Stats are updated.
-func checkPair(x, y *Item, opts Options, st *Stats) (float64, bool) {
+// (the prefix-filter necessary condition). th is opts.Fn at
+// opts.Threshold, rationalized once by the caller. Stats are updated.
+func checkPair(x, y *Item, opts Options, th simfn.Threshold, st *Stats) (float64, bool) {
 	lx, ly := len(x.Ranks), len(y.Ranks)
 	if lx == 0 || ly == 0 {
 		return 0, false
 	}
 	st.Candidates++
-	if opts.Filters.Length && !filter.Length(opts.Fn, lx, ly, opts.Threshold) {
-		return 0, false
+	if opts.Filters.Length {
+		if lo, hi := th.LengthBounds(lx); ly < lo || ly > hi {
+			return 0, false
+		}
 	}
-	px := opts.Fn.PrefixLength(lx, opts.Threshold)
-	py := opts.Fn.PrefixLength(ly, opts.Threshold)
+	px := th.PrefixLength(lx)
+	py := th.PrefixLength(ly)
 	i, j, ok := firstPrefixMatch(x.Ranks, y.Ranks, px, py)
 	if !ok {
 		return 0, false
 	}
-	need := opts.Fn.OverlapThreshold(lx, ly, opts.Threshold)
+	need := th.OverlapThreshold(lx, ly)
 	if opts.Filters.Positional && !filter.Positional(lx, ly, i, j, 1, need) {
 		return 0, false
 	}
@@ -70,7 +74,7 @@ func checkPair(x, y *Item, opts Options, st *Stats) (float64, bool) {
 		return opts.Fn.SimFromOverlap(o, lx, ly), true
 	}
 	st.Verified++
-	sim, ok := opts.Fn.Verify(x.Ranks, y.Ranks, opts.Threshold)
+	sim, ok := th.Verify(x.Ranks, y.Ranks)
 	if ok {
 		st.Results++
 	}
@@ -83,11 +87,12 @@ func checkPair(x, y *Item, opts Options, st *Stats) (float64, bool) {
 // ordered (A < B) and each unordered pair is considered once.
 func NestedLoopSelf(items []Item, opts Options, emit func(records.RIDPair)) Stats {
 	var st Stats
+	th := opts.Fn.At(opts.Threshold)
 	for i := 0; i < len(items); i++ {
 		for j := i + 1; j < len(items); j++ {
 			// Pointer access keeps the lazy signature memo in the slice.
 			x, y := &items[i], &items[j]
-			if sim, ok := checkPair(x, y, opts, &st); ok {
+			if sim, ok := checkPair(x, y, opts, th, &st); ok {
 				a, b := x.RID, y.RID
 				if a > b {
 					a, b = b, a
@@ -103,11 +108,12 @@ func NestedLoopSelf(items []Item, opts Options, emit func(records.RIDPair)) Stat
 // against every R item. Pairs are (R RID, S RID).
 func NestedLoopRS(rItems, sItems []Item, opts Options, emit func(records.RIDPair)) Stats {
 	var st Stats
+	th := opts.Fn.At(opts.Threshold)
 	for si := range sItems {
 		s := &sItems[si]
 		for ri := range rItems {
 			r := &rItems[ri]
-			if sim, ok := checkPair(r, s, opts, &st); ok {
+			if sim, ok := checkPair(r, s, opts, th, &st); ok {
 				emit(records.RIDPair{A: r.RID, B: s.RID, Sim: sim})
 			}
 		}

@@ -14,6 +14,7 @@
 package ppjoin
 
 import (
+	"math"
 	"sort"
 
 	"fuzzyjoin/internal/bitsig"
@@ -83,6 +84,7 @@ type entry struct {
 // non-decreasing length order.
 type Index struct {
 	opts    Options
+	th      simfn.Threshold // opts.Fn at opts.Threshold, rationalized once
 	items   []Item
 	lens    []int
 	posting map[uint32][]entry
@@ -110,7 +112,7 @@ type Index struct {
 
 // NewIndex creates an empty streaming index.
 func NewIndex(opts Options) *Index {
-	return &Index{opts: opts, posting: make(map[uint32][]entry)}
+	return &Index{opts: opts, th: opts.Fn.At(opts.Threshold), posting: make(map[uint32][]entry)}
 }
 
 // Stats returns the kernel work counters accumulated so far.
@@ -128,7 +130,7 @@ func itemBytes(it Item, prefix int) int64 {
 // Add indexes an item without probing (the R side of an R-S join). Items
 // must arrive in non-decreasing length order.
 func (ix *Index) Add(it Item) {
-	p := ix.opts.Fn.PrefixLength(len(it.Ranks), ix.opts.Threshold)
+	p := ix.th.PrefixLength(len(it.Ranks))
 	idx := len(ix.items)
 	ix.items = append(ix.items, it)
 	ix.lens = append(ix.lens, len(it.Ranks))
@@ -152,7 +154,7 @@ func (ix *Index) evictBelow(minLen int) {
 	for ix.head < len(ix.items) && ix.lens[ix.head] < minLen {
 		if !ix.evicted[ix.head] {
 			ix.evicted[ix.head] = true
-			p := ix.opts.Fn.PrefixLength(ix.lens[ix.head], ix.opts.Threshold)
+			p := ix.th.PrefixLength(ix.lens[ix.head])
 			ix.bytes -= itemBytes(ix.items[ix.head], p)
 		}
 		ix.head++
@@ -162,7 +164,7 @@ func (ix *Index) evictBelow(minLen int) {
 		if it.Ranks == nil {
 			continue
 		}
-		p := ix.opts.Fn.PrefixLength(len(it.Ranks), ix.opts.Threshold)
+		p := ix.th.PrefixLength(len(it.Ranks))
 		for j := 0; j < p; j++ {
 			ix.compactPosting(it.Ranks[j])
 		}
@@ -206,11 +208,14 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 	if lx == 0 {
 		return
 	}
+	// The length window depends on the probe alone: computed here, not
+	// per candidate. Without the length filter it admits every length.
+	lo, hi := 0, math.MaxInt
 	if ix.opts.Filters.Length {
-		lo, _ := ix.opts.Fn.LengthBounds(lx, ix.opts.Threshold)
+		lo, hi = ix.th.LengthBounds(lx)
 		ix.evictBelow(lo)
 	}
-	p := ix.opts.Fn.PrefixLength(lx, ix.opts.Threshold)
+	p := ix.th.PrefixLength(lx)
 
 	// Reset the generation-stamped scratch arrays (no per-probe
 	// allocation beyond amortized growth).
@@ -247,14 +252,14 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 				ix.overlap[e.item] = 0
 				ix.pruned[e.item] = false
 				ix.stats.Candidates++
-				if ix.opts.Filters.Length && !filter.Length(ix.opts.Fn, lx, ly, ix.opts.Threshold) {
+				if ly < lo || ly > hi {
 					ix.pruned[e.item] = true
 					continue
 				}
 				// The overlap threshold depends only on (lx, ly, τ):
 				// compute it once per candidate, not once per posting
 				// entry of an already-seen candidate.
-				need = ix.opts.Fn.OverlapThreshold(lx, ly, ix.opts.Threshold)
+				need = ix.th.OverlapThreshold(lx, ly)
 				ix.need[e.item] = int32(need)
 			}
 			if ix.opts.Filters.Positional && !filter.Positional(lx, ly, i, e.pos, a+1, need) {
@@ -306,7 +311,7 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 			continue
 		}
 		ix.stats.Verified++
-		sim, ok := ix.opts.Fn.Verify(x.Ranks, y.Ranks, ix.opts.Threshold)
+		sim, ok := ix.th.Verify(x.Ranks, y.Ranks)
 		if ok {
 			ix.stats.Results++
 			emit(records.RIDPair{A: y.RID, B: x.RID, Sim: sim})
@@ -368,7 +373,7 @@ func RSJoin(rItems, sItems []Item, opts Options, emit func(records.RIDPair)) Sta
 	ix := NewIndex(opts)
 	ri := 0
 	for _, sv := range s {
-		_, hi := opts.Fn.LengthBounds(len(sv.Ranks), opts.Threshold)
+		_, hi := ix.th.LengthBounds(len(sv.Ranks))
 		for ri < len(r) && len(r[ri].Ranks) <= hi {
 			ix.Add(r[ri])
 			ri++

@@ -214,14 +214,31 @@ func cosineNeed(lx, ly, num, den uint64) int {
 	return int(o)
 }
 
-// OverlapThreshold returns the minimum |x∩y| required for two sets of
-// sizes lx and ly to satisfy sim ≥ t. The result may exceed min(lx, ly),
-// in which case no overlap suffices and the pair can be pruned outright.
-// The threshold is exact: overlap ≥ OverlapThreshold ⇔ sim ≥ t, for the
-// rationalized t (see Rationalize).
-func (f Func) OverlapThreshold(lx, ly int, t float64) int {
+// Threshold is a similarity function bound to one threshold τ, already
+// snapped to its exact rational (Rationalize). Kernels build one per
+// index, reducer or service with Func.At and call its methods in their
+// inner loops: the bounds below are then pure integer arithmetic, with no
+// per-call rounding and gcd. The zero value is not usable.
+type Threshold struct {
+	fn       Func
+	tau      float64
+	num, den uint64 // Rationalize(tau)
+}
+
+// At binds f to the threshold t.
+func (f Func) At(t float64) Threshold {
 	num, den := Rationalize(t)
-	switch f {
+	return Threshold{fn: f, tau: t, num: num, den: den}
+}
+
+// OverlapThreshold returns the minimum |x∩y| required for two sets of
+// sizes lx and ly to satisfy sim ≥ τ. The result may exceed min(lx, ly),
+// in which case no overlap suffices and the pair can be pruned outright.
+// The threshold is exact: overlap ≥ OverlapThreshold ⇔ sim ≥ τ, for the
+// rationalized τ (see Rationalize).
+func (th Threshold) OverlapThreshold(lx, ly int) int {
+	num, den := th.num, th.den
+	switch th.fn {
 	case Jaccard:
 		// o/(lx+ly−o) ≥ num/den  ⇔  o·(num+den) ≥ num·(lx+ly)
 		return mulDivCeil(num, uint64(lx+ly), num+den)
@@ -236,18 +253,18 @@ func (f Func) OverlapThreshold(lx, ly int, t float64) int {
 }
 
 // LengthBounds returns the inclusive range [lo, hi] of sizes a set may
-// have and still reach sim ≥ t against a set of size l (the length filter
+// have and still reach sim ≥ τ against a set of size l (the length filter
 // of Arasu et al.). For l == 0 it returns [0, 0]. Bounds are exact for
-// the rationalized t; hi saturates at MaxInt for vanishing thresholds.
-func (f Func) LengthBounds(l int, t float64) (lo, hi int) {
+// the rationalized τ; hi saturates at MaxInt for vanishing thresholds.
+func (th Threshold) LengthBounds(l int) (lo, hi int) {
 	if l == 0 {
 		return 0, 0
 	}
-	num, den := Rationalize(t)
+	num, den := th.num, th.den
 	if num == 0 {
 		return 0, math.MaxInt
 	}
-	switch f {
+	switch th.fn {
 	case Jaccard:
 		// min(l,m)/max(l,m) ≥ num/den ⇒ m ∈ [num·l/den, den·l/num].
 		return mulDivCeil(num, uint64(l), den), mulDivFloor(den, uint64(l), num)
@@ -264,19 +281,19 @@ func (f Func) LengthBounds(l int, t float64) (lo, hi int) {
 
 // PrefixLength returns the prefix size for a set of l tokens: examining
 // the first PrefixLength tokens of each set (in global rank order)
-// guarantees that any pair with sim ≥ t shares at least one prefix token.
+// guarantees that any pair with sim ≥ τ shares at least one prefix token.
 // The bound is l − minOverlap(l, l') + 1 maximized over admissible
 // partner sizes l'; for the functions here the standard closed forms are
 // used. Returns 0 for an empty set.
-func (f Func) PrefixLength(l int, t float64) int {
+func (th Threshold) PrefixLength(l int) int {
 	if l == 0 {
 		return 0
 	}
-	num, den := Rationalize(t)
+	num, den := th.num, th.den
 	var p int
-	switch f {
+	switch th.fn {
 	case Jaccard:
-		// l − ⌈t·l⌉ + 1: a partner must contain at least ⌈t·l⌉ of the
+		// l − ⌈τ·l⌉ + 1: a partner must contain at least ⌈τ·l⌉ of the
 		// set's tokens (the self-pair case is the tightest).
 		p = l - mulDivCeil(num, uint64(l), den) + 1
 	case Cosine:
@@ -294,6 +311,15 @@ func (f Func) PrefixLength(l int, t float64) int {
 	}
 	return p
 }
+
+// OverlapThreshold is Threshold.OverlapThreshold for a float τ.
+func (f Func) OverlapThreshold(lx, ly int, t float64) int { return f.At(t).OverlapThreshold(lx, ly) }
+
+// LengthBounds is Threshold.LengthBounds for a float τ.
+func (f Func) LengthBounds(l int, t float64) (lo, hi int) { return f.At(t).LengthBounds(l) }
+
+// PrefixLength is Threshold.PrefixLength for a float τ.
+func (f Func) PrefixLength(l int, t float64) int { return f.At(t).PrefixLength(l) }
 
 // VerifyOverlap computes |x∩y| with early termination: it returns
 // (overlap, true) if the overlap reaches need, and (partial, false) as
@@ -326,25 +352,28 @@ func VerifyOverlap(x, y []uint32, need int) (int, bool) {
 	return o, o >= need
 }
 
-// Verify reports whether sim(x, y) ≥ t and returns the exact similarity
+// Verify reports whether sim(x, y) ≥ τ and returns the exact similarity
 // when it is. When the pair fails the threshold the returned similarity
 // is a lower bound only (early termination may have stopped counting).
 //
 // The decision is exact: because OverlapThreshold is the precise minimum
-// overlap at which sim reaches the rationalized t, reaching it *is* the
+// overlap at which sim reaches the rationalized τ, reaching it *is* the
 // acceptance condition — no float comparison (and no epsilon) is
-// involved, so a pair with sim strictly below t is never admitted and a
-// boundary pair (sim exactly t) always is.
-func (f Func) Verify(x, y []uint32, t float64) (float64, bool) {
+// involved, so a pair with sim strictly below τ is never admitted and a
+// boundary pair (sim exactly τ) always is.
+func (th Threshold) Verify(x, y []uint32) (float64, bool) {
 	if len(x) == 0 || len(y) == 0 {
-		return 0, t <= 0
+		return 0, th.tau <= 0
 	}
-	need := f.OverlapThreshold(len(x), len(y), t)
+	need := th.OverlapThreshold(len(x), len(y))
 	if need > len(x) || need > len(y) {
 		return 0, false
 	}
 	// VerifyOverlap only terminates early on failure, so on success o is
 	// the exact overlap.
 	o, ok := VerifyOverlap(x, y, need)
-	return f.SimFromOverlap(o, len(x), len(y)), ok
+	return th.fn.SimFromOverlap(o, len(x), len(y)), ok
 }
+
+// Verify is Threshold.Verify for a float τ.
+func (f Func) Verify(x, y []uint32, t float64) (float64, bool) { return f.At(t).Verify(x, y) }

@@ -201,6 +201,7 @@ type istate struct {
 // per-shard read locks.
 type Index struct {
 	opts Options
+	th   simfn.Threshold // opts.Fn at opts.Threshold, rationalized once
 	// ingest serializes Add and re-order; queries never take it.
 	ingest   sync.Mutex
 	state    atomic.Pointer[istate]
@@ -215,7 +216,7 @@ func NewIndex(opts Options, corpus []records.Record) (*Index, error) {
 	if err := opts.fillDefaults(); err != nil {
 		return nil, err
 	}
-	ix := &Index{opts: opts, cache: newVerifyCache(opts.CacheSize)}
+	ix := &Index{opts: opts, th: opts.Fn.At(opts.Threshold), cache: newVerifyCache(opts.CacheSize)}
 	ix.state.Store(ix.build(1, corpusTokens(opts, corpus)))
 	return ix, nil
 }
@@ -279,7 +280,7 @@ func (ix *Index) build(gen uint64, corpus []trec) *istate {
 // the ingest lock (or own the state exclusively, as build does).
 func (ix *Index) insertPostings(st *istate, id int32, ranks []uint32) {
 	l := len(ranks)
-	p := ix.opts.Fn.PrefixLength(l, ix.opts.Threshold)
+	p := ix.th.PrefixLength(l)
 	b := lenBucket(l)
 	for i := 0; i < p; i++ {
 		sh := st.shards[int(ranks[i])%len(st.shards)]
@@ -365,8 +366,8 @@ func (ix *Index) Match(probe records.Record) []records.JoinedPair {
 	if lx == 0 {
 		return nil
 	}
-	p := ix.opts.Fn.PrefixLength(lx, ix.opts.Threshold)
-	lo, hi := ix.opts.Fn.LengthBounds(lx, ix.opts.Threshold)
+	p := ix.th.PrefixLength(lx)
+	lo, hi := ix.th.LengthBounds(lx)
 	if lo < 1 {
 		lo = 1
 	}
@@ -422,13 +423,13 @@ func (ix *Index) Match(probe records.Record) []records.JoinedPair {
 // or different probes cannot collide, they just age out of the LRU.
 func (ix *Index) verify(gen uint64, id int32, probeRanks, candRanks []uint32) (float64, bool) {
 	if ix.cache == nil {
-		return ix.opts.Fn.Verify(probeRanks, candRanks, ix.opts.Threshold)
+		return ix.th.Verify(probeRanks, candRanks)
 	}
 	key := pairKey(gen, id, probeRanks)
 	if v, hit := ix.cache.get(key); hit {
 		return v.sim, v.ok
 	}
-	sim, ok := ix.opts.Fn.Verify(probeRanks, candRanks, ix.opts.Threshold)
+	sim, ok := ix.th.Verify(probeRanks, candRanks)
 	ix.cache.put(key, verdict{sim: sim, ok: ok})
 	return sim, ok
 }
