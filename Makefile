@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-engine bench-distrib bench-serve bench-planner conformance conformance-dist cover fuzz-smoke experiments
+.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-engine bench-planner allocprofile conformance conformance-dist cover fuzz-smoke experiments
 
 all: tier1
 
@@ -31,7 +31,8 @@ staticcheck:
 race:
 	$(GO) test -race ./internal/mapreduce/... ./internal/dfs/... \
 		./internal/distrib/... ./internal/backoff/... ./internal/ssjserve/... \
-		./internal/fvt/... ./internal/plan/... ./internal/core/...
+		./internal/fvt/... ./internal/plan/... ./internal/core/... \
+		./internal/tokenize/... ./internal/records/...
 	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
 
 tier1: build test vet staticcheck race
@@ -105,8 +106,10 @@ cover:
 # bug hunt (leave -fuzztime high and unattended for that).
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzTokenize -fuzztime=$(FUZZTIME) ./internal/tokenize
+	$(GO) test -run='^$$' -fuzz='^FuzzTokenize$$' -fuzztime=$(FUZZTIME) ./internal/tokenize
+	$(GO) test -run='^$$' -fuzz=FuzzTokenizeBytes -fuzztime=$(FUZZTIME) ./internal/tokenize
 	$(GO) test -run='^$$' -fuzz=FuzzRecordCodec -fuzztime=$(FUZZTIME) ./internal/records
+	$(GO) test -run='^$$' -fuzz=FuzzReadLine -fuzztime=$(FUZZTIME) ./internal/records
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRun -fuzztime=$(FUZZTIME) ./internal/mapreduce
 	$(GO) test -run='^$$' -fuzz=FuzzVerifyExact -fuzztime=$(FUZZTIME) ./internal/simfn
 	$(GO) test -run='^$$' -fuzz=FuzzBitsigAdmissible -fuzztime=$(FUZZTIME) ./internal/bitsig
@@ -149,13 +152,17 @@ bench-engine:
 		-benchmem -count=3 ./internal/ppjoin ; } | $(GO) run ./cmd/bench2json > BENCH_engine.json
 	@echo "results recorded to BENCH_engine.json"
 
-# bench-distrib measures the distributed backend for real: wall-clock
-# for the standard self-join corpus in-process and on 1/2/4 forked
-# worker processes, recorded to BENCH_distrib.json (the one non-simulated
-# timing in the suite; absolute numbers depend on the host and CPU
-# count, both recorded in the document).
-bench-distrib:
-	$(GO) run ./cmd/ssjexp -only distrib -distrib-out BENCH_distrib.json
+# allocprofile prints where a join allocates: BenchmarkJoinAllocProfile
+# (internal/core; the self_dblp recipe over W DBLP-shaped records, three
+# joins) under a 4 KiB memory-profile rate, then pprof's alloc_space
+# table. The test binary and profile land in .bench_build/.
+W ?= 20000
+allocprofile:
+	@mkdir -p .bench_build
+	$(GO) test -run='^$$' -bench=BenchmarkJoinAllocProfile -benchtime=3x \
+		-memprofilerate=4096 -memprofile=alloc.prof -outputdir=$(CURDIR)/.bench_build \
+		-o .bench_build/core.test ./internal/core -args -alloc-records=$(W)
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/core.test .bench_build/alloc.prof
 
 # bench-planner runs the cost-planner ablation: three Zipf-skewed
 # workloads, each joined for real under every hand-grid cell (stage
@@ -164,13 +171,6 @@ bench-distrib:
 # margin are recorded to BENCH_planner.json.
 bench-planner:
 	$(GO) run ./cmd/ssjexp -only planner -planner-out BENCH_planner.json
-
-# bench-serve measures the online service under a Zipf-skewed query
-# stream: QPS and p50/p99 latency per index shard count, recorded to
-# BENCH_serve.json (real wall-clock; host and CPU count are recorded in
-# the document, and every shard count must serve the identical pairs).
-bench-serve:
-	$(GO) run ./cmd/ssjexp -only serve -serve-out BENCH_serve.json
 
 # experiments regenerates experiments_output.txt, the full suite's text
 # output (untracked: it is a build artifact; regenerate it locally when

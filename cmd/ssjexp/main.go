@@ -10,14 +10,11 @@
 // -only selects a comma-separated subset of experiment names (fig8, fig9,
 // table1, fig11, table2, fig12, fig13, fig14, groups, skew, blocks,
 // filters, kernels, fvt, routing, combiner, singlestage, engine, tau,
-// faults, nodefaults, distrib, serve, planner).
+// faults, nodefaults, planner).
 //
-// Unlike the simulated-makespan experiments, "distrib" and "serve"
-// measure real wall-clock time; -distrib-out FILE and -serve-out FILE
-// record their results as JSON (the committed BENCH_distrib.json and
-// BENCH_serve.json). "planner" sweeps the cost planner against a
-// hand-tuned grid on three Zipf-skewed workloads; -planner-out FILE
-// records the ablation as JSON (the committed BENCH_planner.json).
+// "planner" sweeps the cost planner against a hand-tuned grid on three
+// Zipf-skewed workloads; -planner-out FILE records the ablation as JSON
+// (the committed BENCH_planner.json).
 package main
 
 import (
@@ -28,14 +25,10 @@ import (
 	"strings"
 	"time"
 
-	"fuzzyjoin/internal/distrib"
 	"fuzzyjoin/internal/experiments"
 )
 
 func main() {
-	// The distrib ablation forks this binary as RPC workers; a forked
-	// copy serves tasks here and never reaches the flag parsing.
-	distrib.MaybeWorker()
 	var (
 		svgDir = flag.String("svg", "", "also write the figure-shaped results as SVG files into this directory")
 		base   = flag.Int("base", 0, "x1 DBLP-like corpus size (default 1200)")
@@ -46,8 +39,6 @@ func main() {
 		mem    = flag.Int64("mem", -1, "per-task memory budget in bytes (default 1 MiB; 0 disables)")
 		only   = flag.String("only", "", "comma-separated experiment subset")
 
-		distribOut = flag.String("distrib-out", "", "write the distrib ablation result as JSON to this file")
-		serveOut   = flag.String("serve-out", "", "write the serve ablation result as JSON to this file")
 		plannerOut = flag.String("planner-out", "", "write the planner ablation result as JSON to this file")
 
 		traceOn  = flag.Bool("trace", false, "also run the traced fault-tolerance demo and write trace.jsonl, timeline.svg, and metrics.json")
@@ -130,27 +121,16 @@ func main() {
 		if sp, ok := r.(*experiments.SpeedupResult); ok {
 			writeSVG(name+"-relative", sp.RelativeSVG())
 		}
-		writeJSON := func(path string, doc []byte, err error) {
+		if pr, ok := r.(*experiments.PlannerResult); ok && *plannerOut != "" {
+			doc, err := pr.JSON()
 			if err == nil {
-				err = os.WriteFile(path, doc, 0o644)
+				err = os.WriteFile(*plannerOut, doc, 0o644)
 			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ssjexp:", err)
 				os.Exit(1)
 			}
-			fmt.Printf("[wrote %s]\n", path)
-		}
-		if dr, ok := r.(*experiments.DistribResult); ok && *distribOut != "" {
-			doc, err := dr.JSON()
-			writeJSON(*distribOut, doc, err)
-		}
-		if sr, ok := r.(*experiments.ServeResult); ok && *serveOut != "" {
-			doc, err := sr.JSON()
-			writeJSON(*serveOut, doc, err)
-		}
-		if pr, ok := r.(*experiments.PlannerResult); ok && *plannerOut != "" {
-			doc, err := pr.JSON()
-			writeJSON(*plannerOut, doc, err)
+			fmt.Printf("[wrote %s]\n", *plannerOut)
 		}
 		fmt.Printf("[%s ran in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
@@ -176,8 +156,6 @@ func main() {
 	run("tau", func() (renderer, error) { return s.ThresholdSweep() })
 	run("faults", func() (renderer, error) { return s.FaultAblation() })
 	run("nodefaults", func() (renderer, error) { return s.NodeFaultAblation() })
-	run("distrib", func() (renderer, error) { return s.DistribAblation() })
-	run("serve", func() (renderer, error) { return s.ServeAblation() })
 	run("planner", func() (renderer, error) { return s.PlannerAblation() })
 
 	if *traceOn {

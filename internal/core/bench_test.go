@@ -1,9 +1,11 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"testing"
 
+	"fuzzyjoin/internal/datagen"
 	"fuzzyjoin/internal/dfs"
 	"fuzzyjoin/internal/mapreduce"
 )
@@ -93,6 +95,28 @@ func BenchmarkSelfJoinEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := Config{FS: fs, Work: fmt.Sprintf("w%d", i), Kernel: PK,
 			NumReducers: 4, Parallelism: 4}
+		if _, err := SelfJoin(cfg, "in"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var allocRecords = flag.Int("alloc-records", 20000, "corpus size of BenchmarkJoinAllocProfile (make allocprofile W=N)")
+
+// BenchmarkJoinAllocProfile is the join `make allocprofile` takes its
+// allocation profile of: the benchmark's self_dblp recipe (BTO-PK-BRJ,
+// τ 0.8, DBLP-shaped datagen corpus on a 4-node DFS) at -alloc-records
+// records. PERF.md's "on top of the profile" paragraphs come from it.
+func BenchmarkJoinAllocProfile(b *testing.B) {
+	lines := datagen.Lines(datagen.Generate(datagen.Spec{Records: *allocRecords, Seed: 1}))
+	fs := dfs.New(dfs.Options{Nodes: 4})
+	if err := mapreduce.WriteTextFile(fs, "in", lines); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := Config{FS: fs, Work: fmt.Sprintf("w%d", i), Kernel: PK, Threshold: 0.8, Parallelism: 2}
 		if _, err := SelfJoin(cfg, "in"); err != nil {
 			b.Fatal(err)
 		}

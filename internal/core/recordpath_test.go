@@ -1,0 +1,226 @@
+package core
+
+import (
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+
+	"fuzzyjoin/internal/dfs"
+	"fuzzyjoin/internal/mapreduce"
+	"fuzzyjoin/internal/records"
+	"fuzzyjoin/internal/tokenize"
+)
+
+// dblpLine is shaped like a bench/ DBLP record: mixed-case title with
+// punctuation and a repeated word, authors, a longer rest field.
+const dblpLine = "1234567\tEfficient Parallel Set-Similarity Joins Using MapReduce: the Parallel Case\t" +
+	"Rares Vernica, Michael J. Carey, Chen Li\t" +
+	"SIGMOD 2010 proceedings of the international conference on management of data pages 495-506"
+
+type discardEmitter struct{}
+
+func (discardEmitter) Emit(_, _ []byte) error { return nil }
+
+// allocProbe runs inside a real map task — the only place a mapper has
+// its engine Context, side files and InputFile — and measures a warmed
+// Map call of the task instance it wraps against a discarding emitter.
+type allocProbe struct {
+	inner  mapreduce.Mapper
+	allocs *float64
+}
+
+func (p *allocProbe) NewTaskInstance() any {
+	return &allocProbe{inner: p.inner.(mapreduce.TaskLocal).NewTaskInstance().(mapreduce.Mapper), allocs: p.allocs}
+}
+
+func (p *allocProbe) Setup(ctx *mapreduce.Context) error {
+	if s, ok := p.inner.(mapreduce.Setupper); ok {
+		return s.Setup(ctx)
+	}
+	return nil
+}
+
+func (p *allocProbe) Map(ctx *mapreduce.Context, key, value []byte, _ mapreduce.Emitter) error {
+	var err error
+	call := func() {
+		if e := p.inner.Map(ctx, key, value, discardEmitter{}); e != nil {
+			err = e
+		}
+	}
+	call() // grow the scratch, create the counters
+	*p.allocs = testing.AllocsPerRun(200, call)
+	return err
+}
+
+// TestMapperRecordPathAllocatesNothing pins the tentpole: one warmed
+// call of each per-record mapper does no heap allocation.
+func TestMapperRecordPathAllocatesNothing(t *testing.T) {
+	fs := dfs.New(dfs.Options{BlockSize: 64 << 10, Nodes: 1})
+	if err := mapreduce.WriteTextFile(fs, "in", []string{dblpLine}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{FS: fs, Work: "w", NumReducers: 1}
+	tokenFile, _, err := Stage1(cfg, "in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range []progSpec{
+		{Kind: "s1-bto-count"},
+		{Kind: "s2", TokenFile: tokenFile},
+		{Kind: "s3-brj1", PairsPrefix: "w/s2"},
+	} {
+		job, err := coreJob(&cfg, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := -1.0
+		job.Name, job.Inputs, job.Output = "probe-"+ps.Kind, []string{"in"}, "probe-"+ps.Kind
+		job.Mapper = &allocProbe{inner: job.Mapper, allocs: &allocs}
+		if ps.TokenFile != "" {
+			job.SideFiles = []string{ps.TokenFile}
+		}
+		if _, err := mapreduce.Run(job); err != nil {
+			t.Fatalf("%s: %v", ps.Kind, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s mapper: %v allocations per warmed Map call, want 0", ps.Kind, allocs)
+		}
+	}
+}
+
+// orderRecorder notes which *tokenize.Order each Stage 2 map task ends
+// up with after Setup.
+type orderRecorder struct {
+	*stage2Mapper
+	mu   *sync.Mutex
+	seen *[]*tokenize.Order
+}
+
+func (r *orderRecorder) NewTaskInstance() any {
+	return &orderRecorder{stage2Mapper: r.stage2Mapper.NewTaskInstance().(*stage2Mapper), mu: r.mu, seen: r.seen}
+}
+
+func (r *orderRecorder) Setup(ctx *mapreduce.Context) error {
+	err := r.stage2Mapper.Setup(ctx)
+	r.mu.Lock()
+	*r.seen = append(*r.seen, r.order)
+	r.mu.Unlock()
+	return err
+}
+
+// stage2Orders runs one Stage 2 job with many concurrently set-up map
+// tasks and returns the token order each task used.
+func stage2Orders(t *testing.T, cfg Config, input, tokenFile, work string, limit int64) ([]*tokenize.Order, error) {
+	t.Helper()
+	cfg.Work, cfg.MemoryLimit = work, limit
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	job, err := coreJob(&cfg, progSpec{Kind: "s2", TokenFile: tokenFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		seen []*tokenize.Order
+	)
+	job.Name, job.Inputs, job.Output = "s2-"+work, []string{input}, work+"/s2"
+	job.SideFiles = []string{tokenFile}
+	job.Mapper = &orderRecorder{stage2Mapper: job.Mapper.(*stage2Mapper), mu: &mu, seen: &seen}
+	_, err = mapreduce.Run(job)
+	return seen, err
+}
+
+// TestTokenOrderParsedOncePerJob: every task of a job shares one parsed
+// order, a job over a different token file gets a different one, and a
+// task is still charged the file it did not have to parse.
+func TestTokenOrderParsedOncePerJob(t *testing.T) {
+	fs := dfs.New(dfs.Options{BlockSize: 1 << 10, Nodes: 2})
+	cfg := Config{FS: fs, NumReducers: 2, Parallelism: 8}
+	var tokenFiles [2]string
+	for i, in := range []string{"inA", "inB"} {
+		if err := mapreduce.WriteTextFile(fs, in, makeLines(int64(40+i), 120+60*i, 1)); err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Work = "s1" + in
+		var err error
+		if tokenFiles[i], _, err = Stage1(c, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var orders [2]*tokenize.Order
+	for i, in := range []string{"inA", "inB"} {
+		seen, err := stage2Orders(t, cfg, in, tokenFiles[i], "w"+in, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) < 8 {
+			t.Fatalf("job %s ran %d map tasks; the test needs concurrent Setups", in, len(seen))
+		}
+		for _, o := range seen {
+			if o != seen[0] {
+				t.Fatalf("job %s: two tasks parsed their own token order", in)
+			}
+		}
+		data, err := fs.ReadAll(tokenFiles[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(strings.Fields(string(data))); seen[0].Len() != want {
+			t.Fatalf("job %s: shared order has %d tokens, its token file %d", in, seen[0].Len(), want)
+		}
+		orders[i] = seen[0]
+	}
+	if orders[0] == orders[1] {
+		t.Fatal("jobs over different token files shared one order")
+	}
+
+	// inB's order is the cached one now; a task whose budget cannot hold
+	// the token file must fail all the same.
+	_, err := stage2Orders(t, cfg, "inB", tokenFiles[1], "wtight", 64)
+	if !errors.Is(err, mapreduce.ErrInsufficientMemory) {
+		t.Fatalf("Stage 2 under a 64-byte budget: %v, want ErrInsufficientMemory", err)
+	}
+}
+
+// TestRecordScratchDropsOversizedBuffers: what one huge record grew is
+// released at the next record, not pinned for the rest of the task.
+func TestRecordScratchDropsOversizedBuffers(t *testing.T) {
+	cfg := Config{JoinFields: []int{records.FieldTitle, records.FieldAuthors}, Tokenizer: tokenize.Word{}}
+	var sb strings.Builder
+	sb.WriteString("1\t")
+	const n = 300000
+	for i := 0; i < n; i++ {
+		sb.WriteString("w")
+		sb.WriteString(strings.Repeat("x", i%7))
+		sb.WriteByte(byte('a' + i%26))
+		sb.WriteByte(' ')
+	}
+	huge := []byte(sb.String())
+	var s recordScratch
+	if _, err := s.readTokens(&cfg, huge); err != nil {
+		t.Fatal(err)
+	}
+	if s.toks.Len() != n {
+		t.Fatalf("huge record: %d tokens", s.toks.Len())
+	}
+	order := tokenize.NewOrder(s.toks.Strings())
+	if _, ranks, err := s.project(&cfg, order, huge); err != nil || len(ranks) != n {
+		t.Fatalf("huge record: %d ranks, %v", len(ranks), err)
+	}
+	if cap(s.attr) <= maxRecordScratch || 4*cap(s.ranks) <= maxRecordScratch {
+		t.Fatalf("huge record grew only %d attr bytes and %d ranks; the cap is not exercised", cap(s.attr), cap(s.ranks))
+	}
+	if _, _, err := s.project(&cfg, order, []byte(dblpLine)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(s.attr) > maxRecordScratch || 4*cap(s.ranks) > maxRecordScratch {
+		t.Errorf("scratch kept %d attr bytes and %d ranks after the next record, cap %d bytes",
+			cap(s.attr), cap(s.ranks), maxRecordScratch)
+	}
+}

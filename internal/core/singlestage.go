@@ -31,9 +31,10 @@ type carryRecordsMapper struct {
 	tokenFile string
 
 	tokenGroups
+	recordScratch
 }
 
-// NewTaskInstance gives each map task its own token order.
+// NewTaskInstance gives each map task its own record scratch.
 func (m *carryRecordsMapper) NewTaskInstance() any {
 	return &carryRecordsMapper{cfg: m.cfg, tokenFile: m.tokenFile}
 }
@@ -44,19 +45,17 @@ func (m *carryRecordsMapper) Setup(ctx *mapreduce.Context) (err error) {
 }
 
 func (m *carryRecordsMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
-	rec, err := records.ParseLine(string(value))
+	rid, ranks, err := m.project(m.cfg, m.order, value)
 	if err != nil {
 		return err
 	}
-	toks := m.cfg.Tokenizer.Tokenize(rec.JoinAttr(m.cfg.JoinFields...))
-	_, ranks := m.order.SortByRank(toks)
 	if len(ranks) == 0 {
 		return nil
 	}
 	// Value = projection ‖ 0x00-free record line. The projection spares
 	// reducers re-tokenizing, but the record line travels with every
 	// replica — the design's cost.
-	val := records.Projection{RID: rec.RID, Ranks: ranks}.AppendBinary(nil)
+	val := records.Projection{RID: rid, Ranks: ranks}.AppendBinary(nil)
 	val = append(val, value...)
 	prefix := m.cfg.Fn.PrefixLength(len(ranks), m.cfg.Threshold)
 	emitted := make(map[uint32]bool, prefix)

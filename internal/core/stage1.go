@@ -4,11 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
+	"sync"
 
 	"fuzzyjoin/internal/keys"
 	"fuzzyjoin/internal/mapreduce"
-	"fuzzyjoin/internal/records"
 	"fuzzyjoin/internal/tokenize"
 )
 
@@ -20,23 +19,21 @@ import (
 // every record.
 type tokenCountMapper struct {
 	cfg *Config
-	key []byte // per-task scratch: the token being emitted
+	recordScratch
 }
 
 // countOne is the uvarint count every token occurrence carries.
 var countOne = binary.AppendUvarint(nil, 1)
 
-// NewTaskInstance gives each map task its own key scratch.
+// NewTaskInstance gives each map task its own record scratch.
 func (m *tokenCountMapper) NewTaskInstance() any { return &tokenCountMapper{cfg: m.cfg} }
 
 func (m *tokenCountMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
-	rec, err := records.ParseLine(string(value))
-	if err != nil {
+	if _, err := m.readTokens(m.cfg, value); err != nil {
 		return err
 	}
-	for _, tok := range m.cfg.Tokenizer.Tokenize(rec.JoinAttr(m.cfg.JoinFields...)) {
-		m.key = append(m.key[:0], tok...)
-		if err := out.Emit(m.key, countOne); err != nil {
+	for i := 0; i < m.toks.Len(); i++ {
+		if err := out.Emit(m.toks.Token(i), countOne); err != nil {
 			return err
 		}
 	}
@@ -207,14 +204,28 @@ func runStage1(cfg *Config, input, work string) (string, []*mapreduce.Metrics, e
 	}
 }
 
-// loadTokenOrder parses a Stage 1 output file into a tokenize.Order.
+// orderCache retains the most recently parsed token order. Every task
+// of a job — and every task a distrib worker runs for it, whose storage
+// proxy caches the side file — receives the same Stage 1 bytes, so the
+// parsed, immutable Order is shared by content: equal bytes, same Order.
+// One entry is enough; jobs over different token files running at once
+// merely parse more often.
+var orderCache struct {
+	sync.Mutex
+	src   string
+	order *tokenize.Order
+}
+
+// loadTokenOrder returns the token order a Stage 1 output file holds,
+// parsing it once per job per process. Sharing saves the parse, not the
+// budget: callers charge the file to their own task's memory as before.
 func loadTokenOrder(data []byte) *tokenize.Order {
-	lines := strings.Split(string(data), "\n")
-	toks := make([]string, 0, len(lines))
-	for _, l := range lines {
-		if l != "" {
-			toks = append(toks, l)
-		}
+	c := &orderCache
+	c.Lock()
+	defer c.Unlock()
+	if c.order == nil || string(data) != c.src {
+		c.src = string(data)
+		c.order = tokenize.ParseOrder(c.src)
 	}
-	return tokenize.NewOrder(toks)
+	return c.order
 }

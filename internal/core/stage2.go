@@ -85,16 +85,18 @@ type stage2Mapper struct {
 	// loaded token order in Setup.
 	split  bool
 	hotMin int
-	// keyBuf, valBuf and seen are reused across records: the key under
-	// construction, the record's encoded projection, and the (group,
-	// cell) pairs the current record was already routed to.
+	// The record scratch, keyBuf, valBuf and seen are reused across
+	// records: the record's tokens and ranks, the key under construction,
+	// the record's encoded projection, and the (group, cell) pairs the
+	// current record was already routed to.
+	recordScratch
 	keyBuf []byte
 	valBuf []byte
 	seen   []uint64
 }
 
-// NewTaskInstance gives each map task its own mapper (the token order,
-// group count, and reused buffers are per-task state).
+// NewTaskInstance gives each map task its own mapper (the group count
+// and reused buffers are per-task state; the token order is the job's).
 func (m *stage2Mapper) NewTaskInstance() any {
 	return &stage2Mapper{cfg: m.cfg, tokenFile: m.tokenFile, inputR: m.inputR}
 }
@@ -116,22 +118,11 @@ func (m *stage2Mapper) hot(rank uint32) bool {
 	return int(rank) >= m.hotMin
 }
 
-// project parses a record and returns its RID and sorted token ranks.
-func (m *stage2Mapper) project(value []byte) (uint64, []uint32, error) {
-	rec, err := records.ParseLine(string(value))
-	if err != nil {
-		return 0, nil, err
-	}
-	toks := m.cfg.Tokenizer.Tokenize(rec.JoinAttr(m.cfg.JoinFields...))
+func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
 	// Tokens absent from the global order are discarded — relevant for
 	// the S relation, whose unknown tokens cannot produce candidates
 	// against R (§4 Stage 1).
-	_, ranks := m.order.SortByRank(toks)
-	return rec.RID, ranks, nil
-}
-
-func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
-	rid, ranks, err := m.project(value)
+	rid, ranks, err := m.project(m.cfg, m.order, value)
 	if err != nil {
 		return err
 	}

@@ -80,7 +80,7 @@ func (r *fvtReducer) Setup(ctx *mapreduce.Context) error {
 		return err
 	}
 	r.numGroups = loadTokenOrder(data).Len()
-	ctx.Memory.Free(int64(len(data))) // only the count is retained
+	ctx.Memory.Free(int64(len(data))) // only the count is kept; the order is the job's
 	if r.numGroups < 1 {
 		r.numGroups = 1
 	}

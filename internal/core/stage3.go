@@ -71,13 +71,22 @@ type brjPhase1Mapper struct {
 	relOf func(file string) byte
 	// rs enables R-S keys.
 	rs bool
+	// key and val are per-task scratch for the pair being emitted.
+	key, val []byte
+}
+
+// NewTaskInstance gives each map task its own key and value scratch.
+func (m *brjPhase1Mapper) NewTaskInstance() any {
+	return &brjPhase1Mapper{pairsPrefix: m.pairsPrefix, relOf: m.relOf, rs: m.rs}
 }
 
 func (m *brjPhase1Mapper) ridKey(rel byte, rid uint64) []byte {
+	m.key = m.key[:0]
 	if m.rs {
-		return keys.AppendUint64(append([]byte(nil), rel), rid)
+		m.key = append(m.key, rel)
 	}
-	return keys.AppendUint64(nil, rid)
+	m.key = keys.AppendUint64(m.key, rid)
+	return m.key
 }
 
 func (m *brjPhase1Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
@@ -86,18 +95,18 @@ func (m *brjPhase1Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapre
 		if err != nil {
 			return err
 		}
-		pv := append([]byte{tagPair}, p.AppendBinary(nil)...)
-		if err := out.Emit(m.ridKey(relR, p.A), pv); err != nil {
+		m.val = p.AppendBinary(append(m.val[:0], tagPair))
+		if err := out.Emit(m.ridKey(relR, p.A), m.val); err != nil {
 			return err
 		}
-		return out.Emit(m.ridKey(relS, p.B), pv)
+		return out.Emit(m.ridKey(relS, p.B), m.val)
 	}
-	rec, err := records.ParseLine(string(value))
+	rid, err := records.RID(value)
 	if err != nil {
 		return err
 	}
-	rv := append([]byte{tagRecord}, value...)
-	return out.Emit(m.ridKey(m.relOf(ctx.InputFile), rec.RID), rv)
+	m.val = append(append(reuseScratch(m.val), tagRecord), value...)
+	return out.Emit(m.ridKey(m.relOf(ctx.InputFile), rid), m.val)
 }
 
 // brjPhase1Reducer joins one record with its RID pairs, deduplicating
@@ -115,6 +124,11 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 		// Pairs with no matching record: Stage 2 only emits RIDs it saw
 		// in the input, so this indicates corrupt input.
 		return fmt.Errorf("core: RID group %x has pairs but no record", key)
+	}
+	if values.Len() == 1 {
+		// Most records have no pair at all: nothing to join, and no need
+		// for the line copy and the dedup set below.
+		return nil
 	}
 	line := append([]byte(nil), v[1:]...)
 	var rel byte
@@ -290,13 +304,13 @@ func decodePairsData(data []byte, fn func(records.RIDPair) error) error {
 }
 
 func (m *oprjMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
-	rec, err := records.ParseLine(string(value))
+	rid, err := records.RID(value)
 	if err != nil {
 		return err
 	}
 	rel := m.relOf(ctx.InputFile)
 	if !m.rs || rel == relR {
-		for _, p := range m.byA[rec.RID] {
+		for _, p := range m.byA[rid] {
 			side := byte(0)
 			if err := out.Emit(pairGroupKey(p), encodeHalfPair(side, p, value)); err != nil {
 				return err
@@ -304,13 +318,13 @@ func (m *oprjMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.
 		}
 	}
 	if !m.rs {
-		for _, p := range m.byB[rec.RID] {
+		for _, p := range m.byB[rid] {
 			if err := out.Emit(pairGroupKey(p), encodeHalfPair(1, p, value)); err != nil {
 				return err
 			}
 		}
 	} else if rel == relS {
-		for _, p := range m.byB[rec.RID] {
+		for _, p := range m.byB[rid] {
 			if err := out.Emit(pairGroupKey(p), encodeHalfPair(1, p, value)); err != nil {
 				return err
 			}

@@ -81,9 +81,11 @@ func DecodePairsBlock(data []byte, fn func(key, value []byte) error) error {
 }
 
 // decodeText parses line records in block, passing the running offset as
-// the key.
+// the key. The key is scratch reused from line to line: fn must copy
+// what it keeps (the map buffer copies at Emit).
 func decodeText(block []byte, baseOffset int64, fn func(key, value []byte) error) error {
 	off := baseOffset
+	var key []byte
 	for len(block) > 0 {
 		i := bytes.IndexByte(block, '\n')
 		var line []byte
@@ -94,7 +96,7 @@ func decodeText(block []byte, baseOffset int64, fn func(key, value []byte) error
 			line = block[:i]
 			block = block[i+1:]
 		}
-		key := strconv.AppendInt(nil, off, 10)
+		key = strconv.AppendInt(key[:0], off, 10)
 		off += int64(len(line)) + 1
 		if err := fn(key, line); err != nil {
 			return err

@@ -7,6 +7,7 @@
 package records
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -88,6 +89,68 @@ func (r Record) JoinAttr(fields ...int) string {
 		b.WriteString(r.Fields[f])
 	}
 	return b.String()
+}
+
+// RID reads a record line's RID without building the Record: ParseLine
+// on the line bytes, minus the fields. It accepts and rejects exactly the
+// lines ParseLine does, with the same errors.
+func RID(line []byte) (uint64, error) {
+	rid, _, err := splitRID(line)
+	return rid, err
+}
+
+// splitRID returns the RID and the bytes after its tab.
+func splitRID(line []byte) (uint64, []byte, error) {
+	i := bytes.IndexByte(line, '\t')
+	if i < 0 {
+		return 0, nil, fmt.Errorf("%w: %q", ErrBadRecord, line)
+	}
+	// ParseUint clones its argument into the error it may return, so the
+	// conversion stays on the stack for any RID of sane width.
+	rid, err := strconv.ParseUint(string(line[:i]), 10, 64)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: bad RID in %q: %v", ErrBadRecord, line, err)
+	}
+	return rid, line[i+1:], nil
+}
+
+// AppendJoinAttr is ParseLine followed by JoinAttr on the line bytes: it
+// returns the RID and dst extended by the bytes JoinAttr(fields...)
+// returns as a string. A negative field index counts as a missing field.
+func AppendJoinAttr(dst, line []byte, fields []int) (uint64, []byte, error) {
+	rid, rest, err := splitRID(line)
+	if err != nil {
+		return 0, dst, err
+	}
+	for i, n := range fields {
+		f, ok := field(rest, n)
+		if !ok {
+			continue
+		}
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, f...)
+	}
+	return rid, dst, nil
+}
+
+// field returns tab-separated field n of rest.
+func field(rest []byte, n int) ([]byte, bool) {
+	if n < 0 {
+		return nil, false
+	}
+	for ; n > 0; n-- {
+		i := bytes.IndexByte(rest, '\t')
+		if i < 0 {
+			return nil, false
+		}
+		rest = rest[i+1:]
+	}
+	if i := bytes.IndexByte(rest, '\t'); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest, true
 }
 
 // Projection is a record projected onto its RID and the token-rank set of

@@ -13,9 +13,8 @@
 package tokenize
 
 import (
-	"strconv"
+	"slices"
 	"strings"
-	"unicode"
 )
 
 // Tokenizer converts a string into a slice of set elements.
@@ -36,18 +35,12 @@ type Word struct {
 
 // Tokenize implements Tokenizer.
 func (w Word) Tokenize(s string) []string {
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-	out := make([]string, 0, len(fields))
-	seen := make(map[string]int, len(fields))
-	for _, f := range fields {
-		if !w.KeepCase {
-			f = strings.ToLower(f)
-		}
-		out = appendOccurrence(out, seen, f)
+	b := borrow(s)
+	w.fill(b, b.in)
+	if out := b.giveBack(); out != nil {
+		return out
 	}
-	return out
+	return []string{}
 }
 
 // QGram produces overlapping substrings of length Q over the cleaned
@@ -61,40 +54,9 @@ type QGram struct {
 
 // Tokenize implements Tokenizer.
 func (g QGram) Tokenize(s string) []string {
-	q := g.Q
-	if q <= 0 {
-		q = 3
-	}
-	s = strings.ToLower(s)
-	if !g.NoPad {
-		pad := strings.Repeat("#", q-1)
-		s = pad + s + pad
-	}
-	runes := []rune(s)
-	if len(runes) < q {
-		if len(runes) == 0 {
-			return nil
-		}
-		return []string{string(runes)}
-	}
-	out := make([]string, 0, len(runes)-q+1)
-	seen := make(map[string]int, len(runes))
-	for i := 0; i+q <= len(runes); i++ {
-		out = appendOccurrence(out, seen, string(runes[i:i+q]))
-	}
-	return out
-}
-
-// appendOccurrence appends tok, renaming repeats "t" → "t~2", "t~3", ...
-func appendOccurrence(out []string, seen map[string]int, tok string) []string {
-	if tok == "" {
-		return out
-	}
-	seen[tok]++
-	if n := seen[tok]; n > 1 {
-		tok = tok + "~" + strconv.Itoa(n)
-	}
-	return append(out, tok)
+	b := borrow(s)
+	g.fill(b, b.in)
+	return b.giveBack()
 }
 
 // Order is a global token ordering: a bijection from tokens to dense ranks
@@ -109,14 +71,35 @@ type Order struct {
 // NewOrder builds an Order from tokens listed in increasing frequency
 // order (the output of Stage 1).
 func NewOrder(tokensByFrequency []string) *Order {
-	o := &Order{
-		rank: make(map[string]uint32, len(tokensByFrequency)),
-		toks: append([]string(nil), tokensByFrequency...),
-	}
-	for i, t := range o.toks {
+	return newOrder(append([]string(nil), tokensByFrequency...))
+}
+
+// newOrder ranks toks, which it keeps.
+func newOrder(toks []string) *Order {
+	o := &Order{rank: make(map[string]uint32, len(toks)), toks: toks}
+	for i, t := range toks {
 		o.rank[t] = uint32(i)
 	}
 	return o
+}
+
+// ParseOrder builds an Order from the text of a Stage 1 output file: one
+// token per line in increasing frequency order, empty lines skipped. The
+// Order's tokens are substrings of src.
+func ParseOrder(src string) *Order {
+	toks := make([]string, 0, strings.Count(src, "\n")+1)
+	for len(src) > 0 {
+		line := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			line, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
+		if line != "" {
+			toks = append(toks, line)
+		}
+	}
+	return newOrder(toks)
 }
 
 // Rank returns the rank of tok and whether it is present in the ordering.
@@ -160,6 +143,20 @@ func (o *Order) SortByRank(toks []string) ([]string, []uint32) {
 		ranks[j+1], kept[j+1] = r, t
 	}
 	return kept, ranks
+}
+
+// AppendRanks appends the ranks of b's tokens to dst in increasing
+// order, dropping tokens missing from the ordering — what SortByRank
+// returns for the same token set, without the strings.
+func (o *Order) AppendRanks(dst []uint32, b *Buffer) []uint32 {
+	n := len(dst)
+	for i := 0; i < b.Len(); i++ {
+		if r, ok := o.rank[string(b.Token(i))]; ok {
+			dst = append(dst, r)
+		}
+	}
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // Ranks converts toks to their ranks, dropping unknown tokens, without
