@@ -2,7 +2,8 @@
 # pass: build + full test suite, vet, staticcheck (when installed), and
 # the race detector over the runtime packages (the engine and DFS run
 # user code across goroutines; the pipeline's mapper instances, reducers
-# and spill files in internal/core are that user code).
+# and spill files in internal/core are that user code, and each reduce
+# task attempt owns one internal/ppjoin or internal/fvt kernel).
 
 GO ?= go
 
@@ -31,7 +32,7 @@ staticcheck:
 race:
 	$(GO) test -race ./internal/mapreduce/... ./internal/dfs/... \
 		./internal/distrib/... ./internal/backoff/... ./internal/ssjserve/... \
-		./internal/fvt/... ./internal/plan/... ./internal/core/... \
+		./internal/fvt/... ./internal/ppjoin/... ./internal/plan/... ./internal/core/... \
 		./internal/tokenize/... ./internal/records/...
 	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
 
@@ -153,15 +154,17 @@ bench-engine:
 	@echo "results recorded to BENCH_engine.json"
 
 # allocprofile prints where a join allocates: BenchmarkJoinAllocProfile
-# (internal/core; the self_dblp recipe over W DBLP-shaped records, three
-# joins) under a 4 KiB memory-profile rate, then pprof's alloc_space
-# table. The test binary and profile land in .bench_build/.
+# (internal/core; the self_dblp recipe over W DBLP-shaped records, or with
+# R=rs the rs_citeseer recipe — FVT, R-S, W/2 records a side; three joins)
+# under a 4 KiB memory-profile rate, then pprof's alloc_space table. The
+# test binary and profile land in .bench_build/.
 W ?= 20000
+R ?= self
 allocprofile:
 	@mkdir -p .bench_build
 	$(GO) test -run='^$$' -bench=BenchmarkJoinAllocProfile -benchtime=3x \
 		-memprofilerate=4096 -memprofile=alloc.prof -outputdir=$(CURDIR)/.bench_build \
-		-o .bench_build/core.test ./internal/core -args -alloc-records=$(W)
+		-o .bench_build/core.test ./internal/core -args -alloc-records=$(W) -alloc-recipe=$(R)
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/core.test .bench_build/alloc.prof
 
 # bench-planner runs the cost-planner ablation: three Zipf-skewed

@@ -101,23 +101,40 @@ func BenchmarkSelfJoinEndToEnd(b *testing.B) {
 	}
 }
 
-var allocRecords = flag.Int("alloc-records", 20000, "corpus size of BenchmarkJoinAllocProfile (make allocprofile W=N)")
+var (
+	allocRecords = flag.Int("alloc-records", 20000, "corpus size of BenchmarkJoinAllocProfile (make allocprofile W=N)")
+	allocRecipe  = flag.String("alloc-recipe", "self", "recipe of BenchmarkJoinAllocProfile: self (self_dblp) or rs (rs_citeseer) (make allocprofile R=rs)")
+)
 
 // BenchmarkJoinAllocProfile is the join `make allocprofile` takes its
-// allocation profile of: the benchmark's self_dblp recipe (BTO-PK-BRJ,
-// τ 0.8, DBLP-shaped datagen corpus on a 4-node DFS) at -alloc-records
-// records. PERF.md's "on top of the profile" paragraphs come from it.
+// allocation profile of, over -alloc-records datagen records on a 4-node
+// DFS at τ 0.8: the benchmark's self_dblp recipe (BTO-PK-BRJ, DBLP-shaped
+// corpus), or with -alloc-recipe=rs its rs_citeseer recipe (BTO-FVT-BRJ,
+// half the records as R and half as CiteseerX-shaped S records
+// overlapping R, without the benchmark's ×2 Increase). PERF.md's "on top
+// of the profile" paragraphs come from it.
 func BenchmarkJoinAllocProfile(b *testing.B) {
-	lines := datagen.Lines(datagen.Generate(datagen.Spec{Records: *allocRecords, Seed: 1}))
+	n, kernel, inputs := *allocRecords, PK, []string{"in"}
+	if *allocRecipe == "rs" {
+		n, kernel, inputs = n/2, FVT, []string{"in", "s"}
+	}
+	r := datagen.Generate(datagen.Spec{Records: n, Seed: 1})
 	fs := dfs.New(dfs.Options{Nodes: 4})
-	if err := mapreduce.WriteTextFile(fs, "in", lines); err != nil {
+	if err := mapreduce.WriteTextFile(fs, "in", datagen.Lines(r)); err != nil {
 		b.Fatal(err)
+	}
+	if len(inputs) == 2 {
+		s := datagen.GenerateOverlapping(r, datagen.Spec{Records: n, Seed: 2,
+			Style: datagen.CiteseerLike, StartRID: 100_000_000}, 0.1)
+		if err := mapreduce.WriteTextFile(fs, "s", datagen.Lines(s)); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := Config{FS: fs, Work: fmt.Sprintf("w%d", i), Kernel: PK, Threshold: 0.8, Parallelism: 2}
-		if _, err := SelfJoin(cfg, "in"); err != nil {
+		cfg := Config{FS: fs, Work: fmt.Sprintf("w%d", i), Kernel: kernel, Threshold: 0.8, Parallelism: 2}
+		if _, err := join(cfg, inputs...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"fuzzyjoin/internal/mapreduce"
+	"fuzzyjoin/internal/ppjoin"
 )
 
 // ---- fault-tolerance: injected failures must not change any output ----
@@ -110,5 +113,97 @@ func TestSelfJoinByteIdenticalUnderFaults(t *testing.T) {
 					par, sc.name, got, sc.min)
 			}
 		}
+	}
+}
+
+// failAfter passes pairs through until its budget is spent, then fails:
+// a reducer sees the failure in the middle of a group.
+type failAfter struct {
+	out  mapreduce.Emitter
+	left int
+}
+
+func (f *failAfter) Emit(k, v []byte) error {
+	if f.left == 0 {
+		return errors.New("injected mid-group emit failure")
+	}
+	f.left--
+	return f.out.Emit(k, v)
+}
+
+// TestPKKernelStatePerAttempt: the PK reducer's index belongs to one task
+// attempt. Two concurrent speculative attempts of every reduce task, and
+// a retry after an attempt died in the middle of a group with its index
+// half built, must leave the Stage 2 part files byte-identical to a clean
+// run; every attempt gets an index of its own (under -race a shared one
+// is a reported race), so a failed attempt's dirty index is never seen
+// again.
+func TestPKKernelStatePerAttempt(t *testing.T) {
+	lines := makeLines(7, 90, 1)
+	run := func(name string, cfg Config, failTask int) (map[string]string, int) {
+		fs := newTestFS(t)
+		writeInput(t, fs, "in", lines)
+		cfg.FS, cfg.Work, cfg.Kernel, cfg.NumReducers, cfg.Parallelism = fs, "w", PK, 3, 4
+		var mu sync.Mutex
+		indexes := map[*ppjoin.Index]bool{}
+		failed := 0
+		probe := &reduceProbe{
+			instantiated: func(inner mapreduce.Reducer) {
+				mu.Lock()
+				defer mu.Unlock()
+				ix := inner.(*pkReducer).ix
+				if ix == nil || indexes[ix] {
+					t.Errorf("%s: task instance got index %p, already another attempt's", name, ix)
+				}
+				indexes[ix] = true
+			},
+			visit: func(ctx *mapreduce.Context, inner mapreduce.Reducer, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+				if ctx.TaskID == failTask && ctx.Attempt == 1 {
+					// Let the group's first pair through, fail its second:
+					// the attempt dies with items in its index.
+					out = &failAfter{out: out, left: 1}
+				}
+				err := inner.Reduce(ctx, key, values, out)
+				if err != nil {
+					mu.Lock()
+					failed++
+					mu.Unlock()
+				}
+				return err
+			},
+		}
+		if _, err := probeStage2(t, cfg, probe, "in"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if failTask >= 0 && failed == 0 {
+			t.Fatalf("%s: test premise broken: no group of reduce task %d emits two pairs", name, failTask)
+		}
+		files := map[string]string{}
+		for _, f := range fs.List("w/s2/") {
+			b, err := fs.ReadAll(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[f] = string(b)
+		}
+		return files, len(indexes)
+	}
+	clean, n := run("clean", Config{}, -1)
+	if n != 3 || len(clean) != 3 {
+		t.Fatalf("clean run: %d indexes, %d part files, want 3 and 3", n, len(clean))
+	}
+	spec, n := run("speculative", Config{Speculative: true}, -1)
+	if n != 6 {
+		t.Errorf("speculative run built %d indexes, want one per attempt (6)", n)
+	}
+	if !reflect.DeepEqual(spec, clean) {
+		t.Error("speculative run's Stage 2 output differs from the clean run's")
+	}
+	retried, n := run("retry", Config{Retry: mapreduce.RetryPolicy{MaxAttempts: 3}}, 1)
+	if n != 4 {
+		t.Errorf("retry run built %d indexes, want 3 + 1 for the retried attempt", n)
+	}
+	if !reflect.DeepEqual(retried, clean) {
+		t.Error("retried run's Stage 2 output differs from the clean run's")
 	}
 }

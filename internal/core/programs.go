@@ -148,10 +148,10 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 		p.Reducer = &brjPhase1Reducer{rs: rs}
 	case "s3-brj2":
 		p.Mapper = mapreduce.IdentityMapper
-		p.Reducer = pairAssembleReducer{}
+		p.Reducer = &pairAssembleReducer{}
 	case "s3-oprj":
 		p.Mapper = &oprjMapper{pairFiles: ps.PairFiles, relOf: relOfFor(ps), rs: rs}
-		p.Reducer = pairAssembleReducer{}
+		p.Reducer = &pairAssembleReducer{}
 	case "ss-carry":
 		p.Mapper = &carryRecordsMapper{cfg: cfg, tokenFile: ps.TokenFile}
 		p.Reducer = &carryRecordsReducer{cfg: cfg}

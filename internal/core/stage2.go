@@ -187,11 +187,18 @@ func (m *stage2Mapper) routeCell(p routed, g uint32, cell uint8, sink replicaSin
 	return m.layout.route(m, p, key, sink)
 }
 
-// emitRIDPair writes one kernel result in the Stage 2 output format:
-// key = [A u64][B u64], value = the RIDPair binary encoding.
-func emitRIDPair(out mapreduce.Emitter, p records.RIDPair) error {
-	k := keys.AppendUint64(keys.AppendUint64(nil, p.A), p.B)
-	return out.Emit(k, p.AppendBinary(nil))
+// ridPairOut writes kernel results in the Stage 2 output format: key =
+// [A u64][B u64], value = the RIDPair binary encoding. The key and value
+// buffers are a reduce task's, reused for every pair: a reduce emitter
+// copies what it is handed before it returns (fileWriter.write).
+type ridPairOut struct {
+	key, val []byte
+}
+
+func (o *ridPairOut) emit(out mapreduce.Emitter, p records.RIDPair) error {
+	o.key = appendPairGroupKey(o.key[:0], p)
+	o.val = p.AppendBinary(o.val[:0])
+	return out.Emit(o.key, o.val)
 }
 
 func kernelOptions(cfg *Config) ppjoin.Options {

@@ -27,9 +27,9 @@ import (
 	"fuzzyjoin/internal/records"
 )
 
-func fvtOptions(cfg *Config, owner func(uint32) bool) fvt.Options {
+func fvtOptions(cfg *Config) fvt.Options {
 	return fvt.Options{Fn: cfg.Fn, Threshold: cfg.Threshold,
-		Filters: *cfg.Filters, Bitmap: cfg.BitmapFilter, Owner: owner}
+		Filters: *cfg.Filters, Bitmap: cfg.BitmapFilter}
 }
 
 func countFVTStats(ctx *mapreduce.Context, st fvt.Stats) {
@@ -56,10 +56,25 @@ type fvtReducer struct {
 	// numGroups is per-task state: the group→owner mapping of grouped
 	// routing needs the same group count the mapper derived.
 	numGroups int
+
+	// The task owns the kernel state, each group resets it: the tree, the
+	// buffer of items waiting for the bulk build, and the arena their
+	// ranks are decoded into (the tree shares the items' rank storage).
+	tree  *fvt.Tree
+	items []ppjoin.Item
+	ranks rankArena
+	// group is the current reduce group; owns is the tree's emit-once
+	// hook, bound once per task.
+	group uint32
+	owns  func(uint32) bool
+	pairs ridPairOut
 }
 
 func (r *fvtReducer) NewTaskInstance() any {
-	return &fvtReducer{cfg: r.cfg, layout: r.layout, rs: r.rs, tokenFile: r.tokenFile}
+	t := &fvtReducer{cfg: r.cfg, layout: r.layout, rs: r.rs, tokenFile: r.tokenFile,
+		tree: fvt.New(fvtOptions(r.cfg))}
+	t.owns = t.owner
+	return t
 }
 
 func (r *fvtReducer) Setup(ctx *mapreduce.Context) error {
@@ -87,21 +102,22 @@ func (r *fvtReducer) Setup(ctx *mapreduce.Context) error {
 	return nil
 }
 
-// owner returns the emit-once hook for the reduce group of key: the
-// group owns exactly the tokens the mapper routes to it.
-func (r *fvtReducer) owner(key []byte) func(uint32) bool {
-	g := binary.BigEndian.Uint32(key[:4])
+// owner is the emit-once rule for the current reduce group: the group
+// owns exactly the tokens the mapper routes to it.
+func (r *fvtReducer) owner(w uint32) bool {
 	if r.cfg.Routing == GroupedTokens {
-		n := uint32(r.numGroups)
-		return func(w uint32) bool { return w%n == g }
+		return w%uint32(r.numGroups) == r.group
 	}
-	return func(w uint32) bool { return w == g }
+	return w == r.group
 }
 
 func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	tree := fvt.New(fvtOptions(r.cfg, r.owner(key)))
+	r.group = binary.BigEndian.Uint32(key[:4])
+	tree := r.tree
+	tree.Reset(r.owns)
+	r.items = reuseItems(r.items)
+	r.ranks.reset()
 	var (
-		items               []ppjoin.Item
 		heldItems, heldTree int64
 		built               bool
 		emitErr             error
@@ -116,7 +132,7 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 			pair.A, pair.B = pair.B, pair.A
 		}
 		if emitErr == nil {
-			emitErr = emitRIDPair(out, pair)
+			emitErr = r.pairs.emit(out, pair)
 		}
 	}
 	// build fills the tree from the buffered items — in deterministic
@@ -126,10 +142,10 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 	build := func() error {
 		built = true
 		if !r.cfg.FVTIncremental {
-			fvt.SortItems(items)
+			fvt.SortItems(r.items)
 		}
-		for i := range items {
-			tree.Add(items[i])
+		for i := range r.items {
+			tree.Add(r.items[i])
 		}
 		if err := ctx.Memory.Alloc(tree.Bytes()); err != nil {
 			return err
@@ -144,7 +160,9 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 		if err != nil {
 			return err
 		}
-		p, err := records.DecodeProjection(v)
+		// An S projection only probes: its ranks leave the arena with it.
+		mark := len(r.ranks.buf)
+		p, err := r.ranks.decode(v)
 		if err != nil {
 			return err
 		}
@@ -167,7 +185,7 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 				return err
 			}
 			heldItems += b
-			items = append(items, it)
+			r.items = append(r.items, it)
 		default:
 			if !built {
 				if err := build(); err != nil {
@@ -175,6 +193,7 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 				}
 			}
 			tree.Probe(it, emit)
+			r.ranks.buf = r.ranks.buf[:mark]
 		}
 		if emitErr != nil {
 			return emitErr
@@ -187,8 +206,8 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 		if err := build(); err != nil {
 			return err
 		}
-		for i := range items {
-			tree.SelfProbe(items[i], emit)
+		for i := range r.items {
+			tree.SelfProbe(r.items[i], emit)
 			if emitErr != nil {
 				return emitErr
 			}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"fuzzyjoin/internal/keys"
@@ -24,24 +25,80 @@ import (
 // kernels are the one-round case: a self-join loads everything, an R-S
 // join loads R and streams S.
 type rounds struct {
-	ctx  *mapreduce.Context
-	out  mapreduce.Emitter
 	opts ppjoin.Options
 	self bool
 
-	loaded     []ppjoin.Item
+	// The task owns the storage, each group resets it (begin): loaded is
+	// the current round's buffer and ranks the arena its items' ranks are
+	// decoded into — a round's items live and die together.
+	loaded []ppjoin.Item
+	ranks  rankArena
+
+	ctx        *mapreduce.Context
+	out        mapreduce.Emitter
 	held       int64
 	selfJoined bool
 	// one is the reused single-item probe side of a stream call.
 	one     [1]ppjoin.Item
 	st      ppjoin.Stats
+	pairs   ridPairOut
 	emitErr error
 }
 
-// newRounds returns the loop state by value: reducers keep it on their
-// stack, one per reduce group.
-func newRounds(ctx *mapreduce.Context, out mapreduce.Emitter, cfg *Config, self bool) rounds {
-	return rounds{ctx: ctx, out: out, opts: kernelOptions(cfg), self: self}
+// newRounds returns a task's loop state; begin starts each reduce group.
+func newRounds(cfg *Config, self bool) rounds {
+	return rounds{opts: kernelOptions(cfg), self: self}
+}
+
+// begin resets the loop for one reduce group, keeping the buffer and the
+// rank arena of the previous group up to their retention caps.
+func (r *rounds) begin(ctx *mapreduce.Context, out mapreduce.Emitter) {
+	r.ctx, r.out = ctx, out
+	r.loaded = reuseItems(r.loaded)
+	r.ranks.reset()
+	r.held, r.selfJoined, r.st, r.emitErr = 0, false, ppjoin.Stats{}, nil
+}
+
+// maxRetainedItems and maxRankArena bound what a reduce task's kernel
+// state keeps from one group to the next (ppjoin.Index and fvt.Tree cap
+// their own storage the same way): a buffer or arena one hot group grew
+// past them is dropped at the next group's reset, so a task retains at
+// most about 1.3 MB of them.
+const (
+	maxRetainedItems = 1 << 12 // buffered ppjoin.Items (72 bytes each)
+	maxRankArena     = 1 << 18 // uint32 ranks (1 MiB)
+)
+
+// reuseItems empties a per-task item buffer for the next group, dropping
+// its references to the last group's ranks and letting go of a buffer
+// that outgrew maxRetainedItems.
+func reuseItems(items []ppjoin.Item) []ppjoin.Item {
+	if cap(items) > maxRetainedItems {
+		return nil
+	}
+	clear(items)
+	return items[:0]
+}
+
+// rankArena is the rank storage of projections whose lifetime is a whole
+// round or group (BK's buffer, the FVT tree's items): they are decoded
+// back to back into one slice instead of one heap slice each. PK does not
+// use it — an evicted PK item must physically free its ranks (§4).
+type rankArena struct {
+	buf []uint32
+}
+
+func (a *rankArena) reset() {
+	if cap(a.buf) > maxRankArena {
+		a.buf = nil
+	}
+	a.buf = a.buf[:0]
+}
+
+// decode decodes one projection into the arena.
+func (a *rankArena) decode(v []byte) (p records.Projection, err error) {
+	p, a.buf, err = records.DecodeProjectionInto(a.buf, v)
+	return p, err
 }
 
 func (r *rounds) emit(p records.RIDPair) {
@@ -53,7 +110,7 @@ func (r *rounds) emit(p records.RIDPair) {
 	if r.self && p.A > p.B {
 		p.A, p.B = p.B, p.A
 	}
-	r.emitErr = emitRIDPair(r.out, p)
+	r.emitErr = r.pairs.emit(r.out, p)
 }
 
 func (r *rounds) flushSelf() {
@@ -67,11 +124,18 @@ func (r *rounds) flushSelf() {
 func (r *rounds) next() {
 	r.flushSelf()
 	r.release()
+	clear(r.loaded) // nothing past len may keep pointing into an arena
 	r.loaded = r.loaded[:0]
+	r.ranks.buf = r.ranks.buf[:0]
 	r.selfJoined = false
 }
 
-func (r *rounds) load(p records.Projection) error {
+// load buffers one encoded projection in the current round.
+func (r *rounds) load(v []byte) error {
+	p, err := r.ranks.decode(v)
+	if err != nil {
+		return err
+	}
 	b := projectionBytes(p)
 	if err := r.ctx.Memory.Alloc(b); err != nil {
 		return err
@@ -81,10 +145,28 @@ func (r *rounds) load(p records.Projection) error {
 	return nil
 }
 
-func (r *rounds) stream(p records.Projection) error {
+// stream probes one encoded projection against the buffer; its ranks
+// leave the arena with it. charge holds the projection against the memory
+// budget while it is in flight — a spill replay's stream projection is
+// the one thing in memory besides the resident block.
+func (r *rounds) stream(v []byte, charge bool) error {
+	mark := len(r.ranks.buf)
+	p, err := r.ranks.decode(v)
+	if err != nil {
+		return err
+	}
+	if charge {
+		b := projectionBytes(p)
+		if err := r.ctx.Memory.Alloc(b); err != nil {
+			return err
+		}
+		defer r.ctx.Memory.Free(b)
+	}
 	r.flushSelf()
 	r.one[0] = ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
 	r.st = addStats(r.st, ppjoin.NestedLoopRS(r.loaded, r.one[:], r.opts, r.emit))
+	r.one[0].Ranks = nil
+	r.ranks.buf = r.ranks.buf[:mark]
 	return r.emitErr
 }
 
@@ -116,14 +198,21 @@ type roundReducer struct {
 	cfg    *Config
 	layout keyLayout
 	self   bool
+	rd     rounds
+}
+
+// NewTaskInstance gives each reduce task its own loop state.
+func (r *roundReducer) NewTaskInstance() any {
+	return &roundReducer{cfg: r.cfg, layout: r.layout, self: r.self, rd: newRounds(r.cfg, r.self)}
 }
 
 func (r *roundReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	rd := newRounds(ctx, out, r.cfg, r.self)
+	rd := &r.rd
+	rd.begin(ctx, out)
 	defer rd.release()
 	if r.layout.roleAt < 0 {
 		// Every item of the group is a load: the buffer's size is known.
-		rd.loaded = make([]ppjoin.Item, 0, values.Len())
+		rd.loaded = slices.Grow(rd.loaded, values.Len())
 	}
 	cur := int64(-1)
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
@@ -135,14 +224,10 @@ func (r *roundReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduc
 			rd.next()
 			cur = int64(round)
 		}
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
 		if role == roleLoad {
-			err = rd.load(p)
+			err = rd.load(v)
 		} else {
-			err = rd.stream(p)
+			err = rd.stream(v, false)
 		}
 		if err != nil {
 			return err
@@ -164,6 +249,14 @@ type spillReducer struct {
 	cfg    *Config
 	layout keyLayout
 	self   bool
+	rd     rounds
+	sp     spill
+}
+
+// NewTaskInstance gives each reduce task its own loop state and spill
+// bookkeeping.
+func (r *spillReducer) NewTaskInstance() any {
+	return &spillReducer{cfg: r.cfg, layout: r.layout, self: r.self, rd: newRounds(r.cfg, r.self)}
 }
 
 // sBlock is the spill id of an R-S group's S partition: R blocks keep
@@ -171,12 +264,13 @@ type spillReducer struct {
 const sBlock = ^uint32(0)
 
 func (r *spillReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	sp, err := newSpill()
-	if err != nil {
+	sp := &r.sp
+	if err := sp.open(); err != nil {
 		return err
 	}
 	defer sp.close()
-	rd := newRounds(ctx, out, r.cfg, r.self)
+	rd := &r.rd
+	rd.begin(ctx, out)
 	defer rd.release()
 
 	first := int64(-1)
@@ -194,16 +288,12 @@ func (r *spillReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduc
 		default:
 			block = sBlock
 		}
-		p, err := records.DecodeProjection(v)
-		if err != nil {
-			return err
-		}
 		if block != sBlock {
 			if first < 0 {
 				first = int64(block)
 			}
 			if int64(block) == first {
-				if err := rd.load(p); err != nil {
+				if err := rd.load(v); err != nil {
 					return err
 				}
 				continue
@@ -213,7 +303,7 @@ func (r *spillReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduc
 		// now (a later R block need not — R never joins R), and
 		// everything waits on disk for the replay rounds.
 		if r.self || block == sBlock {
-			if err := rd.stream(p); err != nil {
+			if err := rd.stream(v, false); err != nil {
 				return err
 			}
 		}
@@ -222,17 +312,9 @@ func (r *spillReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduc
 		}
 	}
 
-	// A replayed stream projection is the one thing in memory besides the
-	// resident block: charge it while it is in flight. (A replayed load
-	// projection is charged by rd.load itself.)
-	stream := func(p records.Projection) error {
-		b := projectionBytes(p)
-		if err := ctx.Memory.Alloc(b); err != nil {
-			return err
-		}
-		defer ctx.Memory.Free(b)
-		return rd.stream(p)
-	}
+	// A replayed load projection is charged by rd.load itself; a replayed
+	// stream projection while it is in flight.
+	stream := func(v []byte) error { return rd.stream(v, true) }
 	blocks := sp.blocks()
 	for i, b := range blocks {
 		if b == sBlock {
@@ -271,12 +353,18 @@ type spillFile struct {
 	w *bufio.Writer
 }
 
-func newSpill() (*spill, error) {
+// open starts one reduce group's spill in a fresh temporary directory;
+// close removes it. The block table is the task's, emptied by close.
+func (s *spill) open() error {
 	dir, err := os.MkdirTemp("", "fuzzyjoin-spill-")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &spill{dir: dir, files: make(map[uint32]*spillFile)}, nil
+	if s.files == nil {
+		s.files = make(map[uint32]*spillFile)
+	}
+	s.dir, s.writes = dir, 0
+	return nil
 }
 
 func (s *spill) add(block uint32, encoded []byte) error {
@@ -298,12 +386,13 @@ func (s *spill) add(block uint32, encoded []byte) error {
 	return err
 }
 
-// replay streams one spilled block back through fn in spill order. It
-// holds one decoded projection at a time, so replaying a partition of any
-// size costs a single projection beyond what fn keeps: §5's promise that
-// only the resident block must fit. Charging is fn's business. A block
-// that was never spilled replays as empty.
-func (s *spill) replay(block uint32, fn func(records.Projection) error) error {
+// replay streams one spilled block's encoded projections back through fn
+// in spill order. It holds one projection at a time, so replaying a
+// partition of any size costs a single projection beyond what fn keeps:
+// §5's promise that only the resident block must fit. Decoding and
+// charging are fn's business; the bytes are valid until fn returns. A
+// block that was never spilled replays as empty.
+func (s *spill) replay(block uint32, fn func(encoded []byte) error) error {
 	sf, ok := s.files[block]
 	if !ok {
 		return nil
@@ -339,11 +428,7 @@ func (s *spill) replay(block uint32, fn func(records.Projection) error) error {
 		if _, err := io.ReadFull(br, buf[:sz]); err != nil {
 			return corrupt
 		}
-		p, err := records.DecodeProjection(buf[:sz])
-		if err != nil {
-			return err
-		}
-		if err := fn(p); err != nil {
+		if err := fn(buf[:sz]); err != nil {
 			return err
 		}
 	}
@@ -363,6 +448,7 @@ func (s *spill) close() {
 	for _, sf := range s.files {
 		sf.f.Close()
 	}
+	clear(s.files)
 	os.RemoveAll(s.dir)
 }
 
@@ -377,16 +463,27 @@ type pkReducer struct {
 	cfg    *Config
 	layout keyLayout
 	rs     bool
+	// ix is the task's index, reset for every reduce group. Its items'
+	// ranks stay heap slices of their own (no arena): eviction must
+	// physically free them as the stream advances.
+	ix    *ppjoin.Index
+	pairs ridPairOut
+}
+
+// NewTaskInstance gives each reduce task its own index.
+func (r *pkReducer) NewTaskInstance() any {
+	return &pkReducer{cfg: r.cfg, layout: r.layout, rs: r.rs, ix: ppjoin.NewIndex(kernelOptions(r.cfg))}
 }
 
 func (r *pkReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	ix := ppjoin.NewIndex(kernelOptions(r.cfg))
+	ix := r.ix
+	ix.Reset()
 	var held int64
 	defer func() { ctx.Memory.Free(held) }()
 	var emitErr error
 	emit := func(pair records.RIDPair) {
 		if emitErr == nil {
-			emitErr = emitRIDPair(out, pair)
+			emitErr = r.pairs.emit(out, pair)
 		}
 	}
 	for v, ok := values.Next(); ok; v, ok = values.Next() {

@@ -192,8 +192,8 @@ func TestReduceBlocksExactFit(t *testing.T) {
 // TestSpillReplay: replay yields the spilled projections in order and
 // rejects a truncated block file.
 func TestSpillReplay(t *testing.T) {
-	sp, err := newSpill()
-	if err != nil {
+	var sp spill
+	if err := sp.open(); err != nil {
 		t.Fatal(err)
 	}
 	defer sp.close()
@@ -205,7 +205,11 @@ func TestSpillReplay(t *testing.T) {
 		}
 	}
 	next := uint64(0)
-	err = sp.replay(3, func(p records.Projection) error {
+	err := sp.replay(3, func(v []byte) error {
+		p, err := records.DecodeProjection(v)
+		if err != nil {
+			return err
+		}
 		if p.RID != next || len(p.Ranks) != 3 || p.Ranks[2] != uint32(next+7) {
 			t.Fatalf("projection %d replayed as %+v", next, p)
 		}
@@ -215,7 +219,7 @@ func TestSpillReplay(t *testing.T) {
 	if err != nil || next != n {
 		t.Fatalf("replayed %d of %d projections, err = %v", next, n, err)
 	}
-	if err := sp.replay(4, func(records.Projection) error { return fmt.Errorf("called") }); err != nil {
+	if err := sp.replay(4, func([]byte) error { return fmt.Errorf("called") }); err != nil {
 		t.Fatalf("never-spilled block: %v", err)
 	}
 	name := sp.files[3].f.Name()
@@ -226,7 +230,7 @@ func TestSpillReplay(t *testing.T) {
 	if err := os.Truncate(name, info.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	err = sp.replay(3, func(records.Projection) error { return nil })
+	err = sp.replay(3, func([]byte) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "corrupt spill block 3") {
 		t.Fatalf("truncated block: err = %v", err)
 	}

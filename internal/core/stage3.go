@@ -28,14 +28,18 @@ const (
 	tagPair   = 1
 )
 
+// appendHalfPair appends the half-pair value to dst.
+func appendHalfPair(dst []byte, side byte, p records.RIDPair, line []byte) []byte {
+	dst = append(dst, side)
+	dst = keys.AppendUint64(dst, p.A)
+	dst = keys.AppendUint64(dst, p.B)
+	dst = keys.AppendUint64(dst, math.Float64bits(p.Sim))
+	return append(dst, line...)
+}
+
 // encodeHalfPair builds the half-pair value.
 func encodeHalfPair(side byte, p records.RIDPair, line []byte) []byte {
-	v := make([]byte, 0, 25+len(line))
-	v = append(v, side)
-	v = keys.AppendUint64(v, p.A)
-	v = keys.AppendUint64(v, p.B)
-	v = keys.AppendUint64(v, math.Float64bits(p.Sim))
-	return append(v, line...)
+	return appendHalfPair(make([]byte, 0, 25+len(line)), side, p, line)
 }
 
 func decodeHalfPair(v []byte) (side byte, p records.RIDPair, line []byte, err error) {
@@ -59,7 +63,11 @@ func mustUint64(b []byte) (uint64, []byte) {
 }
 
 func pairGroupKey(p records.RIDPair) []byte {
-	return keys.AppendUint64(keys.AppendUint64(nil, p.A), p.B)
+	return appendPairGroupKey(nil, p)
+}
+
+func appendPairGroupKey(dst []byte, p records.RIDPair) []byte {
+	return keys.AppendUint64(keys.AppendUint64(dst, p.A), p.B)
 }
 
 // brjPhase1Mapper routes records and RID pairs to per-RID reduce groups.
@@ -113,7 +121,24 @@ func (m *brjPhase1Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapre
 // pairs, and emits one half-pair per distinct pair.
 type brjPhase1Reducer struct {
 	rs bool
+	// Per-task scratch, reset for every RID group that has pairs: the
+	// dedup set, the record line, and the key and value of the half-pair
+	// being emitted (a reduce emitter copies what it is handed into the
+	// part writer's buffer before it returns — fileWriter.write — so one
+	// key and one value buffer serve every emission).
+	seen           map[records.RIDPair]bool
+	line, key, val []byte
 }
+
+// NewTaskInstance gives each reduce task its own scratch.
+func (r *brjPhase1Reducer) NewTaskInstance() any {
+	return &brjPhase1Reducer{rs: r.rs, seen: make(map[records.RIDPair]bool)}
+}
+
+// maxSeenPairs bounds the dedup set a task keeps between groups: a map
+// never shrinks and clearing it costs its peak size, so one that a
+// record with very many pairs grew is replaced instead.
+const maxSeenPairs = 1 << 10
 
 func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 	v, ok := values.Next()
@@ -130,7 +155,7 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 		// for the line copy and the dedup set below.
 		return nil
 	}
-	line := append([]byte(nil), v[1:]...)
+	r.line = append(reuseScratch(r.line), v[1:]...)
 	var rel byte
 	var rid uint64
 	if r.rs {
@@ -140,7 +165,11 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 		rid, _ = mustUint64(key)
 	}
 
-	seen := make(map[records.RIDPair]bool)
+	if len(r.seen) > maxSeenPairs {
+		r.seen = make(map[records.RIDPair]bool)
+	} else {
+		clear(r.seen)
+	}
 	var held int64
 	defer func() { ctx.Memory.Free(held) }()
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
@@ -149,7 +178,7 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 			if err != nil {
 				return err
 			}
-			if seen[p] {
+			if r.seen[p] {
 				ctx.Count("stage3.duplicate_pairs", 1)
 				continue
 			}
@@ -157,14 +186,16 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 				return err
 			}
 			held += 48
-			seen[p] = true
+			r.seen[p] = true
 			side := byte(0)
 			if r.rs {
 				side = rel
 			} else if rid != p.A {
 				side = 1
 			}
-			if err := out.Emit(pairGroupKey(p), encodeHalfPair(side, p, line)); err != nil {
+			r.key = appendPairGroupKey(r.key[:0], p)
+			r.val = appendHalfPair(reuseScratch(r.val), side, p, r.line)
+			if err := out.Emit(r.key, r.val); err != nil {
 				return err
 			}
 			continue
@@ -177,10 +208,17 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 // pairAssembleReducer is the final reducer shared by BRJ phase 2 and
 // OPRJ: it zips the two half-pairs of each RID pair into a joined record
 // pair, emitted as one text line.
-type pairAssembleReducer struct{}
+type pairAssembleReducer struct {
+	// Per-task scratch: the two record lines (a value is only valid until
+	// the next one is read) and the output line built from their bytes.
+	left, right, line []byte
+}
 
-func (pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	var left, right []byte
+// NewTaskInstance gives each reduce task its own scratch.
+func (*pairAssembleReducer) NewTaskInstance() any { return &pairAssembleReducer{} }
+
+func (r *pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+	var haveLeft, haveRight bool
 	var sim float64
 	n := 0
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
@@ -190,26 +228,22 @@ func (pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 		}
 		sim = p.Sim
 		n++
+		// A half whose record line is empty counts as absent.
 		if side == 0 {
-			left = append([]byte(nil), line...)
+			r.left, haveLeft = append(reuseScratch(r.left), line...), len(line) > 0
 		} else {
-			right = append([]byte(nil), line...)
+			r.right, haveRight = append(reuseScratch(r.right), line...), len(line) > 0
 		}
 	}
-	if left == nil || right == nil {
+	if !haveLeft || !haveRight {
 		return fmt.Errorf("core: RID pair %x missing a side (%d halves)", key, n)
 	}
-	l, err := records.ParseLine(string(left))
-	if err != nil {
+	var err error
+	if r.line, err = records.AppendJoinedPair(reuseScratch(r.line), sim, r.left, r.right); err != nil {
 		return err
 	}
-	rt, err := records.ParseLine(string(right))
-	if err != nil {
-		return err
-	}
-	jp := records.JoinedPair{Left: l, Right: rt, Sim: sim}
 	ctx.Count("stage3.pairs", 1)
-	return out.Emit(nil, []byte(jp.String()))
+	return out.Emit(nil, r.line)
 }
 
 // runBRJ runs the two-phase Basic Record Join.

@@ -46,8 +46,10 @@
 package fvt
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"fuzzyjoin/internal/bitsig"
@@ -115,19 +117,70 @@ type node struct {
 const nodeBytes = 112
 
 // Tree is a Filter-and-Verification Tree over one relation. Not safe
-// for concurrent use.
+// for concurrent use. One Tree serves many independent relations (a
+// reduce task's groups): Reset empties it and keeps its storage.
 type Tree struct {
 	opts  Options
 	th    simfn.Threshold // opts.Fn at opts.Threshold, rationalized once
 	nodes []node          // nodes[0] is the root
 	items []ppjoin.Item
-	stats Stats
-	bytes int64
+	// refCap is the summed capacity of the children and items slices of
+	// every node in the slab (used or waiting to be recycled), the
+	// measure Reset caps retention by.
+	refCap int
+	need   simfn.NeedTable
+	stats  Stats
+	bytes  int64
 }
 
 // New returns an empty tree.
 func New(opts Options) *Tree {
 	return &Tree{opts: opts, th: opts.Fn.At(opts.Threshold), nodes: make([]node, 1)}
+}
+
+// Retention caps: what Reset keeps for the next relation. Storage one
+// pathological relation grew past them is dropped instead, so a reused
+// Tree holds on to at most about 1 MB.
+const (
+	maxRetainedNodes = 1 << 12 // node slab
+	maxRetainedItems = 1 << 12 // item copies
+	maxRetainedRefs  = 1 << 16 // summed children/items capacity
+)
+
+// Reset empties the tree for a new relation under the same options
+// except Owner, which is replaced (the owner rule is per reduce group).
+// The node slab and each recycled node's children/items capacity are
+// kept up to the retention caps. A reset tree is indistinguishable from
+// a new one: same pairs in the same order, same Stats, same Bytes.
+func (t *Tree) Reset(owner func(w uint32) bool) {
+	t.opts.Owner = owner
+	clear(t.items) // let go of the relation's rank slices
+	t.items = t.items[:0]
+	if cap(t.items) > maxRetainedItems {
+		t.items = nil
+	}
+	if cap(t.nodes) > maxRetainedNodes || t.refCap > maxRetainedRefs {
+		t.nodes, t.refCap = make([]node, 1), 0
+	} else {
+		t.nodes = t.nodes[:0]
+		t.newNode(0)
+	}
+	t.stats = Stats{}
+	t.bytes = 0
+}
+
+// newNode appends an empty node for tok, recycling the children and
+// items storage of the node that occupied the slab slot before a Reset.
+func (t *Tree) newNode(tok uint32) int32 {
+	c := len(t.nodes)
+	if c == cap(t.nodes) {
+		t.nodes = append(t.nodes, node{token: tok})
+		return int32(c)
+	}
+	t.nodes = t.nodes[:c+1]
+	nd := &t.nodes[c]
+	*nd = node{token: tok, children: nd.children[:0], items: nd.items[:0]}
+	return int32(c)
 }
 
 // Len reports the number of indexed items.
@@ -160,7 +213,10 @@ func (t *Tree) Add(it ppjoin.Item) {
 		n = t.child(n, it.Ranks[d])
 		t.touch(n, l, sig)
 	}
-	t.nodes[n].items = append(t.nodes[n].items, idx)
+	nd := &t.nodes[n]
+	c := cap(nd.items)
+	nd.items = append(nd.items, idx)
+	t.refCap += cap(nd.items) - c
 	t.bytes += 4
 }
 
@@ -187,11 +243,12 @@ func (t *Tree) child(n int32, tok uint32) int32 {
 	if k < len(kids) && t.nodes[kids[k]].token == tok {
 		return kids[k]
 	}
-	c := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{token: tok})
+	c := t.newNode(tok)
 	t.bytes += nodeBytes
-	nd := &t.nodes[n] // re-take: the append above may have moved t.nodes
+	nd := &t.nodes[n] // re-take: newNode may have moved t.nodes
+	kc := cap(nd.children)
 	nd.children = append(nd.children, 0)
+	t.refCap += cap(nd.children) - kc
 	copy(nd.children[k+1:], nd.children[k:])
 	nd.children[k] = c
 	return c
@@ -300,7 +357,7 @@ func (pr *prober) visit(n int32, s, fI, fJ, jpos int) {
 				if pr.lo > lyMin {
 					lyMin = pr.lo
 				}
-				if pr.lx-h < t.th.OverlapThreshold(pr.lx, lyMin) {
+				if pr.lx-h < t.need.Need(t.th, pr.lx, pr.lo, lyMin) {
 					t.stats.CandidatesAvoided += int64(ch.size)
 					continue
 				}
@@ -331,7 +388,7 @@ func (pr *prober) checkItems(items []int32, fI, fJ int) {
 			t.stats.CandidatesAvoided++
 			continue
 		}
-		need := t.th.OverlapThreshold(pr.lx, ly)
+		need := t.need.Need(t.th, pr.lx, pr.lo, ly)
 		if t.opts.Filters.Positional && !filter.Positional(pr.lx, ly, fI, fJ, 1, need) {
 			t.stats.CandidatesAvoided++
 			continue
@@ -374,12 +431,11 @@ func andNotCount(x, or bitsig.Sig) int {
 // SortItems orders items by (length, RID) — the deterministic bulk
 // build and probe order the Stage 2 reducer uses.
 func SortItems(items []ppjoin.Item) {
-	sort.Slice(items, func(a, b int) bool {
-		la, lb := len(items[a].Ranks), len(items[b].Ranks)
-		if la != lb {
-			return la < lb
+	slices.SortFunc(items, func(a, b ppjoin.Item) int {
+		if c := cmp.Compare(len(a.Ranks), len(b.Ranks)); c != 0 {
+			return c
 		}
-		return items[a].RID < items[b].RID
+		return cmp.Compare(a.RID, b.RID)
 	})
 }
 

@@ -108,7 +108,7 @@ func TestEvictionCompactsPostingLists(t *testing.T) {
 			lists, entries, p, p)
 	}
 	for i := 0; i < len(ix.items)-1; i++ {
-		if !ix.evicted[i] {
+		if !ix.slots[i].evicted {
 			t.Fatalf("item %d not evicted", i)
 		}
 		if ix.items[i].Ranks != nil {

@@ -15,6 +15,7 @@ package ppjoin
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"fuzzyjoin/internal/bitsig"
@@ -75,44 +76,106 @@ type Stats struct {
 	Results int64
 }
 
+// entry is one posting: an indexed item and the position of the list's
+// token within that item's prefix.
 type entry struct {
-	item int // index into Index.items
-	pos  int // token position within the item's prefix
+	item int32 // index into Index.items
+	pos  int32 // token position within the item's prefix
+}
+
+// slot is the per-item state the probe loop reads for every posting entry
+// it walks, kept in one struct so a candidate costs one cache line rather
+// than one per parallel array. gen == Index.curGen marks the item as seen
+// by the current probe, with overlap its accumulated prefix overlap, need
+// the overlap threshold against the probe and pruned whether a filter
+// killed it.
+type slot struct {
+	gen     uint32
+	overlap int32
+	need    int32
+	length  int32
+	pruned  bool
+	evicted bool // removed by length-filter eviction
 }
 
 // Index is a streaming PPJoin+ index for items arriving in
-// non-decreasing length order.
+// non-decreasing length order. One Index serves many independent streams
+// (a reduce task's groups): Reset empties it and keeps its storage, so a
+// stream of small groups costs no allocation beyond the items' own rank
+// slices.
 type Index struct {
-	opts    Options
-	th      simfn.Threshold // opts.Fn at opts.Threshold, rationalized once
-	items   []Item
-	lens    []int
-	posting map[uint32][]entry
-	// evicted[i] marks items removed by length-filter eviction.
-	evicted []bool
-	// alive tracks items not yet evicted, in insertion (length) order;
-	// head is the first alive index.
+	opts  Options
+	th    simfn.Threshold // opts.Fn at opts.Threshold, rationalized once
+	items []Item
+	slots []slot // parallel to items
+	// Posting lists live in slab, reached through lists (token → slab
+	// id). The map is only written when a token gains its first entry or
+	// loses its last: probes and compaction rewrite a list through the
+	// slab. slab[:used] have been handed out since the last Reset; free
+	// holds the ids among them whose list was emptied by eviction, reused
+	// before the slab grows. slabCap is the summed capacity of every list
+	// in the slab, the measure Reset caps retention by.
+	lists   map[uint32]int32
+	slab    [][]entry
+	used    int
+	free    []int32
+	slabCap int
+	// head is the first item not yet evicted (items sit in length order).
 	head  int
 	bytes int64
 	stats Stats
 
-	// Probe scratch state, generation-stamped so probes allocate nothing:
-	// gen[i] == curGen marks item i as seen by the current probe, with
-	// overlap[i] its accumulated prefix overlap, need[i] the cached
-	// overlap threshold for (probe, item i) — computed once per
-	// candidate, not once per posting entry — and pruned[i] whether a
-	// filter killed it.
-	curGen  uint32
-	gen     []uint32
-	overlap []int32
-	need    []int32
-	pruned  []bool
-	cand    []int
+	// Per-probe scratch: the generation stamp of slot.gen, the surviving
+	// candidates, and the current probe length's overlap thresholds by
+	// partner length.
+	curGen uint32
+	cand   []int32
+	need   simfn.NeedTable
 }
 
 // NewIndex creates an empty streaming index.
 func NewIndex(opts Options) *Index {
-	return &Index{opts: opts, th: opts.Fn.At(opts.Threshold), posting: make(map[uint32][]entry)}
+	return &Index{opts: opts, th: opts.Fn.At(opts.Threshold), lists: make(map[uint32]int32)}
+}
+
+// Retention caps: what Reset keeps for the next stream. Storage one
+// pathological stream (a hot token shared by thousands of items) grew
+// past them is dropped instead, so a reused Index holds on to at most
+// about 1.5 MB however large its largest stream was.
+const (
+	maxRetainedItems   = 1 << 12 // items and slots
+	maxRetainedLists   = 1 << 12 // slab lists and token-map entries
+	maxRetainedEntries = 1 << 16 // summed posting-list capacity
+)
+
+// Reset empties the index for a new stream of items under the same
+// options, keeping its storage up to the retention caps. A reset index
+// is indistinguishable from a new one: same pairs in the same order,
+// same Stats, same Bytes trajectory.
+func (ix *Index) Reset() {
+	clear(ix.items) // let go of the streams' rank slices
+	ix.items = ix.items[:0]
+	ix.slots = ix.slots[:0]
+	if cap(ix.items) > maxRetainedItems {
+		ix.items, ix.slots = nil, nil
+	}
+	if ix.used > maxRetainedLists || ix.slabCap > maxRetainedEntries {
+		// Maps do not shrink and clearing one costs its peak size: a
+		// stream with many lists would tax every later Reset.
+		ix.lists = make(map[uint32]int32)
+		ix.slab, ix.free, ix.slabCap = nil, nil, 0
+	} else {
+		clear(ix.lists)
+		for i := range ix.slab[:ix.used] {
+			ix.slab[i] = ix.slab[i][:0]
+		}
+		ix.free = ix.free[:0]
+	}
+	ix.used = 0
+	ix.head = 0
+	ix.bytes = 0
+	ix.stats = Stats{}
+	ix.curGen = 0
 }
 
 // Stats returns the kernel work counters accumulated so far.
@@ -131,15 +194,38 @@ func itemBytes(it Item, prefix int) int64 {
 // must arrive in non-decreasing length order.
 func (ix *Index) Add(it Item) {
 	p := ix.th.PrefixLength(len(it.Ranks))
-	idx := len(ix.items)
+	idx := int32(len(ix.items))
 	ix.items = append(ix.items, it)
-	ix.lens = append(ix.lens, len(it.Ranks))
-	ix.evicted = append(ix.evicted, false)
+	ix.slots = append(ix.slots, slot{length: int32(len(it.Ranks))})
 	for i := 0; i < p; i++ {
-		w := it.Ranks[i]
-		ix.posting[w] = append(ix.posting[w], entry{item: idx, pos: i})
+		id := ix.listFor(it.Ranks[i])
+		post := ix.slab[id]
+		c := cap(post)
+		post = append(post, entry{item: idx, pos: int32(i)})
+		ix.slabCap += cap(post) - c
+		ix.slab[id] = post
 	}
 	ix.bytes += itemBytes(it, p)
+}
+
+// listFor returns the slab id of token w's posting list, handing out a
+// recycled or new empty list on the token's first entry.
+func (ix *Index) listFor(w uint32) int32 {
+	if id, ok := ix.lists[w]; ok {
+		return id
+	}
+	var id int32
+	if n := len(ix.free); n > 0 {
+		id, ix.free = ix.free[n-1], ix.free[:n-1]
+	} else {
+		if ix.used == len(ix.slab) {
+			ix.slab = append(ix.slab, nil)
+		}
+		id = int32(ix.used)
+		ix.used++
+	}
+	ix.lists[w] = id
+	return id
 }
 
 // evictBelow drops every indexed item shorter than minLen. Streaming
@@ -151,10 +237,10 @@ func (ix *Index) Add(it Item) {
 // the remaining stream never probes would hold their entries forever.
 func (ix *Index) evictBelow(minLen int) {
 	start := ix.head
-	for ix.head < len(ix.items) && ix.lens[ix.head] < minLen {
-		if !ix.evicted[ix.head] {
-			ix.evicted[ix.head] = true
-			p := ix.th.PrefixLength(ix.lens[ix.head])
+	for ix.head < len(ix.items) && int(ix.slots[ix.head].length) < minLen {
+		if s := &ix.slots[ix.head]; !s.evicted {
+			s.evicted = true
+			p := ix.th.PrefixLength(int(s.length))
 			ix.bytes -= itemBytes(ix.items[ix.head], p)
 		}
 		ix.head++
@@ -173,29 +259,36 @@ func (ix *Index) evictBelow(minLen int) {
 }
 
 // compactPosting trims the dead prefix (entries of evicted items) from
-// token w's posting list. Fully dead lists are deleted outright; partly
-// dead lists are rewritten only once the dead prefix reaches half the
-// list, which keeps the trim amortized O(1) per entry while bounding
-// retained garbage to the live entry count.
+// token w's posting list. A fully dead list leaves the token map and its
+// slab slot goes back on the free list; partly dead lists are rewritten
+// only once the dead prefix reaches half the list, which keeps the trim
+// amortized O(1) per entry while bounding retained garbage to the live
+// entry count.
 func (ix *Index) compactPosting(w uint32) {
-	post := ix.posting[w]
-	k := sort.Search(len(post), func(i int) bool { return post[i].item >= ix.head })
+	id, ok := ix.lists[w]
+	if !ok {
+		return
+	}
+	post := ix.slab[id]
+	k := sort.Search(len(post), func(i int) bool { return int(post[i].item) >= ix.head })
 	switch {
 	case k == 0:
 	case k == len(post):
-		delete(ix.posting, w)
+		delete(ix.lists, w)
+		ix.slab[id] = post[:0]
+		ix.free = append(ix.free, id)
 	case 2*k >= len(post):
-		ix.posting[w] = append(post[:0], post[k:]...)
+		ix.slab[id] = append(post[:0], post[k:]...)
 	}
 }
 
-// postingEntries reports the posting map's list and entry counts — the
+// postingEntries reports the posting index's list and entry counts — the
 // test hook for the eviction-compaction invariant (retained entries stay
 // proportional to live items, even for tokens no later probe touches).
 func (ix *Index) postingEntries() (lists, entries int) {
-	for _, post := range ix.posting {
+	for _, id := range ix.lists {
 		lists++
-		entries += len(post)
+		entries += len(ix.slab[id])
 	}
 	return lists, entries
 }
@@ -217,65 +310,57 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 	}
 	p := ix.th.PrefixLength(lx)
 
-	// Reset the generation-stamped scratch arrays (no per-probe
-	// allocation beyond amortized growth).
 	ix.curGen++
-	if n := len(ix.items); len(ix.gen) < n {
-		ix.gen = append(ix.gen, make([]uint32, n-len(ix.gen))...)
-		ix.overlap = append(ix.overlap, make([]int32, n-len(ix.overlap))...)
-		ix.need = append(ix.need, make([]int32, n-len(ix.need))...)
-		ix.pruned = append(ix.pruned, make([]bool, n-len(ix.pruned))...)
-	}
 	ix.cand = ix.cand[:0]
 
 	for i := 0; i < p; i++ {
-		w := x.Ranks[i]
-		post := ix.posting[w]
+		id, ok := ix.lists[x.Ranks[i]]
+		if !ok {
+			continue
+		}
+		post := ix.slab[id]
 		live := post[:0]
 		for _, e := range post {
-			if ix.evicted[e.item] {
+			s := &ix.slots[e.item]
+			if s.evicted {
 				continue // compact lazily
 			}
 			live = append(live, e)
-			seen := ix.gen[e.item] == ix.curGen
-			if seen && ix.pruned[e.item] {
+			seen := s.gen == ix.curGen
+			if seen && s.pruned {
 				continue
 			}
-			y := &ix.items[e.item]
-			ly := ix.lens[e.item]
+			ly := int(s.length)
 			var a, need int
 			if seen {
-				a = int(ix.overlap[e.item])
-				need = int(ix.need[e.item])
+				a = int(s.overlap)
+				need = int(s.need)
 			} else {
-				ix.gen[e.item] = ix.curGen
-				ix.overlap[e.item] = 0
-				ix.pruned[e.item] = false
+				s.gen = ix.curGen
+				s.overlap = 0
+				s.pruned = false
 				ix.stats.Candidates++
 				if ly < lo || ly > hi {
-					ix.pruned[e.item] = true
+					s.pruned = true
 					continue
 				}
-				// The overlap threshold depends only on (lx, ly, τ):
-				// compute it once per candidate, not once per posting
-				// entry of an already-seen candidate.
-				need = ix.th.OverlapThreshold(lx, ly)
-				ix.need[e.item] = int32(need)
+				need = ix.need.Need(ix.th, lx, lo, ly)
+				s.need = int32(need)
 			}
-			if ix.opts.Filters.Positional && !filter.Positional(lx, ly, i, e.pos, a+1, need) {
-				ix.pruned[e.item] = true
+			if ix.opts.Filters.Positional && !filter.Positional(lx, ly, i, int(e.pos), a+1, need) {
+				s.pruned = true
 				continue
 			}
-			if !seen && ix.opts.Filters.Suffix && !filter.Suffix(x.Ranks, y.Ranks, i, e.pos, need) {
-				ix.pruned[e.item] = true
+			if !seen && ix.opts.Filters.Suffix && !filter.Suffix(x.Ranks, ix.items[e.item].Ranks, i, int(e.pos), need) {
+				s.pruned = true
 				continue
 			}
 			if !seen {
 				ix.cand = append(ix.cand, e.item)
 			}
-			ix.overlap[e.item] = int32(a + 1)
+			s.overlap = int32(a + 1)
 		}
-		ix.posting[w] = live
+		ix.slab[id] = live
 	}
 
 	// Verify surviving candidates in index order for deterministic
@@ -287,15 +372,17 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 		sx = x.Sig()
 	}
 	cand := ix.cand
-	sort.Ints(cand)
+	slices.Sort(cand)
 	for _, c := range cand {
-		if ix.pruned[c] {
+		s := &ix.slots[c]
+		if s.pruned {
 			continue
 		}
 		y := &ix.items[c]
+		ly := int(s.length)
 		if ix.opts.Bitmap {
-			need := int(ix.need[c])
-			if !bitsig.Admits(lx, ix.lens[c], sx.HammingXor(y.Sig()), need) {
+			need := int(s.need)
+			if !bitsig.Admits(lx, ly, sx.HammingXor(y.Sig()), need) {
 				ix.stats.BitmapRejected++
 				continue
 			}
@@ -306,7 +393,7 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 			if o >= need {
 				ix.stats.Results++
 				emit(records.RIDPair{A: y.RID, B: x.RID,
-					Sim: ix.opts.Fn.SimFromOverlap(o, lx, ix.lens[c])})
+					Sim: ix.opts.Fn.SimFromOverlap(o, lx, ly)})
 			}
 			continue
 		}
@@ -321,16 +408,14 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 	// Release outsized candidate scratch: the slice's capacity tracks the
 	// largest candidate set any probe ever produced, so without this cap a
 	// single pathological probe (one hot token shared with every indexed
-	// item) pins that worst-case allocation for the index's lifetime — a
-	// real leak for the long-lived online-service index, which reuses one
-	// Index across its whole uptime.
+	// item) pins that worst-case allocation for the index's lifetime.
 	if cap(ix.cand) > maxCandScratch {
 		ix.cand = nil
 	}
 }
 
 // maxCandScratch bounds the probe candidate-scratch capacity retained
-// between probes (entries, i.e. 32 KiB of ints). Typical probes stay far
+// between probes (entries, i.e. 16 KiB of int32s). Typical probes stay far
 // below it; a larger candidate set simply reallocates for that probe.
 const maxCandScratch = 1 << 12
 

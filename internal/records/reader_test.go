@@ -104,3 +104,63 @@ func TestReaderAllocatesNothing(t *testing.T) {
 		t.Errorf("%v allocations per warmed AppendJoinAttr + RID, want 0", n)
 	}
 }
+
+// AppendJoinedPair must be ParseLine on both lines followed by
+// JoinedPair.String: the same bytes, the same lines rejected with the
+// same errors (the left line's first), dst kept.
+func checkJoinedAgainstString(t testing.TB, sim float64, left, right string) {
+	t.Helper()
+	l, wantErr := ParseLine(left)
+	r, rErr := ParseLine(right)
+	if wantErr == nil {
+		wantErr = rErr
+	}
+	got, err := AppendJoinedPair([]byte("kept"), sim, []byte(left), []byte(right))
+	if (wantErr == nil) != (err == nil) || (wantErr != nil && wantErr.Error() != err.Error()) {
+		t.Fatalf("AppendJoinedPair(%q, %q) error %v, ParseLine error %v", left, right, err, wantErr)
+	}
+	want := "kept"
+	if err == nil {
+		want += JoinedPair{Left: l, Right: r, Sim: sim}.String()
+	}
+	if string(got) != want {
+		t.Fatalf("AppendJoinedPair(%v, %q, %q) = %q, want %q", sim, left, right, got, want)
+	}
+}
+
+func TestAppendJoinedPairMatchesString(t *testing.T) {
+	sims := []float64{0, 1, 0.8, 0.8333333333, 0.9999996, 1e-7, 0.123456789}
+	for i, left := range readerSeeds {
+		for j, right := range readerSeeds {
+			checkJoinedAgainstString(t, sims[(i+j)%len(sims)], left, right)
+		}
+	}
+	alphabet := []string{"\t", "\t", "1", "23", "0", "007", "+5", "-", " ", "a", "Title", "x y", "\xff", "\x1f", "18446744073709551616"}
+	rng := rand.New(rand.NewSource(29))
+	line := func() string {
+		var sb strings.Builder
+		if rng.Intn(4) > 0 {
+			// Mostly well-formed, so the success path is the common case.
+			sb.WriteString(alphabet[2+rng.Intn(5)])
+			sb.WriteString("\t")
+		}
+		for n := rng.Intn(10); n > 0; n-- {
+			sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return sb.String()
+	}
+	for i := 0; i < 10000; i++ {
+		checkJoinedAgainstString(t, float64(rng.Intn(1e6+1))/1e6, line(), line())
+	}
+}
+
+func TestAppendJoinedPairAllocatesNothing(t *testing.T) {
+	left := []byte("123456\tEfficient Parallel Set-Similarity Joins Using MapReduce\tRares Vernica Michael J. Carey Chen Li\tSIGMOD 2010")
+	right := []byte("0654321\tEfficient Parallel Set Similarity Joins\tVernica Carey Li\tSIGMOD")
+	var out []byte
+	if n := testing.AllocsPerRun(100, func() {
+		out, _ = AppendJoinedPair(out[:0], 0.833333, left, right)
+	}); n != 0 {
+		t.Errorf("%v allocations per warmed AppendJoinedPair, want 0", n)
+	}
+}

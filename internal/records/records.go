@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -183,28 +184,66 @@ var ErrBadProjection = errors.New("records: malformed projection")
 
 // DecodeProjection decodes an encoding produced by AppendBinary.
 func DecodeProjection(b []byte) (Projection, error) {
+	rid, cnt, b, err := projectionHeader(b)
+	if err != nil {
+		return Projection{}, err
+	}
+	ranks := make([]uint32, cnt)
+	if err := decodeRanks(ranks, b); err != nil {
+		return Projection{}, err
+	}
+	return Projection{RID: rid, Ranks: ranks}, nil
+}
+
+// DecodeProjectionInto is DecodeProjection into caller storage: the ranks
+// are appended to dst, and the returned Projection's Ranks are that
+// appended region of the returned slice (capacity-clipped, so appending
+// to them cannot reach a neighbour). A caller decoding many projections
+// with one lifetime keeps them in one arena this way; when the append
+// outgrows dst, projections decoded earlier keep pointing into the old
+// backing array, which stays valid. On error dst is returned unchanged.
+func DecodeProjectionInto(dst []uint32, b []byte) (Projection, []uint32, error) {
+	rid, cnt, b, err := projectionHeader(b)
+	if err != nil {
+		return Projection{}, dst, err
+	}
+	n := len(dst)
+	grown := slices.Grow(dst, cnt)[:n+cnt]
+	if err := decodeRanks(grown[n:], b); err != nil {
+		return Projection{}, dst, err
+	}
+	return Projection{RID: rid, Ranks: grown[n : n+cnt : n+cnt]}, grown, nil
+}
+
+// projectionHeader reads the RID and the rank count, returning the bytes
+// that hold the ranks.
+func projectionHeader(b []byte) (rid uint64, cnt int, rest []byte, err error) {
 	rid, n := binary.Uvarint(b)
 	if n <= 0 {
-		return Projection{}, ErrBadProjection
+		return 0, 0, nil, ErrBadProjection
 	}
 	b = b[n:]
-	cnt, n := binary.Uvarint(b)
+	c, n := binary.Uvarint(b)
 	if n <= 0 {
-		return Projection{}, ErrBadProjection
+		return 0, 0, nil, ErrBadProjection
 	}
 	b = b[n:]
 	// Every rank needs at least one encoded byte; a count beyond the
-	// remaining buffer is corrupt (and would otherwise make the
-	// allocation below attacker-sized).
-	if cnt > uint64(len(b)) {
-		return Projection{}, ErrBadProjection
+	// remaining buffer is corrupt (and would otherwise make the caller's
+	// allocation attacker-sized).
+	if c > uint64(len(b)) {
+		return 0, 0, nil, ErrBadProjection
 	}
-	ranks := make([]uint32, cnt)
+	return rid, int(c), b, nil
+}
+
+// decodeRanks fills ranks from the delta encoding in b.
+func decodeRanks(ranks []uint32, b []byte) error {
 	prev := uint64(0)
 	for i := range ranks {
 		d, n := binary.Uvarint(b)
 		if n <= 0 {
-			return Projection{}, ErrBadProjection
+			return ErrBadProjection
 		}
 		b = b[n:]
 		if i == 0 {
@@ -214,7 +253,7 @@ func DecodeProjection(b []byte) (Projection, error) {
 		}
 		ranks[i] = uint32(prev)
 	}
-	return Projection{RID: rid, Ranks: ranks}, nil
+	return nil
 }
 
 // RIDPair is a Stage 2 result: two similar records' RIDs and their
@@ -275,6 +314,27 @@ type JoinedPair struct {
 // unambiguous.
 func (j JoinedPair) String() string {
 	return strconv.FormatFloat(j.Sim, 'f', 6, 64) + "\x1f" + j.Left.Line() + "\x1f" + j.Right.Line()
+}
+
+// AppendJoinedPair appends the String form of the joined pair of two
+// record lines to dst — JoinedPair{ParseLine(left), ParseLine(right),
+// sim}.String() — without building the Records: a record line prints as
+// its canonical RID followed by everything from its first tab on. It
+// rejects the lines ParseLine rejects, with the same errors, left first;
+// on error dst is returned unchanged.
+func AppendJoinedPair(dst []byte, sim float64, left, right []byte) ([]byte, error) {
+	out := strconv.AppendFloat(dst, sim, 'f', 6, 64)
+	for _, line := range [2][]byte{left, right} {
+		rid, rest, err := splitRID(line)
+		if err != nil {
+			return dst, err
+		}
+		out = append(out, 0x1f)
+		out = strconv.AppendUint(out, rid, 10)
+		out = append(out, '\t')
+		out = append(out, rest...)
+	}
+	return out, nil
 }
 
 // ParseJoinedPair parses the String form.

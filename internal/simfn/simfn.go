@@ -312,6 +312,44 @@ func (th Threshold) PrefixLength(l int) int {
 	return p
 }
 
+// needTableLen is the span of partner lengths, counted from the length
+// window's lower bound, that a NeedTable holds. At τ = 0.8 a Jaccard
+// window spans 0.45·lx lengths, so probes of up to ~280 tokens never
+// leave the table.
+const needTableLen = 128
+
+// NeedTable memoizes Threshold.OverlapThreshold for one probe length. The
+// overlap threshold depends only on (lx, ly, τ) and the partners a probe
+// meets span a handful of lengths, so an index computes it once per
+// partner length and probe length — consecutive probes of a length-ordered
+// stream share lx — instead of once per candidate (a 128-bit
+// multiply-divide each). The zero value is ready to use; one table serves
+// one Threshold.
+type NeedTable struct {
+	lx, lo int
+	tab    [needTableLen]int32 // OverlapThreshold(lx, lo+i) + 1; 0 = not computed
+}
+
+// Need returns th.OverlapThreshold(lx, ly). lo is the lower bound of lx's
+// length window (0 when the length filter is off): the table covers
+// partner lengths lo … lo+127 and anything outside is computed directly.
+func (t *NeedTable) Need(th Threshold, lx, lo, ly int) int {
+	i := ly - lo
+	if i < 0 || i >= needTableLen {
+		return th.OverlapThreshold(lx, ly)
+	}
+	if t.lx != lx || t.lo != lo {
+		t.lx, t.lo = lx, lo
+		t.tab = [needTableLen]int32{}
+	}
+	if n := t.tab[i]; n != 0 {
+		return int(n - 1)
+	}
+	n := th.OverlapThreshold(lx, ly)
+	t.tab[i] = int32(n + 1)
+	return n
+}
+
 // OverlapThreshold is Threshold.OverlapThreshold for a float τ.
 func (f Func) OverlapThreshold(lx, ly int, t float64) int { return f.At(t).OverlapThreshold(lx, ly) }
 
