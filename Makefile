@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-engine bench-planner allocprofile conformance conformance-dist cover fuzz-smoke experiments
+.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-engine bench-planner allocprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
 
 all: tier1
 
@@ -35,6 +35,7 @@ race:
 		./internal/fvt/... ./internal/ppjoin/... ./internal/plan/... ./internal/core/... \
 		./internal/tokenize/... ./internal/records/...
 	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
+	$(GO) test -race -count=10 -run 'TestConcurrentHistory|TestConcurrentMatchAddReorder' ./internal/ssjserve
 
 tier1: build test vet staticcheck race
 
@@ -166,6 +167,23 @@ allocprofile:
 		-memprofilerate=4096 -memprofile=alloc.prof -outputdir=$(CURDIR)/.bench_build \
 		-o .bench_build/core.test ./internal/core -args -alloc-records=$(W) -alloc-recipe=$(R)
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/core.test .bench_build/alloc.prof
+
+# serveprofile prints where a serve round spends its time and its
+# allocations: BenchmarkServeRound (internal/ssjserve; the serve_mixed
+# recipe over W DBLP-shaped records — a fresh service, then W/10
+# operations from two clients, 90 % Match and 10 % Add with one drift
+# re-order; three rounds) under a CPU profile and a 4 KiB memory-profile
+# rate, then pprof's CPU and alloc_space tables. Both include the builds
+# and the corpus generator (datagen.*).
+serveprofile: W = 100000
+serveprofile:
+	@mkdir -p .bench_build
+	$(GO) test -run='^$$' -bench=BenchmarkServeRound -benchtime=3x \
+		-cpuprofile=serve_cpu.prof -memprofilerate=4096 -memprofile=serve_alloc.prof \
+		-outputdir=$(CURDIR)/.bench_build -o .bench_build/ssjserve.test \
+		./internal/ssjserve -args -serve-records=$(W)
+	$(GO) tool pprof -top -nodecount=25 .bench_build/ssjserve.test .bench_build/serve_cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/ssjserve.test .bench_build/serve_alloc.prof
 
 # bench-planner runs the cost-planner ablation: three Zipf-skewed
 # workloads, each joined for real under every hand-grid cell (stage

@@ -412,7 +412,7 @@ func Plan(ctx context.Context, spec JoinSpec) (*JoinPlan, error) {
 }
 
 // IndexStats is the online index's metrics snapshot: corpus shape,
-// query/ingest counters, cache hit rates, and QPS/p50/p99.
+// query/ingest counters, the filter funnel, and QPS/p50/p99.
 type IndexStats = ssjserve.Stats
 
 // indexConfig collects the functional options of NewIndex.
@@ -465,16 +465,10 @@ func WithDriftThreshold(f float64) IndexOption {
 	return func(c *indexConfig) { c.opts.DriftThreshold = f }
 }
 
-// WithCacheSize sets the verification-cache capacity in cached pair
-// verdicts (default 4096; negative disables caching).
-func WithCacheSize(n int) IndexOption {
-	return func(c *indexConfig) { c.opts.CacheSize = n }
-}
-
 // Index is a persistent, concurrent similarity index — the online
 // counterpart to Join. Queries and ingestion are safe to run
 // concurrently from any number of goroutines; see internal/ssjserve for
-// the sharding, drift re-ordering, and caching design.
+// the sharding, filter funnel and drift re-ordering design.
 type Index struct {
 	svc *ssjserve.Service
 }

@@ -1,8 +1,10 @@
 package conformance
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fuzzyjoin/internal/records"
@@ -13,9 +15,9 @@ import (
 // answer of internal/ssjserve must equal the brute-force oracle's
 // answer set for that probe — before ingestion, mid-ingestion (probes
 // carrying tokens the index has never seen), after incremental
-// ingestion that crossed a drift re-order, and again from a hot
-// verification cache. `ssjcheck -serve` runs ServeCheck over seeded
-// workloads in CI.
+// ingestion that crossed a drift re-order, and again on a repeat pass —
+// and the service's filter funnel must be monotone. `ssjcheck -serve`
+// runs ServeCheck over seeded workloads in CI.
 
 // ServeOracle computes the exact answer set for one online query: every
 // corpus record (other than the probe's own RID) whose similarity to
@@ -92,9 +94,10 @@ func diffServe(got, want []records.JoinedPair) string {
 // workload record (the unseen ⅓ exercises unknown-token dropping),
 // ingest the remaining ⅓ incrementally — the drift threshold is set so
 // this must cross at least one lazy re-order — then probe everything
-// again against the full-corpus oracle, twice, so the second pass
-// answers from a hot verification cache. Any divergence fails with a
-// reproducer message naming the seed and probe.
+// again against the full-corpus oracle, twice (the repeat pass runs on
+// probe scratch every worker has already used), and last checks that
+// each count of the filter funnel is at most the one before it. Any
+// divergence fails with a reproducer message naming the seed and probe.
 func ServeCheck(w Workload, p Params, shards int) error {
 	p = p.fill()
 	w = w.fill()
@@ -149,14 +152,13 @@ func ServeCheck(w Workload, p Params, shards int) error {
 	if err := check(recs, "post-ingest"); err != nil {
 		return err
 	}
-	// Second pass answers from the verification LRU; the cache is only
-	// admissible if these equal the oracle too.
-	if err := check(recs, "cache-hot"); err != nil {
+	if err := check(recs, "repeat"); err != nil {
 		return err
 	}
-	st := svc.Stats()
-	if st.CacheHits == 0 {
-		return fmt.Errorf("serve: seed %d: cache-hot pass produced no cache hits", w.Seed)
+	f := svc.Stats().Funnel
+	stages := []int64{f.Scanned, f.Length, f.Positional, f.Suffix, f.Verified, f.Results}
+	if f.Results == 0 || !slices.IsSortedFunc(stages, func(a, b int64) int { return cmp.Compare(b, a) }) {
+		return fmt.Errorf("serve: seed %d: filter funnel %+v is not monotone down to a non-zero result count", w.Seed, f)
 	}
 	return nil
 }

@@ -85,16 +85,24 @@ func NewHandler(s *Service) http.Handler {
 	return mux
 }
 
+// maxBodyBytes bounds a /match or /add body, memory a client controls (a
+// record is a few hundred bytes); a longer one is answered 413.
+const maxBodyBytes = 1 << 20
+
 func decodeRecord(w http.ResponseWriter, r *http.Request, rec *RecordJSON) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(rec); err != nil {
-		http.Error(w, "bad record: "+err.Error(), http.StatusBadRequest)
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(rec)
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad record: "+err.Error(), code)
 	}
-	return true
+	return err == nil
 }
 
 func httpError(w http.ResponseWriter, err error) {

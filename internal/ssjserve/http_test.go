@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -119,5 +120,36 @@ func TestHTTPMatchEqualsDirect(t *testing.T) {
 		if len(reply.Pairs) != len(want) {
 			t.Fatalf("probe %d: HTTP gave %d pairs, direct %d", probe.RID, len(reply.Pairs), len(want))
 		}
+	}
+}
+
+// TestHTTPBodyLimit: /match and /add read at most maxBodyBytes of a
+// request body and answer 413 to a longer one, without indexing it; a
+// record that fits is served as before.
+func TestHTTPBodyLimit(t *testing.T) {
+	s := testService(t, 50, Options{Threshold: 0.7, Workers: 2})
+	srv := httptest.NewServer(NewHandler(s))
+	defer srv.Close()
+
+	post := func(path string, titleBytes int) int {
+		t.Helper()
+		b, _ := json.Marshal(RecordJSON{RID: 70001, Fields: []string{strings.Repeat("x ", titleBytes/2), "a"}})
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, path := range []string{"/match", "/add"} {
+		if code := post(path, maxBodyBytes); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a body over the limit: status %d, want 413", path, code)
+		}
+		if code := post(path, maxBodyBytes/2); code != http.StatusOK {
+			t.Fatalf("%s with a body under the limit: status %d", path, code)
+		}
+	}
+	if st := s.Stats(); st.Records != 51 || st.Adds != 1 || st.Queries != 1 {
+		t.Fatalf("after one accepted and one refused call per endpoint: %+v", st)
 	}
 }

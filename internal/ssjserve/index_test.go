@@ -48,6 +48,11 @@ func genRecords(rng *rand.Rand, n, vocab int) []records.Record {
 // invariant under any rank bijection). Probe tokens outside the corpus
 // vocabulary are dropped, mirroring the index's §4 semantics.
 func oracle(opts Options, corpus []records.Record, probe records.Record) []records.JoinedPair {
+	return bruteForce(opts, corpus)(probe)
+}
+
+// bruteForce ranks corpus once and returns the oracle over it.
+func bruteForce(opts Options, corpus []records.Record) func(probe records.Record) []records.JoinedPair {
 	vocabSet := map[string]bool{}
 	toks := make([][]string, len(corpus))
 	for i, r := range corpus {
@@ -68,24 +73,26 @@ func oracle(opts Options, corpus []records.Record, probe records.Record) []recor
 		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
 		return rs
 	}
-	px := ranksOf(opts.Tokenizer.Tokenize(probe.JoinAttr(opts.JoinFields...)))
-	if len(px) == 0 {
-		return nil
+	ranks := make([][]uint32, len(corpus))
+	for i := range corpus {
+		ranks[i] = ranksOf(toks[i])
 	}
-	var out []records.JoinedPair
-	for i, r := range corpus {
-		if r.RID == probe.RID {
-			continue
+	return func(probe records.Record) []records.JoinedPair {
+		px := ranksOf(opts.Tokenizer.Tokenize(probe.JoinAttr(opts.JoinFields...)))
+		if len(px) == 0 {
+			return nil
 		}
-		ry := ranksOf(toks[i])
-		if len(ry) == 0 {
-			continue
+		var out []records.JoinedPair
+		for i, r := range corpus {
+			if r.RID == probe.RID || len(ranks[i]) == 0 {
+				continue
+			}
+			if sim, ok := opts.Fn.Verify(px, ranks[i], opts.Threshold); ok {
+				out = append(out, records.JoinedPair{Left: r, Right: probe, Sim: sim})
+			}
 		}
-		if sim, ok := opts.Fn.Verify(px, ry, opts.Threshold); ok {
-			out = append(out, records.JoinedPair{Left: r, Right: probe, Sim: sim})
-		}
+		return out
 	}
-	return out
 }
 
 func sortPairs(ps []records.JoinedPair) {
@@ -190,21 +197,103 @@ func TestUnknownProbeTokensDropped(t *testing.T) {
 	}
 }
 
-// TestCacheConsistency: repeated probes hit the verification LRU and
-// answers stay identical.
-func TestCacheConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	corpus := genRecords(rng, 150, 50)
-	ix, err := NewIndex(Options{Threshold: 0.7}, corpus)
+// TestScratchJoinAttrMatchesRecord: the bytes a scratch tokenizes are
+// Record.JoinAttr's, whichever fields are selected or missing.
+func TestScratchJoinAttrMatchesRecord(t *testing.T) {
+	var s probeScratch
+	for _, r := range []records.Record{
+		{RID: 1, Fields: []string{"title", "authors", "rest"}},
+		{RID: 2, Fields: []string{"only"}},
+		{RID: 3, Fields: []string{"", "b"}},
+		{RID: 4},
+	} {
+		for _, fields := range [][]int{{0}, {1}, {9}, {0, 1}, {1, 0}, {2, 5, 0}, {5, 1}} {
+			s.tokens(&Options{JoinFields: fields, Tokenizer: tokenize.Word{}}, r)
+			if want := r.JoinAttr(fields...); string(s.attr) != want {
+				t.Fatalf("record %d fields %v: scratch holds %q, JoinAttr is %q", r.RID, fields, s.attr, want)
+			}
+		}
+	}
+}
+
+// TestHotTokenProbe: a probe whose prefix holds a token that is in every
+// record meets the whole corpus as candidates — more than a probe's
+// scratch keeps — and is still answered exactly, as are the probes that
+// follow it on scratch that was dropped and regrown. At τ 0.5 a
+// two-token record's prefix is both its tokens, so the shared token's
+// posting lists hold every record.
+func TestHotTokenProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	corpus := make([]records.Record, 3*maxCandScratch/2)
+	for i := range corpus {
+		title := "common"
+		if i%8 != 0 {
+			title += fmt.Sprintf(" w%03d", rng.Intn(300))
+		}
+		corpus[i] = records.Record{RID: uint64(i + 1), Fields: []string{title, ""}}
+	}
+	ix, err := NewIndex(Options{Threshold: 0.5, Shards: 2}, corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := corpus[10]
-	first := ix.Match(probe)
-	second := ix.Match(probe)
-	assertSameAnswers(t, second, first, "cached re-probe")
-	if hits, _ := ix.cache.counts(); hits == 0 {
-		t.Fatal("second identical probe produced no cache hits")
+	probes := []struct {
+		rec records.Record
+		hot bool // the shared token is in the probe's prefix
+	}{
+		{corpus[1], true}, {corpus[0], true}, {corpus[2], true},
+		{records.Record{RID: 1 << 40, Fields: []string{"common w007 w008", ""}}, false},
+	}
+	for round := 0; round < 2; round++ {
+		for _, p := range probes {
+			before := ix.Funnel().Length
+			got := ix.Match(p.rec)
+			if met := ix.Funnel().Length - before; p.hot && met <= maxCandScratch {
+				t.Fatalf("probe %q met %d candidates, the test needs more than %d", p.rec.Fields[0], met, maxCandScratch)
+			}
+			assertSameAnswers(t, got, oracle(ix.opts, corpus, p.rec), fmt.Sprintf("round %d probe %q", round, p.rec.Fields[0]))
+		}
+	}
+	if f := ix.Funnel(); !monotone(f) || f.Results == 0 {
+		t.Fatalf("filter funnel %+v is not monotone down to a non-zero result count", f)
+	}
+}
+
+// monotone reports whether each stage of the funnel let through at most
+// what the stage before it did.
+func monotone(f Funnel) bool {
+	return f.Scanned >= f.Length && f.Length >= f.Positional && f.Positional >= f.Suffix &&
+		f.Suffix >= f.Verified && f.Verified >= f.Results
+}
+
+// TestMatchAllocations pins the probe path's storage to its scratch: a
+// Match with no result allocates nothing once a scratch has served a
+// probe. (The parent allocated three times per candidate, 600 times a
+// probe on the benchmark corpus.) Under the race detector sync.Pool
+// drops a quarter of what is put back and a new scratch grows in some
+// twenty allocations, so there the bound is ten.
+func TestMatchAllocations(t *testing.T) {
+	corpus := genRecords(rand.New(rand.NewSource(19)), 400, 60)
+	ix, err := NewIndex(Options{Threshold: 0.8}, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probe *records.Record
+	for i := range corpus {
+		before := ix.Funnel().Length
+		if len(ix.Match(corpus[i])) == 0 && ix.Funnel().Length > before {
+			probe = &corpus[i]
+			break
+		}
+	}
+	if probe == nil {
+		t.Fatal("no corpus record has candidates and no neighbour")
+	}
+	bound := 0.0
+	if raceEnabled {
+		bound = 10
+	}
+	if n := testing.AllocsPerRun(200, func() { ix.Match(*probe) }); n > bound {
+		t.Fatalf("a result-less Match allocates %v times", n)
 	}
 }
 

@@ -28,12 +28,19 @@ type Stats struct {
 	Canceled int64 `json:"canceled"`
 	Adds     int64 `json:"adds"`
 
-	// Verification cache.
+	// Funnel is the Match filter funnel, in order: posting entries scanned,
+	// pairs left after each filter, pairs verified, result pairs.
+	Funnel Funnel `json:"funnel"`
+
+	// CacheHits and CacheMisses are always zero: the verdict cache they
+	// counted is gone. bench/serve.go still reads them, and the change
+	// that removed the cache claimed a gain, so it could not edit bench/;
+	// a later benchmark PR drops ssjserve.cache_hit_share and these.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 
-	// Latency/throughput, measured inside the worker (queue wait
-	// excluded from latency, included in QPS).
+	// QPS counts answered queries over uptime. P50Ms and P99Ms are timed
+	// from admission (the call entering the queue): what a client sees.
 	QPS      float64 `json:"qps"`
 	P50Ms    float64 `json:"p50_ms"`
 	P99Ms    float64 `json:"p99_ms"`
@@ -91,23 +98,21 @@ func (m *metrics) percentiles() (p50, p99 time.Duration) {
 func (m *metrics) snapshot(ix *Index) Stats {
 	p50, p99 := m.percentiles()
 	up := time.Since(m.start)
-	hits, misses := ix.cache.counts()
 	s := Stats{
-		Schema:      trace.SchemaVersion,
-		Records:     ix.Len(),
-		Tokens:      ix.Tokens(),
-		Shards:      ix.opts.Shards,
-		Gen:         ix.Generation(),
-		Reorders:    ix.Reorders(),
-		Queries:     m.queries.Load(),
-		Pairs:       m.pairs.Load(),
-		Canceled:    m.canceled.Load(),
-		Adds:        m.adds.Load(),
-		CacheHits:   hits,
-		CacheMisses: misses,
-		P50Ms:       float64(p50) / float64(time.Millisecond),
-		P99Ms:       float64(p99) / float64(time.Millisecond),
-		UptimeMs:    float64(up) / float64(time.Millisecond),
+		Schema:   trace.SchemaVersion,
+		Records:  ix.Len(),
+		Tokens:   ix.Tokens(),
+		Shards:   ix.opts.Shards,
+		Gen:      ix.Generation(),
+		Reorders: ix.Reorders(),
+		Queries:  m.queries.Load(),
+		Pairs:    m.pairs.Load(),
+		Canceled: m.canceled.Load(),
+		Adds:     m.adds.Load(),
+		Funnel:   ix.Funnel(),
+		P50Ms:    float64(p50) / float64(time.Millisecond),
+		P99Ms:    float64(p99) / float64(time.Millisecond),
+		UptimeMs: float64(up) / float64(time.Millisecond),
 	}
 	if up > 0 {
 		s.QPS = float64(s.Queries) / up.Seconds()

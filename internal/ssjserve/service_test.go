@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"fuzzyjoin/internal/mapreduce"
 )
@@ -25,7 +26,7 @@ func TestServiceMatchAndStats(t *testing.T) {
 	ctx := context.Background()
 	var pairs int
 	for i := 0; i < 50; i++ {
-		probe := s.ix.state.Load().recs.get(int32(i)).rec
+		probe := s.ix.state.Load().records()[i].rec
 		got, err := s.Match(ctx, probe)
 		if err != nil {
 			t.Fatal(err)
@@ -49,6 +50,27 @@ func TestServiceMatchAndStats(t *testing.T) {
 	if st.QPS <= 0 || st.UptimeMs <= 0 {
 		t.Fatalf("throughput fields unset: %+v", st)
 	}
+	// The funnel counts pooled and direct calls alike, each stage at most
+	// the one before it.
+	if f := st.Funnel; f.Results != int64(2*pairs) || !monotone(f) {
+		t.Fatalf("filter funnel %+v, want monotone down to %d results", f, 2*pairs)
+	}
+}
+
+// TestLatencyCountsQueueWait: a query's latency runs from its admission,
+// not from when a worker picked it up.
+func TestLatencyCountsQueueWait(t *testing.T) {
+	s := testService(t, 50, Options{Threshold: 0.7, Workers: 1})
+	probe := s.ix.state.Load().records()[0].rec
+	waited := newTask(context.Background(), probe)
+	waited.admitted = waited.admitted.Add(-80 * time.Millisecond) // as if queued that long
+	s.queue <- waited
+	if r := <-waited.done; r.err != nil {
+		t.Fatal(r.err)
+	}
+	if st := s.Stats(); st.P50Ms < 80 || st.P99Ms < 80 {
+		t.Fatalf("p50 %v ms, p99 %v ms after one query admitted 80 ms before it ran", st.P50Ms, st.P99Ms)
+	}
 }
 
 func TestServiceMatchBatch(t *testing.T) {
@@ -70,7 +92,7 @@ func TestServiceCancel(t *testing.T) {
 	s := testService(t, 100, Options{Threshold: 0.7, Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	probe := s.ix.state.Load().recs.get(0).rec
+	probe := s.ix.state.Load().records()[0].rec
 	_, err := s.Match(ctx, probe)
 	if !errors.Is(err, mapreduce.ErrCanceled) {
 		t.Fatalf("canceled query returned %v, want ErrCanceled", err)
@@ -86,7 +108,7 @@ func TestServiceCancel(t *testing.T) {
 
 func TestServiceClose(t *testing.T) {
 	s := testService(t, 50, Options{Threshold: 0.7, Workers: 2})
-	probe := s.ix.state.Load().recs.get(0).rec
+	probe := s.ix.state.Load().records()[0].rec
 	if _, err := s.Match(context.Background(), probe); err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,14 @@ func canceledErr(ctx context.Context) error {
 // task is one admitted query: the reply channel is buffered so a worker
 // never blocks on a caller that gave up (canceled mid-flight).
 type task struct {
-	ctx   context.Context
-	probe records.Record
-	done  chan matchResult
+	ctx      context.Context
+	probe    records.Record
+	admitted time.Time // when the caller asked; latency is timed from here
+	done     chan matchResult
+}
+
+func newTask(ctx context.Context, probe records.Record) task {
+	return task{ctx: ctx, probe: probe, admitted: time.Now(), done: make(chan matchResult, 1)}
 }
 
 type matchResult struct {
@@ -38,7 +43,7 @@ type matchResult struct {
 // bounded queue and a fixed worker pool drains it, so a load spike
 // degrades into queueing (with backpressure once the queue fills)
 // instead of unbounded goroutine and memory growth. It also owns the
-// service metrics (QPS, p50/p99, cache hit rates — see Stats).
+// service metrics (QPS, p50/p99, the filter funnel — see Stats).
 type Service struct {
 	ix    *Index
 	met   *metrics
@@ -80,9 +85,8 @@ func (s *Service) worker() {
 				t.done <- matchResult{err: canceledErr(t.ctx)}
 				continue
 			}
-			start := time.Now()
 			pairs := s.ix.Match(t.probe)
-			s.met.observe(time.Since(start))
+			s.met.observe(time.Since(t.admitted))
 			s.met.queries.Add(1)
 			s.met.pairs.Add(int64(len(pairs)))
 			t.done <- matchResult{pairs: pairs}
@@ -95,7 +99,7 @@ func (s *Service) worker() {
 // admission when the queue is full; canceling ctx abandons the query at
 // any point with an error wrapping mapreduce.ErrCanceled.
 func (s *Service) Match(ctx context.Context, probe records.Record) ([]records.JoinedPair, error) {
-	t := task{ctx: ctx, probe: probe, done: make(chan matchResult, 1)}
+	t := newTask(ctx, probe)
 	select {
 	case s.queue <- t:
 	case <-ctx.Done():
@@ -121,7 +125,7 @@ func (s *Service) Match(ctx context.Context, probe records.Record) ([]records.Jo
 func (s *Service) MatchBatch(ctx context.Context, probes []records.Record) ([][]records.JoinedPair, error) {
 	tasks := make([]task, len(probes))
 	for i, p := range probes {
-		tasks[i] = task{ctx: ctx, probe: p, done: make(chan matchResult, 1)}
+		tasks[i] = newTask(ctx, p)
 		select {
 		case s.queue <- tasks[i]:
 		case <-ctx.Done():
