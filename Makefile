@@ -56,11 +56,15 @@ smoke:
 # runs the metamorphic invariant suite, on a handful of seeded
 # workloads. Any divergence prints a minimized `ssjcheck` reproducer and
 # fails. The bare target covers the in-process modes; dist cells (forked
-# worker processes over RPC) run in conformance-dist.
+# worker processes over RPC) run in conformance-dist. The last line is
+# the workload where one pair shares many prefix tokens (692 self / 1,152
+# R-S oracle pairs against 7-60 on the others): Stage 3 does not dedup
+# and the diff reports a repeated pair, so it gates exact-once emission.
 conformance:
 	$(GO) run ./cmd/ssjcheck -seed 1 -records 40 -serve
 	$(GO) run ./cmd/ssjcheck -seed 2 -records 50 -tau 0.7 -serve
 	$(GO) run ./cmd/ssjcheck -seed 3 -records 60 -vocab 64 -skew 2.0 -tau 0.6 -serve
+	$(GO) run ./cmd/ssjcheck -seed 9 -records 200 -vocab 48 -skew 2.0 -tau 0.5 -neardup 0.4 -exec plain -invariants=false
 
 # serve-smoke is the online-service CI gate: the server comes up on an
 # ephemeral port, 100 queries run through real HTTP — interleaved with

@@ -19,8 +19,9 @@
 //	fuzzyjoin -in pubs.tsv -plan auto -out pairs.txt
 //
 // Hot-token skew splitting (-split k -split-hot h) spreads each of the
-// h most frequent tokens' reduce groups across k salted sub-keys with a
-// merge-side dedup pass — identical output, bounded reducer skew.
+// h most frequent tokens' reduce groups across k salted sub-keys; each
+// pair is still emitted once, by the one sub-key that owns it — identical
+// output, bounded reducer skew, no extra job.
 //
 // Distributed mode (-transport rpc, -workers n) forks n worker
 // processes and dispatches every task attempt to them over RPC; output

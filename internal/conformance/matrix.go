@@ -53,8 +53,8 @@ type Variant struct {
 	// Block is the §5 insufficient-memory strategy (BK kernel only).
 	Block BlockAxis
 	// Split is the hot-token skew-split fan-out (core.Config.SplitK):
-	// 0 = off, k ≥ 2 salts hot prefix tokens across k(k+1)/2 sub-cells
-	// with a merge-side dedup post-pass. Only generated for blocks=none
+	// 0 = off, k ≥ 2 salts hot prefix tokens across k(k+1)/2 sub-cells,
+	// one of which owns each pair. Only generated for blocks=none
 	// cells (splitting and block processing are alternative skew
 	// strategies, as core.Validate enforces). Admissible, so every
 	// split setting must match the oracle.

@@ -13,8 +13,8 @@ import (
 )
 
 // splitStage2Pairs runs a self-join and returns its final joined pairs
-// plus the raw Stage 2 RID-pair stream (every emitted copy, in part
-// order) so the test can inspect duplication before Stage 3 hides it.
+// plus the Stage 2 kernel job's own RID-pair output (every emitted copy,
+// in part order), after checking that Stage 2 ran exactly one job.
 func splitStage2Pairs(t *testing.T, lines []string, cfg core.Config) ([]records.RIDPair, []records.RIDPair) {
 	t.Helper()
 	fs := dfs.New(dfs.Options{BlockSize: 2 << 10, Nodes: 4})
@@ -26,6 +26,9 @@ func splitStage2Pairs(t *testing.T, lines []string, cfg core.Config) ([]records.
 	res, err := core.SelfJoin(cfg, "in")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if jobs := res.Stages[1].Jobs; len(jobs) != 1 {
+		t.Fatalf("Stage 2 (SplitK %d) ran %d jobs, want the kernel job alone", cfg.SplitK, len(jobs))
 	}
 	final, err := core.ReadJoinedPairs(fs, res.Output)
 	if err != nil {
@@ -62,13 +65,13 @@ func distinct(pairs []records.RIDPair) []records.RIDPair {
 }
 
 // TestSplitPartitionEquivalence pins the skew-split correctness
-// argument end to end: salted-key routing plus the merge-side dedup
-// post-pass must reproduce the unsplit pipeline's output exactly — the
-// same final joined pairs AND the same distinct Stage 2 RID-pair set —
-// across five Zipf-skewed workloads, three thresholds, all three
-// kernels, and hot-head sizes from "one hot token" to "every token
-// hot". It additionally asserts what the dedup pass guarantees: the
-// split pipeline's Stage 2 output carries no duplicate RID pair.
+// argument end to end: salted-key routing under the owner rule must
+// reproduce the unsplit pipeline's output exactly — the same final
+// joined pairs AND the same Stage 2 RID-pair set — across five
+// Zipf-skewed workloads, three thresholds, all three kernels, and
+// hot-head sizes from "one hot token" to "every token hot". The kernel
+// job's own output must be duplicate-free, split or not: a same-salt pair
+// meets in k cells and only the diagonal one emits it.
 func TestSplitPartitionEquivalence(t *testing.T) {
 	workloads := []Workload{
 		{Records: 50, Seed: 21, Vocab: 64, Skew: 2.5},
@@ -93,6 +96,10 @@ func TestSplitPartitionEquivalence(t *testing.T) {
 				t.Fatalf("w%d τ=%g: test premise broken, unsplit join found no pairs", wi, tau)
 			}
 			baseSet := distinct(baseS2)
+			if len(baseS2) != len(baseSet) {
+				t.Errorf("w%d/%s/τ=%g: unsplit Stage 2 output contains %d duplicate pair(s)",
+					wi, kernel, tau, len(baseS2)-len(baseSet))
+			}
 			for _, hot := range []int{1, 8, 1 << 20} {
 				cfg := base
 				cfg.SplitK = 2 + wi%3 // fan-outs 2, 3, 4 across workloads
@@ -103,7 +110,7 @@ func TestSplitPartitionEquivalence(t *testing.T) {
 					t.Errorf("%s: final output diverges from unsplit: %s", name, d)
 				}
 				if len(gotS2) != len(distinct(gotS2)) {
-					t.Errorf("%s: split Stage 2 output contains %d duplicate pair(s) after dedup pass",
+					t.Errorf("%s: split kernel job emitted %d duplicate pair(s)",
 						name, len(gotS2)-len(distinct(gotS2)))
 				}
 				if d := Diff(distinct(gotS2), baseSet); d != "" {
@@ -114,31 +121,45 @@ func TestSplitPartitionEquivalence(t *testing.T) {
 	}
 }
 
-// TestSplitGroupedRoutingEquivalence covers the grouped-routing
-// interaction: hotness is per token while several tokens share a
-// synthetic group, so hot and cold cells coexist inside one group.
+// TestSplitGroupedRoutingEquivalence covers every kernel × routing ×
+// fan-out, in particular the grouped-routing interaction: hotness is per token while
+// several tokens share a synthetic group, so hot and cold cells coexist
+// inside one group. The split kernel job's output is duplicate-free and
+// equals the unsplit one's pair for pair.
 func TestSplitGroupedRoutingEquivalence(t *testing.T) {
-	w := Workload{Records: 50, Seed: 31, Vocab: 64, Skew: 2.2}
+	w := Workload{Records: 50, Seed: 31, Vocab: 64, Skew: 2.2, NearDupRate: 0.4}
 	lines := datagen.Lines(w.SelfRecords())
 	for _, kernel := range []core.KernelAlg{core.BK, core.PK, core.FVT} {
-		base := core.Config{
-			Threshold:   0.7,
-			Kernel:      kernel,
-			Routing:     core.GroupedTokens,
-			NumGroups:   5,
-			NumReducers: 3,
-			Parallelism: 1,
-		}
-		baseFinal, _ := splitStage2Pairs(t, lines, base)
-		cfg := base
-		cfg.SplitK = 4
-		cfg.SplitHotCount = 12
-		gotFinal, gotS2 := splitStage2Pairs(t, lines, cfg)
-		if d := Diff(gotFinal, baseFinal); d != "" {
-			t.Errorf("%s grouped: split diverges from unsplit: %s", kernel, d)
-		}
-		if len(gotS2) != len(distinct(gotS2)) {
-			t.Errorf("%s grouped: split Stage 2 output has duplicates after dedup", kernel)
+		for _, routing := range []core.Routing{core.IndividualTokens, core.GroupedTokens} {
+			base := core.Config{
+				Threshold:   0.7,
+				Kernel:      kernel,
+				Routing:     routing,
+				NumReducers: 3,
+				Parallelism: 1,
+			}
+			if routing == core.GroupedTokens {
+				base.NumGroups = 5
+			}
+			baseFinal, baseS2 := splitStage2Pairs(t, lines, base)
+			if len(baseFinal) == 0 {
+				t.Fatalf("%s %s: test premise broken, unsplit join found no pairs", kernel, routing)
+			}
+			for _, k := range []int{2, 4} {
+				name := fmt.Sprintf("%s/%s/k=%d", kernel, routing, k)
+				cfg := base
+				cfg.SplitK = k
+				cfg.SplitHotCount = 12
+				gotFinal, gotS2 := splitStage2Pairs(t, lines, cfg)
+				if d := Diff(gotFinal, baseFinal); d != "" {
+					t.Errorf("%s: split diverges from unsplit: %s", name, d)
+				}
+				ppjoin.SortPairs(gotS2)
+				ppjoin.SortPairs(baseS2)
+				if d := Diff(gotS2, baseS2); d != "" {
+					t.Errorf("%s: kernel job output is not the unsplit pair set, each pair once: %s", name, d)
+				}
+			}
 		}
 	}
 }

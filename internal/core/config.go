@@ -217,8 +217,8 @@ type Config struct {
 	// SplitK enables adaptive hot-token skew splitting: the Stage 2
 	// reduce group of a hot prefix token is split into k(k+1)/2 salted
 	// sub-cells (triangle replication over k salt classes, so every
-	// candidate pair still co-occurs in at least one cell), and a
-	// merge-side dedup post-pass restores distinct RID pairs. 0 or 1
+	// candidate pair still co-occurs in at least one cell, and exactly one
+	// of those cells owns and emits it: stage2_owner.go). 0 or 1
 	// disables splitting; valid values are 2..15 (so the cell id fits a
 	// byte). Incompatible with BlockMode and LengthRouting — those are
 	// the alternative §5 strategies. Admissible: the final join output
@@ -351,7 +351,7 @@ type Result struct {
 	TokenOrderFile string `json:"token_order_file"`
 	// Stages holds per-stage metrics: Stages[0] is Stage 1, etc.
 	Stages [3]StageMetrics `json:"stages"`
-	// Pairs is the number of joined pairs produced (after dedup).
+	// Pairs is the number of joined pairs produced.
 	Pairs int64 `json:"pairs"`
 	// Trace is the collected trace when Config.Trace was set (nil
 	// otherwise).

@@ -181,7 +181,7 @@ func readJoined(t *testing.T, fs *dfs.FS, prefix string) map[string]float64 {
 		}
 		k := fmt.Sprintf("%d-%d", jp.Left.RID, jp.Right.RID)
 		if _, dup := out[k]; dup {
-			t.Fatalf("pair %s appears twice in final output (dedup failed)", k)
+			t.Fatalf("pair %s appears twice in final output", k)
 		}
 		out[k] = jp.Sim
 	}
@@ -504,9 +504,10 @@ func TestStage1BTOandOPTOAgree(t *testing.T) {
 	}
 }
 
-func TestStage2ProducesDuplicatesStage3Dedupes(t *testing.T) {
-	// Two records sharing several rare prefix tokens are verified in
-	// multiple groups with individual routing.
+func TestStage2EmitsEachPairOnce(t *testing.T) {
+	// Two records sharing several rare prefix tokens meet in multiple
+	// groups with individual routing; only the group of their minimal
+	// common prefix token emits the pair.
 	lines := []string{
 		records.Record{RID: 1, Fields: []string{"alpha beta gamma delta", "x", ""}}.Line(),
 		records.Record{RID: 2, Fields: []string{"alpha beta gamma delta", "x", ""}}.Line(),
@@ -522,12 +523,35 @@ func TestStage2ProducesDuplicatesStage3Dedupes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) < 2 {
-		t.Fatalf("expected duplicate RID pairs from Stage 2, got %d", len(raw))
+	if len(raw) != 1 {
+		t.Fatalf("Stage 2 emitted %d RID pairs for one similar pair, want exactly 1", len(raw))
 	}
 	got := readJoined(t, fs, res.Output)
 	if len(got) != 1 {
-		t.Fatalf("final output has %d pairs, want 1 (dedup)", len(got))
+		t.Fatalf("final output has %d pairs, want 1", len(got))
+	}
+}
+
+// TestRecordJoinRejectsRepeatedPair: Stage 3 joins, it no longer dedups. A
+// Stage 2 part file that carries one pair twice fails both record joins
+// with an error naming the pair and the halves it found.
+func TestRecordJoinRejectsRepeatedPair(t *testing.T) {
+	lines := []string{
+		records.Record{RID: 1, Fields: []string{"alpha beta gamma delta", "x", ""}}.Line(),
+		records.Record{RID: 2, Fields: []string{"alpha beta gamma delta", "x", ""}}.Line(),
+	}
+	pair := records.RIDPair{A: 1, B: 2, Sim: 1}
+	twice := mapreduce.Pair{Key: pairGroupKey(pair), Value: pair.AppendBinary(nil)}
+	for _, rj := range []RecordJoinAlg{BRJ, OPRJ} {
+		fs := newTestFS(t)
+		writeInput(t, fs, "in", lines)
+		if err := mapreduce.WritePairsFile(fs, "s2/part-00000", []mapreduce.Pair{twice, twice}); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Stage3Self(Config{FS: fs, Work: "w", RecordJoin: rj, NumReducers: 2}, "in", "s2")
+		if err == nil || !strings.Contains(err.Error(), "RID pair (1, 2) has 2 left and 2 right halves") {
+			t.Errorf("%s over a repeated pair: err = %v, want the RID pair and its half counts", rj, err)
+		}
 	}
 }
 

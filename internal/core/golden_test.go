@@ -21,9 +21,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stage2_go
 const goldenPath = "testdata/stage2_golden.json"
 
 // goldenCell is one Stage-2 variant's fingerprint: the SHA-256 of every
-// part file the stage wrote (name and bytes, in name order — the raw
-// pre-dedup files too when splitting) and the stage2.* counters summed
-// over the stage's jobs.
+// part file the stage wrote (name and bytes, in name order) and the
+// stage2.* counters of the stage's job.
 type goldenCell struct {
 	SHA256   string           `json:"sha256"`
 	Counters map[string]int64 `json:"counters"`

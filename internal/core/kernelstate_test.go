@@ -213,8 +213,8 @@ func TestMemoryLimitPointUnchangedByReuse(t *testing.T) {
 
 // TestHotGroupStorageReleased: the item buffer a hot group grew past the
 // retention cap is gone at the next group's reset, in a real reduce task,
-// and the rank arena follows the same rule. (ppjoin.Index and fvt.Tree
-// pin their own caps in their packages.)
+// and the rank arena follows the same rule. (ppjoin.Block, ppjoin.Index
+// and fvt.Tree pin their own caps in their packages.)
 func TestHotGroupStorageReleased(t *testing.T) {
 	// 4,200 R records "u<i> hot": at τ = 0.5 both tokens are prefix
 	// tokens, and with three routing groups the group of "hot" (the most
@@ -226,7 +226,7 @@ func TestHotGroupStorageReleased(t *testing.T) {
 		r = append(r, fmt.Sprintf("%d\tu%d hot\tx\trest", i+1, i))
 	}
 	s := []string{"1\tu0 hot\tx\trest"}
-	for _, k := range []KernelAlg{BK, FVT} {
+	for _, k := range []KernelAlg{FVT} {
 		fs := newTestFS(t)
 		writeInput(t, fs, "r", r)
 		writeInput(t, fs, "s", s)
@@ -235,12 +235,7 @@ func TestHotGroupStorageReleased(t *testing.T) {
 		pairs := countingEmitter{}
 		probe := &reduceProbe{visit: func(ctx *mapreduce.Context, inner mapreduce.Reducer, key []byte, values *mapreduce.Values, _ mapreduce.Emitter) error {
 			err := inner.Reduce(ctx, key, values, &pairs)
-			switch red := inner.(type) {
-			case *roundReducer:
-				log = append(log, seen{values.Len(), cap(red.rd.loaded)})
-			case *fvtReducer:
-				log = append(log, seen{values.Len(), cap(red.items)})
-			}
+			log = append(log, seen{values.Len(), cap(inner.(*fvtReducer).items)})
 			return err
 		}}
 		cfg := Config{FS: fs, Work: "w", Kernel: k, Threshold: 0.5, Routing: GroupedTokens, NumGroups: 3,

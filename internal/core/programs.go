@@ -129,20 +129,18 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 		p.Mapper = &stage2Mapper{cfg: cfg, tokenFile: ps.TokenFile, inputR: ps.InputR}
 		p.Partitioner = mapreduce.PrefixPartitioner(layout.groupWidth)
 		p.GroupComparator = keys.PrefixComparator(layout.groupWidth)
+		own := owner{cfg: cfg, tokenFile: ps.TokenFile, self: !rs}
 		// Validate admits block processing and length routing for BK only.
 		switch {
 		case cfg.Kernel == PK:
-			p.Reducer = &pkReducer{cfg: cfg, layout: layout, rs: rs}
+			p.Reducer = &pkReducer{owner: own, layout: layout}
 		case cfg.Kernel == FVT:
-			p.Reducer = &fvtReducer{cfg: cfg, layout: layout, rs: rs, tokenFile: ps.TokenFile}
+			p.Reducer = &fvtReducer{owner: own, layout: layout}
 		case cfg.BlockMode == ReduceBlocks:
-			p.Reducer = &spillReducer{cfg: cfg, layout: layout, self: !rs}
+			p.Reducer = &spillReducer{owner: own, layout: layout}
 		default:
-			p.Reducer = &roundReducer{cfg: cfg, layout: layout, self: !rs}
+			p.Reducer = &roundReducer{owner: own, layout: layout}
 		}
-	case "s2-split-dedup":
-		p.Mapper = mapreduce.IdentityMapper
-		p.Reducer = s2SplitDedupReducer
 	case "s3-brj1":
 		p.Mapper = &brjPhase1Mapper{pairsPrefix: ps.PairsPrefix, relOf: relOfFor(ps), rs: rs}
 		p.Reducer = &brjPhase1Reducer{rs: rs}

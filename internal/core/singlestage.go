@@ -40,7 +40,7 @@ func (m *carryRecordsMapper) NewTaskInstance() any {
 }
 
 func (m *carryRecordsMapper) Setup(ctx *mapreduce.Context) (err error) {
-	m.tokenGroups, err = loadTokenGroups(ctx, m.cfg, m.tokenFile)
+	m.tokenGroups, err = loadTokenGroups(ctx, m.cfg, m.tokenFile, true)
 	return err
 }
 
@@ -114,7 +114,7 @@ func (r *carryRecordsReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *m
 	}
 	opts := kernelOptions(r.cfg)
 	var emitErr error
-	st := ppjoin.NestedLoopSelf(items, opts, func(p records.RIDPair) {
+	st := ppjoin.NestedLoopSelf(items, opts, nil, func(p records.RIDPair) {
 		if emitErr != nil {
 			return
 		}

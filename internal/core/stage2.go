@@ -7,7 +7,6 @@ import (
 	"fuzzyjoin/internal/mapreduce"
 	"fuzzyjoin/internal/ppjoin"
 	"fuzzyjoin/internal/records"
-	"fuzzyjoin/internal/tokenize"
 )
 
 // Stage 2 — RID-pair generation (§3.2, §4, §5). One mapper extracts each
@@ -17,52 +16,13 @@ import (
 // (stage2_keys.go), which emits one replica per key suffix. Reducers
 // verify candidates per reduce group — the round reducer and its
 // spill-replay variant for BK, the PK and FVT reducers
-// (stage2_reduce.go, stage2_fvt.go) — and emit (RID, RID, sim) triples.
+// (stage2_reduce.go, stage2_fvt.go) — and emit (RID, RID, sim) triples,
+// each pair exactly once across the whole job (stage2_owner.go).
 
 const (
 	relR = 0
 	relS = 1
 )
-
-// tokenGroups is what a prefix-routing mapper loads from the Stage 1
-// side file: the global token order and the rank → routing-group mapping.
-type tokenGroups struct {
-	order     *tokenize.Order
-	numGroups int
-	grouped   bool
-}
-
-func loadTokenGroups(ctx *mapreduce.Context, cfg *Config, tokenFile string) (tokenGroups, error) {
-	data, err := ctx.SideFile(tokenFile)
-	if err != nil {
-		return tokenGroups{}, err
-	}
-	// The token list is assumed to fit in task memory (§3.2); the budget
-	// check keeps the assumption honest.
-	if err := ctx.Memory.Alloc(int64(len(data))); err != nil {
-		return tokenGroups{}, err
-	}
-	t := tokenGroups{order: loadTokenOrder(data), grouped: cfg.Routing == GroupedTokens}
-	t.numGroups = t.order.Len()
-	if t.grouped && cfg.NumGroups > 0 {
-		t.numGroups = cfg.NumGroups
-	}
-	if t.numGroups < 1 {
-		t.numGroups = 1
-	}
-	return t, nil
-}
-
-// group maps a token rank to its routing group: the rank itself for
-// individual-token routing, or round-robin over NumGroups for grouped
-// routing (round-robin by frequency rank balances the sum of token
-// frequencies across groups, §3.2).
-func (t tokenGroups) group(rank uint32) uint32 {
-	if t.grouped {
-		return rank % uint32(t.numGroups)
-	}
-	return rank
-}
 
 // stage2Mapper projects and routes records.
 type stage2Mapper struct {
@@ -79,12 +39,6 @@ type stage2Mapper struct {
 	// the key-layout table, chosen once per task.
 	rs     bool
 	layout keyLayout
-	// split mirrors cfg.SplitK ≥ 2; hotMin is the lowest token rank
-	// treated as hot (ranks are frequency-ascending, so the hottest
-	// tokens occupy the top SplitHotCount ranks). Both derive from the
-	// loaded token order in Setup.
-	split  bool
-	hotMin int
 	// The record scratch, keyBuf, valBuf and seen are reused across
 	// records: the record's tokens and ranks, the key under construction,
 	// the record's encoded projection, and the (group, cell) pairs the
@@ -102,20 +56,13 @@ func (m *stage2Mapper) NewTaskInstance() any {
 }
 
 func (m *stage2Mapper) Setup(ctx *mapreduce.Context) (err error) {
-	if m.tokenGroups, err = loadTokenGroups(ctx, m.cfg, m.tokenFile); err != nil {
+	if m.tokenGroups, err = loadTokenGroups(ctx, m.cfg, m.tokenFile, true); err != nil {
 		return err
 	}
 	m.rs = m.inputR != ""
 	m.layout = layoutFor(m.cfg, m.rs)
-	m.split = m.cfg.SplitK >= 2
-	m.hotMin = m.order.Len() - m.cfg.SplitHotCount
 	m.keyBuf = make([]byte, 0, maxKeyLen)
 	return nil
-}
-
-// hot reports whether a token rank is in the split-hot frequency head.
-func (m *stage2Mapper) hot(rank uint32) bool {
-	return int(rank) >= m.hotMin
 }
 
 func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
@@ -141,7 +88,7 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 	for i := 0; i < prefix; i++ {
 		rank := ranks[i]
 		g := m.group(rank)
-		if !m.split || !m.hot(rank) {
+		if !m.hot(rank) {
 			if err := m.routeCell(p, g, 0, sink); err != nil {
 				return err
 			}
@@ -150,12 +97,12 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 		// Hot token: replicate to the k triangle cells of this record's
 		// salt class. Any two records meet in at least one cell of this
 		// group (exactly one when their salts differ), so no τ-pair is
-		// lost; same-salt pairs surface in up to k cells and the
-		// merge-side dedup post-pass drops the copies.
+		// lost; same-salt pairs meet in all k of them and the owner rule
+		// lets the diagonal cell alone emit them (stage2_owner.go).
 		ctx.Count("stage2.split_hot_tokens", 1)
-		s := splitSalt(rid, m.cfg.SplitK)
-		for j := 0; j < m.cfg.SplitK; j++ {
-			if err := m.routeCell(p, g, splitCell(s, j, m.cfg.SplitK), sink); err != nil {
+		s := splitSalt(rid, m.splitK)
+		for j := 0; j < m.splitK; j++ {
+			if err := m.routeCell(p, g, splitCell(s, j, m.splitK), sink); err != nil {
 				return err
 			}
 		}
@@ -181,24 +128,10 @@ func (m *stage2Mapper) routeCell(p routed, g uint32, cell uint8, sink replicaSin
 	}
 	m.seen = append(m.seen, ck)
 	key := keys.AppendUint32(m.keyBuf[:0], g)
-	if m.split {
+	if m.splitK >= 2 {
 		key = append(key, cell)
 	}
 	return m.layout.route(m, p, key, sink)
-}
-
-// ridPairOut writes kernel results in the Stage 2 output format: key =
-// [A u64][B u64], value = the RIDPair binary encoding. The key and value
-// buffers are a reduce task's, reused for every pair: a reduce emitter
-// copies what it is handed before it returns (fileWriter.write).
-type ridPairOut struct {
-	key, val []byte
-}
-
-func (o *ridPairOut) emit(out mapreduce.Emitter, p records.RIDPair) error {
-	o.key = appendPairGroupKey(o.key[:0], p)
-	o.val = p.AppendBinary(o.val[:0])
-	return out.Emit(o.key, o.val)
 }
 
 func kernelOptions(cfg *Config) ppjoin.Options {
@@ -238,14 +171,12 @@ func stage2JobName(cfg *Config, rs bool) string {
 }
 
 // runStage2 runs the kernel job — a self-join over one input, or an R-S
-// join over (R, S) — plus the dedup post-pass when splitting, and returns
-// the RID-pair output prefix.
+// join over (R, S) — and returns the RID-pair output prefix.
 func runStage2(cfg *Config, tokenFile, work string, inputs ...string) (string, []*mapreduce.Metrics, error) {
 	ps := progSpec{Kind: "s2", TokenFile: tokenFile}
 	if len(inputs) == 2 {
 		ps.InputR = inputs[0]
 	}
-	out, kernelOut := stage2Outputs(cfg, work)
 	job, err := coreJob(cfg, ps)
 	if err != nil {
 		return "", nil, err
@@ -253,11 +184,11 @@ func runStage2(cfg *Config, tokenFile, work string, inputs ...string) (string, [
 	job.Name = stage2JobName(cfg, ps.InputR != "")
 	job.Inputs = inputs
 	job.InputFormat = mapreduce.Text
-	job.Output = kernelOut
+	job.Output = work + "/s2"
 	job.SideFiles = []string{tokenFile}
 	m, err := mapreduce.RunContext(cfg.context(), job)
 	if err != nil {
 		return "", nil, err
 	}
-	return runSplitDedup(cfg, kernelOut, out, []*mapreduce.Metrics{m})
+	return job.Output, []*mapreduce.Metrics{m}, nil
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 
 	"fuzzyjoin/internal/keys"
@@ -25,45 +24,39 @@ import (
 // kernels are the one-round case: a self-join loads everything, an R-S
 // join loads R and streams S.
 type rounds struct {
-	opts ppjoin.Options
-	self bool
+	own *owner
 
-	// The task owns the storage, each group resets it (begin): loaded is
-	// the current round's buffer and ranks the arena its items' ranks are
+	// The task owns the storage, each group resets it (begin): bk buffers
+	// the current round's items and ranks is the arena their ranks are
 	// decoded into — a round's items live and die together.
-	loaded []ppjoin.Item
-	ranks  rankArena
+	bk    *ppjoin.Block
+	ranks rankArena
 
 	ctx        *mapreduce.Context
-	out        mapreduce.Emitter
 	held       int64
 	selfJoined bool
-	// one is the reused single-item probe side of a stream call.
-	one     [1]ppjoin.Item
-	st      ppjoin.Stats
-	pairs   ridPairOut
-	emitErr error
 }
 
 // newRounds returns a task's loop state; begin starts each reduce group.
-func newRounds(cfg *Config, self bool) rounds {
-	return rounds{opts: kernelOptions(cfg), self: self}
+func newRounds(own *owner) rounds {
+	return rounds{own: own, bk: ppjoin.NewBlock(kernelOptions(own.cfg))}
 }
 
-// begin resets the loop for one reduce group, keeping the buffer and the
-// rank arena of the previous group up to their retention caps.
-func (r *rounds) begin(ctx *mapreduce.Context, out mapreduce.Emitter) {
-	r.ctx, r.out = ctx, out
-	r.loaded = reuseItems(r.loaded)
+// begin resets the loop for the reduce group of key, keeping the buffer
+// and the rank arena of the previous group up to their retention caps.
+func (r *rounds) begin(ctx *mapreduce.Context, key []byte, out mapreduce.Emitter) {
+	r.ctx = ctx
+	r.own.begin(key, out)
+	r.bk.Reset(r.own.token)
 	r.ranks.reset()
-	r.held, r.selfJoined, r.st, r.emitErr = 0, false, ppjoin.Stats{}, nil
+	r.held, r.selfJoined = 0, false
 }
 
 // maxRetainedItems and maxRankArena bound what a reduce task's kernel
-// state keeps from one group to the next (ppjoin.Index and fvt.Tree cap
-// their own storage the same way): a buffer or arena one hot group grew
-// past them is dropped at the next group's reset, so a task retains at
-// most about 1.3 MB of them.
+// state keeps from one group to the next (ppjoin.Block, ppjoin.Index and
+// fvt.Tree cap their own storage the same way): a buffer or arena one hot
+// group grew past them is dropped at the next group's reset, so a task
+// retains at most about 1.3 MB of them.
 const (
 	maxRetainedItems = 1 << 12 // buffered ppjoin.Items (72 bytes each)
 	maxRankArena     = 1 << 18 // uint32 ranks (1 MiB)
@@ -101,21 +94,9 @@ func (a *rankArena) decode(v []byte) (p records.Projection, err error) {
 	return p, err
 }
 
-func (r *rounds) emit(p records.RIDPair) {
-	if r.emitErr != nil {
-		return
-	}
-	// A self-join pair found by probing a streamed item against the
-	// buffer comes out in (buffer, stream) order; normalize to A < B.
-	if r.self && p.A > p.B {
-		p.A, p.B = p.B, p.A
-	}
-	r.emitErr = r.pairs.emit(r.out, p)
-}
-
 func (r *rounds) flushSelf() {
-	if r.self && !r.selfJoined {
-		r.st = addStats(r.st, ppjoin.NestedLoopSelf(r.loaded, r.opts, r.emit))
+	if r.own.self && !r.selfJoined {
+		r.bk.Self(r.own.pair)
 		r.selfJoined = true
 	}
 }
@@ -124,8 +105,7 @@ func (r *rounds) flushSelf() {
 func (r *rounds) next() {
 	r.flushSelf()
 	r.release()
-	clear(r.loaded) // nothing past len may keep pointing into an arena
-	r.loaded = r.loaded[:0]
+	r.bk.Clear() // nothing may keep pointing into the arena
 	r.ranks.buf = r.ranks.buf[:0]
 	r.selfJoined = false
 }
@@ -141,7 +121,7 @@ func (r *rounds) load(v []byte) error {
 		return err
 	}
 	r.held += b
-	r.loaded = append(r.loaded, ppjoin.Item{RID: p.RID, Ranks: p.Ranks})
+	r.bk.Add(ppjoin.Item{RID: p.RID, Ranks: p.Ranks})
 	return nil
 }
 
@@ -163,18 +143,18 @@ func (r *rounds) stream(v []byte, charge bool) error {
 		defer r.ctx.Memory.Free(b)
 	}
 	r.flushSelf()
-	r.one[0] = ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
-	r.st = addStats(r.st, ppjoin.NestedLoopRS(r.loaded, r.one[:], r.opts, r.emit))
-	r.one[0].Ranks = nil
+	r.bk.Probe(ppjoin.Item{RID: p.RID, Ranks: p.Ranks}, r.own.pair)
 	r.ranks.buf = r.ranks.buf[:mark]
-	return r.emitErr
+	return r.own.err
 }
 
 // finish closes the last round and reports the group's kernel counters.
 func (r *rounds) finish() error {
 	r.flushSelf()
-	countKernelStats(r.ctx, r.st)
-	return r.emitErr
+	st := r.bk.Stats()
+	st.Results -= r.own.foreign
+	countKernelStats(r.ctx, st)
+	return r.own.err
 }
 
 // release returns the buffered items' charge to the memory budget.
@@ -183,36 +163,29 @@ func (r *rounds) release() {
 	r.held = 0
 }
 
-func addStats(a, b ppjoin.Stats) ppjoin.Stats {
-	a.Candidates += b.Candidates
-	a.BitmapRejected += b.BitmapRejected
-	a.Verified += b.Verified
-	a.Results += b.Results
-	return a
-}
-
 // roundReducer runs the BK kernel over every layout whose keys say which
 // round and role each projection plays: plain, map-blocks (Figure 7(a):
 // mappers interleaved the block copies into rounds) and length-routed.
 type roundReducer struct {
-	cfg    *Config
+	owner
 	layout keyLayout
-	self   bool
 	rd     rounds
 }
 
 // NewTaskInstance gives each reduce task its own loop state.
 func (r *roundReducer) NewTaskInstance() any {
-	return &roundReducer{cfg: r.cfg, layout: r.layout, self: r.self, rd: newRounds(r.cfg, r.self)}
+	t := &roundReducer{owner: r.owner, layout: r.layout}
+	t.rd = newRounds(&t.owner)
+	return t
 }
 
-func (r *roundReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+func (r *roundReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 	rd := &r.rd
-	rd.begin(ctx, out)
+	rd.begin(ctx, key, out)
 	defer rd.release()
 	if r.layout.roleAt < 0 {
 		// Every item of the group is a load: the buffer's size is known.
-		rd.loaded = slices.Grow(rd.loaded, values.Len())
+		rd.bk.Grow(values.Len())
 	}
 	cur := int64(-1)
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
@@ -246,9 +219,8 @@ func (r *roundReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduc
 // in an R-S join only R is blocked and every R block meets the whole S
 // partition.
 type spillReducer struct {
-	cfg    *Config
+	owner
 	layout keyLayout
-	self   bool
 	rd     rounds
 	sp     spill
 }
@@ -256,21 +228,23 @@ type spillReducer struct {
 // NewTaskInstance gives each reduce task its own loop state and spill
 // bookkeeping.
 func (r *spillReducer) NewTaskInstance() any {
-	return &spillReducer{cfg: r.cfg, layout: r.layout, self: r.self, rd: newRounds(r.cfg, r.self)}
+	t := &spillReducer{owner: r.owner, layout: r.layout}
+	t.rd = newRounds(&t.owner)
+	return t
 }
 
 // sBlock is the spill id of an R-S group's S partition: R blocks keep
 // their own ids, all below it.
 const sBlock = ^uint32(0)
 
-func (r *spillReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+func (r *spillReducer) Reduce(ctx *mapreduce.Context, group []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 	sp := &r.sp
 	if err := sp.open(); err != nil {
 		return err
 	}
 	defer sp.close()
 	rd := &r.rd
-	rd.begin(ctx, out)
+	rd.begin(ctx, group, out)
 	defer rd.release()
 
 	first := int64(-1)
@@ -460,32 +434,25 @@ func (s *spill) close() {
 // indexed before that S projection probes. Either way the index evicts by
 // length as the stream advances (§4, Figure 6).
 type pkReducer struct {
-	cfg    *Config
+	owner
 	layout keyLayout
-	rs     bool
 	// ix is the task's index, reset for every reduce group. Its items'
 	// ranks stay heap slices of their own (no arena): eviction must
 	// physically free them as the stream advances.
-	ix    *ppjoin.Index
-	pairs ridPairOut
+	ix *ppjoin.Index
 }
 
 // NewTaskInstance gives each reduce task its own index.
 func (r *pkReducer) NewTaskInstance() any {
-	return &pkReducer{cfg: r.cfg, layout: r.layout, rs: r.rs, ix: ppjoin.NewIndex(kernelOptions(r.cfg))}
+	return &pkReducer{owner: r.owner, layout: r.layout, ix: ppjoin.NewIndex(kernelOptions(r.cfg))}
 }
 
-func (r *pkReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+func (r *pkReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+	r.begin(key, out)
 	ix := r.ix
-	ix.Reset()
+	ix.Reset(r.token)
 	var held int64
 	defer func() { ctx.Memory.Free(held) }()
-	var emitErr error
-	emit := func(pair records.RIDPair) {
-		if emitErr == nil {
-			emitErr = r.pairs.emit(out, pair)
-		}
-	}
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
 		_, rel, err := r.layout.classify(values.Key())
 		if err != nil {
@@ -497,15 +464,15 @@ func (r *pkReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.V
 		}
 		item := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
 		switch {
-		case !r.rs:
-			ix.ProbeAndAdd(item, emit)
+		case r.self:
+			ix.ProbeAndAdd(item, r.pair)
 		case rel == relR:
 			ix.Add(item)
 		default:
-			ix.Probe(item, emit)
+			ix.Probe(item, r.pair)
 		}
-		if emitErr != nil {
-			return emitErr
+		if r.err != nil {
+			return r.err
 		}
 		// Track the index's live footprint: charge growth, credit
 		// eviction.
@@ -519,6 +486,8 @@ func (r *pkReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *mapreduce.V
 			held = ix.Bytes()
 		}
 	}
-	countKernelStats(ctx, ix.Stats())
+	st := ix.Stats()
+	st.Results -= r.foreign
+	countKernelStats(ctx, st)
 	return nil
 }

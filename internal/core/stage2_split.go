@@ -17,19 +17,15 @@ package core
 // all k of their cells. Every candidate pair therefore still meets in
 // at least one cell of every group its shared prefix tokens route to —
 // the kernels are exact on whatever item set they see, so no τ-pair is
-// lost — and the only new artifact is duplicate emission of same-salt
-// pairs (at most k copies, byte-identical sims because verification is
-// exact integer arithmetic). A merge-side dedup post-pass keyed on the
-// RID pair restores distinct Stage 2 output; Stage 3 would tolerate the
-// duplicates anyway (it dedups), so splitting is admissible end to end.
+// lost. A same-salt pair is still emitted once: the owner rule
+// (stage2_owner.go) gives a pair whose minimal common prefix token is hot
+// to the cell splitCell(salt(A), salt(B)) alone — the diagonal cell when
+// the salts are equal — so a split Stage 2 is one job whose output is a
+// set, like an unsplit one.
 //
 // Cold tokens (ranks below the SplitHotCount frequency head) keep the
 // single unsalted cell 0; hot cells are numbered from 1, and k ≤ 15
 // keeps 1 + k(k+1)/2 ≤ 121 within the cell byte.
-
-import (
-	"fuzzyjoin/internal/mapreduce"
-)
 
 // splitSalt deterministically assigns a RID to one of k salt classes
 // (FNV-1a over the big-endian RID bytes; stable across processes, so
@@ -57,54 +53,4 @@ func splitCell(s, j, k int) uint8 {
 	// Row a holds k-a cells: (a,a) .. (a,k-1).
 	idx := a*k - a*(a-1)/2 + (b - a)
 	return uint8(1 + idx)
-}
-
-// s2SplitDedupReducer keeps the first copy of each RID-pair key.
-// Same-salt duplicates are byte-identical (deterministic exact
-// verification), so which copy survives is immaterial.
-var s2SplitDedupReducer = mapreduce.ReduceFunc(func(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	v, ok := values.Next()
-	if !ok {
-		return nil
-	}
-	ctx.Count("stage2.pairs", 1)
-	for _, ok := values.Next(); ok; _, ok = values.Next() {
-		ctx.Count("stage2.split_dup_dropped", 1)
-	}
-	return out.Emit(key, v)
-})
-
-// stage2Outputs names the kernel job's output: the stage result prefix
-// directly, or a raw prefix feeding the dedup post-pass when splitting.
-func stage2Outputs(cfg *Config, work string) (out, kernelOut string) {
-	out = work + "/s2"
-	kernelOut = out
-	if cfg.SplitK >= 2 {
-		kernelOut = work + "/s2raw"
-	}
-	return out, kernelOut
-}
-
-// runSplitDedup appends the merge-side dedup job to a split kernel
-// job's metrics (a no-op pass-through without splitting). The job
-// re-keys nothing: kernel output is already keyed [A u64][B u64], so
-// identity mapping + first-value reduction yields distinct pairs in the
-// same Pairs format Stage 3 consumes.
-func runSplitDedup(cfg *Config, kernelOut, out string, ms []*mapreduce.Metrics) (string, []*mapreduce.Metrics, error) {
-	if cfg.SplitK < 2 {
-		return out, ms, nil
-	}
-	job, err := coreJob(cfg, progSpec{Kind: "s2-split-dedup"})
-	if err != nil {
-		return "", nil, err
-	}
-	job.Name = "s2-split-dedup"
-	job.Inputs = []string{kernelOut + "/"}
-	job.InputFormat = mapreduce.Pairs
-	job.Output = out
-	m, err := mapreduce.RunContext(cfg.context(), job)
-	if err != nil {
-		return "", nil, err
-	}
-	return out, append(ms, m), nil
 }

@@ -10,9 +10,11 @@ import (
 	"fuzzyjoin/internal/records"
 )
 
-// Stage 3 — record join (§3.3, §4). The RID pairs from Stage 2 (possibly
-// with duplicates, which this stage eliminates) are joined back with the
-// original records to produce complete record pairs.
+// Stage 3 — record join (§3.3, §4). The RID pairs from Stage 2 — a set:
+// Stage 2 emits each pair once (stage2_owner.go), where the paper's
+// Stage 3 eliminates duplicates — are joined back with the original
+// records to produce complete record pairs. A repeated pair is an error
+// (pairAssembleReducer), not something to clean up.
 //
 // BRJ phase 1 keys: self [rid u64]; R-S [rel u8][rid u64] (RID spaces of
 // R and S may overlap, so the relation tags the key). Values carry a tag
@@ -117,28 +119,22 @@ func (m *brjPhase1Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapre
 	return out.Emit(m.ridKey(m.relOf(ctx.InputFile), rid), m.val)
 }
 
-// brjPhase1Reducer joins one record with its RID pairs, deduplicating
-// pairs, and emits one half-pair per distinct pair.
+// brjPhase1Reducer joins one record with its RID pairs and emits one
+// half-pair per pair.
 type brjPhase1Reducer struct {
 	rs bool
 	// Per-task scratch, reset for every RID group that has pairs: the
-	// dedup set, the record line, and the key and value of the half-pair
-	// being emitted (a reduce emitter copies what it is handed into the
-	// part writer's buffer before it returns — fileWriter.write — so one
-	// key and one value buffer serve every emission).
-	seen           map[records.RIDPair]bool
+	// record line, and the key and value of the half-pair being emitted (a
+	// reduce emitter copies what it is handed into the part writer's
+	// buffer before it returns — fileWriter.write — so one key and one
+	// value buffer serve every emission).
 	line, key, val []byte
 }
 
 // NewTaskInstance gives each reduce task its own scratch.
 func (r *brjPhase1Reducer) NewTaskInstance() any {
-	return &brjPhase1Reducer{rs: r.rs, seen: make(map[records.RIDPair]bool)}
+	return &brjPhase1Reducer{rs: r.rs}
 }
-
-// maxSeenPairs bounds the dedup set a task keeps between groups: a map
-// never shrinks and clearing it costs its peak size, so one that a
-// record with very many pairs grew is replaced instead.
-const maxSeenPairs = 1 << 10
 
 func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 	v, ok := values.Next()
@@ -152,7 +148,7 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 	}
 	if values.Len() == 1 {
 		// Most records have no pair at all: nothing to join, and no need
-		// for the line copy and the dedup set below.
+		// for the line copy below.
 		return nil
 	}
 	r.line = append(reuseScratch(r.line), v[1:]...)
@@ -164,29 +160,12 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 	} else {
 		rid, _ = mustUint64(key)
 	}
-
-	if len(r.seen) > maxSeenPairs {
-		r.seen = make(map[records.RIDPair]bool)
-	} else {
-		clear(r.seen)
-	}
-	var held int64
-	defer func() { ctx.Memory.Free(held) }()
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
 		if v[0] != tagRecord {
 			p, err := records.DecodeRIDPair(v[1:])
 			if err != nil {
 				return err
 			}
-			if r.seen[p] {
-				ctx.Count("stage3.duplicate_pairs", 1)
-				continue
-			}
-			if err := ctx.Memory.Alloc(48); err != nil {
-				return err
-			}
-			held += 48
-			r.seen[p] = true
 			side := byte(0)
 			if r.rs {
 				side = rel
@@ -207,7 +186,9 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 
 // pairAssembleReducer is the final reducer shared by BRJ phase 2 and
 // OPRJ: it zips the two half-pairs of each RID pair into a joined record
-// pair, emitted as one text line.
+// pair, emitted as one text line. A group holds exactly one left and one
+// right half; anything else — a pair Stage 2 emitted twice, a RID with no
+// record — is an error, never silently zipped.
 type pairAssembleReducer struct {
 	// Per-task scratch: the two record lines (a value is only valid until
 	// the next one is read) and the output line built from their bytes.
@@ -218,28 +199,29 @@ type pairAssembleReducer struct {
 func (*pairAssembleReducer) NewTaskInstance() any { return &pairAssembleReducer{} }
 
 func (r *pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-	var haveLeft, haveRight bool
-	var sim float64
-	n := 0
+	var lefts, rights int
+	var pair records.RIDPair
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
 		side, p, line, err := decodeHalfPair(v)
 		if err != nil {
 			return err
 		}
-		sim = p.Sim
-		n++
+		pair = p
 		// A half whose record line is empty counts as absent.
-		if side == 0 {
-			r.left, haveLeft = append(reuseScratch(r.left), line...), len(line) > 0
-		} else {
-			r.right, haveRight = append(reuseScratch(r.right), line...), len(line) > 0
+		switch {
+		case len(line) == 0:
+		case side == 0:
+			r.left, lefts = append(reuseScratch(r.left), line...), lefts+1
+		default:
+			r.right, rights = append(reuseScratch(r.right), line...), rights+1
 		}
 	}
-	if !haveLeft || !haveRight {
-		return fmt.Errorf("core: RID pair %x missing a side (%d halves)", key, n)
+	if lefts != 1 || rights != 1 {
+		return fmt.Errorf("core: RID pair (%d, %d) has %d left and %d right halves, want one of each",
+			pair.A, pair.B, lefts, rights)
 	}
 	var err error
-	if r.line, err = records.AppendJoinedPair(reuseScratch(r.line), sim, r.left, r.right); err != nil {
+	if r.line, err = records.AppendJoinedPair(reuseScratch(r.line), pair.Sim, r.left, r.right); err != nil {
 		return err
 	}
 	ctx.Count("stage3.pairs", 1)
@@ -301,18 +283,14 @@ func (m *oprjMapper) NewTaskInstance() any {
 func (m *oprjMapper) Setup(ctx *mapreduce.Context) error {
 	m.byA = make(map[uint64][]records.RIDPair)
 	m.byB = make(map[uint64][]records.RIDPair)
-	seen := make(map[records.RIDPair]bool)
 	for _, name := range m.pairFiles {
 		data, err := ctx.SideFile(name)
 		if err != nil {
 			return err
 		}
 		if err := decodePairsData(data, func(p records.RIDPair) error {
-			if seen[p] {
-				return nil
-			}
-			seen[p] = true
-			// Charge the two index postings plus the dedup entry.
+			// Charge the two index postings (24 bytes each, as much again
+			// for their slices' and maps' overhead).
 			if err := ctx.Memory.Alloc(96); err != nil {
 				return err
 			}
@@ -345,19 +323,12 @@ func (m *oprjMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.
 	rel := m.relOf(ctx.InputFile)
 	if !m.rs || rel == relR {
 		for _, p := range m.byA[rid] {
-			side := byte(0)
-			if err := out.Emit(pairGroupKey(p), encodeHalfPair(side, p, value)); err != nil {
+			if err := out.Emit(pairGroupKey(p), encodeHalfPair(0, p, value)); err != nil {
 				return err
 			}
 		}
 	}
-	if !m.rs {
-		for _, p := range m.byB[rid] {
-			if err := out.Emit(pairGroupKey(p), encodeHalfPair(1, p, value)); err != nil {
-				return err
-			}
-		}
-	} else if rel == relS {
+	if !m.rs || rel == relS {
 		for _, p := range m.byB[rid] {
 			if err := out.Emit(pairGroupKey(p), encodeHalfPair(1, p, value)); err != nil {
 				return err

@@ -2,13 +2,12 @@ package experiments
 
 // The fvt ablation measures the Filter-and-Verification Tree kernel's
 // core claim — candidate-free Stage 2 — against BK and PK on a
-// Zipf-skewed R-S workload, where candidate materialization and
-// duplicate pair emission hurt the most. All three kernels must
-// produce the identical distinct-pair set; the ablation records the
-// simulated makespan, the map→reduce shuffle volume, the Stage 2
-// *output* volume (where FVT's exact-once emission pays off: BK and PK
-// emit one copy of each pair per shared prefix group, FVT exactly
-// one), and the candidate counters.
+// Zipf-skewed R-S workload, where candidate materialization hurts the
+// most. All three kernels must produce the identical pair set; the
+// ablation records the simulated makespan, the map→reduce shuffle
+// volume, the Stage 2 *output* volume (equal across kernels: every
+// kernel emits a pair once, from the group that owns it), and the
+// candidate counters.
 
 import (
 	"fmt"
@@ -38,9 +37,11 @@ type FVTAblationResult struct {
 	Materialized []int64
 	Avoided      []int64
 	Verified     []int64
-	// Pairs is the distinct RID-pair count, identical across rows by
-	// construction (verified, not assumed).
-	Pairs []int
+	// Results is stage2.results, the RID pairs Stage 2 wrote; Pairs is the
+	// distinct RID-pair count, identical across rows by construction
+	// (verified, not assumed). Exact-once emission makes the two equal.
+	Results []int64
+	Pairs   []int
 }
 
 // Render prints the comparison.
@@ -115,7 +116,7 @@ func (s *Suite) FVTAblation() (*FVTAblationResult, error) {
 			return nil, fmt.Errorf("%s: %w", v.label, err)
 		}
 		var t time.Duration
-		var shuffle, out, mat, avoided, verified int64
+		var shuffle, out, mat, avoided, verified, results int64
 		for _, m := range ms {
 			t += spec(nodes).Makespan(fromMetrics(m))
 			shuffle += m.TotalShuffleBytes()
@@ -127,6 +128,7 @@ func (s *Suite) FVTAblation() (*FVTAblationResult, error) {
 			// the pairs it proved away without forming them.
 			avoided += m.Counters["stage2.candidates_avoided"]
 			verified += m.Counters["stage2.verified"]
+			results += m.Counters["stage2.results"]
 		}
 		n, err := distinctPairs(fs, pairsPrefix)
 		if err != nil {
@@ -139,6 +141,7 @@ func (s *Suite) FVTAblation() (*FVTAblationResult, error) {
 		res.Materialized = append(res.Materialized, mat)
 		res.Avoided = append(res.Avoided, avoided)
 		res.Verified = append(res.Verified, verified)
+		res.Results = append(res.Results, results)
 		res.Pairs = append(res.Pairs, n)
 	}
 	for i := 1; i < len(res.Pairs); i++ {

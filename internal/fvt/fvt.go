@@ -71,13 +71,6 @@ type Options struct {
 	// per-pair bitsig admissibility check, and the word-parallel merge
 	// for admitted pairs.
 	Bitmap bool
-	// Owner, when non-nil, is the emit-once hook for partitioned
-	// execution: a pair is verified and emitted only if Owner accepts
-	// the pair's minimal common prefix token. Both sides of a τ-pair
-	// are replicated to that token's group (it is in both prefixes), so
-	// with Owner = "this reduce group's tokens" each pair is emitted by
-	// exactly one group and the union over groups is the full result.
-	Owner func(w uint32) bool
 }
 
 // Stats counts the work one tree performed across all probes.
@@ -88,7 +81,7 @@ type Stats struct {
 	// materialized as candidates but the tree discarded — by subtree
 	// pruning (length or bitmap bound, credited with the subtree size),
 	// by the prefix filter (items at or below unmatched nodes), or by a
-	// per-pair filter. Owner and self-join RID-order skips are not
+	// per-pair filter. Owner-rule and self-join RID-order skips are not
 	// counted: those pairs are someone else's to report.
 	CandidatesAvoided int64
 	// BitmapRejected counts pairs rejected by the per-pair bitsig
@@ -121,8 +114,9 @@ const nodeBytes = 112
 // reduce task's groups): Reset empties it and keeps its storage.
 type Tree struct {
 	opts  Options
-	th    simfn.Threshold // opts.Fn at opts.Threshold, rationalized once
-	nodes []node          // nodes[0] is the root
+	th    simfn.Threshold     // opts.Fn at opts.Threshold, rationalized once
+	owner func(w uint32) bool // the emit-once hook, set by Reset
+	nodes []node              // nodes[0] is the root
 	items []ppjoin.Item
 	// refCap is the summed capacity of the children and items slices of
 	// every node in the slab (used or waiting to be recycled), the
@@ -147,13 +141,16 @@ const (
 	maxRetainedRefs  = 1 << 16 // summed children/items capacity
 )
 
-// Reset empties the tree for a new relation under the same options
-// except Owner, which is replaced (the owner rule is per reduce group).
-// The node slab and each recycled node's children/items capacity are
-// kept up to the retention caps. A reset tree is indistinguishable from
-// a new one: same pairs in the same order, same Stats, same Bytes.
+// Reset empties the tree for a new relation under the same options. The
+// node slab and each recycled node's children/items capacity are kept up
+// to the retention caps. A reset tree is indistinguishable from a new
+// one: same pairs in the same order, same Stats, same Bytes.
+//
+// owner, when non-nil, is the emit-once hook for partitioned execution (the
+// rule is per reduce group, see ppjoin.Index.Reset): a pair is verified
+// and emitted only if owner accepts its minimal common prefix token.
 func (t *Tree) Reset(owner func(w uint32) bool) {
-	t.opts.Owner = owner
+	t.owner = owner
 	clear(t.items) // let go of the relation's rank slices
 	t.items = t.items[:0]
 	if cap(t.items) > maxRetainedItems {
@@ -373,7 +370,7 @@ func (pr *prober) visit(n int32, s, fI, fJ, jpos int) {
 // positions established during descent.
 func (pr *prober) checkItems(items []int32, fI, fJ int) {
 	t := pr.t
-	if t.opts.Owner != nil && !t.opts.Owner(pr.q[fI]) {
+	if t.owner != nil && !t.owner(pr.q[fI]) {
 		// Another group owns the minimal common prefix token; that
 		// group verifies and emits these pairs (emit-once).
 		return

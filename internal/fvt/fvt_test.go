@@ -91,6 +91,19 @@ func TestFVTMatchesOracle(t *testing.T) {
 // TestFVTOwnerPartition pins the emit-once ownership argument: for any
 // group count, the union over groups of owner-gated joins equals the
 // full result, with no pair emitted by two groups.
+// selfJoin is SelfJoinBulk on a caller-made tree (one that carries an
+// owner rule).
+func selfJoin(tree *fvt.Tree, items []ppjoin.Item, emit func(records.RIDPair)) {
+	sorted := append([]ppjoin.Item(nil), items...)
+	fvt.SortItems(sorted)
+	for i := range sorted {
+		tree.Add(sorted[i])
+	}
+	for i := range sorted {
+		tree.SelfProbe(sorted[i], emit)
+	}
+}
+
 func TestFVTOwnerPartition(t *testing.T) {
 	w := conformance.Workload{Records: 80, Seed: 22, Skew: 2.2, Vocab: 128}
 	p := conformance.Params{Threshold: 0.8}
@@ -104,9 +117,9 @@ func TestFVTOwnerPartition(t *testing.T) {
 		seen := map[[2]uint64]string{}
 		for g := uint32(0); g < numGroups; g++ {
 			label := fmt.Sprintf("group %d/%d", g, numGroups)
-			opts := fvt.Options{Threshold: 0.8, Filters: filter.AllFilters, Bitmap: true,
-				Owner: func(tok uint32) bool { return tok%numGroups == g }}
-			fvt.SelfJoinBulk(items, opts, func(pr records.RIDPair) {
+			tree := fvt.New(fvt.Options{Threshold: 0.8, Filters: filter.AllFilters, Bitmap: true})
+			tree.Reset(func(tok uint32) bool { return tok%numGroups == g })
+			selfJoin(tree, items, func(pr records.RIDPair) {
 				key := [2]uint64{pr.A, pr.B}
 				if prev, dup := seen[key]; dup {
 					t.Fatalf("pair (%d,%d) emitted by both %s and %s", pr.A, pr.B, prev, label)

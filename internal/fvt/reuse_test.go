@@ -105,7 +105,7 @@ func driveTree(t *Tree, mode string, items []ppjoin.Item) treeTrace {
 
 // TestResetEqualsNew drives one reused Tree and a New tree per relation
 // through the same random relations — bulk, incremental and R-S joins,
-// with and without an Owner rule (a different one per relation), sizes
+// with and without an owner rule (a different one per relation), sizes
 // 0–300 with one 5,000-item hot relation in the middle that outgrows the
 // retention caps, full filter stack and prefix-only, bitmap off and on.
 // The reused tree must be indistinguishable: same pairs in the same
@@ -142,9 +142,9 @@ func TestResetEqualsNew(t *testing.T) {
 			if hot {
 				mode = "rs" // 4,500 indexed items; 500 probes keep the walk cheap
 			}
-			fresh := opts
-			fresh.Owner = owner
-			want := driveTree(New(fresh), mode, items)
+			fresh := New(opts)
+			fresh.Reset(owner)
+			want := driveTree(fresh, mode, items)
 			reused.Reset(owner)
 			got := driveTree(reused, mode, items)
 			if !reflect.DeepEqual(got, want) {

@@ -93,13 +93,13 @@ type Plan struct {
 //   - OPRJ saves a whole job but broadcasts the RID-pair index to every
 //     node (SideBytes), BRJ pays the extra job instead;
 //   - splitting caps the hottest group's cost at the price of ×k map
-//     replication of hot replicas and one dedup job.
+//     replication of hot replicas.
 const (
 	wTokenize       = 700.0 // ns per token through a tokenizing mapper
 	wReplica        = 900.0 // ns per Stage 2 projection emitted+shuffled
 	wCount          = 220.0 // ns per token through Stage 1 counting
 	wSort           = 150.0 // ns per token·log2(vocab) in the total-order sort
-	wPair           = 400.0 // ns per RID pair through dedup / record-join plumbing
+	wPair           = 400.0 // ns per RID pair through record-join plumbing
 	bytesPerReplica = 48.0  // shuffle bytes per Stage 2 projection
 	bytesPerPair    = 40.0  // bytes per RID pair (shuffle and broadcast)
 	pairSurvival    = 0.002 // verified fraction of generated candidate pairs
@@ -292,10 +292,10 @@ func model(s *Sample, c Choice, spec cluster.Spec) time.Duration {
 	}
 	jobs = append(jobs, s2)
 
-	// Candidate and output pair estimates drive the dedup and Stage 3
-	// costs. Candidates are per-group n·(n-1)/2; a fixed survival
-	// fraction stands in for filter effectiveness (its absolute value
-	// cancels out of the candidate ranking).
+	// Candidate and output pair estimates drive the Stage 3 costs.
+	// Candidates are per-group n·(n-1)/2; a fixed survival fraction stands
+	// in for filter effectiveness (its absolute value cancels out of the
+	// candidate ranking).
 	candidates := 0.0
 	for _, g := range groups {
 		candidates += g.load * (g.load - 1) / 2
@@ -303,15 +303,6 @@ func model(s *Sample, c Choice, spec cluster.Spec) time.Duration {
 	pairsOut := candidates * pairSurvival
 	if pairsOut < 1 {
 		pairsOut = 1
-	}
-
-	if c.SplitK >= 2 {
-		jobs = append(jobs, cluster.JobCost{
-			Name:             "s2-split-dedup",
-			MapCosts:         spread(pairsOut*wPair, mapTasks),
-			ReduceCosts:      spread(pairsOut*wPair, c.NumReducers),
-			ShufflePerReduce: evenShuffle(pairsOut*bytesPerPair, c.NumReducers),
-		})
 	}
 
 	// Stage 3: record join.

@@ -28,7 +28,7 @@ func TestBitmapMatchesBruteForce(t *testing.T) {
 					SelfJoin(items, opts, func(p records.RIDPair) { got = append(got, p) })
 					assertSamePairs(t, got, want, "ppjoin+bitmap "+label)
 					got = got[:0]
-					NestedLoopSelf(items, opts, func(p records.RIDPair) { got = append(got, p) })
+					NestedLoopSelf(items, opts, nil, func(p records.RIDPair) { got = append(got, p) })
 					assertSamePairs(t, got, want, "nested+bitmap "+label)
 				}
 			}
@@ -49,7 +49,7 @@ func TestBitmapMatchesBruteForceRS(t *testing.T) {
 	RSJoin(r, s, opts, func(p records.RIDPair) { got = append(got, p) })
 	assertSamePairs(t, got, want, "rs+bitmap")
 	got = got[:0]
-	NestedLoopRS(r, s, opts, func(p records.RIDPair) { got = append(got, p) })
+	NestedLoopRS(r, s, opts, nil, func(p records.RIDPair) { got = append(got, p) })
 	assertSamePairs(t, got, want, "nested-rs+bitmap")
 }
 
@@ -170,7 +170,7 @@ func benchmarkVerifyNestedLoop(b *testing.B, bitmap bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NestedLoopSelf(items, opts, func(records.RIDPair) {})
+		NestedLoopSelf(items, opts, nil, func(records.RIDPair) {})
 	}
 }
 

@@ -66,7 +66,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 				diffPairs(t, fmt.Sprintf("self %s w%d τ=%g", name, wi, tau), got, want)
 			}
 			var nl []records.RIDPair
-			ppjoin.NestedLoopSelf(items, opts, func(pr records.RIDPair) { nl = append(nl, pr) })
+			ppjoin.NestedLoopSelf(items, opts, nil, func(pr records.RIDPair) { nl = append(nl, pr) })
 			diffPairs(t, fmt.Sprintf("self nested-loop w%d τ=%g", wi, tau), nl, want)
 
 			rRecs, sRecs := w.RSRecords()
@@ -80,7 +80,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 				diffPairs(t, fmt.Sprintf("rs %s w%d τ=%g", name, wi, tau), got, wantRS)
 			}
 			var nlRS []records.RIDPair
-			ppjoin.NestedLoopRS(rItems, sItems, opts, func(pr records.RIDPair) { nlRS = append(nlRS, pr) })
+			ppjoin.NestedLoopRS(rItems, sItems, opts, nil, func(pr records.RIDPair) { nlRS = append(nlRS, pr) })
 			diffPairs(t, fmt.Sprintf("rs nested-loop w%d τ=%g", wi, tau), nlRS, wantRS)
 		}
 	}

@@ -1,6 +1,8 @@
 package ppjoin
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"fuzzyjoin/internal/bitsig"
@@ -28,29 +30,124 @@ func firstPrefixMatch(x, y []uint32, px, py int) (i, j int, ok bool) {
 	return 0, 0, false
 }
 
-// checkPair applies the configured filter stack to one candidate pair and
-// verifies it, returning the similarity and whether it meets the
-// threshold. Pairs whose prefixes share no token are rejected outright
-// (the prefix-filter necessary condition). th is opts.Fn at
-// opts.Threshold, rationalized once by the caller. Stats are updated.
-func checkPair(x, y *Item, opts Options, th simfn.Threshold, st *Stats) (float64, bool) {
+// Block is the BK kernel (§3.2.1, §5): a buffer of items cross-paired with
+// itself (Self) and probed by streamed items (Probe) under the filter
+// stack. Like an Index, one Block serves a reduce task's groups: Reset
+// starts a stream and keeps the storage, Clear starts its next round.
+// What depends on one item alone is computed once per item, not per pair:
+// a buffered item's prefix length on Add, the probing item's length
+// window and prefix length per Self row or Probe.
+type Block struct {
+	opts   Options
+	th     simfn.Threshold     // opts.Fn at opts.Threshold, rationalized once
+	owner  func(w uint32) bool // the emit-once hook, see Index.Reset
+	items  []Item
+	prefix []int32 // PrefixLength of items[i]
+	stats  Stats
+}
+
+// NewBlock returns an empty block.
+func NewBlock(opts Options) *Block {
+	return &Block{opts: opts, th: opts.Fn.At(opts.Threshold)}
+}
+
+// Reset empties the block for a new stream under the same options and the
+// given owner rule, keeping its storage up to maxRetainedItems.
+func (b *Block) Reset(owner func(w uint32) bool) {
+	b.owner = owner
+	b.stats = Stats{}
+	b.Clear()
+	if cap(b.items) > maxRetainedItems {
+		b.items, b.prefix = nil, nil
+	}
+}
+
+// Clear empties the buffer and keeps the stream's Stats: the next round.
+func (b *Block) Clear() {
+	clear(b.items) // let go of the round's rank slices
+	b.items, b.prefix = b.items[:0], b.prefix[:0]
+}
+
+// Grow makes room for n more items.
+func (b *Block) Grow(n int) {
+	b.items, b.prefix = slices.Grow(b.items, n), slices.Grow(b.prefix, n)
+}
+
+// Add buffers one item.
+func (b *Block) Add(it Item) {
+	b.items = append(b.items, it)
+	b.prefix = append(b.prefix, int32(b.th.PrefixLength(len(it.Ranks))))
+}
+
+// Stats returns the kernel work counters accumulated since Reset.
+func (b *Block) Stats() Stats { return b.stats }
+
+// window is the length filter's admissible partner range for a set of l
+// tokens; without the length filter it admits every length.
+func (b *Block) window(l int) (lo, hi int) {
+	if !b.opts.Filters.Length {
+		return 0, math.MaxInt
+	}
+	return b.th.LengthBounds(l)
+}
+
+// Self cross-pairs the buffer: each unordered pair is considered once and
+// emitted with RIDs ordered (A < B).
+func (b *Block) Self(emit func(records.RIDPair)) {
+	for i := range b.items {
+		// Pointer access keeps the lazy signature memo in the buffer.
+		x := &b.items[i]
+		lo, hi := b.window(len(x.Ranks))
+		for j := i + 1; j < len(b.items); j++ {
+			y := &b.items[j]
+			if sim, ok := b.check(x, y, int(b.prefix[i]), int(b.prefix[j]), len(y.Ranks), lo, hi); ok {
+				p := records.RIDPair{A: x.RID, B: y.RID, Sim: sim}
+				if p.A > p.B {
+					p.A, p.B = p.B, p.A
+				}
+				emit(p)
+			}
+		}
+	}
+}
+
+// Probe checks s against every buffered item. Pairs are (buffered RID,
+// s's RID).
+func (b *Block) Probe(s Item, emit func(records.RIDPair)) {
+	ls := len(s.Ranks)
+	ps := b.th.PrefixLength(ls)
+	// The window test is symmetric (|x| admits |y| ⇔ |y| admits |x|, the
+	// bounds being exact), so s's window serves every buffered item.
+	lo, hi := b.window(ls)
+	for i := range b.items {
+		x := &b.items[i]
+		if sim, ok := b.check(x, &s, int(b.prefix[i]), ps, len(x.Ranks), lo, hi); ok {
+			emit(records.RIDPair{A: x.RID, B: s.RID, Sim: sim})
+		}
+	}
+}
+
+// check applies the filter stack to one candidate pair and verifies it,
+// returning the similarity and whether it meets the threshold. px and py
+// are the items' prefix lengths; l is the length the other item's window
+// [lo, hi] must admit. A pair whose prefixes share no token fails the
+// prefix filter; one whose first shared token is another owner's is left
+// to that owner.
+func (b *Block) check(x, y *Item, px, py, l, lo, hi int) (float64, bool) {
 	lx, ly := len(x.Ranks), len(y.Ranks)
 	if lx == 0 || ly == 0 {
 		return 0, false
 	}
+	st, opts := &b.stats, &b.opts
 	st.Candidates++
-	if opts.Filters.Length {
-		if lo, hi := th.LengthBounds(lx); ly < lo || ly > hi {
-			return 0, false
-		}
-	}
-	px := th.PrefixLength(lx)
-	py := th.PrefixLength(ly)
-	i, j, ok := firstPrefixMatch(x.Ranks, y.Ranks, px, py)
-	if !ok {
+	if l < lo || l > hi {
 		return 0, false
 	}
-	need := th.OverlapThreshold(lx, ly)
+	i, j, ok := firstPrefixMatch(x.Ranks, y.Ranks, px, py)
+	if !ok || (b.owner != nil && !b.owner(x.Ranks[i])) {
+		return 0, false
+	}
+	need := b.th.OverlapThreshold(lx, ly)
 	if opts.Filters.Positional && !filter.Positional(lx, ly, i, j, 1, need) {
 		return 0, false
 	}
@@ -68,57 +165,46 @@ func checkPair(x, y *Item, opts Options, th simfn.Threshold, st *Stats) (float64
 		st.Verified++
 		o := WordIntersect(x.Ranks, y.Ranks)
 		if o < need {
-			return opts.Fn.SimFromOverlap(o, lx, ly), false
+			return 0, false
 		}
 		st.Results++
 		return opts.Fn.SimFromOverlap(o, lx, ly), true
 	}
 	st.Verified++
-	sim, ok := th.Verify(x.Ranks, y.Ranks)
+	sim, ok := b.th.Verify(x.Ranks, y.Ranks)
 	if ok {
 		st.Results++
 	}
 	return sim, ok
 }
 
-// NestedLoopSelf is the BK kernel: it cross-pairs all items (the record
-// projections a Stage 2 reducer received for one routing key), applying
-// the filter stack and verifying survivors. Pairs are emitted with RIDs
-// ordered (A < B) and each unordered pair is considered once.
-func NestedLoopSelf(items []Item, opts Options, emit func(records.RIDPair)) Stats {
-	var st Stats
-	th := opts.Fn.At(opts.Threshold)
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			// Pointer access keeps the lazy signature memo in the slice.
-			x, y := &items[i], &items[j]
-			if sim, ok := checkPair(x, y, opts, th, &st); ok {
-				a, b := x.RID, y.RID
-				if a > b {
-					a, b = b, a
-				}
-				emit(records.RIDPair{A: a, B: b, Sim: sim})
-			}
-		}
-	}
-	return st
+// NestedLoopSelf runs the BK kernel over items (the record projections a
+// Stage 2 reducer received for one routing key) in one call. owner is the
+// emit-once hook of Block.Reset, nil for a stand-alone join.
+func NestedLoopSelf(items []Item, opts Options, owner func(w uint32) bool, emit func(records.RIDPair)) Stats {
+	b := blockOf(items, opts, owner)
+	b.Self(emit)
+	return b.stats
 }
 
 // NestedLoopRS is the BK kernel for the R-S case: every S item is checked
 // against every R item. Pairs are (R RID, S RID).
-func NestedLoopRS(rItems, sItems []Item, opts Options, emit func(records.RIDPair)) Stats {
-	var st Stats
-	th := opts.Fn.At(opts.Threshold)
-	for si := range sItems {
-		s := &sItems[si]
-		for ri := range rItems {
-			r := &rItems[ri]
-			if sim, ok := checkPair(r, s, opts, th, &st); ok {
-				emit(records.RIDPair{A: r.RID, B: s.RID, Sim: sim})
-			}
-		}
+func NestedLoopRS(rItems, sItems []Item, opts Options, owner func(w uint32) bool, emit func(records.RIDPair)) Stats {
+	b := blockOf(rItems, opts, owner)
+	for _, s := range sItems {
+		b.Probe(s, emit)
 	}
-	return st
+	return b.stats
+}
+
+func blockOf(items []Item, opts Options, owner func(w uint32) bool) *Block {
+	b := NewBlock(opts)
+	b.Reset(owner)
+	b.Grow(len(items))
+	for _, it := range items {
+		b.Add(it)
+	}
+	return b
 }
 
 // BruteForceSelf verifies every unordered pair with no filtering — the

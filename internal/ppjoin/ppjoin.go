@@ -105,7 +105,8 @@ type slot struct {
 // slices.
 type Index struct {
 	opts  Options
-	th    simfn.Threshold // opts.Fn at opts.Threshold, rationalized once
+	th    simfn.Threshold     // opts.Fn at opts.Threshold, rationalized once
+	owner func(w uint32) bool // the emit-once hook, set by Reset
 	items []Item
 	slots []slot // parallel to items
 	// Posting lists live in slab, reached through lists (token → slab
@@ -152,7 +153,16 @@ const (
 // options, keeping its storage up to the retention caps. A reset index
 // is indistinguishable from a new one: same pairs in the same order,
 // same Stats, same Bytes trajectory.
-func (ix *Index) Reset() {
+//
+// owner, when non-nil, is the emit-once hook for partitioned execution: a
+// pair is filtered, verified and emitted only if owner accepts the pair's
+// minimal common prefix token. Both sides of a τ-pair are replicated to
+// that token's group (it is in both prefixes), so with owner = "this
+// reduce group's tokens" each pair is emitted by exactly one group and the
+// union over groups is the full result. Non-owned pairs still count as
+// Candidates: they were met here, and are someone else's to report.
+func (ix *Index) Reset(owner func(w uint32) bool) {
+	ix.owner = owner
 	clear(ix.items) // let go of the streams' rank slices
 	ix.items = ix.items[:0]
 	ix.slots = ix.slots[:0]
@@ -318,6 +328,10 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 		if !ok {
 			continue
 		}
+		// Probe tokens ascend, so the list a candidate is first met in is
+		// that of the pair's minimal common prefix token: the owner rule is
+		// evaluated once per list and applied at first sight.
+		owned := ix.owner == nil || ix.owner(x.Ranks[i])
 		post := ix.slab[id]
 		live := post[:0]
 		for _, e := range post {
@@ -340,7 +354,7 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 				s.overlap = 0
 				s.pruned = false
 				ix.stats.Candidates++
-				if ly < lo || ly > hi {
+				if !owned || ly < lo || ly > hi {
 					s.pruned = true
 					continue
 				}
@@ -421,7 +435,7 @@ const maxCandScratch = 1 << 12
 
 // ProbeAndAdd probes with x and then indexes it — the self-join streaming
 // step. Emitted pairs are normalized to A < B by RID (the self-join pair
-// convention Stage 3 dedups on).
+// convention: Stage 3 groups the two record halves of a pair by it).
 func (ix *Index) ProbeAndAdd(x Item, emit func(pair records.RIDPair)) {
 	ix.Probe(x, func(p records.RIDPair) {
 		if p.A > p.B {

@@ -168,7 +168,7 @@ func TestNestedLoopSelfMatchesBruteForce(t *testing.T) {
 	for _, st := range []filter.Stack{{}, filter.AllFilters} {
 		want := BruteForceSelf(items, Options{Fn: simfn.Jaccard, Threshold: 0.8})
 		var got []records.RIDPair
-		NestedLoopSelf(items, Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: st},
+		NestedLoopSelf(items, Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: st}, nil,
 			func(p records.RIDPair) { got = append(got, p) })
 		assertSamePairs(t, got, want, fmt.Sprintf("filters=%+v", st))
 	}
@@ -183,7 +183,7 @@ func TestNestedLoopRSMatchesBruteForce(t *testing.T) {
 	}
 	want := BruteForceRS(r, s, Options{Fn: simfn.Jaccard, Threshold: 0.8})
 	var got []records.RIDPair
-	NestedLoopRS(r, s, Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.AllFilters},
+	NestedLoopRS(r, s, Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.AllFilters}, nil,
 		func(p records.RIDPair) { got = append(got, p) })
 	assertSamePairs(t, got, want, "nested-rs")
 }
@@ -331,6 +331,6 @@ func BenchmarkSelfJoinNestedLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NestedLoopSelf(items, opts, func(records.RIDPair) {})
+		NestedLoopSelf(items, opts, nil, func(records.RIDPair) {})
 	}
 }

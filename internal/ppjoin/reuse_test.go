@@ -116,10 +116,10 @@ func randomGroup(rng *rand.Rand, n int, rs, hot bool) []call {
 // group through the same 500 random groups — self and R-S streams, sizes
 // 0–300 with one 5,000-item hot-token group in the middle that outgrows
 // every retention cap — under every filter subset with the bitmap filter
-// off and on. The reused index must be indistinguishable: the same pairs
-// in the same order, the same Stats, the same Bytes() after every call
-// (so a reducer charges its memory budget identically and runs out of it
-// at the same item).
+// off and on, with and without an owner rule. The reused index must be
+// indistinguishable: the same pairs in the same order, the same Stats,
+// the same Bytes() after every call (so a reducer charges its memory
+// budget identically and runs out of it at the same item).
 func TestResetEqualsFresh(t *testing.T) {
 	groups := 500
 	if testing.Short() {
@@ -141,8 +141,17 @@ func TestResetEqualsFresh(t *testing.T) {
 				n = 5000
 			}
 			calls := randomGroup(rng, n, g%2 == 1, hot)
-			want := drive(NewIndex(opts), calls)
-			reused.Reset()
+			// Two groups in three run under an owner rule, a different
+			// one each: the hook is per stream and must not leak.
+			var owner func(uint32) bool
+			if g%3 != 0 {
+				m, r := uint32(2+g%3), uint32(g%2)
+				owner = func(w uint32) bool { return w%m == r }
+			}
+			fresh := NewIndex(opts)
+			fresh.Reset(owner)
+			want := drive(fresh, calls)
+			reused.Reset(owner)
 			got := drive(reused, calls)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("opts %+v group %d (%d calls): reused index diverged from a fresh one\n got: %d pairs, stats %+v, %d lists / %d entries\nwant: %d pairs, stats %+v, %d lists / %d entries",
@@ -170,7 +179,7 @@ func TestResetRetention(t *testing.T) {
 	if len(ix.items) <= maxRetainedItems || ix.used <= maxRetainedLists {
 		t.Fatalf("test premise broken: hot group left %d items, %d lists", len(ix.items), ix.used)
 	}
-	ix.Reset()
+	ix.Reset(nil)
 	if ix.items != nil || ix.slots != nil || ix.slab != nil || ix.free != nil || ix.slabCap != 0 || len(ix.lists) != 0 {
 		t.Fatalf("hot group's storage outlived Reset: cap(items) %d cap(slots) %d len(slab) %d cap(free) %d slabCap %d",
 			cap(ix.items), cap(ix.slots), len(ix.slab), cap(ix.free), ix.slabCap)
@@ -178,7 +187,7 @@ func TestResetRetention(t *testing.T) {
 
 	small := randomGroup(rng, 40, false, false)
 	drive(ix, small)
-	ix.Reset()
+	ix.Reset(nil)
 	if cap(ix.items) == 0 || cap(ix.slots) == 0 || len(ix.slab) == 0 || ix.slabCap == 0 {
 		t.Fatal("an ordinary group's storage was not kept across Reset")
 	}
@@ -190,7 +199,7 @@ func TestResetRetention(t *testing.T) {
 	got := 0
 	emit := func(records.RIDPair) { got++ }
 	if n := testing.AllocsPerRun(50, func() {
-		ix.Reset()
+		ix.Reset(nil)
 		for _, c := range small {
 			ix.ProbeAndAdd(c.it, emit)
 		}
@@ -270,6 +279,6 @@ func BenchmarkIndexManySmallGroups(b *testing.B) {
 	})
 	b.Run("reused", func(b *testing.B) {
 		ix := NewIndex(opts)
-		run(b, func() *Index { ix.Reset(); return ix })
+		run(b, func() *Index { ix.Reset(nil); return ix })
 	})
 }
