@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-engine bench-planner allocprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
+.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-planner allocprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
 
 all: tier1
 
@@ -48,10 +48,9 @@ smoke:
 	@test -s smoke-out/trace.jsonl && test -s smoke-out/timeline.svg && test -s smoke-out/metrics.json
 	@echo "smoke artifacts in smoke-out/"
 
-# conformance sweeps the full pipeline-variant matrix (1920 cells: stage
+# conformance sweeps the full pipeline-variant matrix (768 cells: stage
 # combos × self/R-S × routing × §5 strategy (block processing or length
-# routing) × hot-token skew split
-# off/k=2/k=4 × FVT build path × bitmap filter off/on ×
+# routing) × hot-token skew split off/k=2/k=4 ×
 # plain/faulty/parallel/dist execution) against the exact oracle, then
 # runs the metamorphic invariant suite, on a handful of seeded
 # workloads. Any divergence prints a minimized `ssjcheck` reproducer and
@@ -119,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRun -fuzztime=$(FUZZTIME) ./internal/mapreduce
 	$(GO) test -run='^$$' -fuzz=FuzzVerifyExact -fuzztime=$(FUZZTIME) ./internal/simfn
 	$(GO) test -run='^$$' -fuzz=FuzzBitsigAdmissible -fuzztime=$(FUZZTIME) ./internal/bitsig
+	$(GO) test -run='^$$' -fuzz=FuzzTailVerify -fuzztime=$(FUZZTIME) ./internal/ppjoin
 	$(GO) test -run='^$$' -fuzz=FuzzFVTTraversal -fuzztime=$(FUZZTIME) ./internal/fvt
 	$(GO) test -run='^$$' -fuzz=FuzzPlannerDeterministic -fuzztime=$(FUZZTIME) \
 		-fuzzminimizetime=5s ./internal/plan
@@ -145,18 +145,6 @@ bench-test:
 # figure and table (DESIGN.md §3).
 bench-micro:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-engine runs the shuffle-datapath micro-benchmarks (map-buffer
-# index sort, merge, map-buffer-to-reducer round trip) plus the verification-kernel benchmarks (candidate-heavy
-# workload, bitmap filter off and on) and records the parsed results to
-# BENCH_engine.json; the raw benchmark lines still print to the terminal
-# via stderr.
-bench-engine:
-	{ $(GO) test -run='^$$' -bench='BenchmarkSortPairs|BenchmarkMergeStream|BenchmarkShuffleRoundTrip' \
-		-benchmem -count=3 ./internal/mapreduce && \
-	  $(GO) test -run='^$$' -bench='BenchmarkVerify' \
-		-benchmem -count=3 ./internal/ppjoin ; } | $(GO) run ./cmd/bench2json > BENCH_engine.json
-	@echo "results recorded to BENCH_engine.json"
 
 # allocprofile prints where a join allocates: BenchmarkJoinAllocProfile
 # (internal/core; the self_dblp recipe over W DBLP-shaped records, or with

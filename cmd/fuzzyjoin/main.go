@@ -62,9 +62,8 @@ func main() {
 		s2     = flag.String("stage2", "PK", "kernel: BK, PK, or FVT")
 		kern   = flag.String("kernel", "", "alias for -stage2 (bk, pk, fvt; case-insensitive)")
 		s3     = flag.String("stage3", "BRJ", "record join: BRJ or OPRJ")
-		bitmap = flag.Bool("bitmap", false, "enable the bitmap-signature verification fast path (identical output, fewer verifications)")
 		red    = flag.Int("reducers", 8, "reduce tasks per job")
-		planIs = flag.String("plan", "", "auto = sample the input, predict every configuration's makespan, and run the cheapest (overrides -stage*, -reducers, -bitmap, -split*)")
+		planIs = flag.String("plan", "", "auto = sample the input, predict every configuration's makespan, and run the cheapest (overrides -stage*, -reducers, -split*)")
 		split  = flag.Int("split", 0, "split each hot token's reduce group across this many salted sub-keys (0 = off, 2..15)")
 		splHot = flag.Int("split-hot", 0, "how many of the most frequent tokens count as hot for -split (default: set it explicitly)")
 		par    = flag.Int("par", 0, "host parallelism (0 = all CPUs; wall-clock only, never affects output)")
@@ -105,7 +104,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.BitmapFilter = *bitmap
 	cfg.SplitK, cfg.SplitHotCount = *split, *splHot
 	if *split > 0 && *splHot <= 0 {
 		fatal(fmt.Errorf("-split %d needs -split-hot to say how many head tokens are hot", *split))

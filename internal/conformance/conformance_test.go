@@ -133,10 +133,10 @@ func TestMatrixEnumeration(t *testing.T) {
 	}
 	// Per join kind and (TO, RJ) combo: BK has 4 block-axis values
 	// (none, map, reduce, lenroute) of which blocks=none carries 3 split
-	// settings (so 3+3 = 6 cells), PK has 3 split settings, FVT 2 build
-	// paths × 3 split settings; times 4 (TO, RJ) combos × 2 routings ×
-	// 2 bitmap settings × 4 exec modes × 2 join kinds = 1920.
-	if want := 2 * 4 * (6 + 3 + 2*3) * 2 * 2 * 4; len(all) != want {
+	// settings (so 3+3 = 6 cells), PK and FVT have 3 split settings
+	// each; times 4 (TO, RJ) combos × 2 routings × 4 exec modes × 2 join
+	// kinds = 768.
+	if want := 2 * 4 * (6 + 3 + 3) * 2 * 4; len(all) != want || want != 768 {
 		t.Fatalf("full matrix has %d variants, want %d", len(all), want)
 	}
 	seen := map[string]bool{}
@@ -150,15 +150,15 @@ func TestMatrixEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub) != 12 { // two routings × three splits × two bitmap settings
-		t.Fatalf("filtered matrix has %d variants, want 12", len(sub))
+	if len(sub) != 6 { // two routings × three splits
+		t.Fatalf("filtered matrix has %d variants, want 6", len(sub))
 	}
 	nosplit, err := Matrix(Filter{Joins: "self", Combos: "BTO-PK-BRJ", Splits: "0", Execs: "plain"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nosplit) != 4 { // two routings × two bitmap settings
-		t.Fatalf("split-filtered matrix has %d variants, want 4", len(nosplit))
+	if len(nosplit) != 2 { // two routings
+		t.Fatalf("split-filtered matrix has %d variants, want 2", len(nosplit))
 	}
 	lenroute, err := Matrix(Filter{Blocks: "lenroute", Execs: "plain"})
 	if err != nil {
@@ -169,8 +169,8 @@ func TestMatrixEnumeration(t *testing.T) {
 			t.Fatalf("lenroute filter produced %s", v.Name())
 		}
 	}
-	if len(lenroute) != 2*4*2*2 { // join kinds × (TO, RJ) combos × routings × bitmaps
-		t.Fatalf("lenroute-filtered matrix has %d variants, want 32", len(lenroute))
+	if len(lenroute) != 2*4*2 { // join kinds × (TO, RJ) combos × routings
+		t.Fatalf("lenroute-filtered matrix has %d variants, want 16", len(lenroute))
 	}
 	if _, err := Matrix(Filter{Splits: "3"}); err == nil {
 		t.Fatal("unknown split value accepted")
@@ -178,20 +178,17 @@ func TestMatrixEnumeration(t *testing.T) {
 	if _, err := Matrix(Filter{Blocks: "mpa"}); err == nil {
 		t.Fatal("typo'd filter value accepted")
 	}
-	if _, err := Matrix(Filter{Bitmaps: "enabled"}); err == nil {
-		t.Fatal("unknown bitmap filter value accepted")
-	}
 	if _, err := Matrix(Filter{Combos: "BTO-XX-BRJ"}); err == nil {
 		t.Fatal("unknown combo accepted")
 	}
 }
 
 func TestVariantFlagsNameReproducer(t *testing.T) {
-	v := Variant{RS: true, Kernel: 0, Block: 1, Bitmap: true, Exec: ExecFaults} // BTO-BK-BRJ map-blocks
+	v := Variant{RS: true, Kernel: 0, Block: 1, Exec: ExecFaults} // BTO-BK-BRJ map-blocks
 	w := Workload{Records: 30, Seed: 9, Skew: 1.5}
 	got := v.Flags(w, Params{Threshold: 0.7})
 	for _, frag := range []string{"-seed 9", "-records 30", "-tau 0.7", "-join rs",
-		"-combo BTO-BK-BRJ", "-blocks map", "-split 0", "-build bulk", "-bitmap on", "-exec faults", "-skew 1.5"} {
+		"-combo BTO-BK-BRJ", "-blocks map", "-split 0", "-exec faults", "-skew 1.5"} {
 		if !strings.Contains(got, frag) {
 			t.Fatalf("reproducer %q missing %q", got, frag)
 		}
@@ -314,7 +311,7 @@ func TestSweepDistBackend(t *testing.T) {
 	// Chaos pass: a fresh fleet with the kill harness armed. The subset
 	// is small (kills are capped below fleet size) but every cell must
 	// still match the oracle bit for bit.
-	chaos, err := Matrix(Filter{Combos: "BTO-PK-BRJ", Routings: "individual", Bitmaps: "off", Execs: "dist"})
+	chaos, err := Matrix(Filter{Combos: "BTO-PK-BRJ", Routings: "individual", Execs: "dist"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,14 +59,6 @@ type Variant struct {
 	// strategies, as core.Validate enforces). Admissible, so every
 	// split setting must match the oracle.
 	Split int
-	// Build selects the FVT tree build path (FVT kernel only): false =
-	// deterministic sorted bulk build, true = streaming arrival-order
-	// incremental build (the tail-extended path the online service
-	// uses). Result-identical by design, so both must match the oracle.
-	Build bool
-	// Bitmap enables the bitmap-filter verification fast path. The
-	// filter is admissible, so both settings must match the oracle.
-	Bitmap bool
 	// Exec is the execution dimension.
 	Exec ExecMode
 }
@@ -99,25 +91,11 @@ var blockNames = []string{"none", "map", "reduce", "lenroute"}
 
 func (b BlockAxis) String() string { return blockNames[b] }
 
-func bitmapFlag(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
-}
-
-func buildFlag(incr bool) string {
-	if incr {
-		return "incr"
-	}
-	return "bulk"
-}
-
 // Name renders the variant compactly, e.g.
-// "self/BTO-BK-BRJ/grouped/blocks=map/split=0/build=bulk/bitmap=on/faults".
+// "self/BTO-BK-BRJ/grouped/blocks=map/split=0/faults".
 func (v Variant) Name() string {
-	return fmt.Sprintf("%s/%s/%s/blocks=%s/split=%d/build=%s/bitmap=%s/%s",
-		v.joinName(), v.combo(), v.Routing, v.Block, v.Split, buildFlag(v.Build), bitmapFlag(v.Bitmap), v.Exec)
+	return fmt.Sprintf("%s/%s/%s/blocks=%s/split=%d/%s",
+		v.joinName(), v.combo(), v.Routing, v.Block, v.Split, v.Exec)
 }
 
 // Flags renders the exact ssjcheck invocation that re-runs this single
@@ -125,9 +103,9 @@ func (v Variant) Name() string {
 func (v Variant) Flags(w Workload, p Params) string {
 	w = w.fill()
 	p = p.fill()
-	s := fmt.Sprintf("ssjcheck -seed %d -records %d -vocab %d -tau %g -join %s -combo %s -routing %s -blocks %s -split %d -build %s -bitmap %s -exec %s",
+	s := fmt.Sprintf("ssjcheck -seed %d -records %d -vocab %d -tau %g -join %s -combo %s -routing %s -blocks %s -split %d -exec %s",
 		w.Seed, w.Records, w.Vocab, p.Threshold,
-		v.joinName(), v.combo(), v.Routing, v.Block, v.Split, buildFlag(v.Build), bitmapFlag(v.Bitmap), v.Exec)
+		v.joinName(), v.combo(), v.Routing, v.Block, v.Split, v.Exec)
 	if v.Exec == ExecDist {
 		s += " -workers 2"
 	}
@@ -147,16 +125,14 @@ func (v Variant) Flags(w Workload, p Params) string {
 // lists. Empty fields mean "all". Values match the tokens used in
 // Variant names and ssjcheck flags: joins "self,rs"; combos like
 // "BTO-PK-OPRJ"; routings "individual,grouped"; blocks
-// "none,map,reduce,lenroute"; splits "0,2,4"; builds "bulk,incr"; bitmaps
-// "off,on"; execs "plain,faults,parallel,dist".
+// "none,map,reduce,lenroute"; splits "0,2,4"; execs
+// "plain,faults,parallel,dist".
 type Filter struct {
 	Joins    string
 	Combos   string
 	Routings string
 	Blocks   string
 	Splits   string
-	Builds   string
-	Bitmaps  string
 	Execs    string
 }
 
@@ -218,23 +194,16 @@ func (f Filter) validate() error {
 	if err := check("-split", f.Splits, []string{"0", "2", "4"}); err != nil {
 		return err
 	}
-	if err := check("-build", f.Builds, []string{"bulk", "incr"}); err != nil {
-		return err
-	}
-	if err := check("-bitmap", f.Bitmaps, []string{"off", "on"}); err != nil {
-		return err
-	}
 	return check("-exec", f.Execs, []string{"plain", "faults", "parallel", "dist"})
 }
 
 // Matrix enumerates every valid variant passing the filter, in a fixed
 // deterministic order: join × token order × kernel × record join ×
-// routing × block axis × split × build × bitmap × exec mode. Block
-// values other than "none" are only generated for the BK kernel (the §5
-// strategies are BK-only, as core.Validate enforces), the incremental
-// build only for the FVT kernel (the other kernels have no tree to
-// build), and split fan-outs 2 and 4 only for blocks=none cells
-// (splitting and the §5 strategies are mutually exclusive).
+// routing × block axis × split × exec mode. Block values other than
+// "none" are only generated for the BK kernel (the §5 strategies are
+// BK-only, as core.Validate enforces), and split fan-outs 2 and 4 only
+// for blocks=none cells (splitting and the §5 strategies are mutually
+// exclusive).
 func Matrix(f Filter) ([]Variant, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -259,10 +228,6 @@ func Matrix(f Filter) ([]Variant, error) {
 						if k == core.BK {
 							blocks = append(blocks, BlocksMap, BlocksReduce, BlocksLenRoute)
 						}
-						builds := []bool{false}
-						if k == core.FVT {
-							builds = append(builds, true)
-						}
 						for _, bm := range blocks {
 							if !keep(f.Blocks, bm.String()) {
 								continue
@@ -275,28 +240,16 @@ func Matrix(f Filter) ([]Variant, error) {
 								if !keep(f.Splits, fmt.Sprintf("%d", split)) {
 									continue
 								}
-								for _, build := range builds {
-									if !keep(f.Builds, buildFlag(build)) {
+								for _, exec := range []ExecMode{ExecPlain, ExecFaults, ExecParallel, ExecDist} {
+									if !keep(f.Execs, exec.String()) {
 										continue
 									}
-									for _, bitmap := range []bool{false, true} {
-										if !keep(f.Bitmaps, bitmapFlag(bitmap)) {
-											continue
-										}
-										for _, exec := range []ExecMode{ExecPlain, ExecFaults, ExecParallel, ExecDist} {
-											if !keep(f.Execs, exec.String()) {
-												continue
-											}
-											v2 := v
-											v2.Routing = routing
-											v2.Block = bm
-											v2.Split = split
-											v2.Build = build
-											v2.Bitmap = bitmap
-											v2.Exec = exec
-											out = append(out, v2)
-										}
-									}
+									v2 := v
+									v2.Routing = routing
+									v2.Block = bm
+									v2.Split = split
+									v2.Exec = exec
+									out = append(out, v2)
 								}
 							}
 						}

@@ -19,19 +19,18 @@ import (
 func (v Variant) config(w Workload, p Params, fs *dfs.FS) core.Config {
 	p = p.fill()
 	cfg := core.Config{
-		FS:           fs,
-		Work:         "w",
-		Tokenizer:    p.Tokenizer,
-		JoinFields:   p.JoinFields,
-		Fn:           p.Fn,
-		Threshold:    p.Threshold,
-		TokenOrder:   v.TokenOrder,
-		Kernel:       v.Kernel,
-		RecordJoin:   v.RecordJoin,
-		Routing:      v.Routing,
-		BitmapFilter: v.Bitmap,
-		NumReducers:  3,
-		Parallelism:  1,
+		FS:          fs,
+		Work:        "w",
+		Tokenizer:   p.Tokenizer,
+		JoinFields:  p.JoinFields,
+		Fn:          p.Fn,
+		Threshold:   p.Threshold,
+		TokenOrder:  v.TokenOrder,
+		Kernel:      v.Kernel,
+		RecordJoin:  v.RecordJoin,
+		Routing:     v.Routing,
+		NumReducers: 3,
+		Parallelism: 1,
 	}
 	if v.Routing == core.GroupedTokens {
 		cfg.NumGroups = 5
@@ -45,9 +44,6 @@ func (v Variant) config(w Workload, p Params, fs *dfs.FS) core.Config {
 		cfg.NumBlocks = 3
 	case BlocksLenRoute:
 		cfg.LengthRouting = true
-	}
-	if v.Kernel == core.FVT {
-		cfg.FVTIncremental = v.Build
 	}
 	if v.Split > 0 {
 		cfg.SplitK = v.Split

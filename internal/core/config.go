@@ -171,12 +171,10 @@ type Config struct {
 	// stack. Point at a zero filter.Stack to run with the prefix filter
 	// alone (the filter ablation does).
 	Filters *filter.Stack
-	// BitmapFilter enables the bitmap-signature fast path in both Stage 2
-	// kernels (internal/bitsig): candidates whose word-parallel overlap
-	// bound falls below the required overlap are rejected before
-	// merge-based verification. Admissible — output is identical with it
-	// on or off.
-	BitmapFilter bool
+	// BitmapFilter is ignored: every kernel ends its funnel with the
+	// bitmap filter (ppjoin.Tail.Verify). Named by bench/ until ROADMAP
+	// 6(a)'s benchmark PR.
+	BitmapFilter bool `json:"-"`
 
 	// TokenOrder, Kernel, and RecordJoin pick the per-stage algorithms.
 	TokenOrder TokenOrderAlg
@@ -187,12 +185,6 @@ type Config struct {
 	// reducer-slot-scaled token count — see Stage 2.
 	Routing   Routing
 	NumGroups int
-	// FVTIncremental switches the FVT kernel's tree build from the
-	// deterministic sorted bulk order to streaming arrival order
-	// (probe-then-insert) — the tail-extended incremental path the
-	// online service uses. Result-identical to the bulk build; requires
-	// Kernel == FVT.
-	FVTIncremental bool
 
 	// NumReducers is the reduce-task count per job (the paper runs
 	// 4 × nodes). Defaults to 4.

@@ -274,56 +274,23 @@ func TestEmptyJoinAttribute(t *testing.T) {
 
 // TestFVTGroupedDefaultGroups: FVT under grouped routing with no
 // explicit group count must derive one group per distinct token from
-// the Stage 1 side file (the reducer mirrors the mapper's fallback),
-// and the incremental arrival-order build must match the bulk build's
-// output exactly.
+// the Stage 1 side file (the reducer mirrors the mapper's fallback).
 func TestFVTGroupedDefaultGroups(t *testing.T) {
 	lines := makeLines(9, 40, 1)
 	want := oracleSelf(t, lines, 0.8)
 	if len(want) == 0 {
 		t.Fatal("test corpus produced no oracle pairs")
 	}
-	for _, incr := range []bool{false, true} {
-		fs := newTestFS(t)
-		writeInput(t, fs, "in", lines)
-		cfg := Config{
-			FS: fs, Work: "w",
-			Kernel: FVT, Routing: GroupedTokens, // NumGroups deliberately unset
-			FVTIncremental: incr,
-			NumReducers:    3,
-		}
-		res, err := SelfJoin(cfg, "in")
-		if err != nil {
-			t.Fatalf("incr=%v: %v", incr, err)
-		}
-		assertPairsEqual(t, readJoined(t, fs, res.Output), want,
-			fmt.Sprintf("fvt-grouped-default incr=%v", incr))
-	}
-}
-
-// TestFVTIncrementalRS: the incremental build on the R-S path (the tree
-// over R probed by S in arrival order) against the oracle.
-func TestFVTIncrementalRS(t *testing.T) {
-	rLines := makeLines(10, 30, 1)
-	sLines := makeLines(10, 24, 101)
-	want := oracleRS(t, rLines, sLines, 0.8)
 	fs := newTestFS(t)
-	writeInput(t, fs, "R", rLines)
-	writeInput(t, fs, "S", sLines)
-	cfg := Config{FS: fs, Work: "w", Kernel: FVT, FVTIncremental: true, NumReducers: 3}
-	res, err := RSJoin(cfg, "R", "S")
+	writeInput(t, fs, "in", lines)
+	cfg := Config{
+		FS: fs, Work: "w",
+		Kernel: FVT, Routing: GroupedTokens, // NumGroups deliberately unset
+		NumReducers: 3,
+	}
+	res, err := SelfJoin(cfg, "in")
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPairsEqual(t, readJoined(t, fs, res.Output), want, "fvt-incr-rs")
-}
-
-// TestValidateFVTIncrementalNeedsFVT: the config guard rejects the
-// incremental-build flag on the other kernels.
-func TestValidateFVTIncrementalNeedsFVT(t *testing.T) {
-	fs := newTestFS(t)
-	cfg := Config{FS: fs, Work: "w", Kernel: BK, FVTIncremental: true}
-	if _, err := SelfJoin(cfg, "in"); err == nil {
-		t.Fatal("FVTIncremental with BK was accepted")
-	}
+	assertPairsEqual(t, readJoined(t, fs, res.Output), want, "fvt-grouped-default")
 }

@@ -6,14 +6,20 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"fuzzyjoin/internal/filter"
+	"fuzzyjoin/internal/fvt"
 	"fuzzyjoin/internal/mapreduce"
+	"fuzzyjoin/internal/ppjoin"
 	"fuzzyjoin/internal/records"
+	"fuzzyjoin/internal/simfn"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/stage2_golden.json from the current code")
@@ -35,45 +41,28 @@ type goldenVariant struct {
 }
 
 // goldenVariants enumerates every (kernel, routing, block mode, length
-// routing, split, FVT build, bitmap) cell Validate accepts.
+// routing, split) cell Validate accepts.
 func goldenVariants() []goldenVariant {
 	var out []goldenVariant
 	for _, routing := range []Routing{IndividualTokens, GroupedTokens} {
-		for _, bitmap := range []bool{false, true} {
-			base := Config{Routing: routing, BitmapFilter: bitmap, NumReducers: 3}
-			if routing == GroupedTokens {
-				base.NumGroups = 7
-			}
-			add := func(name string, mut func(*Config)) {
-				cfg := base
-				mut(&cfg)
-				out = append(out, goldenVariant{
-					name: fmt.Sprintf("%s/%s/bitmap=%v", name, routing, bitmap),
-					cfg:  cfg,
-				})
-			}
-			add("bk", func(c *Config) { c.Kernel = BK })
-			add("bk-mapblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = MapBlocks; c.NumBlocks = 3 })
-			add("bk-reduceblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = ReduceBlocks; c.NumBlocks = 3 })
-			add("bk-lenroute", func(c *Config) { c.Kernel = BK; c.LengthRouting = true; c.LengthBucket = 2 })
-			add("bk-split", func(c *Config) { c.Kernel = BK; c.SplitK = 3; c.SplitHotCount = 30 })
-			add("pk", func(c *Config) { c.Kernel = PK })
-			add("pk-split", func(c *Config) { c.Kernel = PK; c.SplitK = 3; c.SplitHotCount = 30 })
-			for _, incr := range []bool{false, true} {
-				incr := incr
-				build := "bulk"
-				if incr {
-					build = "incr"
-				}
-				add("fvt-"+build, func(c *Config) { c.Kernel = FVT; c.FVTIncremental = incr })
-				add("fvt-"+build+"-split", func(c *Config) {
-					c.Kernel = FVT
-					c.FVTIncremental = incr
-					c.SplitK = 3
-					c.SplitHotCount = 30
-				})
-			}
+		base := Config{Routing: routing, NumReducers: 3}
+		if routing == GroupedTokens {
+			base.NumGroups = 7
 		}
+		add := func(name string, mut func(*Config)) {
+			cfg := base
+			mut(&cfg)
+			out = append(out, goldenVariant{name: fmt.Sprintf("%s/%s", name, routing), cfg: cfg})
+		}
+		add("bk", func(c *Config) { c.Kernel = BK })
+		add("bk-mapblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = MapBlocks; c.NumBlocks = 3 })
+		add("bk-reduceblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = ReduceBlocks; c.NumBlocks = 3 })
+		add("bk-lenroute", func(c *Config) { c.Kernel = BK; c.LengthRouting = true; c.LengthBucket = 2 })
+		add("bk-split", func(c *Config) { c.Kernel = BK; c.SplitK = 3; c.SplitHotCount = 30 })
+		add("pk", func(c *Config) { c.Kernel = PK })
+		add("pk-split", func(c *Config) { c.Kernel = PK; c.SplitK = 3; c.SplitHotCount = 30 })
+		add("fvt", func(c *Config) { c.Kernel = FVT })
+		add("fvt-split", func(c *Config) { c.Kernel = FVT; c.SplitK = 3; c.SplitHotCount = 30 })
 	}
 	return out
 }
@@ -199,6 +188,74 @@ func TestStage2Golden(t *testing.T) {
 		}
 		if !reflect.DeepEqual(g.Counters, w.Counters) {
 			t.Errorf("%s: counters = %v, want %v", name, g.Counters, w.Counters)
+		}
+	}
+}
+
+// TestBitmapFilterIsNotAnOption: every kernel ends its funnel with the
+// bitmap filter under a default Config, and the fields bench/ still names
+// (Config.BitmapFilter, ppjoin.Options.Bitmap = fvt.Options.Bitmap) change
+// neither a counter nor a byte.
+func TestBitmapFilterIsNotAnOption(t *testing.T) {
+	for _, k := range []KernelAlg{BK, PK, FVT} {
+		v := goldenVariant{name: k.String(), cfg: Config{Kernel: k, NumReducers: 3}}
+		off := runGoldenCell(t, v, false)
+		if off.Counters["stage2.bitmap_rejected"] == 0 {
+			t.Errorf("%s: default Config rejected no pair by bitmap: %v", k, off.Counters)
+		}
+		v.cfg.BitmapFilter = true
+		if on := runGoldenCell(t, v, false); !reflect.DeepEqual(on, off) {
+			t.Errorf("%s: Config.BitmapFilter changed Stage 2: %+v, want %+v", k, on, off)
+		}
+	}
+
+	// Clusters of near-duplicates over a small universe: results inside a
+	// cluster, chance prefix matches across clusters for the filter to reject.
+	rng := rand.New(rand.NewSource(3))
+	var items []ppjoin.Item
+	for c := 0; c < 60; c++ {
+		base := rng.Perm(40)
+		for m := 0; m < 4; m++ {
+			// 11 of the cluster's 12 ranks plus one of the other 28.
+			drop, add := rng.Intn(12), 12+rng.Intn(28)
+			ranks := []uint32{uint32(base[add])}
+			for i, r := range base[:12] {
+				if i != drop {
+					ranks = append(ranks, uint32(r))
+				}
+			}
+			slices.Sort(ranks)
+			items = append(items, ppjoin.Item{RID: uint64(len(items) + 1), Ranks: ranks})
+		}
+	}
+	type run struct {
+		pairs []records.RIDPair
+		tail  ppjoin.Tail
+	}
+	kernels := map[string]func(ppjoin.Options, func(records.RIDPair)) ppjoin.Tail{
+		"BK": func(o ppjoin.Options, emit func(records.RIDPair)) ppjoin.Tail {
+			return ppjoin.NestedLoopSelf(items, o, nil, emit).Tail
+		},
+		"PK": func(o ppjoin.Options, emit func(records.RIDPair)) ppjoin.Tail {
+			return ppjoin.SelfJoin(items, o, emit).Tail
+		},
+		"FVT": func(o ppjoin.Options, emit func(records.RIDPair)) ppjoin.Tail {
+			return fvt.SelfJoinBulk(items, o, emit).Tail
+		},
+	}
+	for name, join := range kernels {
+		kernel := func(o ppjoin.Options) (r run) {
+			r.tail = join(o, func(p records.RIDPair) { r.pairs = append(r.pairs, p) })
+			return r
+		}
+		opts := ppjoin.Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.AllFilters}
+		off := kernel(opts)
+		if off.tail.BitmapRejected == 0 || off.tail.Results == 0 {
+			t.Errorf("%s: corpus does not end the funnel both ways: %+v", name, off.tail)
+		}
+		opts.Bitmap = true
+		if on := kernel(opts); !reflect.DeepEqual(on, off) {
+			t.Errorf("%s: Options.Bitmap changed the join: %+v, want %+v", name, on.tail, off.tail)
 		}
 	}
 }

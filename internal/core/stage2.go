@@ -135,7 +135,7 @@ func (m *stage2Mapper) routeCell(p routed, g uint32, cell uint8, sink replicaSin
 }
 
 func kernelOptions(cfg *Config) ppjoin.Options {
-	return ppjoin.Options{Fn: cfg.Fn, Threshold: cfg.Threshold, Filters: *cfg.Filters, Bitmap: cfg.BitmapFilter}
+	return ppjoin.Options{Fn: cfg.Fn, Threshold: cfg.Threshold, Filters: *cfg.Filters}
 }
 
 func countKernelStats(ctx *mapreduce.Context, st ppjoin.Stats) {

@@ -47,8 +47,7 @@ type fvtReducer struct {
 }
 
 func (r *fvtReducer) NewTaskInstance() any {
-	// The two kernels' options are field for field the same.
-	return &fvtReducer{owner: r.owner, layout: r.layout, tree: fvt.New(fvt.Options(kernelOptions(r.cfg)))}
+	return &fvtReducer{owner: r.owner, layout: r.layout, tree: fvt.New(kernelOptions(r.cfg))}
 }
 
 func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
@@ -62,16 +61,12 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 		built               bool
 	)
 	defer func() { ctx.Memory.Free(heldItems + heldTree) }()
-	streaming := r.self && r.cfg.FVTIncremental
-	// build fills the tree from the buffered items — in deterministic
-	// (length, RID) order unless the incremental build is asked for —
-	// and swaps the buffered charge for the tree's own accounting (the
-	// tree shares the items' rank storage).
+	// build fills the tree from the buffered items in deterministic
+	// (length, RID) order and swaps the buffered charge for the tree's own
+	// accounting (the tree shares the items' rank storage).
 	build := func() error {
 		built = true
-		if !r.cfg.FVTIncremental {
-			fvt.SortItems(r.items)
-		}
+		fvt.SortItems(r.items)
 		for i := range r.items {
 			tree.Add(r.items[i])
 		}
@@ -95,42 +90,30 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 			return err
 		}
 		it := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
-		switch {
-		case streaming:
-			// Probe-then-insert in arrival order — the tail-extended
-			// incremental build path.
-			tree.Probe(it, r.pair)
-			tree.Add(it)
-			if delta := tree.Bytes() - heldTree; delta > 0 {
-				if err := ctx.Memory.Alloc(delta); err != nil {
-					return err
-				}
-				heldTree = tree.Bytes()
-			}
-		case rel == relR:
+		if rel == relR {
 			b := projectionBytes(p)
 			if err := ctx.Memory.Alloc(b); err != nil {
 				return err
 			}
 			heldItems += b
 			r.items = append(r.items, it)
-		default:
-			if !built {
-				if err := build(); err != nil {
-					return err
-				}
-			}
-			tree.Probe(it, r.pair)
-			r.ranks.buf = r.ranks.buf[:mark]
+			continue
 		}
+		if !built {
+			if err := build(); err != nil {
+				return err
+			}
+		}
+		tree.Probe(it, r.pair)
+		r.ranks.buf = r.ranks.buf[:mark]
 		if r.err != nil {
 			return r.err
 		}
 	}
-	if r.self && !streaming {
-		// Bulk self-join: the whole group is buffered; build, then
-		// self-probe every item (the RID guard yields each unordered
-		// pair exactly once, already normalized).
+	if r.self {
+		// The whole group is buffered; build, then self-probe every item
+		// (the RID guard yields each unordered pair exactly once, already
+		// normalized).
 		if err := build(); err != nil {
 			return err
 		}

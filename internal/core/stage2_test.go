@@ -20,9 +20,6 @@ import (
 // replicas it emitted.
 func TestStage2MapperCounters(t *testing.T) {
 	for _, v := range goldenVariants() {
-		if v.cfg.BitmapFilter {
-			continue // the bitmap filter is reducer-side
-		}
 		for _, rs := range []bool{false, true} {
 			fs := newTestFS(t)
 			cfg := v.cfg

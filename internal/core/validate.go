@@ -82,10 +82,6 @@ func (c *Config) Validate() error {
 		return &ConfigError{Field: "LengthRouting",
 			Reason: "LengthRouting applies to the BK kernel only"}
 	}
-	if c.FVTIncremental && c.Kernel != FVT {
-		return &ConfigError{Field: "FVTIncremental",
-			Reason: "FVTIncremental applies to the FVT kernel only"}
-	}
 	if c.SplitK < 0 || c.SplitK > 15 {
 		return &ConfigError{Field: "SplitK",
 			Reason: fmt.Sprintf("SplitK %d out of range [0, 15] (cell ids must fit a byte)", c.SplitK)}

@@ -324,17 +324,22 @@ type KernelAblationResult struct {
 	// pairs a kernel actually buffered before verification (BK and PK
 	// materialize every candidate; FVT none).
 	Materialized []int64
-	Verified     []int64
-	Results      []int64
+	// BitmapRejected is stage2.bitmap_rejected: the pairs that survived
+	// the row's filter stack and that the bitmap filter, the start of
+	// every kernel's verification tail, kept from the merge.
+	BitmapRejected []int64
+	Verified       []int64
+	Results        []int64
 }
 
 // Render prints the comparison.
 func (r *KernelAblationResult) Render() string {
-	header := []string{"variant", "stage2(s)", "candidates", "materialized", "verified", "results"}
+	header := []string{"variant", "stage2(s)", "candidates", "materialized", "bitmap rej.", "verified", "results"}
 	var rows [][]string
 	for i, label := range r.Rows {
 		rows = append(rows, []string{label, seconds(r.Times[i], false),
 			fmt.Sprintf("%d", r.Candidates[i]), fmt.Sprintf("%d", r.Materialized[i]),
+			fmt.Sprintf("%d", r.BitmapRejected[i]),
 			fmt.Sprintf("%d", r.Verified[i]), fmt.Sprintf("%d", r.Results[i])})
 	}
 	return r.Title + "\n" + table(header, rows)
@@ -427,11 +432,12 @@ func (s *Suite) kernelVariants(res *KernelAblationResult, pick func(int, *core.C
 			return nil, err
 		}
 		var t time.Duration
-		var cand, mat, ver, results int64
+		var cand, mat, rej, ver, results int64
 		for _, m := range ms {
 			t += spec(nodes).Makespan(fromMetrics(m))
 			cand += m.Counters["stage2.candidates"]
 			mat += m.Counters["stage2.candidates_materialized"]
+			rej += m.Counters["stage2.bitmap_rejected"]
 			ver += m.Counters["stage2.verified"]
 			results += m.Counters["stage2.results"]
 		}
@@ -439,6 +445,7 @@ func (s *Suite) kernelVariants(res *KernelAblationResult, pick func(int, *core.C
 		res.Times = append(res.Times, t)
 		res.Candidates = append(res.Candidates, cand)
 		res.Materialized = append(res.Materialized, mat)
+		res.BitmapRejected = append(res.BitmapRejected, rej)
 		res.Verified = append(res.Verified, ver)
 		res.Results = append(res.Results, results)
 	}

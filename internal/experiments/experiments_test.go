@@ -366,7 +366,7 @@ func TestFVTAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 {
+	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %v", r.Rows)
 	}
 	if r.Pairs[0] == 0 {
@@ -375,7 +375,7 @@ func TestFVTAblation(t *testing.T) {
 	if r.Materialized[0] == 0 || r.Materialized[1] == 0 {
 		t.Fatalf("BK/PK materialized nothing: %v", r.Materialized)
 	}
-	if r.Materialized[2] != 0 || r.Materialized[3] != 0 {
+	if r.Materialized[2] != 0 {
 		t.Fatalf("FVT materialized candidates: %v", r.Materialized)
 	}
 	// Every kernel emits a pair once, from the reduce group that owns it:
@@ -387,10 +387,6 @@ func TestFVTAblation(t *testing.T) {
 		if r.OutputBytes[i] != r.OutputBytes[2] {
 			t.Fatalf("%s stage-2 output differs from FVT's: %v", r.Rows[i], r.OutputBytes)
 		}
-	}
-	// The incremental build is result- and volume-identical to bulk.
-	if r.OutputBytes[3] != r.OutputBytes[2] || r.Pairs[3] != r.Pairs[2] {
-		t.Fatalf("incremental build diverged: out=%v pairs=%v", r.OutputBytes, r.Pairs)
 	}
 	if !strings.Contains(r.Render(), "materialized") {
 		t.Fatal("render missing the materialized column")

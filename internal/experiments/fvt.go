@@ -19,8 +19,7 @@ import (
 	"fuzzyjoin/internal/mapreduce"
 )
 
-// FVTAblationResult holds one row per Stage 2 kernel plus the FVT
-// incremental-build variant.
+// FVTAblationResult holds one row per Stage 2 kernel.
 type FVTAblationResult struct {
 	Title string
 	Rows  []string
@@ -58,9 +57,8 @@ func (r *FVTAblationResult) Render() string {
 	return r.Title + "\n" + table(header, rows)
 }
 
-// FVTAblation compares BK, PK, and FVT (bulk and incremental builds)
-// on a Zipf-skewed R-S join (exponent 2.0, ~4× the default head
-// concentration) over 10 nodes.
+// FVTAblation compares BK, PK, and FVT on a Zipf-skewed R-S join
+// (exponent 2.0, ~4× the default head concentration) over 10 nodes.
 func (s *Suite) FVTAblation() (*FVTAblationResult, error) {
 	const nodes = 10
 	const zipf = 2.0
@@ -100,16 +98,14 @@ func (s *Suite) FVTAblation() (*FVTAblationResult, error) {
 	variants := []struct {
 		label  string
 		kernel core.KernelAlg
-		incr   bool
 	}{
-		{"BK", core.BK, false},
-		{"PK", core.PK, false},
-		{"FVT bulk", core.FVT, false},
-		{"FVT incr", core.FVT, true},
+		{"BK", core.BK},
+		{"PK", core.PK},
+		{"FVT", core.FVT},
 	}
 	for i, v := range variants {
 		cfg := s.w.baseCfg(fs, nodes)
-		cfg.Kernel, cfg.FVTIncremental = v.kernel, v.incr
+		cfg.Kernel = v.kernel
 		cfg.Work = fmt.Sprintf("fvt-v%d", i)
 		pairsPrefix, ms, err := core.Stage2RS(cfg, "r", "s", tokenFile)
 		if err != nil {

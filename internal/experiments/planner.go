@@ -49,7 +49,7 @@ var plannerWorkloads = []plannerWorkload{
 // combination (Stage 1 × Stage 2 × Stage 3) crossed with the two
 // reducer counts an operator actually tries — the framework default of
 // a single reduce task, and one task per cluster reduce slot. Routing
-// stays individual, no bitmap, no split: those are the planner's edge.
+// stays individual, no split: those are the planner's edge.
 func plannerHandGrid() []plan.Choice {
 	var out []plan.Choice
 	for _, to := range []core.TokenOrderAlg{core.BTO, core.OPTO} {

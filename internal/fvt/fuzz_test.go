@@ -65,7 +65,7 @@ func FuzzFVTTraversal(f *testing.F) {
 		if len(rItems) == 0 {
 			return
 		}
-		opts := fvt.Options{Threshold: tau, Filters: filter.AllFilters, Bitmap: true}
+		opts := fvt.Options{Threshold: tau, Filters: filter.AllFilters}
 
 		want := ppjoin.BruteForceSelf(rItems, ppjoin.Options{Threshold: tau})
 		var bulk, incr []records.RIDPair

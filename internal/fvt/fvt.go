@@ -37,12 +37,12 @@
 // Items at unmatched nodes, and whole subtrees that can no longer
 // match any q token, fail the prefix filter and are skipped. Surviving
 // items go straight through the per-pair filter stack (length,
-// positional, suffix, bitmap) into verification.
+// positional, suffix) into the verification tail the BK and PK kernels
+// share (ppjoin.Tail.Verify: bitmap admissibility, then the merge).
 //
 // The build path is incremental: Add accepts items in any order,
 // including arrival order where later items carry previously unseen
-// (strictly larger) tail-extended token ranks, so the online service
-// (internal/ssjserve) can adopt the tree as its native index.
+// (strictly larger) tail-extended token ranks.
 package fvt
 
 import (
@@ -59,19 +59,10 @@ import (
 	"fuzzyjoin/internal/simfn"
 )
 
-// Options configures a tree.
-type Options struct {
-	// Fn and Threshold define the similarity predicate.
-	Fn        simfn.Func
-	Threshold float64
-	// Filters selects the optional per-pair filters (length,
-	// positional, suffix). The prefix filter is the tree itself.
-	Filters filter.Stack
-	// Bitmap enables the per-node OR-signature subtree gate, the
-	// per-pair bitsig admissibility check, and the word-parallel merge
-	// for admitted pairs.
-	Bitmap bool
-}
+// Options configures a tree: the kernels' options. Filters selects the
+// optional per-pair filters (length, positional, suffix); the prefix
+// filter is the tree itself.
+type Options = ppjoin.Options
 
 // Stats counts the work one tree performed across all probes.
 type Stats struct {
@@ -84,14 +75,9 @@ type Stats struct {
 	// per-pair filter. Owner-rule and self-join RID-order skips are not
 	// counted: those pairs are someone else's to report.
 	CandidatesAvoided int64
-	// BitmapRejected counts pairs rejected by the per-pair bitsig
-	// admissibility check (a subset of the avoided work, counted
-	// separately to mirror the BK/PK stats).
-	BitmapRejected int64
-	// Verified counts pairs that reached merge verification.
-	Verified int64
-	// Results counts pairs at or above τ.
-	Results int64
+	// Tail's BitmapRejected pairs are a subset of the avoided work,
+	// counted apart as in the BK/PK stats.
+	ppjoin.Tail
 }
 
 // node is one tree node; the zero value is the root (no token).
@@ -287,12 +273,9 @@ func (t *Tree) probe(x *ppjoin.Item, skip func(*ppjoin.Item) bool, emit func(rec
 		return
 	}
 	pr := prober{t: t, x: x, q: x.Ranks[:px], lx: lx, px: px,
-		lo: 0, hi: math.MaxInt, skip: skip, emit: emit}
+		lo: 0, hi: math.MaxInt, sx: x.Sig(), skip: skip, emit: emit}
 	if t.opts.Filters.Length {
 		pr.lo, pr.hi = t.th.LengthBounds(lx)
-	}
-	if t.opts.Bitmap {
-		pr.sx = x.Sig()
 	}
 	pr.visit(0, 0, -1, -1, -1)
 }
@@ -348,16 +331,14 @@ func (pr *prober) visit(n int32, s, fI, fJ, jpos int) {
 		// admissibility argument): |x∩y| ≤ lx − popcount(sx &^ ch.sig)
 		// for every subtree item y, and the overlap needed is smallest
 		// at the subtree's smallest partner length.
-		if t.opts.Bitmap {
-			if h := andNotCount(pr.sx, ch.sig); h > 0 {
-				lyMin := int(ch.minLen)
-				if pr.lo > lyMin {
-					lyMin = pr.lo
-				}
-				if pr.lx-h < t.need.Need(t.th, pr.lx, pr.lo, lyMin) {
-					t.stats.CandidatesAvoided += int64(ch.size)
-					continue
-				}
+		if h := andNotCount(pr.sx, ch.sig); h > 0 {
+			lyMin := int(ch.minLen)
+			if pr.lo > lyMin {
+				lyMin = pr.lo
+			}
+			if pr.lx-h < t.need.Need(t.th, pr.lx, pr.lo, lyMin) {
+				t.stats.CandidatesAvoided += int64(ch.size)
+				continue
 			}
 		}
 		pr.visit(c, s2, fI2, fJ2, jpos+1)
@@ -365,9 +346,9 @@ func (pr *prober) visit(n int32, s, fI, fJ, jpos int) {
 }
 
 // checkItems runs the per-pair pipeline for the items anchored at a
-// matched node: owner gate, length, positional, suffix, bitmap
-// admissibility, then merge verification. fI/fJ are the first-match
-// positions established during descent.
+// matched node: owner gate, length, positional, suffix, then the shared
+// verification tail. fI/fJ are the first-match positions established
+// during descent.
 func (pr *prober) checkItems(items []int32, fI, fJ int) {
 	t := pr.t
 	if t.owner != nil && !t.owner(pr.q[fI]) {
@@ -394,22 +375,7 @@ func (pr *prober) checkItems(items []int32, fI, fJ int) {
 			t.stats.CandidatesAvoided++
 			continue
 		}
-		var sim float64
-		var ok bool
-		if t.opts.Bitmap {
-			if !bitsig.Admits(pr.lx, ly, pr.sx.HammingXor(y.Sig()), need) {
-				t.stats.BitmapRejected++
-				continue
-			}
-			t.stats.Verified++
-			o := ppjoin.WordIntersect(pr.x.Ranks, y.Ranks)
-			sim, ok = t.opts.Fn.SimFromOverlap(o, pr.lx, ly), o >= need
-		} else {
-			t.stats.Verified++
-			sim, ok = t.th.Verify(pr.x.Ranks, y.Ranks)
-		}
-		if ok {
-			t.stats.Results++
+		if sim, ok := t.stats.Verify(t.opts.Fn, pr.x, y, pr.sx, need); ok {
 			pr.emit(records.RIDPair{A: y.RID, B: pr.x.RID, Sim: sim})
 		}
 	}
@@ -454,9 +420,9 @@ func SelfJoinBulk(items []ppjoin.Item, opts Options, emit func(records.RIDPair))
 
 // SelfJoinIncremental joins items with themselves in streaming order:
 // each item probes the tree of all earlier arrivals, then inserts
-// itself — the online-service build path. The pair set is identical to
-// SelfJoinBulk's (each unordered pair is seen exactly once, when its
-// later arrival probes), with A < B normalization applied on emit.
+// itself. The pair set is identical to SelfJoinBulk's (each unordered
+// pair is seen exactly once, when its later arrival probes), with A < B
+// normalization applied on emit.
 func SelfJoinIncremental(items []ppjoin.Item, opts Options, emit func(records.RIDPair)) Stats {
 	t := New(opts)
 	for i := range items {

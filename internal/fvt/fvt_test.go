@@ -7,13 +7,16 @@ package fvt_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"fuzzyjoin/internal/conformance"
+	"fuzzyjoin/internal/datagen"
 	"fuzzyjoin/internal/filter"
 	"fuzzyjoin/internal/fvt"
 	"fuzzyjoin/internal/ppjoin"
 	"fuzzyjoin/internal/records"
+	"fuzzyjoin/internal/tokenize"
 )
 
 func diffPairs(t *testing.T, label string, got, want []records.RIDPair) {
@@ -43,8 +46,8 @@ var testWorkloads = []conformance.Workload{
 }
 
 // TestFVTMatchesOracle runs every FVT join driver — bulk and
-// tail-extended incremental, self and R-S, bitmap off and on, full
-// filter stack and prefix-only — over skewed conformance workloads at
+// tail-extended incremental, self and R-S, full filter stack and
+// prefix-only — over skewed conformance workloads at
 // τ ∈ {0.6, 0.8, 0.95}; each must reproduce the brute-force result
 // exactly.
 func TestFVTMatchesOracle(t *testing.T) {
@@ -67,22 +70,20 @@ func TestFVTMatchesOracle(t *testing.T) {
 			wantRS := ppjoin.BruteForceRS(rItems, sItems, base)
 
 			for name, st := range stacks {
-				for _, bitmap := range []bool{false, true} {
-					opts := fvt.Options{Threshold: tau, Filters: st, Bitmap: bitmap}
-					tag := fmt.Sprintf("%s bitmap=%v w%d τ=%g", name, bitmap, wi, tau)
+				opts := fvt.Options{Threshold: tau, Filters: st}
+				tag := fmt.Sprintf("%s w%d τ=%g", name, wi, tau)
 
-					var bulk, incr []records.RIDPair
-					fvt.SelfJoinBulk(items, opts, func(pr records.RIDPair) { bulk = append(bulk, pr) })
-					fvt.SelfJoinIncremental(items, opts, func(pr records.RIDPair) { incr = append(incr, pr) })
-					diffPairs(t, "self bulk "+tag, bulk, want)
-					diffPairs(t, "self incr "+tag, incr, want)
+				var bulk, incr []records.RIDPair
+				fvt.SelfJoinBulk(items, opts, func(pr records.RIDPair) { bulk = append(bulk, pr) })
+				fvt.SelfJoinIncremental(items, opts, func(pr records.RIDPair) { incr = append(incr, pr) })
+				diffPairs(t, "self bulk "+tag, bulk, want)
+				diffPairs(t, "self incr "+tag, incr, want)
 
-					var bulkRS, incrRS []records.RIDPair
-					fvt.RSJoinBulk(rItems, sItems, opts, func(pr records.RIDPair) { bulkRS = append(bulkRS, pr) })
-					fvt.RSJoinIncremental(rItems, sItems, opts, func(pr records.RIDPair) { incrRS = append(incrRS, pr) })
-					diffPairs(t, "rs bulk "+tag, bulkRS, wantRS)
-					diffPairs(t, "rs incr "+tag, incrRS, wantRS)
-				}
+				var bulkRS, incrRS []records.RIDPair
+				fvt.RSJoinBulk(rItems, sItems, opts, func(pr records.RIDPair) { bulkRS = append(bulkRS, pr) })
+				fvt.RSJoinIncremental(rItems, sItems, opts, func(pr records.RIDPair) { incrRS = append(incrRS, pr) })
+				diffPairs(t, "rs bulk "+tag, bulkRS, wantRS)
+				diffPairs(t, "rs incr "+tag, incrRS, wantRS)
 			}
 		}
 	}
@@ -117,7 +118,7 @@ func TestFVTOwnerPartition(t *testing.T) {
 		seen := map[[2]uint64]string{}
 		for g := uint32(0); g < numGroups; g++ {
 			label := fmt.Sprintf("group %d/%d", g, numGroups)
-			tree := fvt.New(fvt.Options{Threshold: 0.8, Filters: filter.AllFilters, Bitmap: true})
+			tree := fvt.New(fvt.Options{Threshold: 0.8, Filters: filter.AllFilters})
 			tree.Reset(func(tok uint32) bool { return tok%numGroups == g })
 			selfJoin(tree, items, func(pr records.RIDPair) {
 				key := [2]uint64{pr.A, pr.B}
@@ -132,8 +133,8 @@ func TestFVTOwnerPartition(t *testing.T) {
 	}
 }
 
-// TestFVTTailExtendedInsertion pins the incremental build path the
-// online service needs: items arriving later carry token ranks the
+// TestFVTTailExtendedInsertion pins the incremental build path: items
+// arriving later carry token ranks the
 // tree has never seen (strictly larger than every earlier rank, the
 // tail-extended order), and the result still matches the oracle.
 func TestFVTTailExtendedInsertion(t *testing.T) {
@@ -149,13 +150,11 @@ func TestFVTTailExtendedInsertion(t *testing.T) {
 		{RID: 7, Ranks: []uint32{0, 1, 2, 3, 10}}, // old head, fresh tail rank
 	}
 	for _, tau := range []float64{0.6, 0.8} {
-		for _, bitmap := range []bool{false, true} {
-			opts := fvt.Options{Threshold: tau, Filters: filter.AllFilters, Bitmap: bitmap}
-			want := ppjoin.BruteForceSelf(items, ppjoin.Options{Threshold: tau})
-			var got []records.RIDPair
-			fvt.SelfJoinIncremental(items, opts, func(pr records.RIDPair) { got = append(got, pr) })
-			diffPairs(t, fmt.Sprintf("tail-extended τ=%g bitmap=%v", tau, bitmap), got, want)
-		}
+		opts := fvt.Options{Threshold: tau, Filters: filter.AllFilters}
+		want := ppjoin.BruteForceSelf(items, ppjoin.Options{Threshold: tau})
+		var got []records.RIDPair
+		fvt.SelfJoinIncremental(items, opts, func(pr records.RIDPair) { got = append(got, pr) })
+		diffPairs(t, fmt.Sprintf("tail-extended τ=%g", tau), got, want)
 	}
 }
 
@@ -165,7 +164,7 @@ func TestFVTTailExtendedInsertion(t *testing.T) {
 func TestFVTStats(t *testing.T) {
 	w := conformance.Workload{Records: 100, Seed: 25, Vocab: 48, NearDupRate: 0.5}
 	items := conformance.Items(w.SelfRecords(), conformance.Params{Threshold: 0.8})
-	opts := fvt.Options{Threshold: 0.8, Filters: filter.AllFilters, Bitmap: true}
+	opts := fvt.Options{Threshold: 0.8, Filters: filter.AllFilters}
 	var n int
 	st := fvt.SelfJoinBulk(items, opts, func(records.RIDPair) { n++ })
 	if st.Results != int64(n) {
@@ -198,5 +197,51 @@ func TestFVTTreeAccounting(t *testing.T) {
 			t.Fatalf("Bytes did not grow on add %d: %d -> %d", i+1, last, tr.Bytes())
 		}
 		last = tr.Bytes()
+	}
+}
+
+// dblpItems ranks n seeded DBLP-shaped records under their own
+// rarest-first token order, the shape Stage 2 hands the tree.
+func dblpItems(n int, seed int64) []ppjoin.Item {
+	recs := datagen.Generate(datagen.Spec{Records: n, Seed: seed, Style: datagen.DBLPLike})
+	toks := make([][]string, len(recs))
+	freq := map[string]int{}
+	for i, r := range recs {
+		toks[i] = tokenize.Word{}.Tokenize(r.JoinAttr(records.FieldTitle, records.FieldAuthors))
+		for _, t := range toks[i] {
+			freq[t]++
+		}
+	}
+	byFreq := make([]string, 0, len(freq))
+	for t := range freq {
+		byFreq = append(byFreq, t)
+	}
+	sort.Slice(byFreq, func(i, j int) bool {
+		if freq[byFreq[i]] != freq[byFreq[j]] {
+			return freq[byFreq[i]] < freq[byFreq[j]]
+		}
+		return byFreq[i] < byFreq[j]
+	})
+	order := tokenize.NewOrder(byFreq)
+	items := make([]ppjoin.Item, len(recs))
+	for i, r := range recs {
+		_, ranks := order.SortByRank(toks[i])
+		items[i] = ppjoin.Item{RID: r.RID, Ranks: ranks}
+	}
+	return items
+}
+
+// TestFVTSubtreeGate: the OR-signature gate is part of the tree, not an
+// option. With only the length bound a probe walks most of the tree (as
+// many nodes as it has, per probe); with the gate it reaches a handful.
+func TestFVTSubtreeGate(t *testing.T) {
+	items := dblpItems(2000, 7)
+	opts := fvt.Options{Threshold: 0.8, Filters: filter.AllFilters}
+	st := fvt.SelfJoinBulk(items, opts, func(records.RIDPair) {})
+	if st.Results == 0 {
+		t.Fatal("test premise broken: no results")
+	}
+	if perProbe := st.NodesVisited / int64(len(items)); perProbe >= 100 {
+		t.Fatalf("%d nodes visited per probe over %d items, want < 100: %+v", perProbe, len(items), st)
 	}
 }

@@ -107,7 +107,7 @@ func driveTree(t *Tree, mode string, items []ppjoin.Item) treeTrace {
 // through the same random relations — bulk, incremental and R-S joins,
 // with and without an owner rule (a different one per relation), sizes
 // 0–300 with one 5,000-item hot relation in the middle that outgrows the
-// retention caps, full filter stack and prefix-only, bitmap off and on.
+// retention caps, full filter stack and prefix-only.
 // The reused tree must be indistinguishable: same pairs in the same
 // order, same Stats, same Bytes() after every Add.
 func TestResetEqualsNew(t *testing.T) {
@@ -115,9 +115,9 @@ func TestResetEqualsNew(t *testing.T) {
 	if testing.Short() {
 		relations = 40
 	}
-	for mask := 0; mask < 4; mask++ {
-		opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Bitmap: mask&1 != 0}
-		if mask&2 != 0 {
+	for mask := 0; mask < 2; mask++ {
+		opts := Options{Fn: simfn.Jaccard, Threshold: 0.8}
+		if mask&1 != 0 {
 			opts.Filters = filter.AllFilters
 		}
 		rng := rand.New(rand.NewSource(int64(200 + mask)))
@@ -246,7 +246,7 @@ func BenchmarkTreeManySmallGroups(b *testing.B) {
 		groups = append(groups, items)
 		n += size
 	}
-	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.AllFilters, Bitmap: true}
+	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.AllFilters}
 	emit := func(records.RIDPair) {}
 	run := func(b *testing.B, next func() *Tree) {
 		b.ReportAllocs()

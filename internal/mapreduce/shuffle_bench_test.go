@@ -7,9 +7,10 @@ import (
 	"fuzzyjoin/internal/keys"
 )
 
-// Engine micro-benchmarks for the shuffle datapath (§4.8 of DESIGN.md).
-// Run via `make bench-engine`, which records results (with -benchmem) to
-// BENCH_engine.json so the perf trajectory is tracked across changes.
+// Engine micro-benchmarks for the shuffle datapath (§4.8 of DESIGN.md):
+// `go test -run '^$' -bench . -benchmem ./internal/mapreduce`. The
+// repository's benchmark reports the live number as
+// mapreduce.identity_mb_per_s.
 
 // benchPairCmp is the configuration every pipeline job runs with: the
 // default byte comparator plus the first-8-bytes integer prefix.

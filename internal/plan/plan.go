@@ -22,8 +22,6 @@ type Choice struct {
 	// NumGroups is set (2 × NumReducers) when Routing is grouped.
 	NumGroups   int
 	NumReducers int
-	// BitmapFilter enables the bitmap-signature verification fast path.
-	BitmapFilter bool
 	// SplitK / SplitHotCount configure hot-token skew splitting (0 =
 	// off); see core.Config.
 	SplitK, SplitHotCount int
@@ -38,7 +36,6 @@ func (c Choice) Apply(cfg core.Config) core.Config {
 	cfg.Routing = c.Routing
 	cfg.NumGroups = c.NumGroups
 	cfg.NumReducers = c.NumReducers
-	cfg.BitmapFilter = c.BitmapFilter
 	cfg.SplitK = c.SplitK
 	cfg.SplitHotCount = c.SplitHotCount
 	return cfg
@@ -46,9 +43,8 @@ func (c Choice) Apply(cfg core.Config) core.Config {
 
 // String renders the choice the way experiment tables label cells.
 func (c Choice) String() string {
-	s := fmt.Sprintf("%s-%s-%s routing=%s reducers=%d bitmap=%s",
-		c.TokenOrder, c.Kernel, c.RecordJoin, c.Routing, c.NumReducers,
-		map[bool]string{false: "off", true: "on"}[c.BitmapFilter])
+	s := fmt.Sprintf("%s-%s-%s routing=%s reducers=%d",
+		c.TokenOrder, c.Kernel, c.RecordJoin, c.Routing, c.NumReducers)
 	if c.SplitK >= 2 {
 		s += fmt.Sprintf(" split=%d hot=%d", c.SplitK, c.SplitHotCount)
 	}
@@ -104,8 +100,6 @@ const (
 	bytesPerPair    = 40.0  // bytes per RID pair (shuffle and broadcast)
 	pairSurvival    = 0.002 // verified fraction of generated candidate pairs
 	vocabExp        = 0.6   // Heap's-law exponent: vocab_full = vocab_sample · scale^0.6
-	bitmapSpeedup   = 0.75  // kernel verification share left with the bitmap filter on
-	bitmapBuild     = 180.0 // ns per replica to build/carry its signature
 )
 
 // kernelShape maps each Stage 2 kernel to its (weight ns, exponent)
@@ -199,10 +193,6 @@ func model(s *Sample, c Choice, spec cluster.Spec) time.Duration {
 	// per-rank prefix loads, then price each group under the kernel's
 	// cost shape and pack groups onto reducers.
 	kw, kexp := kernelShape(c.Kernel)
-	bitmapFactor := 1.0
-	if c.BitmapFilter {
-		bitmapFactor = bitmapSpeedup
-	}
 	hotMin := len(s.RankLoads) // first hot rank; nothing hot when split off
 	if c.SplitK >= 2 {
 		hotMin = len(s.RankLoads) - c.SplitHotCount
@@ -253,7 +243,7 @@ func model(s *Sample, c Choice, spec cluster.Spec) time.Duration {
 	groups := make([]gcost, 0, len(groupLoads))
 	for id, load := range groupLoads {
 		full := load * scale
-		groups = append(groups, gcost{id: id, cost: kw * math.Pow(full, kexp) * bitmapFactor, load: full})
+		groups = append(groups, gcost{id: id, cost: kw * math.Pow(full, kexp), load: full})
 	}
 	sort.Slice(groups, func(i, j int) bool {
 		if groups[i].cost != groups[j].cost {
@@ -274,13 +264,9 @@ func model(s *Sample, c Choice, spec cluster.Spec) time.Duration {
 		reduceReplicas[min] += g.load
 	}
 	fullReplicas := replicas * scale
-	perReplicaNS := wReplica
-	if c.BitmapFilter {
-		perReplicaNS += bitmapBuild
-	}
 	s2 := cluster.JobCost{
 		Name:             "s2-kernel",
-		MapCosts:         spread(totalTokens*wTokenize+fullReplicas*perReplicaNS, mapTasks),
+		MapCosts:         spread(totalTokens*wTokenize+fullReplicas*wReplica, mapTasks),
 		ReduceCosts:      make([]time.Duration, c.NumReducers),
 		ShufflePerReduce: make([]int64, c.NumReducers),
 		// Stage 2 broadcasts the token order to every mapper.
@@ -400,23 +386,20 @@ func Decide(s *Sample, nodes int) *Plan {
 			for _, rj := range []core.RecordJoinAlg{core.BRJ, core.OPRJ} {
 				for _, routing := range []core.Routing{core.IndividualTokens, core.GroupedTokens} {
 					for _, nr := range []int{2 * nodes, 4 * nodes} {
-						for _, bitmap := range []bool{false, true} {
-							for _, sp := range splits {
-								c := Choice{
-									TokenOrder:    to,
-									Kernel:        k,
-									RecordJoin:    rj,
-									Routing:       routing,
-									NumReducers:   nr,
-									BitmapFilter:  bitmap,
-									SplitK:        sp[0],
-									SplitHotCount: sp[1],
-								}
-								if routing == core.GroupedTokens {
-									c.NumGroups = 2 * nr
-								}
-								cands = append(cands, Candidate{Choice: c, Predicted: model(s, c, spec)})
+						for _, sp := range splits {
+							c := Choice{
+								TokenOrder:    to,
+								Kernel:        k,
+								RecordJoin:    rj,
+								Routing:       routing,
+								NumReducers:   nr,
+								SplitK:        sp[0],
+								SplitHotCount: sp[1],
 							}
+							if routing == core.GroupedTokens {
+								c.NumGroups = 2 * nr
+							}
+							cands = append(cands, Candidate{Choice: c, Predicted: model(s, c, spec)})
 						}
 					}
 				}

@@ -7,8 +7,8 @@
 // analytic cost model, schedules them onto the virtual cluster
 // (internal/cluster), and picks the full knob vector: Stage 1 BTO/OPTO,
 // Stage 2 kernel BK/PK/FVT, Stage 3 BRJ/OPRJ, individual/grouped
-// routing, the reducer count, the bitmap verification filter, and the
-// hot-token skew split (core.Config.SplitK / SplitHotCount).
+// routing, the reducer count, and the hot-token skew split
+// (core.Config.SplitK / SplitHotCount).
 //
 // The planner is deliberately a pure function of (sample, options): it
 // never measures wall-clock time, never consults a clock or RNG, and

@@ -1,7 +1,6 @@
 package ppjoin
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,72 +9,40 @@ import (
 	"fuzzyjoin/internal/simfn"
 )
 
-// TestBitmapMatchesBruteForce: the bitmap filter is admissible, so every
-// kernel must produce identical results with it on. Universe 50 keeps the
-// rank fold injective; universe 2000 forces fold collisions (which weaken
-// the bound but must never change the output).
-func TestBitmapMatchesBruteForce(t *testing.T) {
-	for _, universe := range []int{50, 2000} {
-		for seed := int64(0); seed < 4; seed++ {
-			rng := rand.New(rand.NewSource(seed + 300))
-			items := corpus(rng, 60, universe, 12)
-			for _, tau := range []float64{0.5, 0.8, 0.9} {
-				for _, fn := range []simfn.Func{simfn.Jaccard, simfn.Cosine, simfn.Dice} {
-					label := fmt.Sprintf("u=%d seed=%d τ=%v fn=%v", universe, seed, tau, fn)
-					want := BruteForceSelf(items, Options{Fn: fn, Threshold: tau})
-					opts := Options{Fn: fn, Threshold: tau, Filters: filter.AllFilters, Bitmap: true}
-					var got []records.RIDPair
-					SelfJoin(items, opts, func(p records.RIDPair) { got = append(got, p) })
-					assertSamePairs(t, got, want, "ppjoin+bitmap "+label)
-					got = got[:0]
-					NestedLoopSelf(items, opts, nil, func(p records.RIDPair) { got = append(got, p) })
-					assertSamePairs(t, got, want, "nested+bitmap "+label)
-				}
-			}
-		}
-	}
-}
-
-func TestBitmapMatchesBruteForceRS(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	r := corpus(rng, 40, 50, 12)
-	s := make([]Item, len(r))
-	for i, it := range r {
-		s[i] = Item{RID: uint64(3000 + i), Ranks: mutate(rng, 50, it.Ranks)}
-	}
-	want := BruteForceRS(r, s, Options{Fn: simfn.Jaccard, Threshold: 0.8})
-	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.AllFilters, Bitmap: true}
-	var got []records.RIDPair
-	RSJoin(r, s, opts, func(p records.RIDPair) { got = append(got, p) })
-	assertSamePairs(t, got, want, "rs+bitmap")
-	got = got[:0]
-	NestedLoopRS(r, s, opts, nil, func(p records.RIDPair) { got = append(got, p) })
-	assertSamePairs(t, got, want, "nested-rs+bitmap")
-}
-
-// TestBitmapStats: turning the filter on must only move pairs from the
-// Verified bucket to the BitmapRejected bucket — never change Candidates
-// or Results.
+// TestBitmapStats: the bitmap filter sits between the candidate filters and
+// the merge and only splits the pairs that reach it. With the optional
+// filters off those are the pairs whose prefixes share a token, counted
+// here pair by pair: each is either BitmapRejected or Verified, in both
+// kernels, and the filter costs no result.
 func TestBitmapStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	items := corpus(rng, 80, 40, 10)
-	base := Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.AllFilters}
-	on := base
-	on.Bitmap = true
-	stOff := SelfJoin(items, base, func(records.RIDPair) {})
-	stOn := SelfJoin(items, on, func(records.RIDPair) {})
-	if stOff.BitmapRejected != 0 {
-		t.Fatalf("bitmap off but BitmapRejected = %d", stOff.BitmapRejected)
+	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8}
+	var reach int64
+	for i := range items {
+		for j := i + 1; j < len(items); j++ {
+			x, y := items[i].Ranks, items[j].Ranks
+			px, py := opts.Fn.PrefixLength(len(x), opts.Threshold), opts.Fn.PrefixLength(len(y), opts.Threshold)
+			if simfn.Overlap(x[:px], y[:py]) > 0 {
+				reach++
+			}
+		}
 	}
-	if stOn.Candidates != stOff.Candidates {
-		t.Fatalf("candidates changed: %d vs %d", stOn.Candidates, stOff.Candidates)
-	}
-	if stOn.Results != stOff.Results {
-		t.Fatalf("results changed: %d vs %d", stOn.Results, stOff.Results)
-	}
-	if stOn.Verified+stOn.BitmapRejected != stOff.Verified {
-		t.Fatalf("verified(on)+rejected(on) = %d+%d, want verified(off) = %d",
-			stOn.Verified, stOn.BitmapRejected, stOff.Verified)
+	results := int64(len(BruteForceSelf(items, opts)))
+	for name, st := range map[string]Stats{
+		"pk": SelfJoin(items, opts, func(records.RIDPair) {}),
+		"bk": NestedLoopSelf(items, opts, nil, func(records.RIDPair) {}),
+	} {
+		if st.Verified+st.BitmapRejected != reach {
+			t.Fatalf("%s: verified+rejected = %d+%d, want the %d pairs with a common prefix token",
+				name, st.Verified, st.BitmapRejected, reach)
+		}
+		if st.BitmapRejected == 0 {
+			t.Fatalf("%s: the bitmap filter rejected nothing: %+v", name, st)
+		}
+		if st.Results != results {
+			t.Fatalf("%s: %d results, brute force has %d", name, st.Results, results)
+		}
 	}
 }
 
@@ -151,9 +118,9 @@ func candidateHeavyCorpus(n int) []Item {
 	return items
 }
 
-func benchmarkVerifySelfJoin(b *testing.B, bitmap bool) {
+func BenchmarkVerifyCandidateHeavy(b *testing.B) {
 	items := candidateHeavyCorpus(200)
-	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Bitmap: bitmap}
+	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -161,20 +128,12 @@ func benchmarkVerifySelfJoin(b *testing.B, bitmap bool) {
 	}
 }
 
-func BenchmarkVerifyCandidateHeavy(b *testing.B)       { benchmarkVerifySelfJoin(b, false) }
-func BenchmarkVerifyCandidateHeavyBitmap(b *testing.B) { benchmarkVerifySelfJoin(b, true) }
-
-func benchmarkVerifyNestedLoop(b *testing.B, bitmap bool) {
+func BenchmarkVerifyNestedLoopCandidateHeavy(b *testing.B) {
 	items := candidateHeavyCorpus(200)
-	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Bitmap: bitmap}
+	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NestedLoopSelf(items, opts, nil, func(records.RIDPair) {})
 	}
-}
-
-func BenchmarkVerifyNestedLoopCandidateHeavy(b *testing.B) { benchmarkVerifyNestedLoop(b, false) }
-func BenchmarkVerifyNestedLoopCandidateHeavyBitmap(b *testing.B) {
-	benchmarkVerifyNestedLoop(b, true)
 }

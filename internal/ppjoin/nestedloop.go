@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"fuzzyjoin/internal/bitsig"
 	"fuzzyjoin/internal/filter"
 	"fuzzyjoin/internal/records"
 	"fuzzyjoin/internal/simfn"
@@ -154,28 +153,7 @@ func (b *Block) check(x, y *Item, px, py, l, lo, hi int) (float64, bool) {
 	if opts.Filters.Suffix && !filter.Suffix(x.Ranks, y.Ranks, i, j, need) {
 		return 0, false
 	}
-	if opts.Bitmap {
-		if !bitsig.Admits(lx, ly, x.Sig().HammingXor(y.Sig()), need) {
-			st.BitmapRejected++
-			return 0, false
-		}
-		// Bitmap-admitted pairs use the word-parallel blocked merge;
-		// overlap ≥ need is exactly sim ≥ τ (OverlapThreshold is the
-		// precise acceptance boundary), so the decision matches Verify.
-		st.Verified++
-		o := WordIntersect(x.Ranks, y.Ranks)
-		if o < need {
-			return 0, false
-		}
-		st.Results++
-		return opts.Fn.SimFromOverlap(o, lx, ly), true
-	}
-	st.Verified++
-	sim, ok := b.th.Verify(x.Ranks, y.Ranks)
-	if ok {
-		st.Results++
-	}
-	return sim, ok
+	return st.Verify(opts.Fn, x, y, x.Sig(), need)
 }
 
 // NestedLoopSelf runs the BK kernel over items (the record projections a

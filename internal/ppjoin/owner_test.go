@@ -49,7 +49,7 @@ func TestOwnerPartition(t *testing.T) {
 		}
 		for _, fn := range []simfn.Func{simfn.Jaccard, simfn.Cosine, simfn.Dice} {
 			for _, tau := range []float64{0.5, 0.8, 0.95} {
-				opts := Options{Fn: fn, Threshold: tau, Filters: filter.AllFilters, Bitmap: seed == 2}
+				opts := Options{Fn: fn, Threshold: tau, Filters: filter.AllFilters}
 				th := fn.At(tau)
 				wantSelf := BruteForceSelf(rItems, opts)
 				wantRS := BruteForceRS(rItems, sItems, opts)
@@ -129,8 +129,8 @@ func TestBlockResetEqualsFresh(t *testing.T) {
 		return tr
 	}
 	pairs := 0
-	for mask := 0; mask < 16; mask++ {
-		opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Bitmap: mask&8 != 0,
+	for mask := 0; mask < 8; mask++ {
+		opts := Options{Fn: simfn.Jaccard, Threshold: 0.8,
 			Filters: filter.Stack{Length: mask&1 != 0, Positional: mask&2 != 0, Suffix: mask&4 != 0}}
 		rng := rand.New(rand.NewSource(int64(300 + mask)))
 		reused := NewBlock(opts)

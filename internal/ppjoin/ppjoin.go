@@ -55,10 +55,7 @@ type Options struct {
 	// Zero value disables all (prefix filter + verification only);
 	// use filter.AllFilters for the full PPJoin+ stack.
 	Filters filter.Stack
-	// Bitmap enables the bitmap-filter fast path (internal/bitsig): a
-	// word-parallel overlap upper bound rejects candidates immediately
-	// before the merge-based verification. Admissible — results are
-	// identical with it on or off.
+	// Bitmap is ignored; named by bench/ until ROADMAP 6(a)'s benchmark PR.
 	Bitmap bool
 }
 
@@ -67,13 +64,7 @@ type Stats struct {
 	// Candidates is the number of candidate pairs considered (after
 	// prefix filtering, before the other filters).
 	Candidates int64
-	// BitmapRejected is the number of candidates the bitmap filter
-	// rejected just before verification (0 unless Options.Bitmap).
-	BitmapRejected int64
-	// Verified is the number of pairs whose similarity was computed.
-	Verified int64
-	// Results is the number of pairs at or above the threshold.
-	Results int64
+	Tail
 }
 
 // entry is one posting: an indexed item and the position of the list's
@@ -378,13 +369,9 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 	}
 
 	// Verify surviving candidates in index order for deterministic
-	// output. With the bitmap filter on, the word-parallel overlap bound
-	// rejects most failing candidates here for the cost of four XORs and
-	// popcounts, skipping their merge-based verification entirely.
-	var sx bitsig.Sig
-	if ix.opts.Bitmap {
-		sx = x.Sig()
-	}
+	// output. x.Sig() memoizes in this call's copy of x, so the probe's
+	// signature is built when the first candidate gets here: most probes
+	// have none.
 	cand := ix.cand
 	slices.Sort(cand)
 	for _, c := range cand {
@@ -393,28 +380,7 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 			continue
 		}
 		y := &ix.items[c]
-		ly := int(s.length)
-		if ix.opts.Bitmap {
-			need := int(s.need)
-			if !bitsig.Admits(lx, ly, sx.HammingXor(y.Sig()), need) {
-				ix.stats.BitmapRejected++
-				continue
-			}
-			// Bitmap-admitted pairs take the word-parallel blocked
-			// merge; overlap ≥ need is exactly sim ≥ τ.
-			ix.stats.Verified++
-			o := WordIntersect(x.Ranks, y.Ranks)
-			if o >= need {
-				ix.stats.Results++
-				emit(records.RIDPair{A: y.RID, B: x.RID,
-					Sim: ix.opts.Fn.SimFromOverlap(o, lx, ly)})
-			}
-			continue
-		}
-		ix.stats.Verified++
-		sim, ok := ix.th.Verify(x.Ranks, y.Ranks)
-		if ok {
-			ix.stats.Results++
+		if sim, ok := ix.stats.Verify(ix.opts.Fn, &x, y, x.Sig(), int(s.need)); ok {
 			emit(records.RIDPair{A: y.RID, B: x.RID, Sim: sim})
 		}
 	}

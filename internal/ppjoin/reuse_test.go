@@ -115,8 +115,8 @@ func randomGroup(rng *rand.Rand, n int, rs, hot bool) []call {
 // TestResetEqualsFresh drives one reused Index and a fresh NewIndex per
 // group through the same 500 random groups — self and R-S streams, sizes
 // 0–300 with one 5,000-item hot-token group in the middle that outgrows
-// every retention cap — under every filter subset with the bitmap filter
-// off and on, with and without an owner rule. The reused index must be
+// every retention cap — under every filter subset, with and without an
+// owner rule. The reused index must be
 // indistinguishable: the same pairs in the same order, the same Stats,
 // the same Bytes() after every call (so a reducer charges its memory
 // budget identically and runs out of it at the same item).
@@ -125,8 +125,8 @@ func TestResetEqualsFresh(t *testing.T) {
 	if testing.Short() {
 		groups = 60
 	}
-	for mask := 0; mask < 16; mask++ {
-		opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Bitmap: mask&8 != 0,
+	for mask := 0; mask < 8; mask++ {
+		opts := Options{Fn: simfn.Jaccard, Threshold: 0.8,
 			Filters: filter.Stack{Length: mask&1 != 0, Positional: mask&2 != 0, Suffix: mask&4 != 0}}
 		rng := rand.New(rand.NewSource(int64(100 + mask)))
 		reused := NewIndex(opts)

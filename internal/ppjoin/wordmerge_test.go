@@ -97,7 +97,7 @@ func TestGallopBoundary(t *testing.T) {
 
 // benchmarkVerifyMerge measures the raw merge step over the same
 // candidate-heavy rank sets the kernel benchmarks use, word-parallel vs
-// scalar (both appear in BENCH_engine.json via make bench-engine).
+// scalar.
 func benchmarkVerifyMerge(b *testing.B, merge func(x, y []uint32) int) {
 	items := candidateHeavyCorpus(200)
 	b.ReportAllocs()
