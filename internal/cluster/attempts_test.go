@@ -9,8 +9,8 @@ import (
 )
 
 // TestLPTAttemptsReducesToLPT: single-attempt chains must schedule
-// exactly like the plain task list — failure-aware scheduling is a
-// strict generalization.
+// exactly like the plain task list — scheduling attempt chains is a
+// strict generalization of LPT.
 func TestLPTAttemptsReducesToLPT(t *testing.T) {
 	f := func(raw []uint16, slots8 uint8) bool {
 		slots := int(slots8%16) + 1
@@ -20,7 +20,7 @@ func TestLPTAttemptsReducesToLPT(t *testing.T) {
 			tasks[i] = time.Duration(v)
 			chains[i] = []time.Duration{tasks[i]}
 		}
-		return LPTAttempts(chains, slots) == LPT(tasks, slots)
+		return chainSpan(chains, slots) == lptSpan(tasks, slots)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -32,13 +32,13 @@ func TestLPTAttemptsReducesToLPT(t *testing.T) {
 func TestLPTAttemptsSerializesRetries(t *testing.T) {
 	// One task, chain 5 then 3, plenty of slots: the retry waits for the
 	// failure, so the makespan is 8, not max(5,3).
-	if got := LPTAttempts([][]time.Duration{{5, 3}}, 8); got != 8 {
+	if got := chainSpan([][]time.Duration{{5, 3}}, 8); got != 8 {
 		t.Fatalf("single retried task makespan = %v, want 8", got)
 	}
 	// Two slots, tasks {5,3} and {4}: the failed attempt occupies slot A
 	// for 5 while {4} runs on B; the retry lands on B at t=5 (it was free
 	// at 4 but must wait for the failure) ending at 8.
-	if got := LPTAttempts([][]time.Duration{{5, 3}, {4}}, 2); got != 8 {
+	if got := chainSpan([][]time.Duration{{5, 3}, {4}}, 2); got != 8 {
 		t.Fatalf("retry + other task makespan = %v, want 8", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestRetriesNeverShortenMakespan(t *testing.T) {
 		}
 		i := int(idx8) % len(raw)
 		faulty[i] = append([]time.Duration{time.Duration(fail)}, faulty[i]...)
-		return LPTAttempts(faulty, slots) >= LPTAttempts(clean, slots)
+		return chainSpan(faulty, slots) >= chainSpan(clean, slots)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -95,9 +95,8 @@ func TestMakespanRetriedMapPaysLocality(t *testing.T) {
 		MapLocations:  [][]int{{0}},
 		MapInputBytes: []int64{0},
 	}
-	st := s.scheduleMaps(jc, nil)
-	if st.MapSpan != 2*time.Second {
-		t.Fatalf("map span = %v, want 2s (failed attempt + retry)", st.MapSpan)
+	if span, _, _ := mapWave(s, jc); span != 2*time.Second {
+		t.Fatalf("map span = %v, want 2s (failed attempt + retry)", span)
 	}
 }
 

@@ -20,6 +20,10 @@
 // stages don't speed up, per-task and per-job fixed overheads bound
 // speedup, broadcast cost stays constant as N grows, and reducer skew
 // stretches the reduce wave.
+//
+// One scheduler (wave) places every attempt. Makespan and FlowMakespan
+// are SimulateFlow without failures, and Timeline records where that
+// failure-free run placed each attempt, so the three cannot disagree.
 package cluster
 
 import (
@@ -28,6 +32,7 @@ import (
 	"time"
 
 	"fuzzyjoin/internal/mapreduce"
+	"fuzzyjoin/internal/trace"
 )
 
 // Spec describes a virtual cluster configuration.
@@ -65,6 +70,15 @@ func Default(nodes int) Spec {
 		JobOverhead:  20 * time.Millisecond,
 		TaskOverhead: 2 * time.Millisecond,
 	}
+}
+
+// normalized is the spec every entry point schedules on: at least one
+// node, and unset slot counts mean one slot per node.
+func (s Spec) normalized() Spec {
+	s.Nodes = max(s.Nodes, 1)
+	s.MapSlotsPerNode = max(s.MapSlotsPerNode, 1)
+	s.ReduceSlotsPerNode = max(s.ReduceSlotsPerNode, 1)
+	return s
 }
 
 // JobCost is the schedulable summary of one executed job.
@@ -141,309 +155,266 @@ func FromMetrics(m *mapreduce.Metrics) JobCost {
 	return jc
 }
 
-// attemptChain returns task i's attempt-cost chain: the recorded chain
-// when present, else the single committed cost.
-func attemptChain(attempts [][]time.Duration, i int, cost time.Duration) []time.Duration {
-	if i < len(attempts) && len(attempts[i]) > 0 {
-		return attempts[i]
+// chain returns task i's attempt costs, each plus extra: the recorded
+// chain when present, else the single committed cost.
+func chain(attempts [][]time.Duration, i int, cost, extra time.Duration) []time.Duration {
+	if i >= len(attempts) || len(attempts[i]) == 0 {
+		return []time.Duration{cost + extra}
 	}
-	return []time.Duration{cost}
+	out := make([]time.Duration, len(attempts[i]))
+	for k, a := range attempts[i] {
+		out[k] = a + extra
+	}
+	return out
 }
 
-// ScheduleStats reports how the map wave was placed.
-type ScheduleStats struct {
-	// LocalMaps and RemoteMaps count data-local vs remote map
-	// assignments (tasks with no recorded locations count as local:
-	// there is nothing to fetch).
-	LocalMaps, RemoteMaps int
-	// MapSpan is the map wave makespan.
-	MapSpan time.Duration
-}
-
-// placement is an optional scheduler callback recording where and when
-// one attempt ran: task and attempt are the engine's IDs (attempt is
-// 1-based), slot the flat slot index, start/end the attempt's interval
-// in the wave's local time. Recording does not perturb the schedule —
-// Makespan and Timeline see identical placements.
-type placement func(task, attempt, slot int, start, end time.Duration)
-
-// scheduleMaps places map tasks LPT-style with locality preference, the
-// behaviour of Hadoop's scheduler: a task runs on a node holding its
-// split when that doesn't delay it beyond the cost of fetching the split
-// remotely; otherwise it runs anywhere and pays the remote read.
-//
-// A task with a recorded attempt chain occupies its chosen slot for each
-// failed attempt's cost, then the retry is rescheduled onto whichever
-// slot is best at that point — it cannot start before the failure was
-// detected, so re-executed work serializes within the task while other
-// tasks fill the freed capacity.
-func (s Spec) scheduleMaps(jc JobCost, rec placement) ScheduleStats {
-	slots := s.Nodes * s.MapSlotsPerNode
-	if slots < 1 {
-		slots = 1
-	}
-	type task struct {
-		id       int
-		attempts []time.Duration
-		penalty  time.Duration
-		locs     []int
-	}
-	tasks := make([]task, len(jc.MapCosts))
-	for i, c := range jc.MapCosts {
-		t := task{id: i}
-		for _, a := range attemptChain(jc.MapAttempts, i, c) {
-			t.attempts = append(t.attempts, a+s.TaskOverhead)
-		}
-		if i < len(jc.MapLocations) && len(jc.MapLocations[i]) > 0 && s.NetBytesPerSec > 0 {
-			t.locs = jc.MapLocations[i]
-			if i < len(jc.MapInputBytes) {
-				t.penalty = time.Duration(float64(jc.MapInputBytes[i]) / s.NetBytesPerSec * float64(time.Second))
-			}
-		}
-		tasks[i] = t
-	}
-	// LPT order by first-attempt demand: the scheduler is failure-blind
-	// and cannot sort by work it doesn't know will be re-executed.
-	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].attempts[0] > tasks[j].attempts[0] })
-
-	loads := make([]time.Duration, slots)
-	var st ScheduleStats
-	nodeOf := func(slot int) int { return slot / s.MapSlotsPerNode }
-	// placeAttempt runs one attempt no earlier than ready, preferring a
-	// slot local to the split unless waiting for one costs more than the
-	// remote read, and returns the finish time.
-	placeAttempt := func(t task, attemptNo int, cost, ready time.Duration) time.Duration {
-		bestAny := 0
-		for sl := 1; sl < slots; sl++ {
-			if maxDur(loads[sl], ready) < maxDur(loads[bestAny], ready) {
-				bestAny = sl
-			}
-		}
-		commit := func(sl int, total time.Duration) time.Duration {
-			start := maxDur(loads[sl], ready)
-			loads[sl] = start + total
-			if rec != nil {
-				rec(t.id, attemptNo, sl, start, loads[sl])
-			}
-			return loads[sl]
-		}
-		if len(t.locs) == 0 {
-			st.LocalMaps++
-			return commit(bestAny, cost)
-		}
-		bestLocal := -1
-		for sl := 0; sl < slots; sl++ {
-			local := false
-			for _, n := range t.locs {
-				if nodeOf(sl) == n%s.Nodes {
-					local = true
-					break
-				}
-			}
-			if local && (bestLocal < 0 || maxDur(loads[sl], ready) < maxDur(loads[bestLocal], ready)) {
-				bestLocal = sl
-			}
-		}
-		if bestLocal >= 0 && maxDur(loads[bestLocal], ready) <= maxDur(loads[bestAny], ready)+t.penalty {
-			st.LocalMaps++
-			return commit(bestLocal, cost)
-		}
-		st.RemoteMaps++
-		return commit(bestAny, cost+t.penalty)
-	}
-
-	// First attempts place exactly like plain LPT; retries dispatch at
-	// the moment the previous attempt failed.
-	type retry struct {
-		t     task
-		ready time.Duration
-		next  int // index into t.attempts
-	}
-	var retries []retry
-	for _, t := range tasks {
-		end := placeAttempt(t, 1, t.attempts[0], 0)
-		if len(t.attempts) > 1 {
-			retries = append(retries, retry{t: t, ready: end, next: 1})
-		}
-	}
-	for len(retries) > 0 {
-		sort.SliceStable(retries, func(i, j int) bool { return retries[i].ready < retries[j].ready })
-		r := retries[0]
-		retries = retries[1:]
-		end := placeAttempt(r.t, r.next+1, r.t.attempts[r.next], r.ready)
-		if r.next+1 < len(r.t.attempts) {
-			retries = append(retries, retry{t: r.t, ready: end, next: r.next + 1})
-		}
-	}
-	for _, l := range loads {
-		if l > st.MapSpan {
-			st.MapSpan = l
-		}
-	}
-	return st
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// LPT schedules the given task durations onto `slots` identical slots,
-// longest first, each task to the currently least-loaded slot, and
-// returns the makespan.
-func LPT(tasks []time.Duration, slots int) time.Duration {
-	chains := make([][]time.Duration, len(tasks))
-	for i, t := range tasks {
-		chains[i] = []time.Duration{t}
-	}
-	return LPTAttempts(chains, slots)
-}
-
-// LPTAttempts schedules attempt chains onto `slots` identical slots the
-// way a failure-blind scheduler does: every task's first attempt is
-// placed longest-first onto the then-least-loaded slot (exactly LPT —
-// the scheduler cannot know an attempt will fail), and each retry is
-// then dispatched at the moment its predecessor failed, onto the slot
-// that can start it earliest. Single-attempt chains make this identical
-// to LPT.
-func LPTAttempts(tasks [][]time.Duration, slots int) time.Duration {
-	return lptAttempts(tasks, slots, nil)
-}
-
-func lptAttempts(tasks [][]time.Duration, slots int, rec placement) time.Duration {
-	if len(tasks) == 0 {
+// transfer is the time one node takes to fetch the given bytes; the
+// network is free when the spec sets no bandwidth.
+func (s Spec) transfer(bytes int64) time.Duration {
+	if bytes <= 0 || s.NetBytesPerSec <= 0 {
 		return 0
 	}
-	if slots < 1 {
-		slots = 1
-	}
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
-	}
-	first := func(chain []time.Duration) time.Duration {
-		if len(chain) == 0 {
-			return 0
-		}
-		return chain[0]
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return first(tasks[order[i]]) > first(tasks[order[j]])
-	})
-
-	loads := make([]time.Duration, slots)
-	type retry struct {
-		id      int
-		attempt int           // 1-based attempt number of rest[0]
-		ready   time.Duration // when the previous attempt failed
-		rest    []time.Duration
-	}
-	var retries []retry
-	for _, i := range order {
-		chain := tasks[i]
-		if len(chain) == 0 {
-			continue
-		}
-		min := 0
-		for s := 1; s < slots; s++ {
-			if loads[s] < loads[min] {
-				min = s
-			}
-		}
-		if rec != nil {
-			rec(i, 1, min, loads[min], loads[min]+chain[0])
-		}
-		loads[min] += chain[0]
-		if len(chain) > 1 {
-			retries = append(retries, retry{id: i, attempt: 2, ready: loads[min], rest: chain[1:]})
-		}
-	}
-	// Dispatch retries in failure order; each takes the slot where it can
-	// start earliest (it cannot start before the failure was observed).
-	for len(retries) > 0 {
-		sort.SliceStable(retries, func(i, j int) bool { return retries[i].ready < retries[j].ready })
-		r := retries[0]
-		retries = retries[1:]
-		best := 0
-		for s := 1; s < slots; s++ {
-			if maxDur(loads[s], r.ready) < maxDur(loads[best], r.ready) {
-				best = s
-			}
-		}
-		start := maxDur(loads[best], r.ready)
-		if rec != nil {
-			rec(r.id, r.attempt, best, start, start+r.rest[0])
-		}
-		loads[best] = start + r.rest[0]
-		if len(r.rest) > 1 {
-			retries = append(retries, retry{id: r.id, attempt: r.attempt + 1, ready: loads[best], rest: r.rest[1:]})
-		}
-	}
-	var makespan time.Duration
-	for _, l := range loads {
-		if l > makespan {
-			makespan = l
-		}
-	}
-	return makespan
+	return time.Duration(float64(bytes) / s.NetBytesPerSec * float64(time.Second))
 }
 
 // broadcastTime is the side-file broadcast cost: every node fetches the
 // side files in parallel; the wall time is one node's fetch — constant
 // in N, linear in the side data.
-func (s Spec) broadcastTime(jc JobCost) time.Duration {
-	if jc.SideBytes <= 0 || s.NetBytesPerSec <= 0 {
-		return 0
-	}
-	return time.Duration(float64(jc.SideBytes) / s.NetBytesPerSec * float64(time.Second))
-}
+func (s Spec) broadcastTime(jc JobCost) time.Duration { return s.transfer(jc.SideBytes) }
 
 // reduceFetch is reduce task i's shuffle-fetch time.
 func (s Spec) reduceFetch(jc JobCost, i int) time.Duration {
-	if i >= len(jc.ShufflePerReduce) || s.NetBytesPerSec <= 0 {
+	if i >= len(jc.ShufflePerReduce) {
 		return 0
 	}
-	return time.Duration(float64(jc.ShufflePerReduce[i]) / s.NetBytesPerSec * float64(time.Second))
+	return s.transfer(jc.ShufflePerReduce[i])
 }
 
-// reduceChains builds the schedulable attempt chains of the reduce
-// wave. Every attempt — failed ones included — pays the shuffle fetch
-// and task launch again, as a re-executed reducer does on Hadoop.
-func (s Spec) reduceChains(jc JobCost) [][]time.Duration {
-	reduceTasks := make([][]time.Duration, len(jc.ReduceCosts))
-	for i, c := range jc.ReduceCosts {
-		fetch := s.reduceFetch(jc, i)
-		for _, a := range attemptChain(jc.ReduceAttempts, i, c) {
-			reduceTasks[i] = append(reduceTasks[i], a+fetch+s.TaskOverhead)
+// task is one schedulable task of a wave.
+type task struct {
+	attempts []time.Duration // attempt costs, overheads included; all but the last fail
+	locs     []int           // input replica holders (empty = unconstrained)
+	penalty  time.Duration   // remote-read cost when run off-replica
+}
+
+// barrier blocks attempts from starting inside [from, until) — the
+// window in which lost map outputs are being recomputed.
+type barrier struct{ from, until time.Duration }
+
+// placement, when non-nil, is told where and when each attempt ran:
+// the phase (trace.PhaseMap or trace.PhaseReduce), the task, its
+// 1-based attempt number, the node, and the attempt's absolute interval.
+// Recording does not perturb the schedule.
+type placement func(phase string, task, attempt, node int, start, end time.Duration)
+
+// waveOut is one wave's outcome.
+type waveOut struct {
+	end        time.Duration // absolute completion time of the wave
+	commitNode []int         // per task, the node it committed on (-1 if none)
+	commits    []int         // per task, times committed (0 if lost)
+	killed     int
+	spLaunched int
+	spWins     int
+	wasted     time.Duration
+	lost       bool          // some task's input had no live replica
+	lostAt     time.Duration // when that was detected
+}
+
+// wave is the cluster's scheduler: it places one wave of tasks (a job's
+// map or reduce tasks) onto Nodes × slots-per-node slots from start, the
+// way a failure-blind slot scheduler does.
+//
+//   - First attempts go out longest first (LPT by first-attempt cost),
+//     each to the slot that can start it earliest. A task with input
+//     locations runs on a replica holder unless waiting for one costs
+//     more than the remote read; off-replica it pays the read.
+//   - A recorded failed attempt occupies its slot for its cost, and the
+//     next attempt is dispatched when it fails, onto whichever slot can
+//     start it earliest then. Retries go out in the order they became
+//     ready, ties by task index.
+//   - No attempt starts on a dead node (dead[n] is node n's death time)
+//     or inside a recompute barrier. An attempt running when its node
+//     dies is killed and re-run once the death is detected, or earlier
+//     by a speculative backup; a task whose input has no live replica
+//     loses the wave.
+//
+// With no deaths and no barriers this is LPT over attempt chains.
+func (s Spec) wave(phase string, tasks []task, start time.Duration, dead []time.Duration,
+	barriers []barrier, fm FailureModel, rec placement) waveOut {
+
+	out := waveOut{
+		end:        start,
+		commitNode: make([]int, len(tasks)),
+		commits:    make([]int, len(tasks)),
+	}
+	for i := range out.commitNode {
+		out.commitNode[i] = -1
+	}
+	if len(tasks) == 0 {
+		return out
+	}
+	slotsPerNode := s.MapSlotsPerNode
+	if phase == trace.PhaseReduce {
+		slotsPerNode = s.ReduceSlotsPerNode
+	}
+	slots := s.Nodes * slotsPerNode
+	free := make([]time.Duration, slots)
+	for i := range free {
+		free[i] = start
+	}
+	nodeOf := func(sl int) int { return sl / slotsPerNode }
+	onReplica := func(locs []int, node int) bool {
+		for _, n := range locs {
+			if n%s.Nodes == node {
+				return true
+			}
+		}
+		return false
+	}
+
+	// A backup launches once an attempt has run slack × the median
+	// committed task cost without finishing.
+	committed := make([]time.Duration, len(tasks))
+	for i, t := range tasks {
+		committed[i] = t.attempts[len(t.attempts)-1]
+	}
+	sort.Slice(committed, func(i, j int) bool { return committed[i] < committed[j] })
+	slackLag := time.Duration(fm.slack() * float64(committed[len(committed)/2]))
+
+	afterBarriers := func(t time.Duration) time.Duration {
+		for _, b := range barriers {
+			if t >= b.from && t < b.until {
+				t = b.until
+			}
+		}
+		return t
+	}
+
+	type retry struct {
+		id, next int           // the task and the index of its next attempt
+		ready    time.Duration // it cannot start earlier
+	}
+	var retries []retry
+	placed := make([]int, len(tasks)) // attempts placed so far, per task
+
+	// place runs attempt next of task id no earlier than ready; false
+	// means the task's input is lost.
+	place := func(id, next int, ready time.Duration) bool {
+		t := tasks[id]
+		startOn := func(sl int) time.Duration { return afterBarriers(max(free[sl], ready)) }
+		bestAny, bestLocal := -1, -1
+		for sl := 0; sl < slots; sl++ {
+			st := startOn(sl)
+			if st >= dead[nodeOf(sl)] {
+				continue
+			}
+			if bestAny < 0 || st < startOn(bestAny) {
+				bestAny = sl
+			}
+			if onReplica(t.locs, nodeOf(sl)) && (bestLocal < 0 || st < startOn(bestLocal)) {
+				bestLocal = sl
+			}
+		}
+		if bestAny < 0 {
+			// Every node is dead: nothing can ever run.
+			out.lost, out.lostAt = true, ready
+			return false
+		}
+		sl, cost := bestAny, t.attempts[next]
+		if len(t.locs) > 0 {
+			if bestLocal >= 0 && startOn(bestLocal) <= startOn(bestAny)+t.penalty {
+				sl = bestLocal
+			} else if !s.replicaAlive(t.locs, dead, startOn(sl)) {
+				// Off-replica, and no replica is left to read from.
+				out.lost, out.lostAt = true, startOn(sl)+fm.detect()
+				return false
+			} else {
+				cost += t.penalty
+			}
+		}
+		st := startOn(sl)
+		end := st + cost
+		node := nodeOf(sl)
+		killed := dead[node] < end
+		if killed {
+			end = dead[node]
+		}
+		placed[id]++
+		if rec != nil {
+			rec(phase, id, placed[id], node, st, end)
+		}
+		free[sl] = end
+		switch {
+		case killed:
+			// The node died mid-attempt. The stall is visible from the
+			// death on: the heartbeat timeout notices after DetectTimeout,
+			// the speculation lag detector after slackLag, and whichever
+			// fires first launches the re-run. When speculation wins, the
+			// re-run IS the backup, and it commits.
+			out.killed++
+			out.wasted += end - st
+			ready := end + fm.detect()
+			if specAt := end + slackLag; fm.Speculative && specAt < ready {
+				ready = specAt
+				out.spLaunched++
+				out.spWins++
+			}
+			retries = append(retries, retry{id: id, next: next, ready: ready})
+		case next+1 < len(t.attempts):
+			// A recorded failure: the next attempt goes out when it fails.
+			retries = append(retries, retry{id: id, next: next + 1, ready: end})
+		default:
+			out.commits[id]++
+			out.commitNode[id] = node
+			if fm.Speculative && t.attempts[next] > slackLag {
+				// A backup launched for this laggard at st+slackLag and was
+				// killed when the original committed first: pure waste.
+				out.spLaunched++
+				out.wasted += end - (st + slackLag)
+			}
+		}
+		return true
+	}
+
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return tasks[order[i]].attempts[0] > tasks[order[j]].attempts[0] })
+	for _, id := range order {
+		if !place(id, 0, start) {
+			return out
 		}
 	}
-	return reduceTasks
+	for len(retries) > 0 {
+		sort.SliceStable(retries, func(i, j int) bool {
+			if retries[i].ready != retries[j].ready {
+				return retries[i].ready < retries[j].ready
+			}
+			return retries[i].id < retries[j].id
+		})
+		r := retries[0]
+		retries = retries[1:]
+		if !place(r.id, r.next, r.ready) {
+			return out
+		}
+	}
+	for _, f := range free {
+		out.end = max(out.end, f)
+	}
+	return out
 }
 
 // Makespan computes the simulated wall-clock time of one job on the
-// cluster.
+// cluster: SimulateFlow's makespan with no failures.
 func (s Spec) Makespan(jc JobCost) time.Duration {
-	if s.Nodes < 1 {
-		s.Nodes = 1
-	}
-	if s.MapSlotsPerNode < 1 {
-		s.MapSlotsPerNode = 1
-	}
-	mapSpan := s.scheduleMaps(jc, nil).MapSpan
-	reduceSpan := LPTAttempts(s.reduceChains(jc), s.Nodes*s.ReduceSlotsPerNode)
-	return s.JobOverhead + s.broadcastTime(jc) + mapSpan + reduceSpan
+	return s.FlowMakespan([]JobCost{jc})
 }
 
-// FlowMakespan sums the makespans of a sequence of dependent jobs (the
-// stages run one after another).
+// FlowMakespan is the simulated time of a sequence of dependent jobs run
+// one after another with no failures — the sum of their Makespans.
 func (s Spec) FlowMakespan(jobs []JobCost) time.Duration {
-	var total time.Duration
-	for _, j := range jobs {
-		total += s.Makespan(j)
-	}
-	return total
+	return s.SimulateFlow(jobs, FailureModel{}).Makespan
 }
 
 // String renders the spec compactly for experiment logs.

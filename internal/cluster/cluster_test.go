@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,28 +10,64 @@ import (
 	"fuzzyjoin/internal/mapreduce"
 )
 
+// lptSpan is LPT through the scheduler: the tasks as the map wave of one
+// node with `slots` slots, no overheads and no network.
+func lptSpan(tasks []time.Duration, slots int) time.Duration {
+	return Spec{Nodes: 1, MapSlotsPerNode: slots}.Makespan(JobCost{MapCosts: tasks})
+}
+
+// chainSpan is lptSpan over attempt chains (failed attempts first).
+func chainSpan(chains [][]time.Duration, slots int) time.Duration {
+	jc := JobCost{MapAttempts: chains}
+	for _, c := range chains {
+		jc.MapCosts = append(jc.MapCosts, c[len(c)-1])
+	}
+	return Spec{Nodes: 1, MapSlotsPerNode: slots}.Makespan(jc)
+}
+
+// mapWave schedules jc's map tasks alone on s and returns the wave's span
+// and how many attempts ran on a node holding their split (tasks without
+// recorded locations count as local) or off it.
+func mapWave(s Spec, jc JobCost) (span time.Duration, local, remote int) {
+	s.JobOverhead = 0
+	jc.ReduceCosts, jc.SideBytes = nil, 0
+	for _, e := range s.Timeline([]JobCost{jc}, nil) {
+		span = max(span, time.Duration(e.End))
+		var locs []int
+		if e.Task < len(jc.MapLocations) {
+			locs = jc.MapLocations[e.Task]
+		}
+		if len(locs) == 0 || slices.ContainsFunc(locs, func(n int) bool { return n%s.Nodes == e.Node }) {
+			local++
+		} else {
+			remote++
+		}
+	}
+	return span, local, remote
+}
+
 func TestLPTBasics(t *testing.T) {
-	if got := LPT(nil, 4); got != 0 {
-		t.Fatalf("LPT(empty) = %v", got)
+	if got := lptSpan(nil, 4); got != 0 {
+		t.Fatalf("lptSpan(empty) = %v", got)
 	}
 	// One slot: makespan is the sum.
 	tasks := []time.Duration{3, 1, 2}
-	if got := LPT(tasks, 1); got != 6 {
-		t.Fatalf("LPT(1 slot) = %v, want 6", got)
+	if got := lptSpan(tasks, 1); got != 6 {
+		t.Fatalf("lptSpan(1 slot) = %v, want 6", got)
 	}
 	// Enough slots: makespan is the max.
-	if got := LPT(tasks, 3); got != 3 {
-		t.Fatalf("LPT(3 slots) = %v, want 3", got)
+	if got := lptSpan(tasks, 3); got != 3 {
+		t.Fatalf("lptSpan(3 slots) = %v, want 3", got)
 	}
 	// Classic LPT behaviour: tasks 5,4,3,3,3 on 2 slots. LPT assigns
 	// 5→A, 4→B, 3→B, 3→A, 3→B giving makespan 10 (the optimum is 9;
 	// LPT is a 4/3-approximation, like Hadoop's greedy slot scheduler).
-	if got := LPT([]time.Duration{5, 4, 3, 3, 3}, 2); got != 10 {
+	if got := lptSpan([]time.Duration{5, 4, 3, 3, 3}, 2); got != 10 {
 		t.Fatalf("LPT = %v, want 10", got)
 	}
 	// slots < 1 treated as 1.
-	if got := LPT(tasks, 0); got != 6 {
-		t.Fatalf("LPT(0 slots) = %v, want 6", got)
+	if got := lptSpan(tasks, 0); got != 6 {
+		t.Fatalf("lptSpan(0 slots) = %v, want 6", got)
 	}
 }
 
@@ -48,7 +85,7 @@ func TestLPTBounds(t *testing.T) {
 				max = tasks[i]
 			}
 		}
-		got := LPT(tasks, slots)
+		got := lptSpan(tasks, slots)
 		if len(tasks) == 0 {
 			return got == 0
 		}
@@ -66,9 +103,9 @@ func TestLPTBounds(t *testing.T) {
 // non-increase on random inputs as a regression guard.
 func TestLPTMoreSlotsHelps(t *testing.T) {
 	tasks := []time.Duration{9, 8, 7, 6, 5, 4, 3, 2, 1}
-	prev := LPT(tasks, 1)
+	prev := lptSpan(tasks, 1)
 	for slots := 2; slots <= 9; slots++ {
-		cur := LPT(tasks, slots)
+		cur := lptSpan(tasks, slots)
 		if cur > prev {
 			t.Fatalf("makespan grew from %v to %v at %d slots", prev, cur, slots)
 		}
@@ -237,12 +274,12 @@ func TestLocalitySchedulingPrefersReplicaNodes(t *testing.T) {
 		jc.MapLocations = append(jc.MapLocations, []int{i % 4})
 		jc.MapInputBytes = append(jc.MapInputBytes, 32<<20) // 1 s remote read
 	}
-	st := s.scheduleMaps(jc, nil)
-	if st.RemoteMaps != 0 {
-		t.Fatalf("remote maps = %d, want 0 (%+v)", st.RemoteMaps, st)
+	_, local, remote := mapWave(s, jc)
+	if remote != 0 {
+		t.Fatalf("remote maps = %d, want 0", remote)
 	}
-	if st.LocalMaps != 16 {
-		t.Fatalf("local maps = %d", st.LocalMaps)
+	if local != 16 {
+		t.Fatalf("local maps = %d", local)
 	}
 }
 
@@ -256,14 +293,14 @@ func TestLocalityPenaltyChargedWhenForcedRemote(t *testing.T) {
 		jc.MapLocations = append(jc.MapLocations, []int{0})
 		jc.MapInputBytes = append(jc.MapInputBytes, 320<<10) // 10 ms remote read
 	}
-	st := s.scheduleMaps(jc, nil)
-	if st.RemoteMaps == 0 {
+	span, _, remote := mapWave(s, jc)
+	if remote == 0 {
 		t.Fatal("expected some remote maps when one node holds all splits")
 	}
 	// With the penalty tiny relative to task cost, spreading beats
 	// queueing on node 0: makespan well under the 4-wave local-only time.
-	if st.MapSpan >= 400*time.Millisecond {
-		t.Fatalf("map span = %v, scheduler refused cheap remote reads", st.MapSpan)
+	if span >= 400*time.Millisecond {
+		t.Fatalf("map span = %v, scheduler refused cheap remote reads", span)
 	}
 }
 
@@ -275,14 +312,14 @@ func TestLocalityHotNodeQueuesWhenRemoteIsDear(t *testing.T) {
 		jc.MapLocations = append(jc.MapLocations, []int{0})
 		jc.MapInputBytes = append(jc.MapInputBytes, 32<<20) // 1 s remote read
 	}
-	st := s.scheduleMaps(jc, nil)
+	span, _, remote := mapWave(s, jc)
 	// Remote read (1 s) dwarfs queueing (2 waves × 10 ms): everything
 	// stays local on node 0.
-	if st.RemoteMaps != 0 {
-		t.Fatalf("remote maps = %d, want 0 when remote reads are dear", st.RemoteMaps)
+	if remote != 0 {
+		t.Fatalf("remote maps = %d, want 0 when remote reads are dear", remote)
 	}
-	if st.MapSpan != 20*time.Millisecond+2*s.TaskOverhead {
-		t.Fatalf("map span = %v", st.MapSpan)
+	if span != 20*time.Millisecond+2*s.TaskOverhead {
+		t.Fatalf("map span = %v", span)
 	}
 }
 
@@ -294,7 +331,8 @@ func TestNoLocationsBehavesAsBefore(t *testing.T) {
 	for i, c := range tasks {
 		withOverhead[i] = c + s.TaskOverhead
 	}
-	if got, want := s.scheduleMaps(jc, nil).MapSpan, LPT(withOverhead, 8); got != want {
+	want := lptSpan(withOverhead, 8)
+	if got, _, _ := mapWave(s, jc); got != want {
 		t.Fatalf("span without locations = %v, want plain LPT %v", got, want)
 	}
 }

@@ -2,8 +2,9 @@ package cluster
 
 import (
 	"math"
-	"sort"
 	"time"
+
+	"fuzzyjoin/internal/trace"
 )
 
 // This file extends the cluster model with node-level failures, the
@@ -114,217 +115,6 @@ func (r *SimResult) absorb(w waveOut) {
 	}
 }
 
-// simTask is one schedulable task inside a wave.
-type simTask struct {
-	cost    time.Duration
-	locs    []int         // live input replica holders (empty = unconstrained)
-	penalty time.Duration // remote-read cost when run off-replica
-}
-
-// barrier blocks attempts from starting inside [from, until) — the
-// window in which lost map outputs are being recomputed.
-type barrier struct{ from, until time.Duration }
-
-// waveOut is one wave's outcome.
-type waveOut struct {
-	end        time.Duration   // absolute completion time of the wave
-	commitEnd  []time.Duration // per task, when it committed
-	commitNode []int           // per task, the node it committed on
-	commits    []int           // per task, times committed (0 if lost)
-	killed     int
-	spLaunched int
-	spWins     int
-	wasted     time.Duration
-	lost       bool          // some task's input had no live replica
-	lostAt     time.Duration // when that was detected
-}
-
-// simWave schedules one wave of tasks onto the cluster's slots under
-// node failures: LPT dispatch with locality preference, kills for
-// attempts caught by a death, retry after detection (or earlier via a
-// speculative backup), and input-replica checks at attempt start.
-func (s Spec) simWave(tasks []simTask, slotsPerNode int, deadAt []time.Duration,
-	fm FailureModel, start time.Duration, barriers []barrier) waveOut {
-
-	out := waveOut{
-		end:        start,
-		commitEnd:  make([]time.Duration, len(tasks)),
-		commitNode: make([]int, len(tasks)),
-		commits:    make([]int, len(tasks)),
-	}
-	for i := range out.commitNode {
-		out.commitNode[i] = -1
-	}
-	if len(tasks) == 0 {
-		return out
-	}
-	if slotsPerNode < 1 {
-		slotsPerNode = 1
-	}
-	slots := s.Nodes * slotsPerNode
-	slotFree := make([]time.Duration, slots)
-	for i := range slotFree {
-		slotFree[i] = start
-	}
-	nodeOf := func(sl int) int { return sl / slotsPerNode }
-
-	// Median cost drives the speculation lag threshold.
-	sorted := make([]time.Duration, len(tasks))
-	for i, t := range tasks {
-		sorted[i] = t.cost
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	slackLag := time.Duration(fm.slack() * float64(sorted[len(sorted)/2]))
-
-	afterBarriers := func(st time.Duration) time.Duration {
-		for _, b := range barriers {
-			if st >= b.from && st < b.until {
-				st = b.until
-			}
-		}
-		return st
-	}
-
-	// placeAttempt runs one attempt of task id no earlier than ready and
-	// returns (end, killedAt) — killedAt < forever when a node death cut
-	// the attempt down.
-	placeAttempt := func(id int, ready time.Duration) (time.Duration, time.Duration, bool) {
-		t := tasks[id]
-		startOn := func(sl int) time.Duration {
-			return afterBarriers(maxDur(slotFree[sl], ready))
-		}
-		usable := func(sl int) bool { return startOn(sl) < deadAt[nodeOf(sl)] }
-		bestAny, bestLocal := -1, -1
-		for sl := 0; sl < slots; sl++ {
-			if !usable(sl) {
-				continue
-			}
-			if bestAny < 0 || startOn(sl) < startOn(bestAny) {
-				bestAny = sl
-			}
-			for _, n := range t.locs {
-				if nodeOf(sl) == n%s.Nodes && deadAt[n%s.Nodes] > startOn(sl) {
-					if bestLocal < 0 || startOn(sl) < startOn(bestLocal) {
-						bestLocal = sl
-					}
-					break
-				}
-			}
-		}
-		if bestAny < 0 {
-			// Every node is dead: nothing can ever run.
-			out.lost, out.lostAt = true, ready
-			return 0, 0, false
-		}
-		sl, cost := bestAny, t.cost
-		if len(t.locs) > 0 {
-			if bestLocal >= 0 && startOn(bestLocal) <= startOn(bestAny)+t.penalty {
-				sl = bestLocal
-			} else {
-				// Off-replica: the input must still be readable somewhere.
-				alive := false
-				for _, n := range t.locs {
-					if deadAt[n%s.Nodes] > startOn(sl) {
-						alive = true
-						break
-					}
-				}
-				if !alive {
-					out.lost, out.lostAt = true, startOn(sl)+fm.detect()
-					return 0, 0, false
-				}
-				cost += t.penalty
-			}
-		}
-		st := startOn(sl)
-		end := st + cost
-		node := nodeOf(sl)
-		if d := deadAt[node]; d < end {
-			// The node dies mid-attempt.
-			slotFree[sl] = d
-			out.killed++
-			out.wasted += d - st
-			return d, d, true
-		}
-		slotFree[sl] = end
-		out.commits[id]++
-		out.commitEnd[id] = end
-		out.commitNode[id] = node
-		if fm.Speculative && t.cost > slackLag {
-			// A backup launched for this laggard at st+slackLag and was
-			// killed when the original committed first: pure waste.
-			out.spLaunched++
-			out.wasted += end - (st + slackLag)
-		}
-		return end, forever, true
-	}
-
-	// First attempts dispatch in LPT order (the scheduler cannot know an
-	// attempt is doomed); retries dispatch in failure-detection order.
-	order := make([]int, len(tasks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool { return tasks[order[i]].cost > tasks[order[j]].cost })
-
-	type retry struct {
-		id    int
-		ready time.Duration
-	}
-	var retries []retry
-	// enqueueRetry schedules the re-execution of a killed attempt. The
-	// attempt visibly stalls from the moment its node dies, so that is
-	// when both detectors start their clocks: the heartbeat timeout
-	// notices after DetectTimeout, the speculation lag detector after
-	// slackLag — whichever fires first launches the next attempt. When
-	// speculation wins the race the next attempt IS the backup (the dead
-	// original can never finish, so the backup always commits).
-	enqueueRetry := func(id int, killedAt time.Duration) {
-		ready := killedAt + fm.detect()
-		if fm.Speculative {
-			if specAt := killedAt + slackLag; specAt < ready {
-				ready = specAt
-				out.spLaunched++
-				out.spWins++
-			}
-		}
-		retries = append(retries, retry{id: id, ready: ready})
-	}
-
-	for _, id := range order {
-		_, killedAt, ok := placeAttempt(id, start)
-		if !ok {
-			return out
-		}
-		if killedAt < forever {
-			enqueueRetry(id, killedAt)
-		}
-	}
-	for len(retries) > 0 {
-		sort.SliceStable(retries, func(i, j int) bool {
-			if retries[i].ready != retries[j].ready {
-				return retries[i].ready < retries[j].ready
-			}
-			return retries[i].id < retries[j].id
-		})
-		r := retries[0]
-		retries = retries[1:]
-		_, killedAt, ok := placeAttempt(r.id, r.ready)
-		if !ok {
-			return out
-		}
-		if killedAt < forever {
-			enqueueRetry(r.id, killedAt)
-		}
-	}
-	for _, f := range slotFree {
-		if f > out.end {
-			out.end = f
-		}
-	}
-	return out
-}
-
 // addStats folds another result's work statistics (not its makespan)
 // into this one.
 func (r *SimResult) addStats(o SimResult) {
@@ -360,26 +150,21 @@ func (s Spec) deadTimes(fm FailureModel, from time.Duration) []time.Duration {
 	return dead
 }
 
-func (s Spec) normalized() Spec {
-	if s.Nodes < 1 {
-		s.Nodes = 1
+// replicaAlive reports whether some node in locs is still alive at `at`.
+func (s Spec) replicaAlive(locs []int, dead []time.Duration, at time.Duration) bool {
+	for _, n := range locs {
+		if dead[n%s.Nodes] > at {
+			return true
+		}
 	}
-	if s.MapSlotsPerNode < 1 {
-		s.MapSlotsPerNode = 1
-	}
-	if s.ReduceSlotsPerNode < 1 {
-		s.ReduceSlotsPerNode = 1
-	}
-	return s
+	return false
 }
 
-// SimulateJob computes the job's simulated completion time under the
-// failure model. With no failures it reduces to Makespan's schedule.
-func (s Spec) SimulateJob(jc JobCost, fm FailureModel) SimResult {
-	return s.normalized().simulateFrom(jc, fm, 0, 0)
-}
-
-func (s Spec) simulateFrom(jc JobCost, fm FailureModel, startAt time.Duration, depth int) SimResult {
+// simulateFrom runs one job from startAt under the failure model: job
+// overhead and side-file broadcast, the map wave, the recomputation of
+// map outputs lost with their node, then the reduce wave. rec sees every
+// attempt of both waves.
+func (s Spec) simulateFrom(jc JobCost, fm FailureModel, startAt time.Duration, depth int, rec placement) SimResult {
 	var res SimResult
 	dead := s.deadTimes(fm, startAt)
 	liveAny := false
@@ -395,33 +180,27 @@ func (s Spec) simulateFrom(jc JobCost, fm FailureModel, startAt time.Duration, d
 		return res
 	}
 
-	var broadcast time.Duration
-	if jc.SideBytes > 0 && s.NetBytesPerSec > 0 {
-		broadcast = time.Duration(float64(jc.SideBytes) / s.NetBytesPerSec * float64(time.Second))
-	}
-	t0 := startAt + s.JobOverhead + broadcast
-
-	mapTasks := make([]simTask, len(jc.MapCosts))
+	mapTasks := make([]task, len(jc.MapCosts))
 	for i, c := range jc.MapCosts {
-		t := simTask{cost: c + s.TaskOverhead}
+		t := task{attempts: chain(jc.MapAttempts, i, c, s.TaskOverhead)}
 		if i < len(jc.MapLocations) && len(jc.MapLocations[i]) > 0 {
-			locs := jc.MapLocations[i]
-			if fm.Replication > 0 && len(locs) > fm.Replication {
+			t.locs = jc.MapLocations[i]
+			if fm.Replication > 0 && len(t.locs) > fm.Replication {
 				// "What if this data had been stored with replication r":
 				// keep only the first r recorded replica holders.
-				locs = locs[:fm.Replication]
+				t.locs = t.locs[:fm.Replication]
 			}
-			t.locs = locs
-			if i < len(jc.MapInputBytes) && s.NetBytesPerSec > 0 {
-				t.penalty = time.Duration(float64(jc.MapInputBytes[i]) / s.NetBytesPerSec * float64(time.Second))
+			if i < len(jc.MapInputBytes) {
+				t.penalty = s.transfer(jc.MapInputBytes[i])
 			}
 		}
 		mapTasks[i] = t
 	}
-	mw := s.simWave(mapTasks, s.MapSlotsPerNode, dead, fm, t0, nil)
+	t0 := startAt + s.JobOverhead + s.broadcastTime(jc)
+	mw := s.wave(trace.PhaseMap, mapTasks, t0, dead, nil, fm, rec)
 	res.absorb(mw)
 	if mw.lost {
-		return s.restart(jc, fm, mw.lostAt, depth, res)
+		return s.restart(jc, fm, mw.lostAt, depth, res, rec)
 	}
 
 	// A node dying after map tasks committed on it loses their outputs:
@@ -434,51 +213,42 @@ func (s Spec) simulateFrom(jc JobCost, fm FailureModel, startAt time.Duration, d
 		if failAt == forever {
 			continue
 		}
-		var lostCosts []time.Duration
+		var lost []task
 		for i, cn := range mw.commitNode {
 			if cn != n {
 				continue
 			}
-			if len(mapTasks[i].locs) > 0 {
-				alive := false
-				for _, ln := range mapTasks[i].locs {
-					if dead[ln%s.Nodes] > failAt {
-						alive = true
-						break
-					}
-				}
-				if !alive {
-					return s.restart(jc, fm, failAt+fm.detect(), depth, res)
-				}
+			if len(mapTasks[i].locs) > 0 && !s.replicaAlive(mapTasks[i].locs, dead, failAt) {
+				return s.restart(jc, fm, failAt+fm.detect(), depth, res, rec)
 			}
-			lostCosts = append(lostCosts, mapTasks[i].cost)
+			committed := mapTasks[i].attempts[len(mapTasks[i].attempts)-1:]
+			lost = append(lost, task{attempts: committed})
 		}
-		if len(lostCosts) == 0 {
+		if len(lost) == 0 {
 			continue
 		}
-		res.RecomputedMaps += len(lostCosts)
-		liveSlots := 0
+		res.RecomputedMaps += len(lost)
+		survivors := Spec{MapSlotsPerNode: s.MapSlotsPerNode}
 		for m := 0; m < s.Nodes; m++ {
 			if dead[m] > failAt {
-				liveSlots += s.MapSlotsPerNode
+				survivors.Nodes++
 			}
 		}
-		span := LPT(lostCosts, liveSlots)
+		survivors = survivors.normalized()
+		span := survivors.wave(trace.PhaseMap, lost, 0, survivors.deadTimes(FailureModel{}, 0), nil, FailureModel{}, nil).end
 		barriers = append(barriers, barrier{from: failAt, until: failAt + fm.detect() + span})
 	}
 
-	reduceTasks := make([]simTask, len(jc.ReduceCosts))
+	reduceTasks := make([]task, len(jc.ReduceCosts))
 	for i, c := range jc.ReduceCosts {
-		fetch := time.Duration(0)
-		if i < len(jc.ShufflePerReduce) && s.NetBytesPerSec > 0 {
-			fetch = time.Duration(float64(jc.ShufflePerReduce[i]) / s.NetBytesPerSec * float64(time.Second))
-		}
-		reduceTasks[i] = simTask{cost: c + fetch + s.TaskOverhead}
+		// Every attempt — failed ones included — pays the shuffle fetch
+		// and task launch again, as a re-executed reducer does on Hadoop.
+		reduceTasks[i] = task{attempts: chain(jc.ReduceAttempts, i, c, s.reduceFetch(jc, i)+s.TaskOverhead)}
 	}
-	rw := s.simWave(reduceTasks, s.ReduceSlotsPerNode, dead, fm, mw.end, barriers)
+	rw := s.wave(trace.PhaseReduce, reduceTasks, mw.end, dead, barriers, fm, rec)
 	res.absorb(rw)
 	if rw.lost {
-		return s.restart(jc, fm, rw.lostAt, depth, res)
+		return s.restart(jc, fm, rw.lostAt, depth, res, rec)
 	}
 	res.Makespan = rw.end
 	return res
@@ -489,10 +259,10 @@ func (s Spec) simulateFrom(jc JobCost, fm FailureModel, startAt time.Duration, d
 // local placement, so restarted map tasks run unconstrained. Work done
 // before the restart is reflected in the late start time; its attempt
 // statistics carry over.
-func (s Spec) restart(jc JobCost, fm FailureModel, at time.Duration, depth int, sofar SimResult) SimResult {
+func (s Spec) restart(jc JobCost, fm FailureModel, at time.Duration, depth int, sofar SimResult, rec placement) SimResult {
 	reloaded := jc
 	reloaded.MapLocations = nil
-	res := s.simulateFrom(reloaded, fm, at, depth+1)
+	res := s.simulateFrom(reloaded, fm, at, depth+1, rec)
 	res.Restarts++
 	res.addStats(sofar)
 	return res
@@ -506,7 +276,7 @@ func (s Spec) SimulateFlow(jobs []JobCost, fm FailureModel) SimResult {
 	var total SimResult
 	at := time.Duration(0)
 	for _, jc := range jobs {
-		r := s.simulateFrom(jc, fm, at, 0)
+		r := s.simulateFrom(jc, fm, at, 0, nil)
 		total.addStats(r)
 		at = r.Makespan
 		if at == forever {

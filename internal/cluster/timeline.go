@@ -6,20 +6,20 @@ import (
 	"fuzzyjoin/internal/trace"
 )
 
-// Timeline replays a flow's jobs through the same schedulers Makespan
-// uses and returns one trace.TaskSpan event per placed attempt, in
+// Timeline records where the failure-free simulation behind FlowMakespan
+// placed each attempt, as one trace.TaskSpan event per attempt in
 // simulated time — the per-node execution timeline of the virtual
 // cluster, not host wall-clock. Jobs run back to back (stages are
 // dependent), each offset by its job overhead and side-file broadcast;
-// the reduce wave of a job starts when its map wave ends. The latest
-// span End therefore equals FlowMakespan minus any trailing overhead,
-// and the clock the function leaves off at equals FlowMakespan exactly.
+// the reduce wave of a job starts when its map wave ends. The latest span
+// End therefore equals FlowMakespan minus any trailing overhead, and the
+// clock the function leaves off at equals FlowMakespan exactly.
 //
-// Attempt 1 spans are Kind "run"; later attempts of a chain (retries
-// and lost-map-output recomputations) are Kind "rerun". When a JobCost
-// carries ReduceBackups, each backup is rendered as a concurrent Kind
-// "backup" span starting with the committed attempt on a neighbouring
-// node — wasted work that occupies a slot without extending the wave.
+// Attempt 1 spans are Kind "run"; later attempts of a chain (retries)
+// are Kind "rerun". When a JobCost carries ReduceBackups, each backup is
+// rendered as a concurrent Kind "backup" span starting with the task's
+// first attempt on a neighbouring node — wasted work that occupies a
+// slot without extending the wave.
 //
 // engineEvents, when non-nil, is the engine's collected trace; its
 // node-down/node-up events are translated from host time to the
@@ -27,68 +27,48 @@ import (
 // = end of the job's map wave) and appended as marks. All other event
 // types are ignored, so a full Trace.Events slice can be passed as is.
 func (s Spec) Timeline(jobs []JobCost, engineEvents []trace.Event) []trace.Event {
-	if s.Nodes < 1 {
-		s.Nodes = 1
-	}
-	if s.MapSlotsPerNode < 1 {
-		s.MapSlotsPerNode = 1
-	}
-	if s.ReduceSlotsPerNode < 1 {
-		s.ReduceSlotsPerNode = 1
-	}
+	s = s.normalized()
 	var events []trace.Event
-	span := func(job string, phase string, task, attempt, node int, start, end time.Duration, kind string) {
-		events = append(events, trace.Event{
+	span := func(job, phase string, task, attempt, node int, start, end time.Duration, kind string) trace.Event {
+		return trace.Event{
 			Type: trace.TaskSpan, T: int64(start), Job: job, Phase: phase,
 			Task: task, Attempt: attempt, Node: node,
 			Start: int64(start), End: int64(end), Kind: kind,
-		})
-	}
-	kindOf := func(attempt int) string {
-		if attempt > 1 {
-			return trace.KindRerun
 		}
-		return trace.KindRun
 	}
 
 	var clock time.Duration
 	for _, jc := range jobs {
 		jobStart := clock
-		mapOrigin := jobStart + s.JobOverhead + s.broadcastTime(jc)
-		st := s.scheduleMaps(jc, func(task, attempt, slot int, start, end time.Duration) {
-			span(jc.Name, trace.PhaseMap, task, attempt, slot/s.MapSlotsPerNode,
-				mapOrigin+start, mapOrigin+end, kindOf(attempt))
-		})
-		reduceOrigin := mapOrigin + st.MapSpan
-
-		// committedStart/Node remember where each reduce task's first
-		// attempt landed so backup spans can race alongside it.
-		committedStart := make(map[int]time.Duration)
-		committedNode := make(map[int]int)
-		reduceSpan := lptAttempts(s.reduceChains(jc), s.Nodes*s.ReduceSlotsPerNode,
-			func(task, attempt, slot int, start, end time.Duration) {
-				node := slot / s.ReduceSlotsPerNode
-				if _, ok := committedStart[task]; !ok {
-					committedStart[task] = start
-					committedNode[task] = node
+		mapEnd := jobStart + s.JobOverhead + s.broadcastTime(jc)
+		// firstReduce remembers each reduce task's first attempt, which
+		// its backup races alongside.
+		firstReduce := map[int]trace.Event{}
+		clock = s.simulateFrom(jc, FailureModel{}, jobStart, 0,
+			func(phase string, task, attempt, node int, start, end time.Duration) {
+				kind := trace.KindRun
+				if attempt > 1 {
+					kind = trace.KindRerun
 				}
-				span(jc.Name, trace.PhaseReduce, task, attempt, node,
-					reduceOrigin+start, reduceOrigin+end, kindOf(attempt))
-			})
+				e := span(jc.Name, phase, task, attempt, node, start, end, kind)
+				if phase == trace.PhaseMap {
+					mapEnd = max(mapEnd, end)
+				} else if attempt == 1 {
+					firstReduce[task] = e
+				}
+				events = append(events, e)
+			}).Makespan
+
 		for i, b := range jc.ReduceBackups {
 			if b <= 0 {
 				continue
 			}
-			start, node := committedStart[i], committedNode[i]
 			// The backup launches with the original and runs on another
-			// node (same node when the cluster has only one).
-			backupNode := node
-			if s.Nodes > 1 {
-				backupNode = (node + 1) % s.Nodes
-			}
-			span(jc.Name, trace.PhaseReduce, i, 2, backupNode,
-				reduceOrigin+start, reduceOrigin+start+b+s.reduceFetch(jc, i)+s.TaskOverhead,
-				trace.KindBackup)
+			// node (the same node when the cluster has only one).
+			first := firstReduce[i]
+			start := time.Duration(first.Start)
+			events = append(events, span(jc.Name, trace.PhaseReduce, i, 2, (first.Node+1)%s.Nodes,
+				start, start+b+s.reduceFetch(jc, i)+s.TaskOverhead, trace.KindBackup))
 		}
 
 		for _, e := range engineEvents {
@@ -97,15 +77,13 @@ func (s Spec) Timeline(jobs []JobCost, engineEvents []trace.Event) []trace.Event
 			}
 			at := jobStart
 			if e.Detail == "after-map" {
-				at = reduceOrigin
+				at = mapEnd
 			}
 			mark := e
 			mark.T = int64(at)
 			mark.Start = int64(at)
 			events = append(events, mark)
 		}
-
-		clock = reduceOrigin + reduceSpan
 	}
 	return events
 }
