@@ -70,10 +70,9 @@ func (s *Suite) GroupAblation() (*GroupAblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var t time.Duration
+		t := simulate(spec(nodes), ms)
 		var reps int64
 		for _, m := range ms {
-			t += spec(nodes).Makespan(fromMetrics(m))
 			reps += m.Counters["stage2.replicas"]
 		}
 		res.Groups = append(res.Groups, g)
@@ -263,10 +262,9 @@ func (s *Suite) BlockProcessing() (*BlockProcessingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var t time.Duration
+		t := simulate(spec(nodes), ms)
 		var reps, spill int64
 		for _, m := range ms {
-			t += spec(nodes).Makespan(fromMetrics(m))
 			reps += m.Counters["stage2.replicas"]
 			spill += m.Counters["stage2.spill_bytes"]
 		}
@@ -431,10 +429,9 @@ func (s *Suite) kernelVariants(res *KernelAblationResult, pick func(int, *core.C
 		if err != nil {
 			return nil, err
 		}
-		var t time.Duration
+		t := simulate(spec(nodes), ms)
 		var cand, mat, rej, ver, results int64
 		for _, m := range ms {
-			t += spec(nodes).Makespan(fromMetrics(m))
 			cand += m.Counters["stage2.candidates"]
 			mat += m.Counters["stage2.candidates_materialized"]
 			rej += m.Counters["stage2.bitmap_rejected"]
@@ -475,10 +472,9 @@ func (s *Suite) CombinerAblation() (*CombinerAblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var t time.Duration
+		t := simulate(spec(nodes), ms)
 		var sh int64
 		for _, m := range ms {
-			t += spec(nodes).Makespan(fromMetrics(m))
 			sh += m.TotalShuffleBytes()
 		}
 		label := "with combiner"
@@ -547,10 +543,9 @@ func (s *Suite) SingleStage() (*SingleStageResult, error) {
 		{"three-stage (BTO-PK-BRJ)", three},
 		{"single-stage (carry records)", single},
 	} {
-		var t time.Duration
+		t := simulate(spec(nodes), run.r.AllJobs())
 		var sh int64
 		for _, m := range run.r.AllJobs() {
-			t += spec(nodes).Makespan(fromMetrics(m))
 			sh += m.TotalShuffleBytes()
 		}
 		res.Labels = append(res.Labels, run.label)
@@ -618,10 +613,9 @@ func (s *Suite) EngineAblation() (*EngineAblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var t time.Duration
+		t := simulate(spec(nodes), ms)
 		var sh, spills int64
 		for _, m := range ms {
-			t += spec(nodes).Makespan(fromMetrics(m))
 			sh += m.TotalShuffleBytes()
 			for _, mt := range m.MapTasks {
 				spills += int64(mt.SpillCount)
@@ -676,10 +670,9 @@ func (s *Suite) ThresholdSweep() (*ThresholdSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var t time.Duration
+		t := simulate(spec(nodes), r.AllJobs())
 		var cand int64
 		for _, m := range r.AllJobs() {
-			t += spec(nodes).Makespan(fromMetrics(m))
 			cand += m.Counters["stage2.candidates"]
 		}
 		res.Thresholds = append(res.Thresholds, tau)

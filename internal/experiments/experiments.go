@@ -153,16 +153,6 @@ type stageRun struct {
 	err error
 }
 
-// simulate returns the stage's simulated running time on the given
-// cluster.
-func (s stageRun) simulate(spec cluster.Spec) time.Duration {
-	var total time.Duration
-	for _, m := range s.metrics {
-		total += spec.Makespan(cluster.FromMetrics(m))
-	}
-	return total
-}
-
 // stageSet holds independently-run stage variants for one (workload,
 // cluster size) cell; combos are composed from it the way the paper's
 // stacked bars are.
@@ -369,14 +359,26 @@ func (s *stageSet) comboTime(c Combo, spec cluster.Spec) ComboTime {
 			ct.OOM = true
 			return ct
 		}
-		ct.Stages[i] = run.simulate(spec)
+		ct.Stages[i] = simulate(spec, run.metrics)
 		ct.Total += ct.Stages[i]
 	}
 	return ct
 }
 
-// fromMetrics converts engine metrics for the simulator.
-func fromMetrics(m *mapreduce.Metrics) cluster.JobCost { return cluster.FromMetrics(m) }
+// jobCosts summarizes executed jobs for the cluster simulator.
+func jobCosts(ms []*mapreduce.Metrics) []cluster.JobCost {
+	jobs := make([]cluster.JobCost, len(ms))
+	for i, m := range ms {
+		jobs[i] = cluster.FromMetrics(m)
+	}
+	return jobs
+}
+
+// simulate is the simulated running time of the jobs run one after
+// another on the cluster sp.
+func simulate(sp cluster.Spec, ms []*mapreduce.Metrics) time.Duration {
+	return sp.FlowMakespan(jobCosts(ms))
+}
 
 // seconds renders a duration in seconds with two decimals, or "OOM".
 func seconds(d time.Duration, oom bool) string {

@@ -48,11 +48,10 @@ func (s *Suite) FaultAblation() (*FaultAblationResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fault rate %.2f: %w", rate, err)
 		}
-		var total time.Duration
+		total := simulate(spec(nodes), r.AllJobs())
 		var retries int
 		var wasted time.Duration
 		for _, m := range r.AllJobs() {
-			total += spec(nodes).Makespan(fromMetrics(m))
 			for _, tasks := range [][]mapreduce.TaskMetrics{m.MapTasks, m.ReduceTasks} {
 				for _, t := range tasks {
 					if t.Attempts > 1 {

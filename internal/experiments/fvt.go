@@ -111,10 +111,9 @@ func (s *Suite) FVTAblation() (*FVTAblationResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.label, err)
 		}
-		var t time.Duration
+		t := simulate(spec(nodes), ms)
 		var shuffle, out, mat, avoided, verified, results int64
 		for _, m := range ms {
-			t += spec(nodes).Makespan(fromMetrics(m))
 			shuffle += m.TotalShuffleBytes()
 			for _, rt := range m.ReduceTasks {
 				out += rt.OutputBytes

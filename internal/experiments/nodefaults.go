@@ -59,10 +59,7 @@ func (s *Suite) NodeFaultAblation() (*NodeFaultAblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var jobs []cluster.JobCost
-	for _, m := range r.AllJobs() {
-		jobs = append(jobs, fromMetrics(m))
-	}
+	jobs := jobCosts(r.AllJobs())
 	sp := spec(nodes)
 
 	res := &NodeFaultAblationResult{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"fuzzyjoin/internal/cluster"
 	"fuzzyjoin/internal/core"
 	"fuzzyjoin/internal/datagen"
 	"fuzzyjoin/internal/dfs"
@@ -122,13 +121,7 @@ func (s *Suite) runPlannerCell(lines []string, tau float64, c plan.Choice) (time
 	if err != nil {
 		return 0, 0, err
 	}
-	var jobs []cluster.JobCost
-	for _, st := range res.Stages {
-		for _, m := range st.Jobs {
-			jobs = append(jobs, cluster.FromMetrics(m))
-		}
-	}
-	return spec(plannerNodes).FlowMakespan(jobs), res.Pairs, nil
+	return simulate(spec(plannerNodes), res.AllJobs()), res.Pairs, nil
 }
 
 // PlannerAblation sweeps the hand grid and the planner over the skewed

@@ -149,7 +149,7 @@ func (s *Suite) Table1() (*StageTableResult, error) {
 		}
 		for _, a := range stageAlgs {
 			run := set.stage(a)
-			res.Times[string(a)] = append(res.Times[string(a)], run.simulate(spec(n)))
+			res.Times[string(a)] = append(res.Times[string(a)], simulate(spec(n), run.metrics))
 			res.OOM[string(a)] = append(res.OOM[string(a)], run.err != nil)
 		}
 	}
@@ -240,7 +240,7 @@ func (s *Suite) Table2() (*StageTableResult, error) {
 		}
 		for _, a := range stageAlgs {
 			run := set.stage(a)
-			res.Times[string(a)] = append(res.Times[string(a)], run.simulate(spec(n)))
+			res.Times[string(a)] = append(res.Times[string(a)], simulate(spec(n), run.metrics))
 			res.OOM[string(a)] = append(res.OOM[string(a)], run.err != nil)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"fuzzyjoin/internal/cluster"
 	"fuzzyjoin/internal/core"
 	"fuzzyjoin/internal/datagen"
 	"fuzzyjoin/internal/dfs"
@@ -59,11 +58,7 @@ func (s *Suite) TraceDemo() (*TraceArtifacts, error) {
 	if err := r.Trace.WriteJSONL(&buf); err != nil {
 		return nil, err
 	}
-	var jobs []cluster.JobCost
-	for _, m := range r.AllJobs() {
-		jobs = append(jobs, cluster.FromMetrics(m))
-	}
-	timeline := spec(nodes).Timeline(jobs, r.Trace.Events)
+	timeline := spec(nodes).Timeline(jobCosts(r.AllJobs()), r.Trace.Events)
 	title := fmt.Sprintf("%s self-join, %d nodes, replication %d, node 0 dies after map",
 		cfg.Combo(), nodes, replication)
 	doc, err := json.MarshalIndent(r.Export(cfg.Combo()), "", "  ")
