@@ -7,8 +7,12 @@
 // count filter makes the set-similarity machinery applicable: one edit
 // operation destroys at most q q-grams, so strings within edit distance K
 // share at least max(|Gx|, |Gy|) − K·q q-grams, and the prefix filter
-// holds with prefixes of K·q + 1 grams. Candidates are verified with a
-// banded dynamic program in O(K·min(len)).
+// holds with prefixes of K·q + 1 grams — but only when that bound is
+// positive. A string with at most K·q grams (length ≤ (K+1)·q − 1) can
+// be within K of a string it shares no gram with ("abcdef" and "axcdxf"
+// at K = 2, q = 3), so such short strings skip the prefix filter and are
+// checked against every string in their length window. Candidates are
+// verified with a banded dynamic program in O(K·min(len)).
 //
 // SelfJoin is the single-node kernel; MapReduceSelfJoin runs the same
 // join as two jobs on internal/mapreduce, routing strings by their prefix
@@ -146,8 +150,8 @@ type Pair struct {
 // the global gram order (lexicographic — any fixed total order satisfies
 // the prefix-filter requirement; frequency order would prune better).
 // Strings shorter than q have no q-grams (the tokenizer's whole-string
-// fallback would break the count-filter math) and take the gram-less
-// path.
+// fallback would break the count-filter math); like every string with at
+// most K·q grams they take the short-string path.
 func grams(s string, q int) []string {
 	if len([]rune(s)) < q {
 		return nil
@@ -189,6 +193,10 @@ func countFilterOK(gx, gy []string, o Options) bool {
 	return overlap(gx, gy) >= need
 }
 
+// short reports whether a gram set is too small for the prefix filter:
+// with at most K·q grams the count bound max(|Gx|, |Gy|) − K·q can be ≤ 0.
+func short(g []string, o Options) bool { return len(g) <= o.K*o.Q }
+
 // prefixLen is the ed-join prefix: K·q + 1 grams (or the whole set).
 func prefixLen(n int, o Options) int {
 	p := o.K*o.Q + 1
@@ -225,7 +233,7 @@ func SelfJoin(strs []string, o Options) []Pair {
 	// Inverted index over prefix grams; probe-then-insert streaming.
 	post := map[string][]int{}
 	for i, gx := range gsets {
-		if len(gx) == 0 {
+		if short(gx, o) {
 			continue
 		}
 		cands := map[int]bool{}
@@ -250,14 +258,15 @@ func SelfJoin(strs []string, o Options) []Pair {
 		}
 	}
 
-	// Strings shorter than q have no q-grams and bypass the index; check
-	// them against every other string directly.
+	// Short strings bypass the index; check them against every other
+	// string in their length window directly.
 	for i, g := range gsets {
-		if len(g) > 0 {
+		if !short(g, o) {
 			continue
 		}
+		li := len([]rune(strs[i]))
 		for j := range strs {
-			if j != i {
+			if lj := len([]rune(strs[j])); j != i && li-lj <= o.K && lj-li <= o.K {
 				verify(i, j)
 			}
 		}

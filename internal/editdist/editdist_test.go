@@ -114,7 +114,62 @@ func edCorpus(rng *rand.Rand, n int) []string {
 	return out
 }
 
-// TestSelfJoinMatchesBruteForce over random corpora and thresholds.
+// shortCorpus draws strings of length q … (K+1)·q + K, the range where
+// a string has at most K·q grams or can be within K of one that does.
+// A third of them are up to K edits away from an earlier string, mostly
+// substitutions, which destroy grams without changing the length.
+func shortCorpus(rng *rand.Rand, n, k, q int) []string {
+	const alphabet = "abcdef"
+	minLen, maxLen := q, (k+1)*q+k
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		var s []byte
+		if i > 0 && rng.Intn(3) == 0 {
+			s = []byte(out[rng.Intn(len(out))])
+			for e := 1 + rng.Intn(k); e > 0; e-- {
+				p := rng.Intn(len(s))
+				c := alphabet[rng.Intn(len(alphabet))]
+				switch r := rng.Intn(4); {
+				case r == 0 && len(s) > minLen:
+					s = append(s[:p], s[p+1:]...)
+				case r == 1 && len(s) < maxLen:
+					s = append(s[:p], append([]byte{c}, s[p:]...)...)
+				default:
+					s[p] = c
+				}
+			}
+		} else {
+			s = make([]byte, minLen+rng.Intn(maxLen-minLen+1))
+			for j := range s {
+				s[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		out = append(out, string(s))
+	}
+	return out
+}
+
+// corpus is one join input and its options.
+type corpus struct {
+	strs []string
+	o    Options
+}
+
+// shortCorpora are the seeded short-string corpora, one per (K, seed),
+// at q = 3.
+func shortCorpora() map[string]corpus {
+	out := map[string]corpus{}
+	for _, k := range []int{1, 2, 3} {
+		for seed := int64(0); seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(100*int64(k) + seed))
+			out[fmt.Sprintf("short k=%d seed=%d", k, seed)] = corpus{shortCorpus(rng, 60, k, 3), Options{K: k, Q: 3}}
+		}
+	}
+	return out
+}
+
+// TestSelfJoinMatchesBruteForce over random corpora and thresholds, and
+// over short strings whose pairs may share no q-gram.
 func TestSelfJoinMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -127,6 +182,29 @@ func TestSelfJoinMatchesBruteForce(t *testing.T) {
 				t.Fatalf("seed=%d k=%d: got %v, want %v", seed, k, got, want)
 			}
 		}
+	}
+	for name, c := range shortCorpora() {
+		if got, want := SelfJoin(c.strs, c.o), BruteForce(c.strs, c.o); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestPairSharingNoGram: "abcdef" and "axcdxf" are two substitutions
+// apart but share none of their four 3-grams, so at K = 2 only the
+// short-string path finds them.
+func TestPairSharingNoGram(t *testing.T) {
+	strs := []string{"abcdef", "axcdxf"}
+	o := Options{K: 2, Q: 3}
+	want := []Pair{{I: 0, J: 1, Dist: 2}}
+	if got := BruteForce(strs, o); !reflect.DeepEqual(got, want) {
+		t.Fatalf("BruteForce = %v, want %v", got, want)
+	}
+	if got := SelfJoin(strs, o); !reflect.DeepEqual(got, want) {
+		t.Errorf("SelfJoin = %v, want %v", got, want)
+	}
+	if got := mapReduceSelfJoin(t, strs, o); !reflect.DeepEqual(got, want) {
+		t.Errorf("MapReduceSelfJoin = %v, want %v", got, want)
 	}
 }
 
@@ -159,14 +237,10 @@ func TestCountFilterAdmissible(t *testing.T) {
 	}
 }
 
-// TestMapReduceSelfJoinMatchesSingleNode: the two-job MapReduce version
-// equals the single-node kernel (and thus brute force).
-func TestMapReduceSelfJoinMatchesSingleNode(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	strs := edCorpus(rng, 80)
-	o := Options{K: 2, Q: 3}
-	want := BruteForce(strs, o)
-
+// mapReduceSelfJoin runs MapReduceSelfJoin over strs (ids are indices)
+// and returns its sorted pairs.
+func mapReduceSelfJoin(t *testing.T, strs []string, o Options) []Pair {
+	t.Helper()
 	fs := dfs.New(dfs.Options{BlockSize: 512, Nodes: 4})
 	lines := make([]string, len(strs))
 	for i, s := range strs {
@@ -186,9 +260,26 @@ func TestMapReduceSelfJoinMatchesSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := SortOutput(outLines)
-	if !reflect.DeepEqual(got, want) {
+	return SortOutput(outLines)
+}
+
+// TestMapReduceSelfJoinMatchesSingleNode: the two-job MapReduce version
+// equals the single-node kernel and brute force, short strings included.
+func TestMapReduceSelfJoinMatchesSingleNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	strs := edCorpus(rng, 80)
+	o := Options{K: 2, Q: 3}
+	if got, want := mapReduceSelfJoin(t, strs, o), BruteForce(strs, o); !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v\nwant %v", got, want)
+	}
+	for name, c := range shortCorpora() {
+		want := BruteForce(c.strs, c.o)
+		if got := mapReduceSelfJoin(t, c.strs, c.o); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %v\nwant %v", name, got, want)
+		}
+		if got := SelfJoin(c.strs, c.o); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: SelfJoin = %v\nwant %v", name, got, want)
+		}
 	}
 }
 

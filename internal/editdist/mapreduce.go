@@ -65,19 +65,16 @@ func MapReduceSelfJoin(fs *dfs.FS, input, workPrefix string, o Options, reducers
 	return out, []*mapreduce.Metrics{m1, m2}, nil
 }
 
-// edMapper emits ("gram", id‖string) for each prefix gram. Gram-less
-// strings (shorter than q) all route to a dedicated key so they meet
-// everything short enough to match them... short strings can only be
-// within K of strings of length ≤ q−1+K, whose own grams are few; to stay
-// exact they are routed under every gram-less-compatible key: the single
-// shared bucket plus each short candidate probes nothing — so instead
-// gram-less strings go to one shared bucket AND every string with length
-// ≤ q−1+K also sends a copy there.
+// edMapper emits ("gram", id‖string) for each prefix gram. A short
+// string — at most K·q grams, so length ≤ (K+1)·q − 1 — can match a
+// string it shares no prefix gram with, so every string that can be
+// within K of one (length ≤ (K+1)·q − 1 + K) also goes to one shared
+// bucket, whose reducer checks all of them against each other.
 type edMapper struct {
 	o Options
 }
 
-const gramlessKey = "\x01gramless"
+const shortKey = "\x01short"
 
 func (m *edMapper) Map(_ *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
 	id, s, err := parseIDLine(string(value))
@@ -86,8 +83,8 @@ func (m *edMapper) Map(_ *mapreduce.Context, _, value []byte, out mapreduce.Emit
 	}
 	val := encodeIDString(id, s)
 	g := grams(s, m.o.Q)
-	if len(g) == 0 || len([]rune(s)) <= m.o.Q-1+m.o.K {
-		if err := out.Emit([]byte(gramlessKey), val); err != nil {
+	if len([]rune(s)) <= (m.o.K+1)*m.o.Q-1+m.o.K {
+		if err := out.Emit([]byte(shortKey), val); err != nil {
 			return err
 		}
 	}
