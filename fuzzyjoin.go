@@ -260,40 +260,23 @@ type JoinSpec struct {
 // output, and returns an error wrapping ErrCanceled.
 func Join(ctx context.Context, spec JoinSpec) (*Result, error) {
 	cfg := spec.Config
-	fileMode := spec.Input != "" || spec.InputS != ""
-	memMode := spec.Records != nil || spec.RecordsS != nil
-	switch {
-	case fileMode && memMode:
-		return nil, fmt.Errorf("fuzzyjoin: JoinSpec mixes file inputs (%q) and in-memory records; use one mode", spec.Input)
-	case !fileMode && !memMode:
-		return nil, fmt.Errorf("fuzzyjoin: empty JoinSpec: set Input or Records")
+	fileMode, err := checkSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-
 	if fileMode {
-		if spec.Input == "" {
-			return nil, fmt.Errorf("fuzzyjoin: JoinSpec.InputS set without Input (the R side)")
-		}
 		if spec.InputS != "" {
 			return core.RSJoinContext(ctx, cfg, spec.Input, spec.InputS)
 		}
 		return core.SelfJoinContext(ctx, cfg, spec.Input)
 	}
 
-	if spec.Records == nil {
-		return nil, fmt.Errorf("fuzzyjoin: JoinSpec.RecordsS set without Records (the R side)")
-	}
-	if cfg.FS != nil || cfg.Work != "" {
-		return nil, fmt.Errorf("fuzzyjoin: in-memory joins manage FS and Work; leave them unset")
-	}
 	fs := NewFS(1)
 	if err := WriteRecords(fs, "r", spec.Records); err != nil {
 		return nil, err
 	}
 	cfg.FS, cfg.Work = fs, "work"
-	var (
-		res *Result
-		err error
-	)
+	var res *Result
 	if spec.RecordsS != nil {
 		if err := WriteRecords(fs, "s", spec.RecordsS); err != nil {
 			return nil, err
@@ -309,6 +292,26 @@ func Join(ctx context.Context, spec JoinSpec) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// checkSpec applies the mode rules Join and Plan share (JoinSpec's doc)
+// and reports whether the spec is in file mode.
+func checkSpec(spec JoinSpec) (fileMode bool, err error) {
+	fileMode = spec.Input != "" || spec.InputS != ""
+	memMode := spec.Records != nil || spec.RecordsS != nil
+	switch {
+	case fileMode && memMode:
+		return false, fmt.Errorf("fuzzyjoin: JoinSpec mixes file inputs (%q) and in-memory records; use one mode", spec.Input)
+	case !fileMode && !memMode:
+		return false, fmt.Errorf("fuzzyjoin: empty JoinSpec: set Input or Records")
+	case fileMode && spec.Input == "":
+		return false, fmt.Errorf("fuzzyjoin: JoinSpec.InputS set without Input (the R side)")
+	case memMode && spec.Records == nil:
+		return false, fmt.Errorf("fuzzyjoin: JoinSpec.RecordsS set without Records (the R side)")
+	case memMode && (spec.Config.FS != nil || spec.Config.Work != ""):
+		return false, fmt.Errorf("fuzzyjoin: in-memory joins manage FS and Work; leave them unset")
+	}
+	return fileMode, nil
 }
 
 // Cost-planner types (see internal/plan for the model).
@@ -349,13 +352,9 @@ type (
 // Config's threshold, similarity function, tokenizer, and join fields.
 func Plan(ctx context.Context, spec JoinSpec) (*JoinPlan, error) {
 	cfg := spec.Config
-	fileMode := spec.Input != "" || spec.InputS != ""
-	memMode := spec.Records != nil || spec.RecordsS != nil
-	switch {
-	case fileMode && memMode:
-		return nil, fmt.Errorf("fuzzyjoin: JoinSpec mixes file inputs (%q) and in-memory records; use one mode", spec.Input)
-	case !fileMode && !memMode:
-		return nil, fmt.Errorf("fuzzyjoin: empty JoinSpec: set Input or Records")
+	fileMode, err := checkSpec(spec)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, err)
@@ -364,14 +363,10 @@ func Plan(ctx context.Context, spec JoinSpec) (*JoinPlan, error) {
 	var rLines, sLines []string
 	nodes := 4 // representative small cluster for in-memory planning
 	if fileMode {
-		if spec.Input == "" {
-			return nil, fmt.Errorf("fuzzyjoin: JoinSpec.InputS set without Input (the R side)")
-		}
 		if cfg.FS == nil {
 			return nil, fmt.Errorf("fuzzyjoin: file-mode planning needs Config.FS")
 		}
 		nodes = cfg.FS.Nodes()
-		var err error
 		if rLines, err = mapreduce.ReadLines(cfg.FS, spec.Input); err != nil {
 			return nil, err
 		}
@@ -381,9 +376,6 @@ func Plan(ctx context.Context, spec JoinSpec) (*JoinPlan, error) {
 			}
 		}
 	} else {
-		if spec.Records == nil {
-			return nil, fmt.Errorf("fuzzyjoin: JoinSpec.RecordsS set without Records (the R side)")
-		}
 		rLines = make([]string, len(spec.Records))
 		for i, r := range spec.Records {
 			rLines[i] = r.Line()
@@ -532,7 +524,9 @@ func EditDistance(a, b string) int { return editdist.Distance(a, b) }
 
 // EditDistanceSelfJoin finds all string pairs within edit distance
 // opts.K, using q-gram count filtering, prefix filtering, and banded
-// verification.
+// verification. Strings with at most K·q grams, which can match a string
+// they share no gram with, are checked against every string in their
+// length window instead of through the prefix filter.
 func EditDistanceSelfJoin(strs []string, opts EditDistanceOptions) []EditDistancePair {
 	return editdist.SelfJoin(strs, opts)
 }

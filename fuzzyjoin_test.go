@@ -132,6 +132,8 @@ func TestJoinFileMode(t *testing.T) {
 	}
 }
 
+// TestJoinSpecValidation: Join and Plan reject each malformed spec with
+// the same message.
 func TestJoinSpecValidation(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -143,15 +145,25 @@ func TestJoinSpecValidation(t *testing.T) {
 		{"mixed modes", fuzzyjoin.JoinSpec{Input: "r", Records: pubs()}, "use one mode"},
 		{"S without R file", fuzzyjoin.JoinSpec{InputS: "s"}, "without Input"},
 		{"S without R records", fuzzyjoin.JoinSpec{RecordsS: pubs()}, "without Records"},
-		{"managed FS", fuzzyjoin.JoinSpec{
+		{"managed Work", fuzzyjoin.JoinSpec{
 			Config:  fuzzyjoin.Config{Work: "x"},
+			Records: pubs(),
+		}, "leave them unset"},
+		{"managed FS", fuzzyjoin.JoinSpec{
+			Config:  fuzzyjoin.Config{FS: fuzzyjoin.NewFS(1)},
 			Records: pubs(),
 		}, "leave them unset"},
 	}
 	for _, tc := range cases {
-		if _, err := fuzzyjoin.Join(ctx, tc.spec); err == nil ||
-			!strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
+		_, joinErr := fuzzyjoin.Join(ctx, tc.spec)
+		_, planErr := fuzzyjoin.Plan(ctx, tc.spec)
+		for entry, err := range map[string]error{"Join": joinErr, "Plan": planErr} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s err = %v, want mention of %q", tc.name, entry, err, tc.want)
+			}
+		}
+		if joinErr != nil && planErr != nil && joinErr.Error() != planErr.Error() {
+			t.Errorf("%s: Join says %q, Plan says %q", tc.name, joinErr, planErr)
 		}
 	}
 }
@@ -192,5 +204,10 @@ func TestEditDistanceFacade(t *testing.T) {
 	)
 	if len(pairs) != 1 || pairs[0].I != 0 || pairs[0].J != 1 || pairs[0].Dist != 2 {
 		t.Fatalf("pairs = %v", pairs)
+	}
+	// Two substitutions apart, and not one 3-gram in common.
+	pairs = fuzzyjoin.EditDistanceSelfJoin([]string{"abcdef", "axcdxf"}, fuzzyjoin.EditDistanceOptions{K: 2})
+	if len(pairs) != 1 || pairs[0].I != 0 || pairs[0].J != 1 || pairs[0].Dist != 2 {
+		t.Fatalf("pair sharing no gram: pairs = %v", pairs)
 	}
 }
