@@ -66,10 +66,14 @@ smoke:
 # the workload where one pair shares many prefix tokens (692 self / 1,152
 # R-S oracle pairs against 7-60 on the others): Stage 3 does not dedup
 # and the diff reports a repeated pair, so it gates exact-once emission.
+# The line before it has no oracle pair at all (no near-duplicates, S
+# next to disjoint from R), so BRJ runs over empty paired-RID sets.
 conformance:
 	$(GO) run ./cmd/ssjcheck -seed 1 -records 40 -serve
 	$(GO) run ./cmd/ssjcheck -seed 2 -records 50 -tau 0.7 -serve
 	$(GO) run ./cmd/ssjcheck -seed 3 -records 60 -vocab 64 -skew 2.0 -tau 0.6 -serve
+	$(GO) run ./cmd/ssjcheck -seed 1 -records 40 -vocab 4096 -tau 0.95 -neardup -1 -overlap 0.001 \
+		-combo BTO-PK-BRJ,BTO-FVT-BRJ -invariants=false
 	$(GO) run ./cmd/ssjcheck -seed 9 -records 200 -vocab 48 -skew 2.0 -tau 0.5 -neardup 0.4 -exec plain -invariants=false
 
 # serve-smoke is the online-service CI gate: the server comes up on an

@@ -63,8 +63,9 @@ func (ts tokSpec) tokenizer() (tokenize.Tokenizer, error) {
 // tagged json:"-" in config.go travels as itself, so a new task-visible
 // field reaches workers without being mirrored here; the Tokenizer, an
 // interface, travels as its tokSpec — and the remaining fields carry the
-// per-job parameters (side-file names; the R input file, whose presence
-// marks an R-S job and which the relation tags are derived from).
+// per-job parameters (side-file names, BRJ's paired-RID sets among them;
+// the R input file, whose presence marks an R-S job and which the
+// relation tags are derived from).
 type progSpec struct {
 	Kind string  `json:"kind"`
 	Cfg  *Config `json:"cfg"`
@@ -74,6 +75,7 @@ type progSpec struct {
 	InputR      string   `json:"input_r,omitempty"`
 	PairsPrefix string   `json:"pairs_prefix,omitempty"`
 	PairFiles   []string `json:"pair_files,omitempty"`
+	RIDFiles    []string `json:"rid_files,omitempty"`
 }
 
 func buildCoreProgram(spec string) (*mapreduce.Program, error) {
@@ -142,7 +144,7 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 			p.Reducer = &roundReducer{owner: own, layout: layout}
 		}
 	case "s3-brj1":
-		p.Mapper = &brjPhase1Mapper{pairsPrefix: ps.PairsPrefix, relOf: relOfFor(ps), rs: rs}
+		p.Mapper = &brjPhase1Mapper{pairsPrefix: ps.PairsPrefix, ridFiles: ps.RIDFiles, relOf: relOfFor(ps), rs: rs}
 		p.Reducer = &brjPhase1Reducer{rs: rs}
 	case "s3-brj2":
 		p.Mapper = mapreduce.IdentityMapper

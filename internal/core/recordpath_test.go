@@ -18,20 +18,23 @@ const dblpLine = "1234567\tEfficient Parallel Set-Similarity Joins Using MapRedu
 	"Rares Vernica, Michael J. Carey, Chen Li\t" +
 	"SIGMOD 2010 proceedings of the international conference on management of data pages 495-506"
 
-type discardEmitter struct{}
+// countEmitter discards what it is handed and counts the calls.
+type countEmitter struct{ n *int }
 
-func (discardEmitter) Emit(_, _ []byte) error { return nil }
+func (e countEmitter) Emit(_, _ []byte) error { *e.n++; return nil }
 
 // allocProbe runs inside a real map task — the only place a mapper has
 // its engine Context, side files and InputFile — and measures a warmed
-// Map call of the task instance it wraps against a discarding emitter.
+// Map call of the task instance it wraps against a discarding emitter
+// that counts the emissions.
 type allocProbe struct {
 	inner  mapreduce.Mapper
 	allocs *float64
+	emits  *int
 }
 
 func (p *allocProbe) NewTaskInstance() any {
-	return &allocProbe{inner: p.inner.(mapreduce.TaskLocal).NewTaskInstance().(mapreduce.Mapper), allocs: p.allocs}
+	return &allocProbe{inner: p.inner.(mapreduce.TaskLocal).NewTaskInstance().(mapreduce.Mapper), allocs: p.allocs, emits: p.emits}
 }
 
 func (p *allocProbe) Setup(ctx *mapreduce.Context) error {
@@ -44,7 +47,7 @@ func (p *allocProbe) Setup(ctx *mapreduce.Context) error {
 func (p *allocProbe) Map(ctx *mapreduce.Context, key, value []byte, _ mapreduce.Emitter) error {
 	var err error
 	call := func() {
-		if e := p.inner.Map(ctx, key, value, discardEmitter{}); e != nil {
+		if e := p.inner.Map(ctx, key, value, countEmitter{p.emits}); e != nil {
 			err = e
 		}
 	}
@@ -68,10 +71,13 @@ func TestMapperRecordPathAllocatesNothing(t *testing.T) {
 	if err := cfg.fillDefaults(); err != nil {
 		t.Fatal(err)
 	}
+	// BRJ phase 1 emits only a paired record: list the probe record's RID
+	// so the warmed call goes through the lookup and the emit.
+	writeRIDFile(t, fs, "rids", 1234567)
 	for _, ps := range []progSpec{
 		{Kind: "s1-bto-count"},
 		{Kind: "s2", TokenFile: tokenFile},
-		{Kind: "s3-brj1", PairsPrefix: "w/s2"},
+		{Kind: "s3-brj1", PairsPrefix: "w/s2", RIDFiles: []string{"rids"}},
 	} {
 		job, err := coreJob(&cfg, ps)
 		if err != nil {
@@ -79,12 +85,17 @@ func TestMapperRecordPathAllocatesNothing(t *testing.T) {
 		}
 		allocs := -1.0
 		job.Name, job.Inputs, job.Output = "probe-"+ps.Kind, []string{"in"}, "probe-"+ps.Kind
-		job.Mapper = &allocProbe{inner: job.Mapper, allocs: &allocs}
+		emits := new(int)
+		job.Mapper = &allocProbe{inner: job.Mapper, allocs: &allocs, emits: emits}
+		job.SideFiles = ps.RIDFiles
 		if ps.TokenFile != "" {
 			job.SideFiles = []string{ps.TokenFile}
 		}
 		if _, err := mapreduce.Run(job); err != nil {
 			t.Fatalf("%s: %v", ps.Kind, err)
+		}
+		if *emits == 0 {
+			t.Errorf("%s mapper: the probed Map call emitted nothing", ps.Kind)
 		}
 		if allocs != 0 {
 			t.Errorf("%s mapper: %v allocations per warmed Map call, want 0", ps.Kind, allocs)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 
 	"fuzzyjoin/internal/keys"
@@ -19,6 +22,13 @@ import (
 // BRJ phase 1 keys: self [rid u64]; R-S [rel u8][rid u64] (RID spaces of
 // R and S may overlap, so the relation tags the key). Values carry a tag
 // byte so the record (tag 0) sorts before its pair halves (tag 1).
+//
+// BRJ phase 1 is semi-join-reduced: the coordinator reads Stage 2's
+// output once per job and writes, per relation, the sorted distinct RIDs
+// that occur in a pair (big-endian u64s; one file for a self-join, R and
+// S files for R-S). The map tasks get them as side files and emit only
+// the records whose RID is listed, so a record without a pair is never
+// shuffled.
 //
 // Half-pair values (phase 1 output and OPRJ map output):
 // [side u8][A u64][B u64][simbits u64][record line]; side 0 is the
@@ -72,22 +82,51 @@ func appendPairGroupKey(dst []byte, p records.RIDPair) []byte {
 	return keys.AppendUint64(keys.AppendUint64(dst, p.A), p.B)
 }
 
-// brjPhase1Mapper routes records and RID pairs to per-RID reduce groups.
+// brjPhase1Mapper routes paired records and RID pairs to per-RID reduce
+// groups.
 type brjPhase1Mapper struct {
 	// pairsPrefix identifies the Stage 2 output files.
 	pairsPrefix string
+	// ridFiles names the paired-RID side files, indexed by relation tag.
+	ridFiles []string
 	// relOf returns the relation tag for a record input file (always
 	// relR for self-joins).
 	relOf func(file string) byte
 	// rs enables R-S keys.
 	rs bool
+	// rids views the side files' bytes, indexed by relation tag; tasks
+	// share the job's copy and never write it.
+	rids [2][]byte
 	// key and val are per-task scratch for the pair being emitted.
 	key, val []byte
 }
 
 // NewTaskInstance gives each map task its own key and value scratch.
 func (m *brjPhase1Mapper) NewTaskInstance() any {
-	return &brjPhase1Mapper{pairsPrefix: m.pairsPrefix, relOf: m.relOf, rs: m.rs}
+	return &brjPhase1Mapper{pairsPrefix: m.pairsPrefix, ridFiles: m.ridFiles, relOf: m.relOf, rs: m.rs}
+}
+
+// Setup takes views of the paired-RID sets and charges their bytes to
+// the task's memory budget (8 bytes per distinct paired RID).
+func (m *brjPhase1Mapper) Setup(ctx *mapreduce.Context) error {
+	for rel, name := range m.ridFiles {
+		data, err := ctx.SideFile(name)
+		if err != nil {
+			return err
+		}
+		if err := ctx.Memory.Alloc(int64(len(data))); err != nil {
+			return err
+		}
+		m.rids[rel] = data
+	}
+	return nil
+}
+
+// paired reports whether rid occurs in a Stage 2 pair of relation rel.
+func (m *brjPhase1Mapper) paired(rel byte, rid uint64) bool {
+	set, n := m.rids[rel], len(m.rids[rel])/8
+	i := sort.Search(n, func(i int) bool { return binary.BigEndian.Uint64(set[i*8:]) >= rid })
+	return i < n && binary.BigEndian.Uint64(set[i*8:]) == rid
 }
 
 func (m *brjPhase1Mapper) ridKey(rel byte, rid uint64) []byte {
@@ -115,19 +154,23 @@ func (m *brjPhase1Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapre
 	if err != nil {
 		return err
 	}
+	rel := m.relOf(ctx.InputFile)
+	if !m.paired(rel, rid) {
+		return nil
+	}
 	m.val = append(append(reuseScratch(m.val), tagRecord), value...)
-	return out.Emit(m.ridKey(m.relOf(ctx.InputFile), rid), m.val)
+	return out.Emit(m.ridKey(rel, rid), m.val)
 }
 
 // brjPhase1Reducer joins one record with its RID pairs and emits one
 // half-pair per pair.
 type brjPhase1Reducer struct {
 	rs bool
-	// Per-task scratch, reset for every RID group that has pairs: the
-	// record line, and the key and value of the half-pair being emitted (a
-	// reduce emitter copies what it is handed into the part writer's
-	// buffer before it returns — fileWriter.write — so one key and one
-	// value buffer serve every emission).
+	// Per-task scratch, reset for every RID group: the record line, and
+	// the key and value of the half-pair being emitted (a reduce emitter
+	// copies what it is handed into the part writer's buffer before it
+	// returns — fileWriter.write — so one key and one value buffer serve
+	// every emission).
 	line, key, val []byte
 }
 
@@ -146,12 +189,6 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 		// in the input, so this indicates corrupt input.
 		return fmt.Errorf("core: RID group %x has pairs but no record", key)
 	}
-	if values.Len() == 1 {
-		// Most records have no pair at all: nothing to join, and no need
-		// for the line copy below.
-		return nil
-	}
-	r.line = append(reuseScratch(r.line), v[1:]...)
 	var rel byte
 	var rid uint64
 	if r.rs {
@@ -160,6 +197,12 @@ func (r *brjPhase1Reducer) Reduce(ctx *mapreduce.Context, key []byte, values *ma
 	} else {
 		rid, _ = mustUint64(key)
 	}
+	if values.Len() == 1 {
+		// The mappers emit only paired records: the RID sets disagree
+		// with the pairs they were built from.
+		return fmt.Errorf("core: record %d without a pair reached phase 1", rid)
+	}
+	r.line = append(reuseScratch(r.line), v[1:]...)
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
 		if v[0] != tagRecord {
 			p, err := records.DecodeRIDPair(v[1:])
@@ -228,10 +271,59 @@ func (r *pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values 
 	return out.Emit(nil, r.line)
 }
 
+// writeRIDSets reads Stage 2's pairs and writes, per relation, the
+// sorted distinct RIDs that occur in a pair as big-endian u64s: one file
+// for a self-join (both sides of a pair), R and S files for R-S. It
+// returns the files, indexed by relation tag, and the pair bytes read.
+func writeRIDSets(cfg *Config, pairsPrefix, work string, rs bool) ([]string, int64, error) {
+	var sets [2][]uint64
+	relB, files := byte(relR), []string{work + "/s3-rids"}
+	if rs {
+		relB, files = relS, []string{work + "/s3-rids-r", work + "/s3-rids-s"}
+	}
+	var read int64
+	for _, name := range cfg.FS.List(pairsPrefix + "/") {
+		data, err := cfg.FS.ReadAll(name)
+		if err != nil {
+			return nil, 0, err
+		}
+		read += int64(len(data))
+		if err := decodePairsData(data, func(p records.RIDPair) error {
+			sets[relR] = append(sets[relR], p.A)
+			sets[relB] = append(sets[relB], p.B)
+			return nil
+		}); err != nil {
+			return nil, 0, err
+		}
+	}
+	var buf [8]byte
+	for rel, name := range files {
+		slices.Sort(sets[rel])
+		w, err := cfg.FS.Create(name)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, rid := range slices.Compact(sets[rel]) {
+			binary.BigEndian.PutUint64(buf[:], rid)
+			if err := w.Append(buf[:]); err != nil {
+				return nil, 0, err
+			}
+		}
+		if err := w.Close(); err != nil {
+			return nil, 0, err
+		}
+	}
+	return files, read, nil
+}
+
 // runBRJ runs the two-phase Basic Record Join.
 func runBRJ(cfg *Config, recordInputs []string, inputR, pairsPrefix, work string) (string, []*mapreduce.Metrics, error) {
+	ridFiles, pairBytes, err := writeRIDSets(cfg, pairsPrefix, work, inputR != "")
+	if err != nil {
+		return "", nil, err
+	}
 	half := work + "/s3-half"
-	job, err := coreJob(cfg, progSpec{Kind: "s3-brj1", InputR: inputR, PairsPrefix: pairsPrefix})
+	job, err := coreJob(cfg, progSpec{Kind: "s3-brj1", InputR: inputR, PairsPrefix: pairsPrefix, RIDFiles: ridFiles})
 	if err != nil {
 		return "", nil, err
 	}
@@ -242,10 +334,14 @@ func runBRJ(cfg *Config, recordInputs []string, inputR, pairsPrefix, work string
 		pairsPrefix + "/": mapreduce.Pairs,
 	}
 	job.Output = half
+	job.SideFiles = ridFiles
 	m1, err := mapreduce.RunContext(cfg.context(), job)
 	if err != nil {
 		return "", nil, err
 	}
+	// The coordinator's read of the pairs is no task; charge it with the
+	// broadcast, as OPRJ's pair files are.
+	m1.SideBytes += pairBytes
 	out := work + "/out"
 	job, err = coreJob(cfg, progSpec{Kind: "s3-brj2"})
 	if err != nil {
