@@ -62,12 +62,19 @@ smoke:
 # runs the metamorphic invariant suite, on a handful of seeded
 # workloads. Any divergence prints a minimized `ssjcheck` reproducer and
 # fails. The bare target covers the in-process modes; dist cells (forked
-# worker processes over RPC) run in conformance-dist. The last line is
+# worker processes over RPC) run in conformance-dist. The -seed 9 line is
 # the workload where one pair shares many prefix tokens (692 self / 1,152
 # R-S oracle pairs against 7-60 on the others): Stage 3 does not dedup
 # and the diff reports a repeated pair, so it gates exact-once emission.
 # The line before it has no oracle pair at all (no near-duplicates, S
 # next to disjoint from R), so BRJ runs over empty paired-RID sets.
+# The last line is there for the bitmap filter. Every line before it
+# that runs BK draws at most 188 distinct tokens, fewer than the 256
+# signature bits, so a bit (rank mod 256) names one token and the
+# bitmap bound is exact. The -vocab 1024 line draws about 700, so
+# signatures collide and the bound is loose where BK tests it, ahead of
+# the prefix filter on every pair of a group (118 self / 289 R-S oracle
+# pairs).
 conformance:
 	$(GO) run ./cmd/ssjcheck -seed 1 -records 40 -serve
 	$(GO) run ./cmd/ssjcheck -seed 2 -records 50 -tau 0.7 -serve
@@ -75,6 +82,8 @@ conformance:
 	$(GO) run ./cmd/ssjcheck -seed 1 -records 40 -vocab 4096 -tau 0.95 -neardup -1 -overlap 0.001 \
 		-combo BTO-PK-BRJ,BTO-FVT-BRJ -invariants=false
 	$(GO) run ./cmd/ssjcheck -seed 9 -records 200 -vocab 48 -skew 2.0 -tau 0.5 -neardup 0.4 -exec plain -invariants=false
+	$(GO) run ./cmd/ssjcheck -seed 11 -records 300 -vocab 1024 -skew 1.05 -tau 0.6 \
+		-combo OPTO-BK-OPRJ,BTO-BK-BRJ -exec plain -invariants=false
 
 # serve-smoke is the online-service CI gate: the server comes up on an
 # ephemeral port, 100 queries run through real HTTP — interleaved with

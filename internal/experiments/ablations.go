@@ -322,9 +322,10 @@ type KernelAblationResult struct {
 	// pairs a kernel actually buffered before verification (BK and PK
 	// materialize every candidate; FVT none).
 	Materialized []int64
-	// BitmapRejected is stage2.bitmap_rejected: the pairs that survived
-	// the row's filter stack and that the bitmap filter, the start of
-	// every kernel's verification tail, kept from the merge.
+	// BitmapRejected is stage2.bitmap_rejected: the pairs the bitmap
+	// filter kept from the merge. PK and FVT test the pairs that survived
+	// the row's filter stack; BK tests every pair in its length window,
+	// ahead of the prefix scan.
 	BitmapRejected []int64
 	Verified       []int64
 	Results        []int64

@@ -4,44 +4,72 @@ import (
 	"math/rand"
 	"testing"
 
+	"fuzzyjoin/internal/bitsig"
 	"fuzzyjoin/internal/filter"
 	"fuzzyjoin/internal/records"
 	"fuzzyjoin/internal/simfn"
 )
 
-// TestBitmapStats: the bitmap filter sits between the candidate filters and
-// the merge and only splits the pairs that reach it. With the optional
-// filters off those are the pairs whose prefixes share a token, counted
-// here pair by pair: each is either BitmapRejected or Verified, in both
-// kernels, and the filter costs no result.
+// TestBitmapStats pins where each kernel runs the bitmap filter, counted
+// here pair by pair. PK runs it between the candidate filters and the
+// merge: with the optional filters off, the pairs that reach it are those
+// whose prefixes share a token, and each is either BitmapRejected or
+// Verified. BK runs it right after the length filter: BitmapRejected is
+// the number of in-window pairs whose signatures bitsig.Admits rejects,
+// whatever their prefixes. Neither placement costs a result.
 func TestBitmapStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	items := corpus(rng, 80, 40, 10)
-	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8}
-	var reach int64
-	for i := range items {
-		for j := i + 1; j < len(items); j++ {
-			x, y := items[i].Ranks, items[j].Ranks
-			px, py := opts.Fn.PrefixLength(len(x), opts.Threshold), opts.Fn.PrefixLength(len(y), opts.Threshold)
-			if simfn.Overlap(x[:px], y[:py]) > 0 {
-				reach++
+	// A universe past bitsig.Bits makes signature folds collide.
+	for _, items := range [][]Item{corpus(rng, 80, 40, 10), corpus(rng, 80, 600, 24)} {
+		opts := Options{Fn: simfn.Jaccard, Threshold: 0.8}
+		th := opts.Fn.At(opts.Threshold)
+		results := int64(len(BruteForceSelf(items, opts)))
+
+		var reach int64
+		for i := range items {
+			for j := i + 1; j < len(items); j++ {
+				x, y := items[i].Ranks, items[j].Ranks
+				if simfn.Overlap(x[:th.PrefixLength(len(x))], y[:th.PrefixLength(len(y))]) > 0 {
+					reach++
+				}
 			}
 		}
-	}
-	results := int64(len(BruteForceSelf(items, opts)))
-	for name, st := range map[string]Stats{
-		"pk": SelfJoin(items, opts, func(records.RIDPair) {}),
-		"bk": NestedLoopSelf(items, opts, nil, func(records.RIDPair) {}),
-	} {
-		if st.Verified+st.BitmapRejected != reach {
-			t.Fatalf("%s: verified+rejected = %d+%d, want the %d pairs with a common prefix token",
-				name, st.Verified, st.BitmapRejected, reach)
+		pk := SelfJoin(items, opts, func(records.RIDPair) {})
+		if pk.Verified+pk.BitmapRejected != reach {
+			t.Fatalf("pk: verified+rejected = %d+%d, want the %d pairs with a common prefix token",
+				pk.Verified, pk.BitmapRejected, reach)
 		}
-		if st.BitmapRejected == 0 {
-			t.Fatalf("%s: the bitmap filter rejected nothing: %+v", name, st)
+		if pk.BitmapRejected == 0 || pk.Results != results {
+			t.Fatalf("pk: %+v, want some bitmap rejections and the %d brute-force results", pk, results)
 		}
-		if st.Results != results {
-			t.Fatalf("%s: %d results, brute force has %d", name, st.Results, results)
+
+		for _, fs := range []filter.Stack{{}, filter.AllFilters} {
+			opts.Filters = fs
+			var rejected int64
+			for i := range items {
+				lo, hi := th.LengthBounds(len(items[i].Ranks))
+				for j := i + 1; j < len(items); j++ {
+					x, y := items[i].Ranks, items[j].Ranks
+					if fs.Length && (len(y) < lo || len(y) > hi) {
+						continue
+					}
+					h := bitsig.Make(x).HammingXor(bitsig.Make(y))
+					if !bitsig.Admits(len(x), len(y), h, th.OverlapThreshold(len(x), len(y))) {
+						rejected++
+					}
+				}
+			}
+			bk := NestedLoopSelf(items, opts, nil, func(records.RIDPair) {})
+			if rejected == 0 {
+				t.Fatalf("bk %+v: test premise broken: the signatures reject no pair", fs)
+			}
+			if bk.BitmapRejected != rejected {
+				t.Fatalf("bk %+v: %d bitmap-rejected, want the %d in-window pairs the signatures reject",
+					fs, bk.BitmapRejected, rejected)
+			}
+			if bk.Results != results {
+				t.Fatalf("bk %+v: %d results, brute force has %d", fs, bk.Results, results)
+			}
 		}
 	}
 }

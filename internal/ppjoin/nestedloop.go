@@ -132,6 +132,12 @@ func (b *Block) Probe(s Item, emit func(records.RIDPair)) {
 // [lo, hi] must admit. A pair whose prefixes share no token fails the
 // prefix filter; one whose first shared token is another owner's is left
 // to that owner.
+//
+// The bitmap filter runs right after the length filter, ahead of the
+// prefix scan: every pair of a group is a candidate here, and four
+// popcounts reject most of them for less than the scan costs. The filters
+// are conjunctive, so the order changes BitmapRejected and nothing else
+// (DESIGN §4.10).
 func (b *Block) check(x, y *Item, px, py, l, lo, hi int) (float64, bool) {
 	lx, ly := len(x.Ranks), len(y.Ranks)
 	if lx == 0 || ly == 0 {
@@ -142,18 +148,21 @@ func (b *Block) check(x, y *Item, px, py, l, lo, hi int) (float64, bool) {
 	if l < lo || l > hi {
 		return 0, false
 	}
+	need := b.th.OverlapThreshold(lx, ly)
+	if !st.Admit(lx, ly, x.Sig(), y.Sig(), need) {
+		return 0, false
+	}
 	i, j, ok := firstPrefixMatch(x.Ranks, y.Ranks, px, py)
 	if !ok || (b.owner != nil && !b.owner(x.Ranks[i])) {
 		return 0, false
 	}
-	need := b.th.OverlapThreshold(lx, ly)
 	if opts.Filters.Positional && !filter.Positional(lx, ly, i, j, 1, need) {
 		return 0, false
 	}
 	if opts.Filters.Suffix && !filter.Suffix(x.Ranks, y.Ranks, i, j, need) {
 		return 0, false
 	}
-	return st.Verify(opts.Fn, x, y, x.Sig(), need)
+	return st.Merge(opts.Fn, x, y, need)
 }
 
 // NestedLoopSelf runs the BK kernel over items (the record projections a

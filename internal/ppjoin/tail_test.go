@@ -10,9 +10,10 @@ import (
 // for Jaccard, cosine and dice at τ ∈ {0.5, 0.8, 0.95}, Tail.Verify with
 // need = OverlapThreshold accepts exactly the pairs simfn.Func.Verify
 // accepts, with the same Sim, and counts every pair once — bitmap-rejected
-// or verified. The seeds are FuzzBitsigAdmissible's corpus
-// (internal/bitsig): the 4-of-5 boundary, signature fold collisions,
-// identical singletons.
+// or verified; Admit followed by Merge, as BK calls them, is Verify to the
+// verdict, the Sim and the counts. The seeds are FuzzBitsigAdmissible's
+// corpus (internal/bitsig): the 4-of-5 boundary, signature fold
+// collisions, identical singletons.
 func FuzzTailVerify(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4}, []byte{0, 1, 2, 3})
 	f.Add([]byte{10, 20, 30}, []byte{10, 20, 31})
@@ -56,6 +57,17 @@ func FuzzTailVerify(f *testing.F) {
 				}
 				if st != wantCount {
 					t.Fatalf("%v τ=%v x=%v y=%v ok=%v: counted %+v", fn, tau, x.Ranks, y.Ranks, ok, st)
+				}
+				// BK calls the two steps apart; together they are Verify.
+				var split Tail
+				var splitSim float64
+				var splitOK bool
+				if split.Admit(len(x.Ranks), len(y.Ranks), x.Sig(), y.Sig(), need) {
+					splitSim, splitOK = split.Merge(fn, &x, &y, need)
+				}
+				if split != st || splitOK != ok || splitSim != sim {
+					t.Fatalf("%v τ=%v x=%v y=%v: Admit+Merge (%v, %v) %+v, Verify (%v, %v) %+v",
+						fn, tau, x.Ranks, y.Ranks, splitSim, splitOK, split, sim, ok, st)
 				}
 			}
 		}
