@@ -1,18 +1,24 @@
 # Developer entry points. `make tier1` is the gate every change must
-# pass: build + full test suite, vet, staticcheck (when installed), and
+# pass: build, gofmt, full test suite, vet, staticcheck (when installed), and
 # the race detector over the internal packages (the engine and DFS run
 # user code across goroutines; the pipeline's mapper instances, reducers
 # and spill files in internal/core are that user code, and each reduce
 # task attempt owns one internal/ppjoin or internal/fvt kernel).
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-planner allocprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
+.PHONY: all build fmt test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-planner allocprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
 
 all: tier1
 
 build:
 	$(GO) build ./...
+
+# fmt lists every Go file gofmt would change and fails if there is one.
+fmt:
+	@files=$$($(GOFMT) -l .); \
+	if [ -n "$$files" ]; then echo "gofmt -l: not formatted:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -44,7 +50,7 @@ race:
 	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
 	$(GO) test -race -count=10 -run 'TestConcurrentHistory|TestConcurrentMatchAddReorder' ./internal/ssjserve
 
-tier1: build test vet staticcheck race
+tier1: build fmt test vet staticcheck race
 
 # smoke runs the CLI end to end with tracing on the bundled example
 # data, leaving trace.jsonl / timeline.svg / metrics.json in smoke-out/.

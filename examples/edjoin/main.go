@@ -1,7 +1,7 @@
 // Edjoin: approximate string matching under edit distance — the
 // application the paper's footnote 1 mentions. Product titles with typos
 // are matched within edit distance 2 using q-gram count filtering and
-// banded verification, both single-node and as MapReduce jobs on the
+// banded verification, both single-node and as one MapReduce job on the
 // bundled engine.
 //
 //	go run ./examples/edjoin
@@ -37,7 +37,7 @@ func main() {
 		fmt.Printf("  d=%d  %q ~ %q\n", p.Dist, titles[p.I], titles[p.J])
 	}
 
-	// The same join as MapReduce jobs.
+	// The same join as one MapReduce job.
 	fs := dfs.New(dfs.Options{Nodes: 2})
 	lines := make([]string, len(titles))
 	for i, s := range titles {
@@ -46,7 +46,7 @@ func main() {
 	if err := mapreduce.WriteTextFile(fs, "titles", lines); err != nil {
 		log.Fatal(err)
 	}
-	outPrefix, ms, err := editdist.MapReduceSelfJoin(fs, "titles", "work", o, 2, 2)
+	outPrefix, m, err := editdist.MapReduceSelfJoin(fs, "titles", "work", o, 2, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,6 +55,6 @@ func main() {
 		log.Fatal(err)
 	}
 	mrPairs := editdist.SortOutput(outLines)
-	fmt.Printf("\nmapreduce ed-join: %d matches across %d jobs (identical result: %v)\n",
-		len(mrPairs), len(ms), fmt.Sprint(mrPairs) == fmt.Sprint(pairs))
+	fmt.Printf("\nmapreduce ed-join: %d matches from job %s (identical result: %v)\n",
+		len(mrPairs), m.Job, fmt.Sprint(mrPairs) == fmt.Sprint(pairs))
 }

@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"fuzzyjoin/internal/keys"
 	"fuzzyjoin/internal/mapreduce"
 	"fuzzyjoin/internal/tokenize"
 )
 
 // This file makes every pipeline job's task bodies reconstructible in
-// another process. A job's function-valued fields (mapper, reducer,
-// partitioner, comparators) cannot travel over RPC, so each job instead
+// another process. A job's function-valued fields (mapper, combiner,
+// reducer) cannot travel over RPC, so each job instead
 // carries a program name ("core") plus a JSON progSpec, and both the
 // coordinator and the worker build the bodies through the one
 // registered builder. The coordinator-side job constructors use the
@@ -112,7 +111,7 @@ func relOfFor(ps progSpec) func(string) byte {
 // unserializable tokenizer); the worker calls it through
 // buildCoreProgram with a Config rebuilt from the spec.
 func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
-	p := &mapreduce.Program{SortPrefix: stageKeySortPrefix}
+	p := &mapreduce.Program{}
 	rs := ps.InputR != ""
 	switch ps.Kind {
 	case "s1-bto-count":
@@ -129,8 +128,6 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 	case "s2":
 		layout := layoutFor(cfg, rs)
 		p.Mapper = &stage2Mapper{cfg: cfg, tokenFile: ps.TokenFile, inputR: ps.InputR}
-		p.Partitioner = mapreduce.PrefixPartitioner(layout.groupWidth)
-		p.GroupComparator = keys.PrefixComparator(layout.groupWidth)
 		own := owner{cfg: cfg, tokenFile: ps.TokenFile, self: !rs}
 		// Validate admits block processing and length routing for BK only.
 		switch {
@@ -166,9 +163,11 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 
 // coreJob assembles the engine half of one pipeline job around a
 // program spec: task bodies from programFor, engine policy copied from
-// the Config. When the Config is fully serializable the job carries
-// Program/ProgramSpec and is eligible for dispatch to worker processes;
-// otherwise it runs in-process only.
+// the Config. Every job partitions and groups on whole keys except Stage
+// 2, which partitions and groups on its key layout's groupWidth
+// (stage2_keys.go) and sorts on the whole key. When the Config is fully
+// serializable the job carries Program/ProgramSpec and is eligible for
+// dispatch to worker processes; otherwise it runs in-process only.
 func coreJob(cfg *Config, ps progSpec) (mapreduce.Job, error) {
 	var serializable bool
 	ps.Cfg = cfg
@@ -182,10 +181,6 @@ func coreJob(cfg *Config, ps progSpec) (mapreduce.Job, error) {
 		Mapper:          prog.Mapper,
 		Combiner:        prog.Combiner,
 		Reducer:         prog.Reducer,
-		Partitioner:     prog.Partitioner,
-		SortComparator:  prog.SortComparator,
-		SortPrefix:      prog.SortPrefix,
-		GroupComparator: prog.GroupComparator,
 		NumReducers:     cfg.NumReducers,
 		MemoryLimit:     cfg.MemoryLimit,
 		Parallelism:     cfg.Parallelism,
@@ -197,6 +192,9 @@ func coreJob(cfg *Config, ps progSpec) (mapreduce.Job, error) {
 		Speculative:     cfg.Speculative,
 		Trace:           cfg.Trace,
 		Runner:          cfg.Runner,
+	}
+	if ps.Kind == "s2" {
+		job.GroupPrefix = layoutFor(cfg, ps.InputR != "").groupWidth
 	}
 	if serializable {
 		data, err := json.Marshal(ps)

@@ -15,9 +15,9 @@
 // verified with a banded dynamic program in O(K·min(len)).
 //
 // SelfJoin is the single-node kernel; MapReduceSelfJoin runs the same
-// join as two jobs on internal/mapreduce, routing strings by their prefix
-// grams exactly like the paper's Stage 2 and de-duplicating pairs like
-// its Stage 3.
+// join as one job on internal/mapreduce, routing strings by their prefix
+// grams exactly like the paper's Stage 2 and emitting each pair from the
+// one reduce group that owns it.
 package editdist
 
 import (
@@ -215,16 +215,10 @@ func SelfJoin(strs []string, o Options) []Pair {
 		gsets[i] = grams(s, o.Q)
 	}
 	var out []Pair
-	seen := map[[2]int]bool{}
 	verify := func(i, j int) {
 		if i > j {
 			i, j = j, i
 		}
-		k := [2]int{i, j}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
 		if WithinK(strs[i], strs[j], o.K) {
 			out = append(out, Pair{I: i, J: j, Dist: Distance(strs[i], strs[j])})
 		}
@@ -259,14 +253,19 @@ func SelfJoin(strs []string, o Options) []Pair {
 	}
 
 	// Short strings bypass the index; check them against every other
-	// string in their length window directly.
+	// string in their length window directly. The index pairs only
+	// strings that are not short, and a pair of two short strings is
+	// checked from its smaller index, so every pair is verified once.
 	for i, g := range gsets {
 		if !short(g, o) {
 			continue
 		}
 		li := len([]rune(strs[i]))
 		for j := range strs {
-			if lj := len([]rune(strs[j])); j != i && li-lj <= o.K && lj-li <= o.K {
+			if j == i || j < i && short(gsets[j], o) {
+				continue
+			}
+			if lj := len([]rune(strs[j])); li-lj <= o.K && lj-li <= o.K {
 				verify(i, j)
 			}
 		}

@@ -238,7 +238,8 @@ func TestCountFilterAdmissible(t *testing.T) {
 }
 
 // mapReduceSelfJoin runs MapReduceSelfJoin over strs (ids are indices)
-// and returns its sorted pairs.
+// and returns its sorted pairs. The join is one job and writes every
+// pair once.
 func mapReduceSelfJoin(t *testing.T, strs []string, o Options) []Pair {
 	t.Helper()
 	fs := dfs.New(dfs.Options{BlockSize: 512, Nodes: 4})
@@ -249,28 +250,38 @@ func mapReduceSelfJoin(t *testing.T, strs []string, o Options) []Pair {
 	if err := mapreduce.WriteTextFile(fs, "in", lines); err != nil {
 		t.Fatal(err)
 	}
-	outPrefix, ms, err := MapReduceSelfJoin(fs, "in", "work", o, 3, 4)
+	outPrefix, m, err := MapReduceSelfJoin(fs, "in", "work", o, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 2 {
-		t.Fatalf("jobs = %d", len(ms))
+	if m.Job != "ed-kernel" || len(fs.List("work/")) != len(fs.List(outPrefix+"/")) {
+		t.Fatalf("job %q wrote %v, want one job's output", m.Job, fs.List("work/"))
 	}
 	outLines, err := mapreduce.ReadLines(fs, outPrefix+"/")
 	if err != nil {
 		t.Fatal(err)
 	}
+	seen := map[string]bool{}
+	for _, l := range outLines {
+		if seen[l] {
+			t.Fatalf("line %q written twice", l)
+		}
+		seen[l] = true
+	}
 	return SortOutput(outLines)
 }
 
-// TestMapReduceSelfJoinMatchesSingleNode: the two-job MapReduce version
-// equals the single-node kernel and brute force, short strings included.
+// TestMapReduceSelfJoinMatchesSingleNode: the one-job MapReduce version
+// equals the single-node kernel and brute force on near-duplicate and
+// short-string corpora.
 func TestMapReduceSelfJoinMatchesSingleNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	strs := edCorpus(rng, 80)
-	o := Options{K: 2, Q: 3}
-	if got, want := mapReduceSelfJoin(t, strs, o), BruteForce(strs, o); !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v\nwant %v", got, want)
+	for _, k := range []int{1, 2, 3} {
+		o := Options{K: k, Q: 3}
+		if got, want := mapReduceSelfJoin(t, strs, o), BruteForce(strs, o); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: got %v\nwant %v", k, got, want)
+		}
 	}
 	for name, c := range shortCorpora() {
 		want := BruteForce(c.strs, c.o)

@@ -121,42 +121,21 @@ func (s *Suite) SkewStats() (*SkewStatsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild the distinct pair list from a fresh PK run's output.
-	fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes})
-	if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(s.w.dblpTimes(factor))); err != nil {
-		return nil, err
-	}
-	cfg := s.w.baseCfg(fs, nodes)
-	cfg.TokenOrder, cfg.Work = core.BTO, "bto"
-	tokenFile, _, err := core.Stage1(cfg, "dblp")
+	// Stage 2 emits every pair once, so its output is the distinct pairs.
+	raw, err := mapreduce.ReadOutputPairs(set.fs, set.pkPairs+"/")
 	if err != nil {
 		return nil, err
 	}
-	cfg = s.w.baseCfg(fs, nodes)
-	cfg.Kernel, cfg.Work = core.PK, "pk"
-	pairsPrefix, _, err := core.Stage2Self(cfg, "dblp", tokenFile)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := mapreduce.ReadOutputPairs(fs, pairsPrefix+"/")
-	if err != nil {
-		return nil, err
-	}
-	seen := map[records.RIDPair]bool{}
 	freq := map[uint64]int{}
 	for _, kv := range raw {
 		p, err := records.DecodeRIDPair(kv.Value)
 		if err != nil {
 			return nil, err
 		}
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
 		freq[p.A]++
 		freq[p.B]++
 	}
-	res := &SkewStatsResult{PairCount: len(seen)}
+	res := &SkewStatsResult{PairCount: len(raw)}
 	var sum, sumSq float64
 	for _, n := range freq {
 		sum += float64(n)

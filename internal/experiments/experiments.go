@@ -162,6 +162,11 @@ type stageSet struct {
 	brj, oprj          stageRun // stage 3 (RID pairs from PK)
 	pairs              int64    // final joined pairs (from BRJ)
 	stage2ShuffleBytes int64    // PK job shuffle volume (reporting)
+	// fs holds the PK job's RID pairs under pkPairs (SkewStats reads
+	// them); runStageSet removes every other file, so a cached set holds
+	// no corpus.
+	fs      *dfs.FS
+	pkPairs string
 }
 
 // baseCfg builds the core config for one cell.
@@ -175,13 +180,34 @@ func (w *workload) baseCfg(fs *dfs.FS, nodes int) core.Config {
 	}
 }
 
-// runSelfStageSet executes all six stage variants for a self-join cell.
-func (w *workload) runSelfStageSet(factor, nodes int) (*stageSet, error) {
+// runStageSet executes all six stage variants for one cell: a self-join
+// of DBLP×factor (inputs "dblp"), or the R-S join DBLP×factor ⋈
+// CITESEERX×factor (inputs "dblp", "cite"). Stage 1 orders tokens from
+// DBLP, the smaller relation (§4).
+func (w *workload) runStageSet(factor, nodes int, inputs ...string) (*stageSet, error) {
 	fs := dfs.New(dfs.Options{BlockSize: w.p.BlockSize, Nodes: nodes})
-	if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(w.dblpTimes(factor))); err != nil {
-		return nil, err
+	for _, in := range inputs {
+		recs := w.dblpTimes(factor)
+		if in == "cite" {
+			recs = w.citeseerTimes(factor)
+		}
+		if err := mapreduce.WriteTextFile(fs, in, datagen.Lines(recs)); err != nil {
+			return nil, err
+		}
 	}
-	set := &stageSet{}
+	stage2 := func(cfg core.Config, tokenFile string) (string, []*mapreduce.Metrics, error) {
+		if len(inputs) == 2 {
+			return core.Stage2RS(cfg, inputs[0], inputs[1], tokenFile)
+		}
+		return core.Stage2Self(cfg, inputs[0], tokenFile)
+	}
+	stage3 := func(cfg core.Config, pairs string) (string, []*mapreduce.Metrics, error) {
+		if len(inputs) == 2 {
+			return core.Stage3RS(cfg, inputs[0], inputs[1], pairs)
+		}
+		return core.Stage3Self(cfg, inputs[0], pairs)
+	}
+	set := &stageSet{fs: fs}
 
 	cfg := w.baseCfg(fs, nodes)
 	cfg.TokenOrder, cfg.Work = core.BTO, "bto"
@@ -199,14 +225,13 @@ func (w *workload) runSelfStageSet(factor, nodes int) (*stageSet, error) {
 
 	cfg = w.baseCfg(fs, nodes)
 	cfg.Kernel, cfg.Work = core.BK, "bk"
-	if _, ms, err = core.Stage2Self(cfg, "dblp", tokenFile); err != nil {
+	if _, ms, err = stage2(cfg, tokenFile); err != nil {
 		return nil, fmt.Errorf("BK: %w", err)
 	}
 	set.bk = stageRun{metrics: ms}
 
 	cfg.Kernel, cfg.Work = core.PK, "pk"
-	pairs, ms, err := core.Stage2Self(cfg, "dblp", tokenFile)
-	if err != nil {
+	if set.pkPairs, ms, err = stage2(cfg, tokenFile); err != nil {
 		return nil, fmt.Errorf("PK: %w", err)
 	}
 	set.pk = stageRun{metrics: ms}
@@ -216,77 +241,23 @@ func (w *workload) runSelfStageSet(factor, nodes int) (*stageSet, error) {
 
 	cfg = w.baseCfg(fs, nodes)
 	cfg.RecordJoin, cfg.Work = core.BRJ, "brj"
-	if _, ms, err = core.Stage3Self(cfg, "dblp", pairs); err != nil {
+	if _, ms, err = stage3(cfg, set.pkPairs); err != nil {
 		return nil, fmt.Errorf("BRJ: %w", err)
 	}
 	set.brj = stageRun{metrics: ms}
 	set.pairs = ms[len(ms)-1].Counters["stage3.pairs"]
 
 	cfg.RecordJoin, cfg.Work = core.OPRJ, "oprj"
-	if _, ms, err = core.Stage3Self(cfg, "dblp", pairs); err != nil {
-		set.oprj = stageRun{err: err}
+	if _, ms, err = stage3(cfg, set.pkPairs); err != nil {
+		set.oprj = stageRun{err: err} // expected for R-S at the largest factors
 	} else {
 		set.oprj = stageRun{metrics: ms}
 	}
-	return set, nil
-}
 
-// runRSStageSet executes all six stage variants for an R-S cell
-// (DBLP×factor ⋈ CITESEERX×factor).
-func (w *workload) runRSStageSet(factor, nodes int) (*stageSet, error) {
-	fs := dfs.New(dfs.Options{BlockSize: w.p.BlockSize, Nodes: nodes})
-	if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(w.dblpTimes(factor))); err != nil {
-		return nil, err
-	}
-	if err := mapreduce.WriteTextFile(fs, "cite", datagen.Lines(w.citeseerTimes(factor))); err != nil {
-		return nil, err
-	}
-	set := &stageSet{}
-
-	cfg := w.baseCfg(fs, nodes)
-	cfg.TokenOrder, cfg.Work = core.BTO, "bto"
-	tokenFile, ms, err := core.Stage1(cfg, "dblp") // smaller relation, §4
-	if err != nil {
-		return nil, fmt.Errorf("BTO: %w", err)
-	}
-	set.bto = stageRun{metrics: ms}
-
-	cfg.TokenOrder, cfg.Work = core.OPTO, "opto"
-	if _, ms, err = core.Stage1(cfg, "dblp"); err != nil {
-		return nil, fmt.Errorf("OPTO: %w", err)
-	}
-	set.opto = stageRun{metrics: ms}
-
-	cfg = w.baseCfg(fs, nodes)
-	cfg.Kernel, cfg.Work = core.BK, "bk"
-	if _, ms, err = core.Stage2RS(cfg, "dblp", "cite", tokenFile); err != nil {
-		return nil, fmt.Errorf("BK: %w", err)
-	}
-	set.bk = stageRun{metrics: ms}
-
-	cfg.Kernel, cfg.Work = core.PK, "pk"
-	pairs, ms, err := core.Stage2RS(cfg, "dblp", "cite", tokenFile)
-	if err != nil {
-		return nil, fmt.Errorf("PK: %w", err)
-	}
-	set.pk = stageRun{metrics: ms}
-	for _, m := range ms {
-		set.stage2ShuffleBytes += m.TotalShuffleBytes()
-	}
-
-	cfg = w.baseCfg(fs, nodes)
-	cfg.RecordJoin, cfg.Work = core.BRJ, "brj"
-	if _, ms, err = core.Stage3RS(cfg, "dblp", "cite", pairs); err != nil {
-		return nil, fmt.Errorf("BRJ: %w", err)
-	}
-	set.brj = stageRun{metrics: ms}
-	set.pairs = ms[len(ms)-1].Counters["stage3.pairs"]
-
-	cfg.RecordJoin, cfg.Work = core.OPRJ, "oprj"
-	if _, ms, err = core.Stage3RS(cfg, "dblp", "cite", pairs); err != nil {
-		set.oprj = stageRun{err: err} // expected at the largest factors
-	} else {
-		set.oprj = stageRun{metrics: ms}
+	for _, name := range fs.List("") {
+		if !strings.HasPrefix(name, set.pkPairs+"/") {
+			fs.Remove(name)
+		}
 	}
 	return set, nil
 }

@@ -207,6 +207,18 @@ func TestSkewStats(t *testing.T) {
 	if r.PairCount == 0 {
 		t.Fatal("no pairs")
 	}
+	// SkewStats counts Stage 2's output lines; they equal the joined pairs
+	// only while Stage 2 writes each pair once.
+	set, err := s.selfSet(10, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(r.PairCount) != set.pairs {
+		t.Fatalf("SkewStats saw %d Stage 2 pairs, Stage 3 joined %d", r.PairCount, set.pairs)
+	}
+	if files := set.fs.List(""); len(files) == 0 || len(files) != len(set.fs.List(set.pkPairs)) {
+		t.Fatalf("cached set keeps %v, want only the PK pairs under %s", files, set.pkPairs)
+	}
 	if r.RIDMean < 1 || r.RIDMax < int(r.RIDMean) {
 		t.Fatalf("rid stats implausible: %+v", r)
 	}

@@ -6,45 +6,43 @@ import "fuzzyjoin/internal/cluster"
 // a (workload, cluster) cell (e.g. Figure 9 and Table 1) run each job
 // once.
 type Suite struct {
-	w        *workload
-	selfSets map[cellKey]*stageSet
-	rsSets   map[cellKey]*stageSet
+	w    *workload
+	sets map[cellKey]*stageSet
 }
 
-type cellKey struct{ factor, nodes int }
+type cellKey struct {
+	factor, nodes int
+	rs            bool
+}
 
 // NewSuite prepares a suite for the given parameters.
 func NewSuite(p Params) *Suite {
-	return &Suite{
-		w:        newWorkload(p),
-		selfSets: map[cellKey]*stageSet{},
-		rsSets:   map[cellKey]*stageSet{},
-	}
+	return &Suite{w: newWorkload(p), sets: map[cellKey]*stageSet{}}
 }
 
+// selfSet is the self-join DBLP×factor cell on nodes nodes.
 func (s *Suite) selfSet(factor, nodes int) (*stageSet, error) {
-	k := cellKey{factor, nodes}
-	if set, ok := s.selfSets[k]; ok {
-		return set, nil
-	}
-	set, err := s.w.runSelfStageSet(factor, nodes)
-	if err != nil {
-		return nil, err
-	}
-	s.selfSets[k] = set
-	return set, nil
+	return s.stageSet(cellKey{factor, nodes, false})
 }
 
+// rsSet is the R-S DBLP×factor ⋈ CITESEERX×factor cell on nodes nodes.
 func (s *Suite) rsSet(factor, nodes int) (*stageSet, error) {
-	k := cellKey{factor, nodes}
-	if set, ok := s.rsSets[k]; ok {
+	return s.stageSet(cellKey{factor, nodes, true})
+}
+
+func (s *Suite) stageSet(k cellKey) (*stageSet, error) {
+	if set, ok := s.sets[k]; ok {
 		return set, nil
 	}
-	set, err := s.w.runRSStageSet(factor, nodes)
+	inputs := []string{"dblp"}
+	if k.rs {
+		inputs = append(inputs, "cite")
+	}
+	set, err := s.w.runStageSet(k.factor, k.nodes, inputs...)
 	if err != nil {
 		return nil, err
 	}
-	s.rsSets[k] = set
+	s.sets[k] = set
 	return set, nil
 }
 

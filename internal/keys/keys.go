@@ -1,29 +1,26 @@
 // Package keys implements order-preserving binary encodings for composite
 // MapReduce keys.
 //
-// The MapReduce engine sorts intermediate pairs with bytes.Compare by
-// default. All encoders in this package preserve order under that
-// comparison: for two sequences of components encoded with the same schema,
-// the byte-wise comparison of the encodings equals the component-wise
-// comparison of the values. This is what lets the set-similarity join
-// stages express "partition on group, sort on (group, length, relation)"
-// with plain byte keys, mirroring Hadoop's RawComparator idiom.
+// The MapReduce engine sorts intermediate pairs with bytes.Compare and
+// partitions and groups them on a fixed-width key prefix
+// (mapreduce.Job.GroupPrefix). All encoders in this package preserve
+// order under that comparison: for two sequences of components encoded
+// with the same schema, the byte-wise comparison of the encodings equals
+// the component-wise comparison of the values. This is what lets the
+// set-similarity join stages express "partition on group, sort on (group,
+// length, relation)" with plain byte keys, where Hadoop needs a custom
+// partitioner and comparators.
 //
-// Supported components:
-//
-//   - unsigned 32-bit integers, fixed-width big-endian (AppendUint32);
-//   - unsigned 64-bit integers, fixed-width big-endian (AppendUint64);
-//   - byte strings that contain no 0x00 byte, terminated by 0x00
-//     (AppendString) — token text in this system never contains NUL.
+// Components are fixed-width, big-endian unsigned integers: 32-bit
+// (AppendUint32) and 64-bit (AppendUint64). Stage 1 keys are raw token
+// bytes and need no encoding.
 //
 // Decoding walks the buffer in the same order the components were appended.
 package keys
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // ErrShortKey is returned when a decode runs past the end of the buffer.
@@ -40,36 +37,6 @@ func AppendUint64(dst []byte, v uint64) []byte {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], v)
 	return append(dst, buf[:]...)
-}
-
-// AppendString appends s followed by a 0x00 terminator. s must not contain
-// a 0x00 byte; AppendString panics if it does, because silently encoding it
-// would break the ordering guarantee.
-func AppendString(dst []byte, s string) []byte {
-	if bytesIndexByteString(s, 0) >= 0 {
-		panic(fmt.Sprintf("keys: string component contains NUL: %q", s))
-	}
-	dst = append(dst, s...)
-	return append(dst, 0)
-}
-
-// AppendBytes appends b followed by a 0x00 terminator. b must not contain
-// a 0x00 byte.
-func AppendBytes(dst []byte, b []byte) []byte {
-	if bytes.IndexByte(b, 0) >= 0 {
-		panic(fmt.Sprintf("keys: bytes component contains NUL: %q", b))
-	}
-	dst = append(dst, b...)
-	return append(dst, 0)
-}
-
-func bytesIndexByteString(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // Uint32 decodes a fixed-width uint32 at the front of b and returns the
@@ -89,25 +56,6 @@ func Uint64(b []byte) (uint64, []byte, error) {
 	return binary.BigEndian.Uint64(b), b[8:], nil
 }
 
-// String decodes a NUL-terminated string at the front of b.
-func String(b []byte) (string, []byte, error) {
-	i := bytes.IndexByte(b, 0)
-	if i < 0 {
-		return "", nil, ErrShortKey
-	}
-	return string(b[:i]), b[i+1:], nil
-}
-
-// Bytes decodes a NUL-terminated byte string at the front of b. The
-// returned slice aliases b.
-func Bytes(b []byte) ([]byte, []byte, error) {
-	i := bytes.IndexByte(b, 0)
-	if i < 0 {
-		return nil, nil, ErrShortKey
-	}
-	return b[:i], b[i+1:], nil
-}
-
 // MustUint32 is Uint32 for keys known to be well-formed (engine-internal
 // use); it panics on malformed input.
 func MustUint32(b []byte) (uint32, []byte) {
@@ -117,31 +65,3 @@ func MustUint32(b []byte) (uint32, []byte) {
 	}
 	return v, rest
 }
-
-// MustString is String for keys known to be well-formed.
-func MustString(b []byte) (string, []byte) {
-	v, rest, err := String(b)
-	if err != nil {
-		panic(err)
-	}
-	return v, rest
-}
-
-// PrefixComparator returns a comparator that compares only the first n
-// bytes of each key (or the whole key if shorter). It is the building
-// block for grouping comparators that group on a fixed-width key prefix
-// while the sort comparator orders the full key.
-func PrefixComparator(n int) func(a, b []byte) int {
-	return func(a, b []byte) int {
-		if len(a) > n {
-			a = a[:n]
-		}
-		if len(b) > n {
-			b = b[:n]
-		}
-		return bytes.Compare(a, b)
-	}
-}
-
-// Compare is the default full-key comparator.
-func Compare(a, b []byte) int { return bytes.Compare(a, b) }

@@ -2,8 +2,6 @@ package keys
 
 import (
 	"bytes"
-	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -31,32 +29,22 @@ func TestUint64RoundTrip(t *testing.T) {
 	}
 }
 
-func TestStringRoundTrip(t *testing.T) {
-	for _, s := range []string{"", "a", "token", "µ-unicode", strings.Repeat("x", 1000)} {
-		enc := AppendString(nil, s)
-		got, rest, err := String(enc)
-		if err != nil || got != s || len(rest) != 0 {
-			t.Fatalf("String round trip of %q: got %q, rest %v, err %v", s, got, rest, err)
-		}
-	}
-}
-
 func TestCompositeRoundTrip(t *testing.T) {
 	var k []byte
-	k = AppendString(k, "group-7")
+	k = AppendUint64(k, 1<<40+7)
 	k = AppendUint32(k, 42)
 	k = AppendUint32(k, 1)
-	s, rest, err := String(k)
-	if err != nil || s != "group-7" {
-		t.Fatalf("first component: %q, %v", s, err)
-	}
-	a, rest, err := Uint32(rest)
-	if err != nil || a != 42 {
-		t.Fatalf("second component: %d, %v", a, err)
+	a, rest, err := Uint64(k)
+	if err != nil || a != 1<<40+7 {
+		t.Fatalf("first component: %d, %v", a, err)
 	}
 	b, rest, err := Uint32(rest)
-	if err != nil || b != 1 || len(rest) != 0 {
-		t.Fatalf("third component: %d, rest %v, err %v", b, rest, err)
+	if err != nil || b != 42 {
+		t.Fatalf("second component: %d, %v", b, err)
+	}
+	c, rest, err := Uint32(rest)
+	if err != nil || c != 1 || len(rest) != 0 {
+		t.Fatalf("third component: %d, rest %v, err %v", c, rest, err)
 	}
 }
 
@@ -95,74 +83,29 @@ func TestUint64OrderPreserved(t *testing.T) {
 	}
 }
 
-// sanitize removes NUL bytes so the string is encodable.
-func sanitize(s string) string { return strings.ReplaceAll(s, "\x00", "_") }
-
-func TestStringOrderPreserved(t *testing.T) {
-	f := func(a, b string) bool {
-		a, b = sanitize(a), sanitize(b)
-		cmp := bytes.Compare(AppendString(nil, a), AppendString(nil, b))
-		want := strings.Compare(a, b)
-		return cmp == want || (cmp < 0 && want < 0) || (cmp > 0 && want > 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCompositeOrderPreserved checks the central property: lexicographic
-// comparison of (string, uint32) tuples equals bytes.Compare of their
+// comparison of (uint32, uint64) tuples equals bytes.Compare of their
 // encodings. This is what Stage 2's partition-on-group/sort-on-length
 // routing relies on.
 func TestCompositeOrderPreserved(t *testing.T) {
-	f := func(s1 string, n1 uint32, s2 string, n2 uint32) bool {
-		s1, s2 = sanitize(s1), sanitize(s2)
-		var k1, k2 []byte
-		k1 = AppendUint32(AppendString(nil, s1), n1)
-		k2 = AppendUint32(AppendString(nil, s2), n2)
-		cmp := bytes.Compare(k1, k2)
-		want := strings.Compare(s1, s2)
-		if want == 0 {
-			switch {
-			case n1 < n2:
-				want = -1
-			case n1 > n2:
-				want = 1
-			}
+	f := func(g1 uint32, n1 uint64, g2 uint32, n2 uint64) bool {
+		// Half the cases share the leading component, so the second decides.
+		if n1%2 == 0 {
+			g2 = g1
+		}
+		cmp := bytes.Compare(AppendUint64(AppendUint32(nil, g1), n1), AppendUint64(AppendUint32(nil, g2), n2))
+		want := 0
+		switch {
+		case g1 != g2 && g1 < g2, g1 == g2 && n1 < n2:
+			want = -1
+		case g1 != g2, n1 > n2:
+			want = 1
 		}
 		return (cmp < 0 && want < 0) || (cmp > 0 && want > 0) || (cmp == 0 && want == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestStringPrefixNotEqual(t *testing.T) {
-	// "ab" must sort before "ab c" even though one is a prefix of the
-	// other; the 0x00 terminator guarantees it.
-	a := AppendString(nil, "ab")
-	b := AppendString(nil, "ab c")
-	if bytes.Compare(a, b) >= 0 {
-		t.Fatalf("prefix string did not sort first: %v vs %v", a, b)
-	}
-}
-
-func TestAppendStringPanicsOnNUL(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendString accepted a NUL byte")
-		}
-	}()
-	AppendString(nil, "a\x00b")
-}
-
-func TestAppendBytesPanicsOnNUL(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendBytes accepted a NUL byte")
-		}
-	}()
-	AppendBytes(nil, []byte{1, 0, 2})
 }
 
 func TestDecodeErrors(t *testing.T) {
@@ -172,48 +115,14 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := Uint64(make([]byte, 7)); err != ErrShortKey {
 		t.Fatalf("Uint64 on short buffer: err = %v, want ErrShortKey", err)
 	}
-	if _, _, err := String([]byte("unterminated")); err != ErrShortKey {
-		t.Fatalf("String without terminator: err = %v, want ErrShortKey", err)
-	}
-	if _, _, err := Bytes([]byte("unterminated")); err != ErrShortKey {
-		t.Fatalf("Bytes without terminator: err = %v, want ErrShortKey", err)
-	}
-}
-
-func TestBytesAliasing(t *testing.T) {
-	enc := AppendBytes(nil, []byte("abc"))
-	got, rest, err := Bytes(enc)
-	if err != nil || string(got) != "abc" || len(rest) != 0 {
-		t.Fatalf("Bytes round trip: %q, %v, %v", got, rest, err)
-	}
-}
-
-func TestPrefixComparator(t *testing.T) {
-	cmp := PrefixComparator(4)
-	a := AppendUint32(AppendUint32(nil, 7), 100)
-	b := AppendUint32(AppendUint32(nil, 7), 200)
-	if cmp(a, b) != 0 {
-		t.Fatal("PrefixComparator(4) should ignore the second component")
-	}
-	c := AppendUint32(AppendUint32(nil, 8), 0)
-	if cmp(a, c) >= 0 {
-		t.Fatal("PrefixComparator(4) should order by the first component")
-	}
-	// Shorter-than-prefix keys are compared whole.
-	if cmp([]byte{1}, []byte{2}) >= 0 {
-		t.Fatal("short keys mis-ordered")
-	}
 }
 
 func TestMustHelpers(t *testing.T) {
-	k := AppendUint32(AppendString(nil, "tok"), 9)
-	s, rest := MustString(k)
-	if s != "tok" {
-		t.Fatalf("MustString = %q", s)
-	}
+	k := AppendUint32(AppendUint32(nil, 3), 9)
+	g, rest := MustUint32(k)
 	v, rest := MustUint32(rest)
-	if v != 9 || len(rest) != 0 {
-		t.Fatalf("MustUint32 = %d, rest %v", v, rest)
+	if g != 3 || v != 9 || len(rest) != 0 {
+		t.Fatalf("MustUint32 = %d, %d, rest %v", g, v, rest)
 	}
 	defer func() {
 		if recover() == nil {
@@ -224,17 +133,9 @@ func TestMustHelpers(t *testing.T) {
 }
 
 func BenchmarkCompositeEncode(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	toks := make([]string, 256)
-	for i := range toks {
-		toks[i] = strings.Repeat("t", 1+rng.Intn(12))
-	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	var buf []byte
 	for i := 0; i < b.N; i++ {
-		buf = buf[:0]
-		buf = AppendString(buf, toks[i%len(toks)])
-		buf = AppendUint32(buf, uint32(i))
+		buf = AppendUint32(AppendUint32(buf[:0], uint32(i%256)), uint32(i))
 	}
 }

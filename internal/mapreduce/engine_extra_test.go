@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -136,8 +137,8 @@ func TestEmitterArenaStability(t *testing.T) {
 	}
 }
 
-// TestCombinerWithGroupingComparator: the combiner must group with the
-// job's grouping comparator, not raw key equality.
+// TestCombinerWithGroupingComparator: the combiner must group on the
+// job's group prefix, not raw key equality.
 func TestCombinerWithGroupingComparator(t *testing.T) {
 	fs := newFS()
 	WriteTextFile(fs, "in", []string{"a:1 a:2 b:1"})
@@ -152,9 +153,6 @@ func TestCombinerWithGroupingComparator(t *testing.T) {
 		}
 		return nil
 	})
-	groupCmp := func(a, b []byte) int {
-		return bytes.Compare(a[:1], b[:1])
-	}
 	counting := ReduceFunc(func(_ *Context, key []byte, values *Values, out Emitter) error {
 		n := 0
 		for _, ok := values.Next(); ok; _, ok = values.Next() {
@@ -165,8 +163,7 @@ func TestCombinerWithGroupingComparator(t *testing.T) {
 	_, err := Run(Job{
 		Name: "groupcomb", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
 		Output: "out", Mapper: mapper, Combiner: counting, Reducer: firstValueReducer,
-		GroupComparator: groupCmp, NumReducers: 1,
-		Partitioner: PrefixPartitioner(1),
+		GroupPrefix: 1, NumReducers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,5 +276,34 @@ func TestHumanUnits(t *testing.T) {
 	}
 	if count(999) != "999" || count(25_000) != "25k" || count(3_200_000) != "3.2M" {
 		t.Fatalf("count wrong: %s %s %s", count(999), count(25_000), count(3_200_000))
+	}
+}
+
+func init() {
+	RegisterProgram("spec-roundtrip", func(string) (*Program, error) {
+		return &Program{Mapper: wordCountMapper, Combiner: sumReducer, Reducer: sumReducer}, nil
+	})
+}
+
+// TestJobSpecRoundTrip: a worker rebuilds from a JobSpec the job the
+// coordinator serialized, the group prefix included.
+func TestJobSpecRoundTrip(t *testing.T) {
+	fs := newFS()
+	job := Job{
+		Name: "spec", FS: fs, Inputs: []string{"in", "dir/"}, InputFormat: Text,
+		InputFormatsByPrefix: map[string]Format{"dir/": Pairs}, Output: "out", OutputFormat: Text,
+		NumReducers: 3, GroupPrefix: 5, SideFiles: []string{"side"}, Conf: map[string]string{"k": "v"},
+		MemoryLimit: 1 << 20, SpillPairs: 7, CompressShuffle: true,
+		Program: "spec-roundtrip", ProgramSpec: "{}",
+	}
+	got, err := JobFromSpec(job.Spec(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Spec(), job.Spec()) {
+		t.Fatalf("JobFromSpec(Spec()) = %+v, want %+v", got.Spec(), job.Spec())
+	}
+	if got.FS != fs || got.Mapper == nil || got.Combiner == nil || got.Reducer == nil {
+		t.Fatalf("rebuilt job lacks its storage or task bodies: %+v", got)
 	}
 }

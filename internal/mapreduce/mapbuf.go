@@ -1,9 +1,9 @@
 package mapreduce
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -26,9 +26,9 @@ var ErrMapOutputTooLarge = errors.New("mapreduce: map output exceeds the 4 GiB p
 const maxArena = math.MaxUint32
 
 // idxEntry locates one buffered record in its partition arena and caches
-// the key's sort prefix (0 when the job has none), so most comparisons of
-// a sort resolve on one integer without touching the arena. Sixteen
-// bytes: the value length is read back from the arena when needed.
+// the key's sort prefix, so most comparisons of a sort resolve on one
+// integer without touching the arena. Sixteen bytes: the value length is
+// read back from the arena when needed.
 type idxEntry struct {
 	prefix uint64
 	off    uint32 // record start: the key-length varint
@@ -105,9 +105,9 @@ func (p *partBuf) pair(e idxEntry) Pair {
 	return Pair{Key: k, Value: v, prefix: e.prefix}
 }
 
-// compare is the engine's total order (pairCmp.compare) over two index
-// entries: cached prefix, sort comparator, key bytes, value bytes.
-func (p *partBuf) compare(pc pairCmp, a, b idxEntry) int {
+// compare is the engine's total order (comparePairs) over two index
+// entries: cached prefix, key bytes, value bytes.
+func (p *partBuf) compare(a, b idxEntry) int {
 	if a.prefix != b.prefix {
 		if a.prefix < b.prefix {
 			return -1
@@ -116,27 +116,22 @@ func (p *partBuf) compare(pc pairCmp, a, b idxEntry) int {
 	}
 	ka, ea := p.key(a)
 	kb, eb := p.key(b)
-	if c := pc.cmp(ka, kb); c != 0 {
-		return c
-	}
-	if c := compareBytes(ka, kb); c != 0 {
+	if c := bytes.Compare(ka, kb); c != 0 {
 		return c
 	}
 	va, _ := p.value(ea)
 	vb, _ := p.value(eb)
-	return compareBytes(va, vb)
+	return bytes.Compare(va, vb)
 }
 
-func (p *partBuf) sort(pc pairCmp) {
-	slices.SortFunc(p.idx, func(a, b idxEntry) int { return p.compare(pc, a, b) })
-}
+func (p *partBuf) sort() { slices.SortFunc(p.idx, p.compare) }
 
 // sorted reports whether the index is already in the total order, which
 // lets combiner output (one pair per group, in group order, for every
 // combiner the pipeline installs) skip its sort.
-func (p *partBuf) sorted(pc pairCmp) bool {
+func (p *partBuf) sorted() bool {
 	for i := 1; i < len(p.idx); i++ {
-		if p.compare(pc, p.idx[i-1], p.idx[i]) > 0 {
+		if p.compare(p.idx[i-1], p.idx[i]) > 0 {
 			return false
 		}
 	}
@@ -161,7 +156,6 @@ func (p *partBuf) appendRun(dst []byte) []byte {
 type mapBuffer struct {
 	job    *Job
 	ctx    *Context
-	pc     pairCmp
 	limit  uint64    // arena bound (maxArena; lowered by tests)
 	parts  []partBuf // one per reducer
 	n      int       // records buffered across parts since the last spill
@@ -179,7 +173,7 @@ var mapBuffers = sync.Pool{New: func() any { return new(mapBuffer) }}
 
 func newMapBuffer(job *Job, ctx *Context) *mapBuffer {
 	b := mapBuffers.Get().(*mapBuffer)
-	b.job, b.ctx, b.pc, b.limit = job, ctx, job.pairCmp(), maxArena
+	b.job, b.ctx, b.limit = job, ctx, maxArena
 	b.parts = slices.Grow(b.parts[:0], job.NumReducers)[:job.NumReducers]
 	return b
 }
@@ -199,22 +193,12 @@ func (b *mapBuffer) release() {
 	mapBuffers.Put(b)
 }
 
-func (b *mapBuffer) prefixOf(key []byte) uint64 {
-	if b.pc.prefix == nil {
-		return 0
-	}
-	return b.pc.prefix(key)
-}
-
 // Emit implements Emitter for the mapper: one partition choice and one
 // append per pair. The buffer spills when it holds Job.SpillPairs records
 // or when the partition's arena is full.
 func (b *mapBuffer) Emit(key, value []byte) error {
-	r := b.job.Partitioner(key, len(b.parts))
-	if r < 0 || r >= len(b.parts) {
-		return fmt.Errorf("partitioner returned %d for %d reducers", r, len(b.parts))
-	}
-	prefix := b.prefixOf(key)
+	r := partition(key, b.job.GroupPrefix, len(b.parts))
+	prefix := sortPrefix(key)
 	if !b.parts[r].add(key, value, prefix, b.limit) {
 		if err := b.spill(); err != nil {
 			return err
@@ -234,7 +218,7 @@ func (b *mapBuffer) Emit(key, value []byte) error {
 type combineOut struct{ b *mapBuffer }
 
 func (c combineOut) Emit(key, value []byte) error {
-	if !c.b.comb.add(key, value, c.b.prefixOf(key), c.b.limit) {
+	if !c.b.comb.add(key, value, sortPrefix(key), c.b.limit) {
 		return ErrMapOutputTooLarge
 	}
 	return nil
@@ -259,8 +243,8 @@ func (b *mapBuffer) combine(next func() ([]Pair, error)) (*partBuf, error) {
 			return nil, err
 		}
 	}
-	if !b.comb.sorted(b.pc) {
-		b.comb.sort(b.pc)
+	if !b.comb.sorted() {
+		b.comb.sort()
 	}
 	return &b.comb, nil
 }
@@ -269,7 +253,7 @@ func (b *mapBuffer) combine(next func() ([]Pair, error)) (*partBuf, error) {
 // returns the run to read out.
 func (b *mapBuffer) sortedRun(r int) (*partBuf, error) {
 	p := &b.parts[r]
-	p.sort(b.pc)
+	p.sort()
 	if b.job.Combiner == nil || len(p.idx) == 0 {
 		return p, nil
 	}
@@ -282,7 +266,7 @@ func (b *mapBuffer) sortedRun(r int) (*partBuf, error) {
 		w := append(b.window[:0], p.pair(p.idx[i]))
 		for i++; i < len(p.idx); i++ {
 			q := p.pair(p.idx[i])
-			if b.job.GroupComparator(w[0].Key, q.Key) != 0 {
+			if !sameGroup(w[0].Key, q.Key, b.job.GroupPrefix) {
 				break
 			}
 			w = append(w, q)
@@ -369,12 +353,12 @@ func (b *mapBuffer) mergeSpills(r int, remainder *partBuf) ([]byte, int, error) 
 		cursors = append(cursors, cursorForEncoded(enc))
 		total += len(enc)
 	}
-	ms, err := newMergeStream(b.pc, cursors)
+	ms, err := newMergeStream(cursors)
 	if err != nil {
 		return nil, 0, err
 	}
 	if b.job.Combiner != nil {
-		gs := &groupStream{m: ms, group: b.job.GroupComparator}
+		gs := &groupStream{m: ms, prefix: b.job.GroupPrefix}
 		run, err := b.combine(gs.next)
 		if err != nil {
 			return nil, 0, err

@@ -9,8 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"fuzzyjoin/internal/keys"
 )
 
 // bufferPairs generates map output that reaches every comparison the
@@ -43,7 +41,7 @@ func oracleCombine(t *testing.T, job *Job, sorted []Pair) []Pair {
 	out := &collectEmitter{}
 	for i := 0; i < len(sorted); {
 		j := i + 1
-		for j < len(sorted) && job.GroupComparator(sorted[i].Key, sorted[j].Key) == 0 {
+		for j < len(sorted) && sameGroup(sorted[i].Key, sorted[j].Key, job.GroupPrefix) {
 			j++
 		}
 		if err := job.Combiner.Reduce(nil, sorted[i].Key, &Values{pairs: sorted[i:j]}, out); err != nil {
@@ -51,13 +49,13 @@ func oracleCombine(t *testing.T, job *Job, sorted []Pair) []Pair {
 		}
 		i = j
 	}
-	sortPairs(out.pairs, job.SortComparator)
+	sortPairs(out.pairs)
 	return out.pairs
 }
 
 // oracleMapOutput is the map side the buffer replaced, built from the
-// kept reference pieces: partition into []Pair, sortPairs (no prefix
-// cache), combine, encodeRun, and mergeRuns over the spilled runs.
+// reference pieces: partition into []Pair, sortPairs, combine, encodeRun,
+// and mergeRuns over the spilled runs.
 func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetrics) {
 	t.Helper()
 	var tm TaskMetrics
@@ -66,11 +64,11 @@ func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetr
 	runs := func() [][]Pair {
 		parts := make([][]Pair, job.NumReducers)
 		for _, p := range buffered {
-			r := job.Partitioner(p.Key, job.NumReducers)
+			r := partition(p.Key, job.GroupPrefix, job.NumReducers)
 			parts[r] = append(parts[r], p)
 		}
 		for r := range parts {
-			sortPairs(parts[r], job.SortComparator)
+			sortPairs(parts[r])
 			parts[r] = oracleCombine(t, job, parts[r])
 		}
 		buffered = nil
@@ -90,7 +88,7 @@ func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetr
 	tm.PartitionBytes = make([]int64, job.NumReducers)
 	for r, run := range runs() {
 		if tm.SpillCount > 0 {
-			run = mergeRuns(append([][]Pair{run}, spilled[r]...), job.SortComparator)
+			run = mergeRuns(append([][]Pair{run}, spilled[r]...))
 			run = oracleCombine(t, job, run)
 		}
 		seg := encodeRun(run)
@@ -143,35 +141,24 @@ func sameMapOutput(t *testing.T, label string, got, want [][]byte, gotTM, wantTM
 
 // TestMapBufferMatchesOracle pins the buffer byte for byte — segments,
 // spill count and bytes, PartitionBytes, OutputRecords — to the
-// materialized map side it replaced, across comparators with and without
-// a sort prefix, combiners that emit in and out of order, spill
-// thresholds and shuffle compression.
+// materialized map side it replaced, across group prefixes, combiners
+// that emit in and out of order, spill thresholds and shuffle
+// compression.
 func TestMapBufferMatchesOracle(t *testing.T) {
-	orders := []struct {
-		name   string
-		cmp    func(a, b []byte) int
-		prefix func(key []byte) uint64
-	}{
-		{"bytes+prefix", keys.Compare, DefaultSortPrefix},
-		{"bytes", keys.Compare, nil},
-		{"head4+prefix", keys.PrefixComparator(4), prefixFor(4)},
-		{"head4", keys.PrefixComparator(4), nil},
-	}
 	combiners := []struct {
 		name string
 		c    Reducer
 	}{{"none", nil}, {"count", countCombiner}, {"reverse", reverseEmitCombiner}}
 	rng := rand.New(rand.NewSource(16))
-	for _, o := range orders {
+	for _, w := range []int{0, 3} {
 		for _, c := range combiners {
 			for _, spill := range []int{0, 1, 7} {
 				for _, compress := range []bool{false, true} {
 					job := &Job{
-						NumReducers: 3, Partitioner: PrefixPartitioner(2),
-						SortComparator: o.cmp, SortPrefix: o.prefix, GroupComparator: keys.PrefixComparator(3),
+						NumReducers: 3, GroupPrefix: w,
 						Combiner: c.c, SpillPairs: spill, CompressShuffle: compress,
 					}
-					label := fmt.Sprintf("%s/%s/spill=%d/compress=%v", o.name, c.name, spill, compress)
+					label := fmt.Sprintf("w=%d/%s/spill=%d/compress=%v", w, c.name, spill, compress)
 					for trial := 0; trial < 4; trial++ {
 						emitted := bufferPairs(rng, rng.Intn(60))
 						want, wantTM := oracleMapOutput(t, job, emitted)
@@ -189,8 +176,7 @@ func TestMapBufferMatchesOracle(t *testing.T) {
 // uint32 offsets (the merged output is unchanged), and a record no empty
 // arena can hold is a typed error.
 func TestMapBufferArenaLimit(t *testing.T) {
-	job := &Job{NumReducers: 2, Partitioner: DefaultPartitioner,
-		SortComparator: keys.Compare, SortPrefix: DefaultSortPrefix, GroupComparator: keys.Compare}
+	job := &Job{NumReducers: 2}
 	emitted := bufferPairs(rand.New(rand.NewSource(4)), 200)
 	want, wantTM := oracleMapOutput(t, job, emitted)
 	got, gotTM := bufferMapOutput(t, job, emitted, 256)

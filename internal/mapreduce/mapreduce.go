@@ -5,11 +5,11 @@
 // on (§2.1, §3, §4):
 //
 //   - map / combine / reduce functions over (key, value) byte pairs;
-//   - hash partitioning of map output with a *custom partitioner* (used to
-//     partition on a key prefix while sorting on the full key);
-//   - a custom *sort comparator* and a coarser *grouping comparator*
-//     (Hadoop's secondary-sort idiom — PK sorts (group, length) but groups
-//     by group only, so one reduce call sees values in length order);
+//   - Hadoop's secondary-sort idiom — partition and group on a key
+//     prefix, sort on the whole key — as one integer, Job.GroupPrefix:
+//     keys are order-preserving byte encodings (internal/keys), so PK
+//     sorts (group, length) and groups by group only, and one reduce call
+//     sees its values in length order;
 //   - setup and cleanup hooks for mappers and reducers, where cleanup may
 //     emit output (OPTO emits the final token order from reducer cleanup);
 //   - side files (the distributed-cache analogue) broadcast to every task
@@ -25,6 +25,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -33,7 +34,6 @@ import (
 	"time"
 
 	"fuzzyjoin/internal/dfs"
-	"fuzzyjoin/internal/keys"
 	"fuzzyjoin/internal/trace"
 )
 
@@ -41,7 +41,7 @@ import (
 type Pair struct {
 	Key, Value []byte
 
-	// prefix caches Job.SortPrefix(Key) during sorts and merges so most
+	// prefix caches sortPrefix(Key) during sorts and merges so most
 	// comparisons resolve on one integer compare without touching key
 	// bytes. It is engine-internal scratch, never serialized, and zero
 	// outside sort/merge paths.
@@ -141,10 +141,10 @@ func (v *Values) Next() ([]byte, bool) {
 	return val, true
 }
 
-// Key returns the full sort key of the value most recently returned by
-// Next. With a grouping comparator coarser than the sort comparator the
-// reduce key stays fixed per group while per-value keys advance — PK's
-// R-S kernel reads the length class and relation tag from here.
+// Key returns the full key of the value most recently returned by Next.
+// When Job.GroupPrefix is shorter than the keys, the reduce key (the
+// group's first key) stays fixed per group while per-value keys advance —
+// PK's R-S kernel reads the length class and relation tag from here.
 func (v *Values) Key() []byte {
 	if v.i == 0 {
 		if len(v.pairs) == 0 {
@@ -190,24 +190,13 @@ type Job struct {
 	Reducer Reducer
 	// NumReducers defaults to 1.
 	NumReducers int
-	// Partitioner routes keys to reducers; defaults to FNV hashing of the
-	// whole key.
-	Partitioner func(key []byte, numPartitions int) int
-	// SortComparator orders intermediate keys; defaults to bytes.Compare.
-	SortComparator func(a, b []byte) int
-	// SortPrefix optionally maps a key to a uint64 whose integer order is
-	// consistent with SortComparator: whenever SortPrefix(a) !=
-	// SortPrefix(b), SortComparator(a, b) must have the same sign as the
-	// integer comparison. The engine caches the prefix on every pair and
-	// resolves most sort/merge comparisons on it without touching key
-	// bytes. When SortComparator is left at its default, SortPrefix
-	// defaults to DefaultSortPrefix (first eight key bytes, big-endian);
-	// jobs installing a custom comparator must supply their own prefix
-	// (or leave it nil to disable the fast path).
-	SortPrefix func(key []byte) uint64
-	// GroupComparator groups sorted pairs into reduce calls; defaults to
-	// the sort comparator.
-	GroupComparator func(a, b []byte) int
+	// GroupPrefix is the width w, in bytes, of the key head the job
+	// partitions, groups and combines on; 0 means the whole key, and a key
+	// shorter than w counts whole. It is the engine's one ordering setting:
+	// a pair goes to reducer FNV-1a-32(key[:w]) mod NumReducers, pairs are
+	// sorted by key bytes then value bytes, and each run of sorted pairs
+	// with equal key[:w] is one reduce (or combine) call.
+	GroupPrefix int
 	// SideFiles lists FS files broadcast to every task (distributed
 	// cache). Tasks read them with Context.SideFile.
 	SideFiles []string
@@ -264,7 +253,7 @@ type Job struct {
 	// Program names a registered program builder (RegisterProgram) and
 	// ProgramSpec carries its serialized configuration; together they
 	// let a worker process rebuild the job's function-valued fields
-	// (Mapper, Reducer, comparators) from JobSpec. A job with an empty
+	// (Mapper, Combiner, Reducer) from JobSpec. A job with an empty
 	// Program can only run in-process.
 	Program     string
 	ProgramSpec string
@@ -527,22 +516,26 @@ func (m *Metrics) TotalShuffleBytes() int64 {
 	return n
 }
 
-// DefaultPartitioner hashes the whole key with FNV-1a.
-func DefaultPartitioner(key []byte, n int) int {
+// groupHead is the part of key a job with group prefix w partitions and
+// groups on: its first w bytes, or all of it.
+func groupHead(key []byte, w int) []byte {
+	if w > 0 && len(key) > w {
+		return key[:w]
+	}
+	return key
+}
+
+// partition is the reducer key goes to: FNV-1a-32 of its group head,
+// mod n.
+func partition(key []byte, w, n int) int {
 	h := fnv.New32a()
-	h.Write(key)
+	h.Write(groupHead(key, w))
 	return int(h.Sum32() % uint32(n))
 }
 
-// PrefixPartitioner returns a partitioner hashing only the first n bytes
-// of the key — the "partition on part of the key" device of §3.2.2/§4.
-func PrefixPartitioner(n int) func([]byte, int) int {
-	return func(key []byte, parts int) int {
-		if len(key) > n {
-			key = key[:n]
-		}
-		return DefaultPartitioner(key, parts)
-	}
+// sameGroup reports whether two keys fall in one reduce group.
+func sameGroup(a, b []byte, w int) bool {
+	return bytes.Equal(groupHead(a, w), groupHead(b, w))
 }
 
 func (j *Job) fillDefaults() error {
@@ -570,28 +563,11 @@ func (j *Job) fillDefaults() error {
 	if j.OutputFormat == FormatUnset {
 		j.OutputFormat = Pairs
 	}
-	if j.Partitioner == nil {
-		j.Partitioner = DefaultPartitioner
-	}
-	if j.SortComparator == nil {
-		j.SortComparator = keys.Compare
-		if j.SortPrefix == nil {
-			// bytes.Compare order is provably consistent with the
-			// zero-padded big-endian first-8-bytes prefix.
-			j.SortPrefix = DefaultSortPrefix
-		}
-	}
-	if j.GroupComparator == nil {
-		j.GroupComparator = j.SortComparator
+	if j.GroupPrefix < 0 {
+		return fmt.Errorf("mapreduce: job %s: GroupPrefix %d is negative", j.Name, j.GroupPrefix)
 	}
 	if j.Parallelism <= 0 {
 		j.Parallelism = 1
 	}
 	return nil
-}
-
-// pairCmp bundles the job's sort comparator with its prefix hook for the
-// sort and merge paths.
-func (j *Job) pairCmp() pairCmp {
-	return pairCmp{cmp: j.SortComparator, prefix: j.SortPrefix}
 }

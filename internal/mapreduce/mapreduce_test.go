@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"sort"
 	"strconv"
@@ -159,16 +160,15 @@ func TestSecondarySort(t *testing.T) {
 		return out.Emit(keys.AppendUint32(nil, g), []byte(strconv.Itoa(n)))
 	})
 	m, err := Run(Job{
-		Name:            "secondary-sort",
-		FS:              fs,
-		Inputs:          []string{"in"},
-		InputFormat:     Pairs,
-		Output:          "out",
-		Mapper:          IdentityMapper,
-		Reducer:         red,
-		NumReducers:     2,
-		Partitioner:     PrefixPartitioner(4),
-		GroupComparator: keys.PrefixComparator(4),
+		Name:        "secondary-sort",
+		FS:          fs,
+		Inputs:      []string{"in"},
+		InputFormat: Pairs,
+		Output:      "out",
+		Mapper:      IdentityMapper,
+		Reducer:     red,
+		NumReducers: 2,
+		GroupPrefix: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,12 +193,11 @@ func TestSecondarySort(t *testing.T) {
 // TestPartitionOnPrefixKeepsGroupsTogether: all pairs of one group land in
 // one partition even when the full keys differ.
 func TestPartitionOnPrefixKeepsGroupsTogether(t *testing.T) {
-	part := PrefixPartitioner(4)
 	for g := uint32(0); g < 100; g++ {
-		base := part(keys.AppendUint32(keys.AppendUint32(nil, g), 0), 7)
+		base := partition(keys.AppendUint32(keys.AppendUint32(nil, g), 0), 4, 7)
 		for s := uint32(1); s < 20; s++ {
 			k := keys.AppendUint32(keys.AppendUint32(nil, g), s)
-			if part(k, 7) != base {
+			if partition(k, 4, 7) != base {
 				t.Fatalf("group %d split across partitions", g)
 			}
 		}
@@ -457,19 +456,46 @@ func TestReduceErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestBadPartitioner(t *testing.T) {
+// TestGroupHead pins the group-prefix contract: a job partitions and
+// groups on the first w key bytes (a shorter key, or w = 0, counts
+// whole), and the partition is FNV-1a-32 of that head mod the reducer
+// count.
+func TestGroupHead(t *testing.T) {
+	a := keys.AppendUint32(keys.AppendUint32(nil, 7), 100)
+	b := keys.AppendUint32(keys.AppendUint32(nil, 7), 200)
+	c := keys.AppendUint32(keys.AppendUint32(nil, 8), 100)
+	if !sameGroup(a, b, 4) || sameGroup(a, c, 4) {
+		t.Fatal("group prefix 4 should group on the first component only")
+	}
+	if sameGroup(a, b, 0) || !sameGroup(a, a, 0) {
+		t.Fatal("group prefix 0 should group on the whole key")
+	}
+	if sameGroup([]byte{1}, []byte{1, 0}, 4) || !sameGroup([]byte{1, 2}, []byte{1, 2}, 4) {
+		t.Fatal("keys shorter than the prefix should count whole")
+	}
+	for _, key := range [][]byte{nil, {1}, a, b, c, []byte("a longer key than any prefix")} {
+		for _, w := range []int{0, 1, 4, 8} {
+			head := key
+			if w > 0 && len(key) > w {
+				head = key[:w]
+			}
+			h := fnv.New32a()
+			h.Write(head)
+			if got, want := partition(key, w, 7), int(h.Sum32()%7); got != want {
+				t.Fatalf("partition(%q, %d, 7) = %d, want FNV-1a %d", key, w, got, want)
+			}
+		}
+	}
+}
+
+// TestBadGroupPrefix: a negative group prefix is a job error.
+func TestBadGroupPrefix(t *testing.T) {
 	fs := newFS()
 	WriteTextFile(fs, "in", []string{"x"})
-	_, err := Run(Job{Name: "badpart", FS: fs, Inputs: []string{"in"}, Output: "out",
-		Mapper: wordCountMapper, Reducer: sumReducer,
-		Partitioner: func(_ []byte, _ int) int { return -1 }})
-	if err == nil {
-		t.Fatal("Run accepted out-of-range partition")
-	}
-	// The buffer rejects the partition at Emit; the error still names the
-	// map task.
-	if want := "map task 0: partitioner returned -1 for 1 reducers"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not contain %q", err, want)
+	_, err := Run(Job{Name: "badprefix", FS: fs, Inputs: []string{"in"}, Output: "out",
+		Mapper: wordCountMapper, Reducer: sumReducer, GroupPrefix: -1})
+	if err == nil || !strings.Contains(err.Error(), "GroupPrefix -1 is negative") {
+		t.Fatalf("negative GroupPrefix: err = %v", err)
 	}
 }
 
@@ -492,7 +518,7 @@ func referenceRun(t *testing.T, lines []string, mapper Mapper, reducer Reducer) 
 			t.Fatal(err)
 		}
 	}
-	sortPairs(em.pairs, compareBytes)
+	sortPairs(em.pairs)
 	out := &collectEmitter{}
 	i := 0
 	for i < len(em.pairs) {
@@ -505,7 +531,7 @@ func referenceRun(t *testing.T, lines []string, mapper Mapper, reducer Reducer) 
 		}
 		i = j
 	}
-	sortPairs(out.pairs, compareBytes)
+	sortPairs(out.pairs)
 	return out.pairs
 }
 
@@ -539,7 +565,7 @@ func TestEquivalenceWithReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sortPairs(got, compareBytes)
+				sortPairs(got)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("r=%d par=%d comb=%v: got %v, want %v",
 						reducers, par, withCombiner, got, want)

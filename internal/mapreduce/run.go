@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -432,19 +431,6 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 	return mapResult{parts: parts, counters: counters}, tm, nil
 }
 
-func comparePairTie(a, b Pair) int {
-	// Full key first (the sort comparator may look at a prefix only),
-	// then value.
-	if c := compareBytes(a.Key, b.Key); c != 0 {
-		return c
-	}
-	return compareBytes(a.Value, b.Value)
-}
-
-// compareBytes delegates to the SIMD-backed bytes.Compare (this sits on
-// the hot path of every sort/merge comparison).
-func compareBytes(a, b []byte) int { return bytes.Compare(a, b) }
-
 // reduceResult is one committed reduce attempt's output: the temporary
 // part-file name awaiting rename plus the attempt's private counter
 // buffer.
@@ -503,7 +489,7 @@ func runReduceTask(job *Job, r, attempt int, column [][]byte, side map[string][]
 		}
 		cursors = append(cursors, cursorForEncoded(data))
 	}
-	ms, err := newMergeStream(job.pairCmp(), cursors)
+	ms, err := newMergeStream(cursors)
 	if err != nil {
 		return res, tm, fmt.Errorf("reduce task %d: %w", r, err)
 	}
@@ -527,7 +513,7 @@ func runReduceTask(job *Job, r, attempt int, column [][]byte, side map[string][]
 			return res, tm, fmt.Errorf("reduce task %d setup: %w", r, err)
 		}
 	}
-	gs := &groupStream{m: ms, group: job.GroupComparator}
+	gs := &groupStream{m: ms, prefix: job.GroupPrefix}
 	for {
 		g, err := gs.next()
 		if err != nil {

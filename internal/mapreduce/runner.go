@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"fuzzyjoin/internal/dfs"
@@ -120,7 +119,7 @@ func countersFrom(m map[string]int64) *Counters {
 
 // JobSpec is the serializable half of a Job: everything a worker
 // process needs to reconstruct the job remotely. Function-valued fields
-// (Mapper, Reducer, comparators) travel as the Program name plus its
+// (Mapper, Combiner, Reducer) travel as the Program name plus its
 // ProgramSpec configuration and are rebuilt by the registered builder
 // on the worker. Control-plane fields (Retry, FaultInjector, Trace,
 // Runner, Speculative, NodeFailures) are deliberately absent: they
@@ -133,6 +132,7 @@ type JobSpec struct {
 	Output               string
 	OutputFormat         Format
 	NumReducers          int
+	GroupPrefix          int
 	SideFiles            []string
 	Conf                 map[string]string
 	MemoryLimit          int64
@@ -152,6 +152,7 @@ func (j *Job) Spec() JobSpec {
 		Output:               j.Output,
 		OutputFormat:         j.OutputFormat,
 		NumReducers:          j.NumReducers,
+		GroupPrefix:          j.GroupPrefix,
 		SideFiles:            j.SideFiles,
 		Conf:                 j.Conf,
 		MemoryLimit:          j.MemoryLimit,
@@ -181,6 +182,7 @@ func JobFromSpec(s JobSpec, fs dfs.Storage) (Job, error) {
 		Output:               s.Output,
 		OutputFormat:         s.OutputFormat,
 		NumReducers:          s.NumReducers,
+		GroupPrefix:          s.GroupPrefix,
 		SideFiles:            s.SideFiles,
 		Conf:                 s.Conf,
 		MemoryLimit:          s.MemoryLimit,
@@ -189,26 +191,17 @@ func JobFromSpec(s JobSpec, fs dfs.Storage) (Job, error) {
 		Mapper:               prog.Mapper,
 		Combiner:             prog.Combiner,
 		Reducer:              prog.Reducer,
-		Partitioner:          prog.Partitioner,
-		SortComparator:       prog.SortComparator,
-		SortPrefix:           prog.SortPrefix,
-		GroupComparator:      prog.GroupComparator,
 		Program:              s.Program,
 		ProgramSpec:          s.ProgramSpec,
 	}, nil
 }
 
 // Program is a job's rebuilt task-side machinery: the function-valued
-// Job fields a spec cannot carry. Nil fields take the engine defaults
-// (fillDefaults), exactly as on a locally-constructed Job.
+// Job fields a spec cannot carry. Combiner may be nil.
 type Program struct {
-	Mapper          Mapper
-	Combiner        Reducer
-	Reducer         Reducer
-	Partitioner     func(key []byte, numPartitions int) int
-	SortComparator  func(a, b []byte) int
-	SortPrefix      func(key []byte) uint64
-	GroupComparator func(a, b []byte) int
+	Mapper   Mapper
+	Combiner Reducer
+	Reducer  Reducer
 }
 
 // ProgramBuilder materializes a Program from its serialized spec.
@@ -233,18 +226,6 @@ func RegisterProgram(name string, build ProgramBuilder) {
 		panic(fmt.Sprintf("mapreduce: program %q registered twice", name))
 	}
 	programs[name] = build
-}
-
-// Programs lists the registered program names, sorted.
-func Programs() []string {
-	programsMu.RLock()
-	defer programsMu.RUnlock()
-	names := make([]string, 0, len(programs))
-	for n := range programs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func buildProgram(name, spec string) (*Program, error) {

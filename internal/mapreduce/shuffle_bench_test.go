@@ -3,18 +3,12 @@ package mapreduce
 import (
 	"fmt"
 	"testing"
-
-	"fuzzyjoin/internal/keys"
 )
 
 // Engine micro-benchmarks for the shuffle datapath (§4.8 of DESIGN.md):
 // `go test -run '^$' -bench . -benchmem ./internal/mapreduce`. The
 // repository's benchmark reports the live number as
 // mapreduce.identity_mb_per_s.
-
-// benchPairCmp is the configuration every pipeline job runs with: the
-// default byte comparator plus the first-8-bytes integer prefix.
-var benchPairCmp = pairCmp{cmp: keys.Compare, prefix: DefaultSortPrefix}
 
 // BenchmarkSortPairs sorts 100k buffered records whose keys discriminate
 // in their first eight bytes — the shape of every stage's keys (binary
@@ -24,13 +18,13 @@ func BenchmarkSortPairs(b *testing.B) {
 	var p partBuf
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("%016x", uint64(i)*0x9E3779B97F4A7C15))
-		p.add(key, []byte(fmt.Sprintf("%06d", i)), DefaultSortPrefix(key), maxArena)
+		p.add(key, []byte(fmt.Sprintf("%06d", i)), sortPrefix(key), maxArena)
 	}
 	emitted := append([]idxEntry(nil), p.idx...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(p.idx, emitted)
-		p.sort(benchPairCmp)
+		p.sort()
 	}
 }
 
@@ -44,7 +38,7 @@ func benchRuns() [][]byte {
 		for i := range run {
 			run[i] = Pair{Key: []byte(fmt.Sprintf("%010d", (i*31+s*7)%40000))}
 		}
-		sortPairs(run, keys.Compare)
+		sortPairs(run)
 		runs[s] = encodeRun(run)
 	}
 	return runs
@@ -60,7 +54,7 @@ func BenchmarkMergeStream(b *testing.B) {
 		for j, run := range runs {
 			cursors[j] = cursorForEncoded(run)
 		}
-		ms, err := newMergeStream(benchPairCmp, cursors)
+		ms, err := newMergeStream(cursors)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,8 +97,7 @@ func benchEmissions() [][]Pair {
 // through the map buffer — emit, index sort, copy-out, optional
 // compression — and leave one segment for the reducer.
 func benchSegments(b *testing.B, tasks [][]Pair, compress bool) [][]byte {
-	job := &Job{NumReducers: 1, CompressShuffle: compress, Partitioner: DefaultPartitioner,
-		SortComparator: keys.Compare, SortPrefix: DefaultSortPrefix, GroupComparator: keys.Compare}
+	job := &Job{NumReducers: 1, CompressShuffle: compress}
 	segs := make([][]byte, len(tasks))
 	for s, pairs := range tasks {
 		buf := newMapBuffer(job, nil)
@@ -139,11 +132,11 @@ func shuffleRoundTrip(b *testing.B, segs [][]byte, compressed bool, want int) {
 		}
 		cursors = append(cursors, cursorForEncoded(data))
 	}
-	ms, err := newMergeStream(benchPairCmp, cursors)
+	ms, err := newMergeStream(cursors)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gs := &groupStream{m: ms, group: keys.Compare}
+	gs := &groupStream{m: ms}
 	n := 0
 	for {
 		g, err := gs.next()

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"fuzzyjoin/internal/dfs"
-	"fuzzyjoin/internal/keys"
 )
 
 // randomPairs generates pairs with heavy key duplication (small alphabet,
@@ -31,14 +30,14 @@ func randomPairs(rng *rand.Rand, n int) []Pair {
 	return out
 }
 
-// referenceSort is the pre-streaming sort semantics: comparator order
-// with the full-key-then-value tie-break, no prefix cache.
-func referenceSort(pairs []Pair, cmp func(a, b []byte) int) {
+// referenceSort is the engine's order without the prefix cache: key
+// bytes, then value bytes.
+func referenceSort(pairs []Pair) {
 	sort.Slice(pairs, func(i, j int) bool {
-		if c := cmp(pairs[i].Key, pairs[j].Key); c != 0 {
+		if c := bytes.Compare(pairs[i].Key, pairs[j].Key); c != 0 {
 			return c < 0
 		}
-		return comparePairTie(pairs[i], pairs[j]) < 0
+		return bytes.Compare(pairs[i].Value, pairs[j].Value) < 0
 	})
 }
 
@@ -55,50 +54,20 @@ func samePairBytes(t *testing.T, got, want []Pair, label string) {
 	}
 }
 
-// prefixFor builds a SortPrefix valid for keys.PrefixComparator(n): the
-// first min(n, 8) key bytes, big-endian zero-padded. Bytes past the
-// comparator's window must not enter the prefix — a first-8-bytes prefix
-// would order keys the 4-byte comparator considers equal.
-func prefixFor(n int) func(key []byte) uint64 {
-	if n > 8 {
-		n = 8
-	}
-	return func(key []byte) uint64 {
-		if len(key) > n {
-			key = key[:n]
-		}
-		return DefaultSortPrefix(key)
-	}
-}
-
-// TestPrefixSortMatchesPlainSort pins the tentpole guarantee: the
-// prefix-cached sort produces exactly the reference order for the
-// default comparator and for every custom comparator shape internal/core
-// installs (prefix-grouping comparators over 4- and 8-byte key heads),
-// including ties broken by value.
+// TestPrefixSortMatchesPlainSort pins the prefix-cached sort to the
+// plain byte order, including keys that tie on their eight-byte prefix
+// and ties broken by value.
 func TestPrefixSortMatchesPlainSort(t *testing.T) {
-	cases := []struct {
-		name   string
-		cmp    func(a, b []byte) int
-		prefix func(key []byte) uint64
-	}{
-		{"default-bytes-compare", keys.Compare, DefaultSortPrefix},
-		{"prefix-comparator-4", keys.PrefixComparator(4), prefixFor(4)},
-		{"prefix-comparator-8", keys.PrefixComparator(8), prefixFor(8)},
-		{"no-prefix-fast-path", keys.Compare, nil},
-	}
 	rng := rand.New(rand.NewSource(7))
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for trial := 0; trial < 200; trial++ {
-				pairs := randomPairs(rng, rng.Intn(120))
-				want := append([]Pair(nil), pairs...)
-				referenceSort(want, tc.cmp)
-				sortPairsBy(pairs, pairCmp{cmp: tc.cmp, prefix: tc.prefix})
-				samePairBytes(t, pairs, want, fmt.Sprintf("trial %d", trial))
-			}
-		})
-	}
+	t.Run("default-bytes-compare", func(t *testing.T) {
+		for trial := 0; trial < 400; trial++ {
+			pairs := bufferPairs(rng, rng.Intn(120))
+			want := append([]Pair(nil), pairs...)
+			referenceSort(want)
+			sortPairs(pairs)
+			samePairBytes(t, pairs, want, fmt.Sprintf("trial %d", trial))
+		}
+	})
 }
 
 // drainMergeStream collects a merge stream into a slice.
@@ -121,25 +90,24 @@ func drainMergeStream(t *testing.T, ms *mergeStream) []Pair {
 // the materialized reference merge on random sorted runs.
 func TestMergeStreamMatchesMergeRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	pc := pairCmp{cmp: keys.Compare, prefix: DefaultSortPrefix}
 	for trial := 0; trial < 300; trial++ {
 		nRuns := rng.Intn(9) // includes 0-, 1-, and 2-run edge shapes
 		runs := make([][]Pair, nRuns)
 		for i := range runs {
 			runs[i] = randomPairs(rng, rng.Intn(40))
-			sortPairs(runs[i], keys.Compare)
+			sortPairs(runs[i])
 		}
 		wantRuns := make([][]Pair, nRuns)
 		for i := range runs {
 			wantRuns[i] = append([]Pair(nil), runs[i]...)
 		}
-		want := mergeRuns(wantRuns, keys.Compare)
+		want := mergeRuns(wantRuns)
 
 		cursors := make([]*runCursor, nRuns)
 		for i := range runs {
 			cursors[i] = cursorForEncoded(encodeRun(runs[i]))
 		}
-		ms, err := newMergeStream(pc, cursors)
+		ms, err := newMergeStream(cursors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,30 +116,28 @@ func TestMergeStreamMatchesMergeRuns(t *testing.T) {
 }
 
 // TestGroupStreamMatchesSlicing checks groupStream against the old
-// grouped-slicing loop under a coarse grouping comparator.
+// grouped-slicing loop under a group prefix shorter than the keys.
 func TestGroupStreamMatchesSlicing(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	group := keys.PrefixComparator(2)
-	pc := pairCmp{cmp: keys.Compare, prefix: DefaultSortPrefix}
 	for trial := 0; trial < 100; trial++ {
 		pairs := randomPairs(rng, rng.Intn(200))
-		sortPairs(pairs, keys.Compare)
+		sortPairs(pairs)
 
 		var want [][]Pair
 		for i := 0; i < len(pairs); {
 			j := i + 1
-			for j < len(pairs) && group(pairs[i].Key, pairs[j].Key) == 0 {
+			for j < len(pairs) && bytes.Equal(groupHead(pairs[i].Key, 2), groupHead(pairs[j].Key, 2)) {
 				j++
 			}
 			want = append(want, pairs[i:j])
 			i = j
 		}
 
-		ms, err := newMergeStream(pc, []*runCursor{cursorForEncoded(encodeRun(pairs))})
+		ms, err := newMergeStream([]*runCursor{cursorForEncoded(encodeRun(pairs))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gs := &groupStream{m: ms, group: group}
+		gs := &groupStream{m: ms, prefix: 2}
 		for gi := 0; ; gi++ {
 			g, err := gs.next()
 			if err != nil {
@@ -198,7 +164,6 @@ func FuzzMergeStream(f *testing.F) {
 	f.Add([]byte{}, []byte{}, []byte{})
 	f.Add(encodeRun([]Pair{{Key: []byte("a"), Value: []byte("1")}}), []byte{}, []byte{0xff})
 	f.Fuzz(func(t *testing.T, a, b, c []byte) {
-		pc := pairCmp{cmp: keys.Compare, prefix: DefaultSortPrefix}
 		var runs [][]Pair
 		var cursors []*runCursor
 		for _, data := range [][]byte{a, b, c} {
@@ -206,12 +171,12 @@ func FuzzMergeStream(f *testing.F) {
 			if err != nil {
 				return // undecodable input: nothing to cross-check
 			}
-			sortPairs(run, keys.Compare)
+			sortPairs(run)
 			runs = append(runs, append([]Pair(nil), run...))
 			cursors = append(cursors, cursorForEncoded(encodeRun(run)))
 		}
-		want := mergeRuns(runs, keys.Compare)
-		ms, err := newMergeStream(pc, cursors)
+		want := mergeRuns(runs)
+		ms, err := newMergeStream(cursors)
 		if err != nil {
 			t.Fatal(err)
 		}

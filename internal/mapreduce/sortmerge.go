@@ -19,20 +19,19 @@ import (
 // PartitionBytes is the actual wire size of the shuffle.
 //
 // The shuffle datapath is streaming (§4.8 of DESIGN.md): sorts compare a
-// cached integer prefix of each key before falling back to the full
-// comparator, merges run through a loser tree that decodes encoded runs
-// lazily and yields one pair at a time, and flate state is pooled across
-// segments and tasks. The map-side buffer is in mapbuf.go; sortPairs,
-// encodeRun and mergeRuns below are the materialized reference it and
-// the streaming merge are tested against.
+// cached integer prefix of each key before touching key bytes, merges run
+// through a loser tree that decodes encoded runs lazily and yields one
+// pair at a time, and flate state is pooled across segments and tasks.
+// The map-side buffer is in mapbuf.go; sortPairs, encodeRun and mergeRuns
+// below are the materialized reference it and the streaming merge are
+// tested against.
 
-// DefaultSortPrefix maps a key to its first eight bytes read as a
-// big-endian integer (shorter keys are zero-padded on the right). The
-// integer order of these prefixes is consistent with bytes.Compare:
-// whenever the prefixes differ, they order the keys exactly as the full
-// comparison would. It is the prefix the engine installs automatically
-// when Job.SortComparator is left at its bytes.Compare default.
-func DefaultSortPrefix(key []byte) uint64 {
+// sortPrefix maps a key to its first eight bytes read as a big-endian
+// integer (shorter keys are zero-padded on the right). Whenever two keys'
+// prefixes differ, they order the keys exactly as bytes.Compare would, so
+// sorts and merges cache it on every pair and read key bytes only on a
+// prefix tie.
+func sortPrefix(key []byte) uint64 {
 	if len(key) >= 8 {
 		return binary.BigEndian.Uint64(key)
 	}
@@ -43,50 +42,30 @@ func DefaultSortPrefix(key []byte) uint64 {
 	return v
 }
 
-// pairCmp bundles the job's sort comparator with its (optional) sort
-// prefix. With a prefix installed, comparisons race two integers first
-// and touch key bytes only on prefix ties.
-type pairCmp struct {
-	cmp    func(a, b []byte) int
-	prefix func(key []byte) uint64 // nil disables the prefix fast path
-}
-
-// fill caches the sort prefix on every pair before a sort.
-func (pc pairCmp) fill(pairs []Pair) {
-	if pc.prefix == nil {
-		return
-	}
-	for i := range pairs {
-		pairs[i].prefix = pc.prefix(pairs[i].Key)
-	}
-}
-
-// compare is the engine's total order over prefix-filled pairs: cached
-// prefix, then the sort comparator, then the deterministic tie-break.
-// Differing prefixes imply a comparator difference of the same sign
-// (the SortPrefix contract), so the fast path never changes the order.
-func (pc pairCmp) compare(a, b Pair) int {
-	if pc.prefix != nil && a.prefix != b.prefix {
+// comparePairs is the engine's one total order over pairs whose prefix
+// is filled: the cached sort prefix, then key bytes, then value bytes.
+// The value tie-break makes every sort and merge deterministic; BRJ phase
+// 1 relies on it to see a record before the RID pairs it joins.
+func comparePairs(a, b Pair) int {
+	if a.prefix != b.prefix {
 		if a.prefix < b.prefix {
 			return -1
 		}
 		return 1
 	}
-	return comparePairs(pc.cmp, a, b)
+	if c := bytes.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.Value, b.Value)
 }
 
-// sortPairsBy orders pairs by the job comparator with the prefix fast
-// path, breaking key ties by value so engine output is fully
-// deterministic regardless of host scheduling.
-func sortPairsBy(pairs []Pair, pc pairCmp) {
-	pc.fill(pairs)
-	slices.SortFunc(pairs, pc.compare)
-}
-
-// sortPairs is sortPairsBy without a prefix cache (tests and callers
-// holding only a bare comparator).
-func sortPairs(pairs []Pair, cmp func(a, b []byte) int) {
-	sortPairsBy(pairs, pairCmp{cmp: cmp})
+// sortPairs fills every pair's sort prefix and orders the pairs by
+// comparePairs.
+func sortPairs(pairs []Pair) {
+	for i := range pairs {
+		pairs[i].prefix = sortPrefix(pairs[i].Key)
+	}
+	slices.SortFunc(pairs, comparePairs)
 }
 
 // encodeRun serializes a sorted pair run in Pairs format.
@@ -133,15 +112,6 @@ func decodeRun(data []byte) ([]Pair, error) {
 	return out, err
 }
 
-// comparePairs is the engine's total order: the sort comparator first,
-// then the deterministic tie-break.
-func comparePairs(cmp func(a, b []byte) int, a, b Pair) int {
-	if c := cmp(a.Key, b.Key); c != 0 {
-		return c
-	}
-	return comparePairTie(a, b)
-}
-
 // runCursor streams one sorted, encoded run during a merge, decoding
 // lazily so the merge never materializes a whole run.
 type runCursor struct {
@@ -154,7 +124,7 @@ func cursorForEncoded(data []byte) *runCursor { return &runCursor{data: data} }
 
 // advance steps the cursor to its next pair. Decoded key/value slices
 // alias the run's backing storage, which outlives the merge.
-func (c *runCursor) advance(prefix func([]byte) uint64) (bool, error) {
+func (c *runCursor) advance() (bool, error) {
 	if len(c.data) == 0 {
 		c.done = true
 		return false, nil
@@ -164,11 +134,8 @@ func (c *runCursor) advance(prefix func([]byte) uint64) (bool, error) {
 		c.done = true
 		return false, err
 	}
-	c.cur = Pair{Key: k, Value: v}
+	c.cur = Pair{Key: k, Value: v, prefix: sortPrefix(k)}
 	c.data = rest
-	if prefix != nil {
-		c.cur.prefix = prefix(k)
-	}
 	return true, nil
 }
 
@@ -180,17 +147,16 @@ func (c *runCursor) advance(prefix func([]byte) uint64) (bool, error) {
 // byte-identical anyway, so the sequence matches the materialized
 // mergeRuns exactly.
 type mergeStream struct {
-	pc      pairCmp
 	cursors []*runCursor
 	tree    []int // tree[0] = current winner; tree[1:] = per-node losers
 }
 
 // newMergeStream primes every cursor and builds the loser tree. Cursors
 // that are empty from the start are dropped.
-func newMergeStream(pc pairCmp, cursors []*runCursor) (*mergeStream, error) {
+func newMergeStream(cursors []*runCursor) (*mergeStream, error) {
 	live := make([]*runCursor, 0, len(cursors))
 	for _, c := range cursors {
-		ok, err := c.advance(pc.prefix)
+		ok, err := c.advance()
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +164,7 @@ func newMergeStream(pc pairCmp, cursors []*runCursor) (*mergeStream, error) {
 			live = append(live, c)
 		}
 	}
-	m := &mergeStream{pc: pc, cursors: live}
+	m := &mergeStream{cursors: live}
 	k := len(live)
 	if k < 2 {
 		return m, nil
@@ -238,7 +204,7 @@ func (m *mergeStream) beats(a, b int) bool {
 	if cb.done {
 		return true
 	}
-	if c := m.pc.compare(ca.cur, cb.cur); c != 0 {
+	if c := comparePairs(ca.cur, cb.cur); c != 0 {
 		return c < 0
 	}
 	return a < b
@@ -257,7 +223,7 @@ func (m *mergeStream) next() (Pair, bool, error) {
 			return Pair{}, false, nil
 		}
 		p := c.cur
-		if _, err := c.advance(m.pc.prefix); err != nil {
+		if _, err := c.advance(); err != nil {
 			return Pair{}, false, err
 		}
 		return p, true, nil
@@ -268,7 +234,7 @@ func (m *mergeStream) next() (Pair, bool, error) {
 		return Pair{}, false, nil
 	}
 	p := cw.cur
-	if _, err := cw.advance(m.pc.prefix); err != nil {
+	if _, err := cw.advance(); err != nil {
 		return Pair{}, false, err
 	}
 	for node := (w + k) / 2; node > 0; node /= 2 {
@@ -280,12 +246,13 @@ func (m *mergeStream) next() (Pair, bool, error) {
 	return p, true, nil
 }
 
-// groupStream slices a merge stream into key groups under the grouping
-// comparator, buffering only the active group. The returned slice is
-// reused: it is valid until the next call, matching the Values contract.
+// groupStream slices a merge stream into key groups — runs of pairs
+// whose keys agree on their first prefix bytes (Job.GroupPrefix) —
+// buffering only the active group. The returned slice is reused: it is
+// valid until the next call, matching the Values contract.
 type groupStream struct {
 	m       *mergeStream
-	group   func(a, b []byte) int
+	prefix  int
 	buf     []Pair
 	pending Pair
 	started bool
@@ -318,7 +285,7 @@ func (g *groupStream) next() ([]Pair, error) {
 			g.eof = true
 			return g.buf, nil
 		}
-		if g.group(g.buf[0].Key, p.Key) != 0 {
+		if !sameGroup(g.buf[0].Key, p.Key, g.prefix) {
 			g.pending = p
 			return g.buf, nil
 		}
@@ -329,13 +296,12 @@ func (g *groupStream) next() ([]Pair, error) {
 // runHeap is a k-way merge heap over sorted runs (the materialized
 // reference merge; production paths use mergeStream).
 type runHeap struct {
-	runs [][]Pair // each non-empty, sorted
-	cmp  func(a, b []byte) int
+	runs [][]Pair // each non-empty, sorted by sortPairs
 }
 
 func (h *runHeap) Len() int { return len(h.runs) }
 func (h *runHeap) Less(i, j int) bool {
-	return comparePairs(h.cmp, h.runs[i][0], h.runs[j][0]) < 0
+	return comparePairs(h.runs[i][0], h.runs[j][0]) < 0
 }
 func (h *runHeap) Swap(i, j int) { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
 func (h *runHeap) Push(x any)    { h.runs = append(h.runs, x.([]Pair)) }
@@ -343,7 +309,7 @@ func (h *runHeap) Pop() any      { r := h.runs[len(h.runs)-1]; h.runs = h.runs[:
 
 // mergeRuns k-way merges sorted runs into one sorted slice. It is the
 // semantics oracle the streaming merge is property-tested against.
-func mergeRuns(runs [][]Pair, cmp func(a, b []byte) int) []Pair {
+func mergeRuns(runs [][]Pair) []Pair {
 	nonEmpty := runs[:0]
 	total := 0
 	for _, r := range runs {
@@ -358,7 +324,7 @@ func mergeRuns(runs [][]Pair, cmp func(a, b []byte) int) []Pair {
 	case 1:
 		return nonEmpty[0]
 	}
-	h := &runHeap{runs: nonEmpty, cmp: cmp}
+	h := &runHeap{runs: nonEmpty}
 	heap.Init(h)
 	out := make([]Pair, 0, total)
 	for h.Len() > 0 {

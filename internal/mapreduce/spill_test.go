@@ -46,7 +46,7 @@ func TestSpillEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sortPairs(got, compareBytes)
+			sortPairs(got)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("spill=%d comb=%v: got %v, want %v", spill, withCombiner, got, want)
 			}
@@ -108,7 +108,7 @@ func TestCompressShuffleEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sortPairs(got, compareBytes)
+		sortPairs(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("compress=%v: wrong result", compress)
 		}
@@ -154,7 +154,7 @@ func TestMergeRunsProperty(t *testing.T) {
 		for i, v := range raw {
 			pairs[i] = Pair{Key: []byte(fmt.Sprintf("%05d", v%997)), Value: []byte(strconv.Itoa(i))}
 		}
-		sortPairs(pairs, compareBytes)
+		sortPairs(pairs)
 		// Split into runs at the cut points.
 		var runs [][]Pair
 		prev := 0
@@ -167,7 +167,7 @@ func TestMergeRunsProperty(t *testing.T) {
 			}
 		}
 		runs = append(runs, pairs[prev:])
-		merged := mergeRuns(runs, compareBytes)
+		merged := mergeRuns(runs)
 		if len(merged) != len(pairs) {
 			return false
 		}
@@ -184,14 +184,14 @@ func TestMergeRunsProperty(t *testing.T) {
 }
 
 func TestMergeRunsEdgeCases(t *testing.T) {
-	if got := mergeRuns(nil, compareBytes); got != nil {
+	if got := mergeRuns(nil); got != nil {
 		t.Fatalf("mergeRuns(nil) = %v", got)
 	}
-	if got := mergeRuns([][]Pair{nil, {}}, compareBytes); got != nil {
+	if got := mergeRuns([][]Pair{nil, {}}); got != nil {
 		t.Fatalf("mergeRuns(empty runs) = %v", got)
 	}
 	one := []Pair{{Key: []byte("k")}}
-	if got := mergeRuns([][]Pair{nil, one}, compareBytes); len(got) != 1 {
+	if got := mergeRuns([][]Pair{nil, one}); len(got) != 1 {
 		t.Fatalf("mergeRuns(single) = %v", got)
 	}
 }
