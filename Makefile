@@ -8,7 +8,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-planner allocprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
+.PHONY: all build fmt test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-planner allocprofile cpuprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
 
 all: tier1
 
@@ -185,6 +185,17 @@ allocprofile:
 		-memprofilerate=4096 -memprofile=alloc.prof -outputdir=$(CURDIR)/.bench_build \
 		-o .bench_build/core.test ./internal/core -args -alloc-records=$(W) -alloc-recipe=$(R)
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=25 .bench_build/core.test .bench_build/alloc.prof
+
+# cpuprofile prints where a join spends its CPU: the same
+# BenchmarkJoinAllocProfile run (W records, recipe R) under a CPU
+# profile, then pprof's flat table. It includes the corpus generator
+# (datagen.*); the test binary and profile land in .bench_build/.
+cpuprofile:
+	@mkdir -p .bench_build
+	$(GO) test -run='^$$' -bench=BenchmarkJoinAllocProfile -benchtime=3x \
+		-cpuprofile=cpu.prof -outputdir=$(CURDIR)/.bench_build \
+		-o .bench_build/core.test ./internal/core -args -alloc-records=$(W) -alloc-recipe=$(R)
+	$(GO) tool pprof -top -nodecount=25 .bench_build/core.test .bench_build/cpu.prof
 
 # serveprofile prints where a serve round spends its time and its
 # allocations: BenchmarkServeRound (internal/ssjserve; the serve_mixed

@@ -221,8 +221,8 @@ func BenchmarkRoutingAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkCombinerAblation measures the Stage 1 combiner's shuffle
-// reduction.
+// BenchmarkCombinerAblation measures the shuffle Stage 1 saves by
+// aggregating counts per map task (in-mapper combining).
 func BenchmarkCombinerAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(benchParams())
@@ -230,6 +230,6 @@ func BenchmarkCombinerAblation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(r.ShuffleBytes[1])/float64(r.ShuffleBytes[0]), "shuffle-inflation-no-combiner")
+		b.ReportMetric(float64(r.ShuffleBytes[1])/float64(r.ShuffleBytes[0]), "shuffle-inflation-no-aggregation")
 	}
 }

@@ -235,10 +235,13 @@ type Config struct {
 	// spill threshold in buffered pairs (0 = unbounded buffer).
 	CompressShuffle bool `json:"-"`
 	SpillPairs      int  `json:"-"`
-	// NoCombiner disables the Stage 1 combine function (for the
-	// combiner-contribution ablation; the paper attributes BTO's limited
-	// speedup partly to combiners seeing less data per task as nodes
-	// grow, §6.1.1).
+	// NoCombiner turns off Stage 1's per-task aggregation: the counting
+	// mapper then emits (token, 1) for every token occurrence instead of
+	// one (token, count) per distinct token of its map task. It serves
+	// the ablation of what the paper credits to combiners (§6.1.1: BTO's
+	// limited speedup comes partly from each task aggregating less data
+	// as nodes grow); in-mapper aggregation has a combiner's scope, one
+	// map task.
 	NoCombiner bool
 	// Retry configures per-task attempt retries in every job the
 	// pipeline runs (Hadoop's transparent task re-execution; see

@@ -9,14 +9,14 @@ import (
 )
 
 // This file makes every pipeline job's task bodies reconstructible in
-// another process. A job's function-valued fields (mapper, combiner,
-// reducer) cannot travel over RPC, so each job instead
-// carries a program name ("core") plus a JSON progSpec, and both the
-// coordinator and the worker build the bodies through the one
-// registered builder. The coordinator-side job constructors use the
-// same programFor the worker does, so in-process and distributed
-// execution run literally the same task code — the conformance
-// harness's byte-identity guarantee rests on that.
+// another process. A job's function-valued fields (mapper and reducer)
+// cannot travel over RPC, so each job instead carries a program name
+// ("core") plus a JSON progSpec, and both the coordinator and the worker
+// build the bodies through the one registered builder. The
+// coordinator-side job constructors use the same programFor the worker
+// does, so in-process and distributed execution run literally the same
+// task code — the conformance harness's byte-identity guarantee rests on
+// that.
 
 // CoreProgram is the program name the pipeline registers with the
 // engine; worker binaries that import this package can rebuild any
@@ -116,14 +116,12 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 	switch ps.Kind {
 	case "s1-bto-count":
 		p.Mapper = &tokenCountMapper{cfg: cfg}
-		p.Combiner = stage1Combiner(cfg)
-		p.Reducer = sumCombiner
+		p.Reducer = &sumReducer{}
 	case "s1-bto-sort":
 		p.Mapper = countSwapMapper
 		p.Reducer = emitTokenReducer
 	case "s1-opto":
 		p.Mapper = &tokenCountMapper{cfg: cfg}
-		p.Combiner = stage1Combiner(cfg)
 		p.Reducer = &optoReducer{}
 	case "s2":
 		layout := layoutFor(cfg, rs)
@@ -179,7 +177,6 @@ func coreJob(cfg *Config, ps progSpec) (mapreduce.Job, error) {
 	job := mapreduce.Job{
 		FS:              cfg.FS,
 		Mapper:          prog.Mapper,
-		Combiner:        prog.Combiner,
 		Reducer:         prog.Reducer,
 		NumReducers:     cfg.NumReducers,
 		MemoryLimit:     cfg.MemoryLimit,

@@ -26,15 +26,26 @@ func (e countEmitter) Emit(_, _ []byte) error { *e.n++; return nil }
 // allocProbe runs inside a real map task — the only place a mapper has
 // its engine Context, side files and InputFile — and measures a warmed
 // Map call of the task instance it wraps against a discarding emitter
-// that counts the emissions.
+// that counts the emissions. Cleanup is forwarded, its emissions counted
+// apart.
 type allocProbe struct {
-	inner  mapreduce.Mapper
-	allocs *float64
-	emits  *int
+	inner        mapreduce.Mapper
+	allocs       *float64
+	emits        *int
+	cleanupEmits *int
 }
 
 func (p *allocProbe) NewTaskInstance() any {
-	return &allocProbe{inner: p.inner.(mapreduce.TaskLocal).NewTaskInstance().(mapreduce.Mapper), allocs: p.allocs, emits: p.emits}
+	q := *p
+	q.inner = p.inner.(mapreduce.TaskLocal).NewTaskInstance().(mapreduce.Mapper)
+	return &q
+}
+
+func (p *allocProbe) Cleanup(ctx *mapreduce.Context, _ mapreduce.Emitter) error {
+	if c, ok := p.inner.(mapreduce.Cleanupper); ok {
+		return c.Cleanup(ctx, countEmitter{p.cleanupEmits})
+	}
+	return nil
 }
 
 func (p *allocProbe) Setup(ctx *mapreduce.Context) error {
@@ -57,7 +68,8 @@ func (p *allocProbe) Map(ctx *mapreduce.Context, key, value []byte, _ mapreduce.
 }
 
 // TestMapperRecordPathAllocatesNothing pins the tentpole: one warmed
-// call of each per-record mapper does no heap allocation.
+// call of each per-record mapper does no heap allocation. Stage 1's
+// mapper only counts there; its task emits from Cleanup.
 func TestMapperRecordPathAllocatesNothing(t *testing.T) {
 	fs := dfs.New(dfs.Options{BlockSize: 64 << 10, Nodes: 1})
 	if err := mapreduce.WriteTextFile(fs, "in", []string{dblpLine}); err != nil {
@@ -85,8 +97,8 @@ func TestMapperRecordPathAllocatesNothing(t *testing.T) {
 		}
 		allocs := -1.0
 		job.Name, job.Inputs, job.Output = "probe-"+ps.Kind, []string{"in"}, "probe-"+ps.Kind
-		emits := new(int)
-		job.Mapper = &allocProbe{inner: job.Mapper, allocs: &allocs, emits: emits}
+		emits, cleanupEmits := new(int), new(int)
+		job.Mapper = &allocProbe{inner: job.Mapper, allocs: &allocs, emits: emits, cleanupEmits: cleanupEmits}
 		job.SideFiles = ps.RIDFiles
 		if ps.TokenFile != "" {
 			job.SideFiles = []string{ps.TokenFile}
@@ -94,7 +106,11 @@ func TestMapperRecordPathAllocatesNothing(t *testing.T) {
 		if _, err := mapreduce.Run(job); err != nil {
 			t.Fatalf("%s: %v", ps.Kind, err)
 		}
-		if *emits == 0 {
+		if ps.Kind == "s1-bto-count" {
+			if *emits != 0 || *cleanupEmits == 0 {
+				t.Errorf("%s mapper: %d emissions from Map, %d from Cleanup; want none and some", ps.Kind, *emits, *cleanupEmits)
+			}
+		} else if *emits == 0 {
 			t.Errorf("%s mapper: the probed Map call emitted nothing", ps.Kind)
 		}
 		if allocs != 0 {

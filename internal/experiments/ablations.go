@@ -429,8 +429,8 @@ func (s *Suite) kernelVariants(res *KernelAblationResult, pick func(int, *core.C
 	return res, nil
 }
 
-// CombinerAblationResult compares Stage 1 with and without the combine
-// function.
+// CombinerAblationResult compares Stage 1 with per-task aggregation on
+// and off (Config.NoCombiner): what the paper credits to combiners.
 type CombinerAblationResult struct {
 	Labels       []string
 	Times        []time.Duration
@@ -457,9 +457,9 @@ func (s *Suite) CombinerAblation() (*CombinerAblationResult, error) {
 		for _, m := range ms {
 			sh += m.TotalShuffleBytes()
 		}
-		label := "with combiner"
+		label := "per-task aggregation on"
 		if noCombiner {
-			label = "without combiner"
+			label = "per-task aggregation off"
 		}
 		res.Labels = append(res.Labels, label)
 		res.Times = append(res.Times, t)
@@ -476,7 +476,7 @@ func (r *CombinerAblationResult) Render() string {
 		rows = append(rows, []string{l, seconds(r.Times[i], false),
 			fmt.Sprintf("%d", r.ShuffleBytes[i])})
 	}
-	return "Combiner ablation, BTO, DBLP x10, 10 nodes\n" + table(header, rows)
+	return "Per-task aggregation on/off (combiner ablation), BTO, DBLP x10, 10 nodes\n" + table(header, rows)
 }
 
 // ---- §2.2 (in text): the carry-complete-records alternative --------------

@@ -178,7 +178,7 @@ func TestAblationsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ca.ShuffleBytes[0] >= ca.ShuffleBytes[1] {
-		t.Fatalf("combiner did not reduce shuffle: %v", ca.ShuffleBytes)
+		t.Fatalf("per-task aggregation did not reduce shuffle: %v", ca.ShuffleBytes)
 	}
 
 	ra, err := s.RoutingAblation()

@@ -118,6 +118,13 @@ func TestEmitterArenaLargeValues(t *testing.T) {
 	}
 }
 
+// pair reads one buffered record back out of the arena.
+func (p *partBuf) pair(e idxEntry) Pair {
+	k, ke := p.key(e)
+	v, _ := p.value(ke)
+	return Pair{Key: k, Value: v}
+}
+
 func TestEmitterArenaStability(t *testing.T) {
 	// Earlier records must stay addressable as later emissions regrow
 	// the arena: index entries hold offsets, not pointers.
@@ -134,47 +141,6 @@ func TestEmitterArenaStability(t *testing.T) {
 		if got := p.pair(p.idx[i]); string(got.Key) != w || len(got.Value) != 0 {
 			t.Fatalf("pair %d = %q/%q, want %q", i, got.Key, got.Value, w)
 		}
-	}
-}
-
-// TestCombinerWithGroupingComparator: the combiner must group on the
-// job's group prefix, not raw key equality.
-func TestCombinerWithGroupingComparator(t *testing.T) {
-	fs := newFS()
-	WriteTextFile(fs, "in", []string{"a:1 a:2 b:1"})
-	mapper := MapFunc(func(_ *Context, _, value []byte, out Emitter) error {
-		for _, f := range strings.Fields(string(value)) {
-			parts := strings.SplitN(f, ":", 2)
-			// Key is "letter:seq" but grouping is on the letter only.
-			if err := out.Emit([]byte(f), []byte("1")); err != nil {
-				return err
-			}
-			_ = parts
-		}
-		return nil
-	})
-	counting := ReduceFunc(func(_ *Context, key []byte, values *Values, out Emitter) error {
-		n := 0
-		for _, ok := values.Next(); ok; _, ok = values.Next() {
-			n++
-		}
-		return out.Emit(key[:1], []byte(strconv.Itoa(n)))
-	})
-	_, err := Run(Job{
-		Name: "groupcomb", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
-		Output: "out", Mapper: mapper, Combiner: counting, Reducer: firstValueReducer,
-		GroupPrefix: 1, NumReducers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, _ := ReadOutputPairs(fs, "out/")
-	got := map[string]string{}
-	for _, p := range pairs {
-		got[string(p.Key)] = string(p.Value)
-	}
-	if got["a"] != "2" || got["b"] != "1" {
-		t.Fatalf("combined counts = %v", got)
 	}
 }
 
@@ -236,7 +202,7 @@ func BenchmarkEngineWordCount(b *testing.B) {
 		}
 		if _, err := Run(Job{
 			Name: "bench", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
-			Output: "out", Mapper: wordCountMapper, Combiner: sumReducer,
+			Output: "out", Mapper: &aggWordCountMapper{},
 			Reducer: sumReducer, NumReducers: 4,
 		}); err != nil {
 			b.Fatal(err)
@@ -250,7 +216,7 @@ func TestReportContent(t *testing.T) {
 	WriteTextFile(fs, "cache", []string{"side"})
 	m, err := Run(Job{
 		Name: "report-job", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
-		Output: "out", Mapper: wordCountMapper, Combiner: sumReducer,
+		Output: "out", Mapper: wordCountMapper,
 		Reducer: sumReducer, NumReducers: 2, SpillPairs: 2,
 		SideFiles: []string{"cache"},
 	})
@@ -281,7 +247,7 @@ func TestHumanUnits(t *testing.T) {
 
 func init() {
 	RegisterProgram("spec-roundtrip", func(string) (*Program, error) {
-		return &Program{Mapper: wordCountMapper, Combiner: sumReducer, Reducer: sumReducer}, nil
+		return &Program{Mapper: wordCountMapper, Reducer: sumReducer}, nil
 	})
 }
 
@@ -303,7 +269,7 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Spec(), job.Spec()) {
 		t.Fatalf("JobFromSpec(Spec()) = %+v, want %+v", got.Spec(), job.Spec())
 	}
-	if got.FS != fs || got.Mapper == nil || got.Combiner == nil || got.Reducer == nil {
+	if got.FS != fs || got.Mapper == nil || got.Reducer == nil {
 		t.Fatalf("rebuilt job lacks its storage or task bodies: %+v", got)
 	}
 }

@@ -10,8 +10,31 @@ import (
 	"fuzzyjoin/internal/mapreduce"
 )
 
-// Example runs the canonical word count: map emits (word, 1), a combiner
-// pre-aggregates per map task, and the reducer sums.
+// wordCounter counts one map task's words and emits one (word, count)
+// per distinct word from Cleanup: in-mapper combining.
+type wordCounter struct{ counts map[string]int }
+
+// NewTaskInstance gives every map task its own table.
+func (*wordCounter) NewTaskInstance() any { return &wordCounter{counts: map[string]int{}} }
+
+func (m *wordCounter) Map(_ *mapreduce.Context, _, value []byte, _ mapreduce.Emitter) error {
+	for _, w := range strings.Fields(string(value)) {
+		m.counts[w]++
+	}
+	return nil
+}
+
+func (m *wordCounter) Cleanup(_ *mapreduce.Context, out mapreduce.Emitter) error {
+	for w, n := range m.counts {
+		if err := out.Emit([]byte(w), []byte(strconv.Itoa(n))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Example runs the canonical word count: each map task adds its words up
+// and emits (word, count) from Cleanup, and the reducer sums.
 func Example() {
 	fs := dfs.New(dfs.Options{Nodes: 2})
 	if err := mapreduce.WriteTextFile(fs, "in", []string{
@@ -21,14 +44,6 @@ func Example() {
 		panic(err)
 	}
 
-	mapper := mapreduce.MapFunc(func(_ *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
-		for _, w := range strings.Fields(string(value)) {
-			if err := out.Emit([]byte(w), []byte("1")); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 	sum := mapreduce.ReduceFunc(func(_ *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 		n := 0
 		for v, ok := values.Next(); ok; v, ok = values.Next() {
@@ -47,8 +62,7 @@ func Example() {
 		Inputs:      []string{"in"},
 		InputFormat: mapreduce.Text,
 		Output:      "out",
-		Mapper:      mapper,
-		Combiner:    sum,
+		Mapper:      &wordCounter{},
 		Reducer:     sum,
 		NumReducers: 2,
 	}); err != nil {

@@ -18,7 +18,7 @@ import (
 
 // ErrMapOutputTooLarge is returned (wrapped) when a map task's output
 // cannot be addressed by the buffer's 32-bit arena offsets even after
-// spilling: one record, or one partition's combiner output, over 4 GiB.
+// spilling: one record over 4 GiB.
 var ErrMapOutputTooLarge = errors.New("mapreduce: map output exceeds the 4 GiB partition arena")
 
 // maxArena bounds one partition arena, so every record offset and length
@@ -99,12 +99,6 @@ func (p *partBuf) value(ke int) ([]byte, int) {
 	return p.data[vs:ve:ve], ve
 }
 
-func (p *partBuf) pair(e idxEntry) Pair {
-	k, ke := p.key(e)
-	v, _ := p.value(ke)
-	return Pair{Key: k, Value: v, prefix: e.prefix}
-}
-
 // compare is the engine's total order (comparePairs) over two index
 // entries: cached prefix, key bytes, value bytes.
 func (p *partBuf) compare(a, b idxEntry) int {
@@ -126,18 +120,6 @@ func (p *partBuf) compare(a, b idxEntry) int {
 
 func (p *partBuf) sort() { slices.SortFunc(p.idx, p.compare) }
 
-// sorted reports whether the index is already in the total order, which
-// lets combiner output (one pair per group, in group order, for every
-// combiner the pipeline installs) skip its sort.
-func (p *partBuf) sorted() bool {
-	for i := 1; i < len(p.idx); i++ {
-		if p.compare(p.idx[i-1], p.idx[i]) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // appendRun appends the records to dst in index order — after sort, the
 // run's Pairs encoding. It adds exactly len(p.data) bytes.
 func (p *partBuf) appendRun(dst []byte) []byte {
@@ -155,15 +137,11 @@ func (p *partBuf) appendRun(dst []byte) []byte {
 // task hands on (its segments) is copied out first.
 type mapBuffer struct {
 	job    *Job
-	ctx    *Context
 	limit  uint64    // arena bound (maxArena; lowered by tests)
 	parts  []partBuf // one per reducer
 	n      int       // records buffered across parts since the last spill
 	spills *mapSpills
-
-	comb   partBuf // combiner output for the partition being finished
-	window []Pair  // the key group the combiner is looking at
-	run    []byte  // one sorted run in Pairs encoding (spill / merge input)
+	run    []byte // one sorted run in Pairs encoding (spill / merge input)
 }
 
 // mapBuffers recycles buffers across map tasks (several hundred per
@@ -171,9 +149,9 @@ type mapBuffer struct {
 // are not pinned between jobs.
 var mapBuffers = sync.Pool{New: func() any { return new(mapBuffer) }}
 
-func newMapBuffer(job *Job, ctx *Context) *mapBuffer {
+func newMapBuffer(job *Job) *mapBuffer {
 	b := mapBuffers.Get().(*mapBuffer)
-	b.job, b.ctx, b.limit = job, ctx, maxArena
+	b.job, b.limit = job, maxArena
 	b.parts = slices.Grow(b.parts[:0], job.NumReducers)[:job.NumReducers]
 	return b
 }
@@ -187,9 +165,7 @@ func (b *mapBuffer) release() {
 	for i := range b.parts {
 		b.parts[i].reset()
 	}
-	b.comb.reset()
-	clear(b.window[:cap(b.window)])
-	*b = mapBuffer{parts: b.parts, comb: b.comb, window: b.window[:0], run: b.run[:0]}
+	*b = mapBuffer{parts: b.parts, run: b.run[:0]}
 	mapBuffers.Put(b)
 }
 
@@ -214,70 +190,8 @@ func (b *mapBuffer) Emit(key, value []byte) error {
 	return nil
 }
 
-// combineOut is the Emitter the combiner writes to.
-type combineOut struct{ b *mapBuffer }
-
-func (c combineOut) Emit(key, value []byte) error {
-	if !c.b.comb.add(key, value, sortPrefix(key), c.b.limit) {
-		return ErrMapOutputTooLarge
-	}
-	return nil
-}
-
-// combine feeds key groups to the combiner until next returns nil and
-// leaves the combiner's output in b.comb, sorted. The groups alias run
-// storage other than b.comb.
-func (b *mapBuffer) combine(next func() ([]Pair, error)) (*partBuf, error) {
-	b.comb.reset()
-	var vals Values
-	for {
-		g, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if g == nil {
-			break
-		}
-		vals = Values{pairs: g}
-		if err := b.job.Combiner.Reduce(b.ctx, g[0].Key, &vals, combineOut{b}); err != nil {
-			return nil, err
-		}
-	}
-	if !b.comb.sorted() {
-		b.comb.sort()
-	}
-	return &b.comb, nil
-}
-
-// sortedRun sorts (and, with a combiner, combines) partition r and
-// returns the run to read out.
-func (b *mapBuffer) sortedRun(r int) (*partBuf, error) {
-	p := &b.parts[r]
-	p.sort()
-	if b.job.Combiner == nil || len(p.idx) == 0 {
-		return p, nil
-	}
-	// Carve key groups off the sorted index into the reused window.
-	i := 0
-	return b.combine(func() ([]Pair, error) {
-		if i == len(p.idx) {
-			return nil, nil
-		}
-		w := append(b.window[:0], p.pair(p.idx[i]))
-		for i++; i < len(p.idx); i++ {
-			q := p.pair(p.idx[i])
-			if !sameGroup(w[0].Key, q.Key, b.job.GroupPrefix) {
-				break
-			}
-			w = append(w, q)
-		}
-		b.window = w
-		return w, nil
-	})
-}
-
-// spill writes every partition's sorted (combined) run to local disk as
-// one spill file and empties the buffer (Hadoop's io.sort.mb behaviour).
+// spill writes every partition's sorted run to local disk as one spill
+// file and empties the buffer (Hadoop's io.sort.mb behaviour).
 func (b *mapBuffer) spill() error {
 	if b.spills == nil {
 		var err error
@@ -286,11 +200,9 @@ func (b *mapBuffer) spill() error {
 		}
 	}
 	err := b.spills.add(func(r int) ([]byte, error) {
-		run, err := b.sortedRun(r)
-		if err != nil {
-			return nil, err
-		}
-		b.run = run.appendRun(b.run[:0])
+		p := &b.parts[r]
+		p.sort()
+		b.run = p.appendRun(b.run[:0])
 		return b.run, nil
 	})
 	for i := range b.parts {
@@ -300,23 +212,23 @@ func (b *mapBuffer) spill() error {
 	return err
 }
 
-// finish sorts, combines and encodes (optionally compressing) the final
+// finish sorts and encodes (optionally compressing) the final
 // per-reducer segments, recording their sizes in tm. Without spills a
 // segment is the partition's records copied out in index order. With
 // spills the in-memory remainder joins the spilled runs as one more
-// encoded run in a streaming merge, re-combined across runs (Hadoop's
-// merge-time combine) when the job has a combiner. Either way a segment
-// is a fresh, exactly sized allocation.
+// encoded run in a streaming merge. Either way a segment is a fresh,
+// exactly sized allocation.
 func (b *mapBuffer) finish(tm *TaskMetrics) ([][]byte, error) {
 	out := make([][]byte, len(b.parts))
 	tm.PartitionBytes = make([]int64, len(b.parts))
 	for r := range b.parts {
-		run, err := b.sortedRun(r)
-		if err != nil {
-			return nil, err
-		}
-		var seg []byte
-		recs := len(run.idx)
+		run := &b.parts[r]
+		run.sort()
+		var (
+			seg  []byte
+			recs = len(run.idx)
+			err  error
+		)
 		if b.spills == nil {
 			seg = run.appendRun(make([]byte, 0, len(run.data)))
 		} else if seg, recs, err = b.mergeSpills(r, run); err != nil {
@@ -356,14 +268,6 @@ func (b *mapBuffer) mergeSpills(r int, remainder *partBuf) ([]byte, int, error) 
 	ms, err := newMergeStream(cursors)
 	if err != nil {
 		return nil, 0, err
-	}
-	if b.job.Combiner != nil {
-		gs := &groupStream{m: ms, prefix: b.job.GroupPrefix}
-		run, err := b.combine(gs.next)
-		if err != nil {
-			return nil, 0, err
-		}
-		return run.appendRun(make([]byte, 0, len(run.data))), len(run.idx), nil
 	}
 	// A merge only permutes records, so the segment is as long as its runs.
 	seg := make([]byte, 0, total)

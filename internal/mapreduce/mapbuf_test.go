@@ -25,37 +25,9 @@ func bufferPairs(rng *rand.Rand, n int) []Pair {
 	return out
 }
 
-// countCombiner emits one (group key, value count) pair per group, in
-// group order — the shape of the pipeline's own combiners.
-var countCombiner = ReduceFunc(func(_ *Context, key []byte, values *Values, out Emitter) error {
-	return out.Emit(key, []byte(fmt.Sprint(values.Len())))
-})
-
-// oracleCombine is the materialized combine: groups carved off a sorted
-// slice, combiner output collected and sorted.
-func oracleCombine(t *testing.T, job *Job, sorted []Pair) []Pair {
-	t.Helper()
-	if job.Combiner == nil || len(sorted) == 0 {
-		return sorted
-	}
-	out := &collectEmitter{}
-	for i := 0; i < len(sorted); {
-		j := i + 1
-		for j < len(sorted) && sameGroup(sorted[i].Key, sorted[j].Key, job.GroupPrefix) {
-			j++
-		}
-		if err := job.Combiner.Reduce(nil, sorted[i].Key, &Values{pairs: sorted[i:j]}, out); err != nil {
-			t.Fatal(err)
-		}
-		i = j
-	}
-	sortPairs(out.pairs)
-	return out.pairs
-}
-
 // oracleMapOutput is the map side the buffer replaced, built from the
-// reference pieces: partition into []Pair, sortPairs, combine, encodeRun,
-// and mergeRuns over the spilled runs.
+// reference pieces: partition into []Pair, sortPairs, encodeRun, and
+// mergeRuns over the spilled runs.
 func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetrics) {
 	t.Helper()
 	var tm TaskMetrics
@@ -69,7 +41,6 @@ func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetr
 		}
 		for r := range parts {
 			sortPairs(parts[r])
-			parts[r] = oracleCombine(t, job, parts[r])
 		}
 		buffered = nil
 		return parts
@@ -89,7 +60,6 @@ func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetr
 	for r, run := range runs() {
 		if tm.SpillCount > 0 {
 			run = mergeRuns(append([][]Pair{run}, spilled[r]...))
-			run = oracleCombine(t, job, run)
 		}
 		seg := encodeRun(run)
 		if job.CompressShuffle {
@@ -109,7 +79,7 @@ func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetr
 // bufferMapOutput runs the same emissions through the map buffer.
 func bufferMapOutput(t *testing.T, job *Job, emitted []Pair, limit uint64) ([][]byte, TaskMetrics) {
 	t.Helper()
-	buf := newMapBuffer(job, nil)
+	buf := newMapBuffer(job)
 	defer buf.release()
 	if limit > 0 {
 		buf.limit = limit
@@ -141,30 +111,20 @@ func sameMapOutput(t *testing.T, label string, got, want [][]byte, gotTM, wantTM
 
 // TestMapBufferMatchesOracle pins the buffer byte for byte — segments,
 // spill count and bytes, PartitionBytes, OutputRecords — to the
-// materialized map side it replaced, across group prefixes, combiners
-// that emit in and out of order, spill thresholds and shuffle
-// compression.
+// materialized map side it replaced, across group prefixes, spill
+// thresholds and shuffle compression.
 func TestMapBufferMatchesOracle(t *testing.T) {
-	combiners := []struct {
-		name string
-		c    Reducer
-	}{{"none", nil}, {"count", countCombiner}, {"reverse", reverseEmitCombiner}}
 	rng := rand.New(rand.NewSource(16))
 	for _, w := range []int{0, 3} {
-		for _, c := range combiners {
-			for _, spill := range []int{0, 1, 7} {
-				for _, compress := range []bool{false, true} {
-					job := &Job{
-						NumReducers: 3, GroupPrefix: w,
-						Combiner: c.c, SpillPairs: spill, CompressShuffle: compress,
-					}
-					label := fmt.Sprintf("w=%d/%s/spill=%d/compress=%v", w, c.name, spill, compress)
-					for trial := 0; trial < 4; trial++ {
-						emitted := bufferPairs(rng, rng.Intn(60))
-						want, wantTM := oracleMapOutput(t, job, emitted)
-						got, gotTM := bufferMapOutput(t, job, emitted, 0)
-						sameMapOutput(t, fmt.Sprintf("%s trial %d", label, trial), got, want, gotTM, wantTM)
-					}
+		for _, spill := range []int{0, 1, 7} {
+			for _, compress := range []bool{false, true} {
+				job := &Job{NumReducers: 3, GroupPrefix: w, SpillPairs: spill, CompressShuffle: compress}
+				label := fmt.Sprintf("w=%d/spill=%d/compress=%v", w, spill, compress)
+				for trial := 0; trial < 12; trial++ {
+					emitted := bufferPairs(rng, rng.Intn(60))
+					want, wantTM := oracleMapOutput(t, job, emitted)
+					got, gotTM := bufferMapOutput(t, job, emitted, 0)
+					sameMapOutput(t, fmt.Sprintf("%s trial %d", label, trial), got, want, gotTM, wantTM)
 				}
 			}
 		}
@@ -186,7 +146,7 @@ func TestMapBufferArenaLimit(t *testing.T) {
 	gotTM.SpillCount, gotTM.SpillBytes = 0, 0
 	sameMapOutput(t, "limit=256", got, want, gotTM, wantTM)
 
-	buf := newMapBuffer(job, nil)
+	buf := newMapBuffer(job)
 	defer buf.release()
 	buf.limit = 256
 	err := buf.Emit([]byte("k"), make([]byte, 300))
@@ -211,7 +171,6 @@ func scribblePooledBuffers(n int) {
 		for _, p := range b.parts[:cap(b.parts)] {
 			fill(p.data)
 		}
-		fill(b.comb.data)
 		fill(b.run)
 		bufs[i] = b
 	}
@@ -229,7 +188,7 @@ func TestMapBufferPoolNoAlias(t *testing.T) {
 	writeFaultInput(t, fs)
 	for _, spill := range []int{0, 5} {
 		job := faultJob(fs, "out")
-		job.Combiner = sumReducer
+		job.Mapper = &aggWordCountMapper{}
 		job.SpillPairs = spill
 		if err := job.fillDefaults(); err != nil {
 			t.Fatal(err)

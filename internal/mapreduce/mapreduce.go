@@ -4,7 +4,9 @@
 // The engine reproduces the Hadoop features the paper's algorithms rely
 // on (§2.1, §3, §4):
 //
-//   - map / combine / reduce functions over (key, value) byte pairs;
+//   - map / reduce functions over (key, value) byte pairs; a mapper
+//     that pre-aggregates keeps its table per task and emits it from
+//     cleanup (in-mapper combining);
 //   - Hadoop's secondary-sort idiom — partition and group on a key
 //     prefix, sort on the whole key — as one integer, Job.GroupPrefix:
 //     keys are order-preserving byte encodings (internal/keys), so PK
@@ -48,8 +50,7 @@ type Pair struct {
 	prefix uint64
 }
 
-// Emitter receives pairs produced by map, combine, reduce, or cleanup
-// functions.
+// Emitter receives pairs produced by map, reduce, or cleanup functions.
 type Emitter interface {
 	Emit(key, value []byte) error
 }
@@ -59,8 +60,7 @@ type Mapper interface {
 	Map(ctx *Context, key, value []byte, out Emitter) error
 }
 
-// Reducer folds all values sharing a key group into output pairs. The
-// same interface serves combiners.
+// Reducer folds all values sharing a key group into output pairs.
 type Reducer interface {
 	Reduce(ctx *Context, key []byte, values *Values, out Emitter) error
 }
@@ -184,18 +184,16 @@ type Job struct {
 	OutputFormat Format
 	// Mapper is required.
 	Mapper Mapper
-	// Combiner optionally pre-aggregates map output per partition.
-	Combiner Reducer
 	// Reducer is required.
 	Reducer Reducer
 	// NumReducers defaults to 1.
 	NumReducers int
 	// GroupPrefix is the width w, in bytes, of the key head the job
-	// partitions, groups and combines on; 0 means the whole key, and a key
+	// partitions and groups on; 0 means the whole key, and a key
 	// shorter than w counts whole. It is the engine's one ordering setting:
 	// a pair goes to reducer FNV-1a-32(key[:w]) mod NumReducers, pairs are
 	// sorted by key bytes then value bytes, and each run of sorted pairs
-	// with equal key[:w] is one reduce (or combine) call.
+	// with equal key[:w] is one reduce call.
 	GroupPrefix int
 	// SideFiles lists FS files broadcast to every task (distributed
 	// cache). Tasks read them with Context.SideFile.
@@ -210,7 +208,7 @@ type Job struct {
 	// Defaults to 1 for stable cost measurement.
 	Parallelism int
 	// SpillPairs bounds the map-output pairs buffered in memory: when the
-	// buffer reaches this count it is sorted, combined, and spilled to
+	// buffer reaches this count it is sorted and spilled to
 	// local disk as one run, and the runs are k-way merged at task end
 	// (Hadoop's io.sort.mb behaviour). 0 keeps everything in memory.
 	SpillPairs int
@@ -253,7 +251,7 @@ type Job struct {
 	// Program names a registered program builder (RegisterProgram) and
 	// ProgramSpec carries its serialized configuration; together they
 	// let a worker process rebuild the job's function-valued fields
-	// (Mapper, Combiner, Reducer) from JobSpec. A job with an empty
+	// (Mapper, Reducer) from JobSpec. A job with an empty
 	// Program can only run in-process.
 	Program     string
 	ProgramSpec string
@@ -431,8 +429,7 @@ type TaskMetrics struct {
 	// InputRecords and InputBytes describe the task's input.
 	InputRecords int64 `json:"in_recs"`
 	InputBytes   int64 `json:"in_bytes"`
-	// OutputRecords and OutputBytes describe the task's output (for map
-	// tasks: after combining).
+	// OutputRecords and OutputBytes describe the task's output.
 	OutputRecords int64 `json:"out_recs"`
 	OutputBytes   int64 `json:"out_bytes"`
 	// PartitionBytes (map tasks only) is the bytes destined to each

@@ -42,7 +42,37 @@ var sumReducer = ReduceFunc(func(_ *Context, key []byte, values *Values, out Emi
 	return out.Emit(key, []byte(strconv.Itoa(total)))
 })
 
-func runWordCount(t *testing.T, combiner Reducer, reducers int) (*dfs.FS, *Metrics) {
+// aggWordCountMapper is wordCountMapper with in-mapper combining: each
+// map task adds its words up and emits one (word, count) per distinct
+// word from Cleanup.
+type aggWordCountMapper struct{ counts map[string]int }
+
+func (m *aggWordCountMapper) NewTaskInstance() any {
+	return &aggWordCountMapper{counts: map[string]int{}}
+}
+
+func (m *aggWordCountMapper) Map(_ *Context, _, value []byte, _ Emitter) error {
+	for _, w := range strings.Fields(string(value)) {
+		m.counts[w]++
+	}
+	return nil
+}
+
+func (m *aggWordCountMapper) Cleanup(_ *Context, out Emitter) error {
+	words := make([]string, 0, len(m.counts))
+	for w := range m.counts {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	for _, w := range words {
+		if err := out.Emit([]byte(w), []byte(strconv.Itoa(m.counts[w]))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func runWordCount(t *testing.T, mapper Mapper, reducers int) (*dfs.FS, *Metrics) {
 	t.Helper()
 	fs := newFS()
 	lines := []string{
@@ -60,8 +90,7 @@ func runWordCount(t *testing.T, combiner Reducer, reducers int) (*dfs.FS, *Metri
 		Inputs:      []string{"in"},
 		InputFormat: Text,
 		Output:      "out",
-		Mapper:      wordCountMapper,
-		Combiner:    combiner,
+		Mapper:      mapper,
 		Reducer:     sumReducer,
 		NumReducers: reducers,
 	})
@@ -91,28 +120,28 @@ func collectCounts(t *testing.T, fs *dfs.FS) map[string]int {
 var wantCounts = map[string]int{"a": 4, "b": 2, "c": 3, "d": 2, "e": 1}
 
 func TestWordCount(t *testing.T) {
-	fs, _ := runWordCount(t, nil, 3)
+	fs, _ := runWordCount(t, wordCountMapper, 3)
 	if got := collectCounts(t, fs); !reflect.DeepEqual(got, wantCounts) {
 		t.Fatalf("counts = %v, want %v", got, wantCounts)
 	}
 }
 
-func TestWordCountWithCombiner(t *testing.T) {
-	fs, m := runWordCount(t, sumReducer, 3)
+// TestWordCountInMapperCombining: a mapper that emits its task's counts
+// from Cleanup computes the same counts over a smaller shuffle.
+func TestWordCountInMapperCombining(t *testing.T) {
+	fs, m := runWordCount(t, &aggWordCountMapper{}, 3)
 	if got := collectCounts(t, fs); !reflect.DeepEqual(got, wantCounts) {
 		t.Fatalf("counts = %v, want %v", got, wantCounts)
 	}
-	// The combiner must reduce shuffle volume versus the raw map output.
-	_, mNo := runWordCount(t, nil, 3)
-	// Re-run on fresh FS: compare total shuffle bytes.
+	_, mNo := runWordCount(t, wordCountMapper, 3)
 	if m.TotalShuffleBytes() >= mNo.TotalShuffleBytes() {
-		t.Fatalf("combiner did not shrink shuffle: with=%d without=%d",
+		t.Fatalf("aggregation did not shrink shuffle: with=%d without=%d",
 			m.TotalShuffleBytes(), mNo.TotalShuffleBytes())
 	}
 }
 
 func TestSingleReducerOutputSorted(t *testing.T) {
-	fs, _ := runWordCount(t, nil, 1)
+	fs, _ := runWordCount(t, wordCountMapper, 1)
 	pairs, err := ReadOutputPairs(fs, "out/")
 	if err != nil {
 		t.Fatal(err)
@@ -537,7 +566,7 @@ func referenceRun(t *testing.T, lines []string, mapper Mapper, reducer Reducer) 
 
 // TestEquivalenceWithReference: the parallel engine computes exactly what
 // the sequential reference computes, for any reducer count, parallelism,
-// and combiner setting.
+// and with or without in-mapper combining.
 func TestEquivalenceWithReference(t *testing.T) {
 	lines := []string{
 		"the quick brown fox", "jumps over the lazy dog",
@@ -547,16 +576,13 @@ func TestEquivalenceWithReference(t *testing.T) {
 	want := referenceRun(t, lines, wordCountMapper, sumReducer)
 	for _, reducers := range []int{1, 2, 5, 8} {
 		for _, par := range []int{1, 4} {
-			for _, withCombiner := range []bool{false, true} {
+			for _, mapper := range []Mapper{wordCountMapper, &aggWordCountMapper{}} {
 				fs := newFS()
 				WriteTextFile(fs, "in", lines)
 				job := Job{
 					Name: "eq", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
-					Output: "out", Mapper: wordCountMapper, Reducer: sumReducer,
+					Output: "out", Mapper: mapper, Reducer: sumReducer,
 					NumReducers: reducers, Parallelism: par,
-				}
-				if withCombiner {
-					job.Combiner = sumReducer
 				}
 				if _, err := Run(job); err != nil {
 					t.Fatal(err)
@@ -567,8 +593,8 @@ func TestEquivalenceWithReference(t *testing.T) {
 				}
 				sortPairs(got)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("r=%d par=%d comb=%v: got %v, want %v",
-						reducers, par, withCombiner, got, want)
+					t.Fatalf("r=%d par=%d mapper=%T: got %v, want %v",
+						reducers, par, mapper, got, want)
 				}
 			}
 		}
@@ -601,7 +627,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestMetricsPopulated(t *testing.T) {
-	_, m := runWordCount(t, nil, 2)
+	_, m := runWordCount(t, wordCountMapper, 2)
 	if len(m.MapTasks) == 0 || len(m.ReduceTasks) != 2 {
 		t.Fatalf("tasks: %d map, %d reduce", len(m.MapTasks), len(m.ReduceTasks))
 	}

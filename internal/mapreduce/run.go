@@ -397,7 +397,7 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 	}
 	var tm TaskMetrics
 	start := time.Now()
-	sink := newMapBuffer(job, ctx)
+	sink := newMapBuffer(job)
 	defer sink.release()
 	mapper := taskMapper(job.Mapper)
 	if s, ok := mapper.(Setupper); ok {
@@ -419,8 +419,7 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 		}
 	}
 
-	// Sort, combine, merge spilled runs, and encode the final per-reducer
-	// segments.
+	// Sort, merge spilled runs, and encode the final per-reducer segments.
 	parts, err := sink.finish(&tm)
 	if err != nil {
 		return mapResult{}, tm, fmt.Errorf("map task %d: %w", taskID, err)

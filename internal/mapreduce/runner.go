@@ -119,7 +119,7 @@ func countersFrom(m map[string]int64) *Counters {
 
 // JobSpec is the serializable half of a Job: everything a worker
 // process needs to reconstruct the job remotely. Function-valued fields
-// (Mapper, Combiner, Reducer) travel as the Program name plus its
+// (Mapper, Reducer) travel as the Program name plus its
 // ProgramSpec configuration and are rebuilt by the registered builder
 // on the worker. Control-plane fields (Retry, FaultInjector, Trace,
 // Runner, Speculative, NodeFailures) are deliberately absent: they
@@ -189,7 +189,6 @@ func JobFromSpec(s JobSpec, fs dfs.Storage) (Job, error) {
 		SpillPairs:           s.SpillPairs,
 		CompressShuffle:      s.CompressShuffle,
 		Mapper:               prog.Mapper,
-		Combiner:             prog.Combiner,
 		Reducer:              prog.Reducer,
 		Program:              s.Program,
 		ProgramSpec:          s.ProgramSpec,
@@ -197,11 +196,10 @@ func JobFromSpec(s JobSpec, fs dfs.Storage) (Job, error) {
 }
 
 // Program is a job's rebuilt task-side machinery: the function-valued
-// Job fields a spec cannot carry. Combiner may be nil.
+// Job fields a spec cannot carry.
 type Program struct {
-	Mapper   Mapper
-	Combiner Reducer
-	Reducer  Reducer
+	Mapper  Mapper
+	Reducer Reducer
 }
 
 // ProgramBuilder materializes a Program from its serialized spec.

@@ -100,7 +100,7 @@ func benchSegments(b *testing.B, tasks [][]Pair, compress bool) [][]byte {
 	job := &Job{NumReducers: 1, CompressShuffle: compress}
 	segs := make([][]byte, len(tasks))
 	for s, pairs := range tasks {
-		buf := newMapBuffer(job, nil)
+		buf := newMapBuffer(job)
 		for _, p := range pairs {
 			if err := buf.Emit(p.Key, p.Value); err != nil {
 				b.Fatal(err)

@@ -202,61 +202,6 @@ func FuzzMergeStream(f *testing.F) {
 	})
 }
 
-// reverseEmitCombiner emits its groups' sums under a key that reverses
-// the sort order, forcing the combiner output down its re-sort path.
-var reverseEmitCombiner = ReduceFunc(func(_ *Context, key []byte, values *Values, out Emitter) error {
-	n := 0
-	for _, ok := values.Next(); ok; _, ok = values.Next() {
-		n++
-	}
-	rk := append([]byte{0xff}, key...)
-	for i, j := 1, len(rk)-1; i < j; i, j = i+1, j-1 {
-		rk[i], rk[j] = rk[j], rk[i]
-	}
-	return out.Emit(rk, []byte(fmt.Sprint(n)))
-})
-
-// TestCombineResortsOutOfOrderEmissions pins that the sorted-output fast
-// path of mapBuffer.combine does not skip the re-sort when a combiner emits keys
-// out of order: the shuffle contract (sorted segments) must survive
-// arbitrary combiner output.
-func TestCombineResortsOutOfOrderEmissions(t *testing.T) {
-	fs := newFS()
-	if err := WriteTextFile(fs, "in", []string{"cc bb aa", "aa bb", "dd aa"}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Run(Job{
-		Name:     "reverse-combine",
-		FS:       fs,
-		Inputs:   []string{"in"},
-		Output:   "out",
-		Mapper:   wordCountMapper,
-		Combiner: reverseEmitCombiner,
-		Reducer: ReduceFunc(func(_ *Context, key []byte, values *Values, out Emitter) error {
-			n := 0
-			for _, ok := values.Next(); ok; _, ok = values.Next() {
-				n++
-			}
-			return out.Emit(key, []byte(fmt.Sprint(n)))
-		}),
-		NumReducers: 2,
-		SpillPairs:  2, // force spills so the merge-time combine runs too
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := ReadOutputPairs(fs, "out/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) == 0 {
-		t.Fatal("no output")
-	}
-	if m.TotalShuffleBytes() == 0 {
-		t.Fatal("no shuffle traffic")
-	}
-}
-
 // readParts returns the raw committed part files of an output prefix.
 func readParts(t *testing.T, fs *dfs.FS, output string) map[string][]byte {
 	t.Helper()
@@ -292,8 +237,7 @@ func TestParallelismByteIdenticalOutput(t *testing.T) {
 			FS:              fs,
 			Inputs:          []string{"in"},
 			Output:          "out",
-			Mapper:          wordCountMapper,
-			Combiner:        sumReducer,
+			Mapper:          &aggWordCountMapper{},
 			Reducer:         sumReducer,
 			NumReducers:     3,
 			SpillPairs:      8,

@@ -12,7 +12,7 @@ import (
 )
 
 // TestSpillEquivalence: spilling at any threshold produces exactly the
-// in-memory result, with and without a combiner.
+// in-memory result, with and without in-mapper combining.
 func TestSpillEquivalence(t *testing.T) {
 	lines := make([]string, 40)
 	rng := rand.New(rand.NewSource(5))
@@ -27,20 +27,17 @@ func TestSpillEquivalence(t *testing.T) {
 	}
 	want := referenceRun(t, lines, wordCountMapper, sumReducer)
 	for _, spill := range []int{1, 2, 7, 50, 0} {
-		for _, withCombiner := range []bool{false, true} {
+		for _, mapper := range []Mapper{wordCountMapper, &aggWordCountMapper{}} {
 			fs := newFS()
 			WriteTextFile(fs, "in", lines)
 			job := Job{
 				Name: "spill", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
-				Output: "out", Mapper: wordCountMapper, Reducer: sumReducer,
+				Output: "out", Mapper: mapper, Reducer: sumReducer,
 				NumReducers: 3, SpillPairs: spill,
-			}
-			if withCombiner {
-				job.Combiner = sumReducer
 			}
 			m, err := Run(job)
 			if err != nil {
-				t.Fatalf("spill=%d comb=%v: %v", spill, withCombiner, err)
+				t.Fatalf("spill=%d mapper=%T: %v", spill, mapper, err)
 			}
 			got, err := ReadOutputPairs(fs, "out/")
 			if err != nil {
@@ -48,7 +45,7 @@ func TestSpillEquivalence(t *testing.T) {
 			}
 			sortPairs(got)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("spill=%d comb=%v: got %v, want %v", spill, withCombiner, got, want)
+				t.Fatalf("spill=%d mapper=%T: got %v, want %v", spill, mapper, got, want)
 			}
 			spilled := 0
 			for _, mt := range m.MapTasks {
@@ -129,7 +126,7 @@ func TestCompressWithSpills(t *testing.T) {
 	WriteTextFile(fs, "in", lines)
 	_, err := Run(Job{
 		Name: "comp-spill", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
-		Output: "out", Mapper: wordCountMapper, Combiner: sumReducer,
+		Output: "out", Mapper: &aggWordCountMapper{},
 		Reducer: sumReducer, NumReducers: 2, SpillPairs: 4, CompressShuffle: true,
 	})
 	if err != nil {
