@@ -61,12 +61,11 @@ smoke:
 	@test -s smoke-out/trace.jsonl && test -s smoke-out/timeline.svg && test -s smoke-out/metrics.json
 	@echo "smoke artifacts in smoke-out/"
 
-# conformance sweeps the full pipeline-variant matrix (768 cells: stage
+# conformance sweeps the full pipeline-variant matrix (384 cells: stage
 # combos × self/R-S × routing × §5 strategy (block processing or length
-# routing) × hot-token skew split off/k=2/k=4 ×
-# plain/faulty/parallel/dist execution) against the exact oracle, then
-# runs the metamorphic invariant suite, on a handful of seeded
-# workloads. Any divergence prints a minimized `ssjcheck` reproducer and
+# routing) × plain/faulty/parallel/dist execution) against the exact
+# oracle, then runs the metamorphic invariant suite, on a handful of
+# seeded workloads. Any divergence prints a minimized `ssjcheck` reproducer and
 # fails. The bare target covers the in-process modes; dist cells (forked
 # worker processes over RPC) run in conformance-dist. The -seed 9 line is
 # the workload where one pair shares many prefix tokens (692 self / 1,152

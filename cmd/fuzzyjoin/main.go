@@ -18,11 +18,6 @@
 //
 //	fuzzyjoin -in pubs.tsv -plan auto -out pairs.txt
 //
-// Hot-token skew splitting (-split k -split-hot h) spreads each of the
-// h most frequent tokens' reduce groups across k salted sub-keys; each
-// pair is still emitted once, by the one sub-key that owns it — identical
-// output, bounded reducer skew, no extra job.
-//
 // Distributed mode (-transport rpc, -workers n) forks n worker
 // processes and dispatches every task attempt to them over RPC; output
 // is byte-identical to the in-process run, including when workers are
@@ -63,9 +58,7 @@ func main() {
 		kern   = flag.String("kernel", "", "alias for -stage2 (bk, pk, fvt; case-insensitive)")
 		s3     = flag.String("stage3", "BRJ", "record join: BRJ or OPRJ")
 		red    = flag.Int("reducers", 8, "reduce tasks per job")
-		planIs = flag.String("plan", "", "auto = sample the input, predict every configuration's makespan, and run the cheapest (overrides -stage*, -reducers, -split*)")
-		split  = flag.Int("split", 0, "split each hot token's reduce group across this many salted sub-keys (0 = off, 2..15)")
-		splHot = flag.Int("split-hot", 0, "how many of the most frequent tokens count as hot for -split (default: set it explicitly)")
+		planIs = flag.String("plan", "", "auto = sample the input, predict every configuration's makespan, and run the cheapest (overrides -stage* and -reducers)")
 		par    = flag.Int("par", 0, "host parallelism (0 = all CPUs; wall-clock only, never affects output)")
 		stats  = flag.Bool("stats", false, "print per-stage statistics to stderr")
 
@@ -103,10 +96,6 @@ func main() {
 	cfg, err := buildConfig(*tau, *fnName, *s1, *s2, *s3, *red, *par)
 	if err != nil {
 		fatal(err)
-	}
-	cfg.SplitK, cfg.SplitHotCount = *split, *splHot
-	if *split > 0 && *splHot <= 0 {
-		fatal(fmt.Errorf("-split %d needs -split-hot to say how many head tokens are hot", *split))
 	}
 	cfg.Retry = fuzzyjoin.RetryPolicy{
 		MaxAttempts:    *maxAttempts,

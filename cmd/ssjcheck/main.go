@@ -1,25 +1,24 @@
 // Command ssjcheck is the conformance harness CLI: it generates a
 // seeded randomized workload, sweeps every pipeline variant in the
 // configuration matrix (stage combos × join kind × routing × block
-// processing × hot-token skew split × execution mode) against an exact
-// record-level oracle, and checks the metamorphic invariant suite. Any
-// divergence is reported with a minimized reproducer — the exact
-// ssjcheck command line that re-creates it.
+// processing × execution mode) against an exact record-level oracle,
+// and checks the metamorphic invariant suite. Any divergence is
+// reported with a minimized reproducer — the exact ssjcheck command
+// line that re-creates it.
 //
 // Usage:
 //
 //	ssjcheck [-seed S] [-records N] [-vocab V] [-tau T]
 //	         [-skew Z] [-neardup R] [-title-min N] [-title-max N] [-overlap F]
-//	         [-join self,rs] [-combo LIST] [-routing LIST] [-blocks LIST]
-//	         [-split LIST] [-exec LIST]
+//	         [-join self,rs] [-combo LIST] [-routing LIST] [-blocks LIST] [-exec LIST]
 //	         [-workers N] [-chaos RATE] [-chaos-seed S]
 //	         [-sweep] [-invariants] [-serve] [-minimize] [-v]
 //
 // The matrix filters take comma-separated allowlists (empty = all):
 // combos like "BTO-PK-BRJ,OPTO-FVT-OPRJ" (kernels BK, PK, FVT),
 // routings "individual,grouped", blocks "none,map,reduce,lenroute"
-// (the §5 strategies: block processing or length routing), hot-token
-// split fan-outs "0,2,4", execs "plain,faults,parallel,dist".
+// (the §5 strategies: block processing or length routing), execs
+// "plain,faults,parallel,dist".
 //
 // "dist" cells dispatch task attempts to -workers forked worker
 // processes over RPC; -chaos additionally SIGKILLs workers mid-task on
@@ -64,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		combos   = fs.String("combo", "", "stage combos to sweep, e.g. BTO-PK-BRJ (empty = all twelve)")
 		routings = fs.String("routing", "", "token routings to sweep: individual,grouped (empty = both)")
 		blocks   = fs.String("blocks", "", "§5 strategies to sweep: none,map,reduce,lenroute (empty = all)")
-		splits   = fs.String("split", "", "hot-token split fan-outs to sweep: 0,2,4 (empty = all)")
 		execs    = fs.String("exec", "", "execution modes to sweep: plain,faults,parallel,dist (empty = all)")
 
 		workers   = fs.Int("workers", 0, "worker processes to fork for dist cells (0 = skip dist cells unless -exec selects them, then 2)")
@@ -111,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Combos:   *combos,
 			Routings: *routings,
 			Blocks:   *blocks,
-			Splits:   *splits,
 			Execs:    *execs,
 		}
 		// Without an explicit -exec or -workers, sweep the in-process

@@ -28,7 +28,7 @@ func TestRunSmallSweep(t *testing.T) {
 	if !strings.Contains(out.String(), "PASS") {
 		t.Fatalf("no PASS line in output: %s", out.String())
 	}
-	if !strings.Contains(out.String(), "sweep: 12 variants") { // 2 joins × 2 routings × 3 splits
+	if !strings.Contains(out.String(), "sweep: 4 variants") { // 2 joins × 2 routings
 		t.Fatalf("unexpected variant count: %s", out.String())
 	}
 }

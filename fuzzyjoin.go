@@ -322,11 +322,11 @@ type (
 	// logs.
 	JoinPlan = plan.Plan
 	// PlanChoice is one complete knob vector the planner can select:
-	// Stage 1/2/3 algorithms, routing, reducer count, and the hot-token
-	// skew split. Apply copies it onto a Config.
+	// Stage 1/2/3 algorithms, routing and reducer count. Apply copies it
+	// onto a Config.
 	PlanChoice = plan.Choice
-	// PlanOptions bounds planner sampling (record budget, head size,
-	// stride seed). The zero value is the default policy.
+	// PlanOptions bounds planner sampling (record budget, stride seed).
+	// The zero value is the default policy.
 	PlanOptions = plan.Options
 )
 

@@ -132,11 +132,9 @@ func TestMatrixEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per join kind and (TO, RJ) combo: BK has 4 block-axis values
-	// (none, map, reduce, lenroute) of which blocks=none carries 3 split
-	// settings (so 3+3 = 6 cells), PK and FVT have 3 split settings
-	// each; times 4 (TO, RJ) combos × 2 routings × 4 exec modes × 2 join
-	// kinds = 768.
-	if want := 2 * 4 * (6 + 3 + 3) * 2 * 4; len(all) != want || want != 768 {
+	// (none, map, reduce, lenroute), PK and FVT one each; times 4 (TO, RJ)
+	// combos × 2 routings × 4 exec modes × 2 join kinds = 384.
+	if want := 2 * 4 * (4 + 1 + 1) * 2 * 4; len(all) != want || want != 384 {
 		t.Fatalf("full matrix has %d variants, want %d", len(all), want)
 	}
 	seen := map[string]bool{}
@@ -150,30 +148,20 @@ func TestMatrixEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sub) != 6 { // two routings × three splits
-		t.Fatalf("filtered matrix has %d variants, want 6", len(sub))
-	}
-	nosplit, err := Matrix(Filter{Joins: "self", Combos: "BTO-PK-BRJ", Splits: "0", Execs: "plain"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nosplit) != 2 { // two routings
-		t.Fatalf("split-filtered matrix has %d variants, want 2", len(nosplit))
+	if len(sub) != 2 { // two routings
+		t.Fatalf("filtered matrix has %d variants, want 2", len(sub))
 	}
 	lenroute, err := Matrix(Filter{Blocks: "lenroute", Execs: "plain"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range lenroute {
-		if v.Kernel != core.BK || v.Split != 0 || !strings.Contains(v.Name(), "blocks=lenroute") {
+		if v.Kernel != core.BK || !strings.Contains(v.Name(), "blocks=lenroute") {
 			t.Fatalf("lenroute filter produced %s", v.Name())
 		}
 	}
 	if len(lenroute) != 2*4*2 { // join kinds × (TO, RJ) combos × routings
 		t.Fatalf("lenroute-filtered matrix has %d variants, want 16", len(lenroute))
-	}
-	if _, err := Matrix(Filter{Splits: "3"}); err == nil {
-		t.Fatal("unknown split value accepted")
 	}
 	if _, err := Matrix(Filter{Blocks: "mpa"}); err == nil {
 		t.Fatal("typo'd filter value accepted")
@@ -188,10 +176,13 @@ func TestVariantFlagsNameReproducer(t *testing.T) {
 	w := Workload{Records: 30, Seed: 9, Skew: 1.5}
 	got := v.Flags(w, Params{Threshold: 0.7})
 	for _, frag := range []string{"-seed 9", "-records 30", "-tau 0.7", "-join rs",
-		"-combo BTO-BK-BRJ", "-blocks map", "-split 0", "-exec faults", "-skew 1.5"} {
+		"-combo BTO-BK-BRJ", "-blocks map", "-exec faults", "-skew 1.5"} {
 		if !strings.Contains(got, frag) {
 			t.Fatalf("reproducer %q missing %q", got, frag)
 		}
+	}
+	if strings.Contains(got, "-split") {
+		t.Fatalf("reproducer %q names a flag ssjcheck does not define", got)
 	}
 }
 

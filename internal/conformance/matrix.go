@@ -52,13 +52,6 @@ type Variant struct {
 	Routing core.Routing
 	// Block is the §5 insufficient-memory strategy (BK kernel only).
 	Block BlockAxis
-	// Split is the hot-token skew-split fan-out (core.Config.SplitK):
-	// 0 = off, k ≥ 2 salts hot prefix tokens across k(k+1)/2 sub-cells,
-	// one of which owns each pair. Only generated for blocks=none
-	// cells (splitting and block processing are alternative skew
-	// strategies, as core.Validate enforces). Admissible, so every
-	// split setting must match the oracle.
-	Split int
 	// Exec is the execution dimension.
 	Exec ExecMode
 }
@@ -92,10 +85,10 @@ var blockNames = []string{"none", "map", "reduce", "lenroute"}
 func (b BlockAxis) String() string { return blockNames[b] }
 
 // Name renders the variant compactly, e.g.
-// "self/BTO-BK-BRJ/grouped/blocks=map/split=0/faults".
+// "self/BTO-BK-BRJ/grouped/blocks=map/faults".
 func (v Variant) Name() string {
-	return fmt.Sprintf("%s/%s/%s/blocks=%s/split=%d/%s",
-		v.joinName(), v.combo(), v.Routing, v.Block, v.Split, v.Exec)
+	return fmt.Sprintf("%s/%s/%s/blocks=%s/%s",
+		v.joinName(), v.combo(), v.Routing, v.Block, v.Exec)
 }
 
 // Flags renders the exact ssjcheck invocation that re-runs this single
@@ -103,9 +96,9 @@ func (v Variant) Name() string {
 func (v Variant) Flags(w Workload, p Params) string {
 	w = w.fill()
 	p = p.fill()
-	s := fmt.Sprintf("ssjcheck -seed %d -records %d -vocab %d -tau %g -join %s -combo %s -routing %s -blocks %s -split %d -exec %s",
+	s := fmt.Sprintf("ssjcheck -seed %d -records %d -vocab %d -tau %g -join %s -combo %s -routing %s -blocks %s -exec %s",
 		w.Seed, w.Records, w.Vocab, p.Threshold,
-		v.joinName(), v.combo(), v.Routing, v.Block, v.Split, v.Exec)
+		v.joinName(), v.combo(), v.Routing, v.Block, v.Exec)
 	if v.Exec == ExecDist {
 		s += " -workers 2"
 	}
@@ -125,14 +118,12 @@ func (v Variant) Flags(w Workload, p Params) string {
 // lists. Empty fields mean "all". Values match the tokens used in
 // Variant names and ssjcheck flags: joins "self,rs"; combos like
 // "BTO-PK-OPRJ"; routings "individual,grouped"; blocks
-// "none,map,reduce,lenroute"; splits "0,2,4"; execs
-// "plain,faults,parallel,dist".
+// "none,map,reduce,lenroute"; execs "plain,faults,parallel,dist".
 type Filter struct {
 	Joins    string
 	Combos   string
 	Routings string
 	Blocks   string
-	Splits   string
 	Execs    string
 }
 
@@ -191,19 +182,14 @@ func (f Filter) validate() error {
 	if err := check("-blocks", f.Blocks, blockNames); err != nil {
 		return err
 	}
-	if err := check("-split", f.Splits, []string{"0", "2", "4"}); err != nil {
-		return err
-	}
 	return check("-exec", f.Execs, []string{"plain", "faults", "parallel", "dist"})
 }
 
 // Matrix enumerates every valid variant passing the filter, in a fixed
 // deterministic order: join × token order × kernel × record join ×
-// routing × block axis × split × exec mode. Block values other than
-// "none" are only generated for the BK kernel (the §5 strategies are
-// BK-only, as core.Validate enforces), and split fan-outs 2 and 4 only
-// for blocks=none cells (splitting and the §5 strategies are mutually
-// exclusive).
+// routing × block axis × exec mode. Block values other than "none" are
+// only generated for the BK kernel (the §5 strategies are BK-only, as
+// core.Validate enforces).
 func Matrix(f Filter) ([]Variant, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
@@ -232,25 +218,15 @@ func Matrix(f Filter) ([]Variant, error) {
 							if !keep(f.Blocks, bm.String()) {
 								continue
 							}
-							splits := []int{0}
-							if bm == BlocksNone {
-								splits = append(splits, 2, 4)
-							}
-							for _, split := range splits {
-								if !keep(f.Splits, fmt.Sprintf("%d", split)) {
+							for _, exec := range []ExecMode{ExecPlain, ExecFaults, ExecParallel, ExecDist} {
+								if !keep(f.Execs, exec.String()) {
 									continue
 								}
-								for _, exec := range []ExecMode{ExecPlain, ExecFaults, ExecParallel, ExecDist} {
-									if !keep(f.Execs, exec.String()) {
-										continue
-									}
-									v2 := v
-									v2.Routing = routing
-									v2.Block = bm
-									v2.Split = split
-									v2.Exec = exec
-									out = append(out, v2)
-								}
+								v2 := v
+								v2.Routing = routing
+								v2.Block = bm
+								v2.Exec = exec
+								out = append(out, v2)
 							}
 						}
 					}

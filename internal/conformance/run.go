@@ -45,16 +45,6 @@ func (v Variant) config(w Workload, p Params, fs *dfs.FS) core.Config {
 	case BlocksLenRoute:
 		cfg.LengthRouting = true
 	}
-	if v.Split > 0 {
-		cfg.SplitK = v.Split
-		// split=2 cells treat every token as hot, stressing the salted
-		// path on every record; split=4 cells split only a 12-rank
-		// frequency head so hot and cold routing mix in one run.
-		cfg.SplitHotCount = 12
-		if v.Split == 2 {
-			cfg.SplitHotCount = 1 << 20
-		}
-	}
 	switch v.Exec {
 	case ExecFaults:
 		cfg.Retry = mapreduce.RetryPolicy{MaxAttempts: 3}

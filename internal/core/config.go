@@ -206,24 +206,6 @@ type Config struct {
 	// LengthBucket is the bucket width in tokens (default 2).
 	LengthRouting bool
 	LengthBucket  int
-	// SplitK enables adaptive hot-token skew splitting: the Stage 2
-	// reduce group of a hot prefix token is split into k(k+1)/2 salted
-	// sub-cells (triangle replication over k salt classes, so every
-	// candidate pair still co-occurs in at least one cell, and exactly one
-	// of those cells owns and emits it: stage2_owner.go). 0 or 1
-	// disables splitting; valid values are 2..15 (so the cell id fits a
-	// byte). Incompatible with BlockMode and LengthRouting — those are
-	// the alternative §5 strategies. Admissible: the final join output
-	// is byte-identical with splitting on or off (the conformance
-	// matrix's split axis certifies this).
-	SplitK int
-	// SplitHotCount is the number of highest-frequency token ranks
-	// treated as hot when SplitK ≥ 2: a prefix token whose rank is
-	// within SplitHotCount of the top of the global frequency order is
-	// salted across sub-cells; colder tokens keep one unsalted cell.
-	// Defaults to 8. The planner (internal/plan) chooses this from the
-	// sampled token-frequency head.
-	SplitHotCount int
 	// Parallelism is the host-goroutine bound for task execution.
 	// It affects wall-clock only: results are byte-identical and
 	// recorded per-task costs are measured per task regardless of how
@@ -310,9 +292,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.NumReducers <= 0 {
 		c.NumReducers = 4
-	}
-	if c.SplitK >= 2 && c.SplitHotCount == 0 {
-		c.SplitHotCount = 8
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)

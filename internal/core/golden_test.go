@@ -41,7 +41,7 @@ type goldenVariant struct {
 }
 
 // goldenVariants enumerates every (kernel, routing, block mode, length
-// routing, split) cell Validate accepts.
+// routing) cell Validate accepts.
 func goldenVariants() []goldenVariant {
 	var out []goldenVariant
 	for _, routing := range []Routing{IndividualTokens, GroupedTokens} {
@@ -58,11 +58,8 @@ func goldenVariants() []goldenVariant {
 		add("bk-mapblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = MapBlocks; c.NumBlocks = 3 })
 		add("bk-reduceblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = ReduceBlocks; c.NumBlocks = 3 })
 		add("bk-lenroute", func(c *Config) { c.Kernel = BK; c.LengthRouting = true; c.LengthBucket = 2 })
-		add("bk-split", func(c *Config) { c.Kernel = BK; c.SplitK = 3; c.SplitHotCount = 30 })
 		add("pk", func(c *Config) { c.Kernel = PK })
-		add("pk-split", func(c *Config) { c.Kernel = PK; c.SplitK = 3; c.SplitHotCount = 30 })
 		add("fvt", func(c *Config) { c.Kernel = FVT })
-		add("fvt-split", func(c *Config) { c.Kernel = FVT; c.SplitK = 3; c.SplitHotCount = 30 })
 	}
 	return out
 }

@@ -41,12 +41,12 @@ type stage2Mapper struct {
 	layout keyLayout
 	// The record scratch, keyBuf, valBuf and seen are reused across
 	// records: the record's tokens and ranks, the key under construction,
-	// the record's encoded projection, and the (group, cell) pairs the
-	// current record was already routed to.
+	// the record's encoded projection, and the groups the current record
+	// was already routed to.
 	recordScratch
 	keyBuf []byte
 	valBuf []byte
-	seen   []uint64
+	seen   []uint32
 }
 
 // NewTaskInstance gives each map task its own mapper (the group count
@@ -86,52 +86,29 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 	m.seen = m.seen[:0]
 	prefix := m.cfg.Fn.PrefixLength(len(ranks), m.cfg.Threshold)
 	for i := 0; i < prefix; i++ {
-		rank := ranks[i]
-		g := m.group(rank)
-		if !m.hot(rank) {
-			if err := m.routeCell(p, g, 0, sink); err != nil {
-				return err
-			}
-			continue
-		}
-		// Hot token: replicate to the k triangle cells of this record's
-		// salt class. Any two records meet in at least one cell of this
-		// group (exactly one when their salts differ), so no τ-pair is
-		// lost; same-salt pairs meet in all k of them and the owner rule
-		// lets the diagonal cell alone emit them (stage2_owner.go).
-		ctx.Count("stage2.split_hot_tokens", 1)
-		s := splitSalt(rid, m.splitK)
-		for j := 0; j < m.splitK; j++ {
-			if err := m.routeCell(p, g, splitCell(s, j, m.splitK), sink); err != nil {
-				return err
-			}
+		if err := m.routeGroup(p, m.group(ranks[i]), sink); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// routeCell routes the current record to one (group, cell) — the cell is
-// always 0 without splitting. Grouped routing can map several prefix
-// tokens to one group; one visit per (group, cell) suffices (the point of
-// grouping: fewer replicas, §3.2).
-func (m *stage2Mapper) routeCell(p routed, g uint32, cell uint8, sink replicaSink) error {
-	ck := uint64(g)<<8 | uint64(cell)
+// routeGroup routes the current record to one group. Grouped routing can
+// map several prefix tokens to one group; one visit per group suffices
+// (the point of grouping: fewer replicas, §3.2).
+func (m *stage2Mapper) routeGroup(p routed, g uint32, sink replicaSink) error {
 	for i := len(m.seen) - 1; i >= 0; i-- {
-		if m.seen[i] == ck {
+		if m.seen[i] == g {
 			return nil
 		}
 		// Ranks ascend, so with individual routing a group never recurs
-		// once a later one was visited: only its own cells need checking.
-		if !m.grouped && m.seen[i]>>8 != uint64(g) {
+		// once a later one was visited.
+		if !m.grouped {
 			break
 		}
 	}
-	m.seen = append(m.seen, ck)
-	key := keys.AppendUint32(m.keyBuf[:0], g)
-	if m.splitK >= 2 {
-		key = append(key, cell)
-	}
-	return m.layout.route(m, p, key, sink)
+	m.seen = append(m.seen, g)
+	return m.layout.route(m, p, keys.AppendUint32(m.keyBuf[:0], g), sink)
 }
 
 func kernelOptions(cfg *Config) ppjoin.Options {

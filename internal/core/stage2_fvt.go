@@ -125,7 +125,6 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 		}
 	}
 	st := tree.Stats()
-	st.Results -= r.foreign
 	countFVTStats(ctx, st)
 	return r.err
 }

@@ -9,17 +9,16 @@ import (
 
 // Stage-2 key layouts. Every variant of Stage 2 is a mapping schema: it
 // differs from the others only in which reducer keys a projection is
-// replicated to. A key is the routing prefix the mapper builds —
-// [group u32], plus a [cell u8] with hot-token splitting (SplitK ≥ 2,
-// stage2_split.go) — followed by the suffix the layout's route appends.
-// All integers are big-endian; jobs partition and group on the first
-// `group on` bytes and sort on the full key.
+// replicated to. A key is the routing prefix the mapper builds, [group
+// u32], followed by the suffix the layout's route appends. All integers
+// are big-endian; jobs partition and group on the first `group on` bytes
+// and sort on the full key.
 //
-//	layout              suffix after [group]([cell])      group on  reducer
-//	plain, self BK/FVT  —                                 4 (+1)    round / FVT
-//	plain, self PK      [length u32]                      4 (+1)    PK
-//	plain, R-S BK/FVT   [rel u8]                          4 (+1)    round / FVT
-//	plain, R-S PK       [class u32][rel u8]               4 (+1)    PK
+//	layout              suffix after [group]              group on  reducer
+//	plain, self BK/FVT  —                                 4         round / FVT
+//	plain, self PK      [length u32]                      4         PK
+//	plain, R-S BK/FVT   [rel u8]                          4         round / FVT
+//	plain, R-S PK       [class u32][rel u8]               4         PK
 //	map-blocks, self    [round u32][role u8][block u32]   4         round
 //	map-blocks, R-S     [round u32][role u8]              4         round
 //	reduce-blocks, self [block u32]                       4         spill
@@ -33,8 +32,7 @@ import (
 // The PK length ordering realizes the index-eviction optimization; the
 // R-S length classes (R → lengthLowerBound(l), S → l) force every
 // joinable R projection to arrive before the S projection that probes it
-// (§4, Figure 6). Only the plain layout splits (Validate forbids the
-// other combinations), so only its widths grow by the cell byte.
+// (§4, Figure 6).
 
 const (
 	roleLoad   = 0
@@ -103,14 +101,7 @@ func layoutFor(cfg *Config, rs bool) keyLayout {
 	case cfg.LengthRouting:
 		return keyLayout{"length-routed R-S", 8, 9, 4, 8, (*stage2Mapper).routeLengthRS}
 	}
-	// Hot-token splitting inserts the cell byte after the group word;
-	// partitioning and grouping widen to cover it so each (group, cell)
-	// is its own reduce group.
-	w := 4
-	if cfg.SplitK >= 2 {
-		w = 5
-	}
-	l := keyLayout{name: cfg.Kernel.String(), groupWidth: w, keyLen: w, roundAt: -1, roleAt: -1,
+	l := keyLayout{name: cfg.Kernel.String(), groupWidth: 4, keyLen: 4, roundAt: -1, roleAt: -1,
 		route: (*stage2Mapper).routePlain}
 	if cfg.Kernel == PK {
 		l.keyLen += 4

@@ -152,7 +152,6 @@ func (r *rounds) stream(v []byte, charge bool) error {
 func (r *rounds) finish() error {
 	r.flushSelf()
 	st := r.bk.Stats()
-	st.Results -= r.own.foreign
 	countKernelStats(r.ctx, st)
 	return r.own.err
 }
@@ -487,7 +486,6 @@ func (r *pkReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce
 		}
 	}
 	st := ix.Stats()
-	st.Results -= r.foreign
 	countKernelStats(ctx, st)
 	return nil
 }

@@ -82,23 +82,5 @@ func (c *Config) Validate() error {
 		return &ConfigError{Field: "LengthRouting",
 			Reason: "LengthRouting applies to the BK kernel only"}
 	}
-	if c.SplitK < 0 || c.SplitK > 15 {
-		return &ConfigError{Field: "SplitK",
-			Reason: fmt.Sprintf("SplitK %d out of range [0, 15] (cell ids must fit a byte)", c.SplitK)}
-	}
-	if c.SplitK >= 2 {
-		if c.BlockMode != NoBlocks {
-			return &ConfigError{Field: "SplitK",
-				Reason: "hot-token splitting and BlockMode are alternative skew strategies; enable one"}
-		}
-		if c.LengthRouting {
-			return &ConfigError{Field: "SplitK",
-				Reason: "hot-token splitting and LengthRouting are alternative skew strategies; enable one"}
-		}
-	}
-	if c.SplitHotCount < 0 {
-		return &ConfigError{Field: "SplitHotCount",
-			Reason: fmt.Sprintf("SplitHotCount %d must not be negative", c.SplitHotCount)}
-	}
 	return nil
 }

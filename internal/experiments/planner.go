@@ -37,7 +37,7 @@ type plannerWorkload struct {
 }
 
 // plannerWorkloads span light, medium, and heavy token-frequency skew —
-// the axis the kernel and split choices are most sensitive to.
+// the axis the kernel choice is most sensitive to.
 var plannerWorkloads = []plannerWorkload{
 	{Name: "zipf-1.2", Records: 5000, Seed: 101, Skew: 1.2, Vocab: 1024, Tau: 0.75},
 	{Name: "zipf-2.2", Records: 5000, Seed: 102, Skew: 2.2, Vocab: 320, Tau: 0.72},
@@ -48,7 +48,7 @@ var plannerWorkloads = []plannerWorkload{
 // combination (Stage 1 × Stage 2 × Stage 3) crossed with the two
 // reducer counts an operator actually tries — the framework default of
 // a single reduce task, and one task per cluster reduce slot. Routing
-// stays individual, no split: those are the planner's edge.
+// stays individual: grouped routing is the planner's edge.
 func plannerHandGrid() []plan.Choice {
 	var out []plan.Choice
 	for _, to := range []core.TokenOrderAlg{core.BTO, core.OPTO} {

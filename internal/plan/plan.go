@@ -22,9 +22,6 @@ type Choice struct {
 	// NumGroups is set (2 × NumReducers) when Routing is grouped.
 	NumGroups   int
 	NumReducers int
-	// SplitK / SplitHotCount configure hot-token skew splitting (0 =
-	// off); see core.Config.
-	SplitK, SplitHotCount int
 }
 
 // Apply copies the planned knobs onto a Config, leaving everything else
@@ -36,19 +33,13 @@ func (c Choice) Apply(cfg core.Config) core.Config {
 	cfg.Routing = c.Routing
 	cfg.NumGroups = c.NumGroups
 	cfg.NumReducers = c.NumReducers
-	cfg.SplitK = c.SplitK
-	cfg.SplitHotCount = c.SplitHotCount
 	return cfg
 }
 
 // String renders the choice the way experiment tables label cells.
 func (c Choice) String() string {
-	s := fmt.Sprintf("%s-%s-%s routing=%s reducers=%d",
+	return fmt.Sprintf("%s-%s-%s routing=%s reducers=%d",
 		c.TokenOrder, c.Kernel, c.RecordJoin, c.Routing, c.NumReducers)
-	if c.SplitK >= 2 {
-		s += fmt.Sprintf(" split=%d hot=%d", c.SplitK, c.SplitHotCount)
-	}
-	return s
 }
 
 // Candidate is one evaluated knob vector with its predicted makespan.
@@ -87,9 +78,7 @@ type Plan struct {
 //   - BTO pays a second job overhead, OPTO a single unparallelizable
 //     sort reducer;
 //   - OPRJ saves a whole job but broadcasts the RID-pair index to every
-//     node (SideBytes), BRJ pays the extra job instead;
-//   - splitting caps the hottest group's cost at the price of ×k map
-//     replication of hot replicas.
+//     node (SideBytes), BRJ pays the extra job instead.
 const (
 	wTokenize       = 700.0 // ns per token through a tokenizing mapper
 	wReplica        = 900.0 // ns per Stage 2 projection emitted+shuffled
@@ -193,16 +182,7 @@ func model(s *Sample, c Choice, spec cluster.Spec) time.Duration {
 	// per-rank prefix loads, then price each group under the kernel's
 	// cost shape and pack groups onto reducers.
 	kw, kexp := kernelShape(c.Kernel)
-	hotMin := len(s.RankLoads) // first hot rank; nothing hot when split off
-	if c.SplitK >= 2 {
-		hotMin = len(s.RankLoads) - c.SplitHotCount
-		if hotMin < 0 {
-			hotMin = 0
-		}
-	}
-	// groupLoads[g] accumulates the sampled load of routing group g;
-	// with splitting, a hot token's load lands in its triangle cells
-	// instead (keyed beyond the plain group space).
+	// groupLoads[g] accumulates the sampled load of routing group g.
 	groupLoads := map[int]float64{}
 	replicas := 0.0
 	group := func(rank int) int {
@@ -211,26 +191,11 @@ func model(s *Sample, c Choice, spec cluster.Spec) time.Duration {
 		}
 		return rank
 	}
-	cells := 1
-	if c.SplitK >= 2 {
-		cells = c.SplitK*(c.SplitK+1)/2 + 1
-	}
 	for rank, load := range s.RankLoads {
 		if load == 0 {
 			continue
 		}
-		g := group(rank)
-		if c.SplitK >= 2 && rank >= hotMin {
-			// Triangle salting: the token's replicas multiply by k and
-			// spread over k(k+1)/2 cells, ~2·load/(k+1) each.
-			perCell := float64(load) * 2 / float64(c.SplitK+1)
-			for cell := 1; cell < cells; cell++ {
-				groupLoads[g*cells+cell] += perCell
-			}
-			replicas += float64(load * c.SplitK)
-			continue
-		}
-		groupLoads[g*cells] += float64(load)
+		groupLoads[group(rank)] += float64(load)
 		replicas += float64(load)
 	}
 	// Price groups at full scale and pack them LPT-style onto the
@@ -322,55 +287,6 @@ func model(s *Sample, c Choice, spec cluster.Spec) time.Duration {
 	return spec.FlowMakespan(jobs)
 }
 
-// splitOptions derives the skew-split candidates from the sampled
-// per-rank loads: no split is always an option; when the hottest groups
-// carry several times the average load AND sit inside the frequency
-// head (splitting targets hot ranks only), fan-outs 2..4 with the
-// smallest hot count covering every heavy rank are offered too.
-func splitOptions(s *Sample) [][2]int {
-	opts := [][2]int{{0, 0}}
-	n := len(s.RankLoads)
-	if n == 0 {
-		return opts
-	}
-	max, nonzero, sum := 0, 0, 0
-	for _, l := range s.RankLoads {
-		if l == 0 {
-			continue
-		}
-		nonzero++
-		sum += l
-		if l > max {
-			max = l
-		}
-	}
-	if nonzero == 0 || max < 8 {
-		return opts // too little data for skew to matter
-	}
-	mean := float64(sum) / float64(nonzero)
-	if float64(max) < 4*mean {
-		return opts // no meaningful skew
-	}
-	// Heavy ranks: within half the peak load. The hot count must cover
-	// the deepest one, and splitting only applies when they all sit in
-	// the frequency head.
-	heavy := max / 2
-	deepest := n
-	for rank, l := range s.RankLoads {
-		if l >= heavy && rank < deepest {
-			deepest = rank
-		}
-	}
-	hot := n - deepest
-	if hot > s.HeadSize {
-		return opts // heavy groups are not frequency-head tokens
-	}
-	for k := 2; k <= 4; k++ {
-		opts = append(opts, [2]int{k, hot})
-	}
-	return opts
-}
-
 // Decide evaluates every candidate knob vector against the sample's
 // cost model on a cluster of the given size and returns the ranked
 // plan. It is a pure function: same sample and nodes, same plan.
@@ -379,28 +295,17 @@ func Decide(s *Sample, nodes int) *Plan {
 		nodes = 1
 	}
 	spec := cluster.Default(nodes)
-	splits := splitOptions(s)
 	var cands []Candidate
 	for _, to := range []core.TokenOrderAlg{core.BTO, core.OPTO} {
 		for _, k := range []core.KernelAlg{core.BK, core.PK, core.FVT} {
 			for _, rj := range []core.RecordJoinAlg{core.BRJ, core.OPRJ} {
 				for _, routing := range []core.Routing{core.IndividualTokens, core.GroupedTokens} {
 					for _, nr := range []int{2 * nodes, 4 * nodes} {
-						for _, sp := range splits {
-							c := Choice{
-								TokenOrder:    to,
-								Kernel:        k,
-								RecordJoin:    rj,
-								Routing:       routing,
-								NumReducers:   nr,
-								SplitK:        sp[0],
-								SplitHotCount: sp[1],
-							}
-							if routing == core.GroupedTokens {
-								c.NumGroups = 2 * nr
-							}
-							cands = append(cands, Candidate{Choice: c, Predicted: model(s, c, spec)})
+						c := Choice{TokenOrder: to, Kernel: k, RecordJoin: rj, Routing: routing, NumReducers: nr}
+						if routing == core.GroupedTokens {
+							c.NumGroups = 2 * nr
 						}
+						cands = append(cands, Candidate{Choice: c, Predicted: model(s, c, spec)})
 					}
 				}
 			}

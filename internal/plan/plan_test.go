@@ -115,8 +115,10 @@ func TestDecideDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("Decide is not deterministic:\n%+v\n%+v", a.Best, b.Best)
 	}
-	if len(a.Candidates) == 0 {
-		t.Fatal("no candidates evaluated")
+	// 2 token orders × 3 kernels × 2 record joins × 2 routings × 2
+	// reducer counts.
+	if len(a.Candidates) != 48 {
+		t.Fatalf("%d candidates evaluated, want 48", len(a.Candidates))
 	}
 	for i := 1; i < len(a.Candidates); i++ {
 		if a.Candidates[i].Predicted < a.Candidates[i-1].Predicted {
@@ -156,7 +158,7 @@ func TestDecideChoicesAreValid(t *testing.T) {
 // TestDecideAvoidsBKUnderHeavySkew pins the planner's central economic
 // judgment: with a Zipf-heavy token head, the hottest reduce group's
 // quadratic BK cost dwarfs the sub-quadratic kernels, so the chosen
-// kernel must not be plain unsplit BK.
+// kernel must not be BK.
 func TestDecideAvoidsBKUnderHeavySkew(t *testing.T) {
 	lines := skewedLines(t, 800, 41, 3.5, 32)
 	s, err := New(lines, nil, Options{})
@@ -164,48 +166,8 @@ func TestDecideAvoidsBKUnderHeavySkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Decide(s, 4)
-	if p.Best.Kernel == core.BK && p.Best.SplitK == 0 {
-		t.Fatalf("heavy skew: planner chose unsplit BK: %s\n%s", p.Best, p.Render())
-	}
-}
-
-func TestSplitOptionsTargetTheHead(t *testing.T) {
-	s := &Sample{HeadSize: 64, RankLoads: make([]int, 100)}
-	for i := range s.RankLoads {
-		s.RankLoads[i] = 1
-	}
-	// One massive head group: split candidates must appear with a hot
-	// count that covers it.
-	s.RankLoads[99] = 200
-	opts := splitOptions(s)
-	if len(opts) < 2 {
-		t.Fatalf("head-skewed sample produced no split options: %v", opts)
-	}
-	for _, o := range opts[1:] {
-		if o[0] < 2 || o[0] > 4 {
-			t.Fatalf("split fan-out %d out of range", o[0])
-		}
-		if o[1] < 1 || o[1] > s.HeadSize {
-			t.Fatalf("hot count %d not in [1, %d]", o[1], s.HeadSize)
-		}
-	}
-
-	// Uniform loads: no skew, no split candidates.
-	for i := range s.RankLoads {
-		s.RankLoads[i] = 10
-	}
-	if got := splitOptions(s); len(got) != 1 {
-		t.Fatalf("uniform loads still produced split candidates: %v", got)
-	}
-
-	// Heavy group deep below the frequency head: splitting cannot
-	// target it, so no split candidates.
-	for i := range s.RankLoads {
-		s.RankLoads[i] = 1
-	}
-	s.RankLoads[5] = 200
-	if got := splitOptions(s); len(got) != 1 {
-		t.Fatalf("deep heavy group produced split candidates: %v", got)
+	if p.Best.Kernel == core.BK {
+		t.Fatalf("heavy skew: planner chose BK: %s\n%s", p.Best, p.Render())
 	}
 }
 
@@ -240,43 +202,16 @@ func index(s, sub string) int {
 	return -1
 }
 
-// TestModelSplitCapsSkewCost: on a skew-heavy sample the split variant
-// of the same knob vector must predict a shorter makespan than the
-// unsplit one — otherwise the planner could never justify splitting.
-func TestModelSplitCapsSkewCost(t *testing.T) {
-	s := &Sample{
-		Threshold: 0.8, SampledR: 200, TotalR: 2000,
-		AvgTokens: 10, Vocab: 50, HeadSize: 64,
-		RankLoads: make([]int, 50),
-	}
-	for i := range s.RankLoads {
-		s.RankLoads[i] = 2
-	}
-	s.RankLoads[49] = 150
-	s.TotalReplicas = 2*49 + 150
-	spec := Decide(s, 4).Spec
-	base := Choice{Kernel: core.BK, NumReducers: 16}
-	split := base
-	split.SplitK, split.SplitHotCount = 4, 1
-	if m0, m1 := model(s, base, spec), model(s, split, spec); m1 >= m0 {
-		t.Fatalf("split model %v not cheaper than unsplit %v on head-skewed sample", m1, m0)
-	}
-}
-
 func TestChoiceString(t *testing.T) {
 	c := Choice{
 		TokenOrder: core.BTO, Kernel: core.PK, RecordJoin: core.BRJ,
 		Routing: core.IndividualTokens, NumReducers: 16,
-		SplitK: 3, SplitHotCount: 12,
 	}
 	got := c.String()
-	for _, want := range []string{"BTO-PK-BRJ", "reducers=16", "split=3", "hot=12"} {
+	for _, want := range []string{"BTO-PK-BRJ", "routing=individual", "reducers=16"} {
 		if !contains(got, want) {
 			t.Fatalf("Choice.String() = %q missing %q", got, want)
 		}
-	}
-	if d := (Choice{NumReducers: 8}).String(); contains(d, "split") {
-		t.Fatalf("unsplit choice mentions split: %q", d)
 	}
 }
 

@@ -1,14 +1,13 @@
 // Package plan is the sampling-based cost planner: it reads a bounded,
 // deterministic sample of the input, measures the statistics the
 // paper's evaluation shows the knob choices are sensitive to (the
-// token-frequency head, the record-length histogram, and — for R-S
+// per-token prefix loads, the record-length histogram, and — for R-S
 // joins — the dictionary overlap between the relations), synthesizes
 // per-task costs for every candidate configuration from a fixed
 // analytic cost model, schedules them onto the virtual cluster
 // (internal/cluster), and picks the full knob vector: Stage 1 BTO/OPTO,
 // Stage 2 kernel BK/PK/FVT, Stage 3 BRJ/OPRJ, individual/grouped
-// routing, the reducer count, and the hot-token skew split
-// (core.Config.SplitK / SplitHotCount).
+// routing, and the reducer count.
 //
 // The planner is deliberately a pure function of (sample, options): it
 // never measures wall-clock time, never consults a clock or RNG, and
@@ -36,10 +35,6 @@ type Options struct {
 	// MaxRecords bounds the records analyzed per relation; larger
 	// inputs are stride-sampled down to this many. Defaults to 256.
 	MaxRecords int
-	// HeadSize bounds the token-frequency head the split decision may
-	// target (core.Config.SplitHotCount never exceeds it). Defaults
-	// to 64.
-	HeadSize int
 	// Fn and Threshold define prefixes the way the join will (defaults:
 	// Jaccard, 0.80).
 	Fn        simfn.Func
@@ -56,9 +51,6 @@ type Options struct {
 func (o Options) fill() Options {
 	if o.MaxRecords <= 0 {
 		o.MaxRecords = 256
-	}
-	if o.HeadSize <= 0 {
-		o.HeadSize = 64
 	}
 	if o.Threshold <= 0 {
 		o.Threshold = 0.8
@@ -108,8 +100,6 @@ type Sample struct {
 	// occurrences present in the R dictionary (tokens outside it are
 	// discarded by Stage 2, §4). 1 for self-joins.
 	DictOverlap float64
-	// HeadSize caps the split decision (copied from Options).
-	HeadSize int
 }
 
 // Scale is the sample→full extrapolation factor for record-linear
@@ -187,7 +177,6 @@ func New(rLines, sLines []string, opts Options) (*Sample, error) {
 		TotalR:    len(rLines),
 		SampledS:  len(sSets),
 		TotalS:    len(sLines),
-		HeadSize:  o.HeadSize,
 	}
 
 	// Sample dictionary: frequency-ascending token order over R, ties
