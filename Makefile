@@ -48,6 +48,7 @@ race:
 		./internal/editdist/... ./internal/filter/... ./internal/keys/... \
 		./internal/simfn/... ./internal/svgplot/... ./internal/trace/...
 	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
+	$(GO) test -race -count=10 -run TestWriterFillPoolNoAlias ./internal/dfs
 	$(GO) test -race -count=10 -run 'TestConcurrentHistory|TestConcurrentMatchAddReorder' ./internal/ssjserve
 
 tier1: build fmt test vet staticcheck race
@@ -172,10 +173,12 @@ bench-micro:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # allocprofile prints where a join allocates: BenchmarkJoinAllocProfile
-# (internal/core; the self_dblp recipe over W DBLP-shaped records, or with
-# R=rs the rs_citeseer recipe — FVT, R-S, W/2 records a side; three joins)
-# under a 4 KiB memory-profile rate, then pprof's alloc_space table. The
-# test binary and profile land in .bench_build/.
+# (internal/core; the self_dblp recipe at W records — W/4 DBLP-shaped
+# records increased ×4 — or with R=rs the rs_citeseer recipe — FVT, R-S,
+# W/4 records a side increased ×2; each join's output read back) under a
+# 4 KiB memory-profile rate, then pprof's alloc_space table. The profile
+# holds four joins (the benchmark's one-iteration probe, then three) and
+# two corpus set-ups. The test binary and profile land in .bench_build/.
 W ?= 20000
 R ?= self
 allocprofile:

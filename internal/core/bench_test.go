@@ -8,6 +8,7 @@ import (
 	"fuzzyjoin/internal/datagen"
 	"fuzzyjoin/internal/dfs"
 	"fuzzyjoin/internal/mapreduce"
+	"fuzzyjoin/internal/records"
 )
 
 // Per-stage micro-benchmarks over a realistic clustered corpus, one per
@@ -107,25 +108,32 @@ var (
 )
 
 // BenchmarkJoinAllocProfile is the join `make allocprofile` takes its
-// allocation profile of, over -alloc-records datagen records on a 4-node
-// DFS at τ 0.8: the benchmark's self_dblp recipe (BTO-PK-BRJ, DBLP-shaped
-// corpus), or with -alloc-recipe=rs its rs_citeseer recipe (BTO-FVT-BRJ,
-// half the records as R and half as CiteseerX-shaped S records
-// overlapping R, without the benchmark's ×2 Increase). PERF.md's "on top
-// of the profile" paragraphs come from it.
+// allocation profile of, built as the benchmark builds its workloads on a
+// 4-node DFS at τ 0.8: the self_dblp recipe (BTO-PK-BRJ, W/4 DBLP-shaped
+// records increased ×4, so -alloc-records=100000 is self_dblp's size), or
+// with -alloc-recipe=rs the rs_citeseer recipe (BTO-FVT-BRJ, W/4 records
+// as R and W/4 CiteseerX-shaped S records overlapping R, both increased
+// ×2 under one shared token order). Each join's output is read back and
+// parsed, as the benchmark's timed interval does, and its files are
+// removed afterwards. PERF.md's per-site tables come from it.
 func BenchmarkJoinAllocProfile(b *testing.B) {
-	n, kernel, inputs := *allocRecords, PK, []string{"in"}
+	kernel, inputs := PK, []string{"in"}
+	r := datagen.Generate(datagen.Spec{Records: *allocRecords / 4, Seed: 1})
+	var s []records.Record
 	if *allocRecipe == "rs" {
-		n, kernel, inputs = n/2, FVT, []string{"in", "s"}
+		kernel, inputs = FVT, []string{"in", "s"}
+		s = datagen.GenerateOverlapping(r, datagen.Spec{Records: len(r), Seed: 2,
+			Style: datagen.CiteseerLike, StartRID: 100_000_000}, 0.1)
+		order := datagen.SharedOrder(r, s)
+		r, s = datagen.IncreaseWithOrder(r, 2, order), datagen.IncreaseWithOrder(s, 2, order)
+	} else {
+		r = datagen.Increase(r, 4)
 	}
-	r := datagen.Generate(datagen.Spec{Records: n, Seed: 1})
 	fs := dfs.New(dfs.Options{Nodes: 4})
 	if err := mapreduce.WriteTextFile(fs, "in", datagen.Lines(r)); err != nil {
 		b.Fatal(err)
 	}
-	if len(inputs) == 2 {
-		s := datagen.GenerateOverlapping(r, datagen.Spec{Records: n, Seed: 2,
-			Style: datagen.CiteseerLike, StartRID: 100_000_000}, 0.1)
+	if s != nil {
 		if err := mapreduce.WriteTextFile(fs, "s", datagen.Lines(s)); err != nil {
 			b.Fatal(err)
 		}
@@ -134,8 +142,13 @@ func BenchmarkJoinAllocProfile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := Config{FS: fs, Work: fmt.Sprintf("w%d", i), Kernel: kernel, Threshold: 0.8, Parallelism: 2}
-		if _, err := join(cfg, inputs...); err != nil {
+		res, err := join(cfg, inputs...)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := ReadJoined(fs, res.Output); err != nil {
+			b.Fatal(err)
+		}
+		fs.RemovePrefix(cfg.Work)
 	}
 }

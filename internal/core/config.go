@@ -173,7 +173,7 @@ type Config struct {
 	Filters *filter.Stack
 	// BitmapFilter is ignored: every kernel ends its funnel with the
 	// bitmap filter (ppjoin.Tail.Verify). Named by bench/ until ROADMAP
-	// 6(a)'s benchmark PR.
+	// 8(a)'s benchmark PR.
 	BitmapFilter bool `json:"-"`
 
 	// TokenOrder, Kernel, and RecordJoin pick the per-stage algorithms.

@@ -77,7 +77,13 @@ func (m *carryRecordsMapper) Map(ctx *mapreduce.Context, _, value []byte, out ma
 // them, and emits fully joined pairs keyed by (A, B) for the dedup pass.
 type carryRecordsReducer struct {
 	cfg *Config
+	// ranks holds the group's decoded projections: they live as long as
+	// the group does.
+	ranks rankArena
 }
+
+// NewTaskInstance gives each reduce task its own rank arena.
+func (r *carryRecordsReducer) NewTaskInstance() any { return &carryRecordsReducer{cfg: r.cfg} }
 
 type carriedRecord struct {
 	item ppjoin.Item
@@ -90,15 +96,15 @@ func (r *carryRecordsReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *m
 		held int64
 	)
 	defer func() { ctx.Memory.Free(held) }()
+	r.ranks.reset()
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
-		p, err := records.DecodeProjection(v)
+		p, buf, used, err := records.DecodeProjectionInto(r.ranks.buf, v)
 		if err != nil {
 			return err
 		}
-		// The record line follows the projection; recover it by
-		// re-encoding the projection to find the split point.
-		plen := len(records.Projection{RID: p.RID, Ranks: p.Ranks}.AppendBinary(nil))
-		line := string(v[plen:])
+		r.ranks.buf = buf
+		// The record line follows the projection.
+		line := string(v[used:])
 		b := int64(len(v)) + 48
 		if err := ctx.Memory.Alloc(b); err != nil {
 			return err

@@ -75,8 +75,10 @@ func reuseItems(items []ppjoin.Item) []ppjoin.Item {
 
 // rankArena is the rank storage of projections whose lifetime is a whole
 // round or group (BK's buffer, the FVT tree's items): they are decoded
-// back to back into one slice instead of one heap slice each. PK does not
-// use it — an evicted PK item must physically free its ranks (§4).
+// back to back into one slice instead of one heap slice each. PK decodes
+// each projection into an arena emptied per value: its index copies what
+// it keeps into rank chunks of its own, which eviction releases chunk by
+// chunk as the stream advances (§4).
 type rankArena struct {
 	buf []uint32
 }
@@ -90,7 +92,7 @@ func (a *rankArena) reset() {
 
 // decode decodes one projection into the arena.
 func (a *rankArena) decode(v []byte) (p records.Projection, err error) {
-	p, a.buf, err = records.DecodeProjectionInto(a.buf, v)
+	p, a.buf, _, err = records.DecodeProjectionInto(a.buf, v)
 	return p, err
 }
 
@@ -435,10 +437,10 @@ func (s *spill) close() {
 type pkReducer struct {
 	owner
 	layout keyLayout
-	// ix is the task's index, reset for every reduce group. Its items'
-	// ranks stay heap slices of their own (no arena): eviction must
-	// physically free them as the stream advances.
-	ix *ppjoin.Index
+	// ix is the task's index, reset for every reduce group; ranks is the
+	// scratch each projection is decoded into before the index copies it.
+	ix    *ppjoin.Index
+	ranks rankArena
 }
 
 // NewTaskInstance gives each reduce task its own index.
@@ -457,7 +459,8 @@ func (r *pkReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce
 		if err != nil {
 			return err
 		}
-		p, err := records.DecodeProjection(v)
+		r.ranks.reset()
+		p, err := r.ranks.decode(v)
 		if err != nil {
 			return err
 		}

@@ -281,19 +281,28 @@ func writeRIDSets(cfg *Config, pairsPrefix, work string, rs bool) ([]string, int
 	if rs {
 		relB, files = relS, []string{work + "/s3-rids-r", work + "/s3-rids-s"}
 	}
+	add := func(p records.RIDPair) error {
+		sets[relR] = append(sets[relR], p.A)
+		sets[relB] = append(sets[relB], p.B)
+		return nil
+	}
+	// Block by block, in place: a pair is one record and records never
+	// span blocks.
 	var read int64
 	for _, name := range cfg.FS.List(pairsPrefix + "/") {
-		data, err := cfg.FS.ReadAll(name)
+		splits, err := cfg.FS.Splits(name)
 		if err != nil {
 			return nil, 0, err
 		}
-		read += int64(len(data))
-		if err := decodePairsData(data, func(p records.RIDPair) error {
-			sets[relR] = append(sets[relR], p.A)
-			sets[relB] = append(sets[relB], p.B)
-			return nil
-		}); err != nil {
-			return nil, 0, err
+		for _, s := range splits {
+			data, err := cfg.FS.Block(name, s.Block)
+			if err != nil {
+				return nil, 0, err
+			}
+			read += int64(len(data))
+			if err := decodePairsData(data, add); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
 	var buf [8]byte

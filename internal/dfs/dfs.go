@@ -298,9 +298,15 @@ type Writer struct {
 	fs   *FS
 	name string
 	f    *file
+	// cur is the block being filled: taken from fillPool on the first
+	// Append, returned by Close. No block aliases it (flushBlock copies).
 	cur  []byte
 	recs int
 }
+
+// fillPool holds the fill buffers of closed writers (*[]byte), so a job's
+// part files do not each regrow one from nil by doubling.
+var fillPool sync.Pool
 
 // Create creates a new file and returns a writer for it. The result is
 // typed as the Storage-interface RecordWriter so *FS satisfies Storage
@@ -328,6 +334,11 @@ func (w *Writer) Append(record []byte) error {
 	if len(w.cur) > 0 && len(w.cur)+len(record) > w.fs.opts.BlockSize {
 		if err := w.flushBlock(); err != nil {
 			return err
+		}
+	}
+	if w.cur == nil {
+		if b, ok := fillPool.Get().(*[]byte); ok {
+			w.cur = (*b)[:0]
 		}
 	}
 	w.cur = append(w.cur, record...)
@@ -380,10 +391,16 @@ func (w *Writer) flushBlock() error {
 	return nil
 }
 
-// Close flushes the final partial block. The writer must not be used
-// afterwards.
+// Close flushes the final partial block and returns the fill buffer to
+// the pool. The writer must not be used afterwards.
 func (w *Writer) Close() error {
-	return w.flushBlock()
+	err := w.flushBlock()
+	if w.cur != nil {
+		b := w.cur[:0]
+		w.cur = nil
+		fillPool.Put(&b)
+	}
+	return err
 }
 
 // ---- Reading -------------------------------------------------------------

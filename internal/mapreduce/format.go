@@ -271,22 +271,20 @@ func ReadOutputPairs(fs dfs.Storage, prefix string) ([]Pair, error) {
 // ReadLines returns every line across all part files under prefix for
 // Text-format outputs (or a single file if prefix names one — the
 // segment-aware List includes the file named exactly `prefix` itself).
+// It reads block by block, in place: a line is one record, and records
+// never span blocks.
 func ReadLines(fs dfs.Storage, prefix string) ([]string, error) {
-	names := fs.List(prefix)
 	var out []string
-	for _, name := range names {
-		b, err := fs.ReadAll(name)
+	line := func(_, l []byte) error { out = append(out, string(l)); return nil }
+	for _, name := range fs.List(prefix) {
+		splits, err := fs.Splits(name)
 		if err != nil {
 			return nil, err
 		}
-		for len(b) > 0 {
-			i := bytes.IndexByte(b, '\n')
-			if i < 0 {
-				out = append(out, string(b))
-				break
+		for _, s := range splits {
+			if err := readSplit(fs, Text, s, line); err != nil {
+				return nil, err
 			}
-			out = append(out, string(b[:i]))
-			b = b[i+1:]
 		}
 	}
 	return out, nil

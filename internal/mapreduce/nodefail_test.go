@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -254,5 +256,85 @@ func TestJobSurvivesConcurrentNodeToggle(t *testing.T) {
 	}
 	if !sameStringMaps(outputBytes(t, cleanFS, "out"), outputBytes(t, fs, "out")) {
 		t.Fatal("output under node flapping differs from fault-free output")
+	}
+}
+
+// TestReadLinesFailsOver: ReadLines reads multi-block part files block by
+// block through a dead node and a corrupt replica, and returns the lines
+// the whole-file read returns; a block with no readable replica left
+// fails the read with dfs.ErrBlockUnavailable.
+func TestReadLinesFailsOver(t *testing.T) {
+	fs := dfs.New(dfs.Options{BlockSize: 64, Nodes: 4, Replication: 2})
+	var want []string
+	for p := 0; p < 2; p++ {
+		var lines []string
+		for i := 0; i < 30; i++ {
+			l := fmt.Sprintf("part%d line %d", p, i)
+			if i%7 == 3 {
+				l = "" // empty lines survive as empty strings
+			}
+			lines = append(lines, l)
+		}
+		if err := WriteTextFile(fs, fmt.Sprintf("out/part-%05d", p), lines); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, lines...)
+	}
+	// wholeFile is the reference: every file read in one piece, then
+	// split at newlines.
+	wholeFile := func() []string {
+		var out []string
+		for _, name := range fs.List("out/") {
+			b, err := fs.ReadAll(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")...)
+		}
+		return out
+	}
+
+	fs.FailNode(1)
+	splits, err := fs.Splits("out/part-00001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(splits) < 3 {
+		t.Fatalf("test premise broken: %d blocks", len(splits))
+	}
+	// Corrupt the live replica of a block whose other replica is live
+	// too; remember a block that lost a replica to the dead node.
+	corrupted, halfDead := -1, -1
+	for _, s := range splits {
+		switch {
+		case corrupted < 0 && s.Locations[0] != 1 && s.Locations[1] != 1:
+			if err := fs.CorruptReplica(s.File, s.Block, s.Locations[0]); err != nil {
+				t.Fatal(err)
+			}
+			corrupted = s.Block
+		case halfDead < 0 && (s.Locations[0] == 1 || s.Locations[1] == 1):
+			halfDead = s.Block
+		}
+	}
+	if corrupted < 0 || halfDead < 0 {
+		t.Fatalf("test premise broken: placement %+v", splits)
+	}
+	got, err := ReadLines(fs, "out/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, wholeFile()) {
+		t.Fatalf("ReadLines through failover = %q, want %q", got, want)
+	}
+
+	// Kill the surviving replica of the half-dead block.
+	s := splits[halfDead]
+	live := s.Locations[0]
+	if live == 1 {
+		live = s.Locations[1]
+	}
+	fs.FailNode(live)
+	if _, err := ReadLines(fs, "out/"); !errors.Is(err, dfs.ErrBlockUnavailable) {
+		t.Fatalf("ReadLines with block %d unavailable: err %v, want dfs.ErrBlockUnavailable", halfDead, err)
 	}
 }

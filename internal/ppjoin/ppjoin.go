@@ -55,7 +55,7 @@ type Options struct {
 	// Zero value disables all (prefix filter + verification only);
 	// use filter.AllFilters for the full PPJoin+ stack.
 	Filters filter.Stack
-	// Bitmap is ignored; named by bench/ until ROADMAP 6(a)'s benchmark PR.
+	// Bitmap is ignored; named by bench/ until ROADMAP 8(a)'s benchmark PR.
 	Bitmap bool
 }
 
@@ -92,14 +92,17 @@ type slot struct {
 // Index is a streaming PPJoin+ index for items arriving in
 // non-decreasing length order. One Index serves many independent streams
 // (a reduce task's groups): Reset empties it and keeps its storage, so a
-// stream of small groups costs no allocation beyond the items' own rank
-// slices.
+// warm stream of small groups costs no allocation.
 type Index struct {
 	opts  Options
 	th    simfn.Threshold     // opts.Fn at opts.Threshold, rationalized once
 	owner func(w uint32) bool // the emit-once hook, set by Reset
 	items []Item
 	slots []slot // parallel to items
+	// Add copies ranks into chunks in stream order: chunks holds those with
+	// a live item, oldest first; eviction empties them onto spare, FIFO.
+	chunks []rankChunk
+	spare  [][]uint32
 	// Posting lists live in slab, reached through lists (token → slab
 	// id). The map is only written when a token gains its first entry or
 	// loses its last: probes and compaction rewrite a list through the
@@ -138,7 +141,14 @@ const (
 	maxRetainedItems   = 1 << 12 // items and slots
 	maxRetainedLists   = 1 << 12 // slab lists and token-map entries
 	maxRetainedEntries = 1 << 16 // summed posting-list capacity
+	maxSpareChunks     = 4       // empty rank chunks (64 KiB)
+	chunkRanks         = 1 << 12 // per chunk; a longer item gets a slice of its own
 )
+
+type rankChunk struct {
+	buf []uint32
+	end int // one past the position in Index.items of the last item in buf
+}
 
 // Reset empties the index for a new stream of items under the same
 // options, keeping its storage up to the retention caps. A reset index
@@ -154,11 +164,12 @@ const (
 // Candidates: they were met here, and are someone else's to report.
 func (ix *Index) Reset(owner func(w uint32) bool) {
 	ix.owner = owner
-	clear(ix.items) // let go of the streams' rank slices
+	ix.releaseChunks(len(ix.items))
+	clear(ix.items) // let go of the stream's rank storage
 	ix.items = ix.items[:0]
 	ix.slots = ix.slots[:0]
 	if cap(ix.items) > maxRetainedItems {
-		ix.items, ix.slots = nil, nil
+		ix.items, ix.slots, ix.chunks = nil, nil, nil
 	}
 	if ix.used > maxRetainedLists || ix.slabCap > maxRetainedEntries {
 		// Maps do not shrink and clearing one costs its peak size: a
@@ -192,10 +203,25 @@ func itemBytes(it Item, prefix int) int64 {
 }
 
 // Add indexes an item without probing (the R side of an R-S join). Items
-// must arrive in non-decreasing length order.
+// must arrive in non-decreasing length order. The index keeps a copy of
+// the item's ranks: the caller may reuse them once Add returns.
 func (ix *Index) Add(it Item) {
 	p := ix.th.PrefixLength(len(it.Ranks))
 	idx := int32(len(ix.items))
+	if n := len(it.Ranks); n > chunkRanks {
+		it.Ranks = slices.Clone(it.Ranks)
+	} else {
+		if k := len(ix.chunks); k == 0 || len(ix.chunks[k-1].buf)+n > chunkRanks {
+			if len(ix.spare) == 0 {
+				ix.spare = append(ix.spare, make([]uint32, 0, chunkRanks))
+			}
+			ix.chunks = append(ix.chunks, rankChunk{buf: ix.spare[len(ix.spare)-1]})
+			ix.spare = ix.spare[:len(ix.spare)-1]
+		}
+		ch := &ix.chunks[len(ix.chunks)-1]
+		ch.buf, ch.end = append(ch.buf, it.Ranks...), len(ix.items)+1
+		it.Ranks = ch.buf[len(ch.buf)-n : len(ch.buf) : len(ch.buf)]
+	}
 	ix.items = append(ix.items, it)
 	ix.slots = append(ix.slots, slot{length: int32(len(it.Ranks))})
 	for i := 0; i < p; i++ {
@@ -207,6 +233,19 @@ func (ix *Index) Add(it Item) {
 		ix.slab[id] = post
 	}
 	ix.bytes += itemBytes(it, p)
+}
+
+// releaseChunks moves the chunks of items below head to spare, up to its cap.
+func (ix *Index) releaseChunks(head int) {
+	k := 0
+	for ; k < len(ix.chunks) && ix.chunks[k].end <= head; k++ {
+		if len(ix.spare) < maxSpareChunks {
+			ix.spare = append(ix.spare, ix.chunks[k].buf[:0])
+		}
+	}
+	n := copy(ix.chunks, ix.chunks[k:])
+	clear(ix.chunks[n:])
+	ix.chunks = ix.chunks[:n]
 }
 
 // listFor returns the slab id of token w's posting list, handing out a
@@ -232,7 +271,7 @@ func (ix *Index) listFor(w uint32) int32 {
 // evictBelow drops every indexed item shorter than minLen. Streaming
 // callers pass the length filter's lower bound for the current probe;
 // because lengths arrive non-decreasing, eviction is monotone. Evicted
-// items release their rank storage immediately and their posting-list
+// items release their rank chunks as those empty, and their posting-list
 // entries are compacted away (entries sit in insertion order, so the
 // dead entries of a list always form a prefix) — without this, tokens
 // the remaining stream never probes would hold their entries forever.
@@ -255,8 +294,9 @@ func (ix *Index) evictBelow(minLen int) {
 		for j := 0; j < p; j++ {
 			ix.compactPosting(it.Ranks[j])
 		}
-		it.Ranks = nil // the item can never be probed again; free its ranks
+		it.Ranks = nil // the item can never be probed again
 	}
+	ix.releaseChunks(ix.head)
 }
 
 // compactPosting trims the dead prefix (entries of evicted items) from

@@ -179,10 +179,17 @@ func TestResetRetention(t *testing.T) {
 	if len(ix.items) <= maxRetainedItems || ix.used <= maxRetainedLists {
 		t.Fatalf("test premise broken: hot group left %d items, %d lists", len(ix.items), ix.used)
 	}
+	if len(ix.chunks) <= maxSpareChunks {
+		t.Fatalf("test premise broken: hot group filled %d rank chunks", len(ix.chunks))
+	}
 	ix.Reset(nil)
 	if ix.items != nil || ix.slots != nil || ix.slab != nil || ix.free != nil || ix.slabCap != 0 || len(ix.lists) != 0 {
 		t.Fatalf("hot group's storage outlived Reset: cap(items) %d cap(slots) %d len(slab) %d cap(free) %d slabCap %d",
 			cap(ix.items), cap(ix.slots), len(ix.slab), cap(ix.free), ix.slabCap)
+	}
+	if ix.chunks != nil || len(ix.spare) > maxSpareChunks {
+		t.Fatalf("hot group's rank chunks outlived Reset: %d live, %d spare (cap %d)",
+			len(ix.chunks), len(ix.spare), maxSpareChunks)
 	}
 
 	small := randomGroup(rng, 40, false, false)

@@ -189,7 +189,7 @@ func DecodeProjection(b []byte) (Projection, error) {
 		return Projection{}, err
 	}
 	ranks := make([]uint32, cnt)
-	if err := decodeRanks(ranks, b); err != nil {
+	if _, err := decodeRanks(ranks, b); err != nil {
 		return Projection{}, err
 	}
 	return Projection{RID: rid, Ranks: ranks}, nil
@@ -201,18 +201,20 @@ func DecodeProjection(b []byte) (Projection, error) {
 // to them cannot reach a neighbour). A caller decoding many projections
 // with one lifetime keeps them in one arena this way; when the append
 // outgrows dst, projections decoded earlier keep pointing into the old
-// backing array, which stays valid. On error dst is returned unchanged.
-func DecodeProjectionInto(dst []uint32, b []byte) (Projection, []uint32, error) {
-	rid, cnt, b, err := projectionHeader(b)
+// backing array, which stays valid. used is the number of bytes of b the
+// encoding took, so data framed after it starts at b[used:]. On error dst
+// is returned unchanged.
+func DecodeProjectionInto(dst []uint32, b []byte) (p Projection, out []uint32, used int, err error) {
+	rid, cnt, rest, err := projectionHeader(b)
 	if err != nil {
-		return Projection{}, dst, err
+		return Projection{}, dst, 0, err
 	}
 	n := len(dst)
 	grown := slices.Grow(dst, cnt)[:n+cnt]
-	if err := decodeRanks(grown[n:], b); err != nil {
-		return Projection{}, dst, err
+	if rest, err = decodeRanks(grown[n:], rest); err != nil {
+		return Projection{}, dst, 0, err
 	}
-	return Projection{RID: rid, Ranks: grown[n : n+cnt : n+cnt]}, grown, nil
+	return Projection{RID: rid, Ranks: grown[n : n+cnt : n+cnt]}, grown, len(b) - len(rest), nil
 }
 
 // projectionHeader reads the RID and the rank count, returning the bytes
@@ -237,13 +239,14 @@ func projectionHeader(b []byte) (rid uint64, cnt int, rest []byte, err error) {
 	return rid, int(c), b, nil
 }
 
-// decodeRanks fills ranks from the delta encoding in b.
-func decodeRanks(ranks []uint32, b []byte) error {
+// decodeRanks fills ranks from the delta encoding in b and returns the
+// bytes after it.
+func decodeRanks(ranks []uint32, b []byte) ([]byte, error) {
 	prev := uint64(0)
 	for i := range ranks {
 		d, n := binary.Uvarint(b)
 		if n <= 0 {
-			return ErrBadProjection
+			return nil, ErrBadProjection
 		}
 		b = b[n:]
 		if i == 0 {
@@ -253,7 +256,7 @@ func decodeRanks(ranks []uint32, b []byte) error {
 		}
 		ranks[i] = uint32(prev)
 	}
-	return nil
+	return b, nil
 }
 
 // RIDPair is a Stage 2 result: two similar records' RIDs and their

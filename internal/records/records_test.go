@@ -3,6 +3,7 @@ package records
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -103,16 +104,16 @@ func TestProjectionRoundTripProperty(t *testing.T) {
 		}
 		sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
 		p := Projection{RID: rid, Ranks: ranks}
-		got, err := DecodeProjection(p.AppendBinary(nil))
-		if err != nil || got.RID != rid || len(got.Ranks) != len(ranks) {
+		enc := p.AppendBinary(nil)
+		got, err := DecodeProjection(enc)
+		if err != nil || got.RID != rid || !slices.Equal(got.Ranks, ranks) {
 			return false
 		}
-		for i := range ranks {
-			if got.Ranks[i] != ranks[i] {
-				return false
-			}
-		}
-		return true
+		// Into an arena, with data framed after the projection: used
+		// marks where that data starts.
+		into, arena, used, err := DecodeProjectionInto([]uint32{9}, append(enc, "\tline"...))
+		return err == nil && used == len(enc) && into.RID == rid &&
+			slices.Equal(into.Ranks, ranks) && arena[0] == 9 && len(arena) == 1+len(ranks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
