@@ -49,6 +49,7 @@ race:
 		./internal/simfn/... ./internal/svgplot/... ./internal/trace/...
 	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
 	$(GO) test -race -count=10 -run TestWriterFillPoolNoAlias ./internal/dfs
+	$(GO) test -race -count=10 -run TestOPRJTasksSharePairViews ./internal/core
 	$(GO) test -race -count=10 -run 'TestConcurrentHistory|TestConcurrentMatchAddReorder' ./internal/ssjserve
 
 tier1: build fmt test vet staticcheck race
@@ -175,10 +176,13 @@ bench-micro:
 # allocprofile prints where a join allocates: BenchmarkJoinAllocProfile
 # (internal/core; the self_dblp recipe at W records — W/4 DBLP-shaped
 # records increased ×4 — or with R=rs the rs_citeseer recipe — FVT, R-S,
-# W/4 records a side increased ×2; each join's output read back) under a
-# 4 KiB memory-profile rate, then pprof's alloc_space table. The profile
-# holds four joins (the benchmark's one-iteration probe, then three) and
-# two corpus set-ups. The test binary and profile land in .bench_build/.
+# W/4 records a side increased ×2 — or with R=dense the self_dense
+# recipe — OPTO-BK-OPRJ at τ 0.6, W/4 records over a Zipf-1.05,
+# 1,024-token vocabulary increased ×4, the workload whose Stage 2 kernel
+# dominates; each join's output read back) under a 4 KiB memory-profile
+# rate, then pprof's alloc_space table. The profile holds four joins (the
+# benchmark's one-iteration probe, then three) and two corpus set-ups.
+# The test binary and profile land in .bench_build/.
 W ?= 20000
 R ?= self
 allocprofile:

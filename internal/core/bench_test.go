@@ -104,7 +104,7 @@ func BenchmarkSelfJoinEndToEnd(b *testing.B) {
 
 var (
 	allocRecords = flag.Int("alloc-records", 20000, "corpus size of BenchmarkJoinAllocProfile (make allocprofile W=N)")
-	allocRecipe  = flag.String("alloc-recipe", "self", "recipe of BenchmarkJoinAllocProfile: self (self_dblp) or rs (rs_citeseer) (make allocprofile R=rs)")
+	allocRecipe  = flag.String("alloc-recipe", "self", "recipe of BenchmarkJoinAllocProfile: self (self_dblp), rs (rs_citeseer) or dense (self_dense) (make allocprofile R=rs, R=dense)")
 )
 
 // BenchmarkJoinAllocProfile is the join `make allocprofile` takes its
@@ -113,15 +113,23 @@ var (
 // records increased ×4, so -alloc-records=100000 is self_dblp's size), or
 // with -alloc-recipe=rs the rs_citeseer recipe (BTO-FVT-BRJ, W/4 records
 // as R and W/4 CiteseerX-shaped S records overlapping R, both increased
-// ×2 under one shared token order). Each join's output is read back and
-// parsed, as the benchmark's timed interval does, and its files are
-// removed afterwards. PERF.md's per-site tables come from it.
+// ×2 under one shared token order), or with -alloc-recipe=dense the
+// self_dense recipe (OPTO-BK-OPRJ at τ 0.6, W/4 records over a
+// 1,024-token Zipf-1.05 vocabulary increased ×4). Each join's output is
+// read back and parsed, as the benchmark's timed interval does, and its
+// files are removed afterwards. PERF.md's per-site tables come from it.
 func BenchmarkJoinAllocProfile(b *testing.B) {
-	kernel, inputs := PK, []string{"in"}
-	r := datagen.Generate(datagen.Spec{Records: *allocRecords / 4, Seed: 1})
+	base := Config{Kernel: PK, Threshold: 0.8}
+	inputs := []string{"in"}
+	spec := datagen.Spec{Records: *allocRecords / 4, Seed: 1}
+	if *allocRecipe == "dense" {
+		base = Config{TokenOrder: OPTO, Kernel: BK, RecordJoin: OPRJ, Threshold: 0.6}
+		spec.ZipfSkew, spec.VocabSize = 1.05, 1024
+	}
+	r := datagen.Generate(spec)
 	var s []records.Record
 	if *allocRecipe == "rs" {
-		kernel, inputs = FVT, []string{"in", "s"}
+		base.Kernel, inputs = FVT, []string{"in", "s"}
 		s = datagen.GenerateOverlapping(r, datagen.Spec{Records: len(r), Seed: 2,
 			Style: datagen.CiteseerLike, StartRID: 100_000_000}, 0.1)
 		order := datagen.SharedOrder(r, s)
@@ -141,7 +149,8 @@ func BenchmarkJoinAllocProfile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := Config{FS: fs, Work: fmt.Sprintf("w%d", i), Kernel: kernel, Threshold: 0.8, Parallelism: 2}
+		cfg := base
+		cfg.FS, cfg.Work, cfg.Parallelism = fs, fmt.Sprintf("w%d", i), 2
 		res, err := join(cfg, inputs...)
 		if err != nil {
 			b.Fatal(err)

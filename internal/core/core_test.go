@@ -447,6 +447,33 @@ func TestOPRJRunsOutOfMemory(t *testing.T) {
 	if _, err := SelfJoin(cfg, "in"); err != nil {
 		t.Fatalf("BRJ under budget failed: %v", err)
 	}
+
+	// An s3-oprj task is charged 96 B per pair, the model of the paper's
+	// per-task hash index that Figs. 12 and 14's OOM cells rest on: one
+	// byte under 96·n fails, 96·n passes.
+	cfg = Config{FS: fs2, Work: "s1", Kernel: PK, NumReducers: 2}
+	tokenFile, _, err := Stage1(cfg, "in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Work = "s2"
+	pairs, m, err := Stage2Self(cfg, "in", tokenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m[0].Counters["stage2.results"]
+	if n < 10 {
+		t.Fatalf("%d pairs: too few to pin the charge", n)
+	}
+	cfg.RecordJoin = OPRJ
+	cfg.Work, cfg.MemoryLimit = "short", 96*n-1
+	if _, _, err := Stage3Self(cfg, "in", pairs); !errors.Is(err, mapreduce.ErrInsufficientMemory) {
+		t.Fatalf("budget %d under %d pairs × 96 B: err = %v, want ErrInsufficientMemory", 96*n-1, n, err)
+	}
+	cfg.Work, cfg.MemoryLimit = "exact", 96*n
+	if _, _, err := Stage3Self(cfg, "in", pairs); err != nil {
+		t.Fatalf("budget of %d pairs × 96 B: %v", n, err)
+	}
 }
 
 // ---- stage-level checks -------------------------------------------------

@@ -27,10 +27,12 @@ func (e countEmitter) Emit(_, _ []byte) error { *e.n++; return nil }
 // its engine Context, side files and InputFile — and measures a warmed
 // Map call of the task instance it wraps against a discarding emitter
 // that counts the emissions. Cleanup is forwarded, its emissions counted
-// apart.
+// apart. When setupAllocs is set, Setup is measured too: Stage 3's
+// mappers only take views of their side files there.
 type allocProbe struct {
 	inner        mapreduce.Mapper
 	allocs       *float64
+	setupAllocs  *float64
 	emits        *int
 	cleanupEmits *int
 }
@@ -49,10 +51,18 @@ func (p *allocProbe) Cleanup(ctx *mapreduce.Context, _ mapreduce.Emitter) error 
 }
 
 func (p *allocProbe) Setup(ctx *mapreduce.Context) error {
-	if s, ok := p.inner.(mapreduce.Setupper); ok {
-		return s.Setup(ctx)
+	s, ok := p.inner.(mapreduce.Setupper)
+	if !ok {
+		return nil
 	}
-	return nil
+	if p.setupAllocs != nil {
+		*p.setupAllocs = testing.AllocsPerRun(20, func() {
+			if err := s.Setup(ctx); err != nil {
+				panic(err)
+			}
+		})
+	}
+	return s.Setup(ctx)
 }
 
 func (p *allocProbe) Map(ctx *mapreduce.Context, key, value []byte, _ mapreduce.Emitter) error {
@@ -84,24 +94,35 @@ func TestMapperRecordPathAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// BRJ phase 1 emits only a paired record: list the probe record's RID
-	// so the warmed call goes through the lookup and the emit.
+	// so the warmed call goes through the lookup and the emit. OPRJ finds
+	// it on both sides of its pairs.
 	writeRIDFile(t, fs, "rids", 1234567)
+	writeStage2Parts(t, fs, "pairs", []records.RIDPair{{A: 1, B: 1234567, Sim: 0.9}, {A: 1234567, B: 1234568, Sim: 0.8}})
+	pairFiles, _, err := writePairFiles(&cfg, "pairs", "w")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ps := range []progSpec{
 		{Kind: "s1-bto-count"},
 		{Kind: "s2", TokenFile: tokenFile},
 		{Kind: "s3-brj1", PairsPrefix: "w/s2", RIDFiles: []string{"rids"}},
+		{Kind: "s3-oprj", PairFiles: pairFiles},
 	} {
 		job, err := coreJob(&cfg, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := -1.0
+		allocs, setupAllocs := -1.0, 0.0
 		job.Name, job.Inputs, job.Output = "probe-"+ps.Kind, []string{"in"}, "probe-"+ps.Kind
 		emits, cleanupEmits := new(int), new(int)
-		job.Mapper = &allocProbe{inner: job.Mapper, allocs: &allocs, emits: emits, cleanupEmits: cleanupEmits}
-		job.SideFiles = ps.RIDFiles
+		probe := &allocProbe{inner: job.Mapper, allocs: &allocs, emits: emits, cleanupEmits: cleanupEmits}
+		job.Mapper = probe
+		job.SideFiles = append(ps.RIDFiles, ps.PairFiles...)
 		if ps.TokenFile != "" {
 			job.SideFiles = []string{ps.TokenFile}
+		}
+		if strings.HasPrefix(ps.Kind, "s3-") {
+			probe.setupAllocs = &setupAllocs
 		}
 		if _, err := mapreduce.Run(job); err != nil {
 			t.Fatalf("%s: %v", ps.Kind, err)
@@ -115,6 +136,9 @@ func TestMapperRecordPathAllocatesNothing(t *testing.T) {
 		}
 		if allocs != 0 {
 			t.Errorf("%s mapper: %v allocations per warmed Map call, want 0", ps.Kind, allocs)
+		}
+		if setupAllocs != 0 {
+			t.Errorf("%s mapper: %v allocations per Setup call, want 0", ps.Kind, setupAllocs)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -47,11 +48,6 @@ func appendHalfPair(dst []byte, side byte, p records.RIDPair, line []byte) []byt
 	dst = keys.AppendUint64(dst, p.B)
 	dst = keys.AppendUint64(dst, math.Float64bits(p.Sim))
 	return append(dst, line...)
-}
-
-// encodeHalfPair builds the half-pair value.
-func encodeHalfPair(side byte, p records.RIDPair, line []byte) []byte {
-	return appendHalfPair(make([]byte, 0, 25+len(line)), side, p, line)
 }
 
 func decodeHalfPair(v []byte) (side byte, p records.RIDPair, line []byte, err error) {
@@ -271,6 +267,40 @@ func (r *pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values 
 	return out.Emit(nil, r.line)
 }
 
+// readStage2Pairs calls fn for every RID pair in Stage 2's part files,
+// block by block in place, and returns the bytes read.
+func readStage2Pairs(cfg *Config, pairsPrefix string, fn func(records.RIDPair) error) (int64, error) {
+	var read int64
+	for _, name := range cfg.FS.List(pairsPrefix + "/") {
+		splits, err := cfg.FS.Splits(name)
+		if err != nil {
+			return 0, err
+		}
+		for _, s := range splits {
+			data, err := cfg.FS.Block(name, s.Block)
+			if err != nil {
+				return 0, err
+			}
+			read += int64(len(data))
+			if err := decodePairsData(data, fn); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return read, nil
+}
+
+// decodePairsData iterates the RID pairs of a Pairs-format block.
+func decodePairsData(data []byte, fn func(records.RIDPair) error) error {
+	return mapreduce.DecodePairsBlock(data, func(_, v []byte) error {
+		p, err := records.DecodeRIDPair(v)
+		if err != nil {
+			return err
+		}
+		return fn(p)
+	})
+}
+
 // writeRIDSets reads Stage 2's pairs and writes, per relation, the
 // sorted distinct RIDs that occur in a pair as big-endian u64s: one file
 // for a self-join (both sides of a pair), R and S files for R-S. It
@@ -281,48 +311,40 @@ func writeRIDSets(cfg *Config, pairsPrefix, work string, rs bool) ([]string, int
 	if rs {
 		relB, files = relS, []string{work + "/s3-rids-r", work + "/s3-rids-s"}
 	}
-	add := func(p records.RIDPair) error {
+	read, err := readStage2Pairs(cfg, pairsPrefix, func(p records.RIDPair) error {
 		sets[relR] = append(sets[relR], p.A)
 		sets[relB] = append(sets[relB], p.B)
 		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	// Block by block, in place: a pair is one record and records never
-	// span blocks.
-	var read int64
-	for _, name := range cfg.FS.List(pairsPrefix + "/") {
-		splits, err := cfg.FS.Splits(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, s := range splits {
-			data, err := cfg.FS.Block(name, s.Block)
-			if err != nil {
-				return nil, 0, err
-			}
-			read += int64(len(data))
-			if err := decodePairsData(data, add); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	var buf [8]byte
 	for rel, name := range files {
 		slices.Sort(sets[rel])
-		w, err := cfg.FS.Create(name)
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, rid := range slices.Compact(sets[rel]) {
-			binary.BigEndian.PutUint64(buf[:], rid)
-			if err := w.Append(buf[:]); err != nil {
-				return nil, 0, err
-			}
-		}
-		if err := w.Close(); err != nil {
+		rids := slices.Compact(sets[rel])
+		if err := writeFixed(cfg, name, len(rids), func(i int, buf []byte) []byte {
+			return binary.BigEndian.AppendUint64(buf, rids[i])
+		}); err != nil {
 			return nil, 0, err
 		}
 	}
 	return files, read, nil
+}
+
+// writeFixed creates a DFS file of n fixed-width records; rec appends
+// the i-th to an empty buffer.
+func writeFixed(cfg *Config, name string, n int, rec func(i int, buf []byte) []byte) error {
+	w, err := cfg.FS.Create(name)
+	if err != nil {
+		return err
+	}
+	var buf [pairWidth]byte
+	for i := range n {
+		if err := w.Append(rec(i, buf[:0])); err != nil {
+			return err
+		}
+	}
+	return w.Close()
 }
 
 // runBRJ runs the two-phase Basic Record Join.
@@ -368,74 +390,95 @@ func runBRJ(cfg *Config, recordInputs []string, inputR, pairsPrefix, work string
 	return out, []*mapreduce.Metrics{m1, m2}, nil
 }
 
-// oprjMapper broadcasts the RID-pair list, indexes it per task, and joins
-// in the map phase (§3.3.2). The pair index is charged to the memory
-// budget — at scale this is the algorithm's documented failure mode.
+// pairWidth is the size of one record of OPRJ's pair files:
+// [A u64][B u64][simbits u64], big-endian; its first 16 bytes are the
+// pair's group key.
+const pairWidth = 24
+
+// writePairFiles reads Stage 2's pairs and writes them as fixed-width
+// records twice, sorted by (A, B) and by (B, A). It returns the two
+// files and the pair bytes read.
+func writePairFiles(cfg *Config, pairsPrefix, work string) ([]string, int64, error) {
+	var pairs []records.RIDPair
+	read, err := readStage2Pairs(cfg, pairsPrefix, func(p records.RIDPair) error {
+		pairs = append(pairs, p)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	files := []string{work + "/s3-pairs-a", work + "/s3-pairs-b"}
+	for side, name := range files {
+		slices.SortFunc(pairs, func(p, q records.RIDPair) int {
+			if side == 1 { // by (B, A)
+				p.A, p.B, q.A, q.B = p.B, p.A, q.B, q.A
+			}
+			return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B))
+		})
+		if err := writeFixed(cfg, name, len(pairs), func(i int, buf []byte) []byte {
+			return keys.AppendUint64(appendPairGroupKey(buf, pairs[i]), math.Float64bits(pairs[i].Sim))
+		}); err != nil {
+			return nil, 0, err
+		}
+	}
+	return files, read, nil
+}
+
+// oprjMapper joins in the map phase against the broadcast RID pairs
+// (§3.3.2): each task binary-searches the pair files in place.
 type oprjMapper struct {
+	// pairFiles names the pair files sorted by A and by B.
 	pairFiles []string
 	relOf     func(file string) byte
 	rs        bool
-
-	byA, byB map[uint64][]records.RIDPair
+	// views are the pair files' bytes; tasks share them and never write.
+	views [2][]byte
+	// val is per-task scratch for the half-pair being emitted.
+	val []byte
 }
 
-// NewTaskInstance gives each map task its own pair index (§3.3.2: every
-// map task loads and indexes the broadcast RID pairs).
+// NewTaskInstance gives each map task its own views and value scratch.
 func (m *oprjMapper) NewTaskInstance() any {
 	return &oprjMapper{pairFiles: m.pairFiles, relOf: m.relOf, rs: m.rs}
 }
 
+// Setup takes views of the pair files and charges 96 B per pair — the
+// views counted twice over, modelling the paper's per-task hash index on
+// the pairs. At scale this is the algorithm's documented failure mode.
 func (m *oprjMapper) Setup(ctx *mapreduce.Context) error {
-	m.byA = make(map[uint64][]records.RIDPair)
-	m.byB = make(map[uint64][]records.RIDPair)
-	for _, name := range m.pairFiles {
+	for side, name := range m.pairFiles {
 		data, err := ctx.SideFile(name)
 		if err != nil {
 			return err
 		}
-		if err := decodePairsData(data, func(p records.RIDPair) error {
-			// Charge the two index postings (24 bytes each, as much again
-			// for their slices' and maps' overhead).
-			if err := ctx.Memory.Alloc(96); err != nil {
-				return err
-			}
-			m.byA[p.A] = append(m.byA[p.A], p)
-			m.byB[p.B] = append(m.byB[p.B], p)
-			return nil
-		}); err != nil {
+		if len(data)%pairWidth != 0 {
+			return fmt.Errorf("core: pair file %s holds %d bytes, not a multiple of %d", name, len(data), pairWidth)
+		}
+		if err := ctx.Memory.Alloc(2 * int64(len(data))); err != nil {
 			return err
 		}
+		m.views[side] = data
 	}
 	return nil
 }
 
-// decodePairsData iterates the RID pairs of a Pairs-format side file.
-func decodePairsData(data []byte, fn func(records.RIDPair) error) error {
-	return mapreduce.DecodePairsBlock(data, func(_, v []byte) error {
-		p, err := records.DecodeRIDPair(v)
-		if err != nil {
-			return err
-		}
-		return fn(p)
-	})
-}
-
+// Map emits a half-pair per pair whose A (side 0) or B (side 1) is the
+// record's RID; an R-S record only looks up its relation's side.
 func (m *oprjMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
 	rid, err := records.RID(value)
 	if err != nil {
 		return err
 	}
-	rel := m.relOf(ctx.InputFile)
-	if !m.rs || rel == relR {
-		for _, p := range m.byA[rid] {
-			if err := out.Emit(pairGroupKey(p), encodeHalfPair(0, p, value)); err != nil {
-				return err
-			}
+	for side := range byte(2) {
+		if m.rs && side != m.relOf(ctx.InputFile) {
+			continue
 		}
-	}
-	if !m.rs || rel == relS {
-		for _, p := range m.byB[rid] {
-			if err := out.Emit(pairGroupKey(p), encodeHalfPair(1, p, value)); err != nil {
+		view, field, n := m.views[side], 8*int(side), len(m.views[side])/pairWidth
+		i := sort.Search(n, func(i int) bool { return binary.BigEndian.Uint64(view[i*pairWidth+field:]) >= rid })
+		for ; i < n && binary.BigEndian.Uint64(view[i*pairWidth+field:]) == rid; i++ {
+			rec := view[i*pairWidth : (i+1)*pairWidth]
+			m.val = append(append(append(reuseScratch(m.val), side), rec...), value...)
+			if err := out.Emit(rec[:16], m.val); err != nil {
 				return err
 			}
 		}
@@ -445,7 +488,10 @@ func (m *oprjMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduce.
 
 // runOPRJ runs the One-Phase Record Join.
 func runOPRJ(cfg *Config, recordInputs []string, inputR, pairsPrefix, work string) (string, []*mapreduce.Metrics, error) {
-	pairFiles := cfg.FS.List(pairsPrefix + "/")
+	pairFiles, pairBytes, err := writePairFiles(cfg, pairsPrefix, work)
+	if err != nil {
+		return "", nil, err
+	}
 	out := work + "/out"
 	job, err := coreJob(cfg, progSpec{Kind: "s3-oprj", InputR: inputR, PairFiles: pairFiles})
 	if err != nil {
@@ -461,6 +507,7 @@ func runOPRJ(cfg *Config, recordInputs []string, inputR, pairsPrefix, work strin
 	if err != nil {
 		return "", nil, err
 	}
+	m.SideBytes += pairBytes // the coordinator's read, as in runBRJ
 	return out, []*mapreduce.Metrics{m}, nil
 }
 
