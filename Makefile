@@ -1,6 +1,6 @@
 # Developer entry points. `make tier1` is the gate every change must
 # pass: build, gofmt, full test suite, vet, staticcheck (when installed), and
-# the race detector over the internal packages (the engine and DFS run
+# the race detector over the module's packages (the engine and DFS run
 # user code across goroutines; the pipeline's mapper instances, reducers
 # and spill files in internal/core are that user code, and each reduce
 # task attempt owns one internal/ppjoin or internal/fvt kernel).
@@ -35,18 +35,13 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# race covers 20 of the 22 internal packages. experiments stays out: its
-# shape tests run whole simulated experiments over measured task costs,
-# too slow under -race until they get a counted cost source (ROADMAP
-# 9(a)). conformance stays out: make conformance already sweeps it.
+# race covers every package of the module but two. experiments stays
+# out: its shape tests run whole simulated experiments over measured task
+# costs, too slow under -race until they get a counted cost source
+# (ROADMAP 9(a)). conformance stays out: make conformance already sweeps
+# it.
 race:
-	$(GO) test -race ./internal/mapreduce/... ./internal/dfs/... \
-		./internal/distrib/... ./internal/backoff/... ./internal/ssjserve/... \
-		./internal/fvt/... ./internal/ppjoin/... ./internal/plan/... ./internal/core/... \
-		./internal/tokenize/... ./internal/records/... \
-		./internal/bitsig/... ./internal/cluster/... ./internal/datagen/... \
-		./internal/editdist/... ./internal/filter/... ./internal/keys/... \
-		./internal/simfn/... ./internal/svgplot/... ./internal/trace/...
+	$(GO) test -race $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/conformance)
 	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
 	$(GO) test -race -count=10 -run TestWriterFillPoolNoAlias ./internal/dfs
 	$(GO) test -race -count=10 -run TestOPRJTasksSharePairViews ./internal/core

@@ -61,7 +61,6 @@ import (
 
 	"fuzzyjoin/internal/core"
 	"fuzzyjoin/internal/dfs"
-	"fuzzyjoin/internal/editdist"
 	"fuzzyjoin/internal/mapreduce"
 	"fuzzyjoin/internal/plan"
 	"fuzzyjoin/internal/records"
@@ -507,26 +506,3 @@ func (ix *Index) Stats() IndexStats { return ix.svc.Stats() }
 
 // Close stops the query workers; subsequent calls fail.
 func (ix *Index) Close() error { return ix.svc.Close() }
-
-// Edit-distance joins (the application the paper's footnote 1 points at).
-type (
-	// EditDistanceOptions configures an edit-distance join (threshold K,
-	// q-gram length Q).
-	EditDistanceOptions = editdist.Options
-	// EditDistancePair is one edit-distance join result: indices into
-	// the input slice and the exact distance.
-	EditDistancePair = editdist.Pair
-)
-
-// EditDistance returns the exact Levenshtein distance between two
-// strings.
-func EditDistance(a, b string) int { return editdist.Distance(a, b) }
-
-// EditDistanceSelfJoin finds all string pairs within edit distance
-// opts.K, using q-gram count filtering, prefix filtering, and banded
-// verification. Strings with at most K·q grams, which can match a string
-// they share no gram with, are checked against every string in their
-// length window instead of through the prefix filter.
-func EditDistanceSelfJoin(strs []string, opts EditDistanceOptions) []EditDistancePair {
-	return editdist.SelfJoin(strs, opts)
-}

@@ -193,21 +193,3 @@ func TestJoinPreCanceled(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
-
-func TestEditDistanceFacade(t *testing.T) {
-	if d := fuzzyjoin.EditDistance("kitten", "sitting"); d != 3 {
-		t.Fatalf("EditDistance = %d", d)
-	}
-	pairs := fuzzyjoin.EditDistanceSelfJoin(
-		[]string{"similarity", "similarly", "different"},
-		fuzzyjoin.EditDistanceOptions{K: 2},
-	)
-	if len(pairs) != 1 || pairs[0].I != 0 || pairs[0].J != 1 || pairs[0].Dist != 2 {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	// Two substitutions apart, and not one 3-gram in common.
-	pairs = fuzzyjoin.EditDistanceSelfJoin([]string{"abcdef", "axcdxf"}, fuzzyjoin.EditDistanceOptions{K: 2})
-	if len(pairs) != 1 || pairs[0].I != 0 || pairs[0].J != 1 || pairs[0].Dist != 2 {
-		t.Fatalf("pair sharing no gram: pairs = %v", pairs)
-	}
-}

@@ -212,11 +212,9 @@ type Config struct {
 	// many run concurrently. Defaults to runtime.GOMAXPROCS(0); set 1
 	// explicitly for minimum-noise cost measurement.
 	Parallelism int `json:"-"`
-	// CompressShuffle and SpillPairs pass through to every job (see
-	// mapreduce.Job): flate-compressed map output, and the map-side
-	// spill threshold in buffered pairs (0 = unbounded buffer).
-	CompressShuffle bool `json:"-"`
-	SpillPairs      int  `json:"-"`
+	// SpillPairs passes through to every job (see mapreduce.Job): the
+	// map-side spill threshold in buffered pairs (0 = unbounded buffer).
+	SpillPairs int `json:"-"`
 	// NoCombiner turns off Stage 1's per-task aggregation: the counting
 	// mapper then emits (token, 1) for every token occurrence instead of
 	// one (token, count) per distinct token of its map task. It serves

@@ -172,10 +172,14 @@ func TestQGramTokenizerEndToEnd(t *testing.T) {
 		records.Record{RID: 1, Fields: []string{"similarity", "x", ""}}.Line(),
 		records.Record{RID: 2, Fields: []string{"similaritx", "x", ""}}.Line(),
 		records.Record{RID: 3, Fields: []string{"completely different", "y", ""}}.Line(),
+		// Empty join attributes have no grams, so these two never pair.
+		records.Record{RID: 4, Fields: []string{"", "z", ""}}.Line(),
+		records.Record{RID: 5, Fields: []string{"", "z", ""}}.Line(),
 	}
 	fs := newTestFS(t)
 	writeInput(t, fs, "in", lines)
-	cfg := Config{FS: fs, Work: "w", Tokenizer: qgram3{}, Threshold: 0.6, NumReducers: 2}
+	cfg := Config{FS: fs, Work: "w", Tokenizer: qgram3{}, Threshold: 0.6, NumReducers: 2,
+		JoinFields: []int{records.FieldTitle}}
 	res, err := SelfJoin(cfg, "in")
 	if err != nil {
 		t.Fatal(err)

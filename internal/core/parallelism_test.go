@@ -7,9 +7,8 @@ import (
 )
 
 // runSelfJoinParts runs a full BTO-PK-BRJ self-join at the given host
-// parallelism (with spills and shuffle compression on, so every shuffle
-// code path is exercised) and returns the raw bytes of every committed
-// output part file.
+// parallelism (with spills on, so every shuffle code path is exercised)
+// and returns the raw bytes of every committed output part file.
 func runSelfJoinParts(t *testing.T, par int) map[string][]byte {
 	t.Helper()
 	fs := newTestFS(t)
@@ -17,11 +16,10 @@ func runSelfJoinParts(t *testing.T, par int) map[string][]byte {
 	writeInput(t, fs, "in", lines)
 	res, err := SelfJoin(Config{
 		FS: fs, Work: "w",
-		Kernel:          PK,
-		NumReducers:     3,
-		Parallelism:     par,
-		SpillPairs:      64,
-		CompressShuffle: true,
+		Kernel:      PK,
+		NumReducers: 3,
+		Parallelism: par,
+		SpillPairs:  64,
 	}, "in")
 	if err != nil {
 		t.Fatal(err)

@@ -31,18 +31,16 @@ func init() {
 // Tokenizer implementation still runs in-process but cannot be
 // dispatched to workers (its job gets no Program).
 type tokSpec struct {
-	Kind     string `json:"kind"`
-	KeepCase bool   `json:"keep_case,omitempty"`
-	Q        int    `json:"q,omitempty"`
-	NoPad    bool   `json:"no_pad,omitempty"`
+	Kind string `json:"kind"`
+	Q    int    `json:"q,omitempty"`
 }
 
 func tokSpecOf(t tokenize.Tokenizer) (tokSpec, bool) {
 	switch tk := t.(type) {
 	case tokenize.Word:
-		return tokSpec{Kind: "word", KeepCase: tk.KeepCase}, true
+		return tokSpec{Kind: "word"}, true
 	case tokenize.QGram:
-		return tokSpec{Kind: "qgram", Q: tk.Q, NoPad: tk.NoPad}, true
+		return tokSpec{Kind: "qgram", Q: tk.Q}, true
 	}
 	return tokSpec{}, false
 }
@@ -50,9 +48,9 @@ func tokSpecOf(t tokenize.Tokenizer) (tokSpec, bool) {
 func (ts tokSpec) tokenizer() (tokenize.Tokenizer, error) {
 	switch ts.Kind {
 	case "word":
-		return tokenize.Word{KeepCase: ts.KeepCase}, nil
+		return tokenize.Word{}, nil
 	case "qgram":
-		return tokenize.QGram{Q: ts.Q, NoPad: ts.NoPad}, nil
+		return tokenize.QGram{Q: ts.Q}, nil
 	}
 	return nil, fmt.Errorf("core: unknown tokenizer kind %q", ts.Kind)
 }
@@ -175,20 +173,19 @@ func coreJob(cfg *Config, ps progSpec) (mapreduce.Job, error) {
 		return mapreduce.Job{}, err
 	}
 	job := mapreduce.Job{
-		FS:              cfg.FS,
-		Mapper:          prog.Mapper,
-		Reducer:         prog.Reducer,
-		NumReducers:     cfg.NumReducers,
-		MemoryLimit:     cfg.MemoryLimit,
-		Parallelism:     cfg.Parallelism,
-		CompressShuffle: cfg.CompressShuffle,
-		SpillPairs:      cfg.SpillPairs,
-		Retry:           cfg.Retry,
-		FaultInjector:   cfg.FaultInjector,
-		NodeFailures:    cfg.NodeFailures,
-		Speculative:     cfg.Speculative,
-		Trace:           cfg.Trace,
-		Runner:          cfg.Runner,
+		FS:            cfg.FS,
+		Mapper:        prog.Mapper,
+		Reducer:       prog.Reducer,
+		NumReducers:   cfg.NumReducers,
+		MemoryLimit:   cfg.MemoryLimit,
+		Parallelism:   cfg.Parallelism,
+		SpillPairs:    cfg.SpillPairs,
+		Retry:         cfg.Retry,
+		FaultInjector: cfg.FaultInjector,
+		NodeFailures:  cfg.NodeFailures,
+		Speculative:   cfg.Speculative,
+		Trace:         cfg.Trace,
+		Runner:        cfg.Runner,
 	}
 	if ps.Kind == "s2" {
 		job.GroupPrefix = layoutFor(cfg, ps.InputR != "").groupWidth

@@ -292,7 +292,7 @@ func TestProgramSpecCarriesConfig(t *testing.T) {
 	// Engine-side values must not leak into the spec either.
 	cfg.FS = dfs.New(dfs.Options{BlockSize: 1 << 10, Nodes: 1})
 	cfg.Work, cfg.NumReducers, cfg.MemoryLimit = "work", 3, 1<<20
-	cfg.Tokenizer = tokenize.QGram{Q: 3, NoPad: true}
+	cfg.Tokenizer = tokenize.QGram{Q: 4}
 	if *cfg.Filters == (filter.Stack{}) || len(cfg.JoinFields) == 0 || cfg.NumGroups == 0 {
 		t.Fatalf("fill left task-visible fields zero: %+v", cfg)
 	}

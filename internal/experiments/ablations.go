@@ -547,12 +547,11 @@ func (r *SingleStageResult) Render() string {
 	return "Carry-complete-records alternative (§2.2), DBLP x10, 10 nodes\n" + table(header, rows)
 }
 
-// ---- engine ablation: shuffle compression and map-side spills -------------
+// ---- engine ablation: map-side spills --------------------------------------
 
 // EngineAblationResult compares engine configurations on the PK kernel
-// job: baseline, compressed shuffle, and constrained map buffers
-// (spilling). These are substrate design choices (DESIGN.md §4.1), not
-// paper results.
+// job: baseline and constrained map buffers (spilling). These are
+// substrate design choices (DESIGN.md §4.1), not paper results.
 type EngineAblationResult struct {
 	Labels       []string
 	Times        []time.Duration
@@ -581,7 +580,6 @@ func (s *Suite) EngineAblation() (*EngineAblationResult, error) {
 		apply func(*core.Config)
 	}{
 		{"baseline", func(*core.Config) {}},
-		{"compressed shuffle", func(c *core.Config) { c.CompressShuffle = true }},
 		{"spill at 1k pairs", func(c *core.Config) { c.SpillPairs = 1 << 10 }},
 	}
 	for i, v := range variants {

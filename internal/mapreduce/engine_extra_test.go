@@ -259,7 +259,7 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		Name: "spec", FS: fs, Inputs: []string{"in", "dir/"}, InputFormat: Text,
 		InputFormatsByPrefix: map[string]Format{"dir/": Pairs}, Output: "out", OutputFormat: Text,
 		NumReducers: 3, GroupPrefix: 5, SideFiles: []string{"side"}, Conf: map[string]string{"k": "v"},
-		MemoryLimit: 1 << 20, SpillPairs: 7, CompressShuffle: true,
+		MemoryLimit: 1 << 20, SpillPairs: 7,
 		Program: "spec-roundtrip", ProgramSpec: "{}",
 	}
 	got, err := JobFromSpec(job.Spec(), fs)

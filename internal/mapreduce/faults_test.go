@@ -343,13 +343,11 @@ func TestRunWithRetriesAndSpillsMatchesClean(t *testing.T) {
 	writeFaultInput(t, fs)
 	clean := faultJob(fs, "clean")
 	clean.SpillPairs = 3
-	clean.CompressShuffle = true
 	if _, err := Run(clean); err != nil {
 		t.Fatal(err)
 	}
 	job := faultJob(fs, "faulty")
 	job.SpillPairs = 3
-	job.CompressShuffle = true
 	job.Retry = RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond}
 	job.FaultInjector = FailAttempts(
 		TaskRef{Phase: MapPhase, TaskID: 1, Attempt: 1},
@@ -359,6 +357,6 @@ func TestRunWithRetriesAndSpillsMatchesClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameStringMaps(outputBytes(t, fs, "clean"), outputBytes(t, fs, "faulty")) {
-		t.Fatal("spill+compress output with faults differs from fault-free output")
+		t.Fatal("spilled output with faults differs from fault-free output")
 	}
 }

@@ -50,29 +50,6 @@ func FuzzDecodeRun(f *testing.F) {
 	})
 }
 
-// FuzzDecompressSegment: arbitrary bytes must not panic the decompressor;
-// valid compressions round-trip.
-func FuzzDecompressSegment(f *testing.F) {
-	if c, err := compressSegment([]byte("hello hello hello")); err == nil {
-		f.Add(c)
-	}
-	f.Add([]byte{0x78, 0x9c})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := decompressSegment(data)
-		if err != nil {
-			return
-		}
-		re, err := compressSegment(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := decompressSegment(re)
-		if err != nil || !bytes.Equal(back, out) {
-			t.Fatal("round trip failed")
-		}
-	})
-}
-
 // FuzzDecodeText: the line decoder preserves content byte-for-byte.
 func FuzzDecodeText(f *testing.F) {
 	f.Add([]byte("line1\nline2\n"))

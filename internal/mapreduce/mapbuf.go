@@ -212,12 +212,11 @@ func (b *mapBuffer) spill() error {
 	return err
 }
 
-// finish sorts and encodes (optionally compressing) the final
-// per-reducer segments, recording their sizes in tm. Without spills a
-// segment is the partition's records copied out in index order. With
-// spills the in-memory remainder joins the spilled runs as one more
-// encoded run in a streaming merge. Either way a segment is a fresh,
-// exactly sized allocation.
+// finish sorts and encodes the final per-reducer segments, recording
+// their sizes in tm. Without spills a segment is the partition's records
+// copied out in index order. With spills the in-memory remainder joins
+// the spilled runs as one more encoded run in a streaming merge. Either
+// way a segment is a fresh, exactly sized allocation.
 func (b *mapBuffer) finish(tm *TaskMetrics) ([][]byte, error) {
 	out := make([][]byte, len(b.parts))
 	tm.PartitionBytes = make([]int64, len(b.parts))
@@ -233,11 +232,6 @@ func (b *mapBuffer) finish(tm *TaskMetrics) ([][]byte, error) {
 			seg = run.appendRun(make([]byte, 0, len(run.data)))
 		} else if seg, recs, err = b.mergeSpills(r, run); err != nil {
 			return nil, err
-		}
-		if b.job.CompressShuffle {
-			if seg, err = compressSegment(seg); err != nil {
-				return nil, err
-			}
 		}
 		out[r] = seg
 		tm.PartitionBytes[r] = int64(len(seg))

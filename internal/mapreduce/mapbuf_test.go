@@ -62,12 +62,6 @@ func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetr
 			run = mergeRuns(append([][]Pair{run}, spilled[r]...))
 		}
 		seg := encodeRun(run)
-		if job.CompressShuffle {
-			var err error
-			if seg, err = compressSegment(seg); err != nil {
-				t.Fatal(err)
-			}
-		}
 		segs[r] = seg
 		tm.PartitionBytes[r] = int64(len(seg))
 		tm.OutputRecords += int64(len(run))
@@ -111,21 +105,19 @@ func sameMapOutput(t *testing.T, label string, got, want [][]byte, gotTM, wantTM
 
 // TestMapBufferMatchesOracle pins the buffer byte for byte — segments,
 // spill count and bytes, PartitionBytes, OutputRecords — to the
-// materialized map side it replaced, across group prefixes, spill
-// thresholds and shuffle compression.
+// materialized map side it replaced, across group prefixes and spill
+// thresholds.
 func TestMapBufferMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, w := range []int{0, 3} {
 		for _, spill := range []int{0, 1, 7} {
-			for _, compress := range []bool{false, true} {
-				job := &Job{NumReducers: 3, GroupPrefix: w, SpillPairs: spill, CompressShuffle: compress}
-				label := fmt.Sprintf("w=%d/spill=%d/compress=%v", w, spill, compress)
-				for trial := 0; trial < 12; trial++ {
-					emitted := bufferPairs(rng, rng.Intn(60))
-					want, wantTM := oracleMapOutput(t, job, emitted)
-					got, gotTM := bufferMapOutput(t, job, emitted, 0)
-					sameMapOutput(t, fmt.Sprintf("%s trial %d", label, trial), got, want, gotTM, wantTM)
-				}
+			job := &Job{NumReducers: 3, GroupPrefix: w, SpillPairs: spill}
+			label := fmt.Sprintf("w=%d/spill=%d", w, spill)
+			for trial := 0; trial < 12; trial++ {
+				emitted := bufferPairs(rng, rng.Intn(60))
+				want, wantTM := oracleMapOutput(t, job, emitted)
+				got, gotTM := bufferMapOutput(t, job, emitted, 0)
+				sameMapOutput(t, fmt.Sprintf("%s trial %d", label, trial), got, want, gotTM, wantTM)
 			}
 		}
 	}

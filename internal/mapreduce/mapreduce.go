@@ -212,10 +212,6 @@ type Job struct {
 	// local disk as one run, and the runs are k-way merged at task end
 	// (Hadoop's io.sort.mb behaviour). 0 keeps everything in memory.
 	SpillPairs int
-	// CompressShuffle flate-compresses map-output segments; reducers
-	// decompress on fetch. PartitionBytes then reports compressed (wire)
-	// sizes.
-	CompressShuffle bool
 	// Retry configures per-task attempt retries (Hadoop's
 	// mapred.{map,reduce}.max.attempts analogue). The zero value runs
 	// each task exactly once.

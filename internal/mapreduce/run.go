@@ -469,23 +469,16 @@ func runReduceTask(job *Job, r, attempt int, column [][]byte, side map[string][]
 	res := reduceResult{counters: counters}
 	start := time.Now()
 
-	// Shuffle: fetch this reducer's encoded segment from every map task
-	// (decompressing if the shuffle is compressed), then k-way merge the
-	// sorted runs in their encoded form. The merge streams — segments are
-	// decoded pair by pair as the loser tree consumes them, so the task
-	// never materializes the merged partition.
+	// Shuffle: fetch this reducer's encoded segment from every map task,
+	// then k-way merge the sorted runs in their encoded form. The merge
+	// streams — segments are decoded pair by pair as the loser tree
+	// consumes them, so the task never materializes the merged partition.
 	var cursors []*runCursor
 	for _, data := range column {
 		if len(data) == 0 {
 			continue
 		}
 		tm.InputBytes += int64(len(data))
-		if job.CompressShuffle {
-			var err error
-			if data, err = decompressSegment(data); err != nil {
-				return res, tm, fmt.Errorf("reduce task %d: %w", r, err)
-			}
-		}
 		cursors = append(cursors, cursorForEncoded(data))
 	}
 	ms, err := newMergeStream(cursors)

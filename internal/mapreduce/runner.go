@@ -137,7 +137,6 @@ type JobSpec struct {
 	Conf                 map[string]string
 	MemoryLimit          int64
 	SpillPairs           int
-	CompressShuffle      bool
 	Program              string
 	ProgramSpec          string
 }
@@ -157,7 +156,6 @@ func (j *Job) Spec() JobSpec {
 		Conf:                 j.Conf,
 		MemoryLimit:          j.MemoryLimit,
 		SpillPairs:           j.SpillPairs,
-		CompressShuffle:      j.CompressShuffle,
 		Program:              j.Program,
 		ProgramSpec:          j.ProgramSpec,
 	}
@@ -187,7 +185,6 @@ func JobFromSpec(s JobSpec, fs dfs.Storage) (Job, error) {
 		Conf:                 s.Conf,
 		MemoryLimit:          s.MemoryLimit,
 		SpillPairs:           s.SpillPairs,
-		CompressShuffle:      s.CompressShuffle,
 		Mapper:               prog.Mapper,
 		Reducer:              prog.Reducer,
 		Program:              s.Program,

@@ -94,10 +94,10 @@ func benchEmissions() [][]Pair {
 }
 
 // benchSegments is the map half of the shuffle: each task's pairs go
-// through the map buffer — emit, index sort, copy-out, optional
-// compression — and leave one segment for the reducer.
-func benchSegments(b *testing.B, tasks [][]Pair, compress bool) [][]byte {
-	job := &Job{NumReducers: 1, CompressShuffle: compress}
+// through the map buffer — emit, index sort, copy-out — and leave one
+// segment for the reducer.
+func benchSegments(b *testing.B, tasks [][]Pair) [][]byte {
+	job := &Job{NumReducers: 1}
 	segs := make([][]byte, len(tasks))
 	for s, pairs := range tasks {
 		buf := newMapBuffer(job)
@@ -118,19 +118,12 @@ func benchSegments(b *testing.B, tasks [][]Pair, compress bool) [][]byte {
 }
 
 // shuffleRoundTrip consumes one reducer's worth of encoded segments the
-// way runReduceTask does: decompress (optionally), merge the encoded
-// runs through the loser tree, and walk every key group.
-func shuffleRoundTrip(b *testing.B, segs [][]byte, compressed bool, want int) {
+// way runReduceTask does: merge the encoded runs through the loser
+// tree, and walk every key group.
+func shuffleRoundTrip(b *testing.B, segs [][]byte, want int) {
 	cursors := make([]*runCursor, 0, len(segs))
 	for _, seg := range segs {
-		data := seg
-		if compressed {
-			var err error
-			if data, err = decompressSegment(seg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		cursors = append(cursors, cursorForEncoded(data))
+		cursors = append(cursors, cursorForEncoded(seg))
 	}
 	ms, err := newMergeStream(cursors)
 	if err != nil {
@@ -157,17 +150,9 @@ func shuffleRoundTrip(b *testing.B, segs [][]byte, compressed bool, want int) {
 // 2000 pairs buffered, sorted and encoded, then fetched, merged, and
 // grouped by the reducer.
 func BenchmarkShuffleRoundTrip(b *testing.B) {
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "compressed"
-		}
-		b.Run(name, func(b *testing.B) {
-			tasks := benchEmissions()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				shuffleRoundTrip(b, benchSegments(b, tasks, compress), compress, 16*2000)
-			}
-		})
+	tasks := benchEmissions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		shuffleRoundTrip(b, benchSegments(b, tasks), 16*2000)
 	}
 }

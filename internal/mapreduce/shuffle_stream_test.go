@@ -233,16 +233,15 @@ func TestParallelismByteIdenticalOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := Run(Job{
-			Name:            "par-identity",
-			FS:              fs,
-			Inputs:          []string{"in"},
-			Output:          "out",
-			Mapper:          &aggWordCountMapper{},
-			Reducer:         sumReducer,
-			NumReducers:     3,
-			SpillPairs:      8,
-			CompressShuffle: true,
-			Parallelism:     par,
+			Name:        "par-identity",
+			FS:          fs,
+			Inputs:      []string{"in"},
+			Output:      "out",
+			Mapper:      &aggWordCountMapper{},
+			Reducer:     sumReducer,
+			NumReducers: 3,
+			SpillPairs:  8,
+			Parallelism: par,
 		})
 		if err != nil {
 			t.Fatal(err)

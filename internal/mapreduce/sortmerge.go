@@ -2,29 +2,25 @@ package mapreduce
 
 import (
 	"bytes"
-	"compress/flate"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 )
 
 // This file holds the map-output machinery: sorted-run encoding, k-way
-// merging, map-side spills (Hadoop's io.sort.mb behaviour), and optional
-// shuffle compression. Map tasks hand reducers *encoded* segments, so
-// PartitionBytes is the actual wire size of the shuffle.
+// merging and map-side spills (Hadoop's io.sort.mb behaviour). Map tasks
+// hand reducers *encoded* segments, so PartitionBytes is the actual wire
+// size of the shuffle.
 //
 // The shuffle datapath is streaming (§4.8 of DESIGN.md): sorts compare a
 // cached integer prefix of each key before touching key bytes, merges run
 // through a loser tree that decodes encoded runs lazily and yields one
-// pair at a time, and flate state is pooled across segments and tasks.
-// The map-side buffer is in mapbuf.go; sortPairs, encodeRun and mergeRuns
-// below are the materialized reference it and the streaming merge are
-// tested against.
+// pair at a time. The map-side buffer is in mapbuf.go; sortPairs,
+// encodeRun and mergeRuns below are the materialized reference it and the
+// streaming merge are tested against.
 
 // sortPrefix maps a key to its first eight bytes read as a big-endian
 // integer (shorter keys are zero-padded on the right). Whenever two keys'
@@ -421,65 +417,4 @@ func (ms *mapSpills) load(r int) ([][]byte, error) {
 
 func (ms *mapSpills) close() {
 	os.RemoveAll(ms.dir)
-}
-
-// flateWriters pools flate compressor state (hundreds of KB per writer)
-// across segments, tasks, and jobs; writers are Reset onto each output.
-var flateWriters = sync.Pool{New: func() any {
-	w, err := flate.NewWriter(io.Discard, flate.BestSpeed)
-	if err != nil {
-		panic(err) // BestSpeed is a valid level
-	}
-	return w
-}}
-
-// flateReaders pools decompressor state (window + tables); readers are
-// Reset onto each input via flate.Resetter.
-var flateReaders = sync.Pool{New: func() any {
-	return flate.NewReader(bytes.NewReader(nil))
-}}
-
-// compressSegment flate-compresses an encoded segment (shuffle
-// compression, Hadoop's mapreduce.map.output.compress).
-func compressSegment(data []byte) ([]byte, error) {
-	w := flateWriters.Get().(*flate.Writer)
-	defer flateWriters.Put(w)
-	buf := bytes.NewBuffer(make([]byte, 0, len(data)/4+64))
-	w.Reset(buf)
-	if _, err := w.Write(data); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decompressSegment(data []byte) ([]byte, error) {
-	r := flateReaders.Get().(io.ReadCloser)
-	defer flateReaders.Put(r)
-	if err := r.(flate.Resetter).Reset(bytes.NewReader(data), nil); err != nil {
-		return nil, err
-	}
-	// Pre-size for the typical BestSpeed ratio on Pairs-format shuffle
-	// data; the append-grow loop handles outliers.
-	out := make([]byte, 0, 3*len(data)+64)
-	for {
-		if len(out) == cap(out) {
-			out = append(out, 0)[:len(out)]
-		}
-		n, err := r.Read(out[len(out):cap(out)])
-		out = out[:len(out)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			r.Close()
-			return nil, err
-		}
-	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

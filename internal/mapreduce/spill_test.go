@@ -81,68 +81,6 @@ func TestSpillMetrics(t *testing.T) {
 	}
 }
 
-// TestCompressShuffleEquivalence: compression changes only the wire
-// bytes, never the result.
-func TestCompressShuffleEquivalence(t *testing.T) {
-	lines := make([]string, 30)
-	for i := range lines {
-		lines[i] = strings.Repeat(fmt.Sprintf("token%d ", i%7), 10)
-	}
-	want := referenceRun(t, lines, wordCountMapper, sumReducer)
-	var plainBytes, compBytes int64
-	for _, compress := range []bool{false, true} {
-		fs := newFS()
-		WriteTextFile(fs, "in", lines)
-		m, err := Run(Job{
-			Name: "comp", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
-			Output: "out", Mapper: wordCountMapper, Reducer: sumReducer,
-			NumReducers: 2, CompressShuffle: compress,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadOutputPairs(fs, "out/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sortPairs(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("compress=%v: wrong result", compress)
-		}
-		if compress {
-			compBytes = m.TotalShuffleBytes()
-		} else {
-			plainBytes = m.TotalShuffleBytes()
-		}
-	}
-	if compBytes >= plainBytes {
-		t.Fatalf("compression did not shrink shuffle: %d vs %d", compBytes, plainBytes)
-	}
-}
-
-func TestCompressWithSpills(t *testing.T) {
-	lines := []string{"x y z x y z x y z x y z"}
-	fs := newFS()
-	WriteTextFile(fs, "in", lines)
-	_, err := Run(Job{
-		Name: "comp-spill", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
-		Output: "out", Mapper: &aggWordCountMapper{},
-		Reducer: sumReducer, NumReducers: 2, SpillPairs: 4, CompressShuffle: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, _ := ReadOutputPairs(fs, "out/")
-	got := map[string]string{}
-	for _, p := range pairs {
-		got[string(p.Key)] = string(p.Value)
-	}
-	want := map[string]string{"x": "4", "y": "4", "z": "4"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
-	}
-}
-
 // TestMergeRunsProperty: merging any split of a sorted sequence
 // reproduces the sequence.
 func TestMergeRunsProperty(t *testing.T) {
@@ -210,23 +148,5 @@ func TestEncodeDecodeRunRoundTrip(t *testing.T) {
 		if !bytes.Equal(out[i].Key, in[i].Key) || !bytes.Equal(out[i].Value, in[i].Value) {
 			t.Fatalf("pair %d mismatch", i)
 		}
-	}
-}
-
-func TestCompressSegmentRoundTrip(t *testing.T) {
-	data := bytes.Repeat([]byte("compressible content "), 200)
-	comp, err := compressSegment(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comp) >= len(data) {
-		t.Fatalf("no compression: %d vs %d", len(comp), len(data))
-	}
-	back, err := decompressSegment(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, data) {
-		t.Fatal("round trip mismatch")
 	}
 }

@@ -171,30 +171,24 @@ var asciiLower = func() (t [utf8.RuneSelf]byte) {
 }()
 
 // fill appends s's word tokens: maximal runs of letters and digits,
-// lower-cased rune by rune unless KeepCase. Invalid UTF-8 separates.
-func (w Word) fill(b *Buffer, s []byte) {
+// lower-cased rune by rune. Invalid UTF-8 separates.
+func (Word) fill(b *Buffer, s []byte) {
 	b.expect(len(s)/2 + 1)
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
 			i++
-			switch l := asciiLower[c]; {
-			case l == 0:
+			if l := asciiLower[c]; l == 0 {
 				b.endToken()
-			case w.KeepCase:
-				b.data = append(b.data, c)
-			default:
+			} else {
 				b.data = append(b.data, l)
 			}
 			continue
 		}
 		r, size := utf8.DecodeRune(s[i:])
 		i += size
-		switch {
-		case !unicode.IsLetter(r) && !unicode.IsDigit(r):
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
 			b.endToken()
-		case w.KeepCase:
-			b.data = append(b.data, s[i-size:i]...)
-		default:
+		} else {
 			b.data = utf8.AppendRune(b.data, unicode.ToLower(r))
 		}
 	}
@@ -202,18 +196,17 @@ func (w Word) fill(b *Buffer, s []byte) {
 }
 
 // fill appends s's q-grams: every window of Q runes over the
-// lower-cased string, '#'-padded at both ends unless NoPad; a string
-// shorter than Q is its own single gram. Invalid UTF-8 bytes read as
-// U+FFFD.
+// lower-cased string, '#'-padded at both ends with Q-1 marks. The empty
+// string has no grams. Invalid UTF-8 bytes read as U+FFFD.
 func (g QGram) fill(b *Buffer, s []byte) {
+	if len(s) == 0 {
+		return
+	}
 	q := g.Q
 	if q <= 0 {
 		q = 3
 	}
 	pad := q - 1
-	if g.NoPad {
-		pad = 0
-	}
 	text, starts := b.text[:0], b.starts[:0]
 	for i := 0; i < pad; i++ {
 		starts = append(starts, len(text))
@@ -237,15 +230,9 @@ func (g QGram) fill(b *Buffer, s []byte) {
 		starts = append(starts, len(text))
 		text = append(text, '#')
 	}
-	n := len(starts) // runes
+	n := len(starts) // runes, at least 2q-1
 	starts = append(starts, len(text))
 	b.text, b.starts = text, starts
-	if n == 0 {
-		return
-	}
-	if n < q {
-		q = n
-	}
 	b.expect(n - q + 1)
 	for i := 0; i+q <= n; i++ {
 		b.data = append(b.data, text[starts[i]:starts[i+q]]...)

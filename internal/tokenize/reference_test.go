@@ -12,20 +12,17 @@ import (
 // The conformance oracle and the benchmark's verifier both tokenize with
 // Word.Tokenize, so a wrong scanner would be wrong on both sides of
 // every end-to-end comparison. refWord and refQGram are the string
-// implementations the byte-level scanner replaced, kept verbatim as the
-// reference the Buffer path and the string wrappers are compared to.
+// implementations the byte-level scanner replaced, kept as the reference
+// the Buffer path and the string wrappers are compared to.
 
-func refWord(w Word, s string) []string {
+func refWord(s string) []string {
 	fields := strings.FieldsFunc(s, func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
 	out := make([]string, 0, len(fields))
 	seen := make(map[string]int, len(fields))
 	for _, f := range fields {
-		if !w.KeepCase {
-			f = strings.ToLower(f)
-		}
-		out = refAppendOccurrence(out, seen, f)
+		out = refAppendOccurrence(out, seen, strings.ToLower(f))
 	}
 	return out
 }
@@ -35,18 +32,11 @@ func refQGram(g QGram, s string) []string {
 	if q <= 0 {
 		q = 3
 	}
-	s = strings.ToLower(s)
-	if !g.NoPad {
-		pad := strings.Repeat("#", q-1)
-		s = pad + s + pad
+	if s == "" {
+		return nil
 	}
-	runes := []rune(s)
-	if len(runes) < q {
-		if len(runes) == 0 {
-			return nil
-		}
-		return []string{string(runes)}
-	}
+	pad := strings.Repeat("#", q-1)
+	runes := []rune(pad + strings.ToLower(s) + pad)
 	out := make([]string, 0, len(runes)-q+1)
 	seen := make(map[string]int, len(runes))
 	for i := 0; i+q <= len(runes); i++ {
@@ -68,8 +58,7 @@ func refAppendOccurrence(out []string, seen map[string]int, tok string) []string
 
 // checkAgainstReference compares, token for token, the reference with
 // both the Buffer path (through one Buffer reused across calls, as the
-// mappers use it) and the string wrapper, for Word in both cases and
-// QGram with and without padding.
+// mappers use it) and the string wrapper, for Word and QGram.
 func checkAgainstReference(t testing.TB, buf *Buffer, s string, q int) {
 	t.Helper()
 	same := func(name string, tk Tokenizer, want []string) {
@@ -92,12 +81,9 @@ func checkAgainstReference(t testing.TB, buf *Buffer, s string, q int) {
 			}
 		}
 	}
-	for _, w := range []Word{{}, {KeepCase: true}} {
-		same("Word"+strconv.FormatBool(w.KeepCase), w, refWord(w, s))
-	}
-	for _, g := range []QGram{{Q: q}, {Q: q, NoPad: true}} {
-		same("QGram"+strconv.Itoa(q)+strconv.FormatBool(g.NoPad), g, refQGram(g, s))
-	}
+	same("Word", Word{}, refWord(s))
+	g := QGram{Q: q}
+	same("QGram"+strconv.Itoa(q), g, refQGram(g, s))
 }
 
 var referenceSeeds = []string{

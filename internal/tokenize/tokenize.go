@@ -28,10 +28,7 @@ type Tokenizer interface {
 // Word tokenizes on non-alphanumeric boundaries after lower-casing. It is
 // the tokenizer used for all experiments in the paper ("we tokenized the
 // data by word").
-type Word struct {
-	// KeepCase disables lower-casing when set.
-	KeepCase bool
-}
+type Word struct{}
 
 // Tokenize implements Tokenizer.
 func (w Word) Tokenize(s string) []string {
@@ -45,11 +42,10 @@ func (w Word) Tokenize(s string) []string {
 
 // QGram produces overlapping substrings of length Q over the cleaned
 // string, padding the ends with '#' so every character participates in Q
-// grams, as is conventional for q-gram similarity.
+// grams, as is conventional for q-gram similarity. The empty string has
+// no grams.
 type QGram struct {
 	Q int
-	// NoPad disables the '#' end padding.
-	NoPad bool
 }
 
 // Tokenize implements Tokenizer.

@@ -24,14 +24,6 @@ func TestWordCleaning(t *testing.T) {
 	}
 }
 
-func TestWordKeepCase(t *testing.T) {
-	got := Word{KeepCase: true}.Tokenize("Ab aB")
-	want := []string{"Ab", "aB"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Tokenize = %v, want %v", got, want)
-	}
-}
-
 func TestWordDuplicatesGetOccurrenceSuffix(t *testing.T) {
 	got := Word{}.Tokenize("to be or not to be")
 	want := []string{"to", "be", "or", "not", "to~2", "be~2"}
@@ -75,8 +67,8 @@ func TestWordNoDuplicatesProperty(t *testing.T) {
 }
 
 func TestQGramBasic(t *testing.T) {
-	got := QGram{Q: 2, NoPad: true}.Tokenize("abcd")
-	want := []string{"ab", "bc", "cd"}
+	got := QGram{Q: 2}.Tokenize("abcd")
+	want := []string{"#a", "ab", "bc", "cd", "d#"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Tokenize = %v, want %v", got, want)
 	}
@@ -88,16 +80,20 @@ func TestQGramPadding(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Tokenize = %v, want %v", got, want)
 	}
+	// The empty string has no grams: padding alone is not a token, so
+	// two empty attributes do not join.
+	if got := (QGram{Q: 3}).Tokenize(""); got != nil {
+		t.Fatalf("Tokenize(\"\") = %v, want nil", got)
+	}
 }
 
+// TestQGramShortString: a string shorter than Q still yields one gram
+// per window of its padded form, every gram Q runes long.
 func TestQGramShortString(t *testing.T) {
-	got := QGram{Q: 5, NoPad: true}.Tokenize("ab")
-	want := []string{"ab"}
+	got := QGram{Q: 5}.Tokenize("ab")
+	want := []string{"####a", "###ab", "##ab#", "#ab##", "ab###", "b####"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Tokenize = %v, want %v", got, want)
-	}
-	if got := (QGram{Q: 3, NoPad: true}).Tokenize(""); got != nil {
-		t.Fatalf("Tokenize(\"\") = %v, want nil", got)
 	}
 }
 
@@ -110,7 +106,7 @@ func TestQGramDefaultQ(t *testing.T) {
 }
 
 func TestQGramRepeats(t *testing.T) {
-	got := QGram{Q: 1, NoPad: true}.Tokenize("aa")
+	got := QGram{Q: 1}.Tokenize("aa")
 	want := []string{"a", "a~2"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Tokenize = %v, want %v", got, want)
