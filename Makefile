@@ -8,7 +8,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt test vet staticcheck race tier1 smoke serve-smoke bench bench-compare bench-test bench-micro bench-planner allocprofile cpuprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
+.PHONY: all build fmt test vet staticcheck race tier1 smoke exact serve-smoke bench bench-compare bench-test bench-micro bench-planner allocprofile cpuprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
 
 all: tier1
 
@@ -50,13 +50,22 @@ race:
 tier1: build fmt test vet staticcheck race
 
 # smoke runs the CLI end to end with tracing on the bundled example
-# data, leaving trace.jsonl / timeline.svg / metrics.json in smoke-out/.
+# data, a fifth of the tasks failing their first attempt, leaving
+# trace.jsonl / timeline.svg / metrics.json in smoke-out/.
 smoke:
 	@mkdir -p smoke-out
-	$(GO) run ./cmd/fuzzyjoin -in testdata/pubs.tsv -nodes 2 -replication 2 \
-		-node-fail 0 -speculative -trace -trace-out smoke-out -out smoke-out/pairs.txt
+	$(GO) run ./cmd/fuzzyjoin -in testdata/pubs.tsv -nodes 2 -max-attempts 3 \
+		-fault-rate 0.2 -trace -trace-out smoke-out -out smoke-out/pairs.txt
 	@test -s smoke-out/trace.jsonl && test -s smoke-out/timeline.svg && test -s smoke-out/metrics.json
 	@echo "smoke artifacts in smoke-out/"
+
+# exact runs 18 fuzzyjoin joins (3 inputs x 3 combos x in process and
+# -workers 2) at PARENT and at the working tree and fails unless every
+# output is cmp-equal and every -stats line equal with timings cut. The
+# parent is built in a git worktree under .bench_build/exact/.
+exact:
+	@test -n "$(PARENT)" || { echo "usage: make exact PARENT=<rev>"; exit 2; }
+	GO=$(GO) sh scripts/exact.sh $(PARENT)
 
 # conformance sweeps the full pipeline-variant matrix (384 cells: stage
 # combos × self/R-S × routing × §5 strategy (block processing or length

@@ -69,9 +69,7 @@ func main() {
 		faultSeed   = flag.Int64("fault-seed", 1, "seed selecting which tasks the injected failures hit")
 
 		nodes       = flag.Int("nodes", 1, "virtual DFS nodes the input blocks spread over")
-		replication = flag.Int("replication", 1, "block replicas stored on distinct nodes (>= 2 survives a node death)")
-		nodeFail    = flag.Int("node-fail", -1, "kill this DFS node after the first job's map phase (-1 = none)")
-		speculative = flag.Bool("speculative", false, "race a backup attempt against every reduce task, committing the first to finish")
+		replication = flag.Int("replication", 1, "distinct nodes each block is placed on (a map task runs data-local on any of them in the simulated timeline)")
 
 		traceOn  = flag.Bool("trace", false, "collect a structured trace of the run and write trace.jsonl, timeline.svg, and metrics.json")
 		traceOut = flag.String("trace-out", "", "directory for the trace artifacts (implies -trace; default \"trace\" when -trace is set)")
@@ -112,19 +110,7 @@ func main() {
 	if *nodes < 1 {
 		fatal(fmt.Errorf("-nodes %d: need at least one node", *nodes))
 	}
-	fs := fuzzyjoin.NewFS(*nodes,
-		fuzzyjoin.Replication(*replication), fuzzyjoin.AutoReReplicate(true))
-	if *nodeFail >= 0 {
-		if *nodeFail >= *nodes {
-			fatal(fmt.Errorf("-node-fail %d: cluster has nodes 0..%d", *nodeFail, *nodes-1))
-		}
-		// The node dies after the first job's map wave — the moment its
-		// committed map outputs (and block replicas) matter most — and
-		// stays dead for the rest of the pipeline. With -replication 1
-		// the join fails cleanly; with >= 2 it degrades gracefully.
-		cfg.NodeFailures = []fuzzyjoin.NodeFailure{{Barrier: fuzzyjoin.AfterMap, Node: *nodeFail}}
-	}
-	cfg.Speculative = *speculative
+	fs := fuzzyjoin.NewFS(*nodes, fuzzyjoin.Replication(*replication))
 	if *traceOn {
 		cfg.Trace = fuzzyjoin.NewTracer()
 	}

@@ -10,7 +10,7 @@
 // -only selects a comma-separated subset of experiment names (fig8, fig9,
 // table1, fig11, table2, fig12, fig13, fig14, groups, skew, blocks,
 // filters, kernels, fvt, routing, combiner, singlestage, engine, tau,
-// faults, nodefaults, planner).
+// faults, planner).
 //
 // "planner" sweeps the cost planner against a hand-tuned grid on three
 // Zipf-skewed workloads; -planner-out FILE records the ablation as JSON
@@ -155,7 +155,6 @@ func main() {
 	run("engine", func() (renderer, error) { return s.EngineAblation() })
 	run("tau", func() (renderer, error) { return s.ThresholdSweep() })
 	run("faults", func() (renderer, error) { return s.FaultAblation() })
-	run("nodefaults", func() (renderer, error) { return s.NodeFaultAblation() })
 	run("planner", func() (renderer, error) { return s.PlannerAblation() })
 
 	if *traceOn {

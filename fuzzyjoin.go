@@ -128,11 +128,6 @@ type (
 	TaskRef = mapreduce.TaskRef
 	// RateInjector fails a deterministic pseudo-random fraction of tasks.
 	RateInjector = mapreduce.RateInjector
-	// NodeFailure schedules a DFS node death (or recovery) at a job
-	// barrier; see Config.NodeFailures.
-	NodeFailure = mapreduce.NodeFailure
-	// Barrier is the point in a job a NodeFailure fires at.
-	Barrier = mapreduce.Barrier
 )
 
 // FailAttempts returns an injector failing exactly the listed attempts.
@@ -144,17 +139,6 @@ const (
 	ReducePhase = mapreduce.ReducePhase
 )
 
-// Node-failure barriers for NodeFailure.Barrier.
-const (
-	BeforeMap = mapreduce.BeforeMap
-	AfterMap  = mapreduce.AfterMap
-)
-
-// ErrBlockUnavailable is the DFS error surfaced (wrapped) when every
-// replica of a needed block is dead or corrupt — at replication 1 a
-// single node death makes the affected job fail cleanly with this.
-var ErrBlockUnavailable = dfs.ErrBlockUnavailable
-
 // Record field indices for the bibliographic record layout.
 const (
 	FieldTitle   = records.FieldTitle
@@ -165,26 +149,17 @@ const (
 // FSOption customizes a file system created by NewFS.
 type FSOption func(*dfs.Options)
 
-// Replication stores n copies of every block on distinct nodes
-// (HDFS-style). n ≥ 2 lets joins survive a node death mid-pipeline; see
-// Config.NodeFailures. The default is one replica per block.
+// Replication places every block on n distinct nodes (HDFS-style). The
+// cluster simulator runs a map task data-local on any of them; the bytes
+// are stored once. The default is one location per block.
 func Replication(n int) FSOption {
 	return func(o *dfs.Options) { o.Replication = n }
 }
 
-// AutoReReplicate re-replicates under-replicated blocks automatically
-// after a node failure (the namenode's background repair). It is off by
-// default; NewReplicatedFS enables it.
-func AutoReReplicate(on bool) FSOption {
-	return func(o *dfs.Options) { o.AutoReReplicate = on }
-}
-
 // NewFS creates a distributed file system spread over the given number of
-// virtual nodes. With no options each block is stored once; pass
-// Replication and AutoReReplicate for an HDFS-style fault-tolerant
-// system:
+// virtual nodes:
 //
-//	fs := fuzzyjoin.NewFS(4, fuzzyjoin.Replication(2), fuzzyjoin.AutoReReplicate(true))
+//	fs := fuzzyjoin.NewFS(4, fuzzyjoin.Replication(2))
 func NewFS(nodes int, opts ...FSOption) *FS {
 	o := dfs.Options{Nodes: nodes}
 	for _, opt := range opts {

@@ -21,9 +21,11 @@
 // speedup, broadcast cost stays constant as N grows, and reducer skew
 // stretches the reduce wave.
 //
-// One scheduler (wave) places every attempt. Makespan and FlowMakespan
-// are SimulateFlow without failures, and Timeline records where that
-// failure-free run placed each attempt, so the three cannot disagree.
+// One scheduler (wave) places every attempt and one per-job function
+// (job) runs both waves, so Makespan, FlowMakespan and Timeline cannot
+// disagree. Failed task attempts are the one failure the model charges:
+// each recorded attempt occupies a slot for its cost before the retry
+// goes out.
 package cluster
 
 import (
@@ -107,12 +109,6 @@ type JobCost struct {
 	// SideBytes is the total broadcast (distributed-cache) volume each
 	// node must fetch once.
 	SideBytes int64
-	// ReduceBackups, when non-nil, records per reduce task the cost of a
-	// speculative backup attempt that lost the race (0 = no backup ran).
-	// Backups occupy a slot concurrently with the original, so they do
-	// not extend the reduce wave; the timeline renders them as wasted
-	// work.
-	ReduceBackups []time.Duration
 }
 
 // FromMetrics summarizes engine metrics into a schedulable JobCost.
@@ -144,12 +140,6 @@ func FromMetrics(m *mapreduce.Metrics) JobCost {
 				jc.ReduceAttempts = make([][]time.Duration, len(m.ReduceTasks))
 			}
 			jc.ReduceAttempts[i] = append([]time.Duration(nil), t.AttemptCosts...)
-		}
-		if t.BackupCost > 0 {
-			if jc.ReduceBackups == nil {
-				jc.ReduceBackups = make([]time.Duration, len(m.ReduceTasks))
-			}
-			jc.ReduceBackups[i] = t.BackupCost
 		}
 	}
 	return jc
@@ -197,32 +187,15 @@ type task struct {
 	penalty  time.Duration   // remote-read cost when run off-replica
 }
 
-// barrier blocks attempts from starting inside [from, until) — the
-// window in which lost map outputs are being recomputed.
-type barrier struct{ from, until time.Duration }
-
 // placement, when non-nil, is told where and when each attempt ran:
 // the phase (trace.PhaseMap or trace.PhaseReduce), the task, its
 // 1-based attempt number, the node, and the attempt's absolute interval.
 // Recording does not perturb the schedule.
 type placement func(phase string, task, attempt, node int, start, end time.Duration)
 
-// waveOut is one wave's outcome.
-type waveOut struct {
-	end        time.Duration // absolute completion time of the wave
-	commitNode []int         // per task, the node it committed on (-1 if none)
-	commits    []int         // per task, times committed (0 if lost)
-	killed     int
-	spLaunched int
-	spWins     int
-	wasted     time.Duration
-	lost       bool          // some task's input had no live replica
-	lostAt     time.Duration // when that was detected
-}
-
 // wave is the cluster's scheduler: it places one wave of tasks (a job's
-// map or reduce tasks) onto Nodes × slots-per-node slots from start, the
-// way a failure-blind slot scheduler does.
+// map or reduce tasks) onto Nodes × slots-per-node slots from start and
+// returns the wave's absolute completion time.
 //
 //   - First attempts go out longest first (LPT by first-attempt cost),
 //     each to the slot that can start it earliest. A task with input
@@ -232,26 +205,9 @@ type waveOut struct {
 //     next attempt is dispatched when it fails, onto whichever slot can
 //     start it earliest then. Retries go out in the order they became
 //     ready, ties by task index.
-//   - No attempt starts on a dead node (dead[n] is node n's death time)
-//     or inside a recompute barrier. An attempt running when its node
-//     dies is killed and re-run once the death is detected, or earlier
-//     by a speculative backup; a task whose input has no live replica
-//     loses the wave.
-//
-// With no deaths and no barriers this is LPT over attempt chains.
-func (s Spec) wave(phase string, tasks []task, start time.Duration, dead []time.Duration,
-	barriers []barrier, fm FailureModel, rec placement) waveOut {
-
-	out := waveOut{
-		end:        start,
-		commitNode: make([]int, len(tasks)),
-		commits:    make([]int, len(tasks)),
-	}
-	for i := range out.commitNode {
-		out.commitNode[i] = -1
-	}
+func (s Spec) wave(phase string, tasks []task, start time.Duration, rec placement) time.Duration {
 	if len(tasks) == 0 {
-		return out
+		return start
 	}
 	slotsPerNode := s.MapSlotsPerNode
 	if phase == trace.PhaseReduce {
@@ -272,108 +228,43 @@ func (s Spec) wave(phase string, tasks []task, start time.Duration, dead []time.
 		return false
 	}
 
-	// A backup launches once an attempt has run slack × the median
-	// committed task cost without finishing.
-	committed := make([]time.Duration, len(tasks))
-	for i, t := range tasks {
-		committed[i] = t.attempts[len(t.attempts)-1]
-	}
-	sort.Slice(committed, func(i, j int) bool { return committed[i] < committed[j] })
-	slackLag := time.Duration(fm.slack() * float64(committed[len(committed)/2]))
-
-	afterBarriers := func(t time.Duration) time.Duration {
-		for _, b := range barriers {
-			if t >= b.from && t < b.until {
-				t = b.until
-			}
-		}
-		return t
-	}
-
 	type retry struct {
 		id, next int           // the task and the index of its next attempt
 		ready    time.Duration // it cannot start earlier
 	}
 	var retries []retry
-	placed := make([]int, len(tasks)) // attempts placed so far, per task
 
-	// place runs attempt next of task id no earlier than ready; false
-	// means the task's input is lost.
-	place := func(id, next int, ready time.Duration) bool {
+	// place runs attempt next of task id no earlier than ready.
+	place := func(id, next int, ready time.Duration) {
 		t := tasks[id]
-		startOn := func(sl int) time.Duration { return afterBarriers(max(free[sl], ready)) }
-		bestAny, bestLocal := -1, -1
+		startOn := func(sl int) time.Duration { return max(free[sl], ready) }
+		bestAny, bestLocal := 0, -1
 		for sl := 0; sl < slots; sl++ {
 			st := startOn(sl)
-			if st >= dead[nodeOf(sl)] {
-				continue
-			}
-			if bestAny < 0 || st < startOn(bestAny) {
+			if st < startOn(bestAny) {
 				bestAny = sl
 			}
 			if onReplica(t.locs, nodeOf(sl)) && (bestLocal < 0 || st < startOn(bestLocal)) {
 				bestLocal = sl
 			}
 		}
-		if bestAny < 0 {
-			// Every node is dead: nothing can ever run.
-			out.lost, out.lostAt = true, ready
-			return false
-		}
 		sl, cost := bestAny, t.attempts[next]
 		if len(t.locs) > 0 {
 			if bestLocal >= 0 && startOn(bestLocal) <= startOn(bestAny)+t.penalty {
 				sl = bestLocal
-			} else if !s.replicaAlive(t.locs, dead, startOn(sl)) {
-				// Off-replica, and no replica is left to read from.
-				out.lost, out.lostAt = true, startOn(sl)+fm.detect()
-				return false
 			} else {
 				cost += t.penalty
 			}
 		}
 		st := startOn(sl)
-		end := st + cost
-		node := nodeOf(sl)
-		killed := dead[node] < end
-		if killed {
-			end = dead[node]
-		}
-		placed[id]++
+		free[sl] = st + cost
 		if rec != nil {
-			rec(phase, id, placed[id], node, st, end)
+			rec(phase, id, next+1, nodeOf(sl), st, free[sl])
 		}
-		free[sl] = end
-		switch {
-		case killed:
-			// The node died mid-attempt. The stall is visible from the
-			// death on: the heartbeat timeout notices after DetectTimeout,
-			// the speculation lag detector after slackLag, and whichever
-			// fires first launches the re-run. When speculation wins, the
-			// re-run IS the backup, and it commits.
-			out.killed++
-			out.wasted += end - st
-			ready := end + fm.detect()
-			if specAt := end + slackLag; fm.Speculative && specAt < ready {
-				ready = specAt
-				out.spLaunched++
-				out.spWins++
-			}
-			retries = append(retries, retry{id: id, next: next, ready: ready})
-		case next+1 < len(t.attempts):
+		if next+1 < len(t.attempts) {
 			// A recorded failure: the next attempt goes out when it fails.
-			retries = append(retries, retry{id: id, next: next + 1, ready: end})
-		default:
-			out.commits[id]++
-			out.commitNode[id] = node
-			if fm.Speculative && t.attempts[next] > slackLag {
-				// A backup launched for this laggard at st+slackLag and was
-				// killed when the original committed first: pure waste.
-				out.spLaunched++
-				out.wasted += end - (st + slackLag)
-			}
+			retries = append(retries, retry{id: id, next: next + 1, ready: free[sl]})
 		}
-		return true
 	}
 
 	order := make([]int, len(tasks))
@@ -382,9 +273,7 @@ func (s Spec) wave(phase string, tasks []task, start time.Duration, dead []time.
 	}
 	sort.SliceStable(order, func(i, j int) bool { return tasks[order[i]].attempts[0] > tasks[order[j]].attempts[0] })
 	for _, id := range order {
-		if !place(id, 0, start) {
-			return out
-		}
+		place(id, 0, start)
 	}
 	for len(retries) > 0 {
 		sort.SliceStable(retries, func(i, j int) bool {
@@ -395,26 +284,56 @@ func (s Spec) wave(phase string, tasks []task, start time.Duration, dead []time.
 		})
 		r := retries[0]
 		retries = retries[1:]
-		if !place(r.id, r.next, r.ready) {
-			return out
-		}
+		place(r.id, r.next, r.ready)
 	}
+	end := start
 	for _, f := range free {
-		out.end = max(out.end, f)
+		end = max(end, f)
 	}
-	return out
+	return end
+}
+
+// job runs one job from startAt and returns its absolute completion
+// time: job overhead and side-file broadcast, the map wave, then the
+// reduce wave. rec sees every attempt of both waves.
+func (s Spec) job(jc JobCost, startAt time.Duration, rec placement) time.Duration {
+	mapTasks := make([]task, len(jc.MapCosts))
+	for i, c := range jc.MapCosts {
+		t := task{attempts: chain(jc.MapAttempts, i, c, s.TaskOverhead)}
+		if i < len(jc.MapLocations) && len(jc.MapLocations[i]) > 0 {
+			t.locs = jc.MapLocations[i]
+			if i < len(jc.MapInputBytes) {
+				t.penalty = s.transfer(jc.MapInputBytes[i])
+			}
+		}
+		mapTasks[i] = t
+	}
+	mapEnd := s.wave(trace.PhaseMap, mapTasks, startAt+s.JobOverhead+s.broadcastTime(jc), rec)
+
+	reduceTasks := make([]task, len(jc.ReduceCosts))
+	for i, c := range jc.ReduceCosts {
+		// Every attempt — failed ones included — pays the shuffle fetch
+		// and task launch again, as a re-executed reducer does on Hadoop.
+		reduceTasks[i] = task{attempts: chain(jc.ReduceAttempts, i, c, s.reduceFetch(jc, i)+s.TaskOverhead)}
+	}
+	return s.wave(trace.PhaseReduce, reduceTasks, mapEnd, rec)
 }
 
 // Makespan computes the simulated wall-clock time of one job on the
-// cluster: SimulateFlow's makespan with no failures.
+// cluster.
 func (s Spec) Makespan(jc JobCost) time.Duration {
 	return s.FlowMakespan([]JobCost{jc})
 }
 
 // FlowMakespan is the simulated time of a sequence of dependent jobs run
-// one after another with no failures — the sum of their Makespans.
+// one after another — the sum of their Makespans.
 func (s Spec) FlowMakespan(jobs []JobCost) time.Duration {
-	return s.SimulateFlow(jobs, FailureModel{}).Makespan
+	s = s.normalized()
+	var at time.Duration
+	for _, jc := range jobs {
+		at = s.job(jc, at, nil)
+	}
+	return at
 }
 
 // String renders the spec compactly for experiment logs.

@@ -31,7 +31,7 @@ func chainSpan(chains [][]time.Duration, slots int) time.Duration {
 func mapWave(s Spec, jc JobCost) (span time.Duration, local, remote int) {
 	s.JobOverhead = 0
 	jc.ReduceCosts, jc.SideBytes = nil, 0
-	for _, e := range s.Timeline([]JobCost{jc}, nil) {
+	for _, e := range s.Timeline([]JobCost{jc}) {
 		span = max(span, time.Duration(e.End))
 		var locs []int
 		if e.Task < len(jc.MapLocations) {
@@ -335,4 +335,104 @@ func TestNoLocationsBehavesAsBefore(t *testing.T) {
 	if got, _, _ := mapWave(s, jc); got != want {
 		t.Fatalf("span without locations = %v, want plain LPT %v", got, want)
 	}
+}
+
+// simJob builds a synthetic job: nMaps map tasks of mapCost each, input
+// replicas placed round-robin with the given replication, and nReduces
+// reduce tasks of reduceCost each.
+func simJob(nodes, nMaps, nReduces, replication int, mapCost, reduceCost time.Duration) JobCost {
+	jc := JobCost{
+		Name:          "sim",
+		MapCosts:      make([]time.Duration, nMaps),
+		ReduceCosts:   make([]time.Duration, nReduces),
+		MapLocations:  make([][]int, nMaps),
+		MapInputBytes: make([]int64, nMaps),
+	}
+	for i := 0; i < nMaps; i++ {
+		jc.MapCosts[i] = mapCost
+		for r := 0; r < replication; r++ {
+			jc.MapLocations[i] = append(jc.MapLocations[i], (i+r)%nodes)
+		}
+		jc.MapInputBytes[i] = 1 << 16
+	}
+	for i := 0; i < nReduces; i++ {
+		jc.ReduceCosts[i] = reduceCost
+	}
+	return jc
+}
+
+// entryPoints is the simulated time of a flow through every entry
+// point: the sum of its jobs' Makespans, FlowMakespan, and the latest
+// span end of its Timeline.
+func entryPoints(s Spec, jobs []JobCost) map[string]time.Duration {
+	var sum, end time.Duration
+	for _, jc := range jobs {
+		sum += s.Makespan(jc)
+	}
+	for _, e := range s.Timeline(jobs) {
+		end = max(end, time.Duration(e.End))
+	}
+	return map[string]time.Duration{
+		"Makespan":     sum,
+		"FlowMakespan": s.FlowMakespan(jobs),
+		"Timeline":     end,
+	}
+}
+
+func checkEntryPoints(t *testing.T, name string, s Spec, jobs []JobCost, want time.Duration) {
+	t.Helper()
+	for entry, got := range entryPoints(s, jobs) {
+		if got != want {
+			t.Errorf("%s: %s = %v, want %v", name, entry, got, want)
+		}
+	}
+}
+
+// TestSimulateNoFailuresMatchesMakespan: every entry point runs the same
+// schedule — on every golden input, attempt chains included, and on
+// specs with unset slot counts.
+func TestSimulateNoFailuresMatchesMakespan(t *testing.T) {
+	spec := Default(4)
+	jc := simJob(4, 16, 8, 2, 10*time.Millisecond, 8*time.Millisecond)
+	jc.ShufflePerReduce = make([]int64, 8)
+	for i := range jc.ShufflePerReduce {
+		jc.ShufflePerReduce[i] = 1 << 18
+	}
+	checkEntryPoints(t, "simJob", spec, []JobCost{jc}, spec.Makespan(jc))
+
+	specs := goldenSpecs()
+	specs["unset-slots"] = Spec{Nodes: 4, MapSlotsPerNode: 1}
+	specs["bare"] = Spec{Nodes: 3}
+	for fname, jobs := range goldenFlows(readSimGolden(t).RecordedFlow) {
+		for sname, s := range specs {
+			checkEntryPoints(t, fname+"/"+sname, s, jobs, s.FlowMakespan(jobs))
+		}
+	}
+}
+
+// TestFailureFreeSimulationChargesAttemptChains: a map task whose first
+// attempt failed after 30 ms and whose retry took 10 ms costs both
+// attempts through every entry point: 20 ms job overhead, then 32 ms and
+// 12 ms of map attempts (with task overhead), then a 7 ms reducer.
+func TestFailureFreeSimulationChargesAttemptChains(t *testing.T) {
+	ms := time.Millisecond
+	jobs := []JobCost{{
+		Name:        "retried",
+		MapCosts:    []time.Duration{10 * ms},
+		MapAttempts: [][]time.Duration{{30 * ms, 10 * ms}},
+		ReduceCosts: []time.Duration{5 * ms},
+	}}
+	checkEntryPoints(t, "retried map", Default(2), jobs, 71*ms)
+}
+
+// TestUnsetSlotsMeanOnePerNode: a spec that leaves ReduceSlotsPerNode
+// unset runs one reducer per node in every entry point, so four 10 ns
+// reducers on four nodes take one 10 ns wave after the 10 ns map.
+func TestUnsetSlotsMeanOnePerNode(t *testing.T) {
+	jobs := []JobCost{{
+		Name:        "unset",
+		MapCosts:    []time.Duration{10},
+		ReduceCosts: []time.Duration{10, 10, 10, 10},
+	}}
+	checkEntryPoints(t, "unset reduce slots", Spec{Nodes: 4, MapSlotsPerNode: 1}, jobs, 20)
 }

@@ -14,8 +14,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixedSelfJoinFlow is a deterministic 2-node self-join flow: the three
 // pipeline stages as synthetic JobCosts with fixed costs, one map retry
-// chain, one reduce retry chain, and one speculative backup — every
-// span kind the timeline renders.
+// chain and one reduce retry chain — every span kind the timeline
+// renders.
 func fixedSelfJoinFlow() []JobCost {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	return []JobCost{
@@ -32,7 +32,6 @@ func fixedSelfJoinFlow() []JobCost {
 			MapCosts:         []time.Duration{ms(12), ms(11), ms(13), ms(10)},
 			ReduceCosts:      []time.Duration{ms(9), ms(14)},
 			ReduceAttempts:   [][]time.Duration{{ms(4), ms(9)}, nil},
-			ReduceBackups:    []time.Duration{0, ms(6)},
 			ShufflePerReduce: []int64{128 << 10, 256 << 10},
 			SideBytes:        32 << 10,
 		},
@@ -51,7 +50,7 @@ func fixedSelfJoinFlow() []JobCost {
 func TestTimelineMatchesMakespan(t *testing.T) {
 	s := Default(2)
 	jobs := fixedSelfJoinFlow()
-	events := s.Timeline(jobs, nil)
+	events := s.Timeline(jobs)
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
@@ -72,8 +71,8 @@ func TestTimelineMatchesMakespan(t *testing.T) {
 			t.Errorf("span %+v: node out of range", e)
 		}
 	}
-	// One span per attempt plus one backup: (4+1)+(2)+(4)+(2+1)+1+(2)+(2).
-	wantSpans := 5 + 2 + 4 + 3 + 1 + 2 + 2
+	// One span per attempt: (4+1)+(2)+(4)+(2+1)+(2)+(2).
+	wantSpans := 5 + 2 + 4 + 3 + 2 + 2
 	if spans != wantSpans {
 		t.Errorf("spans = %d, want %d", spans, wantSpans)
 	}
@@ -88,51 +87,22 @@ func TestTimelineMatchesMakespan(t *testing.T) {
 	}
 }
 
-// TestTimelineKinds: retries render as reruns, the speculative loser as
-// a backup, and engine node events translate to simulated instants.
+// TestTimelineKinds: first attempts render as runs and retries as
+// reruns.
 func TestTimelineKinds(t *testing.T) {
-	s := Default(2)
-	engine := []trace.Event{
-		{Type: trace.NodeDown, Job: "s1-bto-count", Node: 1, Detail: "after-map", T: 123456789},
-		{Type: trace.NodeUp, Job: "s3-brj-1", Node: 1, Detail: "before-map", T: 987654321},
-		{Type: trace.JobStart, Job: "s2-pk-self"}, // ignored
-	}
-	events := s.Timeline(fixedSelfJoinFlow(), engine)
 	count := map[string]int{}
-	var down, up *trace.Event
-	for i, e := range events {
-		switch e.Type {
-		case trace.TaskSpan:
-			count[e.Kind]++
-		case trace.NodeDown:
-			down = &events[i]
-		case trace.NodeUp:
-			up = &events[i]
-		}
+	for _, e := range Default(2).Timeline(fixedSelfJoinFlow()) {
+		count[e.Kind]++
 	}
-	if count[trace.KindRun] == 0 || count[trace.KindRerun] != 2 || count[trace.KindBackup] != 1 {
-		t.Fatalf("kind counts = %v, want runs>0, 2 reruns, 1 backup", count)
-	}
-	if down == nil || up == nil {
-		t.Fatal("node events not carried into the timeline")
-	}
-	// The marks must be in simulated time now, not host time.
-	if down.Start == 123456789 || down.Start <= 0 {
-		t.Fatalf("node-down at %d, want simulated instant", down.Start)
-	}
-	if up.Start <= down.Start {
-		t.Fatalf("node-up (%d) not after node-down (%d): s3 starts after s1's map wave", up.Start, down.Start)
+	if count[trace.KindRun] != 16 || count[trace.KindRerun] != 2 || len(count) != 2 {
+		t.Fatalf("kind counts = %v, want 16 runs and 2 reruns", count)
 	}
 }
 
 // TestTimelineGoldenSVG locks the rendered timeline of the fixed flow.
 // Regenerate with: go test ./internal/cluster -run Golden -update
 func TestTimelineGoldenSVG(t *testing.T) {
-	s := Default(2)
-	engine := []trace.Event{
-		{Type: trace.NodeDown, Job: "s2-pk-self", Node: 1, Detail: "after-map", T: 1},
-	}
-	events := s.Timeline(fixedSelfJoinFlow(), engine)
+	events := Default(2).Timeline(fixedSelfJoinFlow())
 	svg := trace.TimelineSVG("fixed 2-node self-join", events)
 
 	golden := filepath.Join("testdata", "timeline_golden.svg")

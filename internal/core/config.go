@@ -232,15 +232,6 @@ type Config struct {
 	// experiments; requires Retry.MaxAttempts > 1 for jobs to survive
 	// the injected failures.
 	FaultInjector mapreduce.FaultInjector `json:"-"`
-	// NodeFailures schedules DFS node deaths/recoveries at job barriers
-	// in every job the pipeline runs (see mapreduce.NodeFailure). Events
-	// naming a specific job fire only there; a node failed in one job
-	// stays failed for the rest of the pipeline unless recovered.
-	NodeFailures []mapreduce.NodeFailure `json:"-"`
-	// Speculative races a backup attempt against every reduce task in
-	// every job (Hadoop's speculative execution); exactly one attempt
-	// per task commits.
-	Speculative bool `json:"-"`
 	// Trace, when non-nil, receives typed events from every job the
 	// pipeline runs plus flow- and stage-level markers; the collected
 	// trace is returned on Result.Trace. Nil disables tracing at zero

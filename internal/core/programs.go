@@ -182,8 +182,6 @@ func coreJob(cfg *Config, ps progSpec) (mapreduce.Job, error) {
 		SpillPairs:    cfg.SpillPairs,
 		Retry:         cfg.Retry,
 		FaultInjector: cfg.FaultInjector,
-		NodeFailures:  cfg.NodeFailures,
-		Speculative:   cfg.Speculative,
 		Trace:         cfg.Trace,
 		Runner:        cfg.Runner,
 	}

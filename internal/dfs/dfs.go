@@ -9,16 +9,12 @@
 // records are an equivalent simplification for this system because all
 // producers write through this API.) Each block is assigned replica
 // locations round-robin across the virtual cluster nodes, mirroring the
-// balanced initial placement the paper arranges before each experiment.
+// balanced initial placement the paper arranges before each experiment;
+// the cluster simulator's locality rule reads them from Split.Locations.
+// The bytes are stored once whatever the replication factor.
 //
-// The node-level failure model mirrors HDFS's: every block carries a
-// CRC32 checksum computed at write time and verified on every read;
-// nodes can fail (FailNode) and recover (RecoverNode); reads fail over
-// to any live, uncorrupted replica and return ErrBlockUnavailable only
-// when none is left; and ReReplicate restores the replication factor of
-// under-replicated blocks from a surviving replica, the way the HDFS
-// namenode re-replicates after a datanode death. Writes place replicas
-// on live nodes only.
+// Every block carries a CRC32 checksum computed at write time and
+// verified on every read; a mismatch fails the read with ErrChecksum.
 package dfs
 
 import (
@@ -46,11 +42,6 @@ type Options struct {
 	// Replication is the number of replica locations per block, capped at
 	// Nodes. Defaults to 1 (the paper sets dfs.replication=1).
 	Replication int
-	// AutoReReplicate runs ReReplicate whenever a node fails or
-	// recovers — the deterministic stand-in for the HDFS namenode's
-	// background re-replication thread, which in a simulated file
-	// system can complete "instantly" at the failure event.
-	AutoReReplicate bool
 }
 
 // FS is an in-memory simulated distributed file system. All methods are
@@ -59,17 +50,15 @@ type FS struct {
 	mu    sync.RWMutex
 	opts  Options
 	files map[string]*file
-	next  int          // round-robin placement cursor
-	down  map[int]bool // failed (dead) nodes
+	next  int // round-robin placement cursor
 }
 
 type file struct {
-	blocks  [][]byte
-	sums    []uint32       // CRC32 (IEEE) per block, computed at write
-	locs    [][]int        // replica node IDs per block
-	corrupt []map[int]bool // per block: replica nodes whose copy is corrupt
-	nrecs   []int          // records per block
-	size    int64
+	blocks [][]byte
+	sums   []uint32 // CRC32 (IEEE) per block, computed at write
+	locs   [][]int  // replica node IDs per block
+	nrecs  []int    // records per block
+	size   int64
 }
 
 // New creates an empty file system.
@@ -86,7 +75,7 @@ func New(opts Options) *FS {
 	if opts.Replication > opts.Nodes {
 		opts.Replication = opts.Nodes
 	}
-	return &FS{opts: opts, files: make(map[string]*file), down: make(map[int]bool)}
+	return &FS{opts: opts, files: make(map[string]*file)}
 }
 
 // Nodes returns the number of virtual nodes.
@@ -110,184 +99,9 @@ var ErrExist = errors.New("dfs: file already exists")
 // mis-parse as a split bigger than the block size.
 var ErrRecordTooLarge = errors.New("dfs: record larger than block size")
 
-// ErrBlockUnavailable is returned by reads when every replica of a block
-// is on a dead node or corrupt — the HDFS "could not obtain block"
-// condition. With replication 1 a single node death makes its blocks
-// unavailable; with replication ≥ 2 reads fail over to a surviving
-// replica instead.
-var ErrBlockUnavailable = errors.New("dfs: block unavailable: all replicas dead or corrupt")
-
-// ErrChecksum marks a replica whose stored bytes no longer match the
-// block's write-time CRC32.
+// ErrChecksum marks a block whose stored bytes no longer match its
+// write-time CRC32.
 var ErrChecksum = errors.New("dfs: block checksum mismatch")
-
-// ErrNoLiveNodes is returned by writes when every node is dead.
-var ErrNoLiveNodes = errors.New("dfs: no live nodes to place block on")
-
-// ---- Node liveness -------------------------------------------------------
-
-// FailNode marks a node dead: reads fail over to replicas on other
-// nodes, and writes stop placing blocks on it. Failing an already-dead
-// or out-of-range node is a no-op.
-func (fs *FS) FailNode(id int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if id < 0 || id >= fs.opts.Nodes {
-		return
-	}
-	fs.down[id] = true
-	if fs.opts.AutoReReplicate {
-		fs.reReplicateLocked()
-	}
-}
-
-// RecoverNode marks a dead node live again. Its replicas become readable
-// once more (their data survived, as a restarted datanode's disks do).
-func (fs *FS) RecoverNode(id int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if id < 0 || id >= fs.opts.Nodes {
-		return
-	}
-	delete(fs.down, id)
-	if fs.opts.AutoReReplicate {
-		fs.reReplicateLocked()
-	}
-}
-
-// NodeAlive reports whether the node is live.
-func (fs *FS) NodeAlive(id int) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return !fs.down[id]
-}
-
-// LiveNodes returns the IDs of all live nodes, ascending.
-func (fs *FS) LiveNodes() []int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	out := make([]int, 0, fs.opts.Nodes)
-	for n := 0; n < fs.opts.Nodes; n++ {
-		if !fs.down[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// CorruptReplica marks one replica of a block as corrupt: reads through
-// that replica fail checksum verification and fail over to another
-// replica. It is the test hook standing in for disk bit rot.
-func (fs *FS) CorruptReplica(name string, block, node int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, name)
-	}
-	if block < 0 || block >= len(f.blocks) {
-		return fmt.Errorf("dfs: %s has no block %d", name, block)
-	}
-	held := false
-	for _, n := range f.locs[block] {
-		if n == node {
-			held = true
-			break
-		}
-	}
-	if !held {
-		return fmt.Errorf("dfs: %s block %d has no replica on node %d", name, block, node)
-	}
-	if f.corrupt == nil {
-		f.corrupt = make([]map[int]bool, len(f.blocks))
-	}
-	for len(f.corrupt) < len(f.blocks) {
-		f.corrupt = append(f.corrupt, nil)
-	}
-	if f.corrupt[block] == nil {
-		f.corrupt[block] = make(map[int]bool)
-	}
-	f.corrupt[block][node] = true
-	return nil
-}
-
-// ReReplicate restores the replication factor of under-replicated
-// blocks: for every block with fewer live, uncorrupted replicas than the
-// configured factor (or than the live-node count, whichever is smaller)
-// it copies the block from a surviving replica onto live nodes that
-// don't already hold one. Corrupt replicas are dropped from the location
-// list (their data is gone); dead-node replicas are kept — a recovered
-// node serves its old blocks again. It returns the number of new
-// replicas placed. Deterministic: files are processed in name order and
-// target nodes ascending.
-func (fs *FS) ReReplicate() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.reReplicateLocked()
-}
-
-func (fs *FS) reReplicateLocked() int {
-	names := make([]string, 0, len(fs.files))
-	for name := range fs.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	placed := 0
-	liveCount := 0
-	for n := 0; n < fs.opts.Nodes; n++ {
-		if !fs.down[n] {
-			liveCount++
-		}
-	}
-	want := fs.opts.Replication
-	if want > liveCount {
-		want = liveCount
-	}
-	for _, name := range names {
-		f := fs.files[name]
-		for b := range f.blocks {
-			// Drop corrupt replicas (clearing the corruption mark: the
-			// bad copy is discarded, so a fresh replica may land on the
-			// same node later), then count live healthy ones.
-			locs := f.locs[b][:0]
-			for _, n := range f.locs[b] {
-				if f.replicaCorrupt(b, n) {
-					delete(f.corrupt[b], n)
-					continue
-				}
-				locs = append(locs, n)
-			}
-			f.locs[b] = locs
-			liveHealthy := 0
-			held := make(map[int]bool, len(locs))
-			for _, n := range locs {
-				held[n] = true
-				if !fs.down[n] {
-					liveHealthy++
-				}
-			}
-			if liveHealthy == 0 || liveHealthy >= want {
-				// Nothing to copy from, or already sufficiently
-				// replicated.
-				continue
-			}
-			for n := 0; n < fs.opts.Nodes && liveHealthy < want; n++ {
-				if fs.down[n] || held[n] {
-					continue
-				}
-				f.locs[b] = append(f.locs[b], n)
-				held[n] = true
-				liveHealthy++
-				placed++
-			}
-		}
-	}
-	return placed
-}
-
-func (f *file) replicaCorrupt(block, node int) bool {
-	return f.corrupt != nil && block < len(f.corrupt) && f.corrupt[block][node]
-}
 
 // ---- Writing -------------------------------------------------------------
 
@@ -325,7 +139,7 @@ func (fs *FS) Create(name string) (RecordWriter, error) {
 // Append adds one record to the file. The record bytes are copied. A
 // record larger than the block size is rejected with ErrRecordTooLarge
 // (it could never be stored without breaking the one-split-per-block
-// invariant); writing with every node dead fails with ErrNoLiveNodes.
+// invariant).
 func (w *Writer) Append(record []byte) error {
 	if len(record) > w.fs.opts.BlockSize {
 		return fmt.Errorf("%w: %d bytes in %q (block size %d)",
@@ -356,31 +170,15 @@ func (w *Writer) flushBlock() error {
 	recs := w.recs
 	w.recs = 0
 
-	// The placement cursor, the liveness set, and the file metadata are
-	// all shared with concurrent readers (and other writers), so the
-	// whole commit holds the FS lock.
+	// The placement cursor and the file metadata are shared with
+	// concurrent readers (and other writers), so the whole commit holds
+	// the FS lock.
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
-	live := make([]int, 0, w.fs.opts.Nodes)
-	for n := 0; n < w.fs.opts.Nodes; n++ {
-		if !w.fs.down[n] {
-			live = append(live, n)
-		}
-	}
-	if len(live) == 0 {
-		return fmt.Errorf("%w: %s", ErrNoLiveNodes, w.name)
-	}
-	// Replicas go to distinct live nodes starting at the round-robin
-	// cursor (skipping dead nodes keeps placement balanced across the
-	// survivors).
-	reps := w.fs.opts.Replication
-	if reps > len(live) {
-		reps = len(live)
-	}
-	start := w.fs.next % len(live)
-	locs := make([]int, reps)
+	// Replicas go to distinct nodes starting at the round-robin cursor.
+	locs := make([]int, w.fs.opts.Replication)
 	for i := range locs {
-		locs[i] = live[(start+i)%len(live)]
+		locs[i] = (w.fs.next + i) % w.fs.opts.Nodes
 	}
 	w.fs.next = (w.fs.next + 1) % w.fs.opts.Nodes
 	w.f.blocks = append(w.f.blocks, block)
@@ -436,31 +234,18 @@ func (fs *FS) Splits(name string) ([]Split, error) {
 	return out, nil
 }
 
-// readBlockLocked returns block idx of f through the first replica that
-// is both on a live node and passes checksum verification, failing over
-// replica by replica. Callers hold at least the read lock.
-func (fs *FS) readBlockLocked(f *file, name string, idx int) ([]byte, error) {
-	for _, n := range f.locs[idx] {
-		if fs.down[n] {
-			continue
-		}
-		if f.replicaCorrupt(idx, n) {
-			// This replica's bytes no longer hash to the write-time
-			// sum; skip it exactly as a real checksum failure would.
-			continue
-		}
-		block := f.blocks[idx]
-		if crc32.ChecksumIEEE(block) != f.sums[idx] {
-			return nil, fmt.Errorf("%w: %s block %d on node %d", ErrChecksum, name, idx, n)
-		}
-		return block, nil
+// readBlockLocked returns block idx of f after verifying its checksum.
+// Callers hold at least the read lock.
+func readBlockLocked(f *file, name string, idx int) ([]byte, error) {
+	block := f.blocks[idx]
+	if crc32.ChecksumIEEE(block) != f.sums[idx] {
+		return nil, fmt.Errorf("%w: %s block %d", ErrChecksum, name, idx)
 	}
-	return nil, fmt.Errorf("%w: %s block %d (replicas on nodes %v)",
-		ErrBlockUnavailable, name, idx, f.locs[idx])
+	return block, nil
 }
 
-// Block returns the raw bytes of one block, read through any live,
-// checksum-clean replica. The returned slice must not be modified.
+// Block returns the raw bytes of one block after verifying its
+// checksum. The returned slice must not be modified.
 func (fs *FS) Block(name string, idx int) ([]byte, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -471,10 +256,10 @@ func (fs *FS) Block(name string, idx int) ([]byte, error) {
 	if idx < 0 || idx >= len(f.blocks) {
 		return nil, fmt.Errorf("dfs: %s has no block %d", name, idx)
 	}
-	return fs.readBlockLocked(f, name, idx)
+	return readBlockLocked(f, name, idx)
 }
 
-// ReadAll returns the whole contents of a file, failing over per block.
+// ReadAll returns the whole contents of a file, verifying every block.
 func (fs *FS) ReadAll(name string) ([]byte, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -484,7 +269,7 @@ func (fs *FS) ReadAll(name string) ([]byte, error) {
 	}
 	out := make([]byte, 0, f.size)
 	for i := range f.blocks {
-		b, err := fs.readBlockLocked(f, name, i)
+		b, err := readBlockLocked(f, name, i)
 		if err != nil {
 			return nil, err
 		}

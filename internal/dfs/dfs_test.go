@@ -287,7 +287,8 @@ func TestTotalBytes(t *testing.T) {
 }
 
 // TestConcurrentAccess: concurrent writers to distinct files plus
-// concurrent readers must be safe (the engine's parallel tasks do this).
+// concurrent readers — reading the files while their blocks are cut —
+// must be safe (the engine's parallel tasks do this).
 func TestConcurrentAccess(t *testing.T) {
 	fs := New(Options{BlockSize: 64, Nodes: 4})
 	done := make(chan error, 16)
@@ -307,7 +308,9 @@ func TestConcurrentAccess(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		go func() {
 			for i := 0; i < 50; i++ {
-				fs.List("f")
+				for _, name := range fs.List("") {
+					fs.ReadAll(name)
+				}
 				fs.TotalBytes()
 			}
 			done <- nil
@@ -381,5 +384,108 @@ func TestWriterFillPoolNoAlias(t *testing.T) {
 				t.Fatalf("g%d/f%d holds %q, want %q", g, f, got, w)
 			}
 		}
+	}
+}
+
+// writeFile creates a file of n single-record blocks "rec00".."recNN".
+func writeFile(t *testing.T, fs *FS, name string, n int) {
+	t.Helper()
+	w, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := w.Append([]byte(fmt.Sprintf("rec%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestReplicaPlacementDistinctNodes(t *testing.T) {
+	fs := New(Options{BlockSize: 5, Nodes: 4, Replication: 3})
+	writeFile(t, fs, "f", 8)
+	splits, err := fs.Splits("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(splits) != 8 {
+		t.Fatalf("splits = %d, want 8", len(splits))
+	}
+	perNode := map[int]int{}
+	for _, s := range splits {
+		if len(s.Locations) != 3 {
+			t.Fatalf("block %d has %d replicas, want 3 (%v)", s.Block, len(s.Locations), s.Locations)
+		}
+		seen := map[int]bool{}
+		for _, n := range s.Locations {
+			if seen[n] {
+				t.Fatalf("block %d places two replicas on node %d: %v", s.Block, n, s.Locations)
+			}
+			seen[n] = true
+			perNode[n]++
+		}
+	}
+	// Round-robin placement keeps replicas balanced: 8 blocks × 3 replicas
+	// over 4 nodes = 6 per node.
+	for n := 0; n < 4; n++ {
+		if perNode[n] != 6 {
+			t.Fatalf("node %d holds %d replicas, want 6 (%v)", n, perNode[n], perNode)
+		}
+	}
+}
+
+func TestRenamePreservesReplicaLocations(t *testing.T) {
+	fs := New(Options{BlockSize: 5, Nodes: 3, Replication: 2})
+	writeFile(t, fs, "tmp", 4)
+	before, _ := fs.Splits("tmp")
+	if err := fs.Rename("tmp", "final"); err != nil {
+		t.Fatal(err)
+	}
+	after, err := fs.Splits("final")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("blocks changed across Rename: %d -> %d", len(before), len(after))
+	}
+	for i := range after {
+		if fmt.Sprint(after[i].Locations) != fmt.Sprint(before[i].Locations) {
+			t.Fatalf("block %d locations changed: %v -> %v", i, before[i].Locations, after[i].Locations)
+		}
+	}
+}
+
+// TestChecksumDetectsFlippedByte: a block whose stored bytes change after
+// the write fails every read path with ErrChecksum, and reads cleanly
+// again once the byte is restored.
+func TestChecksumDetectsFlippedByte(t *testing.T) {
+	fs := New(Options{BlockSize: 5, Nodes: 2})
+	writeFile(t, fs, "f", 3)
+	block, err := fs.Block("f", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Block hands out the stored bytes; flip one in place to stand in
+	// for bit rot on the disk holding them.
+	block[2] ^= 0x40
+	if _, err := fs.Block("f", 1); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("Block of a flipped block: err %v, want ErrChecksum", err)
+	}
+	if _, err := fs.ReadAll("f"); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("ReadAll of a file with a flipped block: err %v, want ErrChecksum", err)
+	}
+	if _, err := fs.Block("f", 0); err != nil {
+		t.Fatalf("Block of an intact block: %v", err)
+	}
+	block[2] ^= 0x40
+	got, err := fs.ReadAll("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "rec00rec01rec02"; string(got) != want {
+		t.Fatalf("ReadAll after restore = %q, want %q", got, want)
 	}
 }

@@ -4,10 +4,7 @@ package dfs
 // its task bodies actually use. *FS implements it natively; the
 // distributed backend (internal/distrib) implements it with an RPC
 // proxy so worker processes read splits and write part files through
-// the coordinator-owned FS. Node-liveness operations (FailNode,
-// ReReplicate, ...) are deliberately outside the interface: they are
-// cluster-simulation concerns, and the engine type-asserts to *FS for
-// them, skipping simulation when the storage is remote.
+// the coordinator-owned FS.
 type Storage interface {
 	// Splits returns the input splits of a file, one per block.
 	Splits(name string) ([]Split, error)

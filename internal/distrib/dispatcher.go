@@ -159,7 +159,7 @@ func (r *Runner) dispatch(job *mapreduce.Job, phase mapreduce.Phase, taskID, att
 		}
 		r.coord.revokeLease(l)
 		if isTaskError(err) {
-			return 0, remoteError(err)
+			return 0, err
 		}
 		r.coord.workerFailed(w.id)
 		lastErr = err
@@ -177,16 +177,6 @@ func isTaskError(err error) bool {
 		return false
 	}
 	return !strings.Contains(string(se), ErrLeaseRevoked.Error())
-}
-
-// remoteError restores error identity lost in RPC transit: a remote
-// block-unavailable must keep matching errors.Is(dfs.ErrBlockUnavailable)
-// so the engine's no-retry short circuit still fires.
-func remoteError(err error) error {
-	if strings.Contains(err.Error(), dfs.ErrBlockUnavailable.Error()) {
-		return fmt.Errorf("%w (remote worker)", dfs.ErrBlockUnavailable)
-	}
-	return err
 }
 
 // maybeKill fires the chaos harness for this dispatch if the task's

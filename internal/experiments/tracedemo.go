@@ -30,24 +30,23 @@ type TraceArtifacts struct {
 }
 
 // TraceDemo runs a traced fault-tolerance showcase: a BTO-PK-BRJ
-// self-join on a replication-2 DFS where node 0 dies after the first
-// map wave and speculative reduce execution is on. The resulting trace
-// exercises the full event taxonomy — attempts, node-down,
-// lost-map-output recomputation, speculation wins and losses — and the
-// timeline schedules the measured tasks onto the default virtual
-// cluster of the given node count.
+// self-join in which a fifth of the tasks fail their first attempt
+// (RateInjector at 0.2, up to 3 attempts per task). The resulting trace
+// carries every event type the engine emits — job and phase bounds,
+// committed and failed attempts — and the timeline schedules the
+// measured attempt chains onto the default virtual cluster of the given
+// node count, each retry a "rerun" span.
 func (s *Suite) TraceDemo() (*TraceArtifacts, error) {
-	const factor, nodes, replication = 2, 4, 2
-	fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes,
-		Replication: replication, AutoReReplicate: true})
+	const factor, nodes, rate = 2, 4, 0.2
+	fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes})
 	if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(s.w.dblpTimes(factor))); err != nil {
 		return nil, err
 	}
 	cfg := s.w.baseCfg(fs, nodes)
 	cfg.Work = "tracedemo"
 	cfg.Kernel, cfg.RecordJoin = core.PK, core.BRJ
-	cfg.Speculative = true
-	cfg.NodeFailures = []mapreduce.NodeFailure{{Barrier: mapreduce.AfterMap, Node: 0}}
+	cfg.Retry = mapreduce.RetryPolicy{MaxAttempts: 3}
+	cfg.FaultInjector = mapreduce.RateInjector{Rate: rate, Seed: s.w.p.Seed}
 	cfg.Trace = trace.New()
 	r, err := core.SelfJoin(cfg, "dblp")
 	if err != nil {
@@ -58,9 +57,9 @@ func (s *Suite) TraceDemo() (*TraceArtifacts, error) {
 	if err := r.Trace.WriteJSONL(&buf); err != nil {
 		return nil, err
 	}
-	timeline := spec(nodes).Timeline(jobCosts(r.AllJobs()), r.Trace.Events)
-	title := fmt.Sprintf("%s self-join, %d nodes, replication %d, node 0 dies after map",
-		cfg.Combo(), nodes, replication)
+	timeline := spec(nodes).Timeline(jobCosts(r.AllJobs()))
+	title := fmt.Sprintf("%s self-join, %d nodes, %.0f%% of tasks fail their first attempt",
+		cfg.Combo(), nodes, 100*rate)
 	doc, err := json.MarshalIndent(r.Export(cfg.Combo()), "", "  ")
 	if err != nil {
 		return nil, err

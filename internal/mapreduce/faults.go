@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fuzzyjoin/internal/backoff"
-	"fuzzyjoin/internal/dfs"
 	"fuzzyjoin/internal/trace"
 )
 
@@ -231,12 +230,8 @@ func runTaskAttempts[T any](job *Job, phase Phase, taskID int,
 		if discard != nil {
 			discard(attempt)
 		}
-		// A lost block is not a transient fault: the DFS liveness set only
-		// changes at job barriers, so re-reading cannot succeed. Fail the
-		// task (and so the job) immediately instead of burning retries —
-		// with replication 1 this is the clean whole-job failure path.
-		// Cancellation likewise: retrying a canceled attempt cannot succeed.
-		if errors.Is(err, dfs.ErrBlockUnavailable) || errors.Is(err, ErrCanceled) {
+		// Retrying a canceled attempt cannot succeed.
+		if errors.Is(err, ErrCanceled) {
 			return zero, TaskMetrics{}, fmt.Errorf("after %d attempt(s): %w", attempt, lastErr)
 		}
 	}

@@ -164,9 +164,7 @@ type Job struct {
 	Name string
 	// FS is the storage inputs are read from and output written to.
 	// Locally this is a *dfs.FS; under the distributed backend a worker
-	// process receives an RPC proxy to the coordinator-owned FS. Node
-	// failure simulation (NodeFailures) requires the concrete *dfs.FS
-	// and is skipped for other implementations.
+	// process receives an RPC proxy to the coordinator-owned FS.
 	FS dfs.Storage
 	// Inputs are the input file names. Names may be prefixes ending in
 	// "/" which expand to all files underneath (part-file directories).
@@ -221,28 +219,16 @@ type Job struct {
 	// fault injection for tests and failure experiments. Injected
 	// failures exercise the same rollback path as genuine task errors.
 	FaultInjector FaultInjector
-	// NodeFailures schedules deterministic DFS node deaths and recoveries
-	// at job barriers (see nodefail.go). A node dying after the map phase
-	// loses the map outputs stored on it; the engine re-executes those
-	// completed map tasks, Hadoop's lost-map-output recovery.
-	NodeFailures []NodeFailure
-	// Speculative races a concurrent backup attempt against every reduce
-	// task (Hadoop's speculative execution): the first attempt to finish
-	// commits, the loser's temp output is discarded and its counters
-	// dropped, so exactly one attempt's effects reach the job output.
-	Speculative bool
 	// Trace, when non-nil, receives typed events for everything the job
-	// does: job/phase boundaries, every task attempt with its cost and
-	// data volumes, retries, speculation outcomes, node failures, and
-	// lost-output recomputation. nil disables tracing at zero cost; the
-	// job's output is byte-identical either way.
+	// does: job/phase boundaries and every task attempt with its cost and
+	// data volumes, failed attempts included. nil disables tracing at
+	// zero cost; the job's output is byte-identical either way.
 	Trace *trace.Tracer
 	// Runner, when non-nil, executes task attempt bodies through an
 	// external dispatcher (the distributed backend's RPC workers)
 	// instead of in-process. The control plane — attempt numbering,
 	// retry backoff, fault injection, single-winner commit, counter
-	// merging — stays with Run either way. Speculative execution is an
-	// in-process race and is ignored when a Runner is set.
+	// merging — stays with Run either way.
 	Runner TaskRunner
 	// Program names a registered program builder (RegisterProgram) and
 	// ProgramSpec carries its serialized configuration; together they
@@ -447,21 +433,6 @@ type TaskMetrics struct {
 	// entry is the committed attempt's cost (== Cost). The cluster
 	// simulator charges the failed attempts into the makespan.
 	AttemptCosts []time.Duration `json:"attempt_costs_ns,omitempty"`
-	// OutputNode (map tasks only) is the node the committed attempt's
-	// output lives on — the first live replica holder of its input split.
-	// If that node dies before the shuffle the output is lost and the
-	// task is recomputed.
-	OutputNode int `json:"output_node,omitempty"`
-	// Recomputed marks a map task re-executed after its output node died
-	// (the recomputation's counters are discarded as duplicates of the
-	// already-merged originals).
-	Recomputed bool `json:"recomputed,omitempty"`
-	// Speculative counts backup attempts launched for this task and
-	// BackupCost is the killed losers' work — wasted effort the cluster
-	// simulator charges separately from AttemptCosts (which model the
-	// sequential retry chain).
-	Speculative int           `json:"speculative,omitempty"`
-	BackupCost  time.Duration `json:"backup_cost_ns,omitempty"`
 	// Worker names the worker process the committed attempt ran on
 	// (distributed backend only; empty in-process).
 	Worker string `json:"worker,omitempty"`
@@ -478,9 +449,6 @@ type Metrics struct {
 	// SideBytes is the total size of broadcast side files (charged once
 	// per node by the simulator).
 	SideBytes int64 `json:"side_bytes,omitempty"`
-	// RecomputedMapTasks counts map tasks re-executed because their
-	// output node died before the shuffle.
-	RecomputedMapTasks int `json:"recomputed_map_tasks,omitempty"`
 	// Counters holds the job's aggregated counters.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }

@@ -714,3 +714,63 @@ func TestPairsRoundTripViaFile(t *testing.T) {
 		}
 	}
 }
+
+// TestReadLinesBlockByBlock: ReadLines reads multi-block part files block
+// by block and returns the lines the whole-file read returns; a block
+// whose bytes changed after the write fails the read with
+// dfs.ErrChecksum until the byte is restored.
+func TestReadLinesBlockByBlock(t *testing.T) {
+	fs := dfs.New(dfs.Options{BlockSize: 64, Nodes: 4})
+	var want []string
+	for p := 0; p < 2; p++ {
+		var lines []string
+		for i := 0; i < 30; i++ {
+			l := fmt.Sprintf("part%d line %d", p, i)
+			if i%7 == 3 {
+				l = "" // empty lines survive as empty strings
+			}
+			lines = append(lines, l)
+		}
+		if err := WriteTextFile(fs, fmt.Sprintf("out/part-%05d", p), lines); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, lines...)
+	}
+	// wholeFile is the reference: every file read in one piece, then
+	// split at newlines.
+	var wholeFile []string
+	for _, name := range fs.List("out/") {
+		b, err := fs.ReadAll(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wholeFile = append(wholeFile, strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")...)
+	}
+	splits, err := fs.Splits("out/part-00001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(splits) < 3 {
+		t.Fatalf("test premise broken: %d blocks", len(splits))
+	}
+	got, err := ReadLines(fs, "out/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, wholeFile) {
+		t.Fatalf("ReadLines = %q, want %q", got, want)
+	}
+
+	block, err := fs.Block("out/part-00001", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block[0] ^= 0x01
+	if _, err := ReadLines(fs, "out/"); !errors.Is(err, dfs.ErrChecksum) {
+		t.Fatalf("ReadLines over a flipped byte: err %v, want dfs.ErrChecksum", err)
+	}
+	block[0] ^= 0x01
+	if got, err := ReadLines(fs, "out/"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadLines after restore = %q, %v", got, err)
+	}
+}

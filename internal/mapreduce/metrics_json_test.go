@@ -21,15 +21,12 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 			Locations:      []int{0, 2}, PeakMemory: 1 << 16,
 			SpillCount: 2, SpillBytes: 4096,
 			Attempts: 2, AttemptCosts: []time.Duration{time.Millisecond, 5 * time.Millisecond},
-			OutputNode: 2, Recomputed: true,
 		}},
 		ReduceTasks: []TaskMetrics{{
-			Cost: 7 * time.Millisecond, Attempts: 1,
-			Speculative: 1, BackupCost: 3 * time.Millisecond,
+			Cost: 7 * time.Millisecond, Attempts: 1, Worker: "w1",
 		}},
-		SideBytes:          64,
-		RecomputedMapTasks: 1,
-		Counters:           map[string]int64{"stage2.pairs": 42},
+		SideBytes: 64,
+		Counters:  map[string]int64{"stage2.pairs": 42},
 	}
 	first, err := json.Marshal(m)
 	if err != nil {

@@ -49,14 +49,6 @@ func (m *Metrics) Report() string {
 			retried, mapAgg.extraAttempts+redAgg.extraAttempts,
 			(mapAgg.wasted + redAgg.wasted).Round(time.Microsecond))
 	}
-	if m.RecomputedMapTasks > 0 {
-		fmt.Fprintf(&b, "  node failure: %d lost map output(s) recomputed on surviving nodes\n",
-			m.RecomputedMapTasks)
-	}
-	if redAgg.backups > 0 {
-		fmt.Fprintf(&b, "  speculation: %d backup attempt(s) raced and killed, %v charged\n",
-			redAgg.backups, redAgg.backupCost.Round(time.Microsecond))
-	}
 	if len(m.Counters) > 0 {
 		names := make([]string, 0, len(m.Counters))
 		for n := range m.Counters {
@@ -78,8 +70,6 @@ type taskAgg struct {
 	spillBytes                         int64
 	retried, extraAttempts             int
 	wasted                             time.Duration
-	backups                            int
-	backupCost                         time.Duration
 }
 
 func aggregate(tasks []TaskMetrics) taskAgg {
@@ -102,8 +92,6 @@ func aggregate(tasks []TaskMetrics) taskAgg {
 				a.wasted += c
 			}
 		}
-		a.backups += t.Speculative
-		a.backupCost += t.BackupCost
 	}
 	return a
 }

@@ -45,11 +45,6 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 		return nil, fmt.Errorf("job %s: %w", job.Name, err)
 	}
 
-	// Node deaths scheduled before the map phase hit every read from here
-	// on: side-file loads and input splits fail over to surviving replicas
-	// (or fail the job cleanly at replication 1).
-	applyNodeFailures(&job, BeforeMap)
-
 	side, sideBytes, err := loadSideFiles(job.FS, job.SideFiles)
 	if err != nil {
 		return nil, fmt.Errorf("job %s: %w", job.Name, err)
@@ -83,7 +78,6 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 
 	// ---- Map phase ----
 	segments := make([][][]byte, len(splits)) // [mapTask][partition] encoded segment
-	outNodes := make([]int, len(splits))      // node holding each map task's output
 	metrics.MapTasks = make([]TaskMetrics, len(splits))
 	if job.Trace.Enabled() {
 		job.Trace.Emit(trace.Event{Type: trace.PhaseStart, Job: job.Name, Phase: trace.PhaseMap})
@@ -106,8 +100,6 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 		}
 		counters.merge(res.counters)
 		segments[i] = res.parts
-		outNodes[i] = mapOutputNode(job.FS, splits[i], i)
-		tm.OutputNode = outNodes[i]
 		metrics.MapTasks[i] = tm
 		return nil
 	}); err != nil {
@@ -116,19 +108,6 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 	}
 	if job.Trace.Enabled() {
 		job.Trace.Emit(trace.Event{Type: trace.PhaseEnd, Job: job.Name, Phase: trace.PhaseMap})
-	}
-
-	// ---- Node failures at the map/shuffle barrier ----
-	// A node dying here takes its committed map outputs with it; those
-	// tasks are re-executed before any reducer fetches (Hadoop's
-	// lost-map-output recovery). Nodes may also have died externally
-	// (tests toggling liveness mid-job), so the check always runs.
-	applyNodeFailures(&job, AfterMap)
-	recomputed, err := recoverLostMapOutputs(&job, splits, side, segments, outNodes, metrics)
-	metrics.RecomputedMapTasks = recomputed
-	if err != nil {
-		track.removeAll(job.FS)
-		return nil, fmt.Errorf("job %s: %w", job.Name, err)
 	}
 
 	// ---- Reduce phase (shuffle + sort + reduce) ----
@@ -161,8 +140,6 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 			res, tm, err = runTaskAttempts(&job, ReducePhase, r, func(attempt int) (reduceResult, TaskMetrics, error) {
 				return dispatchReduce(&job, r, attempt, column)
 			}, nil)
-		case job.Speculative:
-			res, tm, err = runReduceSpeculative(&job, r, column, side, track)
 		default:
 			res, tm, err = runTaskAttempts(&job, ReducePhase, r, func(attempt int) (reduceResult, TaskMetrics, error) {
 				return runReduceTask(&job, r, attempt, column, side, tempPartName(job.Output, r, attempt), track)

@@ -122,8 +122,7 @@ func countersFrom(m map[string]int64) *Counters {
 // (Mapper, Reducer) travel as the Program name plus its
 // ProgramSpec configuration and are rebuilt by the registered builder
 // on the worker. Control-plane fields (Retry, FaultInjector, Trace,
-// Runner, Speculative, NodeFailures) are deliberately absent: they
-// belong to the coordinator.
+// Runner) are deliberately absent: they belong to the coordinator.
 type JobSpec struct {
 	Name                 string
 	Inputs               []string

@@ -22,13 +22,6 @@ type GanttSpan struct {
 	Label string
 }
 
-// GanttMark is a labelled vertical line (e.g. a node death instant).
-type GanttMark struct {
-	X     float64
-	Label string
-	Color string
-}
-
 // GanttKey is one legend entry.
 type GanttKey struct {
 	Name  string
@@ -42,7 +35,6 @@ type Gantt struct {
 	// Lanes are the row labels, top to bottom (e.g. "node 0").
 	Lanes []string
 	Spans []GanttSpan
-	Marks []GanttMark
 	Keys  []GanttKey
 }
 
@@ -69,11 +61,6 @@ func GanttSVG(g Gantt) string {
 	for _, s := range g.Spans {
 		if s.End > xmax {
 			xmax = s.End
-		}
-	}
-	for _, m := range g.Marks {
-		if m.X > xmax {
-			xmax = m.X
 		}
 	}
 	if xmax <= 0 {
@@ -130,20 +117,6 @@ func GanttSVG(g Gantt) string {
 			fmt.Fprintf(&b, `<title>%s</title>`, esc(s.Label))
 		}
 		b.WriteString("</rect>\n")
-	}
-
-	// Marks: full-height dashed verticals.
-	for _, m := range g.Marks {
-		color := m.Color
-		if color == "" {
-			color = "#c0392b"
-		}
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="%s" stroke-width="1.5" stroke-dasharray="5 3"/>`+"\n",
-			px(m.X), ganttMarginT, px(m.X), axisY, color)
-		if m.Label != "" {
-			fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-size="11" fill="%s" text-anchor="middle">%s</text>`+"\n",
-				px(m.X), ganttMarginT-6, color, esc(m.Label))
-		}
 	}
 
 	// Legend.

@@ -15,16 +15,13 @@ func TestGanttSVG(t *testing.T) {
 			{Lane: 1, Start: 5, End: 6, Color: "#27ae60", Label: "reduce task 1"},
 			{Lane: 5, Start: 0, End: 1}, // out-of-range lane: skipped, no panic
 		},
-		Marks: []GanttMark{{X: 7, Label: "node 1 dies"}},
-		Keys:  []GanttKey{{Name: "map", Color: "#2980b9"}},
+		Keys: []GanttKey{{Name: "map", Color: "#2980b9"}},
 	})
 	for _, want := range []string{
 		"<svg", "</svg>",
 		"demo &lt;chart&gt;", // title is escaped
 		"node 0", "node 1",
 		"map task 0", "reduce task 1", // tooltips
-		"node 1 dies",
-		"stroke-dasharray", // the mark line
 		"time (ms)",
 	} {
 		if !strings.Contains(svg, want) {
@@ -60,34 +57,5 @@ func TestGanttSVGSubPixelSpan(t *testing.T) {
 	}
 	if got := strings.Count(svg, "<title>"); got != 2 {
 		t.Errorf("bar count = %d, want 2", got)
-	}
-}
-
-// TestGanttSVGMarkBeyondSpans: a mark past the last span must extend
-// the time axis so it stays inside the plot.
-func TestGanttSVGMarkBeyondSpans(t *testing.T) {
-	svg := GanttSVG(Gantt{
-		Lanes: []string{"node 0"},
-		Spans: []GanttSpan{{Lane: 0, Start: 0, End: 10, Color: "#111"}},
-		Marks: []GanttMark{{X: 40, Label: "late failure"}},
-	})
-	if !strings.Contains(svg, "late failure") {
-		t.Fatal("mark label missing")
-	}
-	// With xmax = 40 the axis must label a tick past 10.
-	if !strings.Contains(svg, ">40<") && !strings.Contains(svg, ">30<") {
-		t.Errorf("axis did not extend to cover the mark:\n%s", svg)
-	}
-}
-
-// TestGanttSVGMarkDefaultColor: a mark without a color falls back to
-// the failure red instead of emitting stroke="".
-func TestGanttSVGMarkDefaultColor(t *testing.T) {
-	svg := GanttSVG(Gantt{Marks: []GanttMark{{X: 1}}})
-	if strings.Contains(svg, `stroke=""`) {
-		t.Error("colorless mark emitted an empty stroke")
-	}
-	if !strings.Contains(svg, "#c0392b") {
-		t.Error("default mark color missing")
 	}
 }

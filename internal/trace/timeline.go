@@ -9,25 +9,18 @@ import (
 
 // Timeline rendering: task-span events (simulated cluster time, assigned
 // by cluster.Spec.Timeline) become a per-node Gantt chart. Colors
-// distinguish map from reduce work and committed first attempts from
-// re-executed and speculative-backup work; node-failure events draw as
-// dashed verticals at the simulated instant their barrier maps to.
+// distinguish map from reduce work and first attempts from retries.
 
 // Span colors by (phase, kind).
 const (
-	colorMap       = "#2980b9" // map, first attempt
-	colorMapRerun  = "#e67e22" // map retry / lost-output recompute
-	colorReduce    = "#27ae60" // reduce, first attempt
-	colorRedRerun  = "#c0392b" // reduce retry
-	colorBackup    = "#8e44ad" // speculative backup (wasted work)
-	colorNodeFail  = "#c0392b"
-	colorNodeRecov = "#16a085"
+	colorMap      = "#2980b9" // map, first attempt
+	colorMapRerun = "#e67e22" // map retry
+	colorReduce   = "#27ae60" // reduce, first attempt
+	colorRedRerun = "#c0392b" // reduce retry
 )
 
 func spanColor(e Event) string {
 	switch {
-	case e.Kind == KindBackup:
-		return colorBackup
 	case e.Phase == PhaseMap && e.Kind == KindRerun:
 		return colorMapRerun
 	case e.Phase == PhaseMap:
@@ -40,15 +33,12 @@ func spanColor(e Event) string {
 }
 
 // TimelineSVG renders the per-node Gantt timeline of the given events.
-// Only task-span events draw bars; node-down/node-up events draw marks
-// (their T carries the simulated instant when emitted by the cluster
-// scheduler, or the bar chart simply marks them at the end of the span
-// they interrupted when host-time events are passed). Everything else
-// is ignored, so callers can pass a full trace unfiltered.
+// Only task-span events draw bars; everything else is ignored, so
+// callers can pass a full trace unfiltered.
 func TimelineSVG(title string, events []Event) string {
 	maxNode := 0
 	for _, e := range events {
-		if e.Type == TaskSpan || e.Type == NodeDown || e.Type == NodeUp {
+		if e.Type == TaskSpan {
 			if e.Node > maxNode {
 				maxNode = e.Node
 			}
@@ -72,36 +62,19 @@ func TimelineSVG(title string, events []Event) string {
 			{Name: "map rerun", Color: colorMapRerun},
 			{Name: "reduce", Color: colorReduce},
 			{Name: "reduce rerun", Color: colorRedRerun},
-			{Name: "backup", Color: colorBackup},
 		},
 	}
 	for _, e := range events {
-		switch e.Type {
-		case TaskSpan:
-			g.Spans = append(g.Spans, svgplot.GanttSpan{
-				Lane:  e.Node,
-				Start: ms(e.Start),
-				End:   ms(e.End),
-				Color: spanColor(e),
-				Label: fmt.Sprintf("%s %s task %d attempt %d (%s)", e.Job, e.Phase, e.Task, e.Attempt, e.Kind),
-			})
-		case NodeDown:
-			at := e.Start
-			if at == 0 {
-				at = e.T
-			}
-			g.Marks = append(g.Marks, svgplot.GanttMark{
-				X: ms(at), Label: fmt.Sprintf("node %d ✝", e.Node), Color: colorNodeFail,
-			})
-		case NodeUp:
-			at := e.Start
-			if at == 0 {
-				at = e.T
-			}
-			g.Marks = append(g.Marks, svgplot.GanttMark{
-				X: ms(at), Label: fmt.Sprintf("node %d ↑", e.Node), Color: colorNodeRecov,
-			})
+		if e.Type != TaskSpan {
+			continue
 		}
+		g.Spans = append(g.Spans, svgplot.GanttSpan{
+			Lane:  e.Node,
+			Start: ms(e.Start),
+			End:   ms(e.End),
+			Color: spanColor(e),
+			Label: fmt.Sprintf("%s %s task %d attempt %d (%s)", e.Job, e.Phase, e.Task, e.Attempt, e.Kind),
+		})
 	}
 	return svgplot.GanttSVG(g)
 }

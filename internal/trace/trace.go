@@ -1,9 +1,8 @@
 // Package trace is the runtime's structured observability subsystem: a
 // typed event stream describing everything a join run does — flows,
 // stages, jobs, phase barriers, task attempts with their costs and data
-// volumes, retries, speculation races, node failures, and lost-output
-// recomputation — plus the simulated-time task spans the cluster
-// scheduler assigns.
+// volumes, and failed attempts with their retries — plus the
+// simulated-time task spans the cluster scheduler assigns.
 //
 // The paper's entire evaluation (§6) rests on per-stage, per-task timing
 // and data-volume measurements; this package makes those measurements
@@ -35,10 +34,8 @@ type EventType string
 
 // The event taxonomy. Events nest: a flow contains stages, a stage
 // contains jobs, a job contains phases, a phase contains task attempts.
-// Node and recompute events fire at job barriers; speculation events
-// resolve a reduce-task race; task-span events are appended after the
-// run by the cluster scheduler and live in simulated time (Start/End)
-// rather than host time (T).
+// Task-span events are appended after the run by the cluster scheduler
+// and live in simulated time (Start/End) rather than host time (T).
 const (
 	// FlowStart / FlowEnd bracket one end-to-end pipeline run.
 	FlowStart EventType = "flow-start"
@@ -60,23 +57,10 @@ const (
 	AttemptStart EventType = "attempt-start"
 	AttemptEnd   EventType = "attempt-end"
 	AttemptFail  EventType = "attempt-fail"
-	// SpeculativeWin marks the attempt that won a speculative reduce
-	// race and committed; SpeculativeLoss marks the killed loser (its
-	// wasted cost is in Cost).
-	SpeculativeWin  EventType = "speculative-win"
-	SpeculativeLoss EventType = "speculative-loss"
-	// NodeDown / NodeUp record a DFS node death or recovery at a job
-	// barrier (Detail names the barrier).
-	NodeDown EventType = "node-down"
-	NodeUp   EventType = "node-up"
-	// RecomputeStart / RecomputeEnd bracket the re-execution of a
-	// committed map task whose output node died (Node is the dead node).
-	RecomputeStart EventType = "recompute-start"
-	RecomputeEnd   EventType = "recompute-end"
 	// TaskSpan is one placed task attempt in simulated cluster time:
 	// Node is the virtual node, Start/End the simulated interval, Kind
-	// one of "run", "rerun" (retry or recompute), or "backup"
-	// (speculative loser). Appended by cluster.Spec.Timeline.
+	// "run" (first attempt) or "rerun" (retry). Appended by
+	// cluster.Spec.Timeline.
 	TaskSpan EventType = "task-span"
 )
 
@@ -88,9 +72,8 @@ const (
 
 // Task-span kinds used in Event.Kind.
 const (
-	KindRun    = "run"
-	KindRerun  = "rerun"
-	KindBackup = "backup"
+	KindRun   = "run"
+	KindRerun = "rerun"
 )
 
 // Event is one trace record. Zero-valued fields are omitted from JSON;

@@ -17,16 +17,12 @@ func sampleTrace() *Trace {
 			SpillCount: 1, SpillBytes: 512},
 		{Type: AttemptFail, T: 350, Job: "s1-bto-count", Phase: PhaseReduce, Task: 2, Attempt: 1,
 			Cost: 99, Err: "injected fault"},
+		{Type: AttemptStart, T: 450, Job: "s1-bto-count", Phase: PhaseReduce, Task: 2, Attempt: 2},
+		{Type: AttemptEnd, T: 550, Job: "s1-bto-count", Phase: PhaseReduce, Task: 2, Attempt: 2, Cost: 88},
 		// Node 0: the node field is omitted from JSON (omitempty) and must
 		// still round-trip as zero.
-		{Type: NodeDown, T: 400, Job: "s1-bto-count", Node: 0, Detail: "after-map"},
-		{Type: RecomputeStart, T: 450, Job: "s1-bto-count", Phase: PhaseMap, Task: 1, Node: 3},
-		{Type: RecomputeEnd, T: 500, Job: "s1-bto-count", Phase: PhaseMap, Task: 1, Node: 3, Cost: 777},
-		{Type: SpeculativeWin, T: 550, Job: "s1-bto-count", Phase: PhaseReduce, Task: 2, Attempt: 2, Cost: 88},
-		{Type: SpeculativeLoss, T: 560, Job: "s1-bto-count", Phase: PhaseReduce, Task: 2, Attempt: 1,
-			Cost: 99, Err: "injected fault"},
 		{Type: TaskSpan, T: 0, Job: "s1-bto-count", Phase: PhaseReduce, Task: 2, Attempt: 2,
-			Node: 1, Start: 1000, End: 2000, Kind: KindBackup},
+			Node: 0, Start: 1000, End: 2000, Kind: KindRerun},
 		{Type: FlowEnd, T: 600, Flow: "self-join"},
 	}}
 }
@@ -135,11 +131,11 @@ func TestTracerStampsTime(t *testing.T) {
 
 func TestFilterAndCount(t *testing.T) {
 	tr := sampleTrace()
-	if got := tr.Count(AttemptEnd); got != 1 {
-		t.Fatalf("Count(AttemptEnd) = %d, want 1", got)
+	if got := tr.Count(AttemptEnd); got != 2 {
+		t.Fatalf("Count(AttemptEnd) = %d, want 2", got)
 	}
-	got := tr.Filter(RecomputeStart, RecomputeEnd)
-	if len(got) != 2 || got[0].Type != RecomputeStart || got[1].Type != RecomputeEnd {
+	got := tr.Filter(AttemptFail, TaskSpan)
+	if len(got) != 2 || got[0].Type != AttemptFail || got[1].Type != TaskSpan {
 		t.Fatalf("Filter = %+v", got)
 	}
 }

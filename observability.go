@@ -9,8 +9,8 @@ import (
 )
 
 // Observability: every join can emit a structured trace of typed events
-// (job/phase boundaries, task attempts with costs and volumes, retries,
-// speculation outcomes, node failures, lost-map-output recomputations).
+// (job/phase boundaries, task attempts with costs and volumes, failed
+// attempts and their retries).
 // Set Config.Trace to a NewTracer() and read the collected trace from
 // Result.Trace, stream it as JSONL via a TraceSink, or render it as a
 // per-node timeline SVG. Tracing is off by default and free when off:
@@ -60,19 +60,14 @@ func NewJSONLSink(w io.Writer) *trace.JSONLSink { return trace.NewJSONLSink(w) }
 // TimelineEvents schedules a completed join's measured tasks onto the
 // default virtual cluster of the given size (see internal/cluster) and
 // returns simulated-time task-span events — where every attempt ran and
-// when, under the paper's slot model rather than host wall-clock. When
-// the join was traced, node-failure marks are carried over at their
-// simulated instants. Render the result with TimelineSVG.
+// when, under the paper's slot model rather than host wall-clock. Render
+// the result with TimelineSVG.
 func TimelineEvents(res *Result, nodes int) []TraceEvent {
 	var jobs []cluster.JobCost
 	for _, m := range res.AllJobs() {
 		jobs = append(jobs, cluster.FromMetrics(m))
 	}
-	var engine []trace.Event
-	if res.Trace != nil {
-		engine = res.Trace.Events
-	}
-	return cluster.Default(nodes).Timeline(jobs, engine)
+	return cluster.Default(nodes).Timeline(jobs)
 }
 
 // TimelineSVG renders task-span events (from TimelineEvents or a

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fuzzyjoin"
+	"fuzzyjoin/internal/trace"
 )
 
 func traceTestRecords() []fuzzyjoin.Record {
@@ -32,18 +33,21 @@ func traceTestRecords() []fuzzyjoin.Record {
 	return recs
 }
 
-func runTraced(t *testing.T, trace bool) (string, *fuzzyjoin.Result) {
+// runTraced joins the test records on a 2-node FS with eight reducers,
+// enough to fill both nodes' reduce slots; with faults set, about a
+// third of the tasks fail their first attempt and are retried.
+func runTraced(t *testing.T, traced, faults bool) (string, *fuzzyjoin.Result) {
 	t.Helper()
-	fs := fuzzyjoin.NewFS(2, fuzzyjoin.Replication(2), fuzzyjoin.AutoReReplicate(true))
+	fs := fuzzyjoin.NewFS(2)
 	if err := fuzzyjoin.WriteRecords(fs, "pubs", traceTestRecords()); err != nil {
 		t.Fatal(err)
 	}
-	cfg := fuzzyjoin.Config{
-		FS: fs, Work: "w", NumReducers: 4,
-		Speculative:  true,
-		NodeFailures: []fuzzyjoin.NodeFailure{{Barrier: fuzzyjoin.AfterMap, Node: 0}},
+	cfg := fuzzyjoin.Config{FS: fs, Work: "w", NumReducers: 8}
+	if faults {
+		cfg.Retry = fuzzyjoin.RetryPolicy{MaxAttempts: 3}
+		cfg.FaultInjector = fuzzyjoin.RateInjector{Rate: 0.3, Seed: 1}
 	}
-	if trace {
+	if traced {
 		cfg.Trace = fuzzyjoin.NewTracer()
 	}
 	res, err := fuzzyjoin.Join(context.Background(),
@@ -63,17 +67,22 @@ func runTraced(t *testing.T, trace bool) (string, *fuzzyjoin.Result) {
 	return strings.Join(lines, "\n"), res
 }
 
-// TestTracedNodeFailureAcceptance is the end-to-end observability
-// check: a replication-2 self-join that kills node 0 after the first
-// map wave with speculation on must (a) produce byte-identical output
-// with tracing on or off, (b) record node-failure, recomputation, and
-// speculation events, (c) export JSONL that parses back, and (d) render
-// a per-node timeline with bars on every node.
-func TestTracedNodeFailureAcceptance(t *testing.T) {
-	plain, _ := runTraced(t, false)
-	traced, res := runTraced(t, true)
+// TestTracedRetryAcceptance is the end-to-end observability check: a
+// self-join in which injected faults fail task attempts must (a) produce
+// byte-identical output with tracing on or off, and equal to a
+// fault-free run, (b) record every failed attempt as an attempt-fail
+// event, (c) export JSONL that parses back, and (d) render a per-node
+// timeline with bars on every node and one rerun span per failed
+// attempt.
+func TestTracedRetryAcceptance(t *testing.T) {
+	clean, _ := runTraced(t, false, false)
+	plain, _ := runTraced(t, false, true)
+	traced, res := runTraced(t, true, true)
 	if plain != traced {
 		t.Fatal("join output differs with tracing enabled")
+	}
+	if plain != clean {
+		t.Fatal("join output with retried attempts differs from the fault-free run")
 	}
 	if plain == "" {
 		t.Fatal("join produced no pairs; test is vacuous")
@@ -83,14 +92,9 @@ func TestTracedNodeFailureAcceptance(t *testing.T) {
 	if tr == nil {
 		t.Fatal("no trace collected")
 	}
-	if tr.Count("node-down") == 0 {
-		t.Error("no node-down event")
-	}
-	if tr.Count("recompute-start") == 0 || tr.Count("recompute-end") == 0 {
-		t.Error("no lost-map-output recompute events")
-	}
-	if tr.Count("speculative-win") == 0 || tr.Count("speculative-loss") == 0 {
-		t.Error("no speculation events")
+	failed := tr.Count("attempt-fail")
+	if failed == 0 {
+		t.Fatal("no attempt-fail event; the injector missed every task")
 	}
 	if tr.Count("attempt-end") == 0 {
 		t.Error("no attempt-end events")
@@ -103,22 +107,32 @@ func TestTracedNodeFailureAcceptance(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), `{"schema":1}`) {
 		t.Fatalf("JSONL header missing: %q", buf.String()[:40])
 	}
+	if back, err := trace.ParseJSONL(&buf); err != nil || len(back.Events) != len(tr.Events) {
+		t.Fatalf("JSONL parsed back to %d events (err %v), want %d", len(back.Events), err, len(tr.Events))
+	}
 
 	events := fuzzyjoin.TimelineEvents(res, 2)
 	svg := fuzzyjoin.TimelineSVG("acceptance", events)
 	nodesWithBars := map[int]bool{}
+	reruns := 0
 	for _, e := range events {
 		if e.Type == "task-span" {
 			nodesWithBars[e.Node] = true
 			if e.End <= e.Start {
 				t.Errorf("span %+v: empty simulated interval", e)
 			}
+			if e.Kind == "rerun" {
+				reruns++
+			}
 		}
 	}
 	if len(nodesWithBars) != 2 {
 		t.Errorf("timeline bars on %d nodes, want 2", len(nodesWithBars))
 	}
-	for _, want := range []string{"<svg", "node 0", "node 1", "✝"} {
+	if reruns != failed {
+		t.Errorf("timeline has %d rerun spans, want one per failed attempt (%d)", reruns, failed)
+	}
+	for _, want := range []string{"<svg", "node 0", "node 1", "(rerun)"} {
 		if !strings.Contains(svg, want) {
 			t.Errorf("timeline SVG missing %q", want)
 		}
@@ -131,7 +145,7 @@ func TestNewFSOptions(t *testing.T) {
 	if got := fuzzyjoin.NewFS(4).Replication(); got != 1 {
 		t.Fatalf("default replication = %d, want 1", got)
 	}
-	opt := fuzzyjoin.NewFS(4, fuzzyjoin.Replication(3), fuzzyjoin.AutoReReplicate(true))
+	opt := fuzzyjoin.NewFS(4, fuzzyjoin.Replication(3))
 	if opt.Replication() != 3 {
 		t.Fatalf("replication = %d, want 3", opt.Replication())
 	}

@@ -1,0 +1,101 @@
+#!/bin/sh
+# exact.sh <parent-rev>: the exactness gate. It runs the same 18
+# fuzzyjoin joins with the parent revision and with the working tree,
+# compares every output file with cmp and every -stats line with diff
+# (timings cut), prints each difference and exits 1 if there is one.
+#
+#   inputs     testdata/pubs.tsv; a 5k datagen corpus (-n 5000 -seed 42);
+#              that corpus (R) joined with 2,500 CiteseerX-shaped records
+#              derived from it (S)
+#   combos     BTO-PK-BRJ, OPTO-BK-OPRJ, BTO-FVT-BRJ
+#   execution  in process, and -workers 2 (forked RPC workers)
+#
+# The parent is built from a git worktree under .bench_build/exact/,
+# which is removed again on exit; the inputs, outputs and -stats files
+# stay in .bench_build/exact/ for inspection. A change that moves a
+# counter on purpose shows the diff here and says so in CHANGES.md.
+#
+# Usage: make exact PARENT=<rev>, or sh scripts/exact.sh <rev>.
+set -eu
+
+parent=${1:?usage: exact.sh <parent-rev>}
+GO=${GO:-go}
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+rev=$(git rev-parse --verify --quiet "$parent^{commit}") || {
+	echo "exact: $parent is not a commit" >&2
+	exit 2
+}
+dir=.bench_build/exact
+src=$dir/parent-src
+
+cleanup() {
+	git worktree remove --force "$src" 2>/dev/null || true
+	git worktree prune
+}
+cleanup # a worktree left by an interrupted run
+rm -rf "$dir"
+mkdir -p "$dir"
+trap cleanup EXIT
+trap 'exit 130' INT TERM
+
+echo "exact: building $(git rev-parse --short "$rev") and the working tree"
+git worktree add --quiet --detach "$src" "$rev"
+(cd "$src" && $GO build -o "$root/$dir/parent-fuzzyjoin" ./cmd/fuzzyjoin)
+$GO build -o "$dir/change-fuzzyjoin" ./cmd/fuzzyjoin
+$GO build -o "$dir/datagen" ./cmd/datagen
+"$dir/datagen" -n 5000 -seed 42 -out "$dir/dblp5k.tsv" 2>/dev/null
+"$dir/datagen" -n 2500 -seed 42 -style citeseer -overlap 0.1 -overlapBase 5000 \
+	-startRID 100000000 -out "$dir/cite2500.tsv" 2>/dev/null
+
+# cut_timings replaces every Go duration (213µs, 9.521ms, 1m2.5s) by T.
+# Counts, byte sizes (1.4KiB) and names (s1-bto-count) never end in a
+# duration unit right after a digit, so they pass through.
+cut_timings() {
+	LC_ALL=C sed -E 's/[0-9]+(\.[0-9]+)?(h|m|s|ms|µs|us|ns)([0-9]+(\.[0-9]+)?(m|s|ms|µs|us|ns))*([^A-Za-z0-9]|$)/T\6/g' "$1"
+}
+
+joins=0
+outdiffs=0
+statdiffs=0
+for input in pubs dblp5k rs; do
+	case $input in
+	pubs) args="-in testdata/pubs.tsv" ;;
+	dblp5k) args="-in $dir/dblp5k.tsv" ;;
+	rs) args="-in $dir/dblp5k.tsv -in2 $dir/cite2500.tsv" ;;
+	esac
+	for combo in BTO-PK-BRJ OPTO-BK-OPRJ BTO-FVT-BRJ; do
+		stages=$(echo "$combo" | sed 's/^\([^-]*\)-\([^-]*\)-\(.*\)$/-stage1 \1 -stage2 \2 -stage3 \3/')
+		for exec in inproc workers2; do
+			mode=""
+			[ "$exec" = workers2 ] && mode="-workers 2"
+			tag=$input.$combo.$exec
+			joins=$((joins + 1))
+			for side in parent change; do
+				# shellcheck disable=SC2086 # word splitting is wanted
+				if ! "$dir/$side-fuzzyjoin" $args $stages $mode -stats \
+					-out "$dir/$tag.$side.out" 2>"$dir/$tag.$side.stats"; then
+					echo "exact: $tag: the $side join failed:" >&2
+					tail -5 "$dir/$tag.$side.stats" >&2
+					: >"$dir/$tag.$side.out"
+				fi
+			done
+			if ! cmp -s "$dir/$tag.parent.out" "$dir/$tag.change.out"; then
+				echo "exact: $tag: output differs"
+				diff "$dir/$tag.parent.out" "$dir/$tag.change.out" | head -10
+				outdiffs=$((outdiffs + 1))
+			fi
+			cut_timings "$dir/$tag.parent.stats" >"$dir/$tag.parent.cut"
+			cut_timings "$dir/$tag.change.stats" >"$dir/$tag.change.cut"
+			if ! diff -u --label "parent $tag" --label "change $tag" \
+				"$dir/$tag.parent.cut" "$dir/$tag.change.cut"; then
+				statdiffs=$((statdiffs + 1))
+			fi
+			printf 'exact: %-30s %6d pairs\n' "$tag" "$(wc -l <"$dir/$tag.change.out")"
+		done
+	done
+done
+
+echo "exact: outputs: $((joins - outdiffs)) of $joins cmp-equal"
+echo "exact: -stats (timings cut): $((joins - statdiffs)) of $joins equal"
+[ "$outdiffs" -eq 0 ] && [ "$statdiffs" -eq 0 ]
