@@ -131,8 +131,8 @@ func (f *failAfter) Emit(k, v []byte) error {
 	return f.out.Emit(k, v)
 }
 
-// TestPKKernelStatePerAttempt: the PK reducer's index belongs to one task
-// attempt. A retry after an attempt died in the middle of a group with
+// TestPKKernelStatePerAttempt: the PK reducer's index (here the per-token
+// kernel of an individually routed self-join) belongs to one task attempt. A retry after an attempt died in the middle of a group with
 // its index half built must leave the Stage 2 part files byte-identical
 // to a clean run; every attempt gets an index of its own, so a failed
 // attempt's dirty index is never seen again.
@@ -143,14 +143,19 @@ func TestPKKernelStatePerAttempt(t *testing.T) {
 		writeInput(t, fs, "in", lines)
 		cfg.FS, cfg.Work, cfg.Kernel, cfg.NumReducers, cfg.Parallelism = fs, "w", PK, 3, 4
 		var mu sync.Mutex
-		indexes := map[*ppjoin.Index]bool{}
+		indexes := map[any]bool{}
 		failed := 0
 		probe := &reduceProbe{
 			instantiated: func(inner mapreduce.Reducer) {
 				mu.Lock()
 				defer mu.Unlock()
-				ix := inner.(*pkReducer).ix
-				if ix == nil || indexes[ix] {
+				// A self-join under individual routing runs the per-token
+				// kernel, any other PK join the Index.
+				var ix any = inner.(*pkReducer).ix
+				if tx := inner.(*pkReducer).tx; tx != nil {
+					ix = tx
+				}
+				if ix == (*ppjoin.Index)(nil) || indexes[ix] {
 					t.Errorf("%s: task instance got index %p, already another attempt's", name, ix)
 				}
 				indexes[ix] = true

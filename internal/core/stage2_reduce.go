@@ -433,25 +433,44 @@ func (s *spill) close() {
 // indexes R projections and probes with S projections: the length-class
 // keys guarantee every R projection that could join an S projection is
 // indexed before that S projection probes. Either way the index evicts by
-// length as the stream advances (§4, Figure 6).
+// length as the stream advances (§4, Figure 6). A self-join group under
+// individual routing owns only the pairs whose first common token is its
+// own and runs the one-list ppjoin.TokenIndex (DESIGN §4.4).
 type pkReducer struct {
 	owner
 	layout keyLayout
-	// ix is the task's index, reset for every reduce group; ranks is the
-	// scratch each projection is decoded into before the index copies it.
+	// ix or tx is the task's index, reset for every reduce group; ranks
+	// is the scratch each projection is decoded into before the index
+	// copies it.
 	ix    *ppjoin.Index
+	tx    *ppjoin.TokenIndex
 	ranks rankArena
 }
 
 // NewTaskInstance gives each reduce task its own index.
 func (r *pkReducer) NewTaskInstance() any {
-	return &pkReducer{owner: r.owner, layout: r.layout, ix: ppjoin.NewIndex(kernelOptions(r.cfg))}
+	t := &pkReducer{owner: r.owner, layout: r.layout}
+	if r.self && r.cfg.Routing != GroupedTokens {
+		t.tx = ppjoin.NewTokenIndex(kernelOptions(r.cfg))
+	} else {
+		t.ix = ppjoin.NewIndex(kernelOptions(r.cfg))
+	}
+	return t
 }
 
 func (r *pkReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 	r.begin(key, out)
-	ix := r.ix
-	ix.Reset(r.token)
+	var kernel interface {
+		Bytes() int64
+		Stats() ppjoin.Stats
+	}
+	if r.tx != nil {
+		r.tx.Reset(r.curGroup)
+		kernel = r.tx
+	} else {
+		r.ix.Reset(r.token)
+		kernel = r.ix
+	}
 	var held int64
 	defer func() { ctx.Memory.Free(held) }()
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
@@ -466,29 +485,30 @@ func (r *pkReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce
 		}
 		item := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
 		switch {
+		case r.tx != nil:
+			r.tx.ProbeAndAdd(item, r.pair)
 		case r.self:
-			ix.ProbeAndAdd(item, r.pair)
+			r.ix.ProbeAndAdd(item, r.pair)
 		case rel == relR:
-			ix.Add(item)
+			r.ix.Add(item)
 		default:
-			ix.Probe(item, r.pair)
+			r.ix.Probe(item, r.pair)
 		}
 		if r.err != nil {
 			return r.err
 		}
 		// Track the index's live footprint: charge growth, credit
 		// eviction.
-		if delta := ix.Bytes() - held; delta > 0 {
+		if delta := kernel.Bytes() - held; delta > 0 {
 			if err := ctx.Memory.Alloc(delta); err != nil {
 				return err
 			}
-			held = ix.Bytes()
+			held = kernel.Bytes()
 		} else if delta < 0 {
 			ctx.Memory.Free(-delta)
-			held = ix.Bytes()
+			held = kernel.Bytes()
 		}
 	}
-	st := ix.Stats()
-	countKernelStats(ctx, st)
+	countKernelStats(ctx, kernel.Stats())
 	return nil
 }

@@ -13,8 +13,8 @@ import (
 // TestBitmapStats pins where each kernel runs the bitmap filter, counted
 // here pair by pair. PK runs it between the candidate filters and the
 // merge: with the optional filters off, the pairs that reach it are those
-// whose prefixes share a token, and each is either BitmapRejected or
-// Verified. BK runs it right after the length filter: BitmapRejected is
+// where the earlier member's index prefix shares a token with the later
+// member's probe prefix, and each is either BitmapRejected or Verified. BK runs it right after the length filter: BitmapRejected is
 // the number of in-window pairs whose signatures bitsig.Admits rejects,
 // whatever their prefixes. Neither placement costs a result.
 func TestBitmapStats(t *testing.T) {
@@ -25,18 +25,22 @@ func TestBitmapStats(t *testing.T) {
 		th := opts.Fn.At(opts.Threshold)
 		results := int64(len(BruteForceSelf(items, opts)))
 
+		// SelfJoin's stream order: the earlier item y is indexed, the
+		// later x probes.
+		stream := append([]Item(nil), items...)
+		sortByLen(stream)
 		var reach int64
-		for i := range items {
-			for j := i + 1; j < len(items); j++ {
-				x, y := items[i].Ranks, items[j].Ranks
-				if simfn.Overlap(x[:th.PrefixLength(len(x))], y[:th.PrefixLength(len(y))]) > 0 {
+		for i := range stream {
+			for j := i + 1; j < len(stream); j++ {
+				y, x := stream[i].Ranks, stream[j].Ranks
+				if simfn.Overlap(y[:indexPrefix(th, len(y))], x[:th.PrefixLength(len(x))]) > 0 {
 					reach++
 				}
 			}
 		}
 		pk := SelfJoin(items, opts, func(records.RIDPair) {})
 		if pk.Verified+pk.BitmapRejected != reach {
-			t.Fatalf("pk: verified+rejected = %d+%d, want the %d pairs with a common prefix token",
+			t.Fatalf("pk: verified+rejected = %d+%d, want the %d pairs with a token common to the index and probe prefixes",
 				pk.Verified, pk.BitmapRejected, reach)
 		}
 		if pk.BitmapRejected == 0 || pk.Results != results {
@@ -96,8 +100,9 @@ func TestEvictionCompactsPostingLists(t *testing.T) {
 		lastLen = l
 		l = l*5/4 + 1
 	}
-	// Only the final item survives; its prefix is all the index holds.
-	p := opts.Fn.PrefixLength(lastLen, opts.Threshold)
+	// Only the final item survives; its index prefix is all the index
+	// holds.
+	p := indexPrefix(opts.Fn.At(opts.Threshold), lastLen)
 	if lists, entries := ix.postingEntries(); lists != p || entries != p {
 		t.Fatalf("posting map holds %d lists / %d entries, want %d / %d (leak?)",
 			lists, entries, p, p)

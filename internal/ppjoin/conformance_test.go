@@ -12,6 +12,7 @@ import (
 	"fuzzyjoin/internal/filter"
 	"fuzzyjoin/internal/ppjoin"
 	"fuzzyjoin/internal/records"
+	"fuzzyjoin/internal/simfn"
 )
 
 func diffPairs(t *testing.T, label string, got, want []records.RIDPair) {
@@ -34,7 +35,9 @@ func diffPairs(t *testing.T, label string, got, want []records.RIDPair) {
 // TestKernelsMatchOracle runs PPJoin+ (full filter stack), the bare
 // prefix-filter index (all filters off), and the nested-loop kernel
 // over skewed conformance workloads; every one must reproduce the
-// brute-force result exactly, for self and R-S joins alike.
+// brute-force result exactly, for self and R-S joins alike, under each
+// similarity function (the self-join indexes PPJoin's index prefix, whose
+// completeness argument is per function).
 func TestKernelsMatchOracle(t *testing.T) {
 	workloads := []conformance.Workload{
 		{Records: 80, Seed: 21},
@@ -49,9 +52,17 @@ func TestKernelsMatchOracle(t *testing.T) {
 		"positional":  {Positional: true},
 	}
 	for wi, w := range workloads {
-		for _, tau := range []float64{0.6, 0.8, 0.95} {
-			p := conformance.Params{Threshold: tau}
-			opts := ppjoin.Options{Threshold: tau}
+		for _, cell := range []struct {
+			fn  simfn.Func
+			tau float64
+		}{
+			{simfn.Jaccard, 0.6}, {simfn.Jaccard, 0.8}, {simfn.Jaccard, 0.95},
+			{simfn.Cosine, 0.6}, {simfn.Cosine, 0.8}, {simfn.Cosine, 0.95},
+			{simfn.Dice, 0.6}, {simfn.Dice, 0.8}, {simfn.Dice, 0.95},
+		} {
+			fn, tau := cell.fn, cell.tau
+			p := conformance.Params{Fn: fn, Threshold: tau}
+			opts := ppjoin.Options{Fn: fn, Threshold: tau}
 
 			items := conformance.Items(w.SelfRecords(), p)
 			want := ppjoin.BruteForceSelf(items, opts)
@@ -63,11 +74,11 @@ func TestKernelsMatchOracle(t *testing.T) {
 				o.Filters = st
 				var got []records.RIDPair
 				ppjoin.SelfJoin(items, o, func(pr records.RIDPair) { got = append(got, pr) })
-				diffPairs(t, fmt.Sprintf("self %s w%d τ=%g", name, wi, tau), got, want)
+				diffPairs(t, fmt.Sprintf("self %s w%d %s τ=%g", name, wi, fn, tau), got, want)
 			}
 			var nl []records.RIDPair
 			ppjoin.NestedLoopSelf(items, opts, nil, func(pr records.RIDPair) { nl = append(nl, pr) })
-			diffPairs(t, fmt.Sprintf("self nested-loop w%d τ=%g", wi, tau), nl, want)
+			diffPairs(t, fmt.Sprintf("self nested-loop w%d %s τ=%g", wi, fn, tau), nl, want)
 
 			rRecs, sRecs := w.RSRecords()
 			rItems, sItems := conformance.ItemsRS(rRecs, sRecs, p)
@@ -77,11 +88,11 @@ func TestKernelsMatchOracle(t *testing.T) {
 				o.Filters = st
 				var got []records.RIDPair
 				ppjoin.RSJoin(rItems, sItems, o, func(pr records.RIDPair) { got = append(got, pr) })
-				diffPairs(t, fmt.Sprintf("rs %s w%d τ=%g", name, wi, tau), got, wantRS)
+				diffPairs(t, fmt.Sprintf("rs %s w%d %s τ=%g", name, wi, fn, tau), got, wantRS)
 			}
 			var nlRS []records.RIDPair
 			ppjoin.NestedLoopRS(rItems, sItems, opts, nil, func(pr records.RIDPair) { nlRS = append(nlRS, pr) })
-			diffPairs(t, fmt.Sprintf("rs nested-loop w%d τ=%g", wi, tau), nlRS, wantRS)
+			diffPairs(t, fmt.Sprintf("rs nested-loop w%d %s τ=%g", wi, fn, tau), nlRS, wantRS)
 		}
 	}
 }

@@ -31,7 +31,9 @@ func partition(items []Item, th simfn.Threshold, group func(uint32) uint32) map[
 // (fvt's TestFVTOwnerPartition is the model): partition any item set by
 // its prefix tokens' groups, run a kernel per group under the owner rule
 // "this group's tokens", and the concatenated output is the brute-force
-// result pair for pair — nothing lost, nothing repeated.
+// result pair for pair — nothing lost, nothing repeated. Under individual
+// routing the self-join also runs the per-token kernel, which applies the
+// rule without an owner hook.
 func TestOwnerPartition(t *testing.T) {
 	routings := map[string]func(uint32) uint32{
 		"individual": func(w uint32) uint32 { return w },
@@ -92,6 +94,27 @@ func TestOwnerPartition(t *testing.T) {
 						}
 						assertSamePairs(t, c.got, c.want, label+" "+c.kernel)
 					}
+				}
+				// The per-token kernel serves individual routing alone:
+				// every filter subset, one TokenIndex reused across groups.
+				groups := partition(rItems, th, func(w uint32) uint32 { return w })
+				for mask := 0; mask < 8; mask++ {
+					o := opts
+					o.Filters = filter.Stack{Length: mask&1 != 0, Positional: mask&2 != 0, Suffix: mask&4 != 0}
+					var got []records.RIDPair
+					tx := NewTokenIndex(o)
+					for g, rg := range groups {
+						sortByLen(rg)
+						tx.Reset(g)
+						for _, it := range rg {
+							tx.ProbeAndAdd(it, func(p records.RIDPair) { got = append(got, p) })
+						}
+					}
+					label := fmt.Sprintf("seed %d %s τ=%g filters %+v TokenIndex", seed, fn, tau, o.Filters)
+					if len(got) != len(wantSelf) {
+						t.Fatalf("%s: %d pairs emitted over all groups, want %d (each exactly once)", label, len(got), len(wantSelf))
+					}
+					assertSamePairs(t, got, wantSelf, label)
 				}
 			}
 		}

@@ -1,7 +1,8 @@
 // Package ppjoin implements the single-node set-similarity join kernels
 // that Stage 2 reducers run: the PPJoin/PPJoin+ inverted-index algorithm
 // of Xiao et al. (WWW 2008) — the paper's "PK" kernel and the
-// state-of-the-art baseline it builds on — plus the nested-loop kernel
+// state-of-the-art baseline it builds on — and its one-list form for a
+// single token's reduce group (TokenIndex), plus the nested-loop kernel
 // with the same filter stack (the paper's "BK"), and a brute-force
 // reference join used as the test oracle.
 //
@@ -79,12 +80,14 @@ type entry struct {
 // than one per parallel array. gen == Index.curGen marks the item as seen
 // by the current probe, with overlap its accumulated prefix overlap, need
 // the overlap threshold against the probe and pruned whether a filter
-// killed it.
+// killed it. indexed is the number of the item's leading tokens that
+// have a posting entry.
 type slot struct {
 	gen     uint32
 	overlap int32
 	need    int32
 	length  int32
+	indexed int32
 	pruned  bool
 	evicted bool // removed by length-filter eviction
 }
@@ -99,10 +102,8 @@ type Index struct {
 	owner func(w uint32) bool // the emit-once hook, set by Reset
 	items []Item
 	slots []slot // parallel to items
-	// Add copies ranks into chunks in stream order: chunks holds those with
-	// a live item, oldest first; eviction empties them onto spare, FIFO.
-	chunks []rankChunk
-	spare  [][]uint32
+	// Add copies ranks into chunks in stream order.
+	rankChunks
 	// Posting lists live in slab, reached through lists (token → slab
 	// id). The map is only written when a token gains its first entry or
 	// loses its last: probes and compaction rewrite a list through the
@@ -145,9 +146,49 @@ const (
 	chunkRanks         = 1 << 12 // per chunk; a longer item gets a slice of its own
 )
 
+// rankChunks is the rank storage of a stream's indexed items: keep copies
+// ranks into chunks in stream order, chunks holds those with a live item,
+// oldest first, and release empties them onto spare, first-in first-out.
+type rankChunks struct {
+	chunks []rankChunk
+	spare  [][]uint32
+}
+
 type rankChunk struct {
 	buf []uint32
-	end int // one past the position in Index.items of the last item in buf
+	end int // one past the stream position of the last item in buf
+}
+
+// keep returns a copy of the ranks of the stream's n-th item (0-based).
+func (c *rankChunks) keep(ranks []uint32, n int) []uint32 {
+	l := len(ranks)
+	if l > chunkRanks {
+		return slices.Clone(ranks)
+	}
+	if k := len(c.chunks); k == 0 || len(c.chunks[k-1].buf)+l > chunkRanks {
+		if len(c.spare) == 0 {
+			c.spare = append(c.spare, make([]uint32, 0, chunkRanks))
+		}
+		c.chunks = append(c.chunks, rankChunk{buf: c.spare[len(c.spare)-1]})
+		c.spare = c.spare[:len(c.spare)-1]
+	}
+	ch := &c.chunks[len(c.chunks)-1]
+	ch.buf, ch.end = append(ch.buf, ranks...), n+1
+	return ch.buf[len(ch.buf)-l : len(ch.buf) : len(ch.buf)]
+}
+
+// release moves the chunks of the items before stream position head to
+// spare, up to its cap.
+func (c *rankChunks) release(head int) {
+	k := 0
+	for ; k < len(c.chunks) && c.chunks[k].end <= head; k++ {
+		if len(c.spare) < maxSpareChunks {
+			c.spare = append(c.spare, c.chunks[k].buf[:0])
+		}
+	}
+	n := copy(c.chunks, c.chunks[k:])
+	clear(c.chunks[n:])
+	c.chunks = c.chunks[:n]
 }
 
 // Reset empties the index for a new stream of items under the same
@@ -164,7 +205,7 @@ type rankChunk struct {
 // Candidates: they were met here, and are someone else's to report.
 func (ix *Index) Reset(owner func(w uint32) bool) {
 	ix.owner = owner
-	ix.releaseChunks(len(ix.items))
+	ix.release(len(ix.items))
 	clear(ix.items) // let go of the stream's rank storage
 	ix.items = ix.items[:0]
 	ix.slots = ix.slots[:0]
@@ -202,28 +243,20 @@ func itemBytes(it Item, prefix int) int64 {
 	return int64(16 + 4*len(it.Ranks) + 16*prefix)
 }
 
-// Add indexes an item without probing (the R side of an R-S join). Items
-// must arrive in non-decreasing length order. The index keeps a copy of
-// the item's ranks: the caller may reuse them once Add returns.
+// Add indexes an item under its whole prefix without probing (the R side
+// of an R-S join: an R item may be longer than the S items that probe it).
+// Items must arrive in non-decreasing length order. The index keeps a copy
+// of the item's ranks: the caller may reuse them once Add returns.
 func (ix *Index) Add(it Item) {
-	p := ix.th.PrefixLength(len(it.Ranks))
+	ix.add(it, ix.th.PrefixLength(len(it.Ranks)))
+}
+
+// add indexes it under its first p tokens.
+func (ix *Index) add(it Item, p int) {
 	idx := int32(len(ix.items))
-	if n := len(it.Ranks); n > chunkRanks {
-		it.Ranks = slices.Clone(it.Ranks)
-	} else {
-		if k := len(ix.chunks); k == 0 || len(ix.chunks[k-1].buf)+n > chunkRanks {
-			if len(ix.spare) == 0 {
-				ix.spare = append(ix.spare, make([]uint32, 0, chunkRanks))
-			}
-			ix.chunks = append(ix.chunks, rankChunk{buf: ix.spare[len(ix.spare)-1]})
-			ix.spare = ix.spare[:len(ix.spare)-1]
-		}
-		ch := &ix.chunks[len(ix.chunks)-1]
-		ch.buf, ch.end = append(ch.buf, it.Ranks...), len(ix.items)+1
-		it.Ranks = ch.buf[len(ch.buf)-n : len(ch.buf) : len(ch.buf)]
-	}
+	it.Ranks = ix.keep(it.Ranks, len(ix.items))
 	ix.items = append(ix.items, it)
-	ix.slots = append(ix.slots, slot{length: int32(len(it.Ranks))})
+	ix.slots = append(ix.slots, slot{length: int32(len(it.Ranks)), indexed: int32(p)})
 	for i := 0; i < p; i++ {
 		id := ix.listFor(it.Ranks[i])
 		post := ix.slab[id]
@@ -233,19 +266,6 @@ func (ix *Index) Add(it Item) {
 		ix.slab[id] = post
 	}
 	ix.bytes += itemBytes(it, p)
-}
-
-// releaseChunks moves the chunks of items below head to spare, up to its cap.
-func (ix *Index) releaseChunks(head int) {
-	k := 0
-	for ; k < len(ix.chunks) && ix.chunks[k].end <= head; k++ {
-		if len(ix.spare) < maxSpareChunks {
-			ix.spare = append(ix.spare, ix.chunks[k].buf[:0])
-		}
-	}
-	n := copy(ix.chunks, ix.chunks[k:])
-	clear(ix.chunks[n:])
-	ix.chunks = ix.chunks[:n]
 }
 
 // listFor returns the slab id of token w's posting list, handing out a
@@ -280,8 +300,7 @@ func (ix *Index) evictBelow(minLen int) {
 	for ix.head < len(ix.items) && int(ix.slots[ix.head].length) < minLen {
 		if s := &ix.slots[ix.head]; !s.evicted {
 			s.evicted = true
-			p := ix.th.PrefixLength(int(s.length))
-			ix.bytes -= itemBytes(ix.items[ix.head], p)
+			ix.bytes -= itemBytes(ix.items[ix.head], int(s.indexed))
 		}
 		ix.head++
 	}
@@ -290,13 +309,12 @@ func (ix *Index) evictBelow(minLen int) {
 		if it.Ranks == nil {
 			continue
 		}
-		p := ix.th.PrefixLength(len(it.Ranks))
-		for j := 0; j < p; j++ {
-			ix.compactPosting(it.Ranks[j])
+		for _, w := range it.Ranks[:ix.slots[i].indexed] {
+			ix.compactPosting(w)
 		}
 		it.Ranks = nil // the item can never be probed again
 	}
-	ix.releaseChunks(ix.head)
+	ix.release(ix.head)
 }
 
 // compactPosting trims the dead prefix (entries of evicted items) from
@@ -359,9 +377,10 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 		if !ok {
 			continue
 		}
-		// Probe tokens ascend, so the list a candidate is first met in is
-		// that of the pair's minimal common prefix token: the owner rule is
-		// evaluated once per list and applied at first sight.
+		// Probe tokens ascend, so the list a τ-pair is first met in is that
+		// of its minimal common prefix token, which lies within the indexed
+		// item's indexed tokens: the owner rule is evaluated once per list
+		// and applied at first sight.
 		owned := ix.owner == nil || ix.owner(x.Ranks[i])
 		post := ix.slab[id]
 		live := post[:0]
@@ -439,8 +458,25 @@ func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
 // below it; a larger candidate set simply reallocates for that probe.
 const maxCandScratch = 1 << 12
 
-// ProbeAndAdd probes with x and then indexes it — the self-join streaming
-// step. Emitted pairs are normalized to A < B by RID (the self-join pair
+// indexPrefix is PPJoin's index prefix for an item of l tokens: its first
+// l − OverlapThreshold(l, l) + 1 tokens, clamped to [1, PrefixLength(l)].
+// When items stream in non-decreasing length, a τ-pair's earlier member y
+// is the shorter one, its partner needs overlap at least
+// OverlapThreshold(ly, ly) with it (for Jaccard, cosine and Dice alike),
+// and so the pair's first common token lies within y's index prefix.
+// Returns 0 for an empty item.
+func indexPrefix(th simfn.Threshold, l int) int {
+	if l == 0 {
+		return 0
+	}
+	return min(max(l-th.OverlapThreshold(l, l)+1, 1), th.PrefixLength(l))
+}
+
+// ProbeAndAdd probes with x and then indexes it under its index prefix —
+// the self-join streaming step: every later probe is at least as long as
+// x, so a τ-pair of x and a later item first shares a token within x's
+// index prefix, and Probe meets the pair first in that token's list.
+// Emitted pairs are normalized to A < B by RID (the self-join pair
 // convention: Stage 3 groups the two record halves of a pair by it).
 func (ix *Index) ProbeAndAdd(x Item, emit func(pair records.RIDPair)) {
 	ix.Probe(x, func(p records.RIDPair) {
@@ -449,7 +485,7 @@ func (ix *Index) ProbeAndAdd(x Item, emit func(pair records.RIDPair)) {
 		}
 		emit(p)
 	})
-	ix.Add(x)
+	ix.add(x, indexPrefix(ix.th, len(x.Ranks)))
 }
 
 // SelfJoin runs the full single-node PPJoin+ self-join: items are sorted
