@@ -45,6 +45,7 @@ race:
 	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
 	$(GO) test -race -count=10 -run TestWriterFillPoolNoAlias ./internal/dfs
 	$(GO) test -race -count=10 -run TestOPRJTasksSharePairViews ./internal/core
+	$(GO) test -race -count=10 -run TestPKKernelStatePerAttempt ./internal/core
 	$(GO) test -race -count=10 -run 'TestConcurrentHistory|TestConcurrentMatchAddReorder' ./internal/ssjserve
 
 tier1: build fmt test vet staticcheck race
@@ -59,7 +60,7 @@ smoke:
 	@test -s smoke-out/trace.jsonl && test -s smoke-out/timeline.svg && test -s smoke-out/metrics.json
 	@echo "smoke artifacts in smoke-out/"
 
-# exact runs 18 fuzzyjoin joins (3 inputs x 3 combos x in process and
+# exact runs 24 fuzzyjoin joins (4 inputs x 3 combos x in process and
 # -workers 2) at PARENT and at the working tree and fails unless every
 # output is cmp-equal and every -stats line equal with timings cut. The
 # parent is built in a git worktree under .bench_build/exact/.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"fuzzyjoin/internal/filter"
@@ -133,36 +134,47 @@ func TestSelfJoinPrefixOnlyFilters(t *testing.T) {
 	assertPairsEqual(t, readJoined(t, fs, res.Output), want, "prefix-only")
 }
 
-// TestStage2RSLengthClassOrdering: PK R-S keys must deliver every
-// joinable R projection before the S projection that probes it. We check
-// it end-to-end by verifying an R-S join whose length spread is extreme.
-func TestStage2RSLengthClassOrdering(t *testing.T) {
-	var rLines, sLines []string
-	// R records of strongly varying lengths; S records equal to R's with
-	// one token dropped, so every S has exactly one R partner.
-	for i := 0; i < 12; i++ {
-		title := ""
-		for k := 0; k <= 5+i; k++ {
-			title += fmt.Sprintf("tok%d%d ", i, k)
+// TestStage2RSOneLengthOrder: PK R-S keys stream both relations in one
+// non-decreasing length order, and each pair is found by its later
+// member probing the other relation's index. We check it end to end on
+// R records of strongly varying lengths joined with S records that are
+// the same titles with one token added — S always the longer side, so R
+// is indexed and S probes — and with one token dropped, the mirror, where
+// R probes S's index. Every S record has exactly one R partner.
+func TestStage2RSOneLengthOrder(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		delta int // tokens S has beyond R's
+	}{{"S longer", 1}, {"S shorter", -1}} {
+		var rLines, sLines []string
+		for i := 0; i < 12; i++ {
+			var r []string
+			for k := 0; k <= 5+i; k++ {
+				r = append(r, fmt.Sprintf("tok%d%d", i, k))
+			}
+			s := append(r[:len(r):len(r)], "extra")
+			if c.delta < 0 {
+				s = r[1:]
+			}
+			rLines = append(rLines, records.Record{RID: uint64(i + 1),
+				Fields: []string{strings.Join(r, " "), "au", ""}}.Line())
+			sLines = append(sLines, records.Record{RID: uint64(100 + i),
+				Fields: []string{strings.Join(s, " "), "au", ""}}.Line())
 		}
-		rLines = append(rLines, records.Record{RID: uint64(i + 1),
-			Fields: []string{title, "au", ""}}.Line())
-		sLines = append(sLines, records.Record{RID: uint64(100 + i),
-			Fields: []string{title + "extra", "au", ""}}.Line())
+		want := oracleRS(t, rLines, sLines, 0.8)
+		if len(want) != 12 {
+			t.Fatalf("%s: test premise broken: the oracle has %d pairs, want 12", c.name, len(want))
+		}
+		fs := newTestFS(t)
+		writeInput(t, fs, "R", rLines)
+		writeInput(t, fs, "S", sLines)
+		cfg := Config{FS: fs, Work: "w", Kernel: PK, NumReducers: 1}
+		res, err := RSJoin(cfg, "R", "S")
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPairsEqual(t, readJoined(t, fs, res.Output), want, c.name)
 	}
-	want := oracleRS(t, rLines, sLines, 0.8)
-	if len(want) == 0 {
-		t.Fatal("degenerate corpus")
-	}
-	fs := newTestFS(t)
-	writeInput(t, fs, "R", rLines)
-	writeInput(t, fs, "S", sLines)
-	cfg := Config{FS: fs, Work: "w", Kernel: PK, NumReducers: 1}
-	res, err := RSJoin(cfg, "R", "S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertPairsEqual(t, readJoined(t, fs, res.Output), want, "length-classes")
 }
 
 // TestQGramTokenizerEndToEnd: the pipeline with the q-gram tokenizer

@@ -131,75 +131,85 @@ func (f *failAfter) Emit(k, v []byte) error {
 	return f.out.Emit(k, v)
 }
 
-// TestPKKernelStatePerAttempt: the PK reducer's index (here the per-token
-// kernel of an individually routed self-join) belongs to one task attempt. A retry after an attempt died in the middle of a group with
-// its index half built must leave the Stage 2 part files byte-identical
-// to a clean run; every attempt gets an index of its own, so a failed
-// attempt's dirty index is never seen again.
+// TestPKKernelStatePerAttempt: the PK reducer's join stream belongs to
+// one task attempt, for a self-join and an R-S join under individual and
+// grouped routing. A retry after an attempt died in the middle of a group
+// with its indexes half built must leave the Stage 2 part files
+// byte-identical to a clean run; every attempt gets a stream of its own,
+// so a failed attempt's dirty indexes are never seen again.
 func TestPKKernelStatePerAttempt(t *testing.T) {
-	lines := makeLines(7, 90, 1)
-	run := func(name string, cfg Config, failTask int) (map[string]string, int) {
-		fs := newTestFS(t)
-		writeInput(t, fs, "in", lines)
-		cfg.FS, cfg.Work, cfg.Kernel, cfg.NumReducers, cfg.Parallelism = fs, "w", PK, 3, 4
-		var mu sync.Mutex
-		indexes := map[any]bool{}
-		failed := 0
-		probe := &reduceProbe{
-			instantiated: func(inner mapreduce.Reducer) {
-				mu.Lock()
-				defer mu.Unlock()
-				// A self-join under individual routing runs the per-token
-				// kernel, any other PK join the Index.
-				var ix any = inner.(*pkReducer).ix
-				if tx := inner.(*pkReducer).tx; tx != nil {
-					ix = tx
-				}
-				if ix == (*ppjoin.Index)(nil) || indexes[ix] {
-					t.Errorf("%s: task instance got index %p, already another attempt's", name, ix)
-				}
-				indexes[ix] = true
-			},
-			visit: func(ctx *mapreduce.Context, inner mapreduce.Reducer, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
-				if ctx.TaskID == failTask && ctx.Attempt == 1 {
-					// Let the group's first pair through, fail its second:
-					// the attempt dies with items in its index.
-					out = &failAfter{out: out, left: 1}
-				}
-				err := inner.Reduce(ctx, key, values, out)
-				if err != nil {
+	r, s := makeLines(7, 90, 1), makeLines(7, 90, 1001) // S: R's titles again
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		inputs []string
+	}{
+		{"self/individual", Config{}, []string{"r"}},
+		{"self/grouped", Config{Routing: GroupedTokens, NumGroups: 16}, []string{"r"}},
+		{"rs/individual", Config{}, []string{"r", "s"}},
+		{"rs/grouped", Config{Routing: GroupedTokens, NumGroups: 16}, []string{"r", "s"}},
+	} {
+		run := func(name string, cfg Config, failTask int) (map[string]string, int) {
+			fs := newTestFS(t)
+			writeInput(t, fs, "r", r)
+			writeInput(t, fs, "s", s)
+			cfg.FS, cfg.Work, cfg.Kernel, cfg.NumReducers, cfg.Parallelism = fs, "w", PK, 3, 4
+			var mu sync.Mutex
+			streams := map[*ppjoin.Stream]bool{}
+			failed := 0
+			probe := &reduceProbe{
+				instantiated: func(inner mapreduce.Reducer) {
 					mu.Lock()
-					failed++
-					mu.Unlock()
-				}
-				return err
-			},
-		}
-		if _, err := probeStage2(t, cfg, probe, "in"); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if failTask >= 0 && failed == 0 {
-			t.Fatalf("%s: test premise broken: no group of reduce task %d emits two pairs", name, failTask)
-		}
-		files := map[string]string{}
-		for _, f := range fs.List("w/s2/") {
-			b, err := fs.ReadAll(f)
-			if err != nil {
-				t.Fatal(err)
+					defer mu.Unlock()
+					pk := inner.(*pkReducer).pk
+					if pk == nil || streams[pk] {
+						t.Errorf("%s: task instance got stream %p, already another attempt's", name, pk)
+					}
+					streams[pk] = true
+				},
+				visit: func(ctx *mapreduce.Context, inner mapreduce.Reducer, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+					if ctx.TaskID == failTask && ctx.Attempt == 1 {
+						// Let the group's first pair through, fail its
+						// second: the attempt dies with items indexed.
+						out = &failAfter{out: out, left: 1}
+					}
+					err := inner.Reduce(ctx, key, values, out)
+					if err != nil {
+						mu.Lock()
+						failed++
+						mu.Unlock()
+					}
+					return err
+				},
 			}
-			files[f] = string(b)
+			if _, err := probeStage2(t, cfg, probe, c.inputs...); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if failTask >= 0 && failed == 0 {
+				t.Fatalf("%s: test premise broken: no group of reduce task %d emits two pairs", name, failTask)
+			}
+			files := map[string]string{}
+			for _, f := range fs.List("w/s2/") {
+				b, err := fs.ReadAll(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[f] = string(b)
+			}
+			return files, len(streams)
 		}
-		return files, len(indexes)
-	}
-	clean, n := run("clean", Config{}, -1)
-	if n != 3 || len(clean) != 3 {
-		t.Fatalf("clean run: %d indexes, %d part files, want 3 and 3", n, len(clean))
-	}
-	retried, n := run("retry", Config{Retry: mapreduce.RetryPolicy{MaxAttempts: 3}}, 1)
-	if n != 4 {
-		t.Errorf("retry run built %d indexes, want 3 + 1 for the retried attempt", n)
-	}
-	if !reflect.DeepEqual(retried, clean) {
-		t.Error("retried run's Stage 2 output differs from the clean run's")
+		clean, n := run(c.name+" clean", c.cfg, -1)
+		if n != 3 || len(clean) != 3 {
+			t.Fatalf("%s clean run: %d streams, %d part files, want 3 and 3", c.name, n, len(clean))
+		}
+		cfg := c.cfg
+		cfg.Retry = mapreduce.RetryPolicy{MaxAttempts: 3}
+		retried, n := run(c.name+" retry", cfg, 1)
+		if n != 4 {
+			t.Errorf("%s: retry run built %d streams, want 3 + 1 for the retried attempt", c.name, n)
+		}
+		if !reflect.DeepEqual(retried, clean) {
+			t.Errorf("%s: retried run's Stage 2 output differs from the clean run's", c.name)
+		}
 	}
 }

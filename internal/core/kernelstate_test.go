@@ -89,13 +89,32 @@ var stage2Kernels = []struct {
 // group costs a small constant number of heap allocations (closures, the
 // sort of a bulk build) and none per decoded projection — no per-group
 // index, map, node slab, item buffer, rank slice or pair encoding. BK and
-// FVT decode into the task's arena; PK decodes into scratch and its index
-// copies the ranks into rank chunks it reuses.
+// FVT decode into the task's arena; PK decodes into scratch and its
+// indexes copy the ranks into rank chunks they reuse. PK runs self and
+// R-S joins under individual and grouped routing.
 func TestReducerSteadyStateAllocs(t *testing.T) {
 	const perGroup = 2
-	for _, k := range stage2Kernels {
+	cases := []struct {
+		name    string
+		kernel  KernelAlg
+		routing Routing
+		rs      bool
+	}{
+		{"PK", PK, IndividualTokens, false},
+		{"PK grouped", PK, GroupedTokens, false},
+		{"PK R-S", PK, IndividualTokens, true},
+		{"PK R-S grouped", PK, GroupedTokens, true},
+		{"BK", BK, IndividualTokens, false},
+		{"FVT", FVT, IndividualTokens, false},
+	}
+	for _, k := range cases {
 		fs := newTestFS(t)
+		inputs := []string{"in"}
 		writeInput(t, fs, "in", makeLines(31, 240, 1))
+		if k.rs {
+			inputs = append(inputs, "s")
+			writeInput(t, fs, "s", makeLines(31, 240, 1001)) // R's titles again
+		}
 		var worst, groups, pairs float64
 		probe := &reduceProbe{visit: func(ctx *mapreduce.Context, inner mapreduce.Reducer, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 			saved := *values
@@ -117,7 +136,8 @@ func TestReducerSteadyStateAllocs(t *testing.T) {
 			groups++
 			return err
 		}}
-		if _, err := probeStage2(t, Config{FS: fs, Work: "w", Kernel: k.kernel, Threshold: 0.6, NumReducers: 1, Parallelism: 1}, probe, "in"); err != nil {
+		cfg := Config{FS: fs, Work: "w", Kernel: k.kernel, Routing: k.routing, NumGroups: 24, Threshold: 0.6, NumReducers: 1, Parallelism: 1}
+		if _, err := probeStage2(t, cfg, probe, inputs...); err != nil {
 			t.Fatalf("%s: %v", k.name, err)
 		}
 		if groups < 10 || pairs == 0 {

@@ -18,7 +18,7 @@ import (
 //	plain, self BK/FVT  —                                 4         round / FVT
 //	plain, self PK      [length u32]                      4         PK
 //	plain, R-S BK/FVT   [rel u8]                          4         round / FVT
-//	plain, R-S PK       [class u32][rel u8]               4         PK
+//	plain, R-S PK       [length u32][rel u8]              4         PK
 //	map-blocks, self    [round u32][role u8][block u32]   4         round
 //	map-blocks, R-S     [round u32][role u8]              4         round
 //	reduce-blocks, self [block u32]                       4         spill
@@ -29,10 +29,9 @@ import (
 // rel and side: 0 = R, 1 = S. role: 0 = load (buffered), 1 = stream
 // (probed against the buffer) — the same two values, so an R-S layout's
 // rel byte is its role byte: R is the side that must fit in memory (§5).
-// The PK length ordering realizes the index-eviction optimization; the
-// R-S length classes (R → lengthLowerBound(l), S → l) force every
-// joinable R projection to arrive before the S projection that probes it
-// (§4, Figure 6).
+// PK's length suffix streams a group in one non-decreasing length order,
+// R before S among equal lengths in an R-S join, which PPJoin's index
+// prefix and the index-eviction optimization rest on (§4, Figure 6).
 
 const (
 	roleLoad   = 0
@@ -146,17 +145,10 @@ func lengthBucket(cfg *Config, l int) uint32 {
 }
 
 func (m *stage2Mapper) routePlain(p routed, key []byte, sink replicaSink) error {
-	switch {
-	case !m.rs && m.cfg.Kernel == PK:
+	if m.cfg.Kernel == PK {
 		key = keys.AppendUint32(key, uint32(p.length))
-	case m.rs && m.cfg.Kernel == PK:
-		class := uint32(p.length)
-		if p.rel == relR {
-			lo, _ := m.cfg.Fn.LengthBounds(p.length, m.cfg.Threshold)
-			class = uint32(lo)
-		}
-		key = append(keys.AppendUint32(key, class), p.rel)
-	case m.rs:
+	}
+	if m.rs {
 		key = append(key, p.rel)
 	}
 	return sink.emit(key)

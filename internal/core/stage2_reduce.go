@@ -427,50 +427,37 @@ func (s *spill) close() {
 	os.RemoveAll(s.dir)
 }
 
-// pkReducer streams a group's projections through a PPJoin+ index. A
-// self-join group arrives in length order thanks to the composite key and
-// each projection probes then joins the index (§3.2.2). An R-S group
-// indexes R projections and probes with S projections: the length-class
-// keys guarantee every R projection that could join an S projection is
-// indexed before that S projection probes. Either way the index evicts by
-// length as the stream advances (§4, Figure 6). A self-join group under
-// individual routing owns only the pairs whose first common token is its
-// own and runs the one-list ppjoin.TokenIndex (DESIGN §4.4).
+// pkReducer streams a group's projections through a PPJoin+ join
+// stream (§3.2.2), one index per relation: a self-join has one, an R-S
+// join two. The [length u32][rel u8] key suffix delivers the group in one
+// non-decreasing length order, and each projection probes the other
+// relation's index (its own in a self-join), then joins its own
+// relation's index under its index prefix. The indexes evict by length as
+// the stream advances (§4, Figure 6), and the owner rule decides the
+// tokens they post and probe under: one token under individual routing,
+// the tokens of the group under grouped routing (DESIGN §4.4).
 type pkReducer struct {
 	owner
 	layout keyLayout
-	// ix or tx is the task's index, reset for every reduce group; ranks
+	// pk is the task's join stream, reset for every reduce group; ranks
 	// is the scratch each projection is decoded into before the index
 	// copies it.
-	ix    *ppjoin.Index
-	tx    *ppjoin.TokenIndex
+	pk    *ppjoin.Stream
 	ranks rankArena
 }
 
-// NewTaskInstance gives each reduce task its own index.
+// NewTaskInstance gives each reduce task its own join stream.
 func (r *pkReducer) NewTaskInstance() any {
-	t := &pkReducer{owner: r.owner, layout: r.layout}
-	if r.self && r.cfg.Routing != GroupedTokens {
-		t.tx = ppjoin.NewTokenIndex(kernelOptions(r.cfg))
-	} else {
-		t.ix = ppjoin.NewIndex(kernelOptions(r.cfg))
+	relations := 2
+	if r.self {
+		relations = 1
 	}
-	return t
+	return &pkReducer{owner: r.owner, layout: r.layout, pk: ppjoin.NewStream(kernelOptions(r.cfg), relations)}
 }
 
 func (r *pkReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 	r.begin(key, out)
-	var kernel interface {
-		Bytes() int64
-		Stats() ppjoin.Stats
-	}
-	if r.tx != nil {
-		r.tx.Reset(r.curGroup)
-		kernel = r.tx
-	} else {
-		r.ix.Reset(r.token)
-		kernel = r.ix
-	}
+	r.pk.Reset(r.token)
 	var held int64
 	defer func() { ctx.Memory.Free(held) }()
 	for v, ok := values.Next(); ok; v, ok = values.Next() {
@@ -483,32 +470,22 @@ func (r *pkReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce
 		if err != nil {
 			return err
 		}
-		item := ppjoin.Item{RID: p.RID, Ranks: p.Ranks}
-		switch {
-		case r.tx != nil:
-			r.tx.ProbeAndAdd(item, r.pair)
-		case r.self:
-			r.ix.ProbeAndAdd(item, r.pair)
-		case rel == relR:
-			r.ix.Add(item)
-		default:
-			r.ix.Probe(item, r.pair)
-		}
+		r.pk.Next(int(rel), ppjoin.Item{RID: p.RID, Ranks: p.Ranks}, r.pair)
 		if r.err != nil {
 			return r.err
 		}
-		// Track the index's live footprint: charge growth, credit
+		// Track the indexes' live footprint: charge growth, credit
 		// eviction.
-		if delta := kernel.Bytes() - held; delta > 0 {
+		if delta := r.pk.Bytes() - held; delta > 0 {
 			if err := ctx.Memory.Alloc(delta); err != nil {
 				return err
 			}
-			held = kernel.Bytes()
+			held = r.pk.Bytes()
 		} else if delta < 0 {
 			ctx.Memory.Free(-delta)
-			held = kernel.Bytes()
+			held = r.pk.Bytes()
 		}
 	}
-	countKernelStats(ctx, kernel.Stats())
+	countKernelStats(ctx, r.pk.Stats())
 	return nil
 }

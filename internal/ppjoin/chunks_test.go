@@ -20,8 +20,9 @@ func fixedRanks(rng *rand.Rand, universe, n int) []uint32 {
 }
 
 // TestRankChunksFollowEviction streams 10,184 items in length order
-// through one Index with the length filter on, each from one scratch
-// slice the caller overwrites after the call, as a PK reducer does. At
+// through one self-join Stream with the length filter on, each from one
+// scratch slice the caller overwrites after the call, as a PK reducer
+// does. At
 // τ 0.9 an item of length l ≤ 9 can only pair with items of its own
 // length, so the length filter keeps one length live at a time, and
 // every length holds at most 3,600 ranks, less than one chunk: rank
@@ -32,7 +33,8 @@ func fixedRanks(rng *rand.Rand, universe, n int) []uint32 {
 func TestRankChunksFollowEviction(t *testing.T) {
 	opts := Options{Fn: simfn.Jaccard, Threshold: 0.9, Filters: filter.AllFilters}
 	rng := rand.New(rand.NewSource(7))
-	ix := NewIndex(opts)
+	s := NewStream(opts, 1)
+	ix := s.ix[0]
 	var got, want []records.RIDPair
 	emit := func(p records.RIDPair) { got = append(got, p) }
 	scratch := make([]uint32, 0, 9)
@@ -50,7 +52,7 @@ func TestRankChunksFollowEviction(t *testing.T) {
 		want = append(want, BruteForceSelf(class, opts)...)
 		for _, it := range class {
 			scratch = append(scratch[:0], it.Ranks...)
-			ix.ProbeAndAdd(Item{RID: it.RID, Ranks: scratch}, emit)
+			s.Next(0, Item{RID: it.RID, Ranks: scratch}, emit)
 			for j := range scratch {
 				scratch[j] = ^uint32(0) // the index must keep a copy
 			}

@@ -31,9 +31,12 @@ func partition(items []Item, th simfn.Threshold, group func(uint32) uint32) map[
 // (fvt's TestFVTOwnerPartition is the model): partition any item set by
 // its prefix tokens' groups, run a kernel per group under the owner rule
 // "this group's tokens", and the concatenated output is the brute-force
-// result pair for pair — nothing lost, nothing repeated. Under individual
-// routing the self-join also runs the per-token kernel, which applies the
-// rule without an owner hook.
+// result pair for pair — nothing lost, nothing repeated. PK runs both
+// join kinds as one Stream per group: the self-join over one relation,
+// the R-S join over R and S merged into one length order, each item
+// probing the other relation's index. Individual routing is the
+// one-token case of the rule; every routing runs under every filter
+// subset.
 func TestOwnerPartition(t *testing.T) {
 	routings := map[string]func(uint32) uint32{
 		"individual": func(w uint32) uint32 { return w },
@@ -51,70 +54,50 @@ func TestOwnerPartition(t *testing.T) {
 		}
 		for _, fn := range []simfn.Func{simfn.Jaccard, simfn.Cosine, simfn.Dice} {
 			for _, tau := range []float64{0.5, 0.8, 0.95} {
-				opts := Options{Fn: fn, Threshold: tau, Filters: filter.AllFilters}
 				th := fn.At(tau)
-				wantSelf := BruteForceSelf(rItems, opts)
-				wantRS := BruteForceRS(rItems, sItems, opts)
+				oracle := Options{Fn: fn, Threshold: tau}
+				wantSelf := BruteForceSelf(rItems, oracle)
+				wantRS := BruteForceRS(rItems, sItems, oracle)
 				found += len(wantSelf) + len(wantRS)
 				for name, group := range routings {
-					label := fmt.Sprintf("seed %d %s τ=%g %s", seed, fn, tau, name)
 					rGroups, sGroups := partition(rItems, th, group), partition(sItems, th, group)
-					var nlSelf, pkSelf, nlRS, pkRS []records.RIDPair
-					ix := NewIndex(opts)
-					for g, rg := range rGroups {
-						g := g
-						owner := func(w uint32) bool { return group(w) == g }
-						sg := sGroups[g]
-						sortByLen(rg)
-						sortByLen(sg)
-						NestedLoopSelf(rg, opts, owner, func(p records.RIDPair) { nlSelf = append(nlSelf, p) })
-						NestedLoopRS(rg, sg, opts, owner, func(p records.RIDPair) { nlRS = append(nlRS, p) })
-						ix.Reset(owner)
-						for _, it := range rg {
-							ix.ProbeAndAdd(it, func(p records.RIDPair) { pkSelf = append(pkSelf, p) })
+					for mask := 0; mask < 8; mask++ {
+						opts := oracle
+						opts.Filters = filter.Stack{Length: mask&1 != 0, Positional: mask&2 != 0, Suffix: mask&4 != 0}
+						label := fmt.Sprintf("seed %d %s τ=%g %s filters %+v", seed, fn, tau, name, opts.Filters)
+						var nlSelf, pkSelf, nlRS, pkRS []records.RIDPair
+						self, rs := NewStream(opts, 1), NewStream(opts, 2)
+						for g, rg := range rGroups {
+							g := g
+							owner := func(w uint32) bool { return group(w) == g }
+							sg := sGroups[g]
+							sortByLen(rg)
+							sortByLen(sg)
+							NestedLoopSelf(rg, opts, owner, func(p records.RIDPair) { nlSelf = append(nlSelf, p) })
+							NestedLoopRS(rg, sg, opts, owner, func(p records.RIDPair) { nlRS = append(nlRS, p) })
+							self.Reset(owner)
+							for _, it := range rg {
+								self.Next(0, it, func(p records.RIDPair) { pkSelf = append(pkSelf, p) })
+							}
+							rs.Reset(owner)
+							mergeByLen(rg, sg, func(rel int, x Item) {
+								rs.Next(rel, x, func(p records.RIDPair) { pkRS = append(pkRS, p) })
+							})
 						}
-						ix.Reset(owner)
-						for _, it := range rg {
-							ix.Add(it)
-						}
-						for _, it := range sg {
-							ix.Probe(it, func(p records.RIDPair) { pkRS = append(pkRS, p) })
-						}
-					}
-					for _, c := range []struct {
-						kernel    string
-						got, want []records.RIDPair
-					}{
-						{"NestedLoopSelf", nlSelf, wantSelf}, {"Index.ProbeAndAdd", pkSelf, wantSelf},
-						{"NestedLoopRS", nlRS, wantRS}, {"Index.Add+Probe", pkRS, wantRS},
-					} {
-						if len(c.got) != len(c.want) {
-							t.Fatalf("%s %s: %d pairs emitted over all groups, want %d (each exactly once)",
-								label, c.kernel, len(c.got), len(c.want))
-						}
-						assertSamePairs(t, c.got, c.want, label+" "+c.kernel)
-					}
-				}
-				// The per-token kernel serves individual routing alone:
-				// every filter subset, one TokenIndex reused across groups.
-				groups := partition(rItems, th, func(w uint32) uint32 { return w })
-				for mask := 0; mask < 8; mask++ {
-					o := opts
-					o.Filters = filter.Stack{Length: mask&1 != 0, Positional: mask&2 != 0, Suffix: mask&4 != 0}
-					var got []records.RIDPair
-					tx := NewTokenIndex(o)
-					for g, rg := range groups {
-						sortByLen(rg)
-						tx.Reset(g)
-						for _, it := range rg {
-							tx.ProbeAndAdd(it, func(p records.RIDPair) { got = append(got, p) })
+						for _, c := range []struct {
+							kernel    string
+							got, want []records.RIDPair
+						}{
+							{"NestedLoopSelf", nlSelf, wantSelf}, {"Stream self", pkSelf, wantSelf},
+							{"NestedLoopRS", nlRS, wantRS}, {"Stream R-S", pkRS, wantRS},
+						} {
+							if len(c.got) != len(c.want) {
+								t.Fatalf("%s %s: %d pairs emitted over all groups, want %d (each exactly once)",
+									label, c.kernel, len(c.got), len(c.want))
+							}
+							assertSamePairs(t, c.got, c.want, label+" "+c.kernel)
 						}
 					}
-					label := fmt.Sprintf("seed %d %s τ=%g filters %+v TokenIndex", seed, fn, tau, o.Filters)
-					if len(got) != len(wantSelf) {
-						t.Fatalf("%s: %d pairs emitted over all groups, want %d (each exactly once)", label, len(got), len(wantSelf))
-					}
-					assertSamePairs(t, got, wantSelf, label)
 				}
 			}
 		}

@@ -1,21 +1,21 @@
 // Package ppjoin implements the single-node set-similarity join kernels
 // that Stage 2 reducers run: the PPJoin/PPJoin+ inverted-index algorithm
 // of Xiao et al. (WWW 2008) — the paper's "PK" kernel and the
-// state-of-the-art baseline it builds on — and its one-list form for a
-// single token's reduce group (TokenIndex), plus the nested-loop kernel
-// with the same filter stack (the paper's "BK"), and a brute-force
-// reference join used as the test oracle.
+// state-of-the-art baseline it builds on — the nested-loop kernel with
+// the same filter stack (the paper's "BK"), and a brute-force reference
+// join used as the test oracle.
 //
 // Items are record projections: an RID and the join attribute's token
-// ranks sorted rarest-first. The streaming Index expects items in
-// non-decreasing length order (the Stage 2 secondary sort guarantees it)
-// and exploits that order to evict index entries that the length filter
-// proves useless — the memory optimization §3.2.2 and §4 of the
-// reproduction target describe.
+// ranks sorted rarest-first. A PK Stream joins one relation (a self-join)
+// or two (R-S), one Index each, over items that arrive in one
+// non-decreasing length order (the Stage 2 secondary sort guarantees it),
+// and exploits that order twice: an item is indexed under its short index
+// prefix only, and entries the length filter proves useless are evicted —
+// the memory optimization §3.2.2 and §4 of the reproduction target
+// describe.
 package ppjoin
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -31,9 +31,9 @@ type Item struct {
 	Ranks []uint32
 
 	// sig memoizes the bitmap-filter signature: built on first use so
-	// an R-side item probed by a stream of S items folds its ranks only
-	// once. Kernels run single-threaded per reduce group, so the lazy
-	// fill is race-free.
+	// an indexed item probed by a stream of later items folds its ranks
+	// only once. Kernels run single-threaded per reduce group, so the
+	// lazy fill is race-free.
 	sig    bitsig.Sig
 	hasSig bool
 }
@@ -68,65 +68,71 @@ type Stats struct {
 	Tail
 }
 
-// entry is one posting: an indexed item and the position of the list's
-// token within that item's prefix.
+func (s *Stats) add(o Stats) {
+	s.Candidates += o.Candidates
+	s.BitmapRejected += o.BitmapRejected
+	s.Verified += o.Verified
+	s.Results += o.Results
+}
+
+// entry is one posting: an indexed item, inline so that a probe reads
+// the item where it walks, and the position of the list's token in it.
 type entry struct {
-	item int32 // index into Index.items
-	pos  int32 // token position within the item's prefix
+	Item
+	pos int32
 }
 
-// slot is the per-item state the probe loop reads for every posting entry
-// it walks, kept in one struct so a candidate costs one cache line rather
-// than one per parallel array. gen == Index.curGen marks the item as seen
-// by the current probe, with overlap its accumulated prefix overlap, need
-// the overlap threshold against the probe and pruned whether a filter
-// killed it. indexed is the number of the item's leading tokens that
-// have a posting entry.
-type slot struct {
-	gen     uint32
-	overlap int32
-	need    int32
-	length  int32
-	indexed int32
-	pruned  bool
-	evicted bool // removed by length-filter eviction
+// postingList is one token's posting list in stream order (so in length
+// order): entries[head:] are live, the ones before were evicted.
+type postingList struct {
+	tok     uint32
+	head    int
+	entries []entry
 }
 
-// Index is a streaming PPJoin+ index for items arriving in
-// non-decreasing length order. One Index serves many independent streams
-// (a reduce task's groups): Reset empties it and keeps its storage, so a
-// warm stream of small groups costs no allocation.
+// posted is the eviction record of one indexed item: its length and the
+// number of lists it is posted in, their slab ids next in Index.posts.
+type posted struct {
+	length, lists int32
+}
+
+// Index is the PK index of one relation: one posting list per token the
+// owner rule grants, holding in stream order the items with the token in
+// their index prefix. Items arrive in non-decreasing length order, across
+// Add and the probes of a Stream. One Index serves many streams (a reduce
+// task's groups): Reset empties it and keeps its storage, so a warm
+// stream of small groups costs no allocation.
 type Index struct {
 	opts  Options
 	th    simfn.Threshold     // opts.Fn at opts.Threshold, rationalized once
 	owner func(w uint32) bool // the emit-once hook, set by Reset
-	items []Item
-	slots []slot // parallel to items
-	// Add copies ranks into chunks in stream order.
-	rankChunks
 	// Posting lists live in slab, reached through lists (token → slab
 	// id). The map is only written when a token gains its first entry or
-	// loses its last: probes and compaction rewrite a list through the
-	// slab. slab[:used] have been handed out since the last Reset; free
-	// holds the ids among them whose list was emptied by eviction, reused
-	// before the slab grows. slabCap is the summed capacity of every list
-	// in the slab, the measure Reset caps retention by.
+	// loses its last. slab[:used] have been handed out since the last
+	// Reset; free holds the ids among them whose list eviction emptied,
+	// reused before the slab grows. slabCap is the summed capacity of
+	// every list in the slab, the measure Reset caps retention by.
 	lists   map[uint32]int32
-	slab    [][]entry
+	slab    []postingList
 	used    int
 	free    []int32
 	slabCap int
-	// head is the first item not yet evicted (items sit in length order).
-	head  int
-	bytes int64
-	stats Stats
-
-	// Per-probe scratch: the generation stamp of slot.gen, the surviving
-	// candidates, and the current probe length's overlap thresholds by
-	// partner length.
-	curGen uint32
-	cand   []int32
-	need   simfn.NeedTable
+	// The eviction queue: the indexed items in stream order,
+	// fifo[fhead:] live, and the slab ids of their lists, posts[phead:].
+	fifo         []posted
+	posts        []int32
+	fhead, phead int
+	// kept and gone count the items indexed and evicted since Reset:
+	// stream positions of the rank chunks Add copies ranks into.
+	kept, gone int
+	rankChunks
+	// at is the stream length the index last advanced to: p is its
+	// prefix length, q its index prefix and lo the lower bound of its
+	// length window (0 without the length filter).
+	at, p, q, lo int
+	bytes        int64
+	stats        Stats
+	need         simfn.NeedTable
 }
 
 // NewIndex creates an empty streaming index.
@@ -137,11 +143,11 @@ func NewIndex(opts Options) *Index {
 // Retention caps: what Reset keeps for the next stream. Storage one
 // pathological stream (a hot token shared by thousands of items) grew
 // past them is dropped instead, so a reused Index holds on to at most
-// about 1.5 MB however large its largest stream was.
+// about 1 MB however large its largest stream was.
 const (
-	maxRetainedItems   = 1 << 12 // items and slots
+	maxRetainedItems   = 1 << 12 // eviction records (and Block's buffer)
 	maxRetainedLists   = 1 << 12 // slab lists and token-map entries
-	maxRetainedEntries = 1 << 16 // summed posting-list capacity
+	maxRetainedEntries = 1 << 12 // summed posting-list capacity, 80 B an entry
 	maxSpareChunks     = 4       // empty rank chunks (64 KiB)
 	chunkRanks         = 1 << 12 // per chunk; a longer item gets a slice of its own
 )
@@ -191,27 +197,28 @@ func (c *rankChunks) release(head int) {
 	c.chunks = c.chunks[:n]
 }
 
-// Reset empties the index for a new stream of items under the same
-// options, keeping its storage up to the retention caps. A reset index
-// is indistinguishable from a new one: same pairs in the same order,
-// same Stats, same Bytes trajectory.
-//
-// owner, when non-nil, is the emit-once hook for partitioned execution: a
-// pair is filtered, verified and emitted only if owner accepts the pair's
-// minimal common prefix token. Both sides of a τ-pair are replicated to
-// that token's group (it is in both prefixes), so with owner = "this
-// reduce group's tokens" each pair is emitted by exactly one group and the
-// union over groups is the full result. Non-owned pairs still count as
-// Candidates: they were met here, and are someone else's to report.
+// trim drops a queue's consumed front q[:head] once it is at least half
+// of q: a queue then holds fewer than twice its live elements, and each
+// element is moved O(1) times amortized.
+func trim[T any](q []T, head int) ([]T, int) {
+	if head == 0 || 2*head < len(q) {
+		return q, head
+	}
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n], 0
+}
+
+// Reset empties the index for a new stream, keeping its storage up to the
+// retention caps; a reset index behaves as a new one (pairs, order, Stats,
+// Bytes). owner is the emit-once hook (nil: every token): the index posts
+// and probes under the tokens it accepts only, and a pair is reported from
+// the list of its minimal common prefix token alone. Both items of a
+// τ-pair are routed to that token's group, so with owner = "this reduce
+// group's tokens" each pair is emitted by exactly one group.
 func (ix *Index) Reset(owner func(w uint32) bool) {
 	ix.owner = owner
-	ix.release(len(ix.items))
-	clear(ix.items) // let go of the stream's rank storage
-	ix.items = ix.items[:0]
-	ix.slots = ix.slots[:0]
-	if cap(ix.items) > maxRetainedItems {
-		ix.items, ix.slots, ix.chunks = nil, nil, nil
-	}
+	ix.release(ix.kept)
 	if ix.used > maxRetainedLists || ix.slabCap > maxRetainedEntries {
 		// Maps do not shrink and clearing one costs its peak size: a
 		// stream with many lists would tax every later Reset.
@@ -220,15 +227,19 @@ func (ix *Index) Reset(owner func(w uint32) bool) {
 	} else {
 		clear(ix.lists)
 		for i := range ix.slab[:ix.used] {
-			ix.slab[i] = ix.slab[i][:0]
+			l := &ix.slab[i]
+			clear(l.entries) // let go of the stream's rank storage
+			l.entries, l.head = l.entries[:0], 0
 		}
 		ix.free = ix.free[:0]
 	}
 	ix.used = 0
-	ix.head = 0
-	ix.bytes = 0
-	ix.stats = Stats{}
-	ix.curGen = 0
+	ix.fifo, ix.posts = ix.fifo[:0], ix.posts[:0]
+	if cap(ix.fifo) > maxRetainedItems || cap(ix.posts) > maxRetainedEntries {
+		ix.fifo, ix.posts, ix.chunks = nil, nil, nil
+	}
+	ix.fhead, ix.phead, ix.kept, ix.gone = 0, 0, 0, 0
+	ix.at, ix.p, ix.q, ix.lo, ix.bytes, ix.stats = 0, 0, 0, 0, 0, Stats{}
 }
 
 // Stats returns the kernel work counters accumulated so far.
@@ -238,225 +249,11 @@ func (ix *Index) Stats() Stats { return ix.stats }
 // posting entries for non-evicted items.
 func (ix *Index) Bytes() int64 { return ix.bytes }
 
-// itemBytes estimates one item's contribution to the index footprint.
-func itemBytes(it Item, prefix int) int64 {
-	return int64(16 + 4*len(it.Ranks) + 16*prefix)
+// itemBytes estimates the footprint of one item of l ranks posted in
+// lists lists.
+func itemBytes(l, lists int) int64 {
+	return int64(16 + 4*l + 16*lists)
 }
-
-// Add indexes an item under its whole prefix without probing (the R side
-// of an R-S join: an R item may be longer than the S items that probe it).
-// Items must arrive in non-decreasing length order. The index keeps a copy
-// of the item's ranks: the caller may reuse them once Add returns.
-func (ix *Index) Add(it Item) {
-	ix.add(it, ix.th.PrefixLength(len(it.Ranks)))
-}
-
-// add indexes it under its first p tokens.
-func (ix *Index) add(it Item, p int) {
-	idx := int32(len(ix.items))
-	it.Ranks = ix.keep(it.Ranks, len(ix.items))
-	ix.items = append(ix.items, it)
-	ix.slots = append(ix.slots, slot{length: int32(len(it.Ranks)), indexed: int32(p)})
-	for i := 0; i < p; i++ {
-		id := ix.listFor(it.Ranks[i])
-		post := ix.slab[id]
-		c := cap(post)
-		post = append(post, entry{item: idx, pos: int32(i)})
-		ix.slabCap += cap(post) - c
-		ix.slab[id] = post
-	}
-	ix.bytes += itemBytes(it, p)
-}
-
-// listFor returns the slab id of token w's posting list, handing out a
-// recycled or new empty list on the token's first entry.
-func (ix *Index) listFor(w uint32) int32 {
-	if id, ok := ix.lists[w]; ok {
-		return id
-	}
-	var id int32
-	if n := len(ix.free); n > 0 {
-		id, ix.free = ix.free[n-1], ix.free[:n-1]
-	} else {
-		if ix.used == len(ix.slab) {
-			ix.slab = append(ix.slab, nil)
-		}
-		id = int32(ix.used)
-		ix.used++
-	}
-	ix.lists[w] = id
-	return id
-}
-
-// evictBelow drops every indexed item shorter than minLen. Streaming
-// callers pass the length filter's lower bound for the current probe;
-// because lengths arrive non-decreasing, eviction is monotone. Evicted
-// items release their rank chunks as those empty, and their posting-list
-// entries are compacted away (entries sit in insertion order, so the
-// dead entries of a list always form a prefix) — without this, tokens
-// the remaining stream never probes would hold their entries forever.
-func (ix *Index) evictBelow(minLen int) {
-	start := ix.head
-	for ix.head < len(ix.items) && int(ix.slots[ix.head].length) < minLen {
-		if s := &ix.slots[ix.head]; !s.evicted {
-			s.evicted = true
-			ix.bytes -= itemBytes(ix.items[ix.head], int(s.indexed))
-		}
-		ix.head++
-	}
-	for i := start; i < ix.head; i++ {
-		it := &ix.items[i]
-		if it.Ranks == nil {
-			continue
-		}
-		for _, w := range it.Ranks[:ix.slots[i].indexed] {
-			ix.compactPosting(w)
-		}
-		it.Ranks = nil // the item can never be probed again
-	}
-	ix.release(ix.head)
-}
-
-// compactPosting trims the dead prefix (entries of evicted items) from
-// token w's posting list. A fully dead list leaves the token map and its
-// slab slot goes back on the free list; partly dead lists are rewritten
-// only once the dead prefix reaches half the list, which keeps the trim
-// amortized O(1) per entry while bounding retained garbage to the live
-// entry count.
-func (ix *Index) compactPosting(w uint32) {
-	id, ok := ix.lists[w]
-	if !ok {
-		return
-	}
-	post := ix.slab[id]
-	k := sort.Search(len(post), func(i int) bool { return int(post[i].item) >= ix.head })
-	switch {
-	case k == 0:
-	case k == len(post):
-		delete(ix.lists, w)
-		ix.slab[id] = post[:0]
-		ix.free = append(ix.free, id)
-	case 2*k >= len(post):
-		ix.slab[id] = append(post[:0], post[k:]...)
-	}
-}
-
-// postingEntries reports the posting index's list and entry counts — the
-// test hook for the eviction-compaction invariant (retained entries stay
-// proportional to live items, even for tokens no later probe touches).
-func (ix *Index) postingEntries() (lists, entries int) {
-	for _, id := range ix.lists {
-		lists++
-		entries += len(ix.slab[id])
-	}
-	return lists, entries
-}
-
-// Probe finds all indexed items similar to x and passes them to emit as
-// (indexed RID, probe RID, sim). Length-filter eviction runs first when
-// the filter is enabled.
-func (ix *Index) Probe(x Item, emit func(pair records.RIDPair)) {
-	lx := len(x.Ranks)
-	if lx == 0 {
-		return
-	}
-	// The length window depends on the probe alone: computed here, not
-	// per candidate. Without the length filter it admits every length.
-	lo, hi := 0, math.MaxInt
-	if ix.opts.Filters.Length {
-		lo, hi = ix.th.LengthBounds(lx)
-		ix.evictBelow(lo)
-	}
-	p := ix.th.PrefixLength(lx)
-
-	ix.curGen++
-	ix.cand = ix.cand[:0]
-
-	for i := 0; i < p; i++ {
-		id, ok := ix.lists[x.Ranks[i]]
-		if !ok {
-			continue
-		}
-		// Probe tokens ascend, so the list a τ-pair is first met in is that
-		// of its minimal common prefix token, which lies within the indexed
-		// item's indexed tokens: the owner rule is evaluated once per list
-		// and applied at first sight.
-		owned := ix.owner == nil || ix.owner(x.Ranks[i])
-		post := ix.slab[id]
-		live := post[:0]
-		for _, e := range post {
-			s := &ix.slots[e.item]
-			if s.evicted {
-				continue // compact lazily
-			}
-			live = append(live, e)
-			seen := s.gen == ix.curGen
-			if seen && s.pruned {
-				continue
-			}
-			ly := int(s.length)
-			var a, need int
-			if seen {
-				a = int(s.overlap)
-				need = int(s.need)
-			} else {
-				s.gen = ix.curGen
-				s.overlap = 0
-				s.pruned = false
-				ix.stats.Candidates++
-				if !owned || ly < lo || ly > hi {
-					s.pruned = true
-					continue
-				}
-				need = ix.need.Need(ix.th, lx, lo, ly)
-				s.need = int32(need)
-			}
-			if ix.opts.Filters.Positional && !filter.Positional(lx, ly, i, int(e.pos), a+1, need) {
-				s.pruned = true
-				continue
-			}
-			if !seen && ix.opts.Filters.Suffix && !filter.Suffix(x.Ranks, ix.items[e.item].Ranks, i, int(e.pos), need) {
-				s.pruned = true
-				continue
-			}
-			if !seen {
-				ix.cand = append(ix.cand, e.item)
-			}
-			s.overlap = int32(a + 1)
-		}
-		ix.slab[id] = live
-	}
-
-	// Verify surviving candidates in index order for deterministic
-	// output. x.Sig() memoizes in this call's copy of x, so the probe's
-	// signature is built when the first candidate gets here: most probes
-	// have none.
-	cand := ix.cand
-	slices.Sort(cand)
-	for _, c := range cand {
-		s := &ix.slots[c]
-		if s.pruned {
-			continue
-		}
-		y := &ix.items[c]
-		if sim, ok := ix.stats.Verify(ix.opts.Fn, &x, y, x.Sig(), int(s.need)); ok {
-			emit(records.RIDPair{A: y.RID, B: x.RID, Sim: sim})
-		}
-	}
-
-	// Release outsized candidate scratch: the slice's capacity tracks the
-	// largest candidate set any probe ever produced, so without this cap a
-	// single pathological probe (one hot token shared with every indexed
-	// item) pins that worst-case allocation for the index's lifetime.
-	if cap(ix.cand) > maxCandScratch {
-		ix.cand = nil
-	}
-}
-
-// maxCandScratch bounds the probe candidate-scratch capacity retained
-// between probes (entries, i.e. 16 KiB of int32s). Typical probes stay far
-// below it; a larger candidate set simply reallocates for that probe.
-const maxCandScratch = 1 << 12
 
 // indexPrefix is PPJoin's index prefix for an item of l tokens: its first
 // l − OverlapThreshold(l, l) + 1 tokens, clamped to [1, PrefixLength(l)].
@@ -472,56 +269,252 @@ func indexPrefix(th simfn.Threshold, l int) int {
 	return min(max(l-th.OverlapThreshold(l, l)+1, 1), th.PrefixLength(l))
 }
 
-// ProbeAndAdd probes with x and then indexes it under its index prefix —
-// the self-join streaming step: every later probe is at least as long as
-// x, so a τ-pair of x and a later item first shares a token within x's
-// index prefix, and Probe meets the pair first in that token's list.
-// Emitted pairs are normalized to A < B by RID (the self-join pair
-// convention: Stage 3 groups the two record halves of a pair by it).
-func (ix *Index) ProbeAndAdd(x Item, emit func(pair records.RIDPair)) {
-	ix.Probe(x, func(p records.RIDPair) {
-		if p.A > p.B {
-			p.A, p.B = p.B, p.A
+// advance moves the index to the stream position of an item of l tokens.
+// What depends on the length alone is computed once per length, not per
+// item. With the length filter, every indexed item below the new length
+// window is evicted: later items are at least as long, so none of them
+// can pair with it.
+func (ix *Index) advance(l int) {
+	if l == ix.at {
+		return
+	}
+	ix.at, ix.p, ix.q = l, ix.th.PrefixLength(l), indexPrefix(ix.th, l)
+	if ix.opts.Filters.Length {
+		ix.lo, _ = ix.th.LengthBounds(l)
+		ix.evictBelow(ix.lo)
+	}
+}
+
+// evictBelow drops every indexed item shorter than minLen from its lists
+// and releases its rank chunks as those empty. The eviction queue names
+// the lists, so a list no later probe walks is trimmed too.
+func (ix *Index) evictBelow(minLen int) {
+	for ix.fhead < len(ix.fifo) && int(ix.fifo[ix.fhead].length) < minLen {
+		p := ix.fifo[ix.fhead]
+		for _, id := range ix.posts[ix.phead : ix.phead+int(p.lists)] {
+			ix.evictHead(id)
 		}
-		emit(p)
-	})
-	ix.add(x, indexPrefix(ix.th, len(x.Ranks)))
+		ix.phead += int(p.lists)
+		ix.fhead++
+		ix.gone++
+		ix.bytes -= itemBytes(int(p.length), int(p.lists))
+	}
+	ix.fifo, ix.fhead = trim(ix.fifo, ix.fhead)
+	ix.posts, ix.phead = trim(ix.posts, ix.phead)
+	ix.release(ix.gone)
+}
+
+// evictHead drops list id's oldest live entry, the evicted item's (lists
+// are in stream order); an emptied list goes back on the free list.
+func (ix *Index) evictHead(id int32) {
+	l := &ix.slab[id]
+	l.entries[l.head] = entry{} // let go of the ranks
+	l.head++
+	if l.head < len(l.entries) {
+		l.entries, l.head = trim(l.entries, l.head)
+		return
+	}
+	delete(ix.lists, l.tok)
+	l.entries, l.head = l.entries[:0], 0
+	ix.free = append(ix.free, id)
+}
+
+// listFor returns the slab id of token w's posting list, handing out a
+// recycled or new empty list on the token's first entry.
+func (ix *Index) listFor(w uint32) int32 {
+	if id, ok := ix.lists[w]; ok {
+		return id
+	}
+	var id int32
+	if n := len(ix.free); n > 0 {
+		id, ix.free = ix.free[n-1], ix.free[:n-1]
+	} else {
+		if ix.used == len(ix.slab) {
+			ix.slab = append(ix.slab, postingList{})
+		}
+		id = int32(ix.used)
+		ix.used++
+	}
+	ix.slab[id].tok = w
+	ix.lists[w] = id
+	return id
+}
+
+// Add posts x under the tokens of its index prefix that the owner rule
+// accepts; an item with none is not indexed. The index keeps a copy of
+// x's ranks: the caller may reuse them once Add returns.
+func (ix *Index) Add(x Item) {
+	l := len(x.Ranks)
+	ix.advance(l)
+	k := 0
+	for i, w := range x.Ranks[:ix.q] {
+		if ix.owner != nil && !ix.owner(w) {
+			continue
+		}
+		if k == 0 {
+			x.Ranks = ix.keep(x.Ranks, ix.kept)
+			ix.kept++
+		}
+		k++
+		id := ix.listFor(w)
+		pl := &ix.slab[id]
+		c := cap(pl.entries)
+		pl.entries = append(pl.entries, entry{Item: x, pos: int32(i)})
+		ix.slabCap += cap(pl.entries) - c
+		ix.posts = append(ix.posts, id)
+	}
+	if k > 0 {
+		ix.fifo = append(ix.fifo, posted{length: int32(l), lists: int32(k)})
+		ix.bytes += itemBytes(l, k)
+	}
+}
+
+// order says how a probe orients the pairs it emits.
+type order uint8
+
+const (
+	indexedFirst order = iota // (indexed RID, probe RID)
+	probeFirst                // (probe RID, indexed RID)
+	ascending                 // smaller RID first: a self-join pair
+)
+
+// probe walks the list of every granted token of x's prefix. Of an entry
+// y, with the list's token at position i in x and j in y, it applies the
+// positional bound 1 + min(lx − i − 1, ly − j − 1) ≥ need (exact when no
+// earlier token is common, the only case that reaches the merge), the
+// owner rule (firstPrefixMatch over x[:i] and y[:j] finds nothing, so the
+// pair is its least common token's), the suffix filter and Tail.Verify.
+// Every live entry walked is a candidate.
+func (ix *Index) probe(x *Item, o order, emit func(records.RIDPair)) {
+	ix.advance(len(x.Ranks))
+	for i, w := range x.Ranks[:ix.p] {
+		if ix.owner != nil && !ix.owner(w) {
+			continue
+		}
+		if id, ok := ix.lists[w]; ok {
+			pl := &ix.slab[id]
+			ix.walk(x, i, pl.entries[pl.head:], o, emit)
+		}
+	}
+}
+
+// walk runs probe's per-entry steps over the live entries of the list of
+// x's i-th token.
+func (ix *Index) walk(x *Item, i int, live []entry, o order, emit func(records.RIDPair)) {
+	lx, lo, fs := len(x.Ranks), ix.lo, ix.opts.Filters
+	ix.stats.Candidates += int64(len(live))
+	for k := range live {
+		e := &live[k]
+		ly, j := len(e.Ranks), int(e.pos)
+		need := ix.need.Need(ix.th, lx, lo, ly)
+		if fs.Positional && !filter.Positional(lx, ly, i, j, 1, need) {
+			continue
+		}
+		if _, _, shared := firstPrefixMatch(x.Ranks, e.Ranks, i, j); shared {
+			continue // an earlier common token's list owns the pair
+		}
+		if fs.Suffix && !filter.Suffix(x.Ranks, e.Ranks, i, j, need) {
+			continue
+		}
+		if sim, ok := ix.stats.Verify(ix.opts.Fn, x, &e.Item, x.Sig(), need); ok {
+			a, b := e.RID, x.RID
+			if o == probeFirst || o == ascending && b < a {
+				a, b = b, a
+			}
+			emit(records.RIDPair{A: a, B: b, Sim: sim})
+		}
+	}
+}
+
+// Stream is the PK join of one relation (a self-join) or two (R-S:
+// relation 0 is R, 1 is S), one Index each, over items in one
+// non-decreasing length order. Each item probes the other relation's
+// index (its own in a self-join), then joins its own, so a τ-pair is found
+// by its later member in the index of the shorter one. Pairs leave
+// smaller RID first in a self-join, as (R RID, S RID) in an R-S join.
+type Stream struct {
+	ix    []*Index
+	order []order // per relation: how its items' probes orient pairs
+}
+
+// NewStream returns the join of one relation (relations 1) or two (2).
+func NewStream(opts Options, relations int) *Stream {
+	if relations == 1 {
+		return &Stream{ix: []*Index{NewIndex(opts)}, order: []order{ascending}}
+	}
+	return &Stream{ix: []*Index{NewIndex(opts), NewIndex(opts)}, order: []order{probeFirst, indexedFirst}}
+}
+
+// Reset empties every index for a new stream under the owner rule (see
+// Index.Reset).
+func (s *Stream) Reset(owner func(w uint32) bool) {
+	for _, ix := range s.ix {
+		ix.Reset(owner)
+	}
+}
+
+// Next joins x, the stream's next item, of relation rel.
+func (s *Stream) Next(rel int, x Item, emit func(records.RIDPair)) {
+	s.ix[len(s.ix)-1-rel].probe(&x, s.order[rel], emit)
+	s.ix[rel].Add(x)
+}
+
+// Stats sums the indexes' work counters.
+func (s *Stream) Stats() Stats {
+	var st Stats
+	for _, ix := range s.ix {
+		st.add(ix.Stats())
+	}
+	return st
+}
+
+// Bytes sums the indexes' footprints.
+func (s *Stream) Bytes() int64 {
+	var b int64
+	for _, ix := range s.ix {
+		b += ix.Bytes()
+	}
+	return b
 }
 
 // SelfJoin runs the full single-node PPJoin+ self-join: items are sorted
-// by length and streamed through an Index. Pairs are emitted with the
-// smaller stream position first; each similar pair is emitted exactly
-// once.
+// by length and streamed through a one-relation Stream. Pairs are
+// emitted smaller RID first; each similar pair is emitted exactly once.
 func SelfJoin(items []Item, opts Options, emit func(records.RIDPair)) Stats {
 	sorted := append([]Item(nil), items...)
 	sortByLen(sorted)
-	ix := NewIndex(opts)
+	s := NewStream(opts, 1)
 	for _, it := range sorted {
-		ix.ProbeAndAdd(it, emit)
+		s.Next(0, it, emit)
 	}
-	return ix.Stats()
+	return s.Stats()
 }
 
-// RSJoin runs the full single-node PPJoin+ R-S join. To respect the
-// streaming length order across both relations it merges the two sorted
-// streams: every R item with length ≤ the length-filter upper bound of an
-// S item is added before that S item probes. Pairs are (R RID, S RID).
+// RSJoin runs the full single-node PPJoin+ R-S join: both relations are
+// sorted by length and merged into one stream. Pairs are (R RID, S RID).
 func RSJoin(rItems, sItems []Item, opts Options, emit func(records.RIDPair)) Stats {
 	r := append([]Item(nil), rItems...)
 	s := append([]Item(nil), sItems...)
 	sortByLen(r)
 	sortByLen(s)
-	ix := NewIndex(opts)
-	ri := 0
-	for _, sv := range s {
-		_, hi := ix.th.LengthBounds(len(sv.Ranks))
-		for ri < len(r) && len(r[ri].Ranks) <= hi {
-			ix.Add(r[ri])
-			ri++
+	st := NewStream(opts, 2)
+	mergeByLen(r, s, func(rel int, x Item) { st.Next(rel, x, emit) })
+	return st.Stats()
+}
+
+// mergeByLen passes the items of two length-sorted relations to next in
+// one length order, R (relation 0) first among equal lengths as the
+// Stage 2 key sorts them.
+func mergeByLen(r, s []Item, next func(rel int, x Item)) {
+	for len(r) > 0 || len(s) > 0 {
+		if len(s) == 0 || len(r) > 0 && len(r[0].Ranks) <= len(s[0].Ranks) {
+			next(0, r[0])
+			r = r[1:]
+		} else {
+			next(1, s[0])
+			s = s[1:]
 		}
-		ix.Probe(sv, emit)
 	}
-	return ix.Stats()
 }
 
 func sortByLen(items []Item) {

@@ -223,7 +223,7 @@ func TestIndexEvictionShrinksFootprint(t *testing.T) {
 	for j := range long {
 		long[j] = uint32(1000 + j)
 	}
-	ix.Probe(Item{RID: 99, Ranks: long}, func(records.RIDPair) {})
+	ix.probe(&Item{RID: 99, Ranks: long}, indexedFirst, func(records.RIDPair) {})
 	if ix.Bytes() >= before {
 		t.Fatalf("eviction did not shrink index: %d -> %d", before, ix.Bytes())
 	}

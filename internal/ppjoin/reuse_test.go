@@ -12,22 +12,25 @@ import (
 
 // TestProbeDoesNotInsert pins the probe side of the posting index as
 // read-only in its key set: probing with tokens the index has never seen
-// must not create lists for them (an R-S group probes with every S
-// projection, and none of that growth was in Bytes() or charged to the
-// task's memory budget), and after an evicting probe the index holds
-// exactly the live items' lists.
+// must not create lists for them (none of that growth would be in
+// Bytes() or charged to the task's memory budget), and after an evicting
+// probe the index holds exactly the live items' lists. Under an owner
+// rule, Add posts under the accepted tokens of the index prefix only (an
+// item with none is not indexed at all), and a probe walks no list of a
+// token the rule rejects.
 func TestProbeDoesNotInsert(t *testing.T) {
 	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.AllFilters}
 	ix := NewIndex(opts)
+	// At τ 0.8 a five-token item's index prefix is its first token.
 	ix.Add(Item{RID: 1, Ranks: []uint32{0, 1, 2, 3, 4}})
 	lists0, entries0 := ix.postingEntries()
-	if lists0 != 2 || entries0 != 2 {
-		t.Fatalf("one five-token item at τ=0.8 indexed as %d lists / %d entries, want 2 / 2", lists0, entries0)
+	if lists0 != 1 || entries0 != 1 {
+		t.Fatalf("one five-token item at τ=0.8 indexed as %d lists / %d entries, want 1 / 1", lists0, entries0)
 	}
 	noPair := func(p records.RIDPair) { t.Fatalf("disjoint probe emitted %+v", p) }
 	for i := 0; i < 1000; i++ {
 		b := uint32(100 + 5*i)
-		ix.Probe(Item{RID: uint64(10 + i), Ranks: []uint32{b, b + 1, b + 2, b + 3, b + 4}}, noPair)
+		ix.probe(&Item{RID: uint64(10 + i), Ranks: []uint32{b, b + 1, b + 2, b + 3, b + 4}}, indexedFirst, noPair)
 	}
 	if lists, entries := ix.postingEntries(); lists != lists0 || entries != entries0 {
 		t.Fatalf("1000 probes of unseen tokens left %d lists / %d entries, want %d / %d",
@@ -40,58 +43,107 @@ func TestProbeDoesNotInsert(t *testing.T) {
 	for j := range long {
 		long[j] = uint32(50000 + j)
 	}
-	ix.Probe(Item{RID: 5000, Ranks: long}, noPair)
+	ix.probe(&Item{RID: 5000, Ranks: long}, indexedFirst, noPair)
 	if lists, entries := ix.postingEntries(); lists != 0 || entries != 0 {
 		t.Fatalf("after evicting every item the index holds %d lists / %d entries, want 0 / 0", lists, entries)
 	}
 	if ix.Bytes() != 0 {
 		t.Fatalf("Bytes() = %d after evicting every item", ix.Bytes())
 	}
+
+	// The owned-token rule: even tokens only. At τ 0.5 a four-token
+	// item's index prefix is its first two tokens, its probe prefix
+	// three.
+	opts.Threshold = 0.5
+	ix = NewIndex(opts)
+	ix.Reset(func(w uint32) bool { return w%2 == 0 })
+	ix.Add(Item{RID: 1, Ranks: []uint32{1, 3, 4, 6}}) // no even token in {1, 3}
+	if lists, entries := ix.postingEntries(); lists != 0 || entries != 0 || ix.Bytes() != 0 {
+		t.Fatalf("an item with no owned index-prefix token indexed as %d lists / %d entries, %d bytes",
+			lists, entries, ix.Bytes())
+	}
+	ix.Add(Item{RID: 2, Ranks: []uint32{1, 2, 4, 6}}) // 2 only: 4 is past the index prefix
+	if lists, entries := ix.postingEntries(); lists != 1 || entries != 1 {
+		t.Fatalf("an item with one owned index-prefix token indexed as %d lists / %d entries, want 1 / 1", lists, entries)
+	}
+	// A probe whose least common token with RID 2 is 2 meets it in 2's
+	// list and reports the pair; an odd-only probe walks nothing.
+	var got []records.RIDPair
+	ix.probe(&Item{RID: 3, Ranks: []uint32{2, 4, 6, 8}}, indexedFirst, func(p records.RIDPair) { got = append(got, p) })
+	ix.probe(&Item{RID: 4, Ranks: []uint32{1, 3, 5, 7}}, indexedFirst, noPair)
+	if st := ix.Stats(); len(got) != 1 || got[0].A != 2 || got[0].B != 3 || st.Candidates != 1 {
+		t.Fatalf("owned probes: pairs %+v, stats %+v, want (2, 3) from one candidate", got, st)
+	}
 }
 
-// call is one step of a reduce group's stream through an Index.
-type call struct {
-	it         Item
-	probe, add bool
+// postingEntries reports the index's list count and the entries its
+// lists retain, evicted ones not yet trimmed included.
+func (ix *Index) postingEntries() (lists, entries int) {
+	for _, id := range ix.lists {
+		lists++
+		entries += len(ix.slab[id].entries)
+	}
+	return lists, entries
+}
+
+// step is one item of a reduce group's stream, of relation rel.
+type step struct {
+	rel int
+	it  Item
 }
 
 // groupTrace is everything a caller can observe of one group: the pairs
-// in emission order, the Bytes() value after every call, the final
-// Stats and the posting index's list and entry counts.
+// in emission order, the Bytes() value after every item, the final
+// Stats and each index's list and retained-entry counts.
 type groupTrace struct {
 	pairs          []records.RIDPair
 	bytes          []int64
 	stats          Stats
-	lists, entries int
+	lists, entries []int
 }
 
-func drive(ix *Index, calls []call) groupTrace {
+func drive(s *Stream, steps []step) groupTrace {
 	var tr groupTrace
 	emit := func(p records.RIDPair) { tr.pairs = append(tr.pairs, p) }
-	for _, c := range calls {
-		switch {
-		case c.probe && c.add:
-			ix.ProbeAndAdd(c.it, emit)
-		case c.add:
-			ix.Add(c.it)
-		default:
-			ix.Probe(c.it, emit)
-		}
-		tr.bytes = append(tr.bytes, ix.Bytes())
+	for _, st := range steps {
+		s.Next(st.rel, st.it, emit)
+		tr.bytes = append(tr.bytes, s.Bytes())
 	}
-	tr.stats = ix.Stats()
-	tr.lists, tr.entries = ix.postingEntries()
+	tr.stats = s.Stats()
+	for _, ix := range s.ix {
+		l, e := ix.postingEntries()
+		tr.lists, tr.entries = append(tr.lists, l), append(tr.entries, e)
+	}
 	return tr
 }
 
-// randomGroup builds one group's stream: n clustered items in length
-// order, either a self-join stream (every item probes and is added) or an
-// R-S stream (each item is an R add or an S probe). A hot group draws
-// every item's first token from 16 hot ranks, so a few posting lists
-// hold hundreds of entries each while thousands of others hold one.
-func randomGroup(rng *rand.Rand, n int, rs, hot bool) []call {
+// tokenGroup builds the items of one individually routed group of token
+// 0: n clustered items, each holding rank 0 first, so 0 is in every
+// item's prefix and index prefix.
+func tokenGroup(rng *rand.Rand, n int) []Item {
 	items := corpus(rng, n, 400, 14)
-	if hot {
+	for i := range items {
+		ranks := make([]uint32, 0, len(items[i].Ranks)+1)
+		ranks = append(ranks, 0)
+		for _, w := range items[i].Ranks {
+			ranks = append(ranks, w+1)
+		}
+		items[i].Ranks = ranks
+	}
+	return items
+}
+
+// randomGroup builds one group's stream: n clustered items in length
+// order, a self-join stream (rs false) or an R-S stream (each item R or
+// S at random). A token group is tokenGroup's; a hot group draws every
+// item's first token from 16 hot ranks, so a few posting lists hold
+// hundreds of entries each while thousands of others hold one.
+func randomGroup(rng *rand.Rand, n int, rs, token, hot bool) []step {
+	items := corpus(rng, n, 400, 14)
+	switch {
+	case token:
+		items = tokenGroup(rng, n)
+	case hot:
 		for i := range items {
 			ranks := randomRanks(rng, 1<<20, 24)
 			for j := range ranks {
@@ -101,25 +153,27 @@ func randomGroup(rng *rand.Rand, n int, rs, hot bool) []call {
 		}
 	}
 	sortByLen(items)
-	calls := make([]call, len(items))
+	steps := make([]step, len(items))
 	for i, it := range items {
-		calls[i] = call{it: it, probe: true, add: true}
+		steps[i] = step{it: it}
 		if rs {
-			isR := rng.Intn(2) == 0
-			calls[i].probe, calls[i].add = !isR, isR
+			steps[i].rel = rng.Intn(2)
 		}
 	}
-	return calls
+	return steps
 }
 
-// TestResetEqualsFresh drives one reused Index and a fresh NewIndex per
-// group through the same 500 random groups — self and R-S streams, sizes
+// TestResetEqualsFresh drives one reused Stream and a fresh NewStream per
+// group through the same random groups — self and R-S streams, sizes
 // 0–300 with one 5,000-item hot-token group in the middle that outgrows
-// every retention cap — under every filter subset, with and without an
-// owner rule. The reused index must be
+// every retention cap — under every filter subset and three owner rules:
+// none, a grouped one (tokens ≡ r mod m, a different one each group) and
+// an individual one (one token, which every item of the group holds, or,
+// one group in four, a token only some hold). The reused stream must be
 // indistinguishable: the same pairs in the same order, the same Stats,
-// the same Bytes() after every call (so a reducer charges its memory
-// budget identically and runs out of it at the same item).
+// the same Bytes() after every item (so a reducer charges its memory
+// budget identically and runs out of it at the same item) and the same
+// posting lists.
 func TestResetEqualsFresh(t *testing.T) {
 	groups := 500
 	if testing.Short() {
@@ -129,7 +183,7 @@ func TestResetEqualsFresh(t *testing.T) {
 		opts := Options{Fn: simfn.Jaccard, Threshold: 0.8,
 			Filters: filter.Stack{Length: mask&1 != 0, Positional: mask&2 != 0, Suffix: mask&4 != 0}}
 		rng := rand.New(rand.NewSource(int64(100 + mask)))
-		reused := NewIndex(opts)
+		reused := []*Stream{NewStream(opts, 1), NewStream(opts, 2)}
 		pairs := 0
 		for g := 0; g < groups; g++ {
 			n := rng.Intn(24)
@@ -140,25 +194,22 @@ func TestResetEqualsFresh(t *testing.T) {
 			if hot {
 				n = 5000
 			}
-			calls := randomGroup(rng, n, g%2 == 1, hot)
-			// Two groups in three run under an owner rule, a different
-			// one each: the hook is per stream and must not leak.
+			rs, individual := g%2 == 1, g%3 == 2 && !hot
+			steps := randomGroup(rng, n, rs, individual, hot)
+			// The hook is per stream and must not leak.
 			var owner func(uint32) bool
-			if g%3 != 0 {
+			switch {
+			case individual:
+				tok := uint32(0)
+				if g%4 == 0 {
+					tok = uint32(1 + rng.Intn(40))
+				}
+				owner = func(w uint32) bool { return w == tok }
+			case g%3 == 1:
 				m, r := uint32(2+g%3), uint32(g%2)
 				owner = func(w uint32) bool { return w%m == r }
 			}
-			fresh := NewIndex(opts)
-			fresh.Reset(owner)
-			want := drive(fresh, calls)
-			reused.Reset(owner)
-			got := drive(reused, calls)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("opts %+v group %d (%d calls): reused index diverged from a fresh one\n got: %d pairs, stats %+v, %d lists / %d entries\nwant: %d pairs, stats %+v, %d lists / %d entries",
-					opts, g, len(calls), len(got.pairs), got.stats, got.lists, got.entries,
-					len(want.pairs), want.stats, want.lists, want.entries)
-			}
-			pairs += len(got.pairs)
+			pairs += checkResetEqualsFresh(t, opts, reused, owner, steps, rs)
 		}
 		if pairs == 0 {
 			t.Fatalf("opts %+v: test premise broken, no pairs in any group", opts)
@@ -166,49 +217,128 @@ func TestResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestResetRetention: storage a hot group grew past the retention caps
-// is released at the next Reset, what an ordinary group used is kept, and
-// a warmed index then runs a group without allocating.
+// TestTokenIndexResetEqualsFresh is TestResetEqualsFresh for the index of
+// individual routing, which owns one token: every group is a token group,
+// of token 0 or, one group in three, of a token only some items hold, and
+// with the length filter one 5,000-item group in the middle outgrows the
+// retention caps within its one list.
+func TestTokenIndexResetEqualsFresh(t *testing.T) {
+	for mask := 0; mask < 8; mask++ {
+		opts := Options{Fn: simfn.Jaccard, Threshold: 0.8,
+			Filters: filter.Stack{Length: mask&1 != 0, Positional: mask&2 != 0, Suffix: mask&4 != 0}}
+		rng := rand.New(rand.NewSource(int64(400 + mask)))
+		reused := []*Stream{NewStream(opts, 1), NewStream(opts, 2)}
+		pairs := 0
+		for g := 0; g < 60; g++ {
+			n := rng.Intn(24)
+			if g%8 == 0 {
+				n = rng.Intn(301)
+			}
+			if g == 30 && opts.Filters.Length {
+				n = 5000 // quadratic without the length filter's eviction
+			}
+			steps := randomGroup(rng, n, g%2 == 1, true, false)
+			tok := uint32(0)
+			if g%3 == 2 {
+				tok = uint32(1 + rng.Intn(40))
+			}
+			pairs += checkResetEqualsFresh(t, opts, reused, func(w uint32) bool { return w == tok }, steps, g%2 == 1)
+		}
+		if pairs == 0 {
+			t.Fatalf("opts %+v: test premise broken, no pairs in any group", opts)
+		}
+	}
+}
+
+// checkResetEqualsFresh runs one group's steps through the reused stream
+// of its relation count, after Reset(owner), and through a fresh one, fails
+// t unless the two traces are equal, and returns the group's pair count.
+func checkResetEqualsFresh(t *testing.T, opts Options, reused []*Stream, owner func(uint32) bool, steps []step, rs bool) int {
+	t.Helper()
+	rels := 1
+	if rs {
+		rels = 2
+	}
+	fresh := NewStream(opts, rels)
+	fresh.Reset(owner)
+	want := drive(fresh, steps)
+	s := reused[rels-1]
+	s.Reset(owner)
+	got := drive(s, steps)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("opts %+v (%d items, %d relations): reused stream diverged from a fresh one\n got: %d pairs, stats %+v, %v lists / %v entries\nwant: %d pairs, stats %+v, %v lists / %v entries",
+			opts, len(steps), rels, len(got.pairs), got.stats, got.lists, got.entries,
+			len(want.pairs), want.stats, want.lists, want.entries)
+	}
+	return len(got.pairs)
+}
+
+// TestResetRetention: storage a hot group of many lists grew past the
+// retention caps is released at the next Reset, what an ordinary group
+// used is kept without pinning its ranks, and a warmed index then runs a
+// group without allocating.
 func TestResetRetention(t *testing.T) {
-	// No length filter for the hot group: nothing is evicted, so every
-	// list it ever needed is in use at once.
-	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.Stack{Positional: true, Suffix: true}}
 	rng := rand.New(rand.NewSource(5))
-	ix := NewIndex(opts)
-	drive(ix, randomGroup(rng, 5000, false, true))
-	if len(ix.items) <= maxRetainedItems || ix.used <= maxRetainedLists {
-		t.Fatalf("test premise broken: hot group left %d items, %d lists", len(ix.items), ix.used)
+	checkRetention(t, rng, nil, randomGroup(rng, 5000, false, false, true))
+}
+
+// TestTokenIndexRetention is TestResetRetention for the index of
+// individual routing, whose one list holds every item of a hot group.
+func TestTokenIndexRetention(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	checkRetention(t, rng, func(w uint32) bool { return w == 0 }, randomGroup(rng, 5000, false, true, false))
+}
+
+// checkRetention drives a self-join stream under owner through the hot
+// group, then through ordinary groups drawn from rng (token groups when
+// owner is set), checking what each Reset releases and keeps.
+func checkRetention(t *testing.T, rng *rand.Rand, owner func(uint32) bool, hot []step) {
+	t.Helper()
+	// No length filter for the hot groups: nothing is evicted, so every
+	// list and entry they ever needed is in use at once.
+	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.Stack{Positional: true, Suffix: true}}
+	s := NewStream(opts, 1)
+	ix := s.ix[0]
+	s.Reset(owner)
+	drive(s, hot)
+	if len(ix.fifo) <= maxRetainedItems || ix.slabCap <= maxRetainedEntries {
+		t.Fatalf("test premise broken: hot group indexed %d items, %d entries", len(ix.fifo), ix.slabCap)
+	}
+	if owner == nil && ix.used <= maxRetainedLists {
+		t.Fatalf("test premise broken: hot group used %d lists", ix.used)
 	}
 	if len(ix.chunks) <= maxSpareChunks {
 		t.Fatalf("test premise broken: hot group filled %d rank chunks", len(ix.chunks))
 	}
-	ix.Reset(nil)
-	if ix.items != nil || ix.slots != nil || ix.slab != nil || ix.free != nil || ix.slabCap != 0 || len(ix.lists) != 0 {
-		t.Fatalf("hot group's storage outlived Reset: cap(items) %d cap(slots) %d len(slab) %d cap(free) %d slabCap %d",
-			cap(ix.items), cap(ix.slots), len(ix.slab), cap(ix.free), ix.slabCap)
+	s.Reset(owner)
+	if ix.fifo != nil || ix.posts != nil || ix.slab != nil || ix.free != nil || ix.slabCap != 0 || len(ix.lists) != 0 {
+		t.Fatalf("hot group's storage outlived Reset: cap(fifo) %d cap(posts) %d len(slab) %d cap(free) %d slabCap %d",
+			cap(ix.fifo), cap(ix.posts), len(ix.slab), cap(ix.free), ix.slabCap)
 	}
 	if ix.chunks != nil || len(ix.spare) > maxSpareChunks {
 		t.Fatalf("hot group's rank chunks outlived Reset: %d live, %d spare (cap %d)",
 			len(ix.chunks), len(ix.spare), maxSpareChunks)
 	}
 
-	small := randomGroup(rng, 40, false, false)
-	drive(ix, small)
-	ix.Reset(nil)
-	if cap(ix.items) == 0 || cap(ix.slots) == 0 || len(ix.slab) == 0 || ix.slabCap == 0 {
-		t.Fatal("an ordinary group's storage was not kept across Reset")
+	small := randomGroup(rng, 40, false, owner != nil, false)
+	drive(s, small)
+	s.Reset(owner)
+	if cap(ix.fifo) == 0 || cap(ix.posts) == 0 || len(ix.slab) == 0 || ix.slabCap == 0 || ix.Bytes() != 0 {
+		t.Fatal("an ordinary group's storage was not kept empty across Reset")
 	}
-	for i := range ix.items[:cap(ix.items)] {
-		if ix.items[:cap(ix.items)][i].Ranks != nil {
-			t.Fatalf("retained item slot %d still pins a rank slice", i)
+	for i := range ix.slab {
+		for j, e := range ix.slab[i].entries[:cap(ix.slab[i].entries)] {
+			if e.Ranks != nil {
+				t.Fatalf("retained list %d slot %d still pins a rank slice", i, j)
+			}
 		}
 	}
 	got := 0
 	emit := func(records.RIDPair) { got++ }
 	if n := testing.AllocsPerRun(50, func() {
-		ix.Reset(nil)
-		for _, c := range small {
-			ix.ProbeAndAdd(c.it, emit)
+		s.Reset(owner)
+		for _, st := range small {
+			s.Next(0, st.it, emit)
 		}
 	}); n != 0 {
 		t.Errorf("%v allocations per group on a warmed index, want 0", n)
@@ -263,29 +393,37 @@ func manySmallGroups(total int) [][]Item {
 }
 
 // BenchmarkIndexManySmallGroups streams 10⁵ projections through the
-// index in self_dblp-sized groups. "reused" is what a reduce task does
-// (one Index, Reset per group); "fresh" builds an index per group and
-// exists only here, as the yardstick for what the reuse saves.
+// index in self_dblp-sized groups, each under the owner rule of its token
+// as under individual routing. "reused" is what a reduce task does (one
+// Stream, Reset per group); "fresh" builds a stream per group and exists
+// only here, as the yardstick for what the reuse saves.
 func BenchmarkIndexManySmallGroups(b *testing.B) {
 	groups := manySmallGroups(100000)
 	opts := Options{Fn: simfn.Jaccard, Threshold: 0.8, Filters: filter.AllFilters}
 	emit := func(records.RIDPair) {}
-	run := func(b *testing.B, next func() *Index) {
+	var cur uint32
+	owner := func(w uint32) bool { return w == cur }
+	run := func(b *testing.B, next func() *Stream) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for _, items := range groups {
-				ix := next()
+			for g, items := range groups {
+				cur = uint32(g)
+				s := next()
 				for _, it := range items {
-					ix.ProbeAndAdd(it, emit)
+					s.Next(0, it, emit)
 				}
 			}
 		}
 	}
 	b.Run("fresh", func(b *testing.B) {
-		run(b, func() *Index { return NewIndex(opts) })
+		run(b, func() *Stream {
+			s := NewStream(opts, 1)
+			s.Reset(owner)
+			return s
+		})
 	})
 	b.Run("reused", func(b *testing.B) {
-		ix := NewIndex(opts)
-		run(b, func() *Index { ix.Reset(nil); return ix })
+		s := NewStream(opts, 1)
+		run(b, func() *Stream { s.Reset(owner); return s })
 	})
 }

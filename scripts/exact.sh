@@ -1,12 +1,14 @@
 #!/bin/sh
-# exact.sh <parent-rev>: the exactness gate. It runs the same 18
+# exact.sh <parent-rev>: the exactness gate. It runs the same 24
 # fuzzyjoin joins with the parent revision and with the working tree,
 # compares every output file with cmp and every -stats line with diff
 # (timings cut), prints each difference and exits 1 if there is one.
 #
 #   inputs     testdata/pubs.tsv; a 5k datagen corpus (-n 5000 -seed 42);
 #              that corpus (R) joined with 2,500 CiteseerX-shaped records
-#              derived from it (S)
+#              derived from it (S); and the mirrored join, the CiteseerX-
+#              shaped records as R and the corpus as S, where R is the
+#              longer side and its items probe S's index
 #   combos     BTO-PK-BRJ, OPTO-BK-OPRJ, BTO-FVT-BRJ
 #   execution  in process, and -workers 2 (forked RPC workers)
 #
@@ -58,11 +60,12 @@ cut_timings() {
 joins=0
 outdiffs=0
 statdiffs=0
-for input in pubs dblp5k rs; do
+for input in pubs dblp5k rs rsmirror; do
 	case $input in
 	pubs) args="-in testdata/pubs.tsv" ;;
 	dblp5k) args="-in $dir/dblp5k.tsv" ;;
 	rs) args="-in $dir/dblp5k.tsv -in2 $dir/cite2500.tsv" ;;
+	rsmirror) args="-in $dir/cite2500.tsv -in2 $dir/dblp5k.tsv" ;;
 	esac
 	for combo in BTO-PK-BRJ OPTO-BK-OPRJ BTO-FVT-BRJ; do
 		stages=$(echo "$combo" | sed 's/^\([^-]*\)-\([^-]*\)-\(.*\)$/-stage1 \1 -stage2 \2 -stage3 \3/')
