@@ -8,7 +8,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt test vet staticcheck race tier1 smoke exact serve-smoke bench bench-compare bench-test bench-micro bench-planner allocprofile cpuprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
+.PHONY: all build fmt test vet staticcheck race tier1 smoke exact pairs serve-smoke bench bench-compare bench-test bench-micro bench-planner allocprofile cpuprofile serveprofile conformance conformance-dist cover fuzz-smoke experiments
 
 all: tier1
 
@@ -42,8 +42,9 @@ staticcheck:
 # it.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v -e /internal/experiments -e /internal/conformance)
-	$(GO) test -race -count=10 -run TestMapBufferPoolNoAlias ./internal/mapreduce
-	$(GO) test -race -count=10 -run TestWriterFillPoolNoAlias ./internal/dfs
+	$(GO) test -race -count=10 -run 'TestMapBufferPoolNoAlias|TestMapBufferWarmAcrossGC|TestMapBufferRetention' ./internal/mapreduce
+	$(GO) test -race -count=10 -run 'TestWriterFillPoolNoAlias|TestWriterFillWarmAcrossGC|TestWriterFillRetention' ./internal/dfs
+	$(GO) test -race -count=10 ./internal/freelist
 	$(GO) test -race -count=10 -run TestOPRJTasksSharePairViews ./internal/core
 	$(GO) test -race -count=10 -run TestPKKernelStatePerAttempt ./internal/core
 	$(GO) test -race -count=10 -run 'TestConcurrentHistory|TestConcurrentMatchAddReorder' ./internal/ssjserve
@@ -67,6 +68,16 @@ smoke:
 exact:
 	@test -n "$(PARENT)" || { echo "usage: make exact PARENT=<rev>"; exit 2; }
 	GO=$(GO) sh scripts/exact.sh $(PARENT)
+
+# pairs runs N alternating pairs of fuzzyjoin -stats joins, PARENT
+# against the working tree, on a seeded corpus of SCALE (1e5 or 1e6)
+# records, JOIN=self or rs, ARGS passed to both sides; every pair's
+# outputs must be cmp-equal. It prints the median, quartiles, Δ and won
+# of process wall, each stage's wall, Stage 2's map and reduce cost, map
+# tasks per job and every -stats counter (scripts/pairs.sh).
+pairs:
+	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<rev> [N=5] [SCALE=1e5|1e6] [JOIN=self|rs] [ARGS=...]"; exit 2; }
+	GO=$(GO) N=$(N) SCALE=$(SCALE) JOIN=$(JOIN) ARGS="$(ARGS)" sh scripts/pairs.sh $(PARENT)
 
 # conformance sweeps the full pipeline-variant matrix (384 cells: stage
 # combos × self/R-S × routing × §5 strategy (block processing or length

@@ -157,7 +157,8 @@ func Replication(n int) FSOption {
 }
 
 // NewFS creates a distributed file system spread over the given number of
-// virtual nodes:
+// virtual nodes, with 1 MiB blocks, so one map task reads 1 MiB of input
+// (the split rule at dfs.DefaultBlockSize):
 //
 //	fs := fuzzyjoin.NewFS(4, fuzzyjoin.Replication(2))
 func NewFS(nodes int, opts ...FSOption) *FS {

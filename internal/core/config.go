@@ -23,6 +23,7 @@ import (
 
 	"fuzzyjoin/internal/dfs"
 	"fuzzyjoin/internal/filter"
+	"fuzzyjoin/internal/freelist"
 	"fuzzyjoin/internal/mapreduce"
 	"fuzzyjoin/internal/records"
 	"fuzzyjoin/internal/simfn"
@@ -249,6 +250,23 @@ type Config struct {
 	// configuration — external callers cancel through SelfJoinContext /
 	// RSJoinContext (or the fuzzyjoin facade), never by setting this.
 	ctx context.Context
+	// buffers and tables are the pipeline's scratch (withScratch): the
+	// engine's map output buffers and Stage 1's counting tables, kept
+	// warm from job to job. Plumbing, like ctx.
+	buffers *mapreduce.Buffers
+	tables  *freelist.List[tokenTable]
+}
+
+// withScratch gives the pipeline c runs its scratch, shared by its jobs,
+// and returns the function that drops it once the last job is done.
+// Each holds at most one value per task running at once.
+func (c *Config) withScratch() (release func()) {
+	c.buffers = mapreduce.NewBuffers(c.Parallelism)
+	c.tables = freelist.New[tokenTable](c.Parallelism)
+	return func() {
+		c.buffers.Release()
+		c.tables.Clear()
+	}
 }
 
 // context returns the pipeline's cancellation context (context.Background

@@ -56,6 +56,7 @@ func join(cfg Config, inputs ...string) (*Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
+	defer cfg.withScratch()()
 	for _, in := range inputs {
 		if !cfg.FS.Exists(in) {
 			return nil, fmt.Errorf("core: input %q does not exist", in)
@@ -118,6 +119,7 @@ func Stage1(cfg Config, input string) (string, []*mapreduce.Metrics, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return "", nil, err
 	}
+	defer cfg.withScratch()()
 	return runStage1(&cfg, input, cfg.Work)
 }
 
@@ -130,6 +132,7 @@ func standalone(cfg Config, run stageFunc, prev string, inputs ...string) (strin
 	if err := cfg.fillDefaults(); err != nil {
 		return "", nil, err
 	}
+	defer cfg.withScratch()()
 	return run(&cfg, prev, cfg.Work, inputs...)
 }
 

@@ -184,6 +184,7 @@ func coreJob(cfg *Config, ps progSpec) (mapreduce.Job, error) {
 		FaultInjector: cfg.FaultInjector,
 		Trace:         cfg.Trace,
 		Runner:        cfg.Runner,
+		Buffers:       cfg.buffers,
 	}
 	if ps.Kind == "s2" {
 		job.GroupPrefix = layoutFor(cfg, ps.InputR != "").groupWidth

@@ -158,6 +158,7 @@ func SingleStageSelfJoin(cfg Config, input string) (*Result, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
+	defer cfg.withScratch()()
 	if !cfg.FS.Exists(input) {
 		return nil, fmt.Errorf("core: input %q does not exist", input)
 	}

@@ -40,7 +40,9 @@ func (m *tokenCountMapper) NewTaskInstance() any { return &tokenCountMapper{cfg:
 
 func (m *tokenCountMapper) Setup(_ *mapreduce.Context) error {
 	if !m.cfg.NoCombiner {
-		m.tab = tokenTables.Get().(*tokenTable)
+		if m.tab = m.cfg.tables.Get(); m.tab.slots == nil {
+			m.tab.slots = make([]tokenSlot, 1<<10)
+		}
 	}
 	return nil
 }
@@ -69,7 +71,7 @@ func (m *tokenCountMapper) Cleanup(ctx *mapreduce.Context, out mapreduce.Emitter
 		return nil
 	}
 	err := m.tab.flush(ctx.Memory, out)
-	tokenTables.Put(m.tab)
+	m.cfg.tables.Put(m.tab)
 	m.tab = nil
 	return err
 }
@@ -77,8 +79,9 @@ func (m *tokenCountMapper) Cleanup(ctx *mapreduce.Context, out mapreduce.Emitter
 // tokenTable is one map task's token counts: an open-addressing table,
 // linear probing, at most half full, over the distinct tokens, whose
 // bytes sit in one arena (one split's vocabulary: far from the 4 GiB its
-// offsets address). Tables are recycled across map tasks, as mapBuffers
-// are; only empty ones go back to the pool.
+// offsets address). Tables are recycled across map tasks through the
+// pipeline's Config.tables, as the engine's map buffers are; only empty
+// ones go back.
 type tokenTable struct {
 	slots   []tokenSlot // a power of two long; count 0 marks an empty slot
 	arena   []byte
@@ -95,8 +98,6 @@ type tokenSlot struct {
 // tokenSlotBytes is what a distinct token costs the budget besides its
 // bytes: two 16-byte slots, the table being at most half full.
 const tokenSlotBytes = 32
-
-var tokenTables = sync.Pool{New: func() any { return &tokenTable{slots: make([]tokenSlot, 1<<10)} }}
 
 var tokenSeed = maphash.MakeSeed()
 

@@ -21,15 +21,25 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+
+	"fuzzyjoin/internal/freelist"
 )
 
-// DefaultBlockSize mirrors the paper's Hadoop configuration (128 MB)
-// scaled down 1000× to suit the scaled-down datasets: splits per file stay
-// in the same ballpark as the paper's runs.
-const DefaultBlockSize = 128 << 10
+// DefaultBlockSize is the block size, and so the size of one map task's
+// input split: 1 MiB. The rule is the paper's Hadoop one, a split large
+// enough that a map task's fixed costs (one dispatch, a net/rpc round
+// trip under the distributed backend; one sorted segment per reducer;
+// one more run in every reducer's merge) are small next to its records,
+// with several tasks per slot left to balance. 1 MiB holds about 5,800
+// DBLP-like records: 17 map tasks per job at 10⁵ records and 169 at 10⁶,
+// where 128 KiB gave 135 and 1,349; 4 MiB read no faster at 10⁵.
+// Experiments that simulate the paper's cluster on a few thousand
+// records set a smaller block of their own.
+const DefaultBlockSize = 1 << 20
 
 // Options configures a file system.
 type Options struct {
@@ -51,6 +61,9 @@ type FS struct {
 	opts  Options
 	files map[string]*file
 	next  int // round-robin placement cursor
+	// fills holds closed writers' fill buffers, one per processor at
+	// most, each at most a block long.
+	fills *freelist.List[[]byte]
 }
 
 type file struct {
@@ -75,7 +88,8 @@ func New(opts Options) *FS {
 	if opts.Replication > opts.Nodes {
 		opts.Replication = opts.Nodes
 	}
-	return &FS{opts: opts, files: make(map[string]*file)}
+	return &FS{opts: opts, files: make(map[string]*file),
+		fills: freelist.New[[]byte](runtime.GOMAXPROCS(0))}
 }
 
 // Nodes returns the number of virtual nodes.
@@ -112,15 +126,14 @@ type Writer struct {
 	fs   *FS
 	name string
 	f    *file
-	// cur is the block being filled: taken from fillPool on the first
-	// Append, returned by Close. No block aliases it (flushBlock copies).
+	// cur is the block being filled, in *fill: taken from the FS's
+	// fill buffers on the first Append, returned by Close, so a job's
+	// part files do not each regrow one from nil by doubling. No block
+	// aliases it (flushBlock copies).
 	cur  []byte
+	fill *[]byte
 	recs int
 }
-
-// fillPool holds the fill buffers of closed writers (*[]byte), so a job's
-// part files do not each regrow one from nil by doubling.
-var fillPool sync.Pool
 
 // Create creates a new file and returns a writer for it. The result is
 // typed as the Storage-interface RecordWriter so *FS satisfies Storage
@@ -150,10 +163,16 @@ func (w *Writer) Append(record []byte) error {
 			return err
 		}
 	}
-	if w.cur == nil {
-		if b, ok := fillPool.Get().(*[]byte); ok {
-			w.cur = (*b)[:0]
-		}
+	if w.fill == nil {
+		w.fill = w.fs.fills.Get()
+		w.cur = (*w.fill)[:0]
+	}
+	if n := len(w.cur) + len(record); n > cap(w.cur) {
+		// Grow by doubling, but never past a block: what the FS retains
+		// stays within its stated bound.
+		grown := make([]byte, len(w.cur), min(max(2*cap(w.cur), n, 1<<10), w.fs.opts.BlockSize))
+		copy(grown, w.cur)
+		w.cur = grown
 	}
 	w.cur = append(w.cur, record...)
 	w.recs++
@@ -190,13 +209,13 @@ func (w *Writer) flushBlock() error {
 }
 
 // Close flushes the final partial block and returns the fill buffer to
-// the pool. The writer must not be used afterwards.
+// the FS. The writer must not be used afterwards.
 func (w *Writer) Close() error {
 	err := w.flushBlock()
-	if w.cur != nil {
-		b := w.cur[:0]
-		w.cur = nil
-		fillPool.Put(&b)
+	if w.fill != nil {
+		*w.fill, w.cur = w.cur[:0], nil
+		w.fs.fills.Put(w.fill)
+		w.fill = nil
 	}
 	return err
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCreateWriteRead(t *testing.T) {
@@ -332,8 +334,8 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestWriterFillPoolNoAlias runs writers concurrently through the pool
-// of fill buffers: files of every size (none, part of a block, several
+// TestWriterFillPoolNoAlias runs writers concurrently through the FS's
+// free list of fill buffers: files of every size (none, part of a block, several
 // blocks), some writers closed twice, each file checked byte for byte
 // against what was appended. Run under -race -count=10.
 func TestWriterFillPoolNoAlias(t *testing.T) {
@@ -384,6 +386,80 @@ func TestWriterFillPoolNoAlias(t *testing.T) {
 				t.Fatalf("g%d/f%d holds %q, want %q", g, f, got, w)
 			}
 		}
+	}
+}
+
+// TestWriterFillWarmAcrossGC closes a writer that grew its fill buffer
+// to a whole block, collects garbage twice (what empties a sync.Pool,
+// victim cache included) and checks that the next writer fills the same
+// buffer instead of regrowing one.
+func TestWriterFillWarmAcrossGC(t *testing.T) {
+	fs := New(Options{BlockSize: 64 << 10})
+	record := bytes.Repeat([]byte("x"), 1000)
+	write := func(name string) *byte {
+		w, err := fs.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ { // a full block and part of another
+			if err := w.Append(record); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fill := unsafe.SliceData(w.(*Writer).cur)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return fill
+	}
+	first := write("a")
+	runtime.GC()
+	runtime.GC()
+	if write("b") != first {
+		t.Fatal("a writer regrew its fill buffer after a GC")
+	}
+}
+
+// TestWriterFillRetention pins what an FS retains of its writers' fill
+// buffers once they are closed: at most one per processor, none longer
+// than a block.
+func TestWriterFillRetention(t *testing.T) {
+	const blockSize = 1000
+	fs := New(Options{BlockSize: blockSize})
+	var wg sync.WaitGroup
+	for g := 0; g < 4*runtime.GOMAXPROCS(0); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			w, err := fs.Create(fmt.Sprintf("f%d", g))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < 20*(g+1); i++ { // records of 7 to 999 bytes
+				if err := w.Append(bytes.Repeat([]byte("y"), 7+i*13%993)); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Error(err)
+			}
+		}(g)
+	}
+	wg.Wait()
+	retained := 0
+	for {
+		b := fs.fills.Get()
+		if *b == nil {
+			break
+		}
+		if cap(*b) > blockSize {
+			t.Errorf("a retained fill buffer holds %d bytes, more than the %d-byte block", cap(*b), blockSize)
+		}
+		retained++
+	}
+	if retained == 0 || retained > runtime.GOMAXPROCS(0) {
+		t.Fatalf("FS retains %d fill buffers, want 1 to GOMAXPROCS (%d)", retained, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -70,10 +70,11 @@ func WorkerMain(coordAddr string) error {
 		return fmt.Errorf("distrib: worker listen: %w", err)
 	}
 	w := &workerRPC{
-		coord: coord,
-		slots: make(chan struct{}, slots),
-		index: index,
-		side:  map[sideKey][]byte{},
+		coord:   coord,
+		slots:   make(chan struct{}, slots),
+		index:   index,
+		side:    map[sideKey][]byte{},
+		buffers: mapreduce.NewBuffers(slots),
 	}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Worker", w); err != nil {
@@ -114,12 +115,14 @@ type sideKey struct {
 }
 
 // workerRPC executes dispatched task attempts. It is stateless between
-// tasks apart from the side-file cache (side files are write-once).
+// tasks apart from the side-file cache (side files are write-once) and
+// the map output buffers its map tasks reuse, one per slot at most.
 type workerRPC struct {
-	coord *rpc.Client
-	slots chan struct{}
-	index int
-	done  int64
+	coord   *rpc.Client
+	slots   chan struct{}
+	index   int
+	done    int64
+	buffers *mapreduce.Buffers
 
 	mu   sync.Mutex
 	side map[sideKey][]byte
@@ -167,7 +170,9 @@ func (w *workerRPC) jobFor(spec mapreduce.JobSpec, fs, lease int64) (mapreduce.J
 		side[name] = true
 	}
 	st := &rpcStorage{w: w, fs: fs, lease: lease, side: side}
-	return mapreduce.JobFromSpec(spec, st)
+	job, err := mapreduce.JobFromSpec(spec, st)
+	job.Buffers = w.buffers
+	return job, err
 }
 
 // maybeExit implements the Conf["distrib.exit-after"]=N crash hook:

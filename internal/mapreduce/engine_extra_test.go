@@ -96,7 +96,7 @@ func TestEmitterArenaLargeValues(t *testing.T) {
 	small := []byte("small")
 	emit := func(k, v []byte) {
 		t.Helper()
-		if !p.add(k, v, 0, maxArena) {
+		if !p.add(k, v, 0, maxArena, 0, 0) {
 			t.Fatal("arena refused a record")
 		}
 	}
@@ -133,7 +133,7 @@ func TestEmitterArenaStability(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		s := fmt.Sprintf("key-%d", i)
 		wants = append(wants, s)
-		if !p.add([]byte(s), nil, 0, maxArena) {
+		if !p.add([]byte(s), nil, 0, maxArena, 0, 0) {
 			t.Fatal("arena refused a record")
 		}
 	}

@@ -7,7 +7,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
+
+	"fuzzyjoin/internal/freelist"
 )
 
 // This file is the map-output buffer (§4.8 of DESIGN.md): Emit picks the
@@ -51,18 +52,18 @@ func (p *partBuf) reset() {
 }
 
 // add appends one record, or reports false and appends nothing when the
-// arena would grow past limit. Arena and index grow by doubling: a cold
-// buffer then allocates at most twice what it ends up holding.
-func (p *partBuf) add(key, value []byte, prefix, limit uint64) bool {
+// arena would grow past limit. A full arena or index grows as grown says,
+// from the task's progress through its split: read of split input bytes.
+func (p *partBuf) add(key, value []byte, prefix, limit uint64, read, split int64) bool {
 	n := len(key) + len(value) + 2*binary.MaxVarintLen32
 	if uint64(len(p.data))+uint64(n) > limit {
 		return false
 	}
 	if cap(p.data)-len(p.data) < n {
-		p.data = doubled(p.data, max(n, 1<<10))
+		p.data = grown(p.data, max(n, 1<<10), read, split)
 	}
 	if len(p.idx) == cap(p.idx) {
-		p.idx = doubled(p.idx, 64)
+		p.idx = grown(p.idx, 64, read, split)
 	}
 	off := len(p.data)
 	p.data = appendPair(p.data, key, value)
@@ -70,15 +71,24 @@ func (p *partBuf) add(key, value []byte, prefix, limit uint64) bool {
 	return true
 }
 
-// doubled returns s moved to twice its capacity, and room for at least n
-// more elements. It is an explicit make rather than slices.Grow so that
-// growth costs the same under the race detector, where the compiler does
-// not fuse Grow's append(s, make(...)...) and the allocation guard test
-// would count the temporary.
-func doubled[E any](s []E, n int) []E {
-	grown := make([]E, len(s), len(s)+max(n, cap(s)))
-	copy(grown, s)
-	return grown
+// grown returns s moved to a new array with room for at least n more
+// elements, at least twice its capacity and, once the task has read a
+// sixteenth or more of its split, what the task is projected to need by
+// the end of the split plus an eighth. A cold run of 2,000 to 200,000
+// uniform records then allocates 1.3 to 1.7 times what it ends up
+// holding, where doubling alone allocated 2.1 to 3.3 times. It is an
+// explicit make rather than slices.Grow so that growth costs the same
+// under the race detector, where the compiler does not fuse Grow's
+// append(s, make(...)...) and the allocation guard test would count the
+// temporary.
+func grown[E any](s []E, n int, read, split int64) []E {
+	c := len(s) + max(n, cap(s))
+	if read > 0 && 16*read >= split {
+		c = max(c, int(int64(len(s)+n)*split/read)*9/8)
+	}
+	g := make([]E, len(s), c)
+	copy(g, s)
+	return g
 }
 
 // key returns the record's key, aliasing the arena (capacity clipped, so
@@ -133,31 +143,41 @@ func (p *partBuf) appendRun(dst []byte) []byte {
 }
 
 // mapBuffer collects one map task's output. The arenas, indexes and
-// scratch are recycled across tasks through mapBuffers; everything a
-// task hands on (its segments) is copied out first.
+// scratch are recycled across map tasks through the job's Buffers;
+// everything a task hands on (its segments) is copied out first.
 type mapBuffer struct {
-	job    *Job
-	limit  uint64    // arena bound (maxArena; lowered by tests)
-	parts  []partBuf // one per reducer
-	n      int       // records buffered across parts since the last spill
-	spills *mapSpills
-	run    []byte // one sorted run in Pairs encoding (spill / merge input)
+	job         *Job
+	limit       uint64    // arena bound (maxArena; lowered by tests)
+	parts       []partBuf // one per reducer
+	n           int       // records buffered across parts since the last spill
+	spills      *mapSpills
+	run         []byte // one sorted run in Pairs encoding (spill / merge input)
+	read, split int64  // input bytes the task has read, of its split's
 }
 
-// mapBuffers recycles buffers across map tasks (several hundred per
-// join). A sync.Pool is emptied by the garbage collector, so idle arenas
-// are not pinned between jobs.
-var mapBuffers = sync.Pool{New: func() any { return new(mapBuffer) }}
+// Buffers lends map tasks their output buffers and takes them back when
+// the tasks end, keeping at most a set number. A garbage collection does
+// not empty it, as it empties a sync.Pool, so jobs that share one (the
+// jobs of a pipeline) find the buffers as the last task left them. Its
+// owner calls Release when the jobs are done.
+type Buffers struct{ free *freelist.List[mapBuffer] }
 
-func newMapBuffer(job *Job) *mapBuffer {
-	b := mapBuffers.Get().(*mapBuffer)
-	b.job, b.limit = job, maxArena
+// NewBuffers returns Buffers that keep at most max buffers: the number
+// of map tasks its jobs run at once.
+func NewBuffers(max int) *Buffers { return &Buffers{freelist.New[mapBuffer](max)} }
+
+// Release drops the buffers b keeps.
+func (b *Buffers) Release() { b.free.Clear() }
+
+func newMapBuffer(job *Job, split int64) *mapBuffer {
+	b := job.Buffers.free.Get()
+	b.job, b.limit, b.split = job, maxArena, split
 	b.parts = slices.Grow(b.parts[:0], job.NumReducers)[:job.NumReducers]
 	return b
 }
 
-// release returns the buffer to the pool. Nothing reachable from a task's
-// result may alias it: the next task overwrites every arena.
+// release returns the buffer to the job's Buffers. Nothing reachable
+// from a task's result may alias it: the next task overwrites every arena.
 func (b *mapBuffer) release() {
 	if b.spills != nil {
 		b.spills.close()
@@ -165,8 +185,9 @@ func (b *mapBuffer) release() {
 	for i := range b.parts {
 		b.parts[i].reset()
 	}
+	job := b.job
 	*b = mapBuffer{parts: b.parts, run: b.run[:0]}
-	mapBuffers.Put(b)
+	job.Buffers.free.Put(b)
 }
 
 // Emit implements Emitter for the mapper: one partition choice and one
@@ -175,11 +196,11 @@ func (b *mapBuffer) release() {
 func (b *mapBuffer) Emit(key, value []byte) error {
 	r := partition(key, b.job.GroupPrefix, len(b.parts))
 	prefix := sortPrefix(key)
-	if !b.parts[r].add(key, value, prefix, b.limit) {
+	if !b.parts[r].add(key, value, prefix, b.limit, b.read, b.split) {
 		if err := b.spill(); err != nil {
 			return err
 		}
-		if !b.parts[r].add(key, value, prefix, b.limit) {
+		if !b.parts[r].add(key, value, prefix, b.limit, b.read, b.split) {
 			return ErrMapOutputTooLarge
 		}
 	}

@@ -8,7 +8,10 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // bufferPairs generates map output that reaches every comparison the
@@ -73,7 +76,10 @@ func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetr
 // bufferMapOutput runs the same emissions through the map buffer.
 func bufferMapOutput(t *testing.T, job *Job, emitted []Pair, limit uint64) ([][]byte, TaskMetrics) {
 	t.Helper()
-	buf := newMapBuffer(job)
+	if job.Buffers == nil {
+		job.Buffers = NewBuffers(1)
+	}
+	buf := newMapBuffer(job, 0)
 	defer buf.release()
 	if limit > 0 {
 		buf.limit = limit
@@ -138,7 +144,7 @@ func TestMapBufferArenaLimit(t *testing.T) {
 	gotTM.SpillCount, gotTM.SpillBytes = 0, 0
 	sameMapOutput(t, "limit=256", got, want, gotTM, wantTM)
 
-	buf := newMapBuffer(job)
+	buf := newMapBuffer(job, 0)
 	defer buf.release()
 	buf.limit = 256
 	err := buf.Emit([]byte("k"), make([]byte, 300))
@@ -147,10 +153,10 @@ func TestMapBufferArenaLimit(t *testing.T) {
 	}
 }
 
-// scribblePooledBuffers takes buffers out of the pool and overwrites the
-// whole capacity of every arena — what the next map task does to a
-// released buffer.
-func scribblePooledBuffers(n int) {
+// scribblePooledBuffers takes buffers out of the job's Buffers and
+// overwrites the whole capacity of every arena — what the next map task
+// does to a released buffer.
+func scribblePooledBuffers(job *Job, n int) {
 	fill := func(b []byte) {
 		b = b[:cap(b)]
 		for i := range b {
@@ -159,7 +165,7 @@ func scribblePooledBuffers(n int) {
 	}
 	bufs := make([]*mapBuffer, n)
 	for i := range bufs {
-		b := mapBuffers.Get().(*mapBuffer)
+		b := job.Buffers.free.Get()
 		for _, p := range b.parts[:cap(b.parts)] {
 			fill(p.data)
 		}
@@ -167,14 +173,15 @@ func scribblePooledBuffers(n int) {
 		bufs[i] = b
 	}
 	for _, b := range bufs {
-		mapBuffers.Put(b)
+		job.Buffers.free.Put(b)
 	}
 }
 
 // TestMapBufferPoolNoAlias runs map attempts concurrently through the
-// buffer pool — each task twice, as a retry would — while released
-// buffers are overwritten, and checks every committed result against the
-// one computed before any buffer was recycled. Run under -race -count=10.
+// job's Buffers — each task twice, as a retry would — while
+// released buffers are overwritten, and checks every committed result
+// against the one computed before any buffer was recycled. Run under
+// -race -count=10.
 func TestMapBufferPoolNoAlias(t *testing.T) {
 	fs := newFS()
 	writeFaultInput(t, fs)
@@ -182,6 +189,7 @@ func TestMapBufferPoolNoAlias(t *testing.T) {
 		job := faultJob(fs, "out")
 		job.Mapper = &aggWordCountMapper{}
 		job.SpillPairs = spill
+		job.Buffers = NewBuffers(runtime.GOMAXPROCS(0) + 2)
 		if err := job.fillDefaults(); err != nil {
 			t.Fatal(err)
 		}
@@ -214,12 +222,12 @@ func TestMapBufferPoolNoAlias(t *testing.T) {
 						return
 					}
 					got[i][a] = res
-					scribblePooledBuffers(2)
+					scribblePooledBuffers(&job, 2)
 				}
 			}(i)
 		}
 		wg.Wait()
-		scribblePooledBuffers(runtime.GOMAXPROCS(0) + 2)
+		scribblePooledBuffers(&job, runtime.GOMAXPROCS(0)+2)
 		for i := range got {
 			for a, res := range got[i] {
 				if len(res.parts) != len(want[i]) {
@@ -242,7 +250,7 @@ func TestMapBufferPoolNoAlias(t *testing.T) {
 // doubling (about 2 × (16 B entry + 11 B record), plus the slack of the
 // last doubling), the sort, and the committed segments. It measures
 // 95 B/record; the []Pair path this replaced measured 700 B/record on
-// the same task. A warm (pooled) buffer allocates the segments only.
+// the same task. A warm (recycled) buffer allocates the segments only.
 func TestMapOutputAllocationPerRecord(t *testing.T) {
 	const records = 200_000
 	const bound = 112
@@ -274,9 +282,7 @@ func TestMapOutputAllocationPerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two collections empty the pool (and its victim cache): the buffer
-	// the task gets is cold.
-	runtime.GC()
+	// The job's Buffers are new: the task's buffer is cold.
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -293,4 +299,133 @@ func TestMapOutputAllocationPerRecord(t *testing.T) {
 	if perRecord > bound {
 		t.Fatalf("map side allocated %.1f B per emitted record, bound %d", perRecord, bound)
 	}
+}
+
+// bufferProbe is a mapper that emits the same 200 pairs per input record
+// and notes, at the end of each task, which map buffer the task had and
+// where that buffer's first partition arena lies. With gc set it collects
+// garbage twice before each task: what empties a sync.Pool, victim cache
+// included.
+type bufferProbe struct {
+	gc        bool
+	mu        sync.Mutex
+	arenas    []*byte
+	seen      map[uintptr]bool // buffers, by address: a pointer would pin them
+	finalized atomic.Int64
+}
+
+func (p *bufferProbe) Setup(*Context) error {
+	if p.gc {
+		runtime.GC()
+		runtime.GC()
+	}
+	return nil
+}
+
+func (p *bufferProbe) Map(_ *Context, _, _ []byte, out Emitter) error {
+	k := []byte("k0000")
+	for i := 0; i < 200; i++ {
+		k[3], k[4] = byte('0'+i/10%10), byte('0'+i%10)
+		if err := out.Emit(k, []byte("1")); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (p *bufferProbe) Cleanup(_ *Context, out Emitter) error {
+	b := out.(*mapBuffer)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.arenas = append(p.arenas, unsafe.SliceData(b.parts[0].data))
+	if addr := uintptr(unsafe.Pointer(b)); !p.seen[addr] {
+		p.seen[addr] = true
+		runtime.SetFinalizer(b, func(*mapBuffer) { p.finalized.Add(1) })
+	}
+	return nil
+}
+
+// runBufferProbe runs jobs jobs of several equal map tasks each through
+// probe, at the given parallelism, sharing buffers (nil: each job its own).
+func runBufferProbe(t *testing.T, probe *bufferProbe, parallelism, jobs int, buffers *Buffers) {
+	t.Helper()
+	probe.seen = map[uintptr]bool{}
+	fs := newFS()
+	lines := make([]string, 120)
+	for i := range lines {
+		lines[i] = "0123456789"
+	}
+	if err := WriteTextFile(fs, "in", lines); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < jobs; j++ {
+		if _, err := Run(Job{Name: "probe", FS: fs, Inputs: []string{"in"}, Output: fmt.Sprintf("out%d", j),
+			Mapper: probe, Reducer: sumReducer, NumReducers: 2, Parallelism: parallelism,
+			Buffers: buffers}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(probe.arenas) < 4*jobs {
+		t.Fatalf("%d map tasks in %d jobs, want at least 4 a job", len(probe.arenas), jobs)
+	}
+}
+
+// waitCollected waits until every map buffer probe saw is garbage.
+func waitCollected(t *testing.T, probe *bufferProbe) {
+	t.Helper()
+	made := int64(len(probe.seen))
+	for deadline := time.Now().Add(5 * time.Second); probe.finalized.Load() < made; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d map buffers still reachable", made-probe.finalized.Load(), made)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestMapBufferWarmAcrossGC runs two jobs sharing Buffers, their map
+// tasks one at a time with two garbage collections before each: every
+// task after the first must get the first task's buffer with its arena as
+// grown, not a new one.
+func TestMapBufferWarmAcrossGC(t *testing.T) {
+	probe := &bufferProbe{gc: true}
+	runBufferProbe(t, probe, 1, 2, NewBuffers(1))
+	for i, a := range probe.arenas {
+		if a != probe.arenas[0] {
+			t.Fatalf("map task %d of %d regrew its arena after a GC", i, len(probe.arenas))
+		}
+	}
+	if len(probe.seen) != 1 {
+		t.Fatalf("%d map buffers for jobs run one task at a time, want 1", len(probe.seen))
+	}
+}
+
+// TestMapBufferRetention pins what map buffers outlive: a job makes at
+// most Parallelism of them; a job with Buffers of its own leaves none
+// reachable once Run returns; Buffers shared by two jobs keep at most
+// their bound, and none after Release.
+func TestMapBufferRetention(t *testing.T) {
+	const parallelism = 3
+	own := &bufferProbe{}
+	runBufferProbe(t, own, parallelism, 1, nil)
+	if len(own.seen) > parallelism {
+		t.Fatalf("%d map buffers at Parallelism %d", len(own.seen), parallelism)
+	}
+	waitCollected(t, own)
+
+	shared := &bufferProbe{}
+	buffers := NewBuffers(parallelism)
+	runBufferProbe(t, shared, parallelism, 2, buffers)
+	if len(shared.seen) > parallelism {
+		t.Fatalf("%d map buffers in two jobs at Parallelism %d", len(shared.seen), parallelism)
+	}
+	kept := 0
+	for b := buffers.free.Get(); b.parts != nil; b = buffers.free.Get() {
+		kept++
+	}
+	if kept == 0 || kept > parallelism {
+		t.Fatalf("shared Buffers keep %d map buffers, want 1 to %d", kept, parallelism)
+	}
+	buffers.Release()
+	waitCollected(t, shared)
 }

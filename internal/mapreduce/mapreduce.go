@@ -205,6 +205,10 @@ type Job struct {
 	// affects wall-clock only, never results or recorded per-task costs.
 	// Defaults to 1 for stable cost measurement.
 	Parallelism int
+	// Buffers lends the job's map tasks their output buffers. Jobs that
+	// share one reuse each other's; a job without one gets its own,
+	// dropped when its map phase ends.
+	Buffers *Buffers
 	// SpillPairs bounds the map-output pairs buffered in memory: when the
 	// buffer reaches this count it is sorted and spilled to
 	// local disk as one run, and the runs are k-way merged at task end
@@ -529,6 +533,9 @@ func (j *Job) fillDefaults() error {
 	}
 	if j.Parallelism <= 0 {
 		j.Parallelism = 1
+	}
+	if j.Buffers == nil {
+		j.Buffers = NewBuffers(j.Parallelism)
 	}
 	return nil
 }

@@ -37,6 +37,7 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 	if err := job.canceled(); err != nil {
 		return nil, fmt.Errorf("job %s: %w", job.Name, err)
 	}
+	ownBuffers := job.Buffers == nil
 	if err := job.fillDefaults(); err != nil {
 		return nil, err
 	}
@@ -82,7 +83,7 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 	if job.Trace.Enabled() {
 		job.Trace.Emit(trace.Event{Type: trace.PhaseStart, Job: job.Name, Phase: trace.PhaseMap})
 	}
-	if err := runParallel(len(splits), job.Parallelism, func(i int) error {
+	err = runParallel(len(splits), job.Parallelism, func(i int) error {
 		if err := job.canceled(); err != nil {
 			return err
 		}
@@ -102,7 +103,11 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 		segments[i] = res.parts
 		metrics.MapTasks[i] = tm
 		return nil
-	}); err != nil {
+	})
+	if ownBuffers {
+		job.Buffers.Release() // the reduce phase has no use for them
+	}
+	if err != nil {
 		track.removeAll(job.FS)
 		return nil, fmt.Errorf("job %s: %w", job.Name, err)
 	}
@@ -374,7 +379,7 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 	}
 	var tm TaskMetrics
 	start := time.Now()
-	sink := newMapBuffer(job)
+	sink := newMapBuffer(job, int64(split.Bytes))
 	defer sink.release()
 	mapper := taskMapper(job.Mapper)
 	if s, ok := mapper.(Setupper); ok {
@@ -384,9 +389,10 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 	}
 	err := readSplit(job.FS, job.formatFor(split.File), split, func(key, value []byte) error {
 		tm.InputRecords++
-		tm.InputBytes += int64(len(key) + len(value))
+		sink.read += int64(len(key) + len(value))
 		return mapper.Map(ctx, key, value, sink)
 	})
+	tm.InputBytes = sink.read
 	if err != nil {
 		return mapResult{}, tm, fmt.Errorf("map task %d: %w", taskID, err)
 	}

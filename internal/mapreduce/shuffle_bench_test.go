@@ -18,7 +18,7 @@ func BenchmarkSortPairs(b *testing.B) {
 	var p partBuf
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("%016x", uint64(i)*0x9E3779B97F4A7C15))
-		p.add(key, []byte(fmt.Sprintf("%06d", i)), sortPrefix(key), maxArena)
+		p.add(key, []byte(fmt.Sprintf("%06d", i)), sortPrefix(key), maxArena, 0, 0)
 	}
 	emitted := append([]idxEntry(nil), p.idx...)
 	b.ResetTimer()
@@ -97,10 +97,10 @@ func benchEmissions() [][]Pair {
 // through the map buffer — emit, index sort, copy-out — and leave one
 // segment for the reducer.
 func benchSegments(b *testing.B, tasks [][]Pair) [][]byte {
-	job := &Job{NumReducers: 1}
+	job := &Job{NumReducers: 1, Buffers: NewBuffers(1)}
 	segs := make([][]byte, len(tasks))
 	for s, pairs := range tasks {
-		buf := newMapBuffer(job)
+		buf := newMapBuffer(job, 0)
 		for _, p := range pairs {
 			if err := buf.Emit(p.Key, p.Value); err != nil {
 				b.Fatal(err)

@@ -2,12 +2,10 @@ package mapreduce
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 )
 
 // This file holds the map-output machinery: sorted-run encoding, k-way
@@ -18,9 +16,9 @@ import (
 // The shuffle datapath is streaming (§4.8 of DESIGN.md): sorts compare a
 // cached integer prefix of each key before touching key bytes, merges run
 // through a loser tree that decodes encoded runs lazily and yields one
-// pair at a time. The map-side buffer is in mapbuf.go; sortPairs,
-// encodeRun and mergeRuns below are the materialized reference it and the
-// streaming merge are tested against.
+// pair at a time. The map-side buffer is in mapbuf.go; the materialized
+// reference it and the streaming merge are tested against is in
+// reference_test.go.
 
 // sortPrefix maps a key to its first eight bytes read as a big-endian
 // integer (shorter keys are zero-padded on the right). Whenever two keys'
@@ -53,59 +51,6 @@ func comparePairs(a, b Pair) int {
 		return c
 	}
 	return bytes.Compare(a.Value, b.Value)
-}
-
-// sortPairs fills every pair's sort prefix and orders the pairs by
-// comparePairs.
-func sortPairs(pairs []Pair) {
-	for i := range pairs {
-		pairs[i].prefix = sortPrefix(pairs[i].Key)
-	}
-	slices.SortFunc(pairs, comparePairs)
-}
-
-// encodeRun serializes a sorted pair run in Pairs format.
-func encodeRun(pairs []Pair) []byte {
-	var n int
-	for _, p := range pairs {
-		n += len(p.Key) + len(p.Value) + 2*binary.MaxVarintLen32
-	}
-	dst := make([]byte, 0, n)
-	for _, p := range pairs {
-		dst = appendPair(dst, p.Key, p.Value)
-	}
-	return dst
-}
-
-// countEncodedPairs counts the records in an encoded run (for pre-sizing
-// decode output). Malformed tails yield a short count; the decode proper
-// still reports the error.
-func countEncodedPairs(data []byte) int {
-	n := 0
-	for len(data) > 0 {
-		kl, sz := binary.Uvarint(data)
-		if sz <= 0 || uint64(len(data)-sz) < kl {
-			return n
-		}
-		data = data[sz+int(kl):]
-		vl, sz := binary.Uvarint(data)
-		if sz <= 0 || uint64(len(data)-sz) < vl {
-			return n
-		}
-		data = data[sz+int(vl):]
-		n++
-	}
-	return n
-}
-
-// decodeRun parses an encoded run back into pairs. The slices alias data.
-func decodeRun(data []byte) ([]Pair, error) {
-	out := make([]Pair, 0, countEncodedPairs(data))
-	err := decodePairs(data, func(k, v []byte) error {
-		out = append(out, Pair{Key: k, Value: v})
-		return nil
-	})
-	return out, err
 }
 
 // runCursor streams one sorted, encoded run during a merge, decoding
@@ -287,53 +232,6 @@ func (g *groupStream) next() ([]Pair, error) {
 		}
 		g.buf = append(g.buf, p)
 	}
-}
-
-// runHeap is a k-way merge heap over sorted runs (the materialized
-// reference merge; production paths use mergeStream).
-type runHeap struct {
-	runs [][]Pair // each non-empty, sorted by sortPairs
-}
-
-func (h *runHeap) Len() int { return len(h.runs) }
-func (h *runHeap) Less(i, j int) bool {
-	return comparePairs(h.runs[i][0], h.runs[j][0]) < 0
-}
-func (h *runHeap) Swap(i, j int) { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
-func (h *runHeap) Push(x any)    { h.runs = append(h.runs, x.([]Pair)) }
-func (h *runHeap) Pop() any      { r := h.runs[len(h.runs)-1]; h.runs = h.runs[:len(h.runs)-1]; return r }
-
-// mergeRuns k-way merges sorted runs into one sorted slice. It is the
-// semantics oracle the streaming merge is property-tested against.
-func mergeRuns(runs [][]Pair) []Pair {
-	nonEmpty := runs[:0]
-	total := 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			nonEmpty = append(nonEmpty, r)
-			total += len(r)
-		}
-	}
-	switch len(nonEmpty) {
-	case 0:
-		return nil
-	case 1:
-		return nonEmpty[0]
-	}
-	h := &runHeap{runs: nonEmpty}
-	heap.Init(h)
-	out := make([]Pair, 0, total)
-	for h.Len() > 0 {
-		r := h.runs[0]
-		out = append(out, r[0])
-		if len(r) > 1 {
-			h.runs[0] = r[1:]
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
-	return out
 }
 
 // mapSpills stores sorted, partitioned runs on local disk during a map

@@ -12,40 +12,18 @@
 #   combos     BTO-PK-BRJ, OPTO-BK-OPRJ, BTO-FVT-BRJ
 #   execution  in process, and -workers 2 (forked RPC workers)
 #
-# The parent is built from a git worktree under .bench_build/exact/,
-# which is removed again on exit; the inputs, outputs and -stats files
-# stay in .bench_build/exact/ for inspection. A change that moves a
+# The parent is built from a git worktree under .bench_build/exact/
+# (scripts/sides.sh), which is removed again on exit; the inputs,
+# outputs and -stats files stay in .bench_build/exact/ for inspection. A change that moves a
 # counter on purpose shows the diff here and says so in CHANGES.md.
 #
 # Usage: make exact PARENT=<rev>, or sh scripts/exact.sh <rev>.
 set -eu
 
 parent=${1:?usage: exact.sh <parent-rev>}
-GO=${GO:-go}
-root=$(git rev-parse --show-toplevel)
-cd "$root"
-rev=$(git rev-parse --verify --quiet "$parent^{commit}") || {
-	echo "exact: $parent is not a commit" >&2
-	exit 2
-}
+. "$(dirname "$0")/sides.sh"
 dir=.bench_build/exact
-src=$dir/parent-src
-
-cleanup() {
-	git worktree remove --force "$src" 2>/dev/null || true
-	git worktree prune
-}
-cleanup # a worktree left by an interrupted run
-rm -rf "$dir"
-mkdir -p "$dir"
-trap cleanup EXIT
-trap 'exit 130' INT TERM
-
-echo "exact: building $(git rev-parse --short "$rev") and the working tree"
-git worktree add --quiet --detach "$src" "$rev"
-(cd "$src" && $GO build -o "$root/$dir/parent-fuzzyjoin" ./cmd/fuzzyjoin)
-$GO build -o "$dir/change-fuzzyjoin" ./cmd/fuzzyjoin
-$GO build -o "$dir/datagen" ./cmd/datagen
+build_sides "$dir" "$parent"
 "$dir/datagen" -n 5000 -seed 42 -out "$dir/dblp5k.tsv" 2>/dev/null
 "$dir/datagen" -n 2500 -seed 42 -style citeseer -overlap 0.1 -overlapBase 5000 \
 	-startRID 100000000 -out "$dir/cite2500.tsv" 2>/dev/null
