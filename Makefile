@@ -2,8 +2,9 @@
 # pass: build, gofmt, full test suite, vet, staticcheck (when installed), and
 # the race detector over the module's packages (the engine and DFS run
 # user code across goroutines; the pipeline's mapper instances, reducers
-# and spill files in internal/core are that user code, and each reduce
-# task attempt owns one internal/ppjoin or internal/fvt kernel).
+# and the reduce-side block spill files in internal/core are that user
+# code, and each reduce task attempt owns one internal/ppjoin or
+# internal/fvt kernel).
 
 GO ?= go
 GOFMT ?= gofmt
@@ -62,8 +63,10 @@ smoke:
 	@echo "smoke artifacts in smoke-out/"
 
 # exact runs 24 fuzzyjoin joins (4 inputs x 3 combos x in process and
-# -workers 2) at PARENT and at the working tree and fails unless every
-# output is cmp-equal and every -stats line equal with timings cut. The
+# -workers 2) at PARENT and at the working tree and compares outputs
+# (cmp), counter lines and job-report lines (map:/reduce:/shuffle:/side
+# files) of -stats, timings cut. scripts/exact.sh exits 1 if an output or
+# a counter line differs and 2 if only job-report lines differ. The
 # parent is built in a git worktree under .bench_build/exact/.
 exact:
 	@test -n "$(PARENT)" || { echo "usage: make exact PARENT=<rev>"; exit 2; }

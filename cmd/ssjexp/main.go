@@ -9,8 +9,8 @@
 //
 // -only selects a comma-separated subset of experiment names (fig8, fig9,
 // table1, fig11, table2, fig12, fig13, fig14, groups, skew, blocks,
-// filters, kernels, fvt, routing, combiner, singlestage, engine, tau,
-// faults, planner).
+// filters, kernels, fvt, routing, combiner, singlestage, tau, faults,
+// planner).
 //
 // "planner" sweeps the cost planner against a hand-tuned grid on three
 // Zipf-skewed workloads; -planner-out FILE records the ablation as JSON
@@ -152,7 +152,6 @@ func main() {
 	run("routing", func() (renderer, error) { return s.RoutingAblation() })
 	run("combiner", func() (renderer, error) { return s.CombinerAblation() })
 	run("singlestage", func() (renderer, error) { return s.SingleStage() })
-	run("engine", func() (renderer, error) { return s.EngineAblation() })
 	run("tau", func() (renderer, error) { return s.ThresholdSweep() })
 	run("faults", func() (renderer, error) { return s.FaultAblation() })
 	run("planner", func() (renderer, error) { return s.PlannerAblation() })

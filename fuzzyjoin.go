@@ -120,13 +120,14 @@ const (
 // way Hadoop does, and Config.FaultInjector deterministically fails
 // chosen attempts for tests and failure experiments.
 type (
-	// RetryPolicy bounds attempts per task and shapes the backoff.
+	// RetryPolicy bounds attempts per task and sets the base backoff.
 	RetryPolicy = mapreduce.RetryPolicy
 	// FaultInjector decides which task attempts to fail.
 	FaultInjector = mapreduce.FaultInjector
 	// TaskRef identifies one task attempt (job, phase, task, attempt).
 	TaskRef = mapreduce.TaskRef
-	// RateInjector fails a deterministic pseudo-random fraction of tasks.
+	// RateInjector fails the first attempt of a deterministic
+	// pseudo-random fraction of tasks.
 	RateInjector = mapreduce.RateInjector
 )
 

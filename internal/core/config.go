@@ -204,18 +204,14 @@ type Config struct {
 	// LengthRouting enables the §5 secondary routing criterion for the
 	// self-join BK kernel: projections are routed on (token, length
 	// bucket) keys so reducers buffer only one length bucket at a time.
-	// LengthBucket is the bucket width in tokens (default 2).
+	// A bucket is two tokens wide.
 	LengthRouting bool
-	LengthBucket  int
 	// Parallelism is the host-goroutine bound for task execution.
 	// It affects wall-clock only: results are byte-identical and
 	// recorded per-task costs are measured per task regardless of how
 	// many run concurrently. Defaults to runtime.GOMAXPROCS(0); set 1
 	// explicitly for minimum-noise cost measurement.
 	Parallelism int `json:"-"`
-	// SpillPairs passes through to every job (see mapreduce.Job): the
-	// map-side spill threshold in buffered pairs (0 = unbounded buffer).
-	SpillPairs int `json:"-"`
 	// NoCombiner turns off Stage 1's per-task aggregation: the counting
 	// mapper then emits (token, 1) for every token occurrence instead of
 	// one (token, count) per distinct token of its map task. It serves

@@ -57,7 +57,7 @@ func goldenVariants() []goldenVariant {
 		add("bk", func(c *Config) { c.Kernel = BK })
 		add("bk-mapblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = MapBlocks; c.NumBlocks = 3 })
 		add("bk-reduceblocks", func(c *Config) { c.Kernel = BK; c.BlockMode = ReduceBlocks; c.NumBlocks = 3 })
-		add("bk-lenroute", func(c *Config) { c.Kernel = BK; c.LengthRouting = true; c.LengthBucket = 2 })
+		add("bk-lenroute", func(c *Config) { c.Kernel = BK; c.LengthRouting = true })
 		add("pk", func(c *Config) { c.Kernel = PK })
 		add("fvt", func(c *Config) { c.Kernel = FVT })
 	}

@@ -12,21 +12,14 @@ import (
 func TestLengthRoutingEquivalence(t *testing.T) {
 	lines := makeLines(21, 45, 1)
 	want := oracleSelf(t, lines, 0.8)
-	for _, width := range []int{1, 2, 4} {
-		fs := newTestFS(t)
-		writeInput(t, fs, "in", lines)
-		cfg := Config{
-			FS: fs, Work: "w", Kernel: BK,
-			LengthRouting: true, LengthBucket: width,
-			NumReducers: 3,
-		}
-		res, err := SelfJoin(cfg, "in")
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		assertPairsEqual(t, readJoined(t, fs, res.Output), want,
-			fmt.Sprintf("length-routing width=%d", width))
+	fs := newTestFS(t)
+	writeInput(t, fs, "in", lines)
+	cfg := Config{FS: fs, Work: "w", Kernel: BK, LengthRouting: true, NumReducers: 3}
+	res, err := SelfJoin(cfg, "in")
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertPairsEqual(t, readJoined(t, fs, res.Output), want, "length-routing")
 }
 
 // TestLengthRoutingReducesMemory asserts the §5 claim directly: with the
@@ -62,8 +55,8 @@ func TestLengthRoutingReducesMemory(t *testing.T) {
 		writeInput(t, fs, "in", lines)
 		cfg := Config{
 			FS: fs, Work: "w", Kernel: BK,
-			LengthRouting: lengthRouting, LengthBucket: 2,
-			NumReducers: 1,
+			LengthRouting: lengthRouting,
+			NumReducers:   1,
 		}
 		if err := cfg.fillDefaults(); err != nil {
 			t.Fatal(err)
@@ -123,7 +116,7 @@ func TestLengthRoutingReplication(t *testing.T) {
 		fs := newTestFS(t)
 		writeInput(t, fs, "in", lines)
 		cfg := Config{FS: fs, Work: "w", Kernel: BK,
-			LengthRouting: lengthRouting, LengthBucket: 1, NumReducers: 2}
+			LengthRouting: lengthRouting, NumReducers: 2}
 		res, err := SelfJoin(cfg, "in")
 		if err != nil {
 			t.Fatal(err)
@@ -150,20 +143,13 @@ func TestLengthRoutingRSEquivalence(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("degenerate corpus")
 	}
-	for _, width := range []int{1, 3} {
-		fs := newTestFS(t)
-		writeInput(t, fs, "R", rLines)
-		writeInput(t, fs, "S", sLines)
-		cfg := Config{
-			FS: fs, Work: "w", Kernel: BK,
-			LengthRouting: true, LengthBucket: width,
-			NumReducers: 3,
-		}
-		res, err := RSJoin(cfg, "R", "S")
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		assertPairsEqual(t, readJoined(t, fs, res.Output), want,
-			fmt.Sprintf("rs-length-routing width=%d", width))
+	fs := newTestFS(t)
+	writeInput(t, fs, "R", rLines)
+	writeInput(t, fs, "S", sLines)
+	cfg := Config{FS: fs, Work: "w", Kernel: BK, LengthRouting: true, NumReducers: 3}
+	res, err := RSJoin(cfg, "R", "S")
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertPairsEqual(t, readJoined(t, fs, res.Output), want, "rs-length-routing")
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // runSelfJoinParts runs a full BTO-PK-BRJ self-join at the given host
-// parallelism (with spills on, so every shuffle code path is exercised)
-// and returns the raw bytes of every committed output part file.
+// parallelism and returns the raw bytes of every committed output part
+// file.
 func runSelfJoinParts(t *testing.T, par int) map[string][]byte {
 	t.Helper()
 	fs := newTestFS(t)
@@ -19,7 +19,6 @@ func runSelfJoinParts(t *testing.T, par int) map[string][]byte {
 		Kernel:      PK,
 		NumReducers: 3,
 		Parallelism: par,
-		SpillPairs:  64,
 	}, "in")
 	if err != nil {
 		t.Fatal(err)

@@ -179,7 +179,6 @@ func coreJob(cfg *Config, ps progSpec) (mapreduce.Job, error) {
 		NumReducers:   cfg.NumReducers,
 		MemoryLimit:   cfg.MemoryLimit,
 		Parallelism:   cfg.Parallelism,
-		SpillPairs:    cfg.SpillPairs,
 		Retry:         cfg.Retry,
 		FaultInjector: cfg.FaultInjector,
 		Trace:         cfg.Trace,

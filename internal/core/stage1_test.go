@@ -30,18 +30,18 @@ func wideVocabLines(seed int64, n int) []string {
 }
 
 // TestStage1BoundedTable: a map task whose budget cannot hold its token
-// table emits the table when full and starts over, with spills on, and
-// Stage 1 still writes the unbounded run's token file byte for byte. No
-// task goes over the budget.
+// table emits the table when full and starts over, and Stage 1 still
+// writes the unbounded run's token file byte for byte. No task goes over
+// the budget.
 func TestStage1BoundedTable(t *testing.T) {
 	fs := dfs.New(dfs.Options{BlockSize: 32 << 10, Nodes: 2})
 	if err := mapreduce.WriteTextFile(fs, "in", wideVocabLines(3, 2000)); err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range []TokenOrderAlg{BTO, OPTO} {
-		run := func(work string, limit int64, spill int) ([]byte, []*mapreduce.Metrics) {
+		run := func(work string, limit int64) ([]byte, []*mapreduce.Metrics) {
 			t.Helper()
-			cfg := Config{FS: fs, Work: work, NumReducers: 2, TokenOrder: alg, MemoryLimit: limit, SpillPairs: spill}
+			cfg := Config{FS: fs, Work: work, NumReducers: 2, TokenOrder: alg, MemoryLimit: limit}
 			tokenFile, ms, err := Stage1(cfg, "in")
 			if err != nil {
 				t.Fatalf("%v limit %d: %v", alg, limit, err)
@@ -52,7 +52,7 @@ func TestStage1BoundedTable(t *testing.T) {
 			}
 			return data, ms
 		}
-		want, free := run(alg.String()+"-free", 0, 0)
+		want, free := run(alg.String()+"-free", 0)
 		var tablePeak, reducePeak int64
 		for _, mt := range free[0].MapTasks {
 			tablePeak = max(tablePeak, mt.PeakMemory)
@@ -69,7 +69,7 @@ func TestStage1BoundedTable(t *testing.T) {
 			t.Fatalf("%v: %d map tasks, table peak %d, reduce peak %d: the corpus does not exercise a full table",
 				alg, len(free[0].MapTasks), tablePeak, reducePeak)
 		}
-		got, bounded := run(alg.String()+"-bounded", limit, 1000)
+		got, bounded := run(alg.String()+"-bounded", limit)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%v: token file under a %d-byte budget differs from the unbounded one", alg, limit)
 		}

@@ -135,14 +135,11 @@ func blockOf(rid uint64, numBlocks int) uint32 {
 	return uint32(rid % uint64(numBlocks))
 }
 
-// lengthBucket coarsens a projection length into a Config.LengthBucket-
-// wide routing bucket (default width 2).
-func lengthBucket(cfg *Config, l int) uint32 {
-	if cfg.LengthBucket > 0 {
-		return uint32(l / cfg.LengthBucket)
-	}
-	return uint32(l / 2)
-}
+// lengthBucketWidth is the width, in tokens, of a length-routing bucket.
+const lengthBucketWidth = 2
+
+// lengthBucket coarsens a projection length into its routing bucket.
+func lengthBucket(l int) uint32 { return uint32(l / lengthBucketWidth) }
 
 func (m *stage2Mapper) routePlain(p routed, key []byte, sink replicaSink) error {
 	if m.cfg.Kernel == PK {
@@ -217,9 +214,9 @@ func (m *stage2Mapper) routeReduceBlocksRS(p routed, key []byte, sink replicaSin
 // every admissible pair meets exactly once, in the lower of its two home
 // buckets.
 func (m *stage2Mapper) routeLengthSelf(p routed, key []byte, sink replicaSink) error {
-	home := lengthBucket(m.cfg, p.length)
+	home := lengthBucket(p.length)
 	lo, _ := m.cfg.Fn.LengthBounds(p.length, m.cfg.Threshold)
-	for b := lengthBucket(m.cfg, lo); b <= home; b++ {
+	for b := lengthBucket(lo); b <= home; b++ {
 		role := byte(roleStream)
 		if b == home {
 			role = roleLoad
@@ -236,11 +233,11 @@ func (m *stage2Mapper) routeLengthSelf(p routed, key []byte, sink replicaSink) e
 // length-filter window [lo(l), hi(l)] covers, so each admissible (R, S)
 // pair meets exactly once, in R's home bucket.
 func (m *stage2Mapper) routeLengthRS(p routed, key []byte, sink replicaSink) error {
-	loB := lengthBucket(m.cfg, p.length)
+	loB := lengthBucket(p.length)
 	hiB := loB
 	if p.rel == relS {
 		lo, hi := m.cfg.Fn.LengthBounds(p.length, m.cfg.Threshold)
-		loB, hiB = lengthBucket(m.cfg, lo), lengthBucket(m.cfg, hi)
+		loB, hiB = lengthBucket(lo), lengthBucket(hi)
 	}
 	for b := loB; b <= hiB; b++ {
 		if err := sink.emit(append(keys.AppendUint32(key, b), p.rel)); err != nil {

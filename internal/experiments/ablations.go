@@ -230,7 +230,7 @@ func (s *Suite) BlockProcessing() (*BlockProcessingResult, error) {
 		{"none", func(*core.Config) {}},
 		{"map-based", func(c *core.Config) { c.BlockMode, c.NumBlocks = core.MapBlocks, blocks }},
 		{"reduce-based", func(c *core.Config) { c.BlockMode, c.NumBlocks = core.ReduceBlocks, blocks }},
-		{"length-routed", func(c *core.Config) { c.LengthRouting, c.LengthBucket = true, 2 }},
+		{"length-routed", func(c *core.Config) { c.LengthRouting = true }},
 	}
 	for _, v := range variants {
 		cfg := s.w.baseCfg(fs, nodes)
@@ -545,77 +545,6 @@ func (r *SingleStageResult) Render() string {
 			fmt.Sprintf("%d", r.ShuffleBytes[i]), fmt.Sprintf("%d", r.Pairs[i])})
 	}
 	return "Carry-complete-records alternative (§2.2), DBLP x10, 10 nodes\n" + table(header, rows)
-}
-
-// ---- engine ablation: map-side spills --------------------------------------
-
-// EngineAblationResult compares engine configurations on the PK kernel
-// job: baseline and constrained map buffers (spilling). These are
-// substrate design choices (DESIGN.md §4.1), not paper results.
-type EngineAblationResult struct {
-	Labels       []string
-	Times        []time.Duration
-	ShuffleBytes []int64
-	Spills       []int64
-}
-
-// EngineAblation runs Stage 2 PK on DBLP×10 at 10 nodes under each engine
-// configuration.
-func (s *Suite) EngineAblation() (*EngineAblationResult, error) {
-	const factor, nodes = 10, 10
-	fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes})
-	if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(s.w.dblpTimes(factor))); err != nil {
-		return nil, err
-	}
-	base := s.w.baseCfg(fs, nodes)
-	base.TokenOrder, base.Work = core.BTO, "bto"
-	tokenFile, _, err := core.Stage1(base, "dblp")
-	if err != nil {
-		return nil, err
-	}
-
-	res := &EngineAblationResult{}
-	variants := []struct {
-		label string
-		apply func(*core.Config)
-	}{
-		{"baseline", func(*core.Config) {}},
-		{"spill at 1k pairs", func(c *core.Config) { c.SpillPairs = 1 << 10 }},
-	}
-	for i, v := range variants {
-		cfg := s.w.baseCfg(fs, nodes)
-		cfg.Kernel = core.PK
-		v.apply(&cfg)
-		cfg.Work = fmt.Sprintf("ea-%d", i)
-		_, ms, err := core.Stage2Self(cfg, "dblp", tokenFile)
-		if err != nil {
-			return nil, err
-		}
-		t := simulate(spec(nodes), ms)
-		var sh, spills int64
-		for _, m := range ms {
-			sh += m.TotalShuffleBytes()
-			for _, mt := range m.MapTasks {
-				spills += int64(mt.SpillCount)
-			}
-		}
-		res.Labels = append(res.Labels, v.label)
-		res.Times = append(res.Times, t)
-		res.ShuffleBytes = append(res.ShuffleBytes, sh)
-		res.Spills = append(res.Spills, spills)
-	}
-	return res, nil
-}
-
-// Render prints the comparison.
-func (r *EngineAblationResult) Render() string {
-	header := []string{"engine config", "stage2(s)", "shuffle(B)", "spills"}
-	var rows [][]string
-	for i, l := range r.Labels {
-		rows = append(rows, []string{l, seconds(r.Times[i], false),
-			fmt.Sprintf("%d", r.ShuffleBytes[i]), fmt.Sprintf("%d", r.Spills[i])})
-	}
-	return "Engine ablation (substrate design choices), PK kernel, DBLP x10, 10 nodes\n" + table(header, rows)
 }
 
 // ---- §6 (in text): threshold sweep ----------------------------------------

@@ -321,26 +321,6 @@ func TestSingleStageSmoke(t *testing.T) {
 	}
 }
 
-func TestEngineAblationSmoke(t *testing.T) {
-	s := NewSuite(tinyParams())
-	r, err := s.EngineAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Labels) != 2 {
-		t.Fatalf("labels = %v", r.Labels)
-	}
-	if r.Spills[0] != 0 {
-		t.Fatalf("baseline spilled: %v", r.Spills)
-	}
-	if r.Spills[1] == 0 {
-		t.Fatalf("spill config never spilled: %v", r.Spills)
-	}
-	if !strings.Contains(r.Render(), "Engine ablation") {
-		t.Fatal("render missing content")
-	}
-}
-
 func TestThresholdSweepSmoke(t *testing.T) {
 	s := NewSuite(tinyParams())
 	r, err := s.ThresholdSweep()

@@ -217,7 +217,7 @@ func TestReportContent(t *testing.T) {
 	m, err := Run(Job{
 		Name: "report-job", FS: fs, Inputs: []string{"in"}, InputFormat: Text,
 		Output: "out", Mapper: wordCountMapper,
-		Reducer: sumReducer, NumReducers: 2, SpillPairs: 2,
+		Reducer: sumReducer, NumReducers: 2,
 		SideFiles: []string{"cache"},
 	})
 	if err != nil {
@@ -226,7 +226,7 @@ func TestReportContent(t *testing.T) {
 	rep := m.Report()
 	for _, want := range []string{
 		"job report-job", "map:", "reduce:", "shuffle:",
-		"side files broadcast", "map spills:",
+		"side files broadcast",
 	} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
@@ -259,8 +259,8 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		Name: "spec", FS: fs, Inputs: []string{"in", "dir/"}, InputFormat: Text,
 		InputFormatsByPrefix: map[string]Format{"dir/": Pairs}, Output: "out", OutputFormat: Text,
 		NumReducers: 3, GroupPrefix: 5, SideFiles: []string{"side"}, Conf: map[string]string{"k": "v"},
-		MemoryLimit: 1 << 20, SpillPairs: 7,
-		Program: "spec-roundtrip", ProgramSpec: "{}",
+		MemoryLimit: 1 << 20,
+		Program:     "spec-roundtrip", ProgramSpec: "{}",
 	}
 	got, err := JobFromSpec(job.Spec(), fs)
 	if err != nil {

@@ -55,15 +55,11 @@ type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per task, including
 	// the first. Values below 1 mean 1 (no retries).
 	MaxAttempts int
-	// Backoff is the delay before the second attempt. Subsequent
-	// attempts multiply it by BackoffFactor, capped at MaxBackoff. The
-	// actual delay is jittered ±25% deterministically from the attempt
-	// identity, so identical runs sleep identically.
+	// Backoff is the delay before the second attempt. Each later
+	// attempt doubles it, without a cap. The actual delay is jittered
+	// ±25% deterministically from the attempt identity, so identical
+	// runs sleep identically.
 	Backoff time.Duration
-	// BackoffFactor is the exponential growth factor; values <= 0 mean 2.
-	BackoffFactor float64
-	// MaxBackoff caps the grown delay; 0 means no cap.
-	MaxBackoff time.Duration
 	// AttemptTimeout bounds one attempt's wall-clock execution; an
 	// attempt exceeding it fails with ErrAttemptTimeout and is retried
 	// (Hadoop's mapred.task.timeout). 0 disables the timeout.
@@ -83,7 +79,7 @@ func (p RetryPolicy) maxAttempts() int {
 // computation lives in internal/backoff so the RPC dispatch retry path
 // (internal/distrib) shares the same policy and seed discipline.
 func (p RetryPolicy) backoffDelay(job string, phase Phase, taskID, attempt int) time.Duration {
-	pol := backoff.Policy{Base: p.Backoff, Factor: p.BackoffFactor, Max: p.MaxBackoff}
+	pol := backoff.Policy{Base: p.Backoff}
 	return pol.Delay(backoff.Key{Scope: job, Sub: string(phase), ID: taskID}, attempt)
 }
 
@@ -131,32 +127,24 @@ func FailAttempts(refs ...TaskRef) FaultInjector {
 }
 
 // RateInjector fails a deterministic pseudo-random fraction of tasks:
-// task identities hashing below Rate fail their first MaxFailures
-// attempts (default 1), then succeed. With MaxFailures below
-// RetryPolicy.MaxAttempts every job still completes, so experiments can
-// sweep the failure rate and compare makespans (the experiments knob for
-// failure-aware scheduling).
+// task identities hashing below Rate fail their first attempt, then
+// succeed. With RetryPolicy.MaxAttempts above 1 every job still
+// completes, so experiments can sweep the failure rate and compare
+// makespans (the experiments knob for failure-aware scheduling).
 type RateInjector struct {
 	// Rate is the fraction of tasks to fail, in [0, 1].
 	Rate float64
 	// Seed varies which tasks are chosen.
 	Seed int64
-	// MaxFailures is how many leading attempts of a chosen task fail;
-	// values below 1 mean 1.
-	MaxFailures int
 }
 
 // AttemptFault implements FaultInjector.
 func (ri RateInjector) AttemptFault(ref TaskRef) error {
-	maxFail := ri.MaxFailures
-	if maxFail < 1 {
-		maxFail = 1
-	}
-	if ref.Attempt > maxFail || ri.Rate <= 0 {
+	if ref.Attempt > 1 || ri.Rate <= 0 {
 		return nil
 	}
-	// Hash the task identity (not the attempt) with the seed so all
-	// leading attempts of a chosen task fail consistently.
+	// Hash the task identity with the seed: the same tasks fail on
+	// every run.
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d\x00%s\x00%s\x00%d", ri.Seed, ref.Job, ref.Phase, ref.TaskID)
 	u := float64(h.Sum64()%(1<<53)) / (1 << 53)
@@ -239,14 +227,13 @@ func runTaskAttempts[T any](job *Job, phase Phase, taskID int,
 }
 
 // attemptEndEvent builds the committed-attempt event from the attempt's
-// metrics: cost, data volumes, and spill activity.
+// metrics: cost and data volumes.
 func attemptEndEvent(job string, phase Phase, taskID, attempt int, tm TaskMetrics) trace.Event {
 	return trace.Event{
 		Type: trace.AttemptEnd, Job: job, Phase: string(phase), Task: taskID, Attempt: attempt,
 		Cost:   int64(tm.Cost),
 		InRecs: tm.InputRecords, InBytes: tm.InputBytes,
 		OutRecs: tm.OutputRecords, OutBytes: tm.OutputBytes,
-		SpillCount: tm.SpillCount, SpillBytes: tm.SpillBytes,
 		Worker: tm.Worker,
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"fuzzyjoin/internal/dfs"
@@ -17,11 +16,9 @@ const (
 	// FormatUnset resolves to the per-field default (Text for inputs,
 	// Pairs for outputs).
 	FormatUnset Format = iota
-	// Text stores one record per line. On input the mapper receives
-	// key = the decimal byte offset of the line within its block and
-	// value = the line without the newline (Hadoop's TextInputFormat).
-	// On output "key\tvalue\n" is written, or just "value\n" when the
-	// key is empty.
+	// Text stores one record per line. On input the mapper receives an
+	// empty key and value = the line without the newline. On output
+	// "key\tvalue\n" is written, or just "value\n" when the key is empty.
 	Text
 	// Pairs stores length-prefixed binary (key, value) records: uvarint
 	// key length, key bytes, uvarint value length, value bytes. Used for
@@ -80,12 +77,8 @@ func DecodePairsBlock(data []byte, fn func(key, value []byte) error) error {
 	return decodePairs(data, fn)
 }
 
-// decodeText parses line records in block, passing the running offset as
-// the key. The key is scratch reused from line to line: fn must copy
-// what it keeps (the map buffer copies at Emit).
-func decodeText(block []byte, baseOffset int64, fn func(key, value []byte) error) error {
-	off := baseOffset
-	var key []byte
+// decodeText parses line records in block, passing each with an empty key.
+func decodeText(block []byte, fn func(key, value []byte) error) error {
 	for len(block) > 0 {
 		i := bytes.IndexByte(block, '\n')
 		var line []byte
@@ -96,9 +89,7 @@ func decodeText(block []byte, baseOffset int64, fn func(key, value []byte) error
 			line = block[:i]
 			block = block[i+1:]
 		}
-		key = strconv.AppendInt(key[:0], off, 10)
-		off += int64(len(line)) + 1
-		if err := fn(key, line); err != nil {
+		if err := fn(nil, line); err != nil {
 			return err
 		}
 	}
@@ -113,7 +104,7 @@ func readSplit(fs dfs.Storage, format Format, split dfs.Split, fn func(key, valu
 	}
 	switch format {
 	case Text:
-		return decodeText(block, 0, fn)
+		return decodeText(block, fn)
 	case Pairs:
 		return decodePairs(block, fn)
 	default:

@@ -50,13 +50,17 @@ func FuzzDecodeRun(f *testing.F) {
 	})
 }
 
-// FuzzDecodeText: the line decoder preserves content byte-for-byte.
+// FuzzDecodeText: the line decoder preserves content byte-for-byte and
+// passes every line with an empty key.
 func FuzzDecodeText(f *testing.F) {
 	f.Add([]byte("line1\nline2\n"))
 	f.Add([]byte("no trailing newline"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var lines [][]byte
-		if err := decodeText(data, 0, func(_, v []byte) error {
+		if err := decodeText(data, func(k, v []byte) error {
+			if len(k) != 0 {
+				t.Fatalf("line %q has key %q, want none", v, k)
+			}
 			lines = append(lines, append([]byte(nil), v...))
 			return nil
 		}); err != nil {

@@ -17,9 +17,10 @@ import (
 // partition is finished by sorting its index under the engine's total
 // order and copying the records out in index order.
 
-// ErrMapOutputTooLarge is returned (wrapped) when a map task's output
-// cannot be addressed by the buffer's 32-bit arena offsets even after
-// spilling: one record over 4 GiB.
+// ErrMapOutputTooLarge is returned (wrapped) when a map task's output for
+// one partition cannot be addressed by the buffer's 32-bit arena offsets:
+// more than 4 GiB. Map output stays in memory until the reduce phase, so
+// the task fails rather than spill.
 var ErrMapOutputTooLarge = errors.New("mapreduce: map output exceeds the 4 GiB partition arena")
 
 // maxArena bounds one partition arena, so every record offset and length
@@ -38,9 +39,9 @@ type idxEntry struct {
 
 func uvarintLen(x uint32) int { return (bits.Len32(x|1) + 6) / 7 }
 
-// partBuf is one run of buffered records: data holds them in Pairs
+// partBuf is one partition's buffered records: data holds them in Pairs
 // encoding in emission order, idx holds one entry per record in the
-// order the run is read out (emission order until sort is called).
+// order they are read out (emission order until sort is called).
 type partBuf struct {
 	data []byte
 	idx  []idxEntry
@@ -130,16 +131,16 @@ func (p *partBuf) compare(a, b idxEntry) int {
 
 func (p *partBuf) sort() { slices.SortFunc(p.idx, p.compare) }
 
-// appendRun appends the records to dst in index order — after sort, the
-// run's Pairs encoding. It adds exactly len(p.data) bytes.
-func (p *partBuf) appendRun(dst []byte) []byte {
-	dst = slices.Grow(dst, len(p.data))
+// segment returns the records in index order — after sort, the
+// partition's Pairs encoding — in a fresh, exactly sized allocation.
+func (p *partBuf) segment() []byte {
+	seg := make([]byte, 0, len(p.data))
 	for _, e := range p.idx {
 		_, ke := p.key(e)
 		_, end := p.value(ke)
-		dst = append(dst, p.data[e.off:end]...)
+		seg = append(seg, p.data[e.off:end]...)
 	}
-	return dst
+	return seg
 }
 
 // mapBuffer collects one map task's output. The arenas, indexes and
@@ -149,10 +150,7 @@ type mapBuffer struct {
 	job         *Job
 	limit       uint64    // arena bound (maxArena; lowered by tests)
 	parts       []partBuf // one per reducer
-	n           int       // records buffered across parts since the last spill
-	spills      *mapSpills
-	run         []byte // one sorted run in Pairs encoding (spill / merge input)
-	read, split int64  // input bytes the task has read, of its split's
+	read, split int64     // input bytes the task has read, of its split's
 }
 
 // Buffers lends map tasks their output buffers and takes them back when
@@ -179,123 +177,37 @@ func newMapBuffer(job *Job, split int64) *mapBuffer {
 // release returns the buffer to the job's Buffers. Nothing reachable
 // from a task's result may alias it: the next task overwrites every arena.
 func (b *mapBuffer) release() {
-	if b.spills != nil {
-		b.spills.close()
-	}
 	for i := range b.parts {
 		b.parts[i].reset()
 	}
 	job := b.job
-	*b = mapBuffer{parts: b.parts, run: b.run[:0]}
+	*b = mapBuffer{parts: b.parts}
 	job.Buffers.free.Put(b)
 }
 
 // Emit implements Emitter for the mapper: one partition choice and one
-// append per pair. The buffer spills when it holds Job.SpillPairs records
-// or when the partition's arena is full.
+// append per pair.
 func (b *mapBuffer) Emit(key, value []byte) error {
 	r := partition(key, b.job.GroupPrefix, len(b.parts))
-	prefix := sortPrefix(key)
-	if !b.parts[r].add(key, value, prefix, b.limit, b.read, b.split) {
-		if err := b.spill(); err != nil {
-			return err
-		}
-		if !b.parts[r].add(key, value, prefix, b.limit, b.read, b.split) {
-			return ErrMapOutputTooLarge
-		}
-	}
-	b.n++
-	if b.job.SpillPairs > 0 && b.n >= b.job.SpillPairs {
-		return b.spill()
+	if !b.parts[r].add(key, value, sortPrefix(key), b.limit, b.read, b.split) {
+		return ErrMapOutputTooLarge
 	}
 	return nil
 }
 
-// spill writes every partition's sorted run to local disk as one spill
-// file and empties the buffer (Hadoop's io.sort.mb behaviour).
-func (b *mapBuffer) spill() error {
-	if b.spills == nil {
-		var err error
-		if b.spills, err = newMapSpills(len(b.parts)); err != nil {
-			return err
-		}
-	}
-	err := b.spills.add(func(r int) ([]byte, error) {
-		p := &b.parts[r]
-		p.sort()
-		b.run = p.appendRun(b.run[:0])
-		return b.run, nil
-	})
-	for i := range b.parts {
-		b.parts[i].reset()
-	}
-	b.n = 0
-	return err
-}
-
-// finish sorts and encodes the final per-reducer segments, recording
-// their sizes in tm. Without spills a segment is the partition's records
-// copied out in index order. With spills the in-memory remainder joins
-// the spilled runs as one more encoded run in a streaming merge. Either
-// way a segment is a fresh, exactly sized allocation.
-func (b *mapBuffer) finish(tm *TaskMetrics) ([][]byte, error) {
+// finish sorts and encodes the per-reducer segments, recording their
+// sizes in tm.
+func (b *mapBuffer) finish(tm *TaskMetrics) [][]byte {
 	out := make([][]byte, len(b.parts))
 	tm.PartitionBytes = make([]int64, len(b.parts))
 	for r := range b.parts {
-		run := &b.parts[r]
-		run.sort()
-		var (
-			seg  []byte
-			recs = len(run.idx)
-			err  error
-		)
-		if b.spills == nil {
-			seg = run.appendRun(make([]byte, 0, len(run.data)))
-		} else if seg, recs, err = b.mergeSpills(r, run); err != nil {
-			return nil, err
-		}
+		p := &b.parts[r]
+		p.sort()
+		seg := p.segment()
 		out[r] = seg
 		tm.PartitionBytes[r] = int64(len(seg))
-		tm.OutputRecords += int64(recs)
+		tm.OutputRecords += int64(len(p.idx))
 		tm.OutputBytes += int64(len(seg))
 	}
-	if b.spills != nil {
-		tm.SpillCount = b.spills.spills
-		tm.SpillBytes = b.spills.bytes
-	}
-	return out, nil
-}
-
-// mergeSpills merges partition r's spilled runs with the in-memory
-// remainder into one segment, returning it with its record count.
-func (b *mapBuffer) mergeSpills(r int, remainder *partBuf) ([]byte, int, error) {
-	b.run = remainder.appendRun(b.run[:0])
-	spilled, err := b.spills.load(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	cursors := []*runCursor{cursorForEncoded(b.run)}
-	total := len(b.run)
-	for _, enc := range spilled {
-		cursors = append(cursors, cursorForEncoded(enc))
-		total += len(enc)
-	}
-	ms, err := newMergeStream(cursors)
-	if err != nil {
-		return nil, 0, err
-	}
-	// A merge only permutes records, so the segment is as long as its runs.
-	seg := make([]byte, 0, total)
-	recs := 0
-	for {
-		p, ok, err := ms.next()
-		if err != nil {
-			return nil, 0, err
-		}
-		if !ok {
-			return seg, recs, nil
-		}
-		seg = appendPair(seg, p.Key, p.Value)
-		recs++
-	}
+	return out
 }

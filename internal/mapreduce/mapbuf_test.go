@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"sync"
@@ -29,41 +30,18 @@ func bufferPairs(rng *rand.Rand, n int) []Pair {
 }
 
 // oracleMapOutput is the map side the buffer replaced, built from the
-// reference pieces: partition into []Pair, sortPairs, encodeRun, and
-// mergeRuns over the spilled runs.
-func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetrics) {
-	t.Helper()
+// reference pieces: partition into []Pair, sortPairs and encodeRun.
+func oracleMapOutput(job *Job, emitted []Pair) ([][]byte, TaskMetrics) {
 	var tm TaskMetrics
-	spilled := make([][][]Pair, job.NumReducers)
-	var buffered []Pair
-	runs := func() [][]Pair {
-		parts := make([][]Pair, job.NumReducers)
-		for _, p := range buffered {
-			r := partition(p.Key, job.GroupPrefix, job.NumReducers)
-			parts[r] = append(parts[r], p)
-		}
-		for r := range parts {
-			sortPairs(parts[r])
-		}
-		buffered = nil
-		return parts
-	}
+	parts := make([][]Pair, job.NumReducers)
 	for _, p := range emitted {
-		buffered = append(buffered, p)
-		if job.SpillPairs > 0 && len(buffered) >= job.SpillPairs {
-			for r, run := range runs() {
-				spilled[r] = append(spilled[r], run)
-				tm.SpillBytes += int64(8 + len(encodeRun(run)))
-			}
-			tm.SpillCount++
-		}
+		r := partition(p.Key, job.GroupPrefix, job.NumReducers)
+		parts[r] = append(parts[r], p)
 	}
 	segs := make([][]byte, job.NumReducers)
 	tm.PartitionBytes = make([]int64, job.NumReducers)
-	for r, run := range runs() {
-		if tm.SpillCount > 0 {
-			run = mergeRuns(append([][]Pair{run}, spilled[r]...))
-		}
+	for r, run := range parts {
+		sortPairs(run)
 		seg := encodeRun(run)
 		segs[r] = seg
 		tm.PartitionBytes[r] = int64(len(seg))
@@ -74,27 +52,20 @@ func oracleMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetr
 }
 
 // bufferMapOutput runs the same emissions through the map buffer.
-func bufferMapOutput(t *testing.T, job *Job, emitted []Pair, limit uint64) ([][]byte, TaskMetrics) {
+func bufferMapOutput(t *testing.T, job *Job, emitted []Pair) ([][]byte, TaskMetrics) {
 	t.Helper()
 	if job.Buffers == nil {
 		job.Buffers = NewBuffers(1)
 	}
 	buf := newMapBuffer(job, 0)
 	defer buf.release()
-	if limit > 0 {
-		buf.limit = limit
-	}
 	for _, p := range emitted {
 		if err := buf.Emit(p.Key, p.Value); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var tm TaskMetrics
-	segs, err := buf.finish(&tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return segs, tm
+	return buf.finish(&tm), tm
 }
 
 func sameMapOutput(t *testing.T, label string, got, want [][]byte, gotTM, wantTM TaskMetrics) {
@@ -110,46 +81,76 @@ func sameMapOutput(t *testing.T, label string, got, want [][]byte, gotTM, wantTM
 }
 
 // TestMapBufferMatchesOracle pins the buffer byte for byte — segments,
-// spill count and bytes, PartitionBytes, OutputRecords — to the
-// materialized map side it replaced, across group prefixes and spill
-// thresholds.
+// PartitionBytes, OutputRecords — to the materialized map side it
+// replaced, across group prefixes.
 func TestMapBufferMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, w := range []int{0, 3} {
-		for _, spill := range []int{0, 1, 7} {
-			job := &Job{NumReducers: 3, GroupPrefix: w, SpillPairs: spill}
-			label := fmt.Sprintf("w=%d/spill=%d", w, spill)
-			for trial := 0; trial < 12; trial++ {
-				emitted := bufferPairs(rng, rng.Intn(60))
-				want, wantTM := oracleMapOutput(t, job, emitted)
-				got, gotTM := bufferMapOutput(t, job, emitted, 0)
-				sameMapOutput(t, fmt.Sprintf("%s trial %d", label, trial), got, want, gotTM, wantTM)
-			}
+		job := &Job{NumReducers: 3, GroupPrefix: w}
+		for trial := 0; trial < 36; trial++ {
+			emitted := bufferPairs(rng, rng.Intn(60))
+			want, wantTM := oracleMapOutput(job, emitted)
+			got, gotTM := bufferMapOutput(t, job, emitted)
+			sameMapOutput(t, fmt.Sprintf("w=%d trial %d", w, trial), got, want, gotTM, wantTM)
 		}
 	}
 }
 
-// TestMapBufferArenaLimit pins the offset guard: a partition arena that
-// cannot take the next record forces a spill instead of wrapping its
-// uint32 offsets (the merged output is unchanged), and a record no empty
-// arena can hold is a typed error.
+// TestMapBufferArenaLimit pins the offset guard: a record the partition
+// arena cannot take is a typed error, not a wrapped uint32 offset, and
+// the arena keeps what it held.
 func TestMapBufferArenaLimit(t *testing.T) {
-	job := &Job{NumReducers: 2}
-	emitted := bufferPairs(rand.New(rand.NewSource(4)), 200)
-	want, wantTM := oracleMapOutput(t, job, emitted)
-	got, gotTM := bufferMapOutput(t, job, emitted, 256)
-	if gotTM.SpillCount == 0 || gotTM.SpillBytes == 0 {
-		t.Fatalf("a 256-byte arena never spilled: %+v", gotTM)
-	}
-	gotTM.SpillCount, gotTM.SpillBytes = 0, 0
-	sameMapOutput(t, "limit=256", got, want, gotTM, wantTM)
-
+	job := &Job{NumReducers: 1, Buffers: NewBuffers(1)}
 	buf := newMapBuffer(job, 0)
 	defer buf.release()
 	buf.limit = 256
-	err := buf.Emit([]byte("k"), make([]byte, 300))
+	if err := buf.Emit([]byte("k"), make([]byte, 200)); err != nil {
+		t.Fatal(err)
+	}
+	err := buf.Emit([]byte("k"), make([]byte, 100))
 	if !errors.Is(err, ErrMapOutputTooLarge) {
-		t.Fatalf("oversized record: got %v, want ErrMapOutputTooLarge", err)
+		t.Fatalf("record past the arena limit: got %v, want ErrMapOutputTooLarge", err)
+	}
+	var tm TaskMetrics
+	buf.finish(&tm)
+	if tm.OutputRecords != 1 {
+		t.Fatalf("arena holds %d records after the refused one, want 1", tm.OutputRecords)
+	}
+}
+
+// arenaLimitMapper lowers its task's arena limit before the first Emit,
+// so a few records overflow it.
+type arenaLimitMapper struct{}
+
+func (arenaLimitMapper) Map(ctx *Context, key, value []byte, out Emitter) error {
+	out.(*mapBuffer).limit = 64
+	return wordCountMapper.Map(ctx, key, value, out)
+}
+
+// TestMapOutputTooLargeFailsTask runs a job whose map output overflows a
+// lowered arena limit: every attempt fails with ErrMapOutputTooLarge
+// (wrapped), and the job leaves no temporary files, in the DFS or on
+// local disk.
+func TestMapOutputTooLargeFailsTask(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	fs := newFS()
+	writeFaultInput(t, fs)
+	job := faultJob(fs, "out")
+	job.Mapper = arenaLimitMapper{}
+	job.Retry = RetryPolicy{MaxAttempts: 2}
+	m, err := Run(job)
+	if !errors.Is(err, ErrMapOutputTooLarge) {
+		t.Fatalf("Run = %v, want an error wrapping ErrMapOutputTooLarge", err)
+	}
+	if m != nil && len(m.ReduceTasks) > 0 {
+		t.Fatalf("%d reduce tasks ran after the map phase failed", len(m.ReduceTasks))
+	}
+	if files := fs.List(""); len(files) != 1 || files[0] != "in" {
+		t.Fatalf("DFS holds %v after the failed job, want only the input", files)
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+		t.Fatalf("local temporary directory holds %v (%v) after the failed job", left, err)
 	}
 }
 
@@ -169,7 +170,6 @@ func scribblePooledBuffers(job *Job, n int) {
 		for _, p := range b.parts[:cap(b.parts)] {
 			fill(p.data)
 		}
-		fill(b.run)
 		bufs[i] = b
 	}
 	for _, b := range bufs {
@@ -185,58 +185,55 @@ func scribblePooledBuffers(job *Job, n int) {
 func TestMapBufferPoolNoAlias(t *testing.T) {
 	fs := newFS()
 	writeFaultInput(t, fs)
-	for _, spill := range []int{0, 5} {
-		job := faultJob(fs, "out")
-		job.Mapper = &aggWordCountMapper{}
-		job.SpillPairs = spill
-		job.Buffers = NewBuffers(runtime.GOMAXPROCS(0) + 2)
-		if err := job.fillDefaults(); err != nil {
-			t.Fatal(err)
-		}
-		splits, err := fs.Splits("in")
+	job := faultJob(fs, "out")
+	job.Mapper = &aggWordCountMapper{}
+	job.Buffers = NewBuffers(runtime.GOMAXPROCS(0) + 2)
+	if err := job.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	splits, err := fs.Splits("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][][]byte, len(splits))
+	for i, s := range splits {
+		res, _, err := runMapTask(&job, i, 1, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([][][]byte, len(splits))
-		for i, s := range splits {
-			res, _, err := runMapTask(&job, i, 1, s, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, seg := range res.parts {
-				want[i] = append(want[i], bytes.Clone(seg))
-			}
+		for _, seg := range res.parts {
+			want[i] = append(want[i], bytes.Clone(seg))
 		}
+	}
 
-		const attempts = 2
-		got := make([][attempts]mapResult, len(splits))
-		var wg sync.WaitGroup
-		for i := range splits {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for a := 0; a < attempts; a++ {
-					res, _, err := runMapTask(&job, i, a+1, splits[i], nil)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					got[i][a] = res
-					scribblePooledBuffers(&job, 2)
+	const attempts = 2
+	got := make([][attempts]mapResult, len(splits))
+	var wg sync.WaitGroup
+	for i := range splits {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for a := 0; a < attempts; a++ {
+				res, _, err := runMapTask(&job, i, a+1, splits[i], nil)
+				if err != nil {
+					t.Error(err)
+					return
 				}
-			}(i)
-		}
-		wg.Wait()
-		scribblePooledBuffers(&job, runtime.GOMAXPROCS(0)+2)
-		for i := range got {
-			for a, res := range got[i] {
-				if len(res.parts) != len(want[i]) {
-					t.Fatalf("spill=%d task %d attempt %d: %d segments, want %d", spill, i, a+1, len(res.parts), len(want[i]))
-				}
-				for r, seg := range res.parts {
-					if !bytes.Equal(seg, want[i][r]) {
-						t.Fatalf("spill=%d task %d attempt %d: segment %d changed after its buffer was recycled", spill, i, a+1, r)
-					}
+				got[i][a] = res
+				scribblePooledBuffers(&job, 2)
+			}
+		}(i)
+	}
+	wg.Wait()
+	scribblePooledBuffers(&job, runtime.GOMAXPROCS(0)+2)
+	for i := range got {
+		for a, res := range got[i] {
+			if len(res.parts) != len(want[i]) {
+				t.Fatalf("task %d attempt %d: %d segments, want %d", i, a+1, len(res.parts), len(want[i]))
+			}
+			for r, seg := range res.parts {
+				if !bytes.Equal(seg, want[i][r]) {
+					t.Fatalf("task %d attempt %d: segment %d changed after its buffer was recycled", i, a+1, r)
 				}
 			}
 		}

@@ -209,11 +209,6 @@ type Job struct {
 	// share one reuse each other's; a job without one gets its own,
 	// dropped when its map phase ends.
 	Buffers *Buffers
-	// SpillPairs bounds the map-output pairs buffered in memory: when the
-	// buffer reaches this count it is sorted and spilled to
-	// local disk as one run, and the runs are k-way merged at task end
-	// (Hadoop's io.sort.mb behaviour). 0 keeps everything in memory.
-	SpillPairs int
 	// Retry configures per-task attempt retries (Hadoop's
 	// mapred.{map,reduce}.max.attempts analogue). The zero value runs
 	// each task exactly once.
@@ -427,10 +422,9 @@ type TaskMetrics struct {
 	Locations []int `json:"locations,omitempty"`
 	// PeakMemory is the task's budget high-water mark.
 	PeakMemory int64 `json:"peak_memory,omitempty"`
-	// SpillCount and SpillBytes describe map-side spills (zero when the
-	// whole output fit in memory).
-	SpillCount int   `json:"spills,omitempty"`
-	SpillBytes int64 `json:"spill_bytes,omitempty"`
+	// SpillCount is always zero: map output stays in memory until the
+	// reduce phase. It is kept for readers of the field.
+	SpillCount int `json:"spills,omitempty"`
 	// Attempts is how many attempts this task ran (1 = no retries).
 	Attempts int `json:"attempts"`
 	// AttemptCosts is every attempt's measured cost in order; the last

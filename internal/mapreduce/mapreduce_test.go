@@ -647,6 +647,36 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 }
 
+// TestTextInputKeyAndBytes: a Text mapper gets each line with an empty
+// key, and a map task's InputBytes is its block's length.
+func TestTextInputKeyAndBytes(t *testing.T) {
+	fs := newFS()
+	writeFaultInput(t, fs)
+	splits, err := fs.Splits("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := faultJob(fs, "out")
+	job.Mapper = MapFunc(func(ctx *Context, key, value []byte, out Emitter) error {
+		if len(key) != 0 {
+			return fmt.Errorf("line %q has key %q, want none", value, key)
+		}
+		return wordCountMapper.Map(ctx, key, value, out)
+	})
+	m, err := Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(splits) < 2 || len(m.MapTasks) != len(splits) {
+		t.Fatalf("%d map tasks for %d splits, want several", len(m.MapTasks), len(splits))
+	}
+	for i, mt := range m.MapTasks {
+		if mt.InputBytes != int64(splits[i].Bytes) {
+			t.Fatalf("map task %d read %d bytes of a %d-byte block", i, mt.InputBytes, splits[i].Bytes)
+		}
+	}
+}
+
 func TestTextOutputFormat(t *testing.T) {
 	fs := newFS()
 	WriteTextFile(fs, "in", []string{"b a"})

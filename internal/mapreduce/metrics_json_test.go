@@ -19,7 +19,6 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 			OutputRecords: 20, OutputBytes: 2000,
 			PartitionBytes: []int64{900, 1100},
 			Locations:      []int{0, 2}, PeakMemory: 1 << 16,
-			SpillCount: 2, SpillBytes: 4096,
 			Attempts: 2, AttemptCosts: []time.Duration{time.Millisecond, 5 * time.Millisecond},
 		}},
 		ReduceTasks: []TaskMetrics{{

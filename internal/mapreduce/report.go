@@ -8,7 +8,7 @@ import (
 )
 
 // Report renders a human-readable job summary, in the spirit of Hadoop's
-// job-completion report: task counts, data volumes, skew, spills, and
+// job-completion report: task counts, data volumes, skew, retries and
 // counters. Tools print it under a verbose flag.
 func (m *Metrics) Report() string {
 	var b strings.Builder
@@ -41,9 +41,6 @@ func (m *Metrics) Report() string {
 	if m.SideBytes > 0 {
 		fmt.Fprintf(&b, "  side files broadcast: %s\n", bytesH(m.SideBytes))
 	}
-	if mapAgg.spills > 0 {
-		fmt.Fprintf(&b, "  map spills: %d (%s to local disk)\n", mapAgg.spills, bytesH(mapAgg.spillBytes))
-	}
 	if retried := mapAgg.retried + redAgg.retried; retried > 0 {
 		fmt.Fprintf(&b, "  task retries: %d task(s) re-executed, %d failed attempt(s), %v wasted\n",
 			retried, mapAgg.extraAttempts+redAgg.extraAttempts,
@@ -66,8 +63,6 @@ func (m *Metrics) Report() string {
 type taskAgg struct {
 	inRecs, inBytes, outRecs, outBytes int64
 	cost, maxCost                      time.Duration
-	spills                             int
-	spillBytes                         int64
 	retried, extraAttempts             int
 	wasted                             time.Duration
 }
@@ -83,8 +78,6 @@ func aggregate(tasks []TaskMetrics) taskAgg {
 		if t.Cost > a.maxCost {
 			a.maxCost = t.Cost
 		}
-		a.spills += t.SpillCount
-		a.spillBytes += t.SpillBytes
 		if t.Attempts > 1 {
 			a.retried++
 			a.extraAttempts += t.Attempts - 1

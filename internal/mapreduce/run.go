@@ -387,9 +387,13 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 			return mapResult{}, tm, fmt.Errorf("map task %d setup: %w", taskID, err)
 		}
 	}
-	err := readSplit(job.FS, job.formatFor(split.File), split, func(key, value []byte) error {
+	format := job.formatFor(split.File)
+	err := readSplit(job.FS, format, split, func(key, value []byte) error {
 		tm.InputRecords++
 		sink.read += int64(len(key) + len(value))
+		if format == Text {
+			sink.read++ // the newline: the DFS writers end every line with one
+		}
 		return mapper.Map(ctx, key, value, sink)
 	})
 	tm.InputBytes = sink.read
@@ -402,11 +406,7 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 		}
 	}
 
-	// Sort, merge spilled runs, and encode the final per-reducer segments.
-	parts, err := sink.finish(&tm)
-	if err != nil {
-		return mapResult{}, tm, fmt.Errorf("map task %d: %w", taskID, err)
-	}
+	parts := sink.finish(&tm)
 	tm.Cost = time.Since(start)
 	tm.PeakMemory = ctx.Memory.Peak()
 	tm.Locations = append([]int(nil), split.Locations...)

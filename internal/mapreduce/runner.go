@@ -135,7 +135,6 @@ type JobSpec struct {
 	SideFiles            []string
 	Conf                 map[string]string
 	MemoryLimit          int64
-	SpillPairs           int
 	Program              string
 	ProgramSpec          string
 }
@@ -154,7 +153,6 @@ func (j *Job) Spec() JobSpec {
 		SideFiles:            j.SideFiles,
 		Conf:                 j.Conf,
 		MemoryLimit:          j.MemoryLimit,
-		SpillPairs:           j.SpillPairs,
 		Program:              j.Program,
 		ProgramSpec:          j.ProgramSpec,
 	}
@@ -183,7 +181,6 @@ func JobFromSpec(s JobSpec, fs dfs.Storage) (Job, error) {
 		SideFiles:            s.SideFiles,
 		Conf:                 s.Conf,
 		MemoryLimit:          s.MemoryLimit,
-		SpillPairs:           s.SpillPairs,
 		Mapper:               prog.Mapper,
 		Reducer:              prog.Reducer,
 		Program:              s.Program,

@@ -240,7 +240,6 @@ func TestParallelismByteIdenticalOutput(t *testing.T) {
 			Mapper:      &aggWordCountMapper{},
 			Reducer:     sumReducer,
 			NumReducers: 3,
-			SpillPairs:  8,
 			Parallelism: par,
 		})
 		if err != nil {

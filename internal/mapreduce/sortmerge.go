@@ -3,13 +3,10 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
-	"os"
-	"path/filepath"
 )
 
-// This file holds the map-output machinery: sorted-run encoding, k-way
-// merging and map-side spills (Hadoop's io.sort.mb behaviour). Map tasks
+// This file holds the reduce side of the shuffle: the engine's sort
+// order and the k-way merge of the map tasks' sorted segments. Map tasks
 // hand reducers *encoded* segments, so PartitionBytes is the actual wire
 // size of the shuffle.
 //
@@ -232,87 +229,4 @@ func (g *groupStream) next() ([]Pair, error) {
 		}
 		g.buf = append(g.buf, p)
 	}
-}
-
-// mapSpills stores sorted, partitioned runs on local disk during a map
-// task. Each spill is one file: [numPartitions][len u64]... then the
-// concatenated encoded runs.
-type mapSpills struct {
-	dir    string
-	files  []string
-	parts  int
-	bytes  int64
-	spills int
-}
-
-func newMapSpills(parts int) (*mapSpills, error) {
-	dir, err := os.MkdirTemp("", "mapreduce-spill-")
-	if err != nil {
-		return nil, err
-	}
-	return &mapSpills{dir: dir, parts: parts}, nil
-}
-
-// add writes one spill: run(r) yields partition r's sorted run in Pairs
-// encoding, valid until the next call, so a spill leaves nothing
-// per-partition on the heap.
-func (ms *mapSpills) add(run func(r int) ([]byte, error)) error {
-	name := filepath.Join(ms.dir, fmt.Sprintf("spill-%d", ms.spills))
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var hdr [8]byte
-	for r := 0; r < ms.parts; r++ {
-		enc, err := run(r)
-		if err != nil {
-			return err
-		}
-		binary.BigEndian.PutUint64(hdr[:], uint64(len(enc)))
-		if _, err := f.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := f.Write(enc); err != nil {
-			return err
-		}
-		ms.bytes += int64(8 + len(enc))
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	ms.files = append(ms.files, name)
-	ms.spills++
-	return nil
-}
-
-// load reads back partition r's run from every spill.
-func (ms *mapSpills) load(r int) ([][]byte, error) {
-	out := make([][]byte, 0, len(ms.files))
-	for _, name := range ms.files {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		for p := 0; p < ms.parts; p++ {
-			if len(data) < 8 {
-				return nil, fmt.Errorf("mapreduce: truncated spill %s", name)
-			}
-			n := binary.BigEndian.Uint64(data[:8])
-			data = data[8:]
-			if uint64(len(data)) < n {
-				return nil, fmt.Errorf("mapreduce: truncated spill %s", name)
-			}
-			if p == r {
-				out = append(out, data[:n])
-				break
-			}
-			data = data[n:]
-		}
-	}
-	return out, nil
-}
-
-func (ms *mapSpills) close() {
-	os.RemoveAll(ms.dir)
 }

@@ -51,7 +51,7 @@ const (
 	PhaseStart EventType = "phase-start"
 	PhaseEnd   EventType = "phase-end"
 	// AttemptStart begins one numbered task attempt; AttemptEnd commits
-	// it (carrying cost, records, bytes, and spill figures); AttemptFail
+	// it (carrying cost, records and bytes); AttemptFail
 	// records a failed attempt (injected fault, panic, timeout, error)
 	// whose effects were rolled back.
 	AttemptStart EventType = "attempt-start"
@@ -92,13 +92,11 @@ type Event struct {
 	Attempt int    `json:"attempt,omitempty"`
 	Node    int    `json:"node,omitempty"`
 
-	Cost       int64 `json:"cost_ns,omitempty"`
-	InRecs     int64 `json:"in_recs,omitempty"`
-	InBytes    int64 `json:"in_bytes,omitempty"`
-	OutRecs    int64 `json:"out_recs,omitempty"`
-	OutBytes   int64 `json:"out_bytes,omitempty"`
-	SpillCount int   `json:"spills,omitempty"`
-	SpillBytes int64 `json:"spill_bytes,omitempty"`
+	Cost     int64 `json:"cost_ns,omitempty"`
+	InRecs   int64 `json:"in_recs,omitempty"`
+	InBytes  int64 `json:"in_bytes,omitempty"`
+	OutRecs  int64 `json:"out_recs,omitempty"`
+	OutBytes int64 `json:"out_bytes,omitempty"`
 
 	Start int64  `json:"start_ns,omitempty"`
 	End   int64  `json:"end_ns,omitempty"`

@@ -13,8 +13,7 @@ func sampleTrace() *Trace {
 		{Type: JobStart, T: 200, Job: "s1-bto-count", Detail: "inputs=2 reducers=4"},
 		{Type: AttemptStart, T: 250, Job: "s1-bto-count", Phase: PhaseMap, Task: 0, Attempt: 1},
 		{Type: AttemptEnd, T: 300, Job: "s1-bto-count", Phase: PhaseMap, Task: 0, Attempt: 1,
-			Cost: 12345, InRecs: 10, InBytes: 1000, OutRecs: 40, OutBytes: 2000,
-			SpillCount: 1, SpillBytes: 512},
+			Cost: 12345, InRecs: 10, InBytes: 1000, OutRecs: 40, OutBytes: 2000},
 		{Type: AttemptFail, T: 350, Job: "s1-bto-count", Phase: PhaseReduce, Task: 2, Attempt: 1,
 			Cost: 99, Err: "injected fault"},
 		{Type: AttemptStart, T: 450, Job: "s1-bto-count", Phase: PhaseReduce, Task: 2, Attempt: 2},

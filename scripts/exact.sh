@@ -1,8 +1,19 @@
 #!/bin/sh
 # exact.sh <parent-rev>: the exactness gate. It runs the same 24
-# fuzzyjoin joins with the parent revision and with the working tree,
-# compares every output file with cmp and every -stats line with diff
-# (timings cut), prints each difference and exits 1 if there is one.
+# fuzzyjoin joins with the parent revision and with the working tree
+# and gives three verdicts, printing every difference:
+#
+#   outputs          every output file compared with cmp
+#   counter lines    every -stats line but the job-report lines, timings
+#                    cut: counters, pair counts, stage and job headers
+#   job-report lines the engine's per-job "map:", "reduce:", "shuffle:"
+#                    and "side files" lines, timings cut: task counts
+#                    and byte volumes, which move with the split size or
+#                    the input accounting while every counter holds
+#
+# It exits 1 if any output or counter line differs, 2 if only job-report
+# lines differ (printed again under their own heading), and 0 if all
+# three are equal, so no difference passes silently.
 #
 #   inputs     testdata/pubs.tsv; a 5k datagen corpus (-n 5000 -seed 42);
 #              that corpus (R) joined with 2,500 CiteseerX-shaped records
@@ -14,8 +25,9 @@
 #
 # The parent is built from a git worktree under .bench_build/exact/
 # (scripts/sides.sh), which is removed again on exit; the inputs,
-# outputs and -stats files stay in .bench_build/exact/ for inspection. A change that moves a
-# counter on purpose shows the diff here and says so in CHANGES.md.
+# outputs and -stats files stay in .bench_build/exact/ for inspection. A
+# change that moves a counter or a report line on purpose shows the diff
+# here and says so in CHANGES.md.
 #
 # Usage: make exact PARENT=<rev>, or sh scripts/exact.sh <rev>.
 set -eu
@@ -35,9 +47,15 @@ cut_timings() {
 	LC_ALL=C sed -E 's/[0-9]+(\.[0-9]+)?(h|m|s|ms|µs|us|ns)([0-9]+(\.[0-9]+)?(m|s|ms|µs|us|ns))*([^A-Za-z0-9]|$)/T\6/g' "$1"
 }
 
+# report matches the job-report lines; the "job" headers go with them
+# so that their diff names its job.
+report='^(job |  (map|reduce|shuffle|side files))'
+
 joins=0
 outdiffs=0
-statdiffs=0
+counterdiffs=0
+reportdiffs=0
+: >"$dir/report.diff"
 for input in pubs dblp5k rs rsmirror; do
 	case $input in
 	pubs) args="-in testdata/pubs.tsv" ;;
@@ -66,17 +84,34 @@ for input in pubs dblp5k rs rsmirror; do
 				diff "$dir/$tag.parent.out" "$dir/$tag.change.out" | head -10
 				outdiffs=$((outdiffs + 1))
 			fi
-			cut_timings "$dir/$tag.parent.stats" >"$dir/$tag.parent.cut"
-			cut_timings "$dir/$tag.change.stats" >"$dir/$tag.change.cut"
+			for side in parent change; do
+				cut_timings "$dir/$tag.$side.stats" >"$dir/$tag.$side.cut"
+				grep -Ev "$report" "$dir/$tag.$side.cut" >"$dir/$tag.$side.counters" || true
+				grep -E "$report" "$dir/$tag.$side.cut" >"$dir/$tag.$side.report" || true
+			done
 			if ! diff -u --label "parent $tag" --label "change $tag" \
-				"$dir/$tag.parent.cut" "$dir/$tag.change.cut"; then
-				statdiffs=$((statdiffs + 1))
+				"$dir/$tag.parent.counters" "$dir/$tag.change.counters"; then
+				counterdiffs=$((counterdiffs + 1))
+			fi
+			if ! diff -u --label "parent $tag" --label "change $tag" \
+				"$dir/$tag.parent.report" "$dir/$tag.change.report" >>"$dir/report.diff"; then
+				reportdiffs=$((reportdiffs + 1))
 			fi
 			printf 'exact: %-30s %6d pairs\n' "$tag" "$(wc -l <"$dir/$tag.change.out")"
 		done
 	done
 done
 
+if [ "$reportdiffs" -gt 0 ]; then
+	echo "exact: job-report lines that differ (timings cut):"
+	cat "$dir/report.diff"
+fi
 echo "exact: outputs: $((joins - outdiffs)) of $joins cmp-equal"
-echo "exact: -stats (timings cut): $((joins - statdiffs)) of $joins equal"
-[ "$outdiffs" -eq 0 ] && [ "$statdiffs" -eq 0 ]
+echo "exact: counter lines (timings cut): $((joins - counterdiffs)) of $joins equal"
+echo "exact: job-report lines (timings cut): $((joins - reportdiffs)) of $joins equal"
+if [ "$outdiffs" -gt 0 ] || [ "$counterdiffs" -gt 0 ]; then
+	exit 1
+fi
+if [ "$reportdiffs" -gt 0 ]; then
+	exit 2
+fi
