@@ -49,6 +49,7 @@ race:
 	$(GO) test -race -count=10 -run TestOPRJTasksSharePairViews ./internal/core
 	$(GO) test -race -count=10 -run TestPKKernelStatePerAttempt ./internal/core
 	$(GO) test -race -count=10 -run 'TestConcurrentHistory|TestConcurrentMatchAddReorder' ./internal/ssjserve
+	$(GO) test -race -count=10 -run 'TestFetchServedWhileTasksRun|TestPipelinedWriter|TestWorkersFreeMapOutputs' ./internal/distrib
 
 tier1: build fmt test vet staticcheck race
 
@@ -124,14 +125,19 @@ serve-smoke:
 	@echo "serve metrics in serve-out/metrics.json"
 
 # conformance-dist exercises the distributed backend: a dist-only sweep
-# on two forked worker processes, a chaos sweep that SIGKILLs workers
+# on two forked worker processes, two chaos sweeps that SIGKILL workers
 # mid-task on a seeded schedule (output must still match the oracle
-# exactly), and an end-to-end traced CLI run whose per-attempt worker
+# exactly; kills that land on workers holding committed map outputs make
+# the coordinator recompute them; two kill schedules, because which
+# worker holds what depends on timing, so one schedule can miss every
+# holder), and an end-to-end traced CLI run whose per-attempt worker
 # ids land in dist-out/trace.jsonl.
 conformance-dist:
 	$(GO) run ./cmd/ssjcheck -seed 1 -records 40 -exec dist -workers 2 -invariants=false
 	$(GO) run ./cmd/ssjcheck -seed 2 -records 40 -exec dist -workers 3 \
 		-chaos 0.4 -chaos-seed 7 -combo BTO-PK-BRJ,OPTO-BK-OPRJ,BTO-FVT-BRJ -invariants=false
+	$(GO) run ./cmd/ssjcheck -seed 2 -records 40 -exec dist -workers 3 \
+		-chaos 0.4 -chaos-seed 1 -combo BTO-PK-BRJ,OPTO-BK-OPRJ,BTO-FVT-BRJ -invariants=false
 	@mkdir -p dist-out
 	$(GO) run ./cmd/fuzzyjoin -in testdata/pubs.tsv -workers 2 \
 		-trace -trace-out dist-out -out dist-out/pairs.txt

@@ -171,8 +171,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		failures += len(rep.Divergences)
 		if sess != nil && *chaos > 0 {
-			fmt.Fprintf(stdout, "chaos: %d worker kill(s) fired, %d worker(s) still live\n",
-				sess.Runner.Kills(), sess.Coord.LiveWorkers())
+			fmt.Fprintf(stdout, "chaos: %d worker kill(s) fired, %d worker(s) still live, %d map output(s) recomputed\n",
+				sess.Runner.Kills(), sess.Coord.LiveWorkers(), sess.Stats().Recomputed)
 		}
 	}
 	if *invariants {

@@ -10,7 +10,7 @@
 // -only selects a comma-separated subset of experiment names (fig8, fig9,
 // table1, fig11, table2, fig12, fig13, fig14, groups, skew, blocks,
 // filters, kernels, fvt, routing, combiner, singlestage, tau, faults,
-// planner).
+// planner); an unknown name is a usage error (exit 2).
 //
 // "planner" sweeps the cost planner against a hand-tuned grid on three
 // Zipf-skewed workloads; -planner-out FILE records the ablation as JSON
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -71,13 +72,44 @@ func main() {
 		p.MemoryPerTask = *mem
 	}
 
-	want := map[string]bool{}
-	for _, n := range strings.Split(*only, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			want[n] = true
-		}
+	s := experiments.NewSuite(p)
+	type renderer interface{ Render() string }
+	type svger interface{ SVG() string }
+	suite := []struct {
+		name string
+		fn   func() (renderer, error)
+	}{
+		{"fig8", func() (renderer, error) { return s.Fig8() }},
+		{"fig9", func() (renderer, error) { return s.Fig9() }},
+		{"table1", func() (renderer, error) { return s.Table1() }},
+		{"fig11", func() (renderer, error) { return s.Fig11() }},
+		{"table2", func() (renderer, error) { return s.Table2() }},
+		{"fig12", func() (renderer, error) { return s.Fig12() }},
+		{"fig13", func() (renderer, error) { return s.Fig13() }},
+		{"fig14", func() (renderer, error) { return s.Fig14() }},
+		{"groups", func() (renderer, error) { return s.GroupAblation() }},
+		{"skew", func() (renderer, error) { return s.SkewStats() }},
+		{"blocks", func() (renderer, error) { return s.BlockProcessing() }},
+		{"filters", func() (renderer, error) { return s.FilterAblation() }},
+		{"kernels", func() (renderer, error) { return s.KernelStats() }},
+		{"fvt", func() (renderer, error) { return s.FVTAblation() }},
+		{"routing", func() (renderer, error) { return s.RoutingAblation() }},
+		{"combiner", func() (renderer, error) { return s.CombinerAblation() }},
+		{"singlestage", func() (renderer, error) { return s.SingleStage() }},
+		{"tau", func() (renderer, error) { return s.ThresholdSweep() }},
+		{"faults", func() (renderer, error) { return s.FaultAblation() }},
+		{"planner", func() (renderer, error) { return s.PlannerAblation() }},
 	}
-	selected := func(name string) bool { return len(want) == 0 || want[name] }
+	var names []string
+	for _, e := range suite {
+		names = append(names, e.name)
+	}
+	want, err := selectExperiments(*only, names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ssjexp:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	fmt.Printf("fuzzyjoin experiment suite — base DBLP-like %d recs, CITESEERX-like %d recs, seed %d, tau %.2f\n",
 		p.BaseRecords, p.BaseRecordsS, p.Seed, p.Threshold)
@@ -101,15 +133,13 @@ func main() {
 		fmt.Printf("[wrote %s]\n", path)
 	}
 
-	s := experiments.NewSuite(p)
-	type renderer interface{ Render() string }
-	type svger interface{ SVG() string }
-	run := func(name string, fn func() (renderer, error)) {
-		if !selected(name) {
-			return
+	for _, e := range suite {
+		name := e.name
+		if len(want) > 0 && !want[name] {
+			continue
 		}
 		start := time.Now()
-		r, err := fn()
+		r, err := e.fn()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
@@ -134,27 +164,6 @@ func main() {
 		}
 		fmt.Printf("[%s ran in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("fig8", func() (renderer, error) { return s.Fig8() })
-	run("fig9", func() (renderer, error) { return s.Fig9() })
-	run("table1", func() (renderer, error) { return s.Table1() })
-	run("fig11", func() (renderer, error) { return s.Fig11() })
-	run("table2", func() (renderer, error) { return s.Table2() })
-	run("fig12", func() (renderer, error) { return s.Fig12() })
-	run("fig13", func() (renderer, error) { return s.Fig13() })
-	run("fig14", func() (renderer, error) { return s.Fig14() })
-	run("groups", func() (renderer, error) { return s.GroupAblation() })
-	run("skew", func() (renderer, error) { return s.SkewStats() })
-	run("blocks", func() (renderer, error) { return s.BlockProcessing() })
-	run("filters", func() (renderer, error) { return s.FilterAblation() })
-	run("kernels", func() (renderer, error) { return s.KernelStats() })
-	run("fvt", func() (renderer, error) { return s.FVTAblation() })
-	run("routing", func() (renderer, error) { return s.RoutingAblation() })
-	run("combiner", func() (renderer, error) { return s.CombinerAblation() })
-	run("singlestage", func() (renderer, error) { return s.SingleStage() })
-	run("tau", func() (renderer, error) { return s.ThresholdSweep() })
-	run("faults", func() (renderer, error) { return s.FaultAblation() })
-	run("planner", func() (renderer, error) { return s.PlannerAblation() })
 
 	if *traceOn {
 		start := time.Now()
@@ -182,4 +191,20 @@ func main() {
 		fmt.Printf("[trace demo: %d events, %d pairs, ran in %v]\n",
 			len(art.Events), art.Pairs, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// selectExperiments parses -only, a comma-separated subset of names; an
+// empty set runs every experiment.
+func selectExperiments(only string, names []string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, n := range strings.Split(only, ",") {
+		if n = strings.TrimSpace(n); n == "" {
+			continue
+		}
+		if !slices.Contains(names, n) {
+			return nil, fmt.Errorf("-only: unknown experiment %q (known: %s)", n, strings.Join(names, ", "))
+		}
+		want[n] = true
+	}
+	return want, nil
 }

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"fuzzyjoin/internal/freelist"
 )
@@ -67,6 +68,7 @@ type FS struct {
 }
 
 type file struct {
+	id     uint64 // Split.FileID
 	blocks [][]byte
 	sums   []uint32 // CRC32 (IEEE) per block, computed at write
 	locs   [][]int  // replica node IDs per block
@@ -144,7 +146,7 @@ func (fs *FS) Create(name string) (RecordWriter, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExist, name)
 	}
-	f := &file{}
+	f := &file{id: nextFileID.Add(1)}
 	fs.files[name] = f
 	return &Writer{fs: fs, name: name, f: f}, nil
 }
@@ -222,10 +224,19 @@ func (w *Writer) Close() error {
 
 // ---- Reading -------------------------------------------------------------
 
+// nextFileID numbers created files process-wide, so no two files of any
+// FS share an ID.
+var nextFileID atomic.Uint64
+
 // Split identifies one input split: a (file, block) pair plus its replica
 // locations.
 type Split struct {
-	File      string
+	File string
+	// FileID names the file's contents: Create assigns a new one (never
+	// 0) and Rename keeps it, so a name removed and created again gets a
+	// new ID. A file's blocks never change once written; caches of them
+	// key on FileID, never on File.
+	FileID    uint64
 	Block     int
 	Bytes     int
 	Records   int
@@ -244,6 +255,7 @@ func (fs *FS) Splits(name string) ([]Split, error) {
 	for i := range f.blocks {
 		out[i] = Split{
 			File:      name,
+			FileID:    f.id,
 			Block:     i,
 			Bytes:     len(f.blocks[i]),
 			Records:   f.nrecs[i],

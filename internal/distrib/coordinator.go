@@ -48,18 +48,18 @@ type writerHandle struct {
 
 type workerState struct {
 	id       int
-	index    int
 	addr     string
 	pid      int
 	lastBeat time.Time
 	dead     bool
 	inflight int
-	client   *rpc.Client
+	client   *client
 }
 
 // Coordinator is the cluster control plane: the worker registry with
 // heartbeat liveness, the lease table fencing worker writes, and the
-// RPC surface workers use to reach the in-process DFS instances.
+// RPC surface through which workers reach the in-process DFS instance
+// of their attempt's lease.
 type Coordinator struct {
 	ln        net.Listener
 	heartbeat time.Duration
@@ -68,13 +68,11 @@ type Coordinator struct {
 	closed     bool
 	workers    map[int]*workerState
 	nextWorker int
-	fsIDs      map[dfs.Storage]int64
-	fsByID     map[int64]dfs.Storage
-	nextFS     int64
-	leases     map[int64]*lease
+	leases     map[int64]*lease // granted ones
 	nextLease  int64
 	handles    map[int64]*writerHandle
 	nextHandle int64
+	stats      rpcStats // the coordinator's calls to workers
 }
 
 // NewCoordinator starts the RPC service on a loopback port and the
@@ -92,8 +90,6 @@ func NewCoordinator(heartbeat time.Duration) (*Coordinator, error) {
 		ln:        ln,
 		heartbeat: heartbeat,
 		workers:   map[int]*workerState{},
-		fsIDs:     map[dfs.Storage]int64{},
-		fsByID:    map[int64]dfs.Storage{},
 		leases:    map[int64]*lease{},
 		handles:   map[int64]*writerHandle{},
 	}
@@ -102,17 +98,34 @@ func NewCoordinator(heartbeat time.Duration) (*Coordinator, error) {
 		ln.Close()
 		return nil, err
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
+	go serve(ln, srv)
 	go c.monitor()
 	return c, nil
+}
+
+// serve accepts connections for srv until ln closes.
+func serve(ln net.Listener, srv *rpc.Server) {
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		go srv.ServeConn(conn)
+	}
+}
+
+// dialRetry dials addr with the shared deterministic backoff.
+func dialRetry(addr string, stats *rpcStats, key backoff.Key) (cl *client, err error) {
+	pol := backoff.Policy{Base: 5 * time.Millisecond, Factor: 2, Max: 200 * time.Millisecond}
+	for attempt := 1; attempt <= 6; attempt++ {
+		if d := pol.Delay(key, attempt); d > 0 {
+			time.Sleep(d)
+		}
+		if cl, err = dial(addr, stats); err == nil {
+			return cl, nil
+		}
+	}
+	return nil, err
 }
 
 // Addr is the coordinator's dialable RPC address.
@@ -122,18 +135,14 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 // notice on their next heartbeat and exit.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.closed = true
-	var clients []*rpc.Client
+	c.ln.Close()
 	for _, w := range c.workers {
 		if w.client != nil {
-			clients = append(clients, w.client)
+			w.client.Close()
 			w.client = nil
 		}
-	}
-	c.mu.Unlock()
-	c.ln.Close()
-	for _, cl := range clients {
-		cl.Close()
 	}
 }
 
@@ -177,29 +186,13 @@ func (c *Coordinator) revokeLocked(l *lease) {
 		return
 	}
 	l.state = leaseRevoked
+	delete(c.leases, l.id)
 	for _, h := range l.handles {
 		delete(c.handles, h)
 	}
 	for _, name := range l.files {
-		if l.fs.Exists(name) {
-			l.fs.Remove(name)
-		}
+		l.fs.Remove(name) // if it is there
 	}
-}
-
-// fsID lazily registers a storage instance for worker access. The
-// dispatcher runs in the coordinator's process, so the instance itself
-// stays local; workers address it by ID.
-func (c *Coordinator) fsID(st dfs.Storage) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id, ok := c.fsIDs[st]; ok {
-		return id
-	}
-	c.nextFS++
-	c.fsIDs[st] = c.nextFS
-	c.fsByID[c.nextFS] = st
-	return c.nextFS
 }
 
 func (c *Coordinator) grantLease(worker int, st dfs.Storage) *lease {
@@ -222,6 +215,7 @@ func (c *Coordinator) completeLease(l *lease) bool {
 		return false
 	}
 	l.state = leaseCompleted
+	delete(c.leases, l.id)
 	return true
 }
 
@@ -252,6 +246,16 @@ func (c *Coordinator) pickWorker() *workerState {
 	return best
 }
 
+// liveWorker returns worker id unless it is unknown or declared dead.
+func (c *Coordinator) liveWorker(id int) *workerState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w := c.workers[id]; w != nil && !w.dead {
+		return w
+	}
+	return nil
+}
+
 func (c *Coordinator) release(w *workerState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -268,39 +272,37 @@ func (c *Coordinator) workerFailed(id int) {
 	}
 }
 
-// liveWorkers counts workers currently considered alive.
-func (c *Coordinator) liveWorkers() int {
+// live returns the workers currently considered alive.
+func (c *Coordinator) live() []*workerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
+	var ws []*workerState
 	for _, w := range c.workers {
 		if !w.dead {
-			n++
+			ws = append(ws, w)
 		}
 	}
-	return n
+	return ws
 }
 
-// LiveWorkers is the exported view of liveWorkers, for tests and demos.
-func (c *Coordinator) LiveWorkers() int { return c.liveWorkers() }
+// LiveWorkers counts workers currently considered alive.
+func (c *Coordinator) LiveWorkers() int { return len(c.live()) }
 
 // WaitWorkers blocks until n workers have registered (or the timeout).
 func (c *Coordinator) WaitWorkers(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		if c.liveWorkers() >= n {
-			return nil
-		}
+	for c.LiveWorkers() < n {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("distrib: %d of %d workers registered before timeout", c.liveWorkers(), n)
+			return fmt.Errorf("distrib: %d of %d workers registered before timeout", c.LiveWorkers(), n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	return nil
 }
 
 // workerClient returns the dispatch connection to a worker, dialing it
 // with deterministic backoff on first use.
-func (c *Coordinator) workerClient(w *workerState) (*rpc.Client, error) {
+func (c *Coordinator) workerClient(w *workerState) (*client, error) {
 	c.mu.Lock()
 	if w.client != nil {
 		cl := w.client
@@ -309,18 +311,7 @@ func (c *Coordinator) workerClient(w *workerState) (*rpc.Client, error) {
 	}
 	addr := w.addr
 	c.mu.Unlock()
-	pol := backoff.Policy{Base: 5 * time.Millisecond, Factor: 2, Max: 100 * time.Millisecond}
-	var cl *rpc.Client
-	var err error
-	for attempt := 1; attempt <= 5; attempt++ {
-		if d := pol.Delay(backoff.Key{Scope: "distrib-dial", Sub: addr, ID: w.id}, attempt); d > 0 {
-			time.Sleep(d)
-		}
-		cl, err = rpc.Dial("tcp", addr)
-		if err == nil {
-			break
-		}
-	}
+	cl, err := dialRetry(addr, &c.stats, backoff.Key{Scope: "distrib-dial", Sub: addr, ID: w.id})
 	if err != nil {
 		return nil, fmt.Errorf("distrib: dial worker %d at %s: %w", w.id, addr, err)
 	}
@@ -351,7 +342,6 @@ func (r *coordRPC) Register(args RegisterArgs, reply *RegisterReply) error {
 	c.nextWorker++
 	w := &workerState{
 		id:       c.nextWorker,
-		index:    args.Index,
 		addr:     args.Addr,
 		pid:      args.PID,
 		lastBeat: time.Now(),
@@ -362,105 +352,72 @@ func (r *coordRPC) Register(args RegisterArgs, reply *RegisterReply) error {
 	return nil
 }
 
-// Heartbeat refreshes a worker's liveness. Erroring tells a worker
+// Heartbeat refreshes worker id's liveness. Erroring tells a worker
 // already declared dead (a zombie) to exit: its writes are fenced, its
 // tasks re-dispatched.
-func (r *coordRPC) Heartbeat(args HeartbeatArgs, _ *Ack) error {
+func (r *coordRPC) Heartbeat(id int, _ *Ack) error {
 	c := r.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.workers[args.ID]
+	w := c.workers[id]
 	if w == nil {
-		return fmt.Errorf("distrib: unknown worker %d", args.ID)
+		return fmt.Errorf("distrib: unknown worker %d", id)
 	}
 	if w.dead {
-		return fmt.Errorf("distrib: worker %d declared dead", args.ID)
+		return fmt.Errorf("distrib: worker %d declared dead", id)
 	}
 	w.lastBeat = time.Now()
 	return nil
 }
 
-func (r *coordRPC) storage(fs int64) (dfs.Storage, error) {
-	c := r.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.fsByID[fs]
-	if st == nil {
-		return nil, fmt.Errorf("distrib: unknown fs %d", fs)
+// storage is the FS of a granted lease: reads and writes alike are
+// served only to a live attempt.
+func (r *coordRPC) storage(lease int64) (dfs.Storage, error) {
+	r.c.mu.Lock()
+	defer r.c.mu.Unlock()
+	if l := r.c.leases[lease]; l != nil {
+		return l.fs, nil
 	}
-	return st, nil
-}
-
-// Splits serves input splits (reads are unfenced).
-func (r *coordRPC) Splits(args SplitsArgs, reply *SplitsReply) error {
-	st, err := r.storage(args.FS)
-	if err != nil {
-		return err
-	}
-	reply.Splits, err = st.Splits(args.Name)
-	return err
+	return nil, ErrLeaseRevoked
 }
 
 // Block serves one block of a file.
-func (r *coordRPC) Block(args BlockArgs, reply *BytesReply) error {
-	st, err := r.storage(args.FS)
+func (r *coordRPC) Block(args FileArgs, data *[]byte) error {
+	st, err := r.storage(args.Lease)
 	if err != nil {
 		return err
 	}
-	reply.Data, err = st.Block(args.Name, args.Index)
+	*data, err = st.Block(args.Name, args.Block)
 	return err
 }
 
-// ReadAll serves a whole file (side files, token orders).
-func (r *coordRPC) ReadAll(args NameArgs, reply *BytesReply) error {
-	st, err := r.storage(args.FS)
+// ReadAll serves a whole file (side files).
+func (r *coordRPC) ReadAll(args FileArgs, data *[]byte) error {
+	st, err := r.storage(args.Lease)
 	if err != nil {
 		return err
 	}
-	reply.Data, err = st.ReadAll(args.Name)
+	*data, err = st.ReadAll(args.Name)
 	return err
-}
-
-// Exists serves an existence check.
-func (r *coordRPC) Exists(args NameArgs, reply *BoolReply) error {
-	st, err := r.storage(args.FS)
-	if err != nil {
-		return err
-	}
-	reply.OK = st.Exists(args.Name)
-	return nil
-}
-
-// List serves a prefix listing.
-func (r *coordRPC) List(args NameArgs, reply *ListReply) error {
-	st, err := r.storage(args.FS)
-	if err != nil {
-		return err
-	}
-	reply.Names = st.List(args.Name)
-	return nil
 }
 
 // Create opens a file for writing under the given lease and returns a
 // write handle. The file is recorded on the lease so revocation can
 // remove it.
-func (r *coordRPC) Create(args CreateArgs, reply *CreateReply) error {
-	c := r.c
-	c.mu.Lock()
-	l := c.leases[args.Lease]
-	if l == nil || l.state != leaseGranted {
-		c.mu.Unlock()
-		return ErrLeaseRevoked
+func (r *coordRPC) Create(args FileArgs, handle *int64) error {
+	st, err := r.storage(args.Lease)
+	if err != nil {
+		return err
 	}
-	st := l.fs
-	c.mu.Unlock()
 	w, err := st.Create(args.Name)
 	if err != nil {
 		return err
 	}
+	c := r.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if l.state != leaseGranted {
+	l := c.leases[args.Lease]
+	if l == nil {
 		// Revoked while creating: seal and drop the file immediately.
 		w.Close()
 		st.Remove(args.Name)
@@ -470,71 +427,51 @@ func (r *coordRPC) Create(args CreateArgs, reply *CreateReply) error {
 	c.handles[c.nextHandle] = &writerHandle{lease: l, w: w}
 	l.files = append(l.files, args.Name)
 	l.handles = append(l.handles, c.nextHandle)
-	reply.Handle = c.nextHandle
+	*handle = c.nextHandle
 	return nil
 }
 
-// Append writes a record batch through a handle, fenced per batch on
-// the owning lease.
-func (r *coordRPC) Append(args AppendArgs, _ *Ack) error {
-	c := r.c
-	c.mu.Lock()
-	h := c.handles[args.Handle]
+// writer returns the open writer of a handle whose lease is granted,
+// forgetting the handle when close is set.
+func (r *coordRPC) writer(handle int64, close bool) (dfs.RecordWriter, error) {
+	r.c.mu.Lock()
+	defer r.c.mu.Unlock()
+	h := r.c.handles[handle]
 	if h == nil || h.lease.state != leaseGranted {
-		c.mu.Unlock()
-		return ErrLeaseRevoked
+		return nil, ErrLeaseRevoked
 	}
-	w := h.w
-	c.mu.Unlock()
-	for _, rec := range args.Records {
-		if err := w.Append(rec); err != nil {
+	if close {
+		delete(r.c.handles, handle)
+	}
+	return h.w, nil
+}
+
+// Append writes a record batch through a handle, fenced per batch on
+// the owning lease. The records are slices of the batch's one buffer;
+// the DFS writer copies them.
+func (r *coordRPC) Append(args AppendArgs, _ *Ack) error {
+	w, err := r.writer(args.Handle, false)
+	if err != nil {
+		return err
+	}
+	data := args.Data
+	for _, n := range args.Lens {
+		if int(n) > len(data) {
+			return errors.New("distrib: append batch shorter than its lengths")
+		}
+		if err := w.Append(data[:n]); err != nil {
 			return err
 		}
+		data = data[n:]
 	}
 	return nil
 }
 
 // CloseWriter seals a write handle.
-func (r *coordRPC) CloseWriter(args CloseArgs, _ *Ack) error {
-	c := r.c
-	c.mu.Lock()
-	h := c.handles[args.Handle]
-	if h == nil || h.lease.state != leaseGranted {
-		c.mu.Unlock()
-		return ErrLeaseRevoked
+func (r *coordRPC) CloseWriter(handle int64, _ *Ack) error {
+	w, err := r.writer(handle, true)
+	if err != nil {
+		return err
 	}
-	delete(c.handles, args.Handle)
-	w := h.w
-	c.mu.Unlock()
 	return w.Close()
-}
-
-// Rename renames under lease fencing. (Commit renames happen in the
-// coordinator's own process; this exists to complete the worker-side
-// Storage surface.)
-func (r *coordRPC) Rename(args RenameArgs, _ *Ack) error {
-	c := r.c
-	c.mu.Lock()
-	l := c.leases[args.Lease]
-	if l == nil || l.state != leaseGranted {
-		c.mu.Unlock()
-		return ErrLeaseRevoked
-	}
-	st := l.fs
-	c.mu.Unlock()
-	return st.Rename(args.Old, args.New)
-}
-
-// Remove removes under lease fencing.
-func (r *coordRPC) Remove(args RemoveArgs, _ *Ack) error {
-	c := r.c
-	c.mu.Lock()
-	l := c.leases[args.Lease]
-	if l == nil || l.state != leaseGranted {
-		c.mu.Unlock()
-		return ErrLeaseRevoked
-	}
-	st := l.fs
-	c.mu.Unlock()
-	return st.Remove(args.Name)
 }

@@ -23,7 +23,7 @@ func register(t *testing.T, c *Coordinator, index int) int {
 	t.Helper()
 	var reply RegisterReply
 	if err := (&coordRPC{c: c}).Register(RegisterArgs{
-		Addr: "127.0.0.1:1", PID: 0, Index: index,
+		Addr: "127.0.0.1:1", PID: index,
 	}, &reply); err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestRegistryConcurrent(t *testing.T) {
 						c.release(w)
 					}
 				case 1:
-					rpc.Heartbeat(HeartbeatArgs{ID: ids[(g+i)%len(ids)]}, &Ack{})
+					rpc.Heartbeat(ids[(g+i)%len(ids)], &Ack{})
 				case 2:
-					c.liveWorkers()
+					c.LiveWorkers()
 				case 3:
-					c.fsID(fs)
+					c.live()
 				case 4:
 					if i%50 == 0 {
 						c.workerFailed(ids[(g*31+i)%len(ids)])
@@ -85,17 +85,16 @@ func TestLeaseFencing(t *testing.T) {
 	rpc := &coordRPC{c: c}
 	fs := dfs.New(dfs.Options{BlockSize: 256, Nodes: 2})
 	id := register(t, c, 0)
-	fsid := c.fsID(fs)
 
 	l := c.grantLease(id, fs)
-	var created CreateReply
-	if err := rpc.Create(CreateArgs{FS: fsid, Lease: l.id, Name: "out/_temporary-x"}, &created); err != nil {
+	var created int64
+	if err := rpc.Create(FileArgs{Lease: l.id, Name: "out/_temporary-x"}, &created); err != nil {
 		t.Fatal(err)
 	}
-	if err := rpc.Append(AppendArgs{Handle: created.Handle, Records: [][]byte{[]byte("rec")}}, &Ack{}); err != nil {
+	if err := rpc.Append(AppendArgs{Handle: created, Data: []byte("rec"), Lens: []uint32{3}}, &Ack{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rpc.CloseWriter(CloseArgs{Handle: created.Handle}, &Ack{}); err != nil {
+	if err := rpc.CloseWriter(created, &Ack{}); err != nil {
 		t.Fatal(err)
 	}
 	if !fs.Exists("out/_temporary-x") {
@@ -106,7 +105,7 @@ func TestLeaseFencing(t *testing.T) {
 	if fs.Exists("out/_temporary-x") {
 		t.Error("revocation left the lease's file behind")
 	}
-	if err := rpc.Create(CreateArgs{FS: fsid, Lease: l.id, Name: "out/_temporary-y"}, &created); !errors.Is(err, ErrLeaseRevoked) {
+	if err := rpc.Create(FileArgs{Lease: l.id, Name: "out/_temporary-y"}, &created); !errors.Is(err, ErrLeaseRevoked) {
 		t.Errorf("Create on revoked lease: %v, want ErrLeaseRevoked", err)
 	}
 	if c.completeLease(l) {
@@ -116,10 +115,10 @@ func TestLeaseFencing(t *testing.T) {
 	// A fresh lease completes exactly once; afterwards it can't be revoked
 	// into removing committed files.
 	l2 := c.grantLease(id, fs)
-	if err := rpc.Create(CreateArgs{FS: fsid, Lease: l2.id, Name: "out/_temporary-z"}, &created); err != nil {
+	if err := rpc.Create(FileArgs{Lease: l2.id, Name: "out/_temporary-z"}, &created); err != nil {
 		t.Fatal(err)
 	}
-	if err := rpc.CloseWriter(CloseArgs{Handle: created.Handle}, &Ack{}); err != nil {
+	if err := rpc.CloseWriter(created, &Ack{}); err != nil {
 		t.Fatal(err)
 	}
 	if !c.completeLease(l2) {
@@ -142,24 +141,23 @@ func TestHeartbeatTimeoutMarksDead(t *testing.T) {
 	rpc := &coordRPC{c: c}
 	fs := dfs.New(dfs.Options{BlockSize: 256, Nodes: 2})
 	id := register(t, c, 0)
-	fsid := c.fsID(fs)
 	l := c.grantLease(id, fs)
-	var created CreateReply
-	if err := rpc.Create(CreateArgs{FS: fsid, Lease: l.id, Name: "out/_temporary-orphan"}, &created); err != nil {
+	var created int64
+	if err := rpc.Create(FileArgs{Lease: l.id, Name: "out/_temporary-orphan"}, &created); err != nil {
 		t.Fatal(err)
 	}
 
 	deadline := time.Now().Add(2 * time.Second)
-	for c.liveWorkers() > 0 && time.Now().Before(deadline) {
+	for c.LiveWorkers() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := c.liveWorkers(); n != 0 {
+	if n := c.LiveWorkers(); n != 0 {
 		t.Fatalf("live workers = %d after heartbeat loss, want 0", n)
 	}
 	if fs.Exists("out/_temporary-orphan") {
 		t.Error("dead worker's partial file survived")
 	}
-	if err := rpc.Heartbeat(HeartbeatArgs{ID: id}, &Ack{}); err == nil {
+	if err := rpc.Heartbeat(id, &Ack{}); err == nil {
 		t.Error("zombie heartbeat accepted")
 	}
 }

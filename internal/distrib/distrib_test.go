@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"fuzzyjoin/internal/dfs"
 	"fuzzyjoin/internal/distrib"
 	"fuzzyjoin/internal/mapreduce"
+	"fuzzyjoin/internal/trace"
 )
 
 // TestMain makes the test binary usable as a worker process: Session
@@ -31,9 +34,14 @@ func init() { mapreduce.RegisterProgram("wcount", buildWcount) }
 
 func buildWcount(string) (*mapreduce.Program, error) {
 	return &mapreduce.Program{
+		// A job that attaches side file "stop" skips the words it lists.
 		Mapper: mapreduce.MapFunc(func(ctx *mapreduce.Context, _, value []byte, out mapreduce.Emitter) error {
 			ctx.Count("wc.records", 1)
+			stop, _ := ctx.SideFile("stop")
 			for _, w := range strings.Fields(string(value)) {
+				if slices.Contains(strings.Fields(string(stop)), w) {
+					continue
+				}
 				if err := out.Emit([]byte(w), []byte("1")); err != nil {
 					return err
 				}
@@ -281,4 +289,180 @@ func TestWorkerLossMidJobRecovers(t *testing.T) {
 	}
 	again, _ := runWordCount(t, s.Runner, nil)
 	diffFiles(t, again, localFiles)
+}
+
+// killAfterMap is a trace sink that SIGKILLs, when the map phase ends,
+// the worker that committed the first map attempt: it dies holding
+// committed map outputs.
+type killAfterMap struct {
+	s      *distrib.Session
+	holder atomic.Value // "w<ID>"
+}
+
+func (k *killAfterMap) Emit(e trace.Event) {
+	switch {
+	case e.Type == trace.AttemptEnd && e.Phase == string(mapreduce.MapPhase):
+		k.holder.CompareAndSwap(nil, e.Worker)
+	case e.Type == trace.PhaseEnd && e.Phase == trace.PhaseMap:
+		id, _ := strconv.Atoi(strings.TrimPrefix(k.holder.Load().(string), "w"))
+		k.s.KillWorkerID(id)
+	}
+}
+
+// TestHolderKilledBetweenPhasesRecomputes kills a worker that holds
+// committed map outputs between the map and the reduce phase. The
+// coordinator must re-run the lost map tasks without spending their
+// attempts or merging their counters twice: output and counters equal
+// the in-process run's.
+func TestHolderKilledBetweenPhasesRecomputes(t *testing.T) {
+	localFiles, localCounters := runWordCount(t, nil, nil)
+	s := startSession(t, distrib.Options{Workers: 2})
+	fs := dfs.New(dfs.Options{BlockSize: 256, Nodes: 4})
+	if err := mapreduce.WriteTextFile(fs, "in", wordLines()); err != nil {
+		t.Fatal(err)
+	}
+	job := wordCountJob(fs, nil)
+	job.Runner = s.Runner
+	job.Trace = trace.New(&killAfterMap{s: s})
+	m, err := mapreduce.Run(job)
+	if err != nil {
+		t.Fatalf("run with a holder killed: %v", err)
+	}
+	diffFiles(t, snapshotFiles(t, fs, "out"), localFiles)
+	if fmt.Sprint(m.Counters) != fmt.Sprint(localCounters) {
+		t.Errorf("counters diverge after recompute: %v vs %v", m.Counters, localCounters)
+	}
+	for _, tm := range m.MapTasks {
+		if tm.Attempts != 1 {
+			t.Errorf("a recomputed map task reports %d attempts, want 1", tm.Attempts)
+		}
+	}
+	st := s.Stats()
+	if st.Recomputed == 0 {
+		t.Error("no map output was recomputed; the killed worker held none")
+	}
+	t.Logf("recomputed %d map outputs", st.Recomputed)
+}
+
+// TestWorkersFreeMapOutputs requires that no worker holds map outputs
+// once a job has returned, whether it succeeded or failed after its map
+// phase.
+func TestWorkersFreeMapOutputs(t *testing.T) {
+	s := startSession(t, distrib.Options{Workers: 2})
+	fs := dfs.New(dfs.Options{BlockSize: 256, Nodes: 4})
+	if err := mapreduce.WriteTextFile(fs, "in", wordLines()); err != nil {
+		t.Fatal(err)
+	}
+	job := wordCountJob(fs, nil)
+	job.Runner = s.Runner
+	if _, err := mapreduce.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	if held := s.Stats().Held; held != 0 {
+		t.Errorf("after a job succeeded, workers hold %d map outputs", held)
+	}
+
+	job.Output = "out2"
+	job.FaultInjector = mapreduce.FailAttempts(
+		mapreduce.TaskRef{Job: "wcount", Phase: mapreduce.ReducePhase, TaskID: 1, Attempt: 1})
+	if _, err := mapreduce.Run(job); err == nil {
+		t.Fatal("a job whose reduce attempt fails its only attempt succeeded")
+	}
+	if held := s.Stats().Held; held != 0 {
+		t.Errorf("after a job failed, workers hold %d map outputs", held)
+	}
+}
+
+// TestRecreatedFileReadsNewBytes removes the input and the side file
+// between two jobs on the same workers and creates both again under the
+// same names with new contents. The workers' caches must not serve the
+// old bytes.
+func TestRecreatedFileReadsNewBytes(t *testing.T) {
+	s := startSession(t, distrib.Options{Workers: 2})
+	fs := dfs.New(dfs.Options{BlockSize: 256, Nodes: 4})
+	lines := wordLines()
+	run := func(runner mapreduce.TaskRunner, out string) map[string][]byte {
+		t.Helper()
+		job := wordCountJob(fs, nil)
+		job.Output, job.SideFiles, job.Runner = out, []string{"stop"}, runner
+		if _, err := mapreduce.Run(job); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for name, data := range snapshotFiles(t, fs, out) {
+			files[strings.TrimPrefix(name, out)] = data
+		}
+		return files
+	}
+	write := func(lines []string, stop string) {
+		t.Helper()
+		for _, name := range []string{"in", "stop"} {
+			if fs.Exists(name) {
+				fs.Remove(name)
+			}
+		}
+		if err := mapreduce.WriteTextFile(fs, "in", lines); err != nil {
+			t.Fatal(err)
+		}
+		if err := mapreduce.WriteTextFile(fs, "stop", []string{stop}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(lines, "shared")
+	first := run(s.Runner, "dist1")
+	diffFiles(t, first, run(nil, "local1"))
+
+	for i := range lines {
+		lines[i] = strings.ReplaceAll(lines[i], "tok", "new")
+	}
+	write(lines, "new1")
+	second := run(s.Runner, "dist2")
+	diffFiles(t, second, run(nil, "local2"))
+	if fmt.Sprint(first) == fmt.Sprint(second) {
+		t.Fatal("test premise broken: new contents gave the same output")
+	}
+}
+
+// TestShuffleBypassesCoordinator pins where the shuffle travels: map
+// segments of tens of kilobytes per task ride neither the RunMap
+// replies nor the RunReduce arguments, and the reducers fetch them from
+// their peers.
+func TestShuffleBypassesCoordinator(t *testing.T) {
+	s := startSession(t, distrib.Options{Workers: 2})
+	fs := dfs.New(dfs.Options{BlockSize: 32 << 10, Nodes: 4})
+	lines := make([]string, 800)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("%s%d %s%d", strings.Repeat("a", 100), i%97, strings.Repeat("b", 100), i)
+	}
+	if err := mapreduce.WriteTextFile(fs, "in", lines); err != nil {
+		t.Fatal(err)
+	}
+	job := wordCountJob(fs, nil)
+	job.Runner = s.Runner
+	m, err := mapreduce.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTask := m.TotalShuffleBytes() / int64(len(m.MapTasks))
+	if len(m.MapTasks) < 4 || perTask < 16<<10 {
+		t.Fatalf("test premise broken: %d map tasks, %d shuffle bytes each", len(m.MapTasks), perTask)
+	}
+	st := s.Stats()
+	for _, c := range []struct {
+		method string
+		bytes  int64
+	}{
+		{"Worker.RunMap", st.RPC["Worker.RunMap"].ReplyBytes},
+		{"Worker.RunReduce", st.RPC["Worker.RunReduce"].ArgBytes},
+	} {
+		calls := st.RPC[c.method].Calls
+		if calls == 0 || c.bytes/calls > 2<<10 {
+			t.Errorf("%s: %d calls carried %d bytes; segments are %d bytes a map task",
+				c.method, calls, c.bytes, perTask)
+		}
+	}
+	if f := st.RPC["Worker.Fetch"]; f.Calls == 0 || f.ReplyBytes == 0 {
+		t.Errorf("no segment was fetched from a peer: %+v", f)
+	}
+	t.Logf("per-RPC numbers: %+v", st.RPC)
 }

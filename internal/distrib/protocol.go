@@ -1,13 +1,15 @@
 // Package distrib is the distributed execution backend: a coordinator
 // that dispatches map/reduce task attempts to real worker processes
 // over net/rpc. The coordinator owns the DFS, the retry policy, and the
-// single-winner commit; workers are stateless attempt executors that
-// read splits and write part files back through the coordinator's FS
-// service. Crash recovery is re-dispatch: a worker that dies mid-task
-// (heartbeat loss or broken connection) has its lease revoked — its
-// partial writes are fenced out and removed — and the attempt runs
-// again elsewhere, so join output is byte-identical to in-process
-// execution even under SIGKILL chaos.
+// single-winner commit. Workers read splits and write part files
+// through the coordinator's FS service, keep the blocks they read, and
+// keep their map attempts' output: a reducing worker fetches segments
+// from the peers that hold them. Crash recovery is re-dispatch: a
+// worker that dies mid-task (heartbeat loss or broken connection) has
+// its lease revoked — its partial writes are fenced out and removed —
+// and the attempt runs again elsewhere; map outputs it held are
+// recomputed before the next reduce dispatch needs them. Join output is
+// byte-identical to in-process execution even under SIGKILL chaos.
 package distrib
 
 import (
@@ -34,9 +36,8 @@ const (
 // RegisterArgs announces a freshly started worker: where to dial it for
 // task dispatch and which PID to SIGKILL in chaos runs.
 type RegisterArgs struct {
-	Addr  string
-	PID   int
-	Index int
+	Addr string
+	PID  int
 }
 
 // RegisterReply assigns the worker its ID and the heartbeat interval it
@@ -46,138 +47,71 @@ type RegisterReply struct {
 	HeartbeatNanos int64
 }
 
-// HeartbeatArgs is the worker's periodic liveness report. A heartbeat
-// rejected with an error tells a zombie worker it has been declared
-// dead and must exit.
-type HeartbeatArgs struct {
-	ID int
-}
-
 // Ack is the empty reply of fire-and-forget calls.
 type Ack struct{}
 
-// SplitsArgs/NameArgs/BlockArgs address files of one registered FS.
-type SplitsArgs struct {
-	FS   int64
-	Name string
-}
-
-// NameArgs is the generic (fs, name) read argument.
-type NameArgs struct {
-	FS   int64
-	Name string
-}
-
-// BlockArgs reads one block of a file.
-type BlockArgs struct {
-	FS    int64
-	Name  string
-	Index int
-}
-
-// SplitsReply carries a file's input splits.
-type SplitsReply struct {
-	Splits []dfs.Split
-}
-
-// BytesReply carries file or block contents.
-type BytesReply struct {
-	Data []byte
-}
-
-// BoolReply carries an existence check.
-type BoolReply struct {
-	OK bool
-}
-
-// ListReply carries a sorted name listing.
-type ListReply struct {
-	Names []string
-}
-
-// CreateArgs opens a new file for writing under a lease; every write
-// through the returned handle is fenced on that lease staying granted.
-type CreateArgs struct {
-	FS    int64
+// FileArgs names a file of the FS an attempt's lease was granted on:
+// Block reads one of its blocks, ReadAll all of it, and Create opens it
+// for writing and returns a handle (an int64) whose every write is
+// fenced on the lease staying granted.
+type FileArgs struct {
 	Lease int64
 	Name  string
+	Block int
 }
 
-// CreateReply returns the write handle.
-type CreateReply struct {
-	Handle int64
-}
-
-// AppendArgs appends a batch of records through a write handle (workers
-// buffer appends and flush in batches to keep the datapath off the RPC
-// hot path).
+// AppendArgs appends a batch of records through a write handle: the
+// records packed back to back in Data, their lengths in Lens. Workers
+// fill a batch locally and keep one in flight while the next fills.
 type AppendArgs struct {
-	Handle  int64
-	Records [][]byte
-}
-
-// CloseArgs seals a write handle.
-type CloseArgs struct {
 	Handle int64
-}
-
-// RenameArgs renames under lease fencing.
-type RenameArgs struct {
-	FS    int64
-	Lease int64
-	Old   string
-	New   string
-}
-
-// RemoveArgs removes under lease fencing.
-type RemoveArgs struct {
-	FS    int64
-	Lease int64
-	Name  string
+	Data   []byte
+	Lens   []uint32
 }
 
 // ---- coordinator → worker ------------------------------------------------
 
-// RunMapArgs dispatches one map attempt: the serializable job, the
-// split to process, and the (fs, lease) pair scoping the worker's FS
-// access. The attempt's per-reducer segments come back in the reply, so
-// a worker that dies after executing but before replying leaves no
-// committed state — the coordinator merely re-dispatches.
-type RunMapArgs struct {
-	FS      int64
+// TaskArgs dispatches one task attempt: the serializable job, the lease
+// scoping the worker's FS access, and the identities of the job's side
+// files (Split.FileID), which key the worker's cache. A map attempt
+// names its split; a reduce attempt names the holders of the committed
+// map outputs in map-task order and the coordinator-chosen temporary
+// part name (unique per dispatch, so re-dispatched attempts never
+// collide).
+type TaskArgs struct {
 	Lease   int64
 	Spec    mapreduce.JobSpec
+	Side    map[string]uint64
 	TaskID  int
 	Attempt int
 	Split   dfs.Split
-}
-
-// RunMapReply returns the attempt's output with its counters and
-// metrics in the same message, leaving no window where work is
-// committed but its counters unreported.
-type RunMapReply struct {
-	Parts    [][]byte
-	Counters map[string]int64
-	Metrics  mapreduce.TaskMetrics
-}
-
-// RunReduceArgs dispatches one reduce attempt: the reducer's segment
-// column and the coordinator-chosen temporary part name (unique per
-// dispatch, so re-dispatched attempts never collide).
-type RunReduceArgs struct {
-	FS      int64
-	Lease   int64
-	Spec    mapreduce.JobSpec
-	TaskID  int
-	Attempt int
-	Column  [][]byte
+	Maps    []Holder
 	Temp    string
 }
 
-// RunReduceReply confirms the temp part file the attempt wrote; the
-// coordinator's commit renames it into place (single-winner).
-type RunReduceReply struct {
+// TaskReply returns an attempt's counters and metrics, and a reduce
+// attempt's temp part file, which the coordinator's commit renames into
+// place (single-winner). A map attempt's segments stay on the worker,
+// under the attempt's lease, until the job ends.
+type TaskReply struct {
 	Temp     string
 	Counters map[string]int64
 	Metrics  mapreduce.TaskMetrics
+}
+
+// Holder names where one committed map output lives: the worker and
+// the lease it ran under.
+type Holder struct {
+	Worker int
+	Addr   string
+	Lease  int64
+}
+
+// ---- worker → worker ----------------------------------------------------
+
+// FetchArgs asks a holder for reducer Part's segment of each map output
+// held under Leases; the reply ([][]byte) has them in the same order.
+type FetchArgs struct {
+	Leases []int64
+	Part   int
 }

@@ -98,6 +98,28 @@ func (s *Session) KillWorker(i int) {
 	}
 }
 
+// Stats returns the session's data-plane account: the coordinator's
+// calls and every live worker's, the map outputs recomputed so far, and
+// those the workers hold now.
+func (s *Session) Stats() Stats {
+	st := Stats{RPC: s.Coord.stats.snapshot(), Recomputed: s.Runner.recomputed.Load()}
+	if st.RPC == nil {
+		st.RPC = map[string]RPCStat{}
+	}
+	for _, w := range s.Coord.live() {
+		cl, err := s.Coord.workerClient(w)
+		var reply Stats
+		if err != nil || cl.call("Worker.Stats", Ack{}, &reply) != nil {
+			continue
+		}
+		for m, d := range reply.RPC {
+			st.RPC[m] = st.RPC[m].plus(d)
+		}
+		st.Held += reply.Held
+	}
+	return st
+}
+
 // Close SIGKILLs all workers and shuts the coordinator down.
 func (s *Session) Close() {
 	for _, cmd := range s.cmds {

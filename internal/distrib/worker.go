@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
@@ -36,32 +37,13 @@ func MaybeWorker() {
 // serve the Worker RPC service, register, then heartbeat until the
 // coordinator disappears or declares this worker dead.
 func WorkerMain(coordAddr string) error {
-	slots := 1
-	if s := os.Getenv(EnvSlots); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			slots = n
-		}
-	}
-	index := 0
-	if s := os.Getenv(EnvIndex); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			index = n
-		}
-	}
+	slots, _ := strconv.Atoi(os.Getenv(EnvSlots))
+	slots = max(slots, 1)
+	index, _ := strconv.Atoi(os.Getenv(EnvIndex))
 	// The parent listens before forking, but retry the dial anyway with
 	// the shared deterministic-backoff policy.
-	pol := backoff.Policy{Base: 5 * time.Millisecond, Factor: 2, Max: 200 * time.Millisecond}
-	var coord *rpc.Client
-	var err error
-	for attempt := 1; attempt <= 6; attempt++ {
-		if d := pol.Delay(backoff.Key{Scope: "worker-dial", Sub: coordAddr, ID: index}, attempt); d > 0 {
-			time.Sleep(d)
-		}
-		coord, err = rpc.Dial("tcp", coordAddr)
-		if err == nil {
-			break
-		}
-	}
+	stats := &rpcStats{}
+	coord, err := dialRetry(coordAddr, stats, backoff.Key{Scope: "worker-dial", Sub: coordAddr, ID: index})
 	if err != nil {
 		return fmt.Errorf("distrib: worker dial coordinator %s: %w", coordAddr, err)
 	}
@@ -71,27 +53,22 @@ func WorkerMain(coordAddr string) error {
 	}
 	w := &workerRPC{
 		coord:   coord,
+		stats:   stats,
 		slots:   make(chan struct{}, slots),
 		index:   index,
-		side:    map[sideKey][]byte{},
 		buffers: mapreduce.NewBuffers(slots),
+		cache:   &blockCache{},
+		outputs: map[int64][][]byte{},
+		peers:   map[string]*client{},
 	}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Worker", w); err != nil {
 		return err
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
+	go serve(ln, srv)
 	var reg RegisterReply
-	if err := coord.Call("Coordinator.Register", RegisterArgs{
-		Addr: ln.Addr().String(), PID: os.Getpid(), Index: index,
+	if err := coord.call("Coordinator.Register", RegisterArgs{
+		Addr: ln.Addr().String(), PID: os.Getpid(),
 	}, &reg); err != nil {
 		return fmt.Errorf("distrib: worker register: %w", err)
 	}
@@ -101,7 +78,7 @@ func WorkerMain(coordAddr string) error {
 	}
 	for {
 		time.Sleep(hb)
-		if err := coord.Call("Coordinator.Heartbeat", HeartbeatArgs{ID: reg.ID}, &Ack{}); err != nil {
+		if err := coord.call("Coordinator.Heartbeat", reg.ID, &Ack{}); err != nil {
 			// Coordinator gone, or we were declared dead (zombie): exit.
 			// Our writes are fenced; our tasks re-dispatch elsewhere.
 			return nil
@@ -109,70 +86,165 @@ func WorkerMain(coordAddr string) error {
 	}
 }
 
-type sideKey struct {
-	fs   int64
-	name string
-}
-
-// workerRPC executes dispatched task attempts. It is stateless between
-// tasks apart from the side-file cache (side files are write-once) and
-// the map output buffers its map tasks reuse, one per slot at most.
+// workerRPC executes dispatched task attempts. Between tasks it keeps
+// the blocks and side files it read (cache) and its map attempts'
+// segments until their job ends (outputs, by lease).
 type workerRPC struct {
-	coord   *rpc.Client
+	coord   *client
+	stats   *rpcStats
 	slots   chan struct{}
 	index   int
 	done    int64
 	buffers *mapreduce.Buffers
+	cache   *blockCache
 
-	mu   sync.Mutex
-	side map[sideKey][]byte
+	mu      sync.Mutex
+	outputs map[int64][][]byte
+	peers   map[string]*client
 }
 
-// RunMap executes one map attempt and returns its segments, counters,
-// and metrics in one reply.
-func (w *workerRPC) RunMap(args RunMapArgs, reply *RunMapReply) error {
+// attempt runs one task attempt body in a task slot, against the
+// job rebuilt from its spec.
+func (w *workerRPC) attempt(args TaskArgs, body func(job *mapreduce.Job) error) error {
 	w.slots <- struct{}{}
 	defer func() { <-w.slots }()
-	job, err := w.jobFor(args.Spec, args.FS, args.Lease)
+	st := &rpcStorage{w: w, lease: args.Lease, side: args.Side, split: args.Split}
+	job, err := mapreduce.JobFromSpec(args.Spec, st)
 	if err != nil {
 		return err
 	}
-	out, err := mapreduce.ExecMapAttempt(&job, args.TaskID, args.Attempt, args.Split)
-	if err != nil {
-		return err
-	}
-	w.maybeExit(args.Spec.Conf)
-	reply.Parts, reply.Counters, reply.Metrics = out.Parts, out.Counters, out.Metrics
-	return nil
-}
-
-// RunReduce executes one reduce attempt, writing the part file under
-// the coordinator-chosen temporary name through the FS service.
-func (w *workerRPC) RunReduce(args RunReduceArgs, reply *RunReduceReply) error {
-	w.slots <- struct{}{}
-	defer func() { <-w.slots }()
-	job, err := w.jobFor(args.Spec, args.FS, args.Lease)
-	if err != nil {
-		return err
-	}
-	out, err := mapreduce.ExecReduceAttempt(&job, args.TaskID, args.Attempt, args.Column, args.Temp)
-	if err != nil {
-		return err
-	}
-	w.maybeExit(args.Spec.Conf)
-	reply.Temp, reply.Counters, reply.Metrics = out.Temp, out.Counters, out.Metrics
-	return nil
-}
-
-func (w *workerRPC) jobFor(spec mapreduce.JobSpec, fs, lease int64) (mapreduce.Job, error) {
-	side := make(map[string]bool, len(spec.SideFiles))
-	for _, name := range spec.SideFiles {
-		side[name] = true
-	}
-	st := &rpcStorage{w: w, fs: fs, lease: lease, side: side}
-	job, err := mapreduce.JobFromSpec(spec, st)
 	job.Buffers = w.buffers
-	return job, err
+	if err := body(&job); err != nil {
+		return err
+	}
+	w.maybeExit(args.Spec.Conf)
+	return nil
+}
+
+// RunMap executes one map attempt and keeps its segments under the
+// attempt's lease; the reply carries counters and metrics.
+func (w *workerRPC) RunMap(args TaskArgs, reply *TaskReply) error {
+	return w.attempt(args, func(job *mapreduce.Job) error {
+		parts, out, err := mapreduce.ExecMapAttempt(job, args.TaskID, args.Attempt, args.Split)
+		w.mu.Lock()
+		if err == nil {
+			w.outputs[args.Lease] = parts
+		}
+		w.mu.Unlock()
+		reply.Counters, reply.Metrics = out.Counters, out.Metrics
+		return err
+	})
+}
+
+// RunReduce gathers the attempt's segments and executes it, writing the
+// part file under the coordinator-chosen temporary name through the FS
+// service.
+func (w *workerRPC) RunReduce(args TaskArgs, reply *TaskReply) error {
+	return w.attempt(args, func(job *mapreduce.Job) error {
+		column, err := w.gather(args.Maps, args.TaskID)
+		if err != nil {
+			return err
+		}
+		out, err := mapreduce.ExecReduceAttempt(job, args.TaskID, args.Attempt, column, args.Temp)
+		reply.Temp, reply.Counters, reply.Metrics = out.Temp, out.Counters, out.Metrics
+		return err
+	})
+}
+
+// fetchFailed starts the error of a reduce attempt that could not fetch
+// from a holder; the holder's worker ID follows. The coordinator reads
+// it as that holder's loss, not as a failure of the task.
+const fetchFailed = "distrib: fetch failed from worker "
+
+// gather assembles reducer part's column in map-task order: segments
+// this worker holds are used in place, the others come in one Fetch per
+// peer.
+func (w *workerRPC) gather(maps []Holder, part int) ([][]byte, error) {
+	column := make([][]byte, len(maps))
+	remote := map[string][]int{} // peer address → positions in maps
+	w.mu.Lock()
+	for i, h := range maps {
+		if parts, ok := w.outputs[h.Lease]; ok {
+			column[i] = parts[part]
+		} else {
+			remote[h.Addr] = append(remote[h.Addr], i)
+		}
+	}
+	w.mu.Unlock()
+	for addr, pos := range remote {
+		args := FetchArgs{Part: part}
+		for _, i := range pos {
+			args.Leases = append(args.Leases, maps[i].Lease)
+		}
+		var segs [][]byte
+		if err := w.fetch(addr, args, &segs); err != nil {
+			return nil, fmt.Errorf("%s%d: %v", fetchFailed, maps[pos[0]].Worker, err)
+		}
+		for k, i := range pos {
+			column[i] = segs[k]
+		}
+	}
+	return column, nil
+}
+
+// fetch calls a peer's Fetch over a kept connection, dropping it on
+// error.
+func (w *workerRPC) fetch(addr string, args FetchArgs, reply *[][]byte) error {
+	w.mu.Lock()
+	cl := w.peers[addr]
+	var err error
+	if cl == nil {
+		if cl, err = dial(addr, w.stats); err == nil {
+			w.peers[addr] = cl
+		}
+	}
+	w.mu.Unlock()
+	if err == nil {
+		if err = cl.call("Worker.Fetch", args, reply); err != nil {
+			w.mu.Lock()
+			if w.peers[addr] == cl {
+				delete(w.peers, addr)
+			}
+			w.mu.Unlock()
+			cl.Close()
+		}
+	}
+	return err
+}
+
+// Fetch serves reducer args.Part's segments of the outputs held under
+// args.Leases. It takes no task slot: reduce attempts that fill every
+// slot of two workers fetch from each other.
+func (w *workerRPC) Fetch(args FetchArgs, reply *[][]byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, l := range args.Leases {
+		parts, ok := w.outputs[l]
+		if !ok {
+			return fmt.Errorf("distrib: no map output under lease %d", l)
+		}
+		*reply = append(*reply, parts[args.Part])
+	}
+	return nil
+}
+
+// Free drops map outputs whose job has ended.
+func (w *workerRPC) Free(leases []int64, _ *Ack) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, l := range leases {
+		delete(w.outputs, l)
+	}
+	return nil
+}
+
+// Stats reports this worker's RPC numbers and held outputs.
+func (w *workerRPC) Stats(_ Ack, reply *Stats) error {
+	reply.RPC = w.stats.snapshot()
+	w.mu.Lock()
+	reply.Held = len(w.outputs)
+	w.mu.Unlock()
+	return nil
 }
 
 // maybeExit implements the Conf["distrib.exit-after"]=N crash hook:
@@ -190,99 +262,68 @@ func (w *workerRPC) maybeExit(conf map[string]string) {
 	}
 }
 
-// rpcStorage implements dfs.Storage against the coordinator's FS
-// service, scoped to one (fs, lease) pair. Reads are unfenced; writes
-// carry the lease and are fenced server-side.
+// rpcStorage implements the part of dfs.Storage task bodies use (read
+// a split's block and side files, write part files) against the
+// coordinator's FS service, scoped to one attempt's lease, on which the
+// coordinator serves reads and fences writes. The attempt's split block
+// and its job's side files go through the worker's cache.
 type rpcStorage struct {
 	w     *workerRPC
-	fs    int64
 	lease int64
-	side  map[string]bool
+	side  map[string]uint64
+	split dfs.Split
 }
 
 func (s *rpcStorage) call(method string, args, reply any) error {
-	return s.w.coord.Call("Coordinator."+method, args, reply)
-}
-
-// Splits implements dfs.Storage.
-func (s *rpcStorage) Splits(name string) ([]dfs.Split, error) {
-	var r SplitsReply
-	if err := s.call("Splits", SplitsArgs{FS: s.fs, Name: name}, &r); err != nil {
-		return nil, err
-	}
-	return r.Splits, nil
+	return s.w.coord.call("Coordinator."+method, args, reply)
 }
 
 // Block implements dfs.Storage.
 func (s *rpcStorage) Block(name string, idx int) ([]byte, error) {
-	var r BytesReply
-	if err := s.call("Block", BlockArgs{FS: s.fs, Name: name, Index: idx}, &r); err != nil {
-		return nil, err
+	read := func() ([]byte, error) {
+		var data []byte
+		err := s.call("Block", FileArgs{Lease: s.lease, Name: name, Block: idx}, &data)
+		return data, err
 	}
-	return r.Data, nil
+	if name != s.split.File || idx != s.split.Block || s.split.FileID == 0 {
+		return read()
+	}
+	return s.w.cache.read(blockKey{s.split.FileID, idx}, read)
 }
 
-// ReadAll implements dfs.Storage, caching side files per worker: they
-// are write-once (token orders, RID-pair lists) and re-fetched by every
-// task otherwise.
+// ReadAll implements dfs.Storage. Side files are complete before their
+// job starts, so the whole file is cached under its identity.
 func (s *rpcStorage) ReadAll(name string) ([]byte, error) {
-	if s.side[name] {
-		s.w.mu.Lock()
-		data, ok := s.w.side[sideKey{s.fs, name}]
-		s.w.mu.Unlock()
-		if ok {
-			return data, nil
-		}
+	read := func() ([]byte, error) {
+		var data []byte
+		err := s.call("ReadAll", FileArgs{Lease: s.lease, Name: name}, &data)
+		return data, err
 	}
-	var r BytesReply
-	if err := s.call("ReadAll", NameArgs{FS: s.fs, Name: name}, &r); err != nil {
-		return nil, err
+	id, ok := s.side[name]
+	if !ok {
+		return read()
 	}
-	if s.side[name] {
-		s.w.mu.Lock()
-		s.w.side[sideKey{s.fs, name}] = r.Data
-		s.w.mu.Unlock()
-	}
-	return r.Data, nil
+	return s.w.cache.read(blockKey{id, -1}, read)
 }
 
-// Create implements dfs.Storage; writes buffer locally and flush in
-// batches.
+// Create implements dfs.Storage.
 func (s *rpcStorage) Create(name string) (dfs.RecordWriter, error) {
-	var r CreateReply
-	if err := s.call("Create", CreateArgs{FS: s.fs, Lease: s.lease, Name: name}, &r); err != nil {
+	var handle int64
+	if err := s.call("Create", FileArgs{Lease: s.lease, Name: name}, &handle); err != nil {
 		return nil, err
 	}
-	return &rpcWriter{s: s, handle: r.Handle}, nil
+	return &rpcWriter{s: s, handle: handle}, nil
 }
 
-// Rename implements dfs.Storage.
-func (s *rpcStorage) Rename(oldName, newName string) error {
-	return s.call("Rename", RenameArgs{FS: s.fs, Lease: s.lease, Old: oldName, New: newName}, &Ack{})
-}
+var errNotServed = errors.New("distrib: not served to workers")
 
-// Remove implements dfs.Storage.
-func (s *rpcStorage) Remove(name string) error {
-	return s.call("Remove", RemoveArgs{FS: s.fs, Lease: s.lease, Name: name}, &Ack{})
-}
-
-// Exists implements dfs.Storage.
-func (s *rpcStorage) Exists(name string) bool {
-	var r BoolReply
-	if err := s.call("Exists", NameArgs{FS: s.fs, Name: name}, &r); err != nil {
-		return false
-	}
-	return r.OK
-}
-
-// List implements dfs.Storage.
-func (s *rpcStorage) List(prefix string) []string {
-	var r ListReply
-	if err := s.call("List", NameArgs{FS: s.fs, Name: prefix}, &r); err != nil {
-		return nil
-	}
-	return r.Names
-}
+// The rest of dfs.Storage is not served. Exists and List panic (a task
+// attempt recovers that as its failure) rather than answer wrongly.
+func (s *rpcStorage) Splits(string) ([]dfs.Split, error) { return nil, errNotServed }
+func (s *rpcStorage) Rename(string, string) error        { return errNotServed }
+func (s *rpcStorage) Remove(string) error                { return errNotServed }
+func (s *rpcStorage) Exists(string) bool                 { panic(errNotServed) }
+func (s *rpcStorage) List(string) []string               { panic(errNotServed) }
 
 var _ dfs.Storage = (*rpcStorage)(nil)
 
@@ -291,31 +332,50 @@ var _ dfs.Storage = (*rpcStorage)(nil)
 // trip.
 const writerFlushBytes = 256 << 10
 
+// rpcWriter packs records into a batch and keeps one Append in flight
+// while the next batch fills; an Append's error surfaces at the next
+// flush or at Close. Client.Go has encoded and written a batch by the
+// time it returns, so the one buffer is refilled at once.
 type rpcWriter struct {
-	s      *rpcStorage
-	handle int64
-	recs   [][]byte
-	bytes  int
+	s       *rpcStorage
+	handle  int64
+	batch   AppendArgs
+	pending *rpc.Call
 }
 
 // Append implements dfs.RecordWriter.
 func (w *rpcWriter) Append(record []byte) error {
-	w.recs = append(w.recs, append([]byte(nil), record...))
-	w.bytes += len(record)
-	if w.bytes >= writerFlushBytes {
+	w.batch.Data = append(w.batch.Data, record...)
+	w.batch.Lens = append(w.batch.Lens, uint32(len(record)))
+	if len(w.batch.Data) >= writerFlushBytes {
 		return w.flush()
 	}
 	return nil
 }
 
+// flush sends the filled batch once the one before it is acknowledged.
 func (w *rpcWriter) flush() error {
-	if len(w.recs) == 0 {
+	if err := w.wait(); err != nil || len(w.batch.Lens) == 0 {
+		return err
+	}
+	w.batch.Handle = w.handle
+	w.pending = w.s.w.coord.Go("Coordinator.Append", &w.batch, &Ack{}, nil)
+	w.batch.Data, w.batch.Lens = w.batch.Data[:0], w.batch.Lens[:0]
+	return nil
+}
+
+// wait collects the Append in flight, if any. Its Time is the time
+// the writer waited here.
+func (w *rpcWriter) wait() error {
+	if w.pending == nil {
 		return nil
 	}
-	args := AppendArgs{Handle: w.handle, Records: w.recs}
-	w.recs = nil
-	w.bytes = 0
-	return w.s.call("Append", args, &Ack{})
+	start := time.Now()
+	<-w.pending.Done
+	w.s.w.stats.add("Coordinator.Append", RPCStat{Calls: 1, Time: time.Since(start)})
+	err := w.pending.Error
+	w.pending = nil
+	return err
 }
 
 // Close implements dfs.RecordWriter.
@@ -323,5 +383,8 @@ func (w *rpcWriter) Close() error {
 	if err := w.flush(); err != nil {
 		return err
 	}
-	return w.s.call("CloseWriter", CloseArgs{Handle: w.handle}, &Ack{})
+	if err := w.wait(); err != nil {
+		return err
+	}
+	return w.s.call("CloseWriter", w.handle, &Ack{})
 }

@@ -77,8 +77,16 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 	// profile the cluster simulator consumes.
 	runtime.GC()
 
+	// A runner keeps map outputs where they ran; refs name them.
+	var tasks JobTasks
+	if job.Runner != nil {
+		tasks = job.Runner.StartJob(&job)
+		defer tasks.End()
+	}
+
 	// ---- Map phase ----
 	segments := make([][][]byte, len(splits)) // [mapTask][partition] encoded segment
+	refs := make([]int, len(splits))
 	metrics.MapTasks = make([]TaskMetrics, len(splits))
 	if job.Trace.Enabled() {
 		job.Trace.Emit(trace.Event{Type: trace.PhaseStart, Job: job.Name, Phase: trace.PhaseMap})
@@ -90,9 +98,9 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 		body := func(attempt int) (mapResult, TaskMetrics, error) {
 			return runMapTask(&job, i, attempt, splits[i], side)
 		}
-		if job.Runner != nil {
+		if tasks != nil {
 			body = func(attempt int) (mapResult, TaskMetrics, error) {
-				return dispatchMap(&job, i, attempt, splits[i])
+				return dispatchMap(tasks, i, attempt, splits[i])
 			}
 		}
 		res, tm, err := runTaskAttempts(&job, MapPhase, i, body, nil)
@@ -100,7 +108,7 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 			return err
 		}
 		counters.merge(res.counters)
-		segments[i] = res.parts
+		segments[i], refs[i] = res.parts, res.ref
 		metrics.MapTasks[i] = tm
 		return nil
 	})
@@ -133,9 +141,8 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 			tm  TaskMetrics
 			err error
 		)
-		column := reduceColumn(segments, r)
 		switch {
-		case job.Runner != nil:
+		case tasks != nil:
 			// Remote dispatch: the runner picks a collision-free temp name
 			// per dispatch, and lease revocation cleans up after attempts
 			// whose RPC failed. Attempts the coordinator fails AFTER a
@@ -143,9 +150,10 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 			// completed lease and an orphaned temp file; sweepRunnerTemps
 			// removes those before the job finishes.
 			res, tm, err = runTaskAttempts(&job, ReducePhase, r, func(attempt int) (reduceResult, TaskMetrics, error) {
-				return dispatchReduce(&job, r, attempt, column)
+				return dispatchReduce(tasks, r, attempt, refs)
 			}, nil)
 		default:
+			column := reduceColumn(segments, r)
 			res, tm, err = runTaskAttempts(&job, ReducePhase, r, func(attempt int) (reduceResult, TaskMetrics, error) {
 				return runReduceTask(&job, r, attempt, column, side, tempPartName(job.Output, r, attempt), track)
 			}, func(attempt int) {
@@ -356,10 +364,11 @@ func runParallel(n, p int, fn func(i int) error) error {
 }
 
 // mapResult is one committed map attempt's output: the per-reducer
-// segments plus the attempt's private counter buffer (merged into the
-// job counters only on commit, so failed attempts leave no counts).
+// segments (a runner's ref to them) plus the attempt's private counters
+// (merged into the job's only on commit, so failed attempts leave none).
 type mapResult struct {
 	parts    [][]byte
+	ref      int
 	counters *Counters
 }
 
@@ -423,8 +432,7 @@ type reduceResult struct {
 
 // reduceColumn gathers reducer r's encoded segment from every map
 // task's output — the slice of the shuffle matrix one reduce attempt
-// consumes (and, under the distributed backend, the data shipped in the
-// dispatch request).
+// consumes.
 func reduceColumn(segments [][][]byte, r int) [][]byte {
 	column := make([][]byte, 0, len(segments))
 	for _, seg := range segments {

@@ -17,27 +17,38 @@ import (
 // ExecMapAttempt / ExecReduceAttempt, so local and remote execution
 // share one task-body code path.
 
-// TaskRunner executes one task attempt somewhere other than the calling
-// goroutine. Implementations must be safe for concurrent use (Run
-// dispatches up to Job.Parallelism attempts at once). An error return
-// counts as an attempt failure and is retried under Job.Retry like any
-// in-process error.
+// TaskRunner executes a job's task attempts somewhere other than the
+// calling goroutine. Run calls StartJob once per run of a job, before
+// its first dispatch, and End on the result when the run returns, on
+// success and on failure alike.
 type TaskRunner interface {
-	// RunMap executes one map attempt over the given split and returns
-	// its encoded per-reducer segments.
-	RunMap(job *Job, taskID, attempt int, split dfs.Split) (MapOutput, error)
-	// RunReduce executes one reduce attempt over the reducer's segment
-	// column (one encoded segment per map task) and returns the
-	// temporary part-file name the attempt wrote, awaiting the
-	// coordinator's commit rename.
-	RunReduce(job *Job, taskID, attempt int, column [][]byte) (ReduceOutput, error)
+	StartJob(job *Job) JobTasks
 }
 
-// MapOutput is one committed remote map attempt's result: the encoded
-// per-reducer segments, the attempt's private counters (merged into the
-// job totals only when the attempt commits), and its measured metrics.
+// JobTasks dispatches the task attempts of one job run. Implementations
+// must be safe for concurrent use (Run dispatches up to Job.Parallelism
+// attempts at once). An error return counts as an attempt failure and is
+// retried under Job.Retry like any in-process error.
+type JobTasks interface {
+	// RunMap executes one map attempt over the given split. Its
+	// per-reducer segments stay with the runner; MapOutput.Ref names
+	// them.
+	RunMap(taskID, attempt int, split dfs.Split) (MapOutput, error)
+	// RunReduce executes one reduce attempt over the committed map
+	// attempts' segments, named by their Refs in map-task order (the
+	// merge's tie-break order), and returns the temporary part-file name
+	// the attempt wrote, awaiting the coordinator's commit rename.
+	RunReduce(taskID, attempt int, maps []int) (ReduceOutput, error)
+	// End frees what the runner holds for the job run. An attempt that
+	// returns after End (one abandoned on timeout) frees its own output.
+	End()
+}
+
+// MapOutput is one remote map attempt's result: the runner's name for
+// its segments, the attempt's private counters (merged into the job
+// totals only when the attempt commits), and its measured metrics.
 type MapOutput struct {
-	Parts    [][]byte
+	Ref      int
 	Counters map[string]int64
 	Metrics  TaskMetrics
 }
@@ -52,23 +63,24 @@ type ReduceOutput struct {
 }
 
 // ExecMapAttempt runs one map attempt body in this process against
-// job.FS — the worker-side entry point of the distributed backend. Side
+// job.FS — the worker-side entry point of the distributed backend — and
+// returns its per-reducer segments with its counters and metrics. Side
 // files are fetched through job.FS (on a worker, the RPC storage
 // proxy). No retry or commit logic runs here; that stays with the
 // coordinator.
-func ExecMapAttempt(job *Job, taskID, attempt int, split dfs.Split) (MapOutput, error) {
+func ExecMapAttempt(job *Job, taskID, attempt int, split dfs.Split) ([][]byte, MapOutput, error) {
 	if err := job.fillDefaults(); err != nil {
-		return MapOutput{}, err
+		return nil, MapOutput{}, err
 	}
 	side, _, err := loadSideFiles(job.FS, job.SideFiles)
 	if err != nil {
-		return MapOutput{}, fmt.Errorf("job %s: %w", job.Name, err)
+		return nil, MapOutput{}, fmt.Errorf("job %s: %w", job.Name, err)
 	}
 	res, tm, err := runMapTask(job, taskID, attempt, split, side)
 	if err != nil {
-		return MapOutput{}, err
+		return nil, MapOutput{}, err
 	}
-	return MapOutput{Parts: res.parts, Counters: res.counters.Snapshot(), Metrics: tm}, nil
+	return res.parts, MapOutput{Counters: res.counters.Snapshot(), Metrics: tm}, nil
 }
 
 // ExecReduceAttempt runs one reduce attempt body in this process,
@@ -92,17 +104,17 @@ func ExecReduceAttempt(job *Job, taskID, attempt int, column [][]byte, temp stri
 
 // dispatchMap adapts a runner map dispatch to the attempt-body shape
 // runTaskAttempts drives.
-func dispatchMap(job *Job, taskID, attempt int, split dfs.Split) (mapResult, TaskMetrics, error) {
-	out, err := job.Runner.RunMap(job, taskID, attempt, split)
+func dispatchMap(tasks JobTasks, taskID, attempt int, split dfs.Split) (mapResult, TaskMetrics, error) {
+	out, err := tasks.RunMap(taskID, attempt, split)
 	if err != nil {
 		return mapResult{}, TaskMetrics{}, err
 	}
-	return mapResult{parts: out.Parts, counters: countersFrom(out.Counters)}, out.Metrics, nil
+	return mapResult{ref: out.Ref, counters: countersFrom(out.Counters)}, out.Metrics, nil
 }
 
 // dispatchReduce adapts a runner reduce dispatch likewise.
-func dispatchReduce(job *Job, taskID, attempt int, column [][]byte) (reduceResult, TaskMetrics, error) {
-	out, err := job.Runner.RunReduce(job, taskID, attempt, column)
+func dispatchReduce(tasks JobTasks, taskID, attempt int, maps []int) (reduceResult, TaskMetrics, error) {
+	out, err := tasks.RunReduce(taskID, attempt, maps)
 	if err != nil {
 		return reduceResult{}, TaskMetrics{}, err
 	}
