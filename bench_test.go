@@ -1,5 +1,5 @@
-// One benchmark per table and figure of the paper's evaluation (§6), plus
-// the ablations DESIGN.md calls out. Each benchmark drives the same
+// One benchmark per table and figure of the paper's evaluation (§6), per
+// in-text study of §5 and §6.1.1, and for the filter ablation. Each benchmark drives the same
 // harness as cmd/ssjexp on a reduced corpus (so `go test -bench=.`
 // finishes in minutes) and reports the experiment's headline quantity as
 // a custom metric; run cmd/ssjexp for the full-scale tables recorded in
@@ -187,7 +187,7 @@ func BenchmarkBlockProcessing(b *testing.B) {
 }
 
 // BenchmarkFilterAblation measures each filter's contribution inside the
-// kernel (design-choice ablation from DESIGN.md).
+// PK kernel.
 func BenchmarkFilterAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(benchParams())
@@ -196,40 +196,5 @@ func BenchmarkFilterAblation(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(r.Verified[0])/float64(r.Verified[len(r.Verified)-1]), "verify-reduction")
-	}
-}
-
-// BenchmarkKernelStats compares BK and PK candidate/verify work.
-func BenchmarkKernelStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite(benchParams())
-		r, err := s.KernelStats()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.Candidates[0])/float64(r.Candidates[1]), "BK-candidates-over-PK")
-	}
-}
-
-// BenchmarkRoutingAblation compares individual vs grouped token routing.
-func BenchmarkRoutingAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite(benchParams())
-		if _, err := s.RoutingAblation(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCombinerAblation measures the shuffle Stage 1 saves by
-// aggregating counts per map task (in-mapper combining).
-func BenchmarkCombinerAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite(benchParams())
-		r, err := s.CombinerAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.ShuffleBytes[1])/float64(r.ShuffleBytes[0]), "shuffle-inflation-no-aggregation")
 	}
 }

@@ -18,10 +18,9 @@
 //
 //	fuzzyjoin -in pubs.tsv -plan auto -out pairs.txt
 //
-// Distributed mode (-transport rpc, -workers n) forks n worker
-// processes and dispatches every task attempt to them over RPC; output
-// is byte-identical to the in-process run, including when workers are
-// killed mid-task:
+// Distributed mode (-workers n) forks n worker processes and dispatches
+// every task attempt to them over RPC; output is byte-identical to the
+// in-process run, including when workers are killed mid-task:
 //
 //	fuzzyjoin -in pubs.tsv -workers 2 -out pairs.txt
 package main
@@ -43,7 +42,7 @@ import (
 )
 
 func main() {
-	// When forked by a -transport rpc parent, this process is a worker:
+	// When forked by a -workers parent, this process is a worker:
 	// MaybeWorker serves tasks until the coordinator goes away and never
 	// returns.
 	distrib.MaybeWorker()
@@ -54,8 +53,7 @@ func main() {
 		tau    = flag.Float64("tau", 0.8, "similarity threshold")
 		fnName = flag.String("fn", "jaccard", "similarity function: jaccard, cosine, dice")
 		s1     = flag.String("stage1", "BTO", "token ordering: BTO or OPTO")
-		s2     = flag.String("stage2", "PK", "kernel: BK, PK, or FVT")
-		kern   = flag.String("kernel", "", "alias for -stage2 (bk, pk, fvt; case-insensitive)")
+		s2     = flag.String("stage2", "PK", "kernel: BK, PK, or FVT (case-insensitive)")
 		s3     = flag.String("stage3", "BRJ", "record join: BRJ or OPRJ")
 		red    = flag.Int("reducers", 8, "reduce tasks per job")
 		planIs = flag.String("plan", "", "auto = sample the input, predict every configuration's makespan, and run the cheapest (overrides -stage* and -reducers)")
@@ -74,8 +72,7 @@ func main() {
 		traceOn  = flag.Bool("trace", false, "collect a structured trace of the run and write trace.jsonl, timeline.svg, and metrics.json")
 		traceOut = flag.String("trace-out", "", "directory for the trace artifacts (implies -trace; default \"trace\" when -trace is set)")
 
-		transport = flag.String("transport", "local", "task execution transport: local (in-process) or rpc (forked worker processes)")
-		workers   = flag.Int("workers", 0, "worker processes to fork for -transport rpc (implies rpc; default 2)")
+		workers = flag.Int("workers", 0, "worker processes to fork and dispatch every task to over RPC (0 = run tasks in process)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -88,9 +85,6 @@ func main() {
 		*traceOut = "trace"
 	}
 
-	if *kern != "" {
-		*s2 = *kern
-	}
 	cfg, err := buildConfig(*tau, *fnName, *s1, *s2, *s3, *red, *par)
 	if err != nil {
 		fatal(err)
@@ -114,27 +108,16 @@ func main() {
 	if *traceOn {
 		cfg.Trace = fuzzyjoin.NewTracer()
 	}
-	if *workers > 0 && *transport == "local" {
-		*transport = "rpc"
-	}
-	switch *transport {
-	case "local":
-	case "rpc":
-		n := *workers
-		if n <= 0 {
-			n = 2
-		}
-		sess, err := distrib.Start(distrib.Options{Workers: n})
+	if *workers > 0 {
+		sess, err := distrib.Start(distrib.Options{Workers: *workers})
 		if err != nil {
 			fatal(err)
 		}
 		defer sess.Close()
 		cfg.Runner = sess.Runner
 		if *stats {
-			fmt.Fprintf(os.Stderr, "fuzzyjoin: dispatching tasks to %d worker processes\n", n)
+			fmt.Fprintf(os.Stderr, "fuzzyjoin: dispatching tasks to %d worker processes\n", *workers)
 		}
-	default:
-		fatal(fmt.Errorf("unknown -transport %q (local or rpc)", *transport))
 	}
 	cfg.FS, cfg.Work = fs, "job"
 	if err := loadFile(fs, "R", *in); err != nil {

@@ -1,7 +1,7 @@
 // Command ssjexp runs the paper-reproduction experiment suite and prints
-// every table and figure of the evaluation (§6) plus the ablations
-// DESIGN.md calls out. See EXPERIMENTS.md for the recorded
-// paper-vs-measured comparison.
+// every table and figure of the evaluation (§6), the in-text studies of
+// §2.2, §5 and §6.1.1, the filter ablation and the planner ablation. See
+// EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 //
 // Usage:
 //
@@ -9,8 +9,8 @@
 //
 // -only selects a comma-separated subset of experiment names (fig8, fig9,
 // table1, fig11, table2, fig12, fig13, fig14, groups, skew, blocks,
-// filters, kernels, fvt, routing, combiner, singlestage, tau, faults,
-// planner); an unknown name is a usage error (exit 2).
+// filters, singlestage, tau, planner); an unknown name is a usage error
+// (exit 2).
 //
 // "planner" sweeps the cost planner against a hand-tuned grid on three
 // Zipf-skewed workloads; -planner-out FILE records the ablation as JSON
@@ -41,16 +41,8 @@ func main() {
 		only   = flag.String("only", "", "comma-separated experiment subset")
 
 		plannerOut = flag.String("planner-out", "", "write the planner ablation result as JSON to this file")
-
-		traceOn  = flag.Bool("trace", false, "also run the traced fault-tolerance demo and write trace.jsonl, timeline.svg, and metrics.json")
-		traceOut = flag.String("trace-out", "", "directory for the trace demo artifacts (implies -trace; default \"trace\" when -trace is set)")
 	)
 	flag.Parse()
-	if *traceOut != "" {
-		*traceOn = true
-	} else if *traceOn {
-		*traceOut = "trace"
-	}
 
 	p := experiments.DefaultParams()
 	if *base > 0 {
@@ -91,13 +83,8 @@ func main() {
 		{"skew", func() (renderer, error) { return s.SkewStats() }},
 		{"blocks", func() (renderer, error) { return s.BlockProcessing() }},
 		{"filters", func() (renderer, error) { return s.FilterAblation() }},
-		{"kernels", func() (renderer, error) { return s.KernelStats() }},
-		{"fvt", func() (renderer, error) { return s.FVTAblation() }},
-		{"routing", func() (renderer, error) { return s.RoutingAblation() }},
-		{"combiner", func() (renderer, error) { return s.CombinerAblation() }},
 		{"singlestage", func() (renderer, error) { return s.SingleStage() }},
 		{"tau", func() (renderer, error) { return s.ThresholdSweep() }},
-		{"faults", func() (renderer, error) { return s.FaultAblation() }},
 		{"planner", func() (renderer, error) { return s.PlannerAblation() }},
 	}
 	var names []string
@@ -163,33 +150,6 @@ func main() {
 			fmt.Printf("[wrote %s]\n", *plannerOut)
 		}
 		fmt.Printf("[%s ran in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	if *traceOn {
-		start := time.Now()
-		art, err := s.TraceDemo()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		if err := os.MkdirAll(*traceOut, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		for name, data := range map[string][]byte{
-			"trace.jsonl":  art.JSONL,
-			"timeline.svg": []byte(art.TimelineSVG),
-			"metrics.json": art.MetricsJSON,
-		} {
-			path := filepath.Join(*traceOut, name)
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "trace:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("[wrote %s]\n", path)
-		}
-		fmt.Printf("[trace demo: %d events, %d pairs, ran in %v]\n",
-			len(art.Events), art.Pairs, time.Since(start).Round(time.Millisecond))
 	}
 }
 

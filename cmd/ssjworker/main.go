@@ -4,7 +4,7 @@
 // goes away or declares it dead.
 //
 // The usual way to get workers is to let a coordinator-side command
-// fork them (fuzzyjoin -transport rpc, ssjcheck -workers n); those
+// fork them (fuzzyjoin -workers n, ssjcheck -workers n); those
 // forks re-exec the parent binary. ssjworker exists for running workers
 // by hand against a program that embeds distrib.NewCoordinator — e.g.
 // to attach an extra worker to a live session, or to observe a worker's
@@ -27,7 +27,7 @@ import (
 func main() {
 	var (
 		coord = flag.String("coordinator", os.Getenv(distrib.EnvCoord), "coordinator RPC address (required; defaults to $"+distrib.EnvCoord+")")
-		index = flag.Int("index", envInt(distrib.EnvIndex, 0), "worker index, for crash-hook targeting and logs")
+		index = flag.Int("index", envInt(distrib.EnvIndex, 0), "worker index, which spreads the dial retries")
 		slots = flag.Int("slots", envInt(distrib.EnvSlots, 1), "concurrent task executions this worker accepts")
 	)
 	flag.Parse()

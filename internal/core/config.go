@@ -212,14 +212,6 @@ type Config struct {
 	// many run concurrently. Defaults to runtime.GOMAXPROCS(0); set 1
 	// explicitly for minimum-noise cost measurement.
 	Parallelism int `json:"-"`
-	// NoCombiner turns off Stage 1's per-task aggregation: the counting
-	// mapper then emits (token, 1) for every token occurrence instead of
-	// one (token, count) per distinct token of its map task. It serves
-	// the ablation of what the paper credits to combiners (§6.1.1: BTO's
-	// limited speedup comes partly from each task aggregating less data
-	// as nodes grow); in-mapper aggregation has a combiner's scope, one
-	// map task.
-	NoCombiner bool
 	// Retry configures per-task attempt retries in every job the
 	// pipeline runs (Hadoop's transparent task re-execution; see
 	// mapreduce.RetryPolicy). The zero value runs each task once.

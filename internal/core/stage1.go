@@ -24,25 +24,19 @@ import (
 // combining (Lin & Dyer 2010, §3.1), a combiner's scope — one map task —
 // without sorting a pair per occurrence first. When the task's memory
 // budget cannot take another token, the table is emitted and emptied
-// (Hadoop's flush-when-full); the reducer adds partial counts up. With
-// Config.NoCombiner it emits (token, 1) per occurrence instead.
+// (Hadoop's flush-when-full); the reducer adds partial counts up.
 type tokenCountMapper struct {
 	cfg *Config
 	recordScratch
 	tab *tokenTable
 }
 
-// countOne is the uvarint count every token occurrence carries.
-var countOne = binary.AppendUvarint(nil, 1)
-
 // NewTaskInstance gives each map task its own record scratch.
 func (m *tokenCountMapper) NewTaskInstance() any { return &tokenCountMapper{cfg: m.cfg} }
 
 func (m *tokenCountMapper) Setup(_ *mapreduce.Context) error {
-	if !m.cfg.NoCombiner {
-		if m.tab = m.cfg.tables.Get(); m.tab.slots == nil {
-			m.tab.slots = make([]tokenSlot, 1<<10)
-		}
+	if m.tab = m.cfg.tables.Get(); m.tab.slots == nil {
+		m.tab.slots = make([]tokenSlot, 1<<10)
 	}
 	return nil
 }
@@ -52,13 +46,7 @@ func (m *tokenCountMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapr
 		return err
 	}
 	for i := 0; i < m.toks.Len(); i++ {
-		var err error
-		if m.tab == nil {
-			err = out.Emit(m.toks.Token(i), countOne)
-		} else {
-			err = m.tab.count(ctx.Memory, m.toks.Token(i), out)
-		}
-		if err != nil {
+		if err := m.tab.count(ctx.Memory, m.toks.Token(i), out); err != nil {
 			return err
 		}
 	}
@@ -67,9 +55,6 @@ func (m *tokenCountMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapr
 }
 
 func (m *tokenCountMapper) Cleanup(ctx *mapreduce.Context, out mapreduce.Emitter) error {
-	if m.tab == nil {
-		return nil
-	}
 	err := m.tab.flush(ctx.Memory, out)
 	m.cfg.tables.Put(m.tab)
 	m.tab = nil
@@ -116,7 +101,8 @@ func (t *tokenTable) count(mem *mapreduce.Memory, tok []byte, out mapreduce.Emit
 			return err
 		}
 		if mem.Used()+cost > mem.Limit() {
-			return out.Emit(tok, countOne)
+			t.val = binary.AppendUvarint(t.val[:0], 1)
+			return out.Emit(tok, t.val)
 		}
 		s = t.find(tok)
 	}

@@ -97,20 +97,17 @@ func TestStage1BoundedTable(t *testing.T) {
 
 // TestStage1CountsIndependentOfBudget: the counting job's output — every
 // token's total — is the same bytes whether the map tasks hold their
-// whole table, flush it when a 4 KiB budget is full, cannot hold a single
-// token and pass each occurrence through, or do not aggregate at all.
+// whole table, flush it when a 4 KiB budget is full, or cannot hold a
+// single token and pass each occurrence through as (token, 1).
 func TestStage1CountsIndependentOfBudget(t *testing.T) {
 	fs := dfs.New(dfs.Options{BlockSize: 16 << 10, Nodes: 2})
 	if err := mapreduce.WriteTextFile(fs, "in", wideVocabLines(5, 600)); err != nil {
 		t.Fatal(err)
 	}
 	var want [][]byte
-	for _, v := range []struct {
-		limit int64
-		noAgg bool
-	}{{0, true}, {0, false}, {4096, false}, {1, false}} {
-		work := fmt.Sprintf("w-%d-%v", v.limit, v.noAgg)
-		cfg := Config{FS: fs, Work: work, NumReducers: 3, MemoryLimit: v.limit, NoCombiner: v.noAgg}
+	for _, limit := range []int64{0, 4096, 1} {
+		work := fmt.Sprintf("w-%d", limit)
+		cfg := Config{FS: fs, Work: work, NumReducers: 3, MemoryLimit: limit}
 		if _, _, err := Stage1(cfg, "in"); err != nil {
 			t.Fatalf("%s: %v", work, err)
 		}
@@ -128,7 +125,7 @@ func TestStage1CountsIndependentOfBudget(t *testing.T) {
 		}
 		for r, data := range want {
 			if !bytes.Equal(got[r], data) {
-				t.Errorf("%s: count partition %d differs from the per-occurrence run", work, r)
+				t.Errorf("%s: count partition %d differs from the unlimited-budget run", work, r)
 			}
 		}
 	}

@@ -221,20 +221,48 @@ func TestChaosKillByteIdentical(t *testing.T) {
 	t.Logf("chaos kills fired: %d", s.Runner.Kills())
 }
 
-// TestCrashBetweenWorkAndReportDoesNotDoubleCount kills worker 0
-// after it has fully executed a task body but before it reports the
-// result — the classic double-count window. The re-dispatched attempt's
-// counters must be merged exactly once.
+// TestCrashBetweenWorkAndReportDoesNotDoubleCount kills worker 1 after
+// it has fully executed a task body but before it reports the result —
+// the classic double-count window. Dispatch picks the lowest ID among
+// idle workers, so worker 1 gets the job's first task. The re-dispatched
+// attempt's counters must be merged exactly once.
 func TestCrashBetweenWorkAndReportDoesNotDoubleCount(t *testing.T) {
 	localFiles, localCounters := runWordCount(t, nil, nil)
 	s := startSession(t, distrib.Options{Workers: 2})
-	distFiles, distCounters := runWordCount(t, s.Runner, map[string]string{"distrib.exit-after": "1"})
-	diffFiles(t, distFiles, localFiles)
-	if fmt.Sprint(distCounters) != fmt.Sprint(localCounters) {
-		t.Errorf("counters diverge after mid-report crash: %v vs %v", distCounters, localCounters)
+	fs := dfs.New(dfs.Options{BlockSize: 256, Nodes: 4})
+	if err := mapreduce.WriteTextFile(fs, "in", wordLines()); err != nil {
+		t.Fatal(err)
+	}
+	job := wordCountJob(fs, map[string]string{"distrib.exit-after": "1"})
+	job.Runner = s.Runner
+	tr := trace.New()
+	job.Trace = tr
+	m, err := mapreduce.Run(job)
+	if err != nil {
+		t.Fatalf("wordcount run: %v", err)
+	}
+	diffFiles(t, snapshotFiles(t, fs, "out"), localFiles)
+	if fmt.Sprint(m.Counters) != fmt.Sprint(localCounters) {
+		t.Errorf("counters diverge after mid-report crash: %v vs %v", m.Counters, localCounters)
+	}
+	// Worker 1 ran a task body and died before reporting it: no attempt
+	// commits on it, and the lost report costs the task no attempt.
+	committed := 0
+	for _, e := range tr.Snapshot().Events {
+		if e.Type != trace.AttemptEnd {
+			continue
+		}
+		committed++
+		if e.Worker == "w1" || e.Attempt != 1 {
+			t.Errorf("attempt %d of %s task %d committed on %s; want every task's first attempt on w2",
+				e.Attempt, e.Phase, e.Task, e.Worker)
+		}
+	}
+	if want := len(m.MapTasks) + len(m.ReduceTasks); committed != want {
+		t.Errorf("%d attempts committed, want one per task (%d)", committed, want)
 	}
 	if s.Coord.LiveWorkers() != 1 {
-		t.Errorf("live workers = %d, want 1 (worker 0 exited)", s.Coord.LiveWorkers())
+		t.Errorf("live workers = %d, want 1 (worker 1 exited)", s.Coord.LiveWorkers())
 	}
 }
 

@@ -23,9 +23,8 @@ const (
 	// EnvCoord holds the coordinator's RPC address; its presence turns
 	// the process into a worker.
 	EnvCoord = "SSJ_DISTRIB_COORD"
-	// EnvIndex is the worker's fork index (0-based); the
-	// "distrib.exit-after" crash hook fires only on index 0 so tests are
-	// deterministic about which worker dies.
+	// EnvIndex is the worker's fork index (0-based), which spreads the
+	// workers' dial retries.
 	EnvIndex = "SSJ_WORKER_INDEX"
 	// EnvSlots bounds concurrent task executions per worker (default 1).
 	EnvSlots = "SSJ_WORKER_SLOTS"

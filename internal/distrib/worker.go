@@ -55,7 +55,6 @@ func WorkerMain(coordAddr string) error {
 		coord:   coord,
 		stats:   stats,
 		slots:   make(chan struct{}, slots),
-		index:   index,
 		buffers: mapreduce.NewBuffers(slots),
 		cache:   &blockCache{},
 		outputs: map[int64][][]byte{},
@@ -65,13 +64,16 @@ func WorkerMain(coordAddr string) error {
 	if err := srv.RegisterName("Worker", w); err != nil {
 		return err
 	}
-	go serve(ln, srv)
 	var reg RegisterReply
 	if err := coord.call("Coordinator.Register", RegisterArgs{
 		Addr: ln.Addr().String(), PID: os.Getpid(),
 	}, &reg); err != nil {
 		return fmt.Errorf("distrib: worker register: %w", err)
 	}
+	// Serve only once the ID is known: a dispatch that dials in between
+	// waits in the listener's backlog.
+	w.id = reg.ID
+	go serve(ln, srv)
 	hb := time.Duration(reg.HeartbeatNanos)
 	if hb <= 0 {
 		hb = 250 * time.Millisecond
@@ -93,7 +95,7 @@ type workerRPC struct {
 	coord   *client
 	stats   *rpcStats
 	slots   chan struct{}
-	index   int
+	id      int
 	done    int64
 	buffers *mapreduce.Buffers
 	cache   *blockCache
@@ -248,13 +250,14 @@ func (w *workerRPC) Stats(_ Ack, reply *Stats) error {
 }
 
 // maybeExit implements the Conf["distrib.exit-after"]=N crash hook:
-// worker index 0 exits hard after completing its Nth task body, BEFORE
-// replying — the window between doing the work and reporting it. The
-// double-count regression test uses it to prove counters from the lost
-// reply are never merged.
+// worker 1, the first to register and so the one dispatch picks first,
+// exits hard after completing its Nth task body, BEFORE replying — the
+// window between doing the work and reporting it. The double-count
+// regression test uses it to prove counters from the lost reply are
+// never merged.
 func (w *workerRPC) maybeExit(conf map[string]string) {
 	n, err := strconv.Atoi(conf["distrib.exit-after"])
-	if err != nil || n <= 0 || w.index != 0 {
+	if err != nil || n <= 0 || w.id != 1 {
 		return
 	}
 	if atomic.AddInt64(&w.done, 1) >= int64(n) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fuzzyjoin/internal/core"
-	"fuzzyjoin/internal/datagen"
 	"fuzzyjoin/internal/dfs"
 	"fuzzyjoin/internal/filter"
 	"fuzzyjoin/internal/mapreduce"
@@ -32,13 +31,7 @@ type GroupAblationResult struct {
 // 10 nodes.
 func (s *Suite) GroupAblation() (*GroupAblationResult, error) {
 	const factor, nodes = 10, 10
-	fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes})
-	if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(s.w.dblpTimes(factor))); err != nil {
-		return nil, err
-	}
-	cfg := s.w.baseCfg(fs, nodes)
-	cfg.TokenOrder, cfg.Work = core.BTO, "bto"
-	tokenFile, _, err := core.Stage1(cfg, "dblp")
+	fs, tokenFile, err := s.w.btoTokens(factor, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -211,13 +204,7 @@ type BlockProcessingResult struct {
 // the length filter as a secondary routing criterion.
 func (s *Suite) BlockProcessing() (*BlockProcessingResult, error) {
 	const factor, nodes, blocks = 5, 10, 4
-	fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes})
-	if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(s.w.dblpTimes(factor))); err != nil {
-		return nil, err
-	}
-	base := s.w.baseCfg(fs, nodes)
-	base.TokenOrder, base.Work = core.BTO, "bto"
-	tokenFile, _, err := core.Stage1(base, "dblp")
+	fs, tokenFile, err := s.w.btoTokens(factor, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -288,44 +275,39 @@ func (r *BlockProcessingResult) Render() string {
 	return "Block processing (§5), BK kernel, DBLP x5, 10 nodes, 4 blocks\n" + table(header, rows)
 }
 
-// ---- design-choice ablations beyond the paper ---------------------------
+// ---- filter ablation ------------------------------------------------------
 
-// KernelAblationResult compares the Stage 2 kernels and filter stacks:
-// candidate counts, verifications, and simulated time.
-type KernelAblationResult struct {
-	Title      string
+// FilterAblationResult is what each kernel filter buys on top of the
+// prefix filter: candidates, verifications and simulated Stage 2 time
+// per filter stack.
+type FilterAblationResult struct {
 	Rows       []string
 	Times      []time.Duration
 	Candidates []int64
-	// Materialized is stage2.candidates_materialized: the candidate
-	// pairs a kernel actually buffered before verification (BK and PK
-	// materialize every candidate; FVT none).
-	Materialized []int64
-	// BitmapRejected is stage2.bitmap_rejected: the pairs the bitmap
-	// filter kept from the merge. PK and FVT test the pairs that survived
-	// the row's filter stack; BK tests every pair in its length window,
-	// ahead of the prefix scan.
+	// BitmapRejected is stage2.bitmap_rejected: the pairs that survived
+	// the row's filter stack and the bitmap filter then kept from
+	// verification.
 	BitmapRejected []int64
 	Verified       []int64
 	Results        []int64
 }
 
 // Render prints the comparison.
-func (r *KernelAblationResult) Render() string {
-	header := []string{"variant", "stage2(s)", "candidates", "materialized", "bitmap rej.", "verified", "results"}
+func (r *FilterAblationResult) Render() string {
+	header := []string{"variant", "stage2(s)", "candidates", "bitmap rej.", "verified", "results"}
 	var rows [][]string
 	for i, label := range r.Rows {
 		rows = append(rows, []string{label, seconds(r.Times[i], false),
-			fmt.Sprintf("%d", r.Candidates[i]), fmt.Sprintf("%d", r.Materialized[i]),
-			fmt.Sprintf("%d", r.BitmapRejected[i]),
+			fmt.Sprintf("%d", r.Candidates[i]), fmt.Sprintf("%d", r.BitmapRejected[i]),
 			fmt.Sprintf("%d", r.Verified[i]), fmt.Sprintf("%d", r.Results[i])})
 	}
-	return r.Title + "\n" + table(header, rows)
+	return "Filter ablation, PK kernel, DBLP x10, 10 nodes\n" + table(header, rows)
 }
 
 // FilterAblation measures the contribution of each kernel filter on top
 // of the prefix filter (PK kernel, DBLP×10, 10 nodes).
-func (s *Suite) FilterAblation() (*KernelAblationResult, error) {
+func (s *Suite) FilterAblation() (*FilterAblationResult, error) {
+	const factor, nodes = 10, 10
 	stacks := []struct {
 		label string
 		stack filter.Stack
@@ -335,148 +317,34 @@ func (s *Suite) FilterAblation() (*KernelAblationResult, error) {
 		{"+positional", filter.Stack{Length: true, Positional: true}},
 		{"+suffix (full)", filter.AllFilters},
 	}
-	res := &KernelAblationResult{Title: "Filter ablation, PK kernel, DBLP x10, 10 nodes"}
-	return s.kernelVariants(res, func(i int, cfg *core.Config) (string, bool) {
-		if i >= len(stacks) {
-			return "", false
-		}
-		cfg.Kernel = core.PK
-		cfg.Filters = &stacks[i].stack
-		return stacks[i].label, true
-	})
-}
-
-// KernelStats compares BK, PK, and FVT with the full filter stack.
-func (s *Suite) KernelStats() (*KernelAblationResult, error) {
-	res := &KernelAblationResult{Title: "Kernel comparison, DBLP x10, 10 nodes"}
-	kernels := []core.KernelAlg{core.BK, core.PK, core.FVT}
-	return s.kernelVariants(res, func(i int, cfg *core.Config) (string, bool) {
-		if i >= len(kernels) {
-			return "", false
-		}
-		cfg.Kernel = kernels[i]
-		return kernels[i].String(), true
-	})
-}
-
-// RoutingAblation compares individual-token and grouped-token routing for
-// both kernels.
-func (s *Suite) RoutingAblation() (*KernelAblationResult, error) {
-	type variant struct {
-		label   string
-		kernel  core.KernelAlg
-		routing core.Routing
-		groups  int
-	}
-	variants := []variant{
-		{"BK individual", core.BK, core.IndividualTokens, 0},
-		{"BK grouped/256", core.BK, core.GroupedTokens, 256},
-		{"PK individual", core.PK, core.IndividualTokens, 0},
-		{"PK grouped/256", core.PK, core.GroupedTokens, 256},
-	}
-	res := &KernelAblationResult{Title: "Routing ablation, DBLP x10, 10 nodes"}
-	return s.kernelVariants(res, func(i int, cfg *core.Config) (string, bool) {
-		if i >= len(variants) {
-			return "", false
-		}
-		v := variants[i]
-		cfg.Kernel, cfg.Routing, cfg.NumGroups = v.kernel, v.routing, v.groups
-		return v.label, true
-	})
-}
-
-// kernelVariants runs Stage 2 once per variant on a shared ×10 input.
-func (s *Suite) kernelVariants(res *KernelAblationResult, pick func(int, *core.Config) (string, bool)) (*KernelAblationResult, error) {
-	const factor, nodes = 10, 10
-	fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes})
-	if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(s.w.dblpTimes(factor))); err != nil {
-		return nil, err
-	}
-	base := s.w.baseCfg(fs, nodes)
-	base.TokenOrder, base.Work = core.BTO, "bto"
-	tokenFile, _, err := core.Stage1(base, "dblp")
+	fs, tokenFile, err := s.w.btoTokens(factor, nodes)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; ; i++ {
+	res := &FilterAblationResult{}
+	for i, st := range stacks {
 		cfg := s.w.baseCfg(fs, nodes)
-		label, ok := pick(i, &cfg)
-		if !ok {
-			break
-		}
+		cfg.Kernel, cfg.Filters = core.PK, &stacks[i].stack
 		cfg.Work = fmt.Sprintf("kv-%d", i)
 		_, ms, err := core.Stage2Self(cfg, "dblp", tokenFile)
 		if err != nil {
 			return nil, err
 		}
-		t := simulate(spec(nodes), ms)
-		var cand, mat, rej, ver, results int64
+		var cand, rej, ver, results int64
 		for _, m := range ms {
 			cand += m.Counters["stage2.candidates"]
-			mat += m.Counters["stage2.candidates_materialized"]
 			rej += m.Counters["stage2.bitmap_rejected"]
 			ver += m.Counters["stage2.verified"]
 			results += m.Counters["stage2.results"]
 		}
-		res.Rows = append(res.Rows, label)
-		res.Times = append(res.Times, t)
+		res.Rows = append(res.Rows, st.label)
+		res.Times = append(res.Times, simulate(spec(nodes), ms))
 		res.Candidates = append(res.Candidates, cand)
-		res.Materialized = append(res.Materialized, mat)
 		res.BitmapRejected = append(res.BitmapRejected, rej)
 		res.Verified = append(res.Verified, ver)
 		res.Results = append(res.Results, results)
 	}
 	return res, nil
-}
-
-// CombinerAblationResult compares Stage 1 with per-task aggregation on
-// and off (Config.NoCombiner): what the paper credits to combiners.
-type CombinerAblationResult struct {
-	Labels       []string
-	Times        []time.Duration
-	ShuffleBytes []int64
-}
-
-// CombinerAblation measures BTO on DBLP×10 at 10 nodes.
-func (s *Suite) CombinerAblation() (*CombinerAblationResult, error) {
-	const factor, nodes = 10, 10
-	res := &CombinerAblationResult{}
-	for _, noCombiner := range []bool{false, true} {
-		fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes})
-		if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(s.w.dblpTimes(factor))); err != nil {
-			return nil, err
-		}
-		cfg := s.w.baseCfg(fs, nodes)
-		cfg.TokenOrder, cfg.Work, cfg.NoCombiner = core.BTO, "bto", noCombiner
-		_, ms, err := core.Stage1(cfg, "dblp")
-		if err != nil {
-			return nil, err
-		}
-		t := simulate(spec(nodes), ms)
-		var sh int64
-		for _, m := range ms {
-			sh += m.TotalShuffleBytes()
-		}
-		label := "per-task aggregation on"
-		if noCombiner {
-			label = "per-task aggregation off"
-		}
-		res.Labels = append(res.Labels, label)
-		res.Times = append(res.Times, t)
-		res.ShuffleBytes = append(res.ShuffleBytes, sh)
-	}
-	return res, nil
-}
-
-// Render prints the comparison.
-func (r *CombinerAblationResult) Render() string {
-	header := []string{"variant", "stage1(s)", "shuffle(B)"}
-	var rows [][]string
-	for i, l := range r.Labels {
-		rows = append(rows, []string{l, seconds(r.Times[i], false),
-			fmt.Sprintf("%d", r.ShuffleBytes[i])})
-	}
-	return "Per-task aggregation on/off (combiner ablation), BTO, DBLP x10, 10 nodes\n" + table(header, rows)
 }
 
 // ---- §2.2 (in text): the carry-complete-records alternative --------------
@@ -497,9 +365,8 @@ type SingleStageResult struct {
 func (s *Suite) SingleStage() (*SingleStageResult, error) {
 	const factor, nodes = 10, 10
 	res := &SingleStageResult{}
-
-	fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes})
-	if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(s.w.dblpTimes(factor))); err != nil {
+	fs, err := s.w.dblpFS(factor, nodes)
+	if err != nil {
 		return nil, err
 	}
 	cfg := s.w.baseCfg(fs, nodes)
@@ -565,8 +432,8 @@ func (s *Suite) ThresholdSweep() (*ThresholdSweepResult, error) {
 	const factor, nodes = 10, 10
 	res := &ThresholdSweepResult{}
 	for i, tau := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
-		fs := dfs.New(dfs.Options{BlockSize: s.w.p.BlockSize, Nodes: nodes})
-		if err := mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(s.w.dblpTimes(factor))); err != nil {
+		fs, err := s.w.dblpFS(factor, nodes)
+		if err != nil {
 			return nil, err
 		}
 		cfg := s.w.baseCfg(fs, nodes)

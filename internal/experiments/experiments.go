@@ -180,6 +180,24 @@ func (w *workload) baseCfg(fs *dfs.FS, nodes int) core.Config {
 	}
 }
 
+// dblpFS writes DBLP×factor as "dblp" into a fresh DFS of nodes nodes.
+func (w *workload) dblpFS(factor, nodes int) (*dfs.FS, error) {
+	fs := dfs.New(dfs.Options{BlockSize: w.p.BlockSize, Nodes: nodes})
+	return fs, mapreduce.WriteTextFile(fs, "dblp", datagen.Lines(w.dblpTimes(factor)))
+}
+
+// btoTokens is dblpFS plus the BTO token file of "dblp".
+func (w *workload) btoTokens(factor, nodes int) (*dfs.FS, string, error) {
+	fs, err := w.dblpFS(factor, nodes)
+	if err != nil {
+		return nil, "", err
+	}
+	cfg := w.baseCfg(fs, nodes)
+	cfg.TokenOrder, cfg.Work = core.BTO, "bto"
+	tokenFile, _, err := core.Stage1(cfg, "dblp")
+	return fs, tokenFile, err
+}
+
 // runStageSet executes all six stage variants for one cell: a self-join
 // of DBLP×factor (inputs "dblp"), or the R-S join DBLP×factor ⋈
 // CITESEERX×factor (inputs "dblp", "cite"). Stage 1 orders tokens from
@@ -336,19 +354,14 @@ func (s *stageSet) comboTime(c Combo, spec cluster.Spec) ComboTime {
 	return ct
 }
 
-// jobCosts summarizes executed jobs for the cluster simulator.
-func jobCosts(ms []*mapreduce.Metrics) []cluster.JobCost {
+// simulate is the simulated running time of the jobs run one after
+// another on the cluster sp.
+func simulate(sp cluster.Spec, ms []*mapreduce.Metrics) time.Duration {
 	jobs := make([]cluster.JobCost, len(ms))
 	for i, m := range ms {
 		jobs[i] = cluster.FromMetrics(m)
 	}
-	return jobs
-}
-
-// simulate is the simulated running time of the jobs run one after
-// another on the cluster sp.
-func simulate(sp cluster.Spec, ms []*mapreduce.Metrics) time.Duration {
-	return sp.FlowMakespan(jobCosts(ms))
+	return sp.FlowMakespan(jobs)
 }
 
 // seconds renders a duration in seconds with two decimals, or "OOM".

@@ -330,7 +330,6 @@ type Context struct {
 	// Memory is the task's budget tracker.
 	Memory *Memory
 
-	fs       dfs.Storage
 	side     map[string][]byte
 	counters *Counters
 }

@@ -382,7 +382,6 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 		InputFile:   split.File,
 		Conf:        job.Conf,
 		Memory:      &Memory{limit: job.MemoryLimit},
-		fs:          job.FS,
 		side:        side,
 		counters:    counters,
 	}
@@ -452,7 +451,6 @@ func runReduceTask(job *Job, r, attempt int, column [][]byte, side map[string][]
 		NumReducers: job.NumReducers,
 		Conf:        job.Conf,
 		Memory:      &Memory{limit: job.MemoryLimit},
-		fs:          job.FS,
 		side:        side,
 		counters:    counters,
 	}
