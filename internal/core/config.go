@@ -248,7 +248,15 @@ type Config struct {
 // withScratch gives the pipeline c runs its scratch, shared by its jobs,
 // and returns the function that drops it once the last job is done.
 // Each holds at most one value per task running at once.
+//
+// It also collects garbage, once per pipeline. Without it a pipeline
+// starts on the garbage of whatever ran before it, under a heap goal set
+// in the middle of that work (about twice the live heap then), and its
+// own garbage piles on top before anything collects. The jobs inside
+// the pipeline run under the runtime's own pacer: forcing a collection
+// before every job costs more wall time than it saves (DESIGN §4.8).
 func (c *Config) withScratch() (release func()) {
+	runtime.GC()
 	c.buffers = mapreduce.NewBuffers(c.Parallelism)
 	c.tables = freelist.New[tokenTable](c.Parallelism)
 	return func() {

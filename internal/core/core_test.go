@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -620,6 +621,45 @@ func TestResultMetadata(t *testing.T) {
 	if cfg.Combo() != "BTO-PK-BRJ" {
 		t.Fatalf("Combo = %q", cfg.Combo())
 	}
+}
+
+// TestPipelineForcesOneCollection: a pipeline forces one garbage
+// collection when it starts and none per job, whether it runs a whole
+// join (five jobs here) or one stage. Not parallel: the count is
+// process-wide.
+func TestPipelineForcesOneCollection(t *testing.T) {
+	fs := newTestFS(t)
+	writeInput(t, fs, "in", makeLines(10, 24, 1))
+	cfg := Config{FS: fs, Work: "w", TokenOrder: BTO, Kernel: PK, RecordJoin: BRJ}
+	before := forcedGCs()
+	res, err := SelfJoin(cfg, "in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jobs, n := len(res.AllJobs()), forcedGCs()-before; jobs != 5 || n != 1 {
+		t.Fatalf("SelfJoin ran %d jobs and forced %d collections, want 5 and 1", jobs, n)
+	}
+
+	cfg.Work = "s1"
+	tokenFile, _, err := Stage1(cfg, "in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Work = "s2"
+	before = forcedGCs()
+	if _, _, err := Stage2Self(cfg, "in", tokenFile); err != nil {
+		t.Fatal(err)
+	}
+	if n := forcedGCs() - before; n != 1 {
+		t.Fatalf("Stage2Self forced %d collections, want 1", n)
+	}
+}
+
+// forcedGCs is the number of collections the process has forced so far.
+func forcedGCs() uint32 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.NumForcedGC
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -191,6 +191,8 @@ func runTaskAttempts[T any](job *Job, phase Phase, taskID int,
 		start := time.Now()
 		res, tm, err := runOneAttempt(job, phase, taskID, attempt, run)
 		cost := time.Since(start)
+		// An attempt that failed before its task body measured a cost
+		// is charged its wall time.
 		if tm.Cost == 0 {
 			tm.Cost = cost
 		}

@@ -404,7 +404,8 @@ func (c *Counters) Snapshot() map[string]int64 {
 // below but may gain siblings in later schema versions. Durations are
 // nanoseconds.
 type TaskMetrics struct {
-	// Cost is the measured execution time of the task body.
+	// Cost is the CPU time of the thread that ran the task body (see
+	// taskClock); wall time where the platform has no thread clock.
 	Cost time.Duration `json:"cost_ns"`
 	// InputRecords and InputBytes describe the task's input.
 	InputRecords int64 `json:"in_recs"`

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,6 +125,24 @@ func TestWordCount(t *testing.T) {
 	if got := collectCounts(t, fs); !reflect.DeepEqual(got, wantCounts) {
 		t.Fatalf("counts = %v, want %v", got, wantCounts)
 	}
+}
+
+// TestRunForcesNoCollection: a job runs under the runtime's own pacer;
+// the engine forces no garbage collection (a core pipeline forces one
+// when it starts). Not parallel: the count is process-wide.
+func TestRunForcesNoCollection(t *testing.T) {
+	before := forcedGCs()
+	runWordCount(t, wordCountMapper, 3)
+	if n := forcedGCs() - before; n != 0 {
+		t.Fatalf("Run forced %d collections, want 0", n)
+	}
+}
+
+// forcedGCs is the number of collections the process has forced so far.
+func forcedGCs() uint32 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.NumForcedGC
 }
 
 // TestWordCountInMapperCombining: a mapper that emits its task's counts

@@ -3,10 +3,8 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"fuzzyjoin/internal/dfs"
 	"fuzzyjoin/internal/trace"
@@ -70,12 +68,6 @@ func RunContext(ctx context.Context, job Job) (*Metrics, error) {
 	// exactly those — never unrelated files that happen to share the
 	// output prefix (e.g. a prior stage's output in the same directory).
 	track := &outputTracker{}
-
-	// Collect garbage left by previous jobs before measuring task costs:
-	// a collection triggered mid-task would otherwise charge one job's
-	// allocation debt to an arbitrary later task and distort the cost
-	// profile the cluster simulator consumes.
-	runtime.GC()
 
 	// A runner keeps map outputs where they ran; refs name them.
 	var tasks JobTasks
@@ -386,7 +378,8 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 		counters:    counters,
 	}
 	var tm TaskMetrics
-	start := time.Now()
+	clock := startTaskClock()
+	defer clock.release()
 	sink := newMapBuffer(job, int64(split.Bytes))
 	defer sink.release()
 	mapper := taskMapper(job.Mapper)
@@ -415,7 +408,7 @@ func runMapTask(job *Job, taskID, attempt int, split dfs.Split, side map[string]
 	}
 
 	parts := sink.finish(&tm)
-	tm.Cost = time.Since(start)
+	tm.Cost = clock.elapsed()
 	tm.PeakMemory = ctx.Memory.Peak()
 	tm.Locations = append([]int(nil), split.Locations...)
 	return mapResult{parts: parts, counters: counters}, tm, nil
@@ -456,7 +449,8 @@ func runReduceTask(job *Job, r, attempt int, column [][]byte, side map[string][]
 	}
 	var tm TaskMetrics
 	res := reduceResult{counters: counters}
-	start := time.Now()
+	clock := startTaskClock()
+	defer clock.release()
 
 	// Shuffle: fetch this reducer's encoded segment from every map task,
 	// then k-way merge the sorted runs in their encoded form. The merge
@@ -519,7 +513,7 @@ func runReduceTask(job *Job, r, attempt int, column [][]byte, side map[string][]
 	}
 	tm.OutputRecords = fw.recs
 	tm.OutputBytes = fw.bytes
-	tm.Cost = time.Since(start)
+	tm.Cost = clock.elapsed()
 	tm.PeakMemory = ctx.Memory.Peak()
 	return res, tm, nil
 }
