@@ -68,8 +68,8 @@ func (m *carryRecordsMapper) Map(ctx *mapreduce.Context, _, value []byte, out ma
 		if err := out.Emit(keys.AppendUint32(nil, g), val); err != nil {
 			return err
 		}
-		ctx.Count("stage2.replicas", 1)
 	}
+	ctx.Count("stage2.replicas", int64(len(emitted)))
 	return nil
 }
 

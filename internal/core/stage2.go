@@ -39,14 +39,15 @@ type stage2Mapper struct {
 	// the key-layout table, chosen once per task.
 	rs     bool
 	layout keyLayout
-	// The record scratch, keyBuf, valBuf and seen are reused across
-	// records: the record's tokens and ranks, the key under construction,
-	// the record's encoded projection, and the groups the current record
-	// was already routed to.
+	// The record scratch, keyBuf, valBuf, seen and replicas are reused
+	// across records: the record's tokens and ranks, the key under
+	// construction, the record's encoded projection, the groups the
+	// current record was already routed to, and its replica count.
 	recordScratch
-	keyBuf []byte
-	valBuf []byte
-	seen   []uint32
+	keyBuf   []byte
+	valBuf   []byte
+	seen     []uint32
+	replicas int64
 }
 
 // NewTaskInstance gives each map task its own mapper (the group count
@@ -82,14 +83,16 @@ func (m *stage2Mapper) Map(ctx *mapreduce.Context, _, value []byte, out mapreduc
 	if m.rs && ctx.InputFile != m.inputR {
 		p.rel = relS
 	}
-	sink := replicaSink{ctx: ctx, out: out, val: m.valBuf}
-	m.seen = m.seen[:0]
+	sink := replicaSink{out: out, val: m.valBuf, n: &m.replicas}
+	m.seen, m.replicas = m.seen[:0], 0
 	prefix := m.cfg.Fn.PrefixLength(len(ranks), m.cfg.Threshold)
 	for i := 0; i < prefix; i++ {
 		if err := m.routeGroup(p, m.group(ranks[i]), sink); err != nil {
 			return err
 		}
 	}
+	// One counter update a record: each takes the counters' lock.
+	ctx.Count("stage2.replicas", m.replicas)
 	return nil
 }
 

@@ -49,18 +49,19 @@ type routed struct {
 }
 
 // replicaSink receives one record's replicas: every key a route
-// completes is emitted with the record's encoded projection and counted.
+// completes is emitted with the record's encoded projection and counted
+// in *n, which Map adds to stage2.replicas once the record is routed.
 type replicaSink struct {
-	ctx *mapreduce.Context
 	out mapreduce.Emitter
 	val []byte
+	n   *int64
 }
 
 func (s replicaSink) emit(key []byte) error {
 	if err := s.out.Emit(key, s.val); err != nil {
 		return err
 	}
-	s.ctx.Count("stage2.replicas", 1)
+	*s.n++
 	return nil
 }
 

@@ -32,8 +32,8 @@ func TestPlannerAblation(t *testing.T) {
 		if len(row.Cells) != len(plannerHandGrid()) {
 			t.Errorf("%s: %d cells, want %d", row.Workload, len(row.Cells), len(plannerHandGrid()))
 		}
-		// "Matches or beats": per-task costs are measured wall time, so
-		// identical configs can differ by a few percent between runs —
+		// "Matches or beats": per-task costs are measured thread CPU
+		// time, so identical configs can differ by a few percent between runs —
 		// 1.2 is comfortably above that noise and far below the ≥2×
 		// penalty of any structurally wrong pick (e.g. an -r1 cell).
 		if row.VsBest > 1.20 {

@@ -37,8 +37,10 @@
 // Items at unmatched nodes, and whole subtrees that can no longer
 // match any q token, fail the prefix filter and are skipped. Surviving
 // items go straight through the per-pair filter stack (length,
-// positional, suffix) into the verification tail the BK and PK kernels
-// share (ppjoin.Tail.Verify: bitmap admissibility, then the merge).
+// positional, suffix) into the verification tail (ppjoin.Tail.Verify:
+// bitmap admissibility, then the merge). BK and PK run the same two
+// steps, Tail.Admit and Tail.Merge, but test the bitmap earlier: BK
+// after the length filter, PK ahead of the suffix filter.
 //
 // The build path is incremental: Add accepts items in any order,
 // including arrival order where later items carry previously unseen

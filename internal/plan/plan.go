@@ -72,7 +72,10 @@ type Plan struct {
 //   - BK buffers a whole reduce group and verifies O(n²) candidate
 //     pairs, so its group cost grows quadratically in the group load;
 //   - PK prunes with the positional/length filter stack, sub-quadratic
-//     in practice (modeled n^1.5);
+//     in practice (modeled n^1.5). Its weight follows PK's measured
+//     Stage 2 reduce cost on the planner ablation's three workloads,
+//     with the walk's pruning and the bitmap test ahead of the suffix
+//     filter;
 //   - FVT is candidate-free with shared-prefix traversal, the flattest
 //     growth (modeled n^1.3) but the largest per-item constant;
 //   - BTO pays a second job overhead, OPTO a single unparallelizable
@@ -98,7 +101,7 @@ func kernelShape(k core.KernelAlg) (w, exp float64) {
 	case core.BK:
 		return 55, 2.0
 	case core.PK:
-		return 420, 1.5
+		return 190, 1.5
 	default: // FVT
 		return 800, 1.3
 	}

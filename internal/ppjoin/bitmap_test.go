@@ -11,8 +11,9 @@ import (
 )
 
 // TestBitmapStats pins where each kernel runs the bitmap filter, counted
-// here pair by pair. PK runs it between the candidate filters and the
-// merge: with the optional filters off, a pair of an earlier member y and
+// here pair by pair. PK runs it after the positional filter and the
+// owner rule, ahead of the suffix filter and the merge: with the optional
+// filters off (so no walk prunes), a pair of an earlier member y and
 // a later member x is walked once for every token common to y's index
 // prefix and x's probe prefix (Candidates), and reaches the bitmap filter
 // once, in the list of the least of them (the owner rule leaves it to

@@ -292,7 +292,7 @@ func (ix *Index) evictBelow(minLen int) {
 	for ix.fhead < len(ix.fifo) && int(ix.fifo[ix.fhead].length) < minLen {
 		p := ix.fifo[ix.fhead]
 		for _, id := range ix.posts[ix.phead : ix.phead+int(p.lists)] {
-			ix.evictHead(id)
+			ix.evictShort(id, minLen)
 		}
 		ix.phead += int(p.lists)
 		ix.fhead++
@@ -304,16 +304,26 @@ func (ix *Index) evictBelow(minLen int) {
 	ix.release(ix.gone)
 }
 
-// evictHead drops list id's oldest live entry, the evicted item's (lists
-// are in stream order); an emptied list goes back on the free list.
-func (ix *Index) evictHead(id int32) {
+// evictShort drops list id's entries shorter than minLen, its head (lists
+// are in length order). A walk may have pruned the evicted item's entry,
+// freed the list and handed it to another token: entries shorter than
+// minLen are dead under any token, and a list with none is left alone.
+func (ix *Index) evictShort(id int32, minLen int) {
 	l := &ix.slab[id]
-	l.entries[l.head] = entry{} // let go of the ranks
-	l.head++
-	if l.head < len(l.entries) {
-		l.entries, l.head = trim(l.entries, l.head)
-		return
+	h := l.head
+	for ; h < len(l.entries) && len(l.entries[h].Ranks) < minLen; h++ {
+		l.entries[h] = entry{} // let go of the ranks
 	}
+	if h > l.head && h == len(l.entries) {
+		ix.freeList(id)
+	} else {
+		l.entries, l.head = trim(l.entries, h)
+	}
+}
+
+// freeList returns emptied list id to the free list.
+func (ix *Index) freeList(id int32) {
+	l := &ix.slab[id]
 	delete(ix.lists, l.tok)
 	l.entries, l.head = l.entries[:0], 0
 	ix.free = append(ix.free, id)
@@ -378,13 +388,7 @@ const (
 	ascending                 // smaller RID first: a self-join pair
 )
 
-// probe walks the list of every granted token of x's prefix. Of an entry
-// y, with the list's token at position i in x and j in y, it applies the
-// positional bound 1 + min(lx − i − 1, ly − j − 1) ≥ need (exact when no
-// earlier token is common, the only case that reaches the merge), the
-// owner rule (firstPrefixMatch over x[:i] and y[:j] finds nothing, so the
-// pair is its least common token's), the suffix filter and Tail.Verify.
-// Every live entry walked is a candidate.
+// probe walks the list of every granted token of x's prefix.
 func (ix *Index) probe(x *Item, o order, emit func(records.RIDPair)) {
 	ix.advance(len(x.Ranks))
 	for i, w := range x.Ranks[:ix.p] {
@@ -392,37 +396,61 @@ func (ix *Index) probe(x *Item, o order, emit func(records.RIDPair)) {
 			continue
 		}
 		if id, ok := ix.lists[w]; ok {
-			pl := &ix.slab[id]
-			ix.walk(x, i, pl.entries[pl.head:], o, emit)
+			ix.walk(x, i, id, o, emit)
 		}
 	}
 }
 
-// walk runs probe's per-entry steps over the live entries of the list of
-// x's i-th token.
-func (ix *Index) walk(x *Item, i int, live []entry, o order, emit func(records.RIDPair)) {
+// walk checks x against the live entries of list id, its i-th token's;
+// each is a candidate. Of an entry y at position j it applies, in order:
+// the positional bound 1 + min(lx − i − 1, ly − j − 1) ≥ need (exact when
+// no earlier token is common, the only case that reaches the merge), y's
+// side first; the owner rule (x[:i] and y[:j] share no token); the bitmap
+// filter, ahead of the costlier suffix filter; the merge. An entry that
+// fails y's side, ly − j < need(lx, ly), fails it for every later probe,
+// as long or longer (need does not decrease in lx), so walk drops it,
+// compacting the list in place and in order (MPJoin's index pruning), and
+// frees a list it empties.
+func (ix *Index) walk(x *Item, i int, id int32, o order, emit func(records.RIDPair)) {
+	pl := &ix.slab[id]
+	live := pl.entries[pl.head:]
 	lx, lo, fs := len(x.Ranks), ix.lo, ix.opts.Filters
 	ix.stats.Candidates += int64(len(live))
+	n := 0
 	for k := range live {
-		e := &live[k]
-		ly, j := len(e.Ranks), int(e.pos)
+		ly, j := len(live[k].Ranks), int(live[k].pos)
 		need := ix.need.Need(ix.th, lx, lo, ly)
-		if fs.Positional && !filter.Positional(lx, ly, i, j, 1, need) {
+		if fs.Positional && ly-j < need {
+			continue
+		}
+		if n != k {
+			live[n] = live[k]
+		}
+		e := &live[n]
+		n++
+		if fs.Positional && lx-i < need {
 			continue
 		}
 		if _, _, shared := firstPrefixMatch(x.Ranks, e.Ranks, i, j); shared {
 			continue // an earlier common token's list owns the pair
 		}
+		if !ix.stats.Admit(lx, ly, x.Sig(), e.Sig(), need) {
+			continue
+		}
 		if fs.Suffix && !filter.Suffix(x.Ranks, e.Ranks, i, j, need) {
 			continue
 		}
-		if sim, ok := ix.stats.Verify(ix.opts.Fn, x, &e.Item, x.Sig(), need); ok {
+		if sim, ok := ix.stats.Merge(ix.opts.Fn, x, &e.Item, need); ok {
 			a, b := e.RID, x.RID
 			if o == probeFirst || o == ascending && b < a {
 				a, b = b, a
 			}
 			emit(records.RIDPair{A: a, B: b, Sim: sim})
 		}
+	}
+	clear(live[n:]) // let go of the pruned entries' ranks
+	if pl.entries = pl.entries[:pl.head+n]; n == 0 {
+		ix.freeList(id)
 	}
 }
 

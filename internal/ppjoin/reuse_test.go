@@ -283,10 +283,21 @@ func TestResetRetention(t *testing.T) {
 }
 
 // TestTokenIndexRetention is TestResetRetention for the index of
-// individual routing, whose one list holds every item of a hot group.
+// individual routing, whose one list holds every item of a hot group. The
+// hot group's items hold token 0 first and are all 12 tokens long, so no
+// probe prunes an entry (12 − 0 ≥ need(12, 12)) and the list keeps all
+// 5,000.
 func TestTokenIndexRetention(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	checkRetention(t, rng, func(w uint32) bool { return w == 0 }, randomGroup(rng, 5000, false, true, false))
+	hot := make([]step, 5000)
+	for i := range hot {
+		ranks := []uint32{0}
+		for w := uint32(1 + rng.Intn(1<<20)); len(ranks) < 12; w++ {
+			ranks = append(ranks, w)
+		}
+		hot[i] = step{it: Item{RID: uint64(i + 1), Ranks: ranks}}
+	}
+	checkRetention(t, rng, func(w uint32) bool { return w == 0 }, hot)
 }
 
 // checkRetention drives a self-join stream under owner through the hot

@@ -9,8 +9,9 @@ import (
 // bitmap filter. Stats and fvt.Stats embed it.
 type Tail struct {
 	// BitmapRejected is the number of pairs the bitmap filter rejected:
-	// in PK and FVT just before the merge, in BK right after the length
-	// filter.
+	// in FVT just before the merge, in PK after the positional filter
+	// and the owner rule and before the suffix filter, in BK right after
+	// the length filter.
 	BitmapRejected int64
 	// Verified is the number of pairs whose overlap was computed.
 	Verified int64
@@ -18,8 +19,8 @@ type Tail struct {
 	Results int64
 }
 
-// Verify ends the funnel for a pair that survived every filter before it,
-// the same way in PK and FVT: Admit, then Merge. sx is x's signature, need
+// Verify ends FVT's funnel for a pair that survived every filter before
+// it: Admit, then Merge. sx is x's signature, need
 // the overlap the pair must reach: overlap ≥ need is exactly sim ≥ τ
 // (OverlapThreshold is the precise acceptance boundary), so the verdict
 // and the similarity are simfn.Threshold.Verify's.

@@ -229,6 +229,30 @@ func TestOverlapThresholdAdversarial(t *testing.T) {
 	}
 }
 
+// TestOverlapThresholdMonotoneInLx pins the premise of PK's index pruning
+// (internal/ppjoin): an entry whose positional bound fails against a probe
+// of length lx fails it against every longer probe, because the overlap a
+// pair needs does not decrease as one side grows.
+func TestOverlapThresholdMonotoneInLx(t *testing.T) {
+	taus := []float64{0.1, 0.3, 0.5, 0.6, 2.0 / 3.0, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0}
+	for _, f := range []Func{Jaccard, Cosine, Dice} {
+		for _, tau := range taus {
+			th := f.At(tau)
+			for ly := 1; ly <= 200; ly++ {
+				prev := th.OverlapThreshold(1, ly)
+				for lx := 2; lx <= 400; lx++ {
+					need := th.OverlapThreshold(lx, ly)
+					if need < prev {
+						t.Fatalf("%v τ=%v ly=%d: OverlapThreshold falls from %d at lx=%d to %d at lx=%d",
+							f, tau, ly, prev, lx-1, need, lx)
+					}
+					prev = need
+				}
+			}
+		}
+	}
+}
+
 // TestLengthBoundsAdversarialExact checks, for the same near-integer τ·l
 // grid, that the length bounds are exact: a partner size is inside
 // [lo, hi] iff the best achievable overlap min(l, m) reaches τ by the
