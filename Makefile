@@ -56,8 +56,10 @@ tier1: build fmt test vet staticcheck race
 # smoke runs the CLI end to end with tracing on the bundled example
 # data, a fifth of the tasks failing their first attempt, leaving
 # trace.jsonl / timeline.svg / metrics.json in smoke-out/. It fails
-# unless the trace records a failed attempt and the timeline draws its
-# retry as a rerun span.
+# unless the trace records a failed attempt, the timeline draws its
+# retry as a rerun span, and the printed pairs are byte-equal to
+# testdata/pubs.pairs.txt (so retried attempts print what a clean run
+# prints; cmd/fuzzyjoin's TestPrintPairsPinsOutput pins the same file).
 smoke:
 	@mkdir -p smoke-out
 	$(GO) run ./cmd/fuzzyjoin -in testdata/pubs.tsv -nodes 2 -max-attempts 3 \
@@ -65,6 +67,7 @@ smoke:
 	@test -s smoke-out/trace.jsonl && test -s smoke-out/timeline.svg && test -s smoke-out/metrics.json
 	@grep -q '"type":"attempt-fail"' smoke-out/trace.jsonl || { echo "smoke: no attempt-fail event in smoke-out/trace.jsonl"; exit 1; }
 	@grep -q '(rerun)</title>' smoke-out/timeline.svg || { echo "smoke: no rerun span in smoke-out/timeline.svg"; exit 1; }
+	@cmp smoke-out/pairs.txt testdata/pubs.pairs.txt || { echo "smoke: smoke-out/pairs.txt differs from testdata/pubs.pairs.txt"; exit 1; }
 	@echo "smoke artifacts in smoke-out/"
 
 # exact runs 24 fuzzyjoin joins (4 inputs x 3 combos x in process and

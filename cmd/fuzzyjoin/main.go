@@ -31,13 +31,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"fuzzyjoin"
 	"fuzzyjoin/internal/core"
 	"fuzzyjoin/internal/distrib"
+	"fuzzyjoin/internal/records"
 	"fuzzyjoin/internal/simfn"
 )
 
@@ -148,25 +151,16 @@ func main() {
 		fatal(err)
 	}
 
-	pairs, err := fuzzyjoin.ReadJoinedPairs(fs, res.Output)
-	if err != nil {
-		fatal(err)
-	}
-	w := bufio.NewWriter(os.Stdout)
+	dst := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if dst, err = os.Create(*out); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		w = bufio.NewWriter(f)
 	}
-	for _, p := range pairs {
-		fmt.Fprintf(w, "%.6f\t%d\t%d\t%s\t%s\n", p.Sim, p.Left.RID, p.Right.RID,
-			p.Left.JoinAttr(fuzzyjoin.FieldTitle, fuzzyjoin.FieldAuthors),
-			p.Right.JoinAttr(fuzzyjoin.FieldTitle, fuzzyjoin.FieldAuthors))
+	if err := printPairs(dst, fs, res.Output); err != nil {
+		fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := dst.Close(); err != nil {
 		fatal(err)
 	}
 
@@ -187,6 +181,39 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "fuzzyjoin: trace artifacts written to %s/\n", *traceOut)
 	}
+}
+
+// joinAttr is the printed join attribute of a record: title and authors.
+var joinAttr = []int{fuzzyjoin.FieldTitle, fuzzyjoin.FieldAuthors}
+
+// printPairs writes a join's output to w a pair at a time, as the walk
+// hands each one over: similarity, both RIDs and both join attributes,
+// tab-separated, one pair a line. It prints from the line bytes and
+// builds no Record, so it allocates nothing per pair, and writes in
+// 64 KiB pieces.
+func printPairs(w io.Writer, fs *fuzzyjoin.FS, output string) error {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var attrs, line []byte
+	if err := core.WalkJoined(fs, output, func(sim float64, left, right []byte) error {
+		lrid, a, err := records.AppendJoinAttr(attrs[:0], left, joinAttr)
+		if err != nil {
+			return err
+		}
+		rrid, a, err := records.AppendJoinAttr(append(a, '\t'), right, joinAttr)
+		if err != nil {
+			return err
+		}
+		attrs = a
+		line = strconv.AppendFloat(line[:0], sim, 'f', 6, 64)
+		line = strconv.AppendUint(append(line, '\t'), lrid, 10)
+		line = strconv.AppendUint(append(line, '\t'), rrid, 10)
+		line = append(append(append(line, '\t'), attrs...), '\n')
+		_, err = bw.Write(line)
+		return err
+	}); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // writeTraceArtifacts exports the run's observability bundle: the raw

@@ -33,6 +33,10 @@
 //	})
 //	pairs, err := fuzzyjoin.ReadJoinedPairs(fs, res.Output)
 //
+// or, without holding the whole output, a pair at a time:
+//
+//	err = fuzzyjoin.WalkJoinedPairs(fs, res.Output, func(p fuzzyjoin.JoinedPair) error { ... })
+//
 // Online queries against a growing corpus:
 //
 //	ix, err := fuzzyjoin.NewIndex(ctx, fuzzyjoin.WithCorpus(recs))
@@ -179,22 +183,34 @@ func WriteRecords(fs *FS, name string, recs []Record) error {
 	return mapreduce.WriteTextFile(fs, name, lines)
 }
 
-// ReadJoinedPairs parses a join's final output (Result.Output).
-func ReadJoinedPairs(fs *FS, outputPrefix string) ([]JoinedPair, error) {
-	lines, err := mapreduce.ReadLines(fs, outputPrefix+"/")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]JoinedPair, 0, len(lines))
-	for _, l := range lines {
-		if l == "" {
-			continue
-		}
-		jp, err := records.ParseJoinedPair(l)
+// WalkJoinedPairs calls fn for each pair of a join's final output
+// (Result.Output), in part-file order, one line at a time: nothing holds
+// the whole output. A malformed line stops the walk with an error that
+// names its part file; an error from fn stops it too and comes back
+// wrapped (errors.Is finds it).
+func WalkJoinedPairs(fs *FS, outputPrefix string, fn func(JoinedPair) error) error {
+	return core.WalkJoined(fs, outputPrefix, func(sim float64, left, right []byte) error {
+		l, err := records.ParseLine(string(left))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, jp)
+		r, err := records.ParseLine(string(right))
+		if err != nil {
+			return err
+		}
+		return fn(JoinedPair{Left: l, Right: r, Sim: sim})
+	})
+}
+
+// ReadJoinedPairs collects a join's final output (Result.Output) into a
+// slice; WalkJoinedPairs reads it without one.
+func ReadJoinedPairs(fs *FS, outputPrefix string) ([]JoinedPair, error) {
+	out := make([]JoinedPair, 0, mapreduce.Records(fs, outputPrefix+"/"))
+	if err := WalkJoinedPairs(fs, outputPrefix, func(p JoinedPair) error {
+		out = append(out, p)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -209,7 +225,8 @@ var ErrCanceled = mapreduce.ErrCanceled
 //
 //   - File mode: Input (and InputS for an R-S join) name Text-format
 //     DFS files under Config.FS; results land in DFS part files at
-//     Result.Output (read them with ReadJoinedPairs).
+//     Result.Output (walk them with WalkJoinedPairs or collect them
+//     with ReadJoinedPairs).
 //   - In-memory mode: Records (and RecordsS) hold the corpus directly;
 //     the join provisions a private single-node FS — Config.FS and
 //     Config.Work must be unset — and parsed pairs are returned on
@@ -343,11 +360,11 @@ func Plan(ctx context.Context, spec JoinSpec) (*JoinPlan, error) {
 			return nil, fmt.Errorf("fuzzyjoin: file-mode planning needs Config.FS")
 		}
 		nodes = cfg.FS.Nodes()
-		if rLines, err = mapreduce.ReadLines(cfg.FS, spec.Input); err != nil {
+		if rLines, err = readLines(cfg.FS, spec.Input); err != nil {
 			return nil, err
 		}
 		if spec.InputS != "" {
-			if sLines, err = mapreduce.ReadLines(cfg.FS, spec.InputS); err != nil {
+			if sLines, err = readLines(cfg.FS, spec.InputS); err != nil {
 				return nil, err
 			}
 		}
@@ -377,6 +394,16 @@ func Plan(ctx context.Context, spec JoinSpec) (*JoinPlan, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCanceled, err)
 	}
 	return plan.Decide(s, nodes), nil
+}
+
+// readLines returns the lines of a Text-format DFS file.
+func readLines(fs *FS, name string) ([]string, error) {
+	var lines []string
+	_, err := mapreduce.Walk(fs, name, mapreduce.Text, func(_, l []byte) error {
+		lines = append(lines, string(l))
+		return nil
+	})
+	return lines, err
 }
 
 // IndexStats is the online index's metrics snapshot: corpus shape,

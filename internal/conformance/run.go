@@ -83,12 +83,7 @@ func (v Variant) runLinesSelf(w Workload, p Params, lines []string) ([]records.R
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := core.ReadJoinedPairs(fs, res.Output)
-	if err != nil {
-		return nil, err
-	}
-	ppjoin.SortPairs(pairs)
-	return pairs, nil
+	return sortedRIDPairs(fs, res.Output)
 }
 
 // runLinesRS is runLinesSelf for the R-S join.
@@ -107,8 +102,25 @@ func (v Variant) runLinesRS(w Workload, p Params, rLines, sLines []string) ([]re
 	if err != nil {
 		return nil, err
 	}
-	pairs, err := core.ReadJoinedPairs(fs, res.Output)
-	if err != nil {
+	return sortedRIDPairs(fs, res.Output)
+}
+
+// sortedRIDPairs collects a join's output as canonically sorted RID
+// pairs, the record-identity view the oracle diffs against.
+func sortedRIDPairs(fs *dfs.FS, output string) ([]records.RIDPair, error) {
+	var pairs []records.RIDPair
+	if err := core.WalkJoined(fs, output, func(sim float64, left, right []byte) error {
+		a, err := records.RID(left)
+		if err != nil {
+			return err
+		}
+		b, err := records.RID(right)
+		if err != nil {
+			return err
+		}
+		pairs = append(pairs, records.RIDPair{A: a, B: b, Sim: sim})
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	ppjoin.SortPairs(pairs)

@@ -155,7 +155,20 @@ func BenchmarkJoinAllocProfile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadJoined(fs, res.Output); err != nil {
+		// Collect the pairs as fuzzyjoin.ReadJoinedPairs does.
+		joined := make([]records.JoinedPair, 0, mapreduce.Records(fs, res.Output+"/"))
+		if err := WalkJoined(fs, res.Output, func(sim float64, left, right []byte) error {
+			l, err := records.ParseLine(string(left))
+			if err != nil {
+				return err
+			}
+			r, err := records.ParseLine(string(right))
+			if err != nil {
+				return err
+			}
+			joined = append(joined, records.JoinedPair{Left: l, Right: r, Sim: sim})
+			return nil
+		}); err != nil {
 			b.Fatal(err)
 		}
 		fs.RemovePrefix(cfg.Work)

@@ -167,26 +167,34 @@ func writeInput(t *testing.T, fs *dfs.FS, name string, lines []string) {
 // readJoined parses the final output into pair-key → sim.
 func readJoined(t *testing.T, fs *dfs.FS, prefix string) map[string]float64 {
 	t.Helper()
-	lines, err := mapreduce.ReadLines(fs, prefix+"/")
-	if err != nil {
+	out := map[string]float64{}
+	if err := walkJoinedRIDs(fs, prefix, func(p records.RIDPair) error {
+		k := fmt.Sprintf("%d-%d", p.A, p.B)
+		if _, dup := out[k]; dup {
+			return fmt.Errorf("pair %s appears twice in final output", k)
+		}
+		out[k] = p.Sim
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]float64{}
-	for _, l := range lines {
-		if l == "" {
-			continue
-		}
-		jp, err := records.ParseJoinedPair(l)
-		if err != nil {
-			t.Fatalf("bad joined pair %q: %v", l, err)
-		}
-		k := fmt.Sprintf("%d-%d", jp.Left.RID, jp.Right.RID)
-		if _, dup := out[k]; dup {
-			t.Fatalf("pair %s appears twice in final output", k)
-		}
-		out[k] = jp.Sim
-	}
 	return out
+}
+
+// walkJoinedRIDs calls fn with the RIDs and similarity of every pair of
+// a join's final output.
+func walkJoinedRIDs(fs *dfs.FS, prefix string, fn func(records.RIDPair) error) error {
+	return WalkJoined(fs, prefix, func(sim float64, left, right []byte) error {
+		a, err := records.RID(left)
+		if err != nil {
+			return err
+		}
+		b, err := records.RID(right)
+		if err != nil {
+			return err
+		}
+		return fn(records.RIDPair{A: a, B: b, Sim: sim})
+	})
 }
 
 func assertPairsEqual(t *testing.T, got, want map[string]float64, label string) {
@@ -296,18 +304,13 @@ func TestRSJoinAllCombos(t *testing.T) {
 					got := readJoined(t, fs, res.Output)
 					assertPairsEqual(t, got, want, name)
 					// Left record must always be the R-side record.
-					lines, _ := mapreduce.ReadLines(fs, res.Output+"/")
-					for _, l := range lines {
-						if l == "" {
-							continue
+					if err := walkJoinedRIDs(fs, res.Output, func(p records.RIDPair) error {
+						if p.A > 100 || p.B <= 100 {
+							return fmt.Errorf("pair sides swapped: left=%d right=%d", p.A, p.B)
 						}
-						jp, err := records.ParseJoinedPair(l)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if jp.Left.RID > 100 || jp.Right.RID <= 100 {
-							t.Fatalf("pair sides swapped: left=%d right=%d", jp.Left.RID, jp.Right.RID)
-						}
+						return nil
+					}); err != nil {
+						t.Fatal(err)
 					}
 				})
 			}
@@ -547,12 +550,15 @@ func TestStage2EmitsEachPairOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := mapreduce.ReadOutputPairs(fs, res.RIDPairs+"/")
-	if err != nil {
+	raw := 0
+	if _, err := WalkRIDPairs(fs, res.RIDPairs, func(records.RIDPair) error {
+		raw++
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) != 1 {
-		t.Fatalf("Stage 2 emitted %d RID pairs for one similar pair, want exactly 1", len(raw))
+	if raw != 1 {
+		t.Fatalf("Stage 2 emitted %d RID pairs for one similar pair, want exactly 1", raw)
 	}
 	got := readJoined(t, fs, res.Output)
 	if len(got) != 1 {

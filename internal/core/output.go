@@ -1,47 +1,41 @@
 package core
 
 import (
-	"fmt"
-
 	"fuzzyjoin/internal/dfs"
 	"fuzzyjoin/internal/mapreduce"
 	"fuzzyjoin/internal/records"
 )
 
-// ReadJoined parses a completed join's final output (the part files
-// under Result.Output) into JoinedPair values, in part-file order. The
-// conformance harness and CLIs consume results through this instead of
-// re-implementing the part-file walk and line format.
-func ReadJoined(fs *dfs.FS, outputPrefix string) ([]records.JoinedPair, error) {
-	lines, err := mapreduce.ReadLines(fs, outputPrefix+"/")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]records.JoinedPair, 0, len(lines))
-	for _, l := range lines {
-		if l == "" {
-			continue
+// WalkJoined calls fn for every pair of a completed join's final output
+// (the part files under Result.Output), in part-file order, one line at
+// a time, so nothing holds the whole output. Each line is split in place
+// (records.SplitJoinedPair): fn gets the similarity and the two record
+// lines, which alias the DFS block, so fn copies what it keeps. A
+// malformed line stops the walk with an error that names its part file;
+// so does an error from fn.
+func WalkJoined(fs dfs.Storage, outputPrefix string, fn func(sim float64, left, right []byte) error) error {
+	_, err := mapreduce.Walk(fs, outputPrefix+"/", mapreduce.Text, func(_, line []byte) error {
+		if len(line) == 0 {
+			return nil
 		}
-		jp, err := records.ParseJoinedPair(l)
+		sim, left, right, err := records.SplitJoinedPair(line)
 		if err != nil {
-			return nil, fmt.Errorf("core: output %q: %w", outputPrefix, err)
+			return err
 		}
-		out = append(out, jp)
-	}
-	return out, nil
+		return fn(sim, left, right)
+	})
+	return err
 }
 
-// ReadJoinedPairs reduces a completed join's output to its RID pairs
-// (Left RID, Right RID, similarity) — the record-identity view the
-// conformance oracle diffs against.
-func ReadJoinedPairs(fs *dfs.FS, outputPrefix string) ([]records.RIDPair, error) {
-	joined, err := ReadJoined(fs, outputPrefix)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]records.RIDPair, len(joined))
-	for i, jp := range joined {
-		out[i] = records.RIDPair{A: jp.Left.RID, B: jp.Right.RID, Sim: jp.Sim}
-	}
-	return out, nil
+// WalkRIDPairs calls fn for every RID pair in the part files of a Stage 2
+// output (Result.RIDPairs), block by block in place, and returns the
+// bytes read.
+func WalkRIDPairs(fs dfs.Storage, pairsPrefix string, fn func(records.RIDPair) error) (int64, error) {
+	return mapreduce.Walk(fs, pairsPrefix+"/", mapreduce.Pairs, func(_, v []byte) error {
+		p, err := records.DecodeRIDPair(v)
+		if err != nil {
+			return err
+		}
+		return fn(p)
+	})
 }

@@ -74,17 +74,11 @@ func TestStage2MapperCounters(t *testing.T) {
 func stage2Pairs(t *testing.T, fs *dfs.FS, prefix string) []string {
 	t.Helper()
 	var out []string
-	for _, name := range fs.List(prefix + "/") {
-		data, err := fs.ReadAll(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := decodePairsData(data, func(p records.RIDPair) error {
-			out = append(out, fmt.Sprintf("%d-%d", p.A, p.B))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := WalkRIDPairs(fs, prefix, func(p records.RIDPair) error {
+		out = append(out, fmt.Sprintf("%d-%d", p.A, p.B))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	sort.Strings(out)
 	return out

@@ -267,40 +267,6 @@ func (r *pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values 
 	return out.Emit(nil, r.line)
 }
 
-// readStage2Pairs calls fn for every RID pair in Stage 2's part files,
-// block by block in place, and returns the bytes read.
-func readStage2Pairs(cfg *Config, pairsPrefix string, fn func(records.RIDPair) error) (int64, error) {
-	var read int64
-	for _, name := range cfg.FS.List(pairsPrefix + "/") {
-		splits, err := cfg.FS.Splits(name)
-		if err != nil {
-			return 0, err
-		}
-		for _, s := range splits {
-			data, err := cfg.FS.Block(name, s.Block)
-			if err != nil {
-				return 0, err
-			}
-			read += int64(len(data))
-			if err := decodePairsData(data, fn); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return read, nil
-}
-
-// decodePairsData iterates the RID pairs of a Pairs-format block.
-func decodePairsData(data []byte, fn func(records.RIDPair) error) error {
-	return mapreduce.DecodePairsBlock(data, func(_, v []byte) error {
-		p, err := records.DecodeRIDPair(v)
-		if err != nil {
-			return err
-		}
-		return fn(p)
-	})
-}
-
 // writeRIDSets reads Stage 2's pairs and writes, per relation, the
 // sorted distinct RIDs that occur in a pair as big-endian u64s: one file
 // for a self-join (both sides of a pair), R and S files for R-S. It
@@ -311,7 +277,7 @@ func writeRIDSets(cfg *Config, pairsPrefix, work string, rs bool) ([]string, int
 	if rs {
 		relB, files = relS, []string{work + "/s3-rids-r", work + "/s3-rids-s"}
 	}
-	read, err := readStage2Pairs(cfg, pairsPrefix, func(p records.RIDPair) error {
+	read, err := WalkRIDPairs(cfg.FS, pairsPrefix, func(p records.RIDPair) error {
 		sets[relR] = append(sets[relR], p.A)
 		sets[relB] = append(sets[relB], p.B)
 		return nil
@@ -400,7 +366,7 @@ const pairWidth = 24
 // files and the pair bytes read.
 func writePairFiles(cfg *Config, pairsPrefix, work string) ([]string, int64, error) {
 	var pairs []records.RIDPair
-	read, err := readStage2Pairs(cfg, pairsPrefix, func(p records.RIDPair) error {
+	read, err := WalkRIDPairs(cfg.FS, pairsPrefix, func(p records.RIDPair) error {
 		pairs = append(pairs, p)
 		return nil
 	})

@@ -13,15 +13,18 @@ import (
 
 // joinOutputBytes runs a self-join and returns the final output's part
 // files as one sorted byte blob (part order is deterministic but sort
-// guards against incidental reordering of ReadLines).
+// guards against incidental reordering of the walk).
 func joinOutputBytes(t *testing.T, cfg Config, fs *dfs.FS, input string) (string, *Result) {
 	t.Helper()
 	res, err := SelfJoin(cfg, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, err := mapreduce.ReadLines(fs, res.Output+"/")
-	if err != nil {
+	var lines []string
+	if _, err := mapreduce.Walk(fs, res.Output+"/", mapreduce.Text, func(_, l []byte) error {
+		lines = append(lines, string(l))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	sort.Strings(lines)

@@ -8,7 +8,6 @@ import (
 	"fuzzyjoin/internal/core"
 	"fuzzyjoin/internal/dfs"
 	"fuzzyjoin/internal/filter"
-	"fuzzyjoin/internal/mapreduce"
 	"fuzzyjoin/internal/records"
 )
 
@@ -115,20 +114,16 @@ func (s *Suite) SkewStats() (*SkewStatsResult, error) {
 		return nil, err
 	}
 	// Stage 2 emits every pair once, so its output is the distinct pairs.
-	raw, err := mapreduce.ReadOutputPairs(set.fs, set.pkPairs+"/")
-	if err != nil {
-		return nil, err
-	}
+	res := &SkewStatsResult{}
 	freq := map[uint64]int{}
-	for _, kv := range raw {
-		p, err := records.DecodeRIDPair(kv.Value)
-		if err != nil {
-			return nil, err
-		}
+	if _, err := core.WalkRIDPairs(set.fs, set.pkPairs, func(p records.RIDPair) error {
+		res.PairCount++
 		freq[p.A]++
 		freq[p.B]++
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	res := &SkewStatsResult{PairCount: len(raw)}
 	var sum, sumSq float64
 	for _, n := range freq {
 		sum += float64(n)
@@ -248,19 +243,12 @@ func (s *Suite) BlockProcessing() (*BlockProcessingResult, error) {
 }
 
 func distinctPairs(fs *dfs.FS, prefix string) (int, error) {
-	raw, err := mapreduce.ReadOutputPairs(fs, prefix+"/")
-	if err != nil {
-		return 0, err
-	}
 	seen := map[records.RIDPair]bool{}
-	for _, kv := range raw {
-		p, err := records.DecodeRIDPair(kv.Value)
-		if err != nil {
-			return 0, err
-		}
+	_, err := core.WalkRIDPairs(fs, prefix, func(p records.RIDPair) error {
 		seen[p] = true
-	}
-	return len(seen), nil
+		return nil
+	})
+	return len(seen), err
 }
 
 // Render prints the comparison.

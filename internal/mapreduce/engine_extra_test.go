@@ -79,7 +79,7 @@ func TestTaskLocalInstancesPerTask(t *testing.T) {
 	}
 	// Every record must have been the first (and only counters reset per
 	// task when blocks hold one line each).
-	pairs, _ := ReadOutputPairs(fs, "out/")
+	pairs, _ := readOutputPairs(fs, "out/")
 	for _, p := range pairs {
 		n, _ := strconv.Atoi(string(p.Value))
 		if n < 1 {
@@ -158,7 +158,7 @@ func TestEmptyInputFileRuns(t *testing.T) {
 	if len(m.MapTasks) != 0 {
 		t.Fatalf("map tasks = %d for empty input", len(m.MapTasks))
 	}
-	pairs, err := ReadOutputPairs(fs, "out/")
+	pairs, err := readOutputPairs(fs, "out/")
 	if err != nil || len(pairs) != 0 {
 		t.Fatalf("pairs = %v, %v", pairs, err)
 	}
@@ -182,7 +182,7 @@ func TestReduceOnlyValuesSkippedAreDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, _ := ReadOutputPairs(fs, "out/")
+	pairs, _ := readOutputPairs(fs, "out/")
 	if len(pairs) != 2 {
 		t.Fatalf("groups = %d, want 2", len(pairs))
 	}

@@ -69,13 +69,12 @@ func Example() {
 		panic(err)
 	}
 
-	pairs, err := mapreduce.ReadOutputPairs(fs, "out/")
-	if err != nil {
-		panic(err)
-	}
 	var lines []string
-	for _, p := range pairs {
-		lines = append(lines, fmt.Sprintf("%s=%s", p.Key, p.Value))
+	if _, err := mapreduce.Walk(fs, "out/", mapreduce.Pairs, func(key, value []byte) error {
+		lines = append(lines, fmt.Sprintf("%s=%s", key, value))
+		return nil
+	}); err != nil {
+		panic(err)
 	}
 	sort.Strings(lines)
 	fmt.Println(strings.Join(lines, " "))

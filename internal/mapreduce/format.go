@@ -71,12 +71,6 @@ func decodePairs(block []byte, fn func(key, value []byte) error) error {
 	return nil
 }
 
-// DecodePairsBlock parses all Pairs-format records in a raw buffer (for
-// consumers of Pairs-format side files).
-func DecodePairsBlock(data []byte, fn func(key, value []byte) error) error {
-	return decodePairs(data, fn)
-}
-
 // decodeText parses line records in block, passing each with an empty key.
 func decodeText(block []byte, fn func(key, value []byte) error) error {
 	for len(block) > 0 {
@@ -225,58 +219,48 @@ func expandInputs(fs dfs.Storage, inputs []string) ([]string, error) {
 	return out, nil
 }
 
-// ReadPairs returns every pair in a Pairs-format file.
-func ReadPairs(fs dfs.Storage, name string) ([]Pair, error) {
-	splits, err := fs.Splits(name)
+// Walk calls fn for every record of the files under prefix (List's
+// segment rule: "out/" walks a job's part files, in task order, and a
+// bare name walks that file), block by block in place: key and value
+// alias the block, so fn copies what it keeps. An error from fn or from a
+// block stops the walk and comes back wrapped with the file's name. Walk
+// returns the block bytes it read.
+func Walk(fs dfs.Storage, prefix string, format Format, fn func(key, value []byte) error) (int64, error) {
+	splits, err := walkSplits(fs, prefix)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	var out []Pair
+	var read int64
 	for _, s := range splits {
-		err := readSplit(fs, Pairs, s, func(k, v []byte) error {
-			out = append(out, Pair{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		if err := readSplit(fs, format, s, fn); err != nil {
+			return read, fmt.Errorf("mapreduce: read %s: %w", s.File, err)
 		}
+		read += int64(s.Bytes)
 	}
-	return out, nil
+	return read, nil
 }
 
-// ReadOutputPairs returns every pair across all part files under prefix.
-// List is path-segment aware, so a bare job-output prefix reads exactly
-// that job's part files, never a sibling prefix's.
-func ReadOutputPairs(fs dfs.Storage, prefix string) ([]Pair, error) {
-	var out []Pair
-	for _, name := range fs.List(prefix) {
-		ps, err := ReadPairs(fs, name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ps...)
+// Records counts the records written to the files under prefix from the
+// blocks' counts, without reading a block: what Walk hands over when each
+// was written as one line or one pair, as job output is. It is 0 when a
+// file's splits cannot be read; Walk reports that error.
+func Records(fs dfs.Storage, prefix string) (n int) {
+	splits, _ := walkSplits(fs, prefix)
+	for _, s := range splits {
+		n += s.Records
 	}
-	return out, nil
+	return n
 }
 
-// ReadLines returns every line across all part files under prefix for
-// Text-format outputs (or a single file if prefix names one — the
-// segment-aware List includes the file named exactly `prefix` itself).
-// It reads block by block, in place: a line is one record, and records
-// never span blocks.
-func ReadLines(fs dfs.Storage, prefix string) ([]string, error) {
-	var out []string
-	line := func(_, l []byte) error { out = append(out, string(l)); return nil }
+// walkSplits returns the splits of the files under prefix, in List order.
+func walkSplits(fs dfs.Storage, prefix string) ([]dfs.Split, error) {
+	var out []dfs.Split
 	for _, name := range fs.List(prefix) {
 		splits, err := fs.Splits(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range splits {
-			if err := readSplit(fs, Text, s, line); err != nil {
-				return nil, err
-			}
-		}
+		out = append(out, splits...)
 	}
 	return out, nil
 }

@@ -103,7 +103,7 @@ func runWordCount(t *testing.T, mapper Mapper, reducers int) (*dfs.FS, *Metrics)
 
 func collectCounts(t *testing.T, fs *dfs.FS) map[string]int {
 	t.Helper()
-	pairs, err := ReadOutputPairs(fs, "out/")
+	pairs, err := readOutputPairs(fs, "out/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestWordCountInMapperCombining(t *testing.T) {
 
 func TestSingleReducerOutputSorted(t *testing.T) {
 	fs, _ := runWordCount(t, wordCountMapper, 1)
-	pairs, err := ReadOutputPairs(fs, "out/")
+	pairs, err := readOutputPairs(fs, "out/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSecondarySort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := ReadOutputPairs(fs, "out/")
+	pairs, err := readOutputPairs(fs, "out/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestMultipleInputsAndInputFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, _ := ReadOutputPairs(fs, "out/")
+	pairs, _ := readOutputPairs(fs, "out/")
 	got := map[string]string{}
 	for _, p := range pairs {
 		got[string(p.Key)] = string(p.Value)
@@ -297,7 +297,7 @@ func TestInputPrefixExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, _ := ReadOutputPairs(fs, "out/")
+	pairs, _ := readOutputPairs(fs, "out/")
 	if len(pairs) != 2 {
 		t.Fatalf("pairs = %v", pairs)
 	}
@@ -325,7 +325,7 @@ func TestSideFiles(t *testing.T) {
 	if m.SideBytes == 0 {
 		t.Fatal("SideBytes not recorded")
 	}
-	pairs, _ := ReadOutputPairs(fs, "out/")
+	pairs, _ := readOutputPairs(fs, "out/")
 	if len(pairs) != 1 || string(pairs[0].Value) != "BROADCAST" {
 		t.Fatalf("pairs = %v", pairs)
 	}
@@ -387,7 +387,7 @@ func TestReducerSetupCleanupEmits(t *testing.T) {
 	if red.setups != 1 {
 		t.Fatalf("setups = %d", red.setups)
 	}
-	pairs, _ := ReadOutputPairs(fs, "out/")
+	pairs, _ := readOutputPairs(fs, "out/")
 	if len(pairs) != 1 || string(pairs[0].Value) != "a,b,c" {
 		t.Fatalf("pairs = %v", pairs)
 	}
@@ -548,7 +548,7 @@ func TestBadGroupPrefix(t *testing.T) {
 }
 
 // collectEmitter is the oracle's emitter: every pair copied into a plain
-// slice (empty keys and values stay nil, as ReadPairs returns them).
+// slice (empty keys and values stay nil, as readOutputPairs returns them).
 type collectEmitter struct{ pairs []Pair }
 
 func (e *collectEmitter) Emit(key, value []byte) error {
@@ -606,7 +606,7 @@ func TestEquivalenceWithReference(t *testing.T) {
 				if _, err := Run(job); err != nil {
 					t.Fatal(err)
 				}
-				got, err := ReadOutputPairs(fs, "out/")
+				got, err := readOutputPairs(fs, "out/")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -707,7 +707,7 @@ func TestTextOutputFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, err := ReadLines(fs, "out/")
+	lines, err := readLines(fs, "out/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -750,7 +750,7 @@ func TestPairsRoundTripViaFile(t *testing.T) {
 	if err := WritePairsFile(fs, "f", in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPairs(fs, "f")
+	got, err := readOutputPairs(fs, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -764,11 +764,35 @@ func TestPairsRoundTripViaFile(t *testing.T) {
 	}
 }
 
-// TestReadLinesBlockByBlock: ReadLines reads multi-block part files block
-// by block and returns the lines the whole-file read returns; a block
-// whose bytes changed after the write fails the read with
-// dfs.ErrChecksum until the byte is restored.
-func TestReadLinesBlockByBlock(t *testing.T) {
+// readOutputPairs copies every pair Walk hands over from the Pairs-format
+// files under prefix (empty keys and values stay nil).
+func readOutputPairs(fs dfs.Storage, prefix string) ([]Pair, error) {
+	var out []Pair
+	_, err := Walk(fs, prefix, Pairs, func(k, v []byte) error {
+		out = append(out, Pair{Key: append([]byte(nil), k...), Value: append([]byte(nil), v...)})
+		return nil
+	})
+	return out, err
+}
+
+// readLines copies every line Walk hands over from the Text-format files
+// under prefix.
+func readLines(fs dfs.Storage, prefix string) ([]string, error) {
+	var out []string
+	_, err := Walk(fs, prefix, Text, func(_, l []byte) error {
+		out = append(out, string(l))
+		return nil
+	})
+	return out, err
+}
+
+// TestWalkBlockByBlock: Walk reads multi-block part files block by block,
+// hands over the lines the whole-file read returns and reports every
+// block byte; a block whose bytes changed after the write fails the walk
+// with dfs.ErrChecksum until the byte is restored; an error from the
+// callback stops the walk and comes back errors.Is-equal; a sibling
+// prefix is not walked, and an empty output walks nothing.
+func TestWalkBlockByBlock(t *testing.T) {
 	fs := dfs.New(dfs.Options{BlockSize: 64, Nodes: 4})
 	var want []string
 	for p := 0; p < 2; p++ {
@@ -785,14 +809,19 @@ func TestReadLinesBlockByBlock(t *testing.T) {
 		}
 		want = append(want, lines...)
 	}
+	if err := WriteTextFile(fs, "out2/part-00000", []string{"sibling"}); err != nil {
+		t.Fatal(err)
+	}
 	// wholeFile is the reference: every file read in one piece, then
 	// split at newlines.
 	var wholeFile []string
+	var wholeBytes int64
 	for _, name := range fs.List("out/") {
 		b, err := fs.ReadAll(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wholeBytes += int64(len(b))
 		wholeFile = append(wholeFile, strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")...)
 	}
 	splits, err := fs.Splits("out/part-00001")
@@ -802,12 +831,19 @@ func TestReadLinesBlockByBlock(t *testing.T) {
 	if len(splits) < 3 {
 		t.Fatalf("test premise broken: %d blocks", len(splits))
 	}
-	got, err := ReadLines(fs, "out/")
+	var got []string
+	read, err := Walk(fs, "out/", Text, func(_, l []byte) error {
+		got = append(got, string(l))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, wholeFile) {
-		t.Fatalf("ReadLines = %q, want %q", got, want)
+		t.Fatalf("Walk = %q, want %q", got, want)
+	}
+	if read != wholeBytes {
+		t.Fatalf("Walk read %d bytes, the files hold %d", read, wholeBytes)
 	}
 
 	block, err := fs.Block("out/part-00001", 1)
@@ -815,11 +851,38 @@ func TestReadLinesBlockByBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	block[0] ^= 0x01
-	if _, err := ReadLines(fs, "out/"); !errors.Is(err, dfs.ErrChecksum) {
-		t.Fatalf("ReadLines over a flipped byte: err %v, want dfs.ErrChecksum", err)
+	if _, err := readLines(fs, "out/"); !errors.Is(err, dfs.ErrChecksum) {
+		t.Fatalf("Walk over a flipped byte: err %v, want dfs.ErrChecksum", err)
 	}
 	block[0] ^= 0x01
-	if got, err := ReadLines(fs, "out/"); err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("ReadLines after restore = %q, %v", got, err)
+	if got, err := readLines(fs, "out/"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Walk after restore = %q, %v", got, err)
+	}
+
+	stop := errors.New("stop")
+	calls := 0
+	_, err = Walk(fs, "out/", Text, func(_, l []byte) error {
+		calls++
+		if calls == 3 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || calls != 3 {
+		t.Fatalf("callback error: err %v after %d calls, want stop after 3", err, calls)
+	}
+	if !strings.Contains(err.Error(), "out/part-00000") {
+		t.Fatalf("callback error %q does not name its part file", err)
+	}
+
+	if got, err := readLines(fs, "out2/"); err != nil || !reflect.DeepEqual(got, []string{"sibling"}) {
+		t.Fatalf("Walk(out2/) = %q, %v; want only the sibling's line", got, err)
+	}
+	read, err = Walk(fs, "none/", Text, func(_, l []byte) error {
+		t.Fatalf("empty output handed over %q", l)
+		return nil
+	})
+	if read != 0 || err != nil {
+		t.Fatalf("empty output: read %d, err %v", read, err)
 	}
 }

@@ -93,8 +93,19 @@ func FuzzPlannerDeterministic(f *testing.F) {
 			if err != nil {
 				t.Fatalf("join with %+v failed: %v", cfg.Combo(), err)
 			}
-			pairs, err := core.ReadJoinedPairs(fs, res.Output)
-			if err != nil {
+			var pairs []records.RIDPair
+			if err := core.WalkJoined(fs, res.Output, func(sim float64, left, right []byte) error {
+				a, err := records.RID(left)
+				if err != nil {
+					return err
+				}
+				b, err := records.RID(right)
+				if err != nil {
+					return err
+				}
+				pairs = append(pairs, records.RIDPair{A: a, B: b, Sim: sim})
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
 			ppjoin.SortPairs(pairs)

@@ -340,23 +340,37 @@ func AppendJoinedPair(dst []byte, sim float64, left, right []byte) ([]byte, erro
 	return out, nil
 }
 
-// ParseJoinedPair parses the String form.
+// SplitJoinedPair splits a line in JoinedPair's String form, in place,
+// into its similarity and its two record lines, which alias line. It
+// checks the framing and the similarity; ParseLine (or RID, or
+// AppendJoinAttr, which reject the same lines with the same errors)
+// checks each record line, left first, as ParseJoinedPair does.
+func SplitJoinedPair(line []byte) (sim float64, left, right []byte, err error) {
+	simText, rest, ok := bytes.Cut(line, []byte{0x1f})
+	left, right, ok2 := bytes.Cut(rest, []byte{0x1f})
+	if !ok || !ok2 || bytes.IndexByte(right, 0x1f) >= 0 {
+		return 0, nil, nil, fmt.Errorf("records: malformed joined pair %q", line)
+	}
+	if sim, err = strconv.ParseFloat(string(simText), 64); err != nil {
+		return 0, nil, nil, fmt.Errorf("records: bad similarity in joined pair: %v", err)
+	}
+	return sim, left, right, nil
+}
+
+// ParseJoinedPair parses the String form: SplitJoinedPair, then ParseLine
+// on each record line.
 func ParseJoinedPair(s string) (JoinedPair, error) {
-	parts := strings.Split(s, "\x1f")
-	if len(parts) != 3 {
-		return JoinedPair{}, fmt.Errorf("records: malformed joined pair %q", s)
-	}
-	sim, err := strconv.ParseFloat(parts[0], 64)
-	if err != nil {
-		return JoinedPair{}, fmt.Errorf("records: bad similarity in joined pair: %v", err)
-	}
-	l, err := ParseLine(parts[1])
+	sim, l, r, err := SplitJoinedPair([]byte(s))
 	if err != nil {
 		return JoinedPair{}, err
 	}
-	r, err := ParseLine(parts[2])
+	left, err := ParseLine(string(l))
 	if err != nil {
 		return JoinedPair{}, err
 	}
-	return JoinedPair{Left: l, Right: r, Sim: sim}, nil
+	right, err := ParseLine(string(r))
+	if err != nil {
+		return JoinedPair{}, err
+	}
+	return JoinedPair{Left: left, Right: right, Sim: sim}, nil
 }

@@ -5,9 +5,15 @@
 # the two outputs of every pair are equal, and prints one markdown row
 # per measure: the median [quartiles] of each side, Δ of the medians and
 # the pairs the change read lower ("won", or "equal" if no pair
-# differed). The measures are process wall, each stage's wall, Stage 2's
-# map and reduce cost (summed over tasks), every job's map-task count
-# and every -stats counter.
+# differed). The measures are process wall, process peak RSS, each
+# stage's wall, Stage 2's map and reduce cost (summed over tasks), every
+# job's map-task count and every -stats counter.
+#
+# process_peak_rss_mb is the process's VmHWM from /proc/<pid>/status,
+# polled about every 20 ms while it runs (shell only: there is no
+# /usr/bin/time to ask). VmHWM never falls, so the last read is the
+# peak, but a rise in the process's last interval goes unseen: the value
+# can read low by up to one interval's growth.
 #
 #   SCALE=1e5|1e6  records. JOIN=self: datagen -seed 3 -factor 4 with
 #                  -n SCALE/4, DBLP-like. JOIN=rs: SCALE/2 DBLP-like
@@ -49,10 +55,22 @@ rs)
 *) echo "pairs: JOIN is self or rs, not $join" >&2 && exit 2 ;;
 esac
 
-# measures turns one run's -stats output into "name value" lines, times
-# in seconds.
+# peak_kb prints the last VmHWM (kB) read from /proc/$1/status, polled
+# about every 20 ms until the process has exited (a zombie's status has
+# no VmHWM line) or has been reaped.
+peak_kb() {
+	kb=0
+	while v=$(awk '/^VmHWM:/ { print $2 }' "/proc/$1/status" 2>/dev/null) && [ -n "$v" ]; do
+		kb=$v
+		sleep 0.02
+	done
+	echo "$kb"
+}
+
+# measures turns one run's -stats output, its wall ($2) and its peak RSS
+# ($3) into "name value" lines, times in seconds.
 measures() {
-	LC_ALL=C awk -v wall="$2" '
+	LC_ALL=C awk -v wall="$2" -v rss="$3" '
 	function secs(d,   v, t, x) {
 		while (match(d, /^[0-9.]+(h|ms|µs|us|ns|m|s)/)) {
 			t = substr(d, 1, RLENGTH); d = substr(d, RLENGTH + 1); x = t + 0
@@ -63,7 +81,7 @@ measures() {
 		}
 		return v
 	}
-	BEGIN { print "process_wall_s", wall }
+	BEGIN { print "process_wall_s", wall; print "process_peak_rss_mb", rss }
 	/^stage [0-9]/ { print "stage" $2 "_wall_s", secs($NF) }
 	/^job / { job = $2 }
 	/^  (map|reduce):/ {
@@ -83,9 +101,14 @@ while [ "$i" -le "$n" ]; do
 	for side in $order; do
 		t0=$(date +%s%N)
 		# shellcheck disable=SC2086 # word splitting is wanted
-		"$dir/$side-fuzzyjoin" $inputs ${ARGS:-} -stats -out "$dir/$side.out" 2>"$dir/$side.$i.stats"
+		"$dir/$side-fuzzyjoin" $inputs ${ARGS:-} -stats -out "$dir/$side.out" 2>"$dir/$side.$i.stats" &
+		pid=$!
+		peak_kb "$pid" >"$dir/peak_kb" &
+		wait "$pid"
 		t1=$(date +%s%N)
-		measures "$dir/$side.$i.stats" "$(awk -v a="$t0" -v b="$t1" 'BEGIN { print (b - a) / 1e9 }')" |
+		wait # for peak_kb
+		measures "$dir/$side.$i.stats" "$(awk -v a="$t0" -v b="$t1" 'BEGIN { print (b - a) / 1e9 }')" \
+			"$(awk '{ print $1 / 1024 }' "$dir/peak_kb")" |
 			sed "s/^/$side $i /" >>"$dir/measures"
 	done
 	cmp "$dir/parent.out" "$dir/change.out" || {
