@@ -27,6 +27,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -190,11 +191,18 @@ var joinAttr = []int{fuzzyjoin.FieldTitle, fuzzyjoin.FieldAuthors}
 // hands each one over: similarity, both RIDs and both join attributes,
 // tab-separated, one pair a line. It prints from the line bytes and
 // builds no Record, so it allocates nothing per pair, and writes in
-// 64 KiB pieces.
+// 64 KiB pieces. The similarity is printed as the line carries it: every
+// writer of the output (records.AppendJoinedPair, JoinedPair.String)
+// formats it as this output does, 'f' with six decimals, and
+// SplitJoinedPair has checked that it parses.
 func printPairs(w io.Writer, fs *fuzzyjoin.FS, output string) error {
 	bw := bufio.NewWriterSize(w, 64<<10)
 	var attrs, line []byte
-	if err := core.WalkJoined(fs, output, func(sim float64, left, right []byte) error {
+	if err := core.WalkJoinedLines(fs, output, func(pair []byte) error {
+		_, left, right, err := records.SplitJoinedPair(pair)
+		if err != nil {
+			return err
+		}
 		lrid, a, err := records.AppendJoinAttr(attrs[:0], left, joinAttr)
 		if err != nil {
 			return err
@@ -204,7 +212,8 @@ func printPairs(w io.Writer, fs *fuzzyjoin.FS, output string) error {
 			return err
 		}
 		attrs = a
-		line = strconv.AppendFloat(line[:0], sim, 'f', 6, 64)
+		sim, _, _ := bytes.Cut(pair, []byte{0x1f})
+		line = append(line[:0], sim...)
 		line = strconv.AppendUint(append(line, '\t'), lrid, 10)
 		line = strconv.AppendUint(append(line, '\t'), rrid, 10)
 		line = append(append(append(line, '\t'), attrs...), '\n')

@@ -14,15 +14,23 @@ import (
 // malformed line stops the walk with an error that names its part file;
 // so does an error from fn.
 func WalkJoined(fs dfs.Storage, outputPrefix string, fn func(sim float64, left, right []byte) error) error {
-	_, err := mapreduce.Walk(fs, outputPrefix+"/", mapreduce.Text, func(_, line []byte) error {
-		if len(line) == 0 {
-			return nil
-		}
+	return WalkJoinedLines(fs, outputPrefix, func(line []byte) error {
 		sim, left, right, err := records.SplitJoinedPair(line)
 		if err != nil {
 			return err
 		}
 		return fn(sim, left, right)
+	})
+}
+
+// WalkJoinedLines is WalkJoined before the split: fn gets each non-empty
+// line of the final output as it lies in the DFS block.
+func WalkJoinedLines(fs dfs.Storage, outputPrefix string, fn func(line []byte) error) error {
+	_, err := mapreduce.Walk(fs, outputPrefix+"/", mapreduce.Text, func(_, line []byte) error {
+		if len(line) == 0 {
+			return nil
+		}
+		return fn(line)
 	})
 	return err
 }

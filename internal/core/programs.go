@@ -150,7 +150,7 @@ func programFor(cfg *Config, ps progSpec) (*mapreduce.Program, error) {
 		p.Reducer = &carryRecordsReducer{cfg: cfg}
 	case "ss-dedup":
 		p.Mapper = mapreduce.IdentityMapper
-		p.Reducer = dedupFirstReducer
+		p.Reducer = &dedupFirstReducer{}
 	default:
 		return nil, fmt.Errorf("core: unknown program kind %q", ps.Kind)
 	}

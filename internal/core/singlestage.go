@@ -80,6 +80,7 @@ type carryRecordsReducer struct {
 	// ranks holds the group's decoded projections: they live as long as
 	// the group does.
 	ranks rankArena
+	kernelCounts
 }
 
 // NewTaskInstance gives each reduce task its own rank arena.
@@ -137,20 +138,40 @@ func (r *carryRecordsReducer) Reduce(ctx *mapreduce.Context, _ []byte, values *m
 		jp := records.JoinedPair{Left: left, Right: right, Sim: p.Sim}
 		emitErr = out.Emit(pairGroupKey(p), []byte(jp.String()))
 	})
-	countKernelStats(ctx, st)
+	r.count(st)
 	return emitErr
 }
 
 // dedupFirstReducer keeps one value per key (duplicate joined pairs from
 // different shared prefix tokens are byte-identical).
-var dedupFirstReducer = mapreduce.ReduceFunc(func(ctx *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
+type dedupFirstReducer struct {
+	pairs int64 // the task's stage3.pairs, counted from Cleanup
+}
+
+// NewTaskInstance gives each reduce task its own pair count.
+func (*dedupFirstReducer) NewTaskInstance() any { return &dedupFirstReducer{} }
+
+func (r *dedupFirstReducer) Reduce(_ *mapreduce.Context, _ []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 	v, ok := values.Next()
 	if !ok {
 		return nil
 	}
-	ctx.Count("stage3.pairs", 1)
+	r.pairs++
 	return out.Emit(nil, v)
-})
+}
+
+func (r *dedupFirstReducer) Cleanup(ctx *mapreduce.Context, _ mapreduce.Emitter) error {
+	countPairs(ctx, r.pairs)
+	return nil
+}
+
+// countPairs adds a Stage 3 task's joined pairs to stage3.pairs, once per
+// task: a task that joined none adds nothing.
+func countPairs(ctx *mapreduce.Context, n int64) {
+	if n > 0 {
+		ctx.Count("stage3.pairs", n)
+	}
+}
 
 // SingleStageSelfJoin runs the §2.2 carry-complete-records alternative
 // end-to-end.

@@ -28,7 +28,8 @@ import (
 type tokenCountMapper struct {
 	cfg *Config
 	recordScratch
-	tab *tokenTable
+	tab     *tokenTable
+	records int64 // the task's stage1.records, counted from Cleanup
 }
 
 // NewTaskInstance gives each map task its own record scratch.
@@ -50,11 +51,14 @@ func (m *tokenCountMapper) Map(ctx *mapreduce.Context, _, value []byte, out mapr
 			return err
 		}
 	}
-	ctx.Count("stage1.records", 1)
+	m.records++
 	return nil
 }
 
 func (m *tokenCountMapper) Cleanup(ctx *mapreduce.Context, out mapreduce.Emitter) error {
+	if m.records > 0 {
+		ctx.Count("stage1.records", m.records)
+	}
 	err := m.tab.flush(ctx.Memory, out)
 	m.cfg.tables.Put(m.tab)
 	m.tab = nil

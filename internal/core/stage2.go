@@ -118,6 +118,26 @@ func kernelOptions(cfg *Config) ppjoin.Options {
 	return ppjoin.Options{Fn: cfg.Fn, Threshold: cfg.Threshold, Filters: *cfg.Filters}
 }
 
+// kernelCounts sums a Stage 2 reduce task's kernel counters over its
+// groups, and Cleanup adds them to the job's counters once per task
+// rather than once per group.
+type kernelCounts struct {
+	st     ppjoin.Stats
+	groups bool // a task that reduced no group adds no counter
+}
+
+func (k *kernelCounts) count(st ppjoin.Stats) {
+	k.st.Add(st)
+	k.groups = true
+}
+
+func (k *kernelCounts) Cleanup(ctx *mapreduce.Context, _ mapreduce.Emitter) error {
+	if k.groups {
+		countKernelStats(ctx, k.st)
+	}
+	return nil
+}
+
 func countKernelStats(ctx *mapreduce.Context, st ppjoin.Stats) {
 	ctx.Count("stage2.candidates", st.Candidates)
 	// BK and PK materialize every candidate before verification; the

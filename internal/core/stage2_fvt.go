@@ -44,6 +44,9 @@ type fvtReducer struct {
 	tree  *fvt.Tree
 	items []ppjoin.Item
 	ranks rankArena
+	// fst sums the task's FVT counters over its groups (the owner's
+	// kernelCounts mark that a group ran); Cleanup adds them once.
+	fst fvt.Stats
 }
 
 func (r *fvtReducer) NewTaskInstance() any {
@@ -125,6 +128,18 @@ func (r *fvtReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduc
 		}
 	}
 	st := tree.Stats()
-	countFVTStats(ctx, st)
+	r.fst.NodesVisited += st.NodesVisited
+	r.fst.CandidatesAvoided += st.CandidatesAvoided
+	r.fst.BitmapRejected += st.BitmapRejected
+	r.fst.Verified += st.Verified
+	r.fst.Results += st.Results
+	r.groups = true
 	return r.err
+}
+
+func (r *fvtReducer) Cleanup(ctx *mapreduce.Context, _ mapreduce.Emitter) error {
+	if r.groups {
+		countFVTStats(ctx, r.fst)
+	}
+	return nil
 }

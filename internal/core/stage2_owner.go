@@ -92,6 +92,7 @@ type owner struct {
 	// key and val are reused for every pair: a reduce emitter copies what
 	// it is handed before it returns (fileWriter.write).
 	key, val []byte
+	kernelCounts
 }
 
 func (o *owner) Setup(ctx *mapreduce.Context) (err error) {

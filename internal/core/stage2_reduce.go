@@ -150,11 +150,11 @@ func (r *rounds) stream(v []byte, charge bool) error {
 	return r.own.err
 }
 
-// finish closes the last round and reports the group's kernel counters.
+// finish closes the last round and adds the group's kernel counters to
+// the task's.
 func (r *rounds) finish() error {
 	r.flushSelf()
-	st := r.bk.Stats()
-	countKernelStats(r.ctx, st)
+	r.own.count(r.bk.Stats())
 	return r.own.err
 }
 
@@ -486,6 +486,6 @@ func (r *pkReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce
 			held = r.pk.Bytes()
 		}
 	}
-	countKernelStats(ctx, r.pk.Stats())
+	r.count(r.pk.Stats())
 	return nil
 }

@@ -232,10 +232,16 @@ type pairAssembleReducer struct {
 	// Per-task scratch: the two record lines (a value is only valid until
 	// the next one is read) and the output line built from their bytes.
 	left, right, line []byte
+	pairs             int64 // the task's stage3.pairs, counted from Cleanup
 }
 
 // NewTaskInstance gives each reduce task its own scratch.
 func (*pairAssembleReducer) NewTaskInstance() any { return &pairAssembleReducer{} }
+
+func (r *pairAssembleReducer) Cleanup(ctx *mapreduce.Context, _ mapreduce.Emitter) error {
+	countPairs(ctx, r.pairs)
+	return nil
+}
 
 func (r *pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values *mapreduce.Values, out mapreduce.Emitter) error {
 	var lefts, rights int
@@ -263,7 +269,7 @@ func (r *pairAssembleReducer) Reduce(ctx *mapreduce.Context, key []byte, values 
 	if r.line, err = records.AppendJoinedPair(reuseScratch(r.line), pair.Sim, r.left, r.right); err != nil {
 		return err
 	}
-	ctx.Count("stage3.pairs", 1)
+	r.pairs++
 	return out.Emit(nil, r.line)
 }
 

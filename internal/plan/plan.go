@@ -99,7 +99,7 @@ const (
 func kernelShape(k core.KernelAlg) (w, exp float64) {
 	switch k {
 	case core.BK:
-		return 55, 2.0
+		return 31, 2.0
 	case core.PK:
 		return 190, 1.5
 	default: // FVT

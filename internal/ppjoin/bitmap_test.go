@@ -60,7 +60,7 @@ func TestBitmapStats(t *testing.T) {
 			for _, it := range partition(stream, th, func(w uint32) uint32 { return w % 3 })[g] {
 				s.Next(0, it, func(records.RIDPair) {})
 			}
-			parts.add(s.Stats())
+			parts.Add(s.Stats())
 		}
 		if parts != pk {
 			t.Fatalf("pk partitioned by owner rule: %+v, want the unpartitioned %+v", parts, pk)

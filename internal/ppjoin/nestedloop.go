@@ -34,16 +34,23 @@ func firstPrefixMatch(x, y []uint32, px, py int) (i, j int, ok bool) {
 // stack. Like an Index, one Block serves a reduce task's groups: Reset
 // starts a stream and keeps the storage, Clear starts its next round.
 // What depends on one item alone is computed once per item, not per pair:
-// a buffered item's prefix length on Add, the probing item's length
-// window and prefix length per Self row or Probe.
+// a buffered item's prefix length and signature on Add, a row's bitmap
+// bound per partner length in bounds, so a pair costs a table read and
+// one XOR popcount until it passes the bitmap filter (DESIGN §4.10).
 type Block struct {
 	opts   Options
 	th     simfn.Threshold     // opts.Fn at opts.Threshold, rationalized once
 	owner  func(w uint32) bool // the emit-once hook, see Index.Reset
 	items  []Item
 	prefix []int32 // PrefixLength of items[i]
+	maxLen int     // of the buffered items
+	empty  int     // buffered items without tokens: they pair with nothing
+	row    []int32 // bounds(rowLen)
+	rowLen int
 	stats  Stats
 }
+
+const outside = math.MinInt32 // a bounds entry: length filter fails
 
 // NewBlock returns an empty block.
 func NewBlock(opts Options) *Block {
@@ -56,8 +63,8 @@ func (b *Block) Reset(owner func(w uint32) bool) {
 	b.owner = owner
 	b.stats = Stats{}
 	b.Clear()
-	if cap(b.items) > maxRetainedItems {
-		b.items, b.prefix = nil, nil
+	if cap(b.items) > maxRetainedItems || cap(b.row) > maxRetainedItems {
+		b.items, b.prefix, b.row = nil, nil, nil
 	}
 }
 
@@ -65,6 +72,7 @@ func (b *Block) Reset(owner func(w uint32) bool) {
 func (b *Block) Clear() {
 	clear(b.items) // let go of the round's rank slices
 	b.items, b.prefix = b.items[:0], b.prefix[:0]
+	b.maxLen, b.empty = 0, 0
 }
 
 // Grow makes room for n more items.
@@ -72,34 +80,69 @@ func (b *Block) Grow(n int) {
 	b.items, b.prefix = slices.Grow(b.items, n), slices.Grow(b.prefix, n)
 }
 
-// Add buffers one item.
+// Add buffers one item and builds its signature.
 func (b *Block) Add(it Item) {
+	l := len(it.Ranks)
+	it.Sig()
 	b.items = append(b.items, it)
-	b.prefix = append(b.prefix, int32(b.th.PrefixLength(len(it.Ranks))))
+	b.prefix = append(b.prefix, int32(b.th.PrefixLength(l)))
+	b.maxLen = max(b.maxLen, l)
+	if l == 0 {
+		b.empty++
+	}
 }
 
 // Stats returns the kernel work counters accumulated since Reset.
 func (b *Block) Stats() Stats { return b.stats }
 
-// window is the length filter's admissible partner range for a set of l
-// tokens; without the length filter it admits every length.
-func (b *Block) window(l int) (lo, hi int) {
-	if !b.opts.Filters.Length {
-		return 0, math.MaxInt
+// bounds returns the table of a row item of l > 0 tokens (Self's x,
+// Probe's s) by partner length ly ≤ maxLen: outside where the length
+// filter (or emptiness) rejects ly, else the largest XOR popcount
+// bitsig.Admits lets through, l + ly − 2·OverlapThreshold(l, ly). Both
+// are symmetric in l and ly; consecutive rows of one length share it.
+func (b *Block) bounds(l int) []int32 {
+	if l == b.rowLen && len(b.row) > b.maxLen {
+		return b.row
 	}
-	return b.th.LengthBounds(l)
+	lo, hi := 1, math.MaxInt
+	if b.opts.Filters.Length {
+		lo, hi = b.th.LengthBounds(l)
+	}
+	b.row = slices.Grow(b.row[:0], b.maxLen+1)[:b.maxLen+1]
+	for ly := range b.row {
+		b.row[ly] = outside
+		if ly >= max(lo, 1) && ly <= hi {
+			b.row[ly] = int32(l + ly - 2*b.th.OverlapThreshold(l, ly))
+		}
+	}
+	b.rowLen = l
+	return b.row
 }
 
 // Self cross-pairs the buffer: each unordered pair is considered once and
 // emitted with RIDs ordered (A < B).
 func (b *Block) Self(emit func(records.RIDPair)) {
+	emptyAfter := b.empty
 	for i := range b.items {
-		// Pointer access keeps the lazy signature memo in the buffer.
 		x := &b.items[i]
-		lo, hi := b.window(len(x.Ranks))
+		lx := len(x.Ranks)
+		if lx == 0 {
+			emptyAfter--
+			continue
+		}
+		row, px, sig := b.bounds(lx), int(b.prefix[i]), x.sig
+		var rejected int64
 		for j := i + 1; j < len(b.items); j++ {
 			y := &b.items[j]
-			if sim, ok := b.check(x, y, int(b.prefix[i]), int(b.prefix[j]), len(y.Ranks), lo, hi); ok {
+			ly := len(y.Ranks)
+			if row[ly] == outside {
+				continue
+			}
+			if sig.HammingXor(y.sig) > int(row[ly]) {
+				rejected++
+				continue
+			}
+			if sim, ok := b.verify(x, y, px, int(b.prefix[j]), (lx+ly-int(row[ly]))/2); ok {
 				p := records.RIDPair{A: x.RID, B: y.RID, Sim: sim}
 				if p.A > p.B {
 					p.A, p.B = p.B, p.A
@@ -107,6 +150,8 @@ func (b *Block) Self(emit func(records.RIDPair)) {
 				emit(p)
 			}
 		}
+		b.stats.Candidates += int64(len(b.items) - i - 1 - emptyAfter)
+		b.stats.BitmapRejected += rejected
 	}
 }
 
@@ -114,55 +159,49 @@ func (b *Block) Self(emit func(records.RIDPair)) {
 // s's RID).
 func (b *Block) Probe(s Item, emit func(records.RIDPair)) {
 	ls := len(s.Ranks)
-	ps := b.th.PrefixLength(ls)
-	// The window test is symmetric (|x| admits |y| ⇔ |y| admits |x|, the
-	// bounds being exact), so s's window serves every buffered item.
-	lo, hi := b.window(ls)
+	if ls == 0 {
+		return
+	}
+	row, ps, sig := b.bounds(ls), b.th.PrefixLength(ls), s.Sig()
+	var rejected int64
 	for i := range b.items {
 		x := &b.items[i]
-		if sim, ok := b.check(x, &s, int(b.prefix[i]), ps, len(x.Ranks), lo, hi); ok {
+		lx := len(x.Ranks)
+		if row[lx] == outside {
+			continue
+		}
+		if x.sig.HammingXor(sig) > int(row[lx]) {
+			rejected++
+			continue
+		}
+		if sim, ok := b.verify(x, &s, int(b.prefix[i]), ps, (lx+ls-int(row[lx]))/2); ok {
 			emit(records.RIDPair{A: x.RID, B: s.RID, Sim: sim})
 		}
 	}
+	b.stats.Candidates += int64(len(b.items) - b.empty)
+	b.stats.BitmapRejected += rejected
 }
 
-// check applies the filter stack to one candidate pair and verifies it,
-// returning the similarity and whether it meets the threshold. px and py
-// are the items' prefix lengths; l is the length the other item's window
-// [lo, hi] must admit. A pair whose prefixes share no token fails the
-// prefix filter; one whose first shared token is another owner's is left
-// to that owner.
-//
-// The bitmap filter runs right after the length filter, ahead of the
-// prefix scan: every pair of a group is a candidate here, and four
-// popcounts reject most of them for less than the scan costs. The filters
-// are conjunctive, so the order changes BitmapRejected and nothing else
-// (DESIGN §4.10).
-func (b *Block) check(x, y *Item, px, py, l, lo, hi int) (float64, bool) {
+// verify runs the rest of the funnel on a pair the length and bitmap
+// filters admitted — every pair of a group is a candidate, and the
+// popcount rejects most for less than the prefix scan costs — returning
+// the similarity and whether it meets the threshold; px and py are the
+// prefix lengths, need the overlap threshold. A pair whose prefixes share
+// no token fails the prefix filter; one whose first shared token is
+// another owner's is left to that owner.
+func (b *Block) verify(x, y *Item, px, py, need int) (float64, bool) {
 	lx, ly := len(x.Ranks), len(y.Ranks)
-	if lx == 0 || ly == 0 {
-		return 0, false
-	}
-	st, opts := &b.stats, &b.opts
-	st.Candidates++
-	if l < lo || l > hi {
-		return 0, false
-	}
-	need := b.th.OverlapThreshold(lx, ly)
-	if !st.Admit(lx, ly, x.Sig(), y.Sig(), need) {
-		return 0, false
-	}
 	i, j, ok := firstPrefixMatch(x.Ranks, y.Ranks, px, py)
 	if !ok || (b.owner != nil && !b.owner(x.Ranks[i])) {
 		return 0, false
 	}
-	if opts.Filters.Positional && !filter.Positional(lx, ly, i, j, 1, need) {
+	if b.opts.Filters.Positional && !filter.Positional(lx, ly, i, j, 1, need) {
 		return 0, false
 	}
-	if opts.Filters.Suffix && !filter.Suffix(x.Ranks, y.Ranks, i, j, need) {
+	if b.opts.Filters.Suffix && !filter.Suffix(x.Ranks, y.Ranks, i, j, need) {
 		return 0, false
 	}
-	return st.Merge(opts.Fn, x, y, need)
+	return b.stats.Merge(b.opts.Fn, x, y, need)
 }
 
 // NestedLoopSelf runs the BK kernel over items (the record projections a

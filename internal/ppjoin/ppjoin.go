@@ -30,10 +30,10 @@ type Item struct {
 	RID   uint64
 	Ranks []uint32
 
-	// sig memoizes the bitmap-filter signature: built on first use so
-	// an indexed item probed by a stream of later items folds its ranks
-	// only once. Kernels run single-threaded per reduce group, so the
-	// lazy fill is race-free.
+	// sig memoizes the bitmap-filter signature: built on first use (by
+	// Block.Add up front) so an item probed by a stream of later items
+	// folds its ranks only once. Kernels run single-threaded per reduce
+	// group, so the lazy fill is race-free.
 	sig    bitsig.Sig
 	hasSig bool
 }
@@ -68,7 +68,8 @@ type Stats struct {
 	Tail
 }
 
-func (s *Stats) add(o Stats) {
+// Add adds o's counts to s.
+func (s *Stats) Add(o Stats) {
 	s.Candidates += o.Candidates
 	s.BitmapRejected += o.BitmapRejected
 	s.Verified += o.Verified
@@ -491,7 +492,7 @@ func (s *Stream) Next(rel int, x Item, emit func(records.RIDPair)) {
 func (s *Stream) Stats() Stats {
 	var st Stats
 	for _, ix := range s.ix {
-		st.add(ix.Stats())
+		st.Add(ix.Stats())
 	}
 	return st
 }
